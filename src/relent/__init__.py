@@ -21,7 +21,6 @@ from relent.entanglement import (
     bell_density_from_ABCD,
     entanglement_measure,
     fidelity,
-    measure_sweep,
     partial_transpose,
     separability_verdict,
     xstate_stats,

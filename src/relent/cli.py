@@ -28,6 +28,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
@@ -159,6 +160,19 @@ def _expect(cond: bool, field_name: str, message: str) -> None:
         raise ConfigError(f"config field '{field_name}': {message}")
 
 
+def _is_int(x) -> bool:
+    """A JSON integer; JSON booleans are not numbers here."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    """A JSON number that is a finite float: no boolean, Infinity, NaN or oversize integer."""
+    try:
+        return (_is_int(x) or isinstance(x, float)) and math.isfinite(x)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def parse_config(doc: dict) -> SweepConfig:
     """Validate a JSON document field by field and build the sweep config."""
     if not isinstance(doc, dict):
@@ -177,17 +191,17 @@ def parse_config(doc: dict) -> SweepConfig:
     betas = doc.get("betas", _DEFAULT_BETAS)
     _expect(isinstance(betas, list) and len(betas) > 0, "betas", "must be a non-empty list")
     for i, x in enumerate(betas):
-        _expect(isinstance(x, (int, float)) and 0.0 <= x <= BETA_CAP,
+        _expect(_is_number(x) and 0.0 <= x <= BETA_CAP,
                 f"betas[{i}]", f"must be a number in [0, {BETA_CAP}], got {x!r}")
     _expect(all(b2 >= b1 for b1, b2 in zip(betas, betas[1:])), "betas", "must be ascending")
 
     delta = doc.get("delta", [1.0])
-    if isinstance(delta, (int, float)):
+    if _is_number(delta):
         delta = [delta]
     _expect(isinstance(delta, list) and len(delta) > 0, "delta", "must be a number or non-empty list")
     for i, x in enumerate(delta):
-        _expect(isinstance(x, (int, float)) and x > 0.0,
-                f"delta[{i}]", f"must be a positive number, got {x!r}")
+        _expect(_is_number(x) and x > 0.0,
+                f"delta[{i}]", f"must be a finite positive number, got {x!r}")
 
     grid_doc = doc.get("grid", {})
     _expect(isinstance(grid_doc, dict), "grid", "must be an object")
@@ -195,18 +209,19 @@ def parse_config(doc: dict) -> SweepConfig:
     for name in ("n_r", "n_theta", "n_phi"):
         if name in grid_doc:
             v = grid_doc[name]
-            _expect(isinstance(v, int) and v >= 2, f"grid.{name}", f"must be an integer >= 2, got {v!r}")
+            _expect(_is_int(v) and v >= 2, f"grid.{name}", f"must be an integer >= 2, got {v!r}")
             grid_kwargs[name] = v
     if "p_max" in grid_doc:
         v = grid_doc["p_max"]
-        _expect(v == "auto" or (isinstance(v, (int, float)) and v > 0),
-                "grid.p_max", f"must be 'auto' or a positive number, got {v!r}")
+        _expect(v == "auto" or (_is_number(v) and v > 0),
+                "grid.p_max", f"must be 'auto' or a finite positive number, got {v!r}")
         grid_kwargs["p_max"] = v
     unknown_grid = set(grid_doc) - {"n_r", "n_theta", "n_phi", "p_max"}
     _expect(not unknown_grid, f"grid.{sorted(unknown_grid)[0]}" if unknown_grid else "grid", "unknown field")
 
     delta_sign = doc.get("delta_sign", -1)
-    _expect(delta_sign in (-1, 1), "delta_sign", f"must be -1 or 1, got {delta_sign!r}")
+    _expect(_is_number(delta_sign) and delta_sign in (-1, 1),
+            "delta_sign", f"must be -1 or 1, got {delta_sign!r}")
 
     analytic_limit = doc.get("analytic_limit", False)
     _expect(isinstance(analytic_limit, bool), "analytic_limit", "must be a boolean")
@@ -221,14 +236,14 @@ def parse_config(doc: dict) -> SweepConfig:
     dir_vals = {}
     for key in ("a", "b"):
         v = directions.get(key, [1.0, 0.0, 0.0])
-        _expect(isinstance(v, list) and len(v) == 3 and all(isinstance(x, (int, float)) for x in v),
-                f"directions.{key}", "must be a 3-vector")
+        _expect(isinstance(v, list) and len(v) == 3 and all(_is_number(x) for x in v),
+                f"directions.{key}", "must be a 3-vector of finite numbers")
         norm = float(np.linalg.norm(v))
         _expect(abs(norm - 1.0) <= 1e-9, f"directions.{key}", f"must be a unit vector (norm {norm:.6f})")
         dir_vals[key] = tuple(float(x) for x in v)
 
     seed = doc.get("seed", 42)
-    _expect(isinstance(seed, int) and seed >= 0, "seed", f"must be a non-negative integer, got {seed!r}")
+    _expect(_is_int(seed) and seed >= 0, "seed", f"must be a non-negative integer, got {seed!r}")
 
     return SweepConfig(
         scenario=scenario,
@@ -254,6 +269,12 @@ def load_config(path: str) -> SweepConfig:
     return parse_config(doc)
 
 
+def _set_pt_columns(row: SweepRow, rho) -> None:
+    """Lowest partial-transpose eigenvalue and entanglement measure of ``rho``."""
+    row.min_pt_eig = float(np.linalg.eigvalsh(partial_transpose(rho))[0])
+    row.E = entanglement_measure(rho)
+
+
 def _cell(config: SweepConfig, beta: float, delta: float) -> SweepRow:
     """Evaluate one (beta, delta) cell of the configured scenario."""
     row = SweepRow(beta=beta, delta=delta)
@@ -270,10 +291,8 @@ def _cell(config: SweepConfig, beta: float, delta: float) -> SweepRow:
         if config.scenario == "fidelity_only":
             return row
         v = bell_ABCD(gp, b, base_grid, analytic_limit=config.analytic_limit)
-        eig = np.linalg.eigvalsh(partial_transpose(bell_density_from_ABCD(v)))
         row.A, row.B, row.C, row.D, row.eta = v.A, v.B, v.C, v.D, v.eta
-        row.min_pt_eig = float(eig[0])
-        row.E = float(-2.0 * np.sum(np.minimum(eig, 0.0)) + 0.0)
+        _set_pt_columns(row, bell_density_from_ABCD(v))
         if not config.analytic_limit:
             pairs = default_sample_pairs(gp, n=64, seed=config.seed)
             sample = momentum_density_samples(state, b, base_grid, pairs)
@@ -287,10 +306,7 @@ def _cell(config: SweepConfig, beta: float, delta: float) -> SweepRow:
         row.ineq15_margin = verdict.margin_corner
         row.ineq16_margin = verdict.margin_middle
         row.identity14_residual = stats.mean_product_residual()
-        rho = stats.density()
-        eig = np.linalg.eigvalsh(partial_transpose(rho))
-        row.min_pt_eig = float(eig[0])
-        row.E = entanglement_measure(rho)
+        _set_pt_columns(row, stats.density())
         return row
 
     if config.scenario == "both_bell_correlations":

@@ -27,16 +27,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from relent.kinematics import Boost, FourMomentum, wigner_angle, wigner_rotation
-from relent.relstate import BipartiteState, SpinDensity, bell_phi_plus
-from relent.wavepacket import (
-    EntangledMomentum,
-    GaussianProduct,
-    GridCoverageError,
-    QuadratureGrid,
-    build_grid,
-    default_p_max,
+from relent.kinematics import (
+    Boost,
+    FourMomentum,
+    energy_ratio,
+    su2_matrix,
+    wigner_angle,
+    wigner_rotation,
 )
+from relent.relstate import (
+    BipartiteState,
+    SpinDensity,
+    bell_phi_plus,
+    pair_amplitudes,
+    spin_kernel,
+    spin_up_up,
+)
+from relent.wavepacket import EntangledMomentum, GaussianProduct, GridCoverageError, QuadratureGrid
 
 __all__ = [
     "FidelityResult",
@@ -54,8 +61,6 @@ __all__ = [
     "pt_eigenvalues_from_ABCD",
     "partial_transpose",
     "entanglement_measure",
-    "measure_sweep",
-    "SweepPoint",
 ]
 
 #: verdict threshold on the partial-transpose inequality margins
@@ -136,28 +141,13 @@ class SeparabilityVerdict:
     margin_middle: float  #: |<b c*>|^2 - <|a|^2><|d|^2>
 
 
-def _half_angle_trig(mom: FourMomentum, b: Boost):
-    wr = wigner_rotation(mom, b)
-    return np.cos(wr.omega / 2.0), np.sin(wr.omega / 2.0), wr.phi
-
-
-def abcd(p: FourMomentum, q: FourMomentum, b: Boost):
+def abcd(p: FourMomentum, q: FourMomentum, b: Boost) -> np.ndarray:
     """Rotated amplitudes of an initially up-up spin pair at momenta (p, q)."""
-    cp, sp, php = _half_angle_trig(p, b)
-    cq, sq, phq = _half_angle_trig(q, b)
-    a = (
-        cp * cq
-        - sp * sq * np.cos(php) * np.cos(phq)
-        + 1j * (sp * cq * np.cos(php) + cp * sq * np.cos(phq))
-    )
-    b_ = cp * sq * np.sin(phq) + 1j * sp * sq * np.cos(php) * np.sin(phq)
-    c_ = sp * cq * np.sin(php) + 1j * sp * sq * np.sin(php) * np.cos(phq)
-    d = sp * sq * np.sin(php) * np.sin(phq)
-    return a, b_, c_, complex(d)
+    return spin_kernel(p, q, b)[:, 0]
 
 
 def _norm_check(norm: float, what: str, tol: float = 1e-4) -> None:
-    if abs(norm - 1.0) > tol:
+    if not (abs(norm - 1.0) <= tol):
         raise GridCoverageError(
             f"{what}: distribution norm on the grid is {norm:.6f}; grid coverage insufficient"
         )
@@ -170,23 +160,7 @@ def xstate_stats(dist: EntangledMomentum, b: Boost, grid: QuadratureGrid) -> XSt
     w = grid.weights * dist.density1(grid.p**2)
     _norm_check(float(np.sum(w)), "xstate_stats")
 
-    omega_p = wigner_angle(grid.p, grid.costheta, b.beta)
-    php = grid.phi
-    if dist.sign == -1:
-        omega_q = wigner_angle(grid.p, -grid.costheta, b.beta)
-        phq = grid.phi + np.pi
-    else:
-        omega_q = omega_p
-        phq = php
-    cp, sp = np.cos(omega_p / 2.0), np.sin(omega_p / 2.0)
-    cq, sq = np.cos(omega_q / 2.0), np.sin(omega_q / 2.0)
-
-    a = cp * cq - sp * sq * np.cos(php) * np.cos(phq) + 1j * (
-        sp * cq * np.cos(php) + cp * sq * np.cos(phq)
-    )
-    b_ = cp * sq * np.sin(phq) + 1j * sp * sq * np.cos(php) * np.sin(phq)
-    c_ = sp * cq * np.sin(php) + 1j * sp * sq * np.sin(php) * np.cos(phq)
-    d = sp * sq * np.sin(php) * np.sin(phq)
+    (a, b_), (c_, d) = pair_amplitudes(dist, b, grid, spin_up_up())
 
     mean = lambda x: complex(np.sum(w * x))
     return XStateStats(
@@ -218,8 +192,6 @@ def separability_verdict(stats: XStateStats) -> SeparabilityVerdict:
 
 def overlap_kernel_generic(p: FourMomentum, q: FourMomentum, b: Boost, spin: np.ndarray) -> complex:
     """<spin| D(Omega_p) x D(Omega_q) |spin> at a single momentum pair."""
-    from relent.relstate import spin_kernel
-
     spin = np.asarray(spin, dtype=complex)
     return complex(spin.conj() @ (spin_kernel(p, q, b) @ spin))
 
@@ -242,7 +214,7 @@ def _boosted_args(grid: QuadratureGrid, b: Boost, m: float = 1.0):
     pt_sq = grid.p**2 - px**2
     p0 = np.sqrt(m**2 + grid.p**2)
     px_b = b.gamma * (px + b.beta * p0)
-    return px_b**2 + pt_sq, b.gamma * (1.0 + b.beta * px / p0)
+    return px_b**2 + pt_sq, energy_ratio(px, p0, b)
 
 
 def _leaked_mass(dist: GaussianProduct, b: Boost, p_max: float, m: float = 1.0) -> float:
@@ -303,14 +275,9 @@ def fidelity(
         moment = complex(np.sum(w * c))
         overlap = moment * moment
     elif method == "generic":
-        cp, sp = np.cos(grid.phi), np.sin(grid.phi)
-        M = np.array(
-            [
-                [np.sum(w * (c + 1j * s * cp)), np.sum(w * (-s * sp))],
-                [np.sum(w * (s * sp)), np.sum(w * (c - 1j * s * cp))],
-            ],
-            dtype=complex,
-        )
+        # D is linear in (c, s cos(phi), s sin(phi)): M is the same form of their sums
+        ws = w * s
+        M = su2_matrix(np.sum(w * c), np.sum(ws * np.cos(grid.phi)), np.sum(ws * np.sin(grid.phi)))
         overlap = complex(state.spin.conj() @ (np.kron(M, M) @ state.spin))
     else:
         raise ValueError(f"unknown fidelity method: {method!r}")
@@ -389,51 +356,3 @@ def entanglement_measure(rho) -> float:
     """
     eig = np.linalg.eigvalsh(partial_transpose(rho))
     return float(-2.0 * np.sum(np.minimum(eig, 0.0)) + 0.0)
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    beta: float
-    E: float
-    min_pt_eig: float
-    fidelity: float
-    abcd: ABCDValues
-
-
-def measure_sweep(
-    dist: GaussianProduct,
-    spin: np.ndarray,
-    betas,
-    grid: QuadratureGrid,
-    analytic_limit: bool = False,
-) -> list[SweepPoint]:
-    """Entanglement measure, PT floor, and fidelity across ascending boost speeds.
-
-    ``grid`` integrates everything evaluated at unboosted arguments; fidelity
-    rebuilds a grid with the same counts and boost-dependent radial headroom
-    for each beta, since its integrand carries boosted arguments.
-    """
-    betas = list(betas)
-    if any(b2 < b1 for b1, b2 in zip(betas, betas[1:])):
-        raise ValueError("betas must be ascending")
-    state = BipartiteState(dist=dist, spin=np.asarray(spin, dtype=complex))
-    out = []
-    for beta in betas:
-        b = Boost(beta)
-        v = bell_ABCD(dist, b, grid, analytic_limit=analytic_limit)
-        rho = bell_density_from_ABCD(v)
-        eig = np.linalg.eigvalsh(partial_transpose(rho))
-        fid_grid = build_grid(
-            grid.n_r, grid.n_theta, grid.n_phi, default_p_max(dist.delta, beta)
-        )
-        fid = fidelity(state, b, fid_grid)
-        out.append(
-            SweepPoint(
-                beta=beta,
-                E=float(-2.0 * np.sum(np.minimum(eig, 0.0)) + 0.0),
-                min_pt_eig=float(eig[0]),
-                fidelity=fid.fidelity,
-                abcd=v,
-            )
-        )
-    return out

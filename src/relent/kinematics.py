@@ -31,6 +31,8 @@ __all__ = [
     "wigner_rotation",
     "wigner_oracle",
     "wigner_matrix",
+    "su2_matrix",
+    "energy_ratio",
     "standard_boost",
     "rotation_angle",
     "su2_from_so3",
@@ -161,22 +163,37 @@ def wigner_angle(p, costheta, beta, m=1.0, sintheta=None):
     return 2.0 * np.arctan2(num, den)
 
 
-def wigner_matrix(omega: float, phi: float) -> np.ndarray:
-    """2x2 unitary spin-1/2 representation of the Wigner rotation.
+def su2_matrix(c, u, v) -> np.ndarray:
+    """The SU(2) form [[c + iu, -v], [v, c - iu]], stacked over broadcast inputs.
+
+    Linear in (c, u, v), so a quadrature of the matrix is this form applied to
+    the quadratures of its three components.  Returns shape
+    ``(2, 2) + broadcast(c, u, v).shape``.
+    """
+    c, u, v = np.broadcast_arrays(c, u, v)
+    out = np.zeros((2, 2) + c.shape, dtype=complex)
+    out.real[0, 0] = out.real[1, 1] = c
+    out.imag[0, 0], out.imag[1, 1] = u, -u
+    out.real[0, 1], out.real[1, 0] = -v, v
+    return out
+
+
+def wigner_matrix(omega, phi) -> np.ndarray:
+    """Spin-1/2 representation of the Wigner rotation, broadcast over nodes.
 
     Equals exp(-i omega n.sigma / 2) for the axis n = (0, sin(phi), -cos(phi)),
     i.e. the rotation leaves the plane spanned by the boost axis and the
-    momentum invariant.
+    momentum invariant.  Returns shape ``(2, 2) + broadcast(omega, phi).shape``:
+    a 2x2 matrix for scalar input, and node axes last, so that each entry is a
+    contiguous array.
     """
-    c = np.cos(omega / 2.0)
     s = np.sin(omega / 2.0)
-    cp = np.cos(phi)
-    sp = np.sin(phi)
-    return np.array(
-        [[c + 1j * s * cp, -s * sp],
-         [s * sp, c - 1j * s * cp]],
-        dtype=complex,
-    )
+    return su2_matrix(np.cos(omega / 2.0), s * np.cos(phi), s * np.sin(phi))
+
+
+def energy_ratio(px, p0, b: Boost):
+    """(Lambda p)^0 / p^0 of the x-axis boost, vectorised over px and the energy p0."""
+    return b.gamma * (1.0 + b.beta * px / p0)
 
 
 def wigner_rotation(mom: FourMomentum, b: Boost) -> WignerRotation:

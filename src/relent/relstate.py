@@ -20,7 +20,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from relent.kinematics import Boost, FourMomentum, wigner_angle, wigner_matrix, wigner_rotation
+from relent.kinematics import (
+    Boost,
+    FourMomentum,
+    energy_ratio,
+    wigner_angle,
+    wigner_matrix,
+    wigner_rotation,
+)
 from relent.wavepacket import (
     EntangledMomentum,
     GaussianProduct,
@@ -35,6 +42,7 @@ __all__ = [
     "bell_phi_plus",
     "spin_up_up",
     "spin_kernel",
+    "pair_amplitudes",
     "reduced_spin_density",
     "momentum_density_samples",
     "default_sample_pairs",
@@ -87,10 +95,11 @@ class SpinDensity:
 
     def validate(self, herm_tol=1e-10, trace_tol=1e-8, psd_tol=1e-8) -> "SpinDensity":
         m = self.matrix
-        if np.max(np.abs(m - m.conj().T)) > herm_tol:
+        if not (np.max(np.abs(m - m.conj().T)) <= herm_tol):
             raise ValueError("density is not Hermitian within tolerance")
-        if abs(np.trace(m).real - 1.0) > trace_tol or abs(np.trace(m).imag) > trace_tol:
-            raise ValueError(f"trace deviates from 1: {np.trace(m)}")
+        tr = np.trace(m)
+        if not (abs(tr.real - 1.0) <= trace_tol and abs(tr.imag) <= trace_tol):
+            raise ValueError(f"trace deviates from 1: {tr}")
         if np.min(np.linalg.eigvalsh((m + m.conj().T) / 2.0)) < -psd_tol:
             raise ValueError("density has a negative eigenvalue beyond tolerance")
         return self
@@ -101,26 +110,26 @@ def spin_kernel(p: FourMomentum, q: FourMomentum, b: Boost) -> np.ndarray:
     return np.kron(wigner_rotation(p, b).matrix, wigner_rotation(q, b).matrix)
 
 
-def _wigner_matrices_on_grid(grid: QuadratureGrid, beta: float, costheta=None, phi=None):
-    """2x2 Wigner matrices at every grid node, stacked (size, 2, 2)."""
-    ct = grid.costheta if costheta is None else costheta
-    ph = grid.phi if phi is None else phi
-    omega = wigner_angle(grid.p, ct, beta)
-    c = np.cos(omega / 2.0)
-    s = np.sin(omega / 2.0)
-    cp = np.cos(ph)
-    sp = np.sin(ph)
-    D = np.empty((grid.size, 2, 2), dtype=complex)
-    D[:, 0, 0] = c + 1j * s * cp
-    D[:, 0, 1] = -s * sp
-    D[:, 1, 0] = s * sp
-    D[:, 1, 1] = c - 1j * s * cp
-    return D
+def pair_amplitudes(
+    dist: EntangledMomentum, b: Boost, grid: QuadratureGrid, spin: np.ndarray
+) -> np.ndarray:
+    """Rotated spin amplitude D_p Phi D_q^T at every node, shape (2, 2, size).
+
+    Phi is the two-spin amplitude as a 2x2 matrix and q = sign * p the
+    companion momentum of the delta-correlated pair; for q = -p the
+    companion sits at polar cosine -cos(theta) and azimuth phi + pi.
+    """
+    Dp = wigner_matrix(wigner_angle(grid.p, grid.costheta, b.beta), grid.phi)
+    if dist.sign == 1:
+        Dq = Dp
+    else:
+        Dq = wigner_matrix(wigner_angle(grid.p, -grid.costheta, b.beta), grid.phi + np.pi)
+    return np.einsum("abn,bc,dcn->adn", Dp, spin.reshape(2, 2), Dq)
 
 
 def _check_trace(rho: np.ndarray, what: str) -> np.ndarray:
     tr = np.trace(rho).real
-    if abs(tr - 1.0) > TRACE_TOL:
+    if not (abs(tr - 1.0) <= TRACE_TOL):
         raise GridCoverageError(
             f"{what}: quadrature trace {tr:.6f} deviates from 1 by more than {TRACE_TOL}; "
             "the grid does not cover the distribution"
@@ -136,27 +145,15 @@ def reduced_spin_density(state: BipartiteState, b: Boost, grid: QuadratureGrid) 
     distribution the two-spin map factorises into identical single-particle
     channels, each a 3D quadrature of D (x) D*.
     """
-    beta = b.beta
+    w = grid.weights * state.dist.density1(grid.p**2)
     if isinstance(state.dist, EntangledMomentum):
-        w = grid.weights * state.dist.density1(grid.p**2)
-        Dp = _wigner_matrices_on_grid(grid, beta)
-        s = state.dist.sign
-        Dq = _wigner_matrices_on_grid(
-            grid, beta,
-            costheta=s * grid.costheta,
-            phi=grid.phi if s == 1 else grid.phi + np.pi,
-        )
-        phi_mat = state.spin.reshape(2, 2)
-        # rotated spin amplitude at each node: D_p Phi D_q^T
-        psi = np.einsum("nab,bc,ndc->nad", Dp, phi_mat, Dq).reshape(-1, 4)
-        rho = np.einsum("n,ni,nj->ij", w, psi, psi.conj())
+        psi = pair_amplitudes(state.dist, b, grid, state.spin).reshape(4, -1)
+        rho = np.einsum("n,in,jn->ij", w, psi, psi.conj())
         return SpinDensity(matrix=_check_trace(rho, "reduced_spin_density"))
 
-    dist: GaussianProduct = state.dist
-    w = grid.weights * dist.density1(grid.p**2)
-    D = _wigner_matrices_on_grid(grid, beta)
+    D = wigner_matrix(wigner_angle(grid.p, grid.costheta, b.beta), grid.phi)
     # single-particle channel X -> int w D X D^dag as T[a, a', c, c'] acting on X[c, c']
-    T = np.einsum("n,nac,nbd->abcd", w, D, D.conj())
+    T = np.einsum("n,acn,bdn->abcd", w, D, D.conj())
     # rho0[c, d, c', d'] over (qubit A, qubit B, primed A, primed B)
     rho0 = np.outer(state.spin, state.spin.conj()).reshape(2, 2, 2, 2)
     rho4 = np.einsum("aick,bjdl,cdkl->abij", T, T, rho0)
@@ -188,23 +185,6 @@ class MomentumDensitySample:
             raise ValueError("diagonal momentum-density elements must be non-negative")
 
 
-def _wigner_matrix_for(vec: np.ndarray, beta: float, m: float = 1.0) -> np.ndarray:
-    mom = FourMomentum(p_vec=np.asarray(vec, dtype=float), m=m)
-    transverse = np.hypot(mom.p_vec[1], mom.p_vec[2])
-    if transverse == 0.0 or mom.p == 0.0:
-        return np.eye(2, dtype=complex)
-    omega = float(
-        wigner_angle(mom.p, mom.p_vec[0] / mom.p, beta, m=m, sintheta=transverse / mom.p)
-    )
-    return wigner_matrix(omega, mom.phi)
-
-
-def _energy_ratio(vec: np.ndarray, b: Boost, m: float = 1.0) -> float:
-    """(Lambda p)^0 / p^0 for the x-axis boost."""
-    p0 = float(np.sqrt(m**2 + vec @ vec))
-    return b.gamma * (1.0 + b.beta * vec[0] / p0)
-
-
 def momentum_density_samples(
     state: BipartiteState, b: Boost, grid: QuadratureGrid, pairs: np.ndarray
 ) -> MomentumDensitySample:
@@ -227,32 +207,30 @@ def momentum_density_samples(
     if pairs.ndim != 3 or pairs.shape[1:] != (4, 3):
         raise ValueError("pairs must have shape (n, 4, 3)")
     dist = state.dist
-    phi_vec = state.spin
+    F = state.spin.reshape(2, 2)
 
     # companion-trace normalisation, computed on the grid it was handed
     norm1 = float(np.sum(grid.weights * dist.density1(grid.p**2)))
 
-    elements = np.empty(pairs.shape[0], dtype=complex)
-    marginals = np.empty(pairs.shape[0], dtype=complex)
-    for i, (pv, qv, pv2, qv2) in enumerate(pairs):
-        Dp, Dq = _wigner_matrix_for(pv, b.beta), _wigner_matrix_for(qv, b.beta)
-        Dp2, Dq2 = _wigner_matrix_for(pv2, b.beta), _wigner_matrix_for(qv2, b.beta)
-        A = Dp2.conj().T @ Dp
-        B = Dq2.conj().T @ Dq
-        spin_sum = phi_vec.conj() @ (np.kron(A, B) @ phi_vec)
-        spin_a = phi_vec.conj() @ (np.kron(A, np.eye(2)) @ phi_vec)
-        spin_b = phi_vec.conj() @ (np.kron(np.eye(2), B) @ phi_vec)
+    # Wigner matrices of all four momenta of every row, D[:, :, row, slot]
+    p_sq = np.sum(pairs**2, axis=-1)
+    p = np.sqrt(p_sq)
+    transverse = np.hypot(pairs[..., 1], pairs[..., 2])
+    safe_p = np.where(p > 0.0, p, 1.0)  # collinear and p = 0 rows give omega = 0 exactly
+    omega = wigner_angle(p, pairs[..., 0] / safe_p, b.beta, sintheta=transverse / safe_p)
+    D = wigner_matrix(omega, np.arctan2(pairs[..., 2], pairs[..., 1]))
+    A = np.einsum("ban,bcn->acn", D[..., 2].conj(), D[..., 0])  # D_p'^dag D_p
+    B = np.einsum("ban,bcn->acn", D[..., 3].conj(), D[..., 1])  # D_q'^dag D_q
+    # <Phi| A x B |Phi> and the single-party overlaps with the other factor traced
+    spin_sum = np.einsum("ab,acn,cd,bdn->n", F.conj(), A, F, B)
+    spin_a = np.einsum("ab,acn,cb->n", F.conj(), A, F)
+    spin_b = np.einsum("ab,ad,bdn->n", F.conj(), F, B)
 
-        jac = np.sqrt(
-            _energy_ratio(pv, b) * _energy_ratio(qv, b)
-            * _energy_ratio(pv2, b) * _energy_ratio(qv2, b)
-        )
-        amp = (
-            dist.amplitude1(pv @ pv) * dist.amplitude1(qv @ qv)
-            * dist.amplitude1(pv2 @ pv2) * dist.amplitude1(qv2 @ qv2)
-        )
-        elements[i] = jac * amp * spin_sum
-        marginals[i] = jac * amp * (spin_a * norm1) * (spin_b * norm1)
+    ratio = energy_ratio(pairs[..., 0], np.sqrt(1.0 + p_sq), b)
+    jac = np.sqrt(np.prod(ratio, axis=1))
+    amp = np.prod(dist.amplitude1(p_sq), axis=1)
+    elements = jac * amp * spin_sum
+    marginals = jac * amp * (spin_a * norm1) * (spin_b * norm1)
     return MomentumDensitySample(pairs=pairs, elements=elements, marginal_products=marginals)
 
 

@@ -33,7 +33,6 @@ from relent.entanglement import (
     bell_density_from_ABCD,
     entanglement_measure,
     fidelity,
-    measure_sweep,
     partial_transpose,
     pt_eigenvalues_from_ABCD,
     separability_verdict,
@@ -142,10 +141,11 @@ def test_criterion3_fidelity_degradation():
 
 def test_criterion4_measure_monotone_in_beta():
     t0 = time.monotonic()
-    for delta in (0.5, 1.0, 4.0):
-        grid = build_grid(32, 32, 16, default_p_max(delta))
-        rows = measure_sweep(GaussianProduct(delta), bell_phi_plus(), BETA_GRID_DEFAULT, grid)
-        E = [r.E for r in rows]
+    widths = (0.5, 1.0, 4.0)
+    rows = run(parse_config({"betas": BETA_GRID_DEFAULT, "delta": list(widths)}))
+    for delta in widths:
+        E = [r.E for r in rows if r.delta == delta]
+        assert len(E) == len(BETA_GRID_DEFAULT)
         assert all(e2 <= e1 + 1e-6 for e1, e2 in zip(E, E[1:])), (delta, E)
     elapsed_ok = time.monotonic() - t0 < 120.0
     report("criterion-4 measure-monotone", elapsed_ok, t0)

@@ -34,8 +34,9 @@ class TestConfigParsing:
             parse_config({"scenari": "x"})
 
     def test_rejects_bad_beta_with_field_name(self):
-        with pytest.raises(ConfigError, match=r"betas\[0\]"):
-            parse_config({"betas": [1.5]})
+        for beta in (1.5, True, False, "0.5", float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match=r"betas\[0\]"):
+                parse_config({"betas": [beta]})
 
     def test_rejects_descending_betas(self):
         with pytest.raises(ConfigError, match="ascending"):
@@ -46,12 +47,17 @@ class TestConfigParsing:
             parse_config({"scenario": "bogus"})
 
     def test_rejects_non_unit_direction(self):
-        with pytest.raises(ConfigError, match="directions.a"):
-            parse_config({"directions": {"a": [1, 1, 0], "b": [1, 0, 0]}})
+        for a in ([1, 1, 0], [True, 0, 0], [float("nan"), 0, 0], [float("inf"), 0, 0]):
+            with pytest.raises(ConfigError, match="directions.a"):
+                parse_config({"directions": {"a": a, "b": [1, 0, 0]}})
 
     def test_rejects_bad_grid_counts(self):
-        with pytest.raises(ConfigError, match="grid.n_r"):
-            parse_config({"grid": {"n_r": 1}})
+        for n_r in (1, True, 16.0):
+            with pytest.raises(ConfigError, match="grid.n_r"):
+                parse_config({"grid": {"n_r": n_r}})
+        for p_max in (0, True, float("inf"), float("nan")):
+            with pytest.raises(ConfigError, match="grid.p_max"):
+                parse_config({"grid": {"p_max": p_max}})
 
     def test_scalar_delta_promoted(self):
         assert parse_config({"delta": 2.0}).delta == (2.0,)
@@ -214,9 +220,29 @@ class TestMainEntry:
         assert echoed["betas"] == [0.0, 0.5]
 
     def test_config_error_exit_code(self, tmp_path, capsys):
-        cfg_path = write_config(tmp_path, {"betas": [1.5]})
-        assert main(["validate", "--config", cfg_path]) == EXIT_CONFIG
-        assert "betas[0]" in capsys.readouterr().err
+        inf = float("inf")
+        cases = [
+            ({"betas": [1.5]}, "betas[0]"),
+            ({"seed": True}, "'seed'"),
+            ({"delta": [True]}, "delta[0]"),
+            ({"delta": True}, "'delta'"),
+            ({"delta": [inf]}, "delta[0]"),
+            ({"delta": [10**400]}, "delta[0]"),  # no float holds it
+            ({"delta_sign": True}, "delta_sign"),
+            ({"grid": {"p_max": inf}}, "grid.p_max"),
+            ({"grid": {"n_phi": False}}, "grid.n_phi"),
+            ({"directions": {"a": [1, 0, 0], "b": [True, 0, 0]}}, "directions.b"),
+        ]
+        for doc, field in cases:
+            cfg_path = write_config(tmp_path, doc)  # json writes inf as Infinity
+            assert main(["validate", "--config", cfg_path]) == EXIT_CONFIG, doc
+            assert field in capsys.readouterr().err, doc
+        # an unbounded grid used to run through to a nan correlation and exit 0
+        cfg_path = write_config(
+            tmp_path, {"scenario": "both_bell_correlations", "betas": [0.5], "grid": {"p_max": inf}}
+        )
+        assert main(["run", "--config", cfg_path]) == EXIT_CONFIG
+        assert "grid.p_max" in capsys.readouterr().err
 
     def test_missing_file_is_config_error(self, capsys):
         assert main(["validate", "--config", "/nonexistent.json"]) == EXIT_CONFIG

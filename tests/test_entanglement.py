@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import mc_bell_abcd, mc_bell_fidelity
+from relent.cli import ConfigError, parse_config, run
 from relent.entanglement import (
     ABCDValues,
     XStateStats,
@@ -12,7 +13,6 @@ from relent.entanglement import (
     bell_density_from_ABCD,
     entanglement_measure,
     fidelity,
-    measure_sweep,
     overlap_kernel_cos,
     overlap_kernel_generic,
     partial_transpose,
@@ -22,7 +22,13 @@ from relent.entanglement import (
 )
 from relent.kinematics import Boost, FourMomentum
 from relent.relstate import BipartiteState, bell_phi_plus, reduced_spin_density, spin_up_up
-from relent.wavepacket import EntangledMomentum, GaussianProduct, build_grid, default_p_max
+from relent.wavepacket import (
+    EntangledMomentum,
+    GaussianProduct,
+    GridCoverageError,
+    build_grid,
+    default_p_max,
+)
 
 momenta = st.builds(
     FourMomentum.from_spherical,
@@ -108,6 +114,28 @@ class TestXStateStats:
         assert np.max(np.abs(s.density().matrix - rho)) < 1e-10
 
 
+class TestCoverageGuards:
+    def test_unbounded_grid_is_coverage_error(self):
+        # weights at infinite radius come out as inf * 0 = nan, which every
+        # norm and trace guard must reject
+        grid = build_grid(8, 8, 4, np.inf)
+        b = Boost(0.5)
+        calls = [
+            lambda: reduced_spin_density(
+                BipartiteState(EntangledMomentum(1.0, -1), bell_phi_plus()), b, grid
+            ),
+            lambda: reduced_spin_density(
+                BipartiteState(GaussianProduct(1.0), bell_phi_plus()), b, grid
+            ),
+            lambda: xstate_stats(EntangledMomentum(1.0, -1), b, grid),
+            lambda: bell_ABCD(GaussianProduct(1.0), b, grid),
+        ]
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            for call in calls:
+                with pytest.raises(GridCoverageError):
+                    call()
+
+
 class TestSeparabilityVerdict:
     @pytest.mark.parametrize("sign", [-1, 1])
     @pytest.mark.parametrize("beta", [0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99])
@@ -182,8 +210,6 @@ class TestFidelity:
         # grid without boost headroom cannot account for the boosted marginal
         grid = build_grid(32, 32, 16, default_p_max(1.0, 0.0))
         state = BipartiteState(gauss_unit, bell_phi_plus())
-        from relent.wavepacket import GridCoverageError
-
         with pytest.raises(GridCoverageError):
             fidelity(state, Boost(0.9), grid)
 
@@ -311,22 +337,23 @@ class TestEntanglementMeasure:
 
 
 class TestMeasureSweep:
-    def test_single_zero_beta(self, grid_default, gauss_unit):
-        rows = measure_sweep(gauss_unit, bell_phi_plus(), [0.0], grid_default)
+    """The Bell-spin, product-momentum sweep through its evaluator, ``cli.run``."""
+
+    def test_single_zero_beta(self):
+        rows = run(parse_config({"betas": [0.0], "grid": {"p_max": "auto"}}))
         assert rows[0].E == pytest.approx(1.0, abs=1e-9)
         assert rows[0].fidelity == pytest.approx(1.0, abs=1e-9)
 
-    def test_rejects_unsorted(self, grid_default, gauss_unit):
-        with pytest.raises(ValueError):
-            measure_sweep(gauss_unit, bell_phi_plus(), [0.5, 0.1], grid_default)
+    def test_rejects_unsorted(self):
+        with pytest.raises(ConfigError, match="ascending"):
+            parse_config({"betas": [0.5, 0.1]})
 
     @pytest.mark.parametrize("delta", [0.5, 1.0, 4.0])
     def test_measure_monotone_fidelity_below_one(self, delta):
-        grid = build_grid(32, 32, 16, default_p_max(delta))
-        betas = [round(0.05 * i, 2) for i in range(20)] + [0.99]
-        rows = measure_sweep(GaussianProduct(delta), bell_phi_plus(), betas, grid)
+        # default betas and 32x32x16 grids, radial headroom for each beta
+        rows = run(parse_config({"delta": [delta], "grid": {"p_max": "auto"}}))
         E = [r.E for r in rows]
         assert all(e2 <= e1 + 1e-6 for e1, e2 in zip(E, E[1:]))
         assert all(r.fidelity < 1.0 - 1e-6 for r in rows if r.beta >= 0.1)
-        eta = [r.abcd.eta for r in rows]
+        eta = [r.eta for r in rows]
         assert all(x2 >= x1 - 1e-9 for x1, x2 in zip(eta, eta[1:]))

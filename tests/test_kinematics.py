@@ -152,10 +152,17 @@ class TestWignerMatrix:
         assert np.linalg.det(D) == pytest.approx(1.0, abs=1e-12)
 
     def test_unitarity_on_dense_grid(self):
-        for omega in np.linspace(0.0, np.pi, 60):
-            for phi in np.linspace(0.0, 2 * np.pi, 60):
-                D = wigner_matrix(omega, phi)
+        omega, phi = np.meshgrid(
+            np.linspace(0.0, np.pi, 60), np.linspace(0.0, 2 * np.pi, 60), indexing="ij"
+        )
+        D_all = wigner_matrix(omega, phi)  # the whole mesh in one broadcast call
+        assert D_all.shape == (2, 2, 60, 60)
+        for i in range(60):
+            for j in range(60):
+                D = wigner_matrix(omega[i, j], phi[i, j])
+                assert D.shape == (2, 2)
                 assert np.max(np.abs(D.conj().T @ D - np.eye(2))) < 1e-12
+                assert np.max(np.abs(D_all[:, :, i, j] - D)) <= 1e-15
 
 
 class TestSU2FromSO3:

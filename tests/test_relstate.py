@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relent.kinematics import Boost, FourMomentum
+from relent.kinematics import Boost, FourMomentum, boost_momentum
 from relent.relstate import (
     BipartiteState,
+    SpinDensity,
     bell_phi_plus,
     default_sample_pairs,
     momentum_density_samples,
@@ -108,6 +109,12 @@ class TestReducedSpinDensity:
         rho = reduced_spin_density(state, Boost(0.6), grid_default)
         rho.validate(trace_tol=1e-6)
 
+    def test_validate_rejects_nan(self):
+        m = np.eye(4, dtype=complex) / 4.0
+        m[0, 0] = np.nan
+        with pytest.raises(ValueError):
+            SpinDensity(m).validate()
+
     def test_grid_coverage_error(self, gauss_unit):
         bad = build_grid(8, 8, 4, 0.5)  # cuts most of the Gaussian
         state = BipartiteState(gauss_unit, bell_phi_plus())
@@ -133,7 +140,54 @@ def ur_setup():
     return state, grid, pairs
 
 
+def _scalar_samples(state, b, grid, pairs):
+    """Per-row reference for momentum_density_samples through spin_kernel.
+
+    The Jacobian is the ratio of the boosted to the unboosted energy of each
+    momentum and the amplitude the product of the four single-particle
+    amplitudes; a zero momentum stands in for the identity on the other party.
+    """
+    dist, phi = state.dist, state.spin
+    norm1 = np.sum(grid.weights * dist.density1(grid.p**2))
+    rest = FourMomentum(np.zeros(3))
+    elements, marginals = [], []
+    for row in pairs:
+        p, q, p2, q2 = (FourMomentum(v) for v in row)
+        jac = np.sqrt(np.prod([boost_momentum(k, b).p0 / k.p0 for k in (p, q, p2, q2)]))
+        amp = np.prod([dist.amplitude1(k.p_vec @ k.p_vec) for k in (p, q, p2, q2)])
+
+        def overlap(k, k2):
+            return (spin_kernel(*k2, b) @ phi).conj() @ (spin_kernel(*k, b) @ phi)
+
+        elements.append(jac * amp * overlap((p, q), (p2, q2)))
+        marginals.append(
+            jac * amp * overlap((p, rest), (p2, rest)) * overlap((rest, q), (rest, q2)) * norm1**2
+        )
+    return np.array(elements), np.array(marginals)
+
+
 class TestMomentumDensitySamples:
+    @pytest.mark.parametrize("beta", [0.0, 0.6, 0.9999])
+    @pytest.mark.parametrize(
+        "spin",
+        [bell_phi_plus(), spin_up_up(), np.array([0.5, 0.5j, -0.5, 0.5], dtype=complex)],
+        ids=["bell", "up_up", "generic"],
+    )
+    def test_matches_scalar_reference(self, grid_default, beta, spin):
+        dist = GaussianProduct(1.0)
+        collinear = [[0.7, 0.0, 0.0], [-1.2, 0.0, 0.0], [0.3, 0.0, 0.0], [2.0, 0.0, 0.0]]
+        pairs = np.concatenate(
+            [default_sample_pairs(dist, n=16, seed=3), [collinear], np.zeros((1, 4, 3))]
+        )
+        state = BipartiteState(dist, spin)
+        sample = momentum_density_samples(state, Boost(beta), grid_default, pairs)
+        ref_el, ref_marg = _scalar_samples(state, Boost(beta), grid_default, pairs)
+        assert np.max(np.abs(sample.elements - ref_el)) <= 1e-13 * np.max(np.abs(ref_el))
+        assert np.max(np.abs(sample.marginal_products - ref_marg)) <= 1e-13 * np.max(
+            np.abs(ref_marg)
+        )
+        # collinear and p = 0 rows rotate by exactly the identity: no imaginary part
+        assert np.all(sample.elements[-2:].imag == 0.0)
 
     def test_no_boost_is_exactly_product(self, ur_setup):
         state, grid, pairs = ur_setup
