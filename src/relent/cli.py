@@ -19,7 +19,9 @@ and seed give byte-identical output regardless of worker count: each
 (beta, delta) cell is evaluated independently and rows are emitted in config
 order.
 
-Exit codes: 0 success, 2 configuration error, 3 numeric/grid-coverage error.
+Exit codes: 0 success, 2 configuration error (including a width outside
+[DELTA_MIN, DELTA_MAX]), 3 numeric/grid-coverage error, 4 I/O error while
+writing the output or plot script.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -62,6 +65,7 @@ from relent.wavepacket import (
     EntangledMomentum,
     GaussianProduct,
     GridCoverageError,
+    QuadratureGrid,
     build_grid,
     default_p_max,
 )
@@ -82,6 +86,15 @@ CSV_HEADER = (
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
+EXIT_IO = 4
+
+#: accepted wavepacket widths (m^2 units).  Inside them the normalisation
+#: (pi delta)^-1.5, the four-amplitude products of the momentum-density
+#: samples (~ delta^-3), default_p_max and the grid weights (~ p_max^3, with
+#: p_max ~ 1.6e5 sqrt(delta) at BETA_CAP) stay far inside the float range;
+#: outside about 1e-100 to 1e100 they overflow or underflow.
+DELTA_MIN = 1e-12
+DELTA_MAX = 1e12
 
 _DEFAULT_BETAS = [round(0.05 * i, 2) for i in range(20)] + [0.99]
 
@@ -200,8 +213,8 @@ def parse_config(doc: dict) -> SweepConfig:
         delta = [delta]
     _expect(isinstance(delta, list) and len(delta) > 0, "delta", "must be a number or non-empty list")
     for i, x in enumerate(delta):
-        _expect(_is_number(x) and x > 0.0,
-                f"delta[{i}]", f"must be a finite positive number, got {x!r}")
+        _expect(_is_number(x) and DELTA_MIN <= x <= DELTA_MAX,
+                f"delta[{i}]", f"must be a number in [{DELTA_MIN:g}, {DELTA_MAX:g}], got {x!r}")
 
     grid_doc = doc.get("grid", {})
     _expect(isinstance(grid_doc, dict), "grid", "must be an object")
@@ -275,12 +288,18 @@ def _set_pt_columns(row: SweepRow, rho) -> None:
     row.E = entanglement_measure(rho)
 
 
-def _cell(config: SweepConfig, beta: float, delta: float) -> SweepRow:
-    """Evaluate one (beta, delta) cell of the configured scenario."""
+def _cell(
+    config: SweepConfig, beta: float, delta: float, base_grid: QuadratureGrid, pairs
+) -> SweepRow:
+    """Evaluate one (beta, delta) cell of the configured scenario.
+
+    ``base_grid`` and ``pairs`` (None where unused) are the width's
+    beta-independent inputs from ``_width_inputs``; the fidelity grid depends
+    on beta and is built here.
+    """
     row = SweepRow(beta=beta, delta=delta)
     gs = config.grid
     b = Boost(beta)
-    base_grid = build_grid(gs.n_r, gs.n_theta, gs.n_phi, gs.resolve_p_max(delta, 0.0))
 
     if config.scenario in ("spin_bell_momentum_product", "fidelity_only"):
         gp = GaussianProduct(delta)
@@ -293,8 +312,7 @@ def _cell(config: SweepConfig, beta: float, delta: float) -> SweepRow:
         v = bell_ABCD(gp, b, base_grid, analytic_limit=config.analytic_limit)
         row.A, row.B, row.C, row.D, row.eta = v.A, v.B, v.C, v.D, v.eta
         _set_pt_columns(row, bell_density_from_ABCD(v))
-        if not config.analytic_limit:
-            pairs = default_sample_pairs(gp, n=64, seed=config.seed)
+        if pairs is not None:
             sample = momentum_density_samples(state, b, base_grid, pairs)
             row.product_distance = product_distance(sample)
         return row
@@ -323,14 +341,39 @@ def _cell(config: SweepConfig, beta: float, delta: float) -> SweepRow:
     raise ConfigError(f"config field 'scenario': unhandled scenario {config.scenario!r}")
 
 
+def _width_inputs(config: SweepConfig, delta: float):
+    """The beta-independent inputs of one width's cells: base grid and sample pairs.
+
+    The base grid has its radial cutoff resolved at beta = 0.  Sample pairs
+    are drawn only where the scenario compares the momentum density with its
+    marginal product; otherwise ``pairs`` is None.
+    """
+    gs = config.grid
+    base_grid = build_grid(gs.n_r, gs.n_theta, gs.n_phi, gs.resolve_p_max(delta, 0.0))
+    pairs = None
+    if config.scenario == "spin_bell_momentum_product" and not config.analytic_limit:
+        pairs = default_sample_pairs(GaussianProduct(delta), n=64, seed=config.seed)
+    return base_grid, pairs
+
+
 def run(config: SweepConfig, workers: int = 1) -> list[SweepRow]:
-    """All (beta, delta) cells in config order; cells are independent."""
-    cells = [(beta, delta) for delta in config.delta for beta in config.betas]
-    if workers <= 1:
-        return [_cell(config, beta, delta) for beta, delta in cells]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_cell, config, beta, delta) for beta, delta in cells]
-        return [f.result() for f in futures]
+    """All (beta, delta) cells in config order; cells are independent.
+
+    Widths are taken one at a time: their beta-independent inputs are built
+    once, shared by that width's cells (on the thread pool when ``workers``
+    > 1) and released before the next width.
+    """
+    rows = []
+    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        for delta in config.delta:
+            shared = _width_inputs(config, delta)
+            if pool is None:
+                rows += [_cell(config, beta, delta, *shared) for beta in config.betas]
+            else:
+                futures = [pool.submit(_cell, config, beta, delta, *shared) for beta in config.betas]
+                rows += [f.result() for f in futures]
+            del shared
+    return rows
 
 
 def _format_value(x) -> str:
@@ -474,7 +517,7 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
     except OSError as exc:
         sys.stderr.write(f"io error: {exc}\n")
-        return EXIT_NUMERIC
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -43,7 +43,13 @@ from relent.relstate import (
     spin_kernel,
     spin_up_up,
 )
-from relent.wavepacket import EntangledMomentum, GaussianProduct, GridCoverageError, QuadratureGrid
+from relent.wavepacket import (
+    EntangledMomentum,
+    GaussianProduct,
+    GridCoverageError,
+    QuadratureGrid,
+    gauss_legendre,
+)
 
 __all__ = [
     "FidelityResult",
@@ -225,13 +231,11 @@ def _leaked_mass(dist: GaussianProduct, b: Boost, p_max: float, m: float = 1.0) 
     fine 2D reference quadrature, so the estimate does not inherit the
     resolution of the grid being checked.
     """
-    n = 128
-    x_r, w_r = np.polynomial.legendre.leggauss(n)
-    r = 3.0 * np.sqrt(dist.delta) * (x_r + 1.0)  # covers [0, 6 sqrt(delta)]
-    wr = 3.0 * np.sqrt(dist.delta) * w_r
-    ct, wt = np.polynomial.legendre.leggauss(n)
-    R, CT = np.meshgrid(r, ct, indexing="ij")
-    W = np.outer(wr * r**2 * dist.density1(r**2), wt) * 2.0 * np.pi
+    x, w = gauss_legendre(128)  # the same rule in radius and in cos(theta)
+    r = 3.0 * np.sqrt(dist.delta) * (x + 1.0)  # covers [0, 6 sqrt(delta)]
+    wr = 3.0 * np.sqrt(dist.delta) * w
+    R, CT = np.meshgrid(r, x, indexing="ij")
+    W = np.outer(wr * r**2 * dist.density1(r**2), w) * 2.0 * np.pi
     k0 = np.sqrt(m**2 + R**2)
     inv_x = b.gamma * (R * CT - b.beta * k0)  # x component after undoing the boost
     outside = inv_x**2 + R**2 * (1.0 - CT**2) > p_max**2

@@ -246,22 +246,17 @@ def default_sample_pairs(
     addresses.
     """
     rng = np.random.default_rng(seed)
-    scale = np.sqrt(dist.delta)
-    out = np.empty((n, 4, 3))
-    for i in range(n):
-        dirs = []
-        for _ in range(2):
-            ct = rng.uniform(-1.0, 1.0)
-            ph = rng.uniform(0.0, 2.0 * np.pi)
-            st = np.sqrt(1.0 - ct * ct)
-            dirs.append(np.array([ct, st * np.cos(ph), st * np.sin(ph)]))
-        r = scale * rng.uniform(0.3, 2.5, size=4)
-        p, q = r[0] * dirs[0], r[1] * dirs[1]
-        if i % 4 == 0:
-            p2, q2 = p.copy(), q.copy()
-        else:
-            p2, q2 = r[2] * dirs[0], r[3] * dirs[1]
-        out[i] = (p, q, p2, q2)
+    # one row of uniforms per pair, columns in the order (cos theta, phi) of
+    # each particle's direction, then the four radii
+    low = np.array([-1.0, 0.0, -1.0, 0.0, 0.3, 0.3, 0.3, 0.3])
+    high = np.array([1.0, 2.0 * np.pi, 1.0, 2.0 * np.pi, 2.5, 2.5, 2.5, 2.5])
+    u = rng.uniform(low, high, size=(n, 8))
+    ct, ph = u[:, [0, 2]], u[:, [1, 3]]
+    st = np.sqrt(1.0 - ct * ct)
+    dirs = np.stack((ct, st * np.cos(ph), st * np.sin(ph)), axis=-1)  # (n, 2, 3)
+    r = np.sqrt(dist.delta) * u[:, 4:]
+    out = r[..., None] * np.concatenate((dirs, dirs), axis=1)  # p, q, p', q'
+    out[::4, 2:] = out[::4, :2]
     return out
 
 

@@ -18,7 +18,9 @@ counts.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,6 +31,7 @@ __all__ = [
     "GridCoverageError",
     "build_grid",
     "default_p_max",
+    "gauss_legendre",
     "integrate3",
     "integrate6",
 ]
@@ -137,19 +140,48 @@ class QuadratureGrid:
         )
 
 
+def _read_only(*arrays: np.ndarray) -> tuple:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=None)
+def _cached_rule(n: int) -> tuple:
+    return _read_only(*np.polynomial.legendre.leggauss(n))
+
+
+_rule_lock = threading.Lock()
+
+
+def gauss_legendre(n: int) -> tuple:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per node count.
+
+    The arrays are shared between callers and threads, so they are read-only.
+    The lock keeps two threads that miss the cache at once from both
+    computing the rule.
+    """
+    with _rule_lock:
+        return _cached_rule(n)
+
+
 def build_grid(n_r: int, n_theta: int, n_phi: int, p_max: float) -> QuadratureGrid:
-    """Deterministic node/weight sets; same inputs give bit-identical grids."""
+    """Deterministic node/weight sets; same inputs give bit-identical grids.
+
+    The node and weight arrays are read-only, so one grid can be shared
+    between the cells and threads of a sweep.
+    """
     for name, n in (("n_r", n_r), ("n_theta", n_theta), ("n_phi", n_phi)):
         if n < 2:
             raise ValueError(f"{name} must be >= 2, got {n}")
     if not (p_max > 0.0):
         raise ValueError(f"p_max must be positive, got {p_max}")
 
-    x_r, w_r = np.polynomial.legendre.leggauss(n_r)
+    x_r, w_r = gauss_legendre(n_r)
     r = 0.5 * p_max * (x_r + 1.0)
     wr = 0.5 * p_max * w_r
 
-    x_t, w_t = np.polynomial.legendre.leggauss(n_theta)
+    x_t, w_t = gauss_legendre(n_theta)
 
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
     wphi = np.full(n_phi, 2.0 * np.pi / n_phi)
@@ -163,6 +195,7 @@ def build_grid(n_r: int, n_theta: int, n_phi: int, p_max: float) -> QuadratureGr
         * np.tile(np.repeat(w_t, n_phi), n_r)
         * np.tile(wphi, n_r * n_theta)
     )
+    _read_only(P, CT, PHI, W)
     return QuadratureGrid(
         n_r=n_r, n_theta=n_theta, n_phi=n_phi, p_max=float(p_max),
         p=P, costheta=CT, phi=PHI, weights=W,

@@ -83,3 +83,30 @@ def bell_expectation(a_vec, b_vec, spin):
     op = np.kron(np.einsum("i,ijk->jk", a_vec, _SIGMA), np.einsum("i,ijk->jk", b_vec, _SIGMA))
     spin = np.asarray(spin, dtype=complex)
     return float(np.real(spin.conj() @ (op @ spin)))
+
+
+def sample_pairs_loop(dist, n=64, seed=42):
+    """Per-pair reference for ``relstate.default_sample_pairs``.
+
+    Draws each pair's two directions (cos theta, then phi) and its four radii
+    with scalar generator calls, one pair at a time; every fourth pair is
+    diagonal.
+    """
+    rng = np.random.default_rng(seed)
+    scale = np.sqrt(dist.delta)
+    out = np.empty((n, 4, 3))
+    for i in range(n):
+        dirs = []
+        for _ in range(2):
+            ct = rng.uniform(-1.0, 1.0)
+            ph = rng.uniform(0.0, 2.0 * np.pi)
+            st = np.sqrt(1.0 - ct * ct)
+            dirs.append(np.array([ct, st * np.cos(ph), st * np.sin(ph)]))
+        r = scale * rng.uniform(0.3, 2.5, size=4)
+        p, q = r[0] * dirs[0], r[1] * dirs[1]
+        if i % 4 == 0:
+            p2, q2 = p.copy(), q.copy()
+        else:
+            p2, q2 = r[2] * dirs[0], r[3] * dirs[1]
+        out[i] = (p, q, p2, q2)
+    return out

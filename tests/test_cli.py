@@ -1,11 +1,21 @@
 import json
+import math
+import sys
+from collections import Counter
 
+import numpy as np
 import pytest
 
+import relent.cli as cli
 from relent.cli import (
     CSV_HEADER,
+    DELTA_MAX,
+    DELTA_MIN,
     EXIT_CONFIG,
+    EXIT_IO,
+    EXIT_NUMERIC,
     EXIT_OK,
+    SCENARIOS,
     ConfigError,
     emit,
     emit_plotscript,
@@ -13,6 +23,7 @@ from relent.cli import (
     parse_config,
     run,
 )
+from relent import wavepacket
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -108,11 +119,46 @@ class TestRunScenarios:
 
     def test_workers_do_not_change_rows(self):
         cfg = parse_config(
-            {"betas": [0.0, 0.4, 0.8], "grid": {"n_r": 16, "n_theta": 16, "n_phi": 8}}
+            {
+                "betas": [0.0, 0.4, 0.8],
+                "delta": [0.5, 1.0],
+                "grid": {"n_r": 16, "n_theta": 16, "n_phi": 8},
+            }
         )
         serial = emit(run(cfg, workers=1), "csv", None)
-        threaded = emit(run(cfg, workers=4), "csv", None)
+        # more threads than cores, switching often, over each width's shared inputs
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = emit(run(cfg, workers=4), "csv", None)
+        finally:
+            sys.setswitchinterval(interval)
         assert serial == threaded
+
+    def test_beta_independent_inputs_built_once(self, monkeypatch):
+        rule_calls, pair_draws = Counter(), []
+        leggauss, draw = np.polynomial.legendre.leggauss, cli.default_sample_pairs
+
+        def counting_leggauss(n):
+            rule_calls[n] += 1
+            return leggauss(n)
+
+        def counting_draw(dist, *args, **kwargs):
+            pair_draws.append(dist.delta)
+            return draw(dist, *args, **kwargs)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting_leggauss)
+        monkeypatch.setattr(cli, "default_sample_pairs", counting_draw)
+        cfg = parse_config({"delta": [0.5, 1.0, 4.0]})  # the default 21 betas, 32x32x16
+        texts = []
+        for workers in (1, 2):
+            wavepacket._cached_rule.cache_clear()
+            rule_calls.clear()
+            pair_draws.clear()
+            texts.append(emit(run(cfg, workers=workers), "csv", None))
+            assert dict(rule_calls) == {32: 1, 128: 1}
+            assert pair_draws == [0.5, 1.0, 4.0]
+        assert texts[0] == texts[1]
 
 
 @pytest.fixture(scope="module")
@@ -243,18 +289,49 @@ class TestMainEntry:
         )
         assert main(["run", "--config", cfg_path]) == EXIT_CONFIG
         assert "grid.p_max" in capsys.readouterr().err
+        # widths whose normalisation or grid weights leave the float range used to
+        # end in an OverflowError traceback (1e-300) or a bare nan message (1e300)
+        for width in (1e-300, 1e300, DELTA_MIN * (1 - 1e-9), DELTA_MAX * (1 + 1e-9)):
+            cfg_path = write_config(
+                tmp_path, {"scenario": "fidelity_only", "betas": [0.5], "delta": width}
+            )
+            assert main(["run", "--config", cfg_path]) == EXIT_CONFIG, width
+            assert "delta[0]" in capsys.readouterr().err, width
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    @pytest.mark.parametrize("width", [DELTA_MIN, DELTA_MAX])
+    def test_widths_at_the_bounds_run(self, tmp_path, capsys, scenario, width):
+        cfg_path = write_config(
+            tmp_path,
+            {
+                "scenario": scenario,
+                "betas": [0.0, 0.5, 0.99],
+                "delta": width,
+                "grid": {"n_r": 16, "n_theta": 16, "n_phi": 8},
+            },
+        )
+        out_path = str(tmp_path / "out.csv")
+        assert main(["run", "--config", cfg_path, "--output", out_path]) == EXIT_OK
+        cells = [c for line in open(out_path).read().splitlines()[1:] for c in line.split(",")]
+        assert all(math.isfinite(float(c)) for c in cells if c)
 
     def test_missing_file_is_config_error(self, capsys):
         assert main(["validate", "--config", "/nonexistent.json"]) == EXIT_CONFIG
 
     def test_grid_coverage_failure_is_numeric_error(self, tmp_path, capsys):
-        from relent.cli import EXIT_NUMERIC
-
         cfg_path = write_config(
             tmp_path, {"betas": [0.0], "grid": {"p_max": 0.5}}  # cuts the packet
         )
         assert main(["run", "--config", cfg_path]) == EXIT_NUMERIC
         assert "numeric error" in capsys.readouterr().err
+
+    def test_unwritable_output_is_io_error(self, tmp_path, capsys):
+        cfg_path = write_config(
+            tmp_path, {"betas": [0.0], "grid": {"n_r": 16, "n_theta": 16, "n_phi": 8}}
+        )
+        out_path = str(tmp_path / "no_such_dir" / "x.csv")
+        assert main(["run", "--config", cfg_path, "--output", out_path]) == EXIT_IO
+        assert "io error" in capsys.readouterr().err
 
     def test_limits_table(self, capsys):
         assert main(["limits"]) == EXIT_OK

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import sample_pairs_loop
 
 from relent.kinematics import Boost, FourMomentum, boost_momentum
 from relent.relstate import (
@@ -212,6 +213,15 @@ class TestMomentumDensitySamples:
         assert a.tobytes() == b.tobytes()
         c = default_sample_pairs(dist, n=16, seed=10)
         assert a.tobytes() != c.tobytes()
+
+    @pytest.mark.parametrize("width", [0.5, 1.0, 4.0, 1.0e6])
+    @pytest.mark.parametrize("seed", [0, 7, 42, 43])
+    def test_sampler_matches_per_pair_loop(self, width, seed):
+        dist = GaussianProduct(width)
+        for n in (64, 1, 5, 13, 63):  # four of them not a multiple of 4
+            pairs = default_sample_pairs(dist, n=n, seed=seed)
+            assert pairs.shape == (n, 4, 3)
+            assert np.array_equal(pairs, sample_pairs_loop(dist, n=n, seed=seed))
 
     def test_diagonal_pairs_present_and_real(self, ur_setup):
         state, grid, pairs = ur_setup

@@ -7,6 +7,7 @@ from relent.wavepacket import (
     GaussianProduct,
     build_grid,
     default_p_max,
+    gauss_legendre,
     integrate3,
     integrate6,
 )
@@ -56,6 +57,26 @@ class TestBuildGrid:
         g2 = build_grid(8, 8, 4, 3.0)
         assert g1.p.tobytes() == g2.p.tobytes()
         assert g1.weights.tobytes() == g2.weights.tobytes()
+
+    def test_arrays_are_read_only(self):
+        g = build_grid(8, 8, 4, 3.0)
+        for a in (g.p, g.costheta, g.phi, g.weights):
+            assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            g.weights[0] = 0.0
+        with pytest.raises(ValueError):
+            g.weights *= 2.0
+
+    def test_cached_rule_matches_leggauss(self):
+        first = gauss_legendre(12)
+        x, w = gauss_legendre(12)
+        assert x is first[0] and w is first[1]
+        x_ref, w_ref = np.polynomial.legendre.leggauss(12)
+        assert np.array_equal(x, x_ref) and np.array_equal(w, w_ref)
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        with pytest.raises(ValueError):
+            w += 1.0
 
     def test_p_max_policy(self):
         assert default_p_max(1.0) == pytest.approx(6.0)
