@@ -13,7 +13,6 @@ from relent.correlations import (
     classical_correlation,
     quantum_correlation,
     relativistic_observable,
-    xyzw,
 )
 from relent.entanglement import (
     abcd,
@@ -30,9 +29,7 @@ from relent.kinematics import (
     FourMomentum,
     WignerRotation,
     boost_momentum,
-    su2_from_so3,
     wigner_matrix,
-    wigner_oracle,
     wigner_rotation,
 )
 from relent.relstate import (
@@ -52,8 +49,6 @@ from relent.wavepacket import (
     QuadratureGrid,
     build_grid,
     default_p_max,
-    integrate3,
-    integrate6,
 )
 
 __version__ = "0.1.0"

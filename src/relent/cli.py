@@ -20,8 +20,9 @@ and seed give byte-identical output regardless of worker count: each
 order.
 
 Exit codes: 0 success, 2 configuration error (including a width outside
-[DELTA_MIN, DELTA_MAX]), 3 numeric/grid-coverage error, 4 I/O error while
-writing the output or plot script.
+[DELTA_MIN, DELTA_MAX] or a fixed grid.p_max above the auto policy's largest
+cutoff), 3 numeric/grid-coverage error, 4 I/O error while writing the output
+or plot script.
 """
 
 from __future__ import annotations
@@ -225,9 +226,12 @@ def parse_config(doc: dict) -> SweepConfig:
             _expect(_is_int(v) and v >= 2, f"grid.{name}", f"must be an integer >= 2, got {v!r}")
             grid_kwargs[name] = v
     if "p_max" in grid_doc:
+        # the largest cutoff the auto policy makes; far above it p_max^2 and
+        # the grid weights (~ p_max^3) overflow
+        p_max_cap = default_p_max(DELTA_MAX, BETA_CAP)
         v = grid_doc["p_max"]
-        _expect(v == "auto" or (_is_number(v) and v > 0),
-                "grid.p_max", f"must be 'auto' or a finite positive number, got {v!r}")
+        _expect(v == "auto" or (_is_number(v) and 0 < v <= p_max_cap), "grid.p_max",
+                f"must be 'auto' or a number in (0, {p_max_cap:.6g}], got {v!r}")
         grid_kwargs["p_max"] = v
     unknown_grid = set(grid_doc) - {"n_r", "n_theta", "n_phi", "p_max"}
     _expect(not unknown_grid, f"grid.{sorted(unknown_grid)[0]}" if unknown_grid else "grid", "unknown field")

@@ -6,13 +6,6 @@ observer moving with speed beta along x contracts the transverse part of
 component collapses onto the boost axis as beta -> 1; exactly transverse
 directions keep no defined classical sign, which is the light-speed loss of
 transverse information.
-
-``xyzw`` evaluates the antipodal-pair kernel whose distribution average equals
-the longitudinal quantum correlation in the light-speed limit.  Both Wigner
-rotations of an antipodal momentum pair share one rotation plane, so the
-companion's angle enters with a relative minus sign when both are written
-against the azimuth of p (a rotation by omega about the axis at azimuth
-phi + pi equals a rotation by -omega about the axis at azimuth phi).
 """
 
 from __future__ import annotations
@@ -21,20 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from relent.kinematics import Boost, FourMomentum, wigner_angle
+from relent.kinematics import Boost
 from relent.relstate import BipartiteState, reduced_spin_density
 from relent.wavepacket import EntangledMomentum, QuadratureGrid
 
 __all__ = [
     "ObservableDirection",
-    "XYZWKernel",
     "relativistic_observable",
     "classical_correlation",
-    "xyzw",
-    "xyzw_from_angles",
-    "signed_companion_angles",
     "quantum_correlation",
-    "quantum_correlation_asymptotic",
 ]
 
 _SIGMA = np.array(
@@ -64,25 +52,8 @@ class ObservableDirection:
         object.__setattr__(self, "a_vec", v)
 
     @property
-    def e_vec(self) -> np.ndarray:
-        return _E_BOOST
-
-    @property
     def longitudinal(self) -> float:
         return float(self.a_vec[0])
-
-
-@dataclass(frozen=True)
-class XYZWKernel:
-    X: float
-    Y: float
-    Z: float
-    W: float
-
-    @property
-    def combination(self) -> float:
-        """X^2 - Y^2 - Z^2 + W^2, the weight of the longitudinal correlation."""
-        return self.X**2 - self.Y**2 - self.Z**2 + self.W**2
 
 
 def relativistic_observable(direction: ObservableDirection, b: Boost) -> np.ndarray:
@@ -105,51 +76,6 @@ def classical_correlation(a: ObservableDirection, b_dir: ObservableDirection) ->
     return float(np.sign(ax) * np.sign(bx))
 
 
-def xyzw_from_angles(omega_p, omega_m, phi):
-    """Kernel components from the two (signed) rotation angles and the azimuth.
-
-    Vectorised; returns four arrays (or scalars) X, Y, Z, W.
-    """
-    s, c = np.sin(phi), np.cos(phi)
-    half_sum = (np.asarray(omega_p) + np.asarray(omega_m)) / 2.0
-    half_diff = (np.asarray(omega_p) - np.asarray(omega_m)) / 2.0
-    X = np.cos(half_sum) * s**2 + np.cos(half_diff) * c**2
-    Y = np.sin(half_sum) * s
-    Z = np.sin(half_diff) * c
-    W = (-np.cos(half_sum) + np.cos(half_diff)) * s * c
-    return X, Y, Z, W
-
-
-def signed_companion_angles(p_mag, costheta, beta, m=1.0):
-    """(omega_p, omega_m): Wigner angles of p and -p about p's own transverse axis.
-
-    The companion's rotation axis sits at azimuth phi + pi, so expressed
-    about p's axis its angle carries a minus sign (a rotation by omega about
-    the axis at phi + pi equals one by -omega about the axis at phi).
-    """
-    omega_p = wigner_angle(p_mag, costheta, beta, m=m)
-    omega_m = -wigner_angle(p_mag, -np.asarray(costheta), beta, m=m)
-    return omega_p, omega_m
-
-
-def xyzw(p: FourMomentum, b: Boost) -> XYZWKernel:
-    """Kernel components for the antipodal momentum pair (p, -p)."""
-    if p.p == 0.0 or abs(p.p_vec[0]) == p.p:
-        omega_p, omega_m = 0.0, 0.0
-    else:
-        op, om = signed_companion_angles(p.p, p.p_vec[0] / p.p, b.beta, m=p.m)
-        omega_p, omega_m = float(op), float(om)
-    X, Y, Z, W = xyzw_from_angles(omega_p, omega_m, p.phi)
-    return XYZWKernel(X=float(X), Y=float(Y), Z=float(Z), W=float(W))
-
-
-def _check_transverse_degeneracy(a, b_dir, b: Boost) -> None:
-    if b.beta >= 1.0 - 1e-6 and (a.longitudinal == 0.0 or b_dir.longitudinal == 0.0):
-        raise ValueError(
-            "correlation sign degenerates for transverse directions at near-light boosts"
-        )
-
-
 def quantum_correlation(
     a: ObservableDirection,
     b_dir: ObservableDirection,
@@ -163,27 +89,11 @@ def quantum_correlation(
     Computed from first principles at any beta: the boosted reduced spin
     density contracted with the two normalised relativistic observables.
     """
-    _check_transverse_degeneracy(a, b_dir, b)
+    if b.beta >= 1.0 - 1e-6 and (a.longitudinal == 0.0 or b_dir.longitudinal == 0.0):
+        raise ValueError(
+            "correlation sign degenerates for transverse directions at near-light boosts"
+        )
     state = BipartiteState(dist=dist, spin=np.asarray(spin, dtype=complex))
     rho = reduced_spin_density(state, b, grid).matrix
     op = np.kron(relativistic_observable(a, b), relativistic_observable(b_dir, b))
     return float(np.real(np.trace(rho @ op)))
-
-
-def quantum_correlation_asymptotic(
-    a: ObservableDirection,
-    b_dir: ObservableDirection,
-    dist: EntangledMomentum,
-    b: Boost,
-    grid: QuadratureGrid,
-) -> float:
-    """Light-speed form: sign(a_x) sign(b_x) times the averaged kernel combination."""
-    _check_transverse_degeneracy(a, b_dir, b)
-    ax, bx = a.longitudinal, b_dir.longitudinal
-    if ax == 0.0 or bx == 0.0:
-        raise ValueError("asymptotic correlation undefined for transverse directions")
-    w = grid.weights * dist.density1(grid.p**2)
-    omega_p, omega_m = signed_companion_angles(grid.p, grid.costheta, b.beta)
-    X, Y, Z, W = xyzw_from_angles(omega_p, omega_m, grid.phi)
-    kernel = X**2 - Y**2 - Z**2 + W**2
-    return float(np.sign(ax) * np.sign(bx) * np.sum(w * kernel))

@@ -27,18 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from relent.kinematics import (
-    Boost,
-    FourMomentum,
-    energy_ratio,
-    su2_matrix,
-    wigner_angle,
-    wigner_rotation,
-)
+from relent.kinematics import Boost, FourMomentum, energy_ratio, su2_matrix, wigner_angle
 from relent.relstate import (
     BipartiteState,
     SpinDensity,
-    bell_phi_plus,
     pair_amplitudes,
     spin_kernel,
     spin_up_up,
@@ -59,8 +51,6 @@ __all__ = [
     "abcd",
     "xstate_stats",
     "separability_verdict",
-    "overlap_kernel_generic",
-    "overlap_kernel_cos",
     "fidelity",
     "bell_ABCD",
     "bell_density_from_ABCD",
@@ -196,24 +186,6 @@ def separability_verdict(stats: XStateStats) -> SeparabilityVerdict:
     )
 
 
-def overlap_kernel_generic(p: FourMomentum, q: FourMomentum, b: Boost, spin: np.ndarray) -> complex:
-    """<spin| D(Omega_p) x D(Omega_q) |spin> at a single momentum pair."""
-    spin = np.asarray(spin, dtype=complex)
-    return complex(spin.conj() @ (spin_kernel(p, q, b) @ spin))
-
-
-def overlap_kernel_cos(p: FourMomentum, q: FourMomentum, b: Boost) -> float:
-    """cos(Omega_p/2) cos(Omega_q/2), the azimuth-free part of the Bell kernel.
-
-    Pointwise the Bell kernel also carries
-    -sin(Omega_p/2) sin(Omega_q/2) cos(phi_p + phi_q); the two agree after
-    integration against any azimuthally symmetric distribution.
-    """
-    return float(
-        np.cos(wigner_rotation(p, b).omega / 2.0) * np.cos(wigner_rotation(q, b).omega / 2.0)
-    )
-
-
 def _boosted_args(grid: QuadratureGrid, b: Boost, m: float = 1.0):
     """|Lambda p|^2 and the energy ratio (Lambda p)^0/p^0 at every node."""
     px = grid.p * grid.costheta
@@ -242,15 +214,12 @@ def _leaked_mass(dist: GaussianProduct, b: Boost, p_max: float, m: float = 1.0) 
     return float(np.sum(W * outside))
 
 
-def fidelity(
-    state: BipartiteState, b: Boost, grid: QuadratureGrid, method: str = "generic"
-) -> FidelityResult:
+def fidelity(state: BipartiteState, b: Boost, grid: QuadratureGrid) -> FidelityResult:
     """Squared overlap between a product-wavepacket state and its boosted image.
 
     The 6D overlap factorises into identical per-particle 2x2 moment matrices
     M = int dp sqrt((Lp)^0/p^0) f1(Lp) f1(p) D(Omega_p); the boosted argument
-    is evaluated in closed form.  method="cos" keeps only the azimuth-free
-    scalar kernel (valid for the Bell spin state).
+    is evaluated in closed form.
 
     Raises GridCoverageError when the boosted wavepacket's mass is not
     resolved by the grid (invariant-norm deficit above 1e-4).
@@ -272,19 +241,10 @@ def fidelity(
     w = grid.weights * np.sqrt(jac) * f_boosted * f_unboosted
     omega = wigner_angle(grid.p, grid.costheta, b.beta)
     c, s = np.cos(omega / 2.0), np.sin(omega / 2.0)
-
-    if method == "cos":
-        if np.max(np.abs(state.spin - bell_phi_plus())) > 1e-12:
-            raise ValueError("the cos-kernel path applies to the Bell spin state only")
-        moment = complex(np.sum(w * c))
-        overlap = moment * moment
-    elif method == "generic":
-        # D is linear in (c, s cos(phi), s sin(phi)): M is the same form of their sums
-        ws = w * s
-        M = su2_matrix(np.sum(w * c), np.sum(ws * np.cos(grid.phi)), np.sum(ws * np.sin(grid.phi)))
-        overlap = complex(state.spin.conj() @ (np.kron(M, M) @ state.spin))
-    else:
-        raise ValueError(f"unknown fidelity method: {method!r}")
+    # D is linear in (c, s cos(phi), s sin(phi)): M is the same form of their sums
+    ws = w * s
+    M = su2_matrix(np.sum(w * c), np.sum(ws * np.cos(grid.phi)), np.sum(ws * np.sin(grid.phi)))
+    overlap = complex(state.spin.conj() @ (np.kron(M, M) @ state.spin))
     return FidelityResult(overlap=overlap, fidelity=float(abs(overlap) ** 2))
 
 

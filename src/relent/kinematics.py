@@ -12,8 +12,8 @@ Conventions (used throughout the package):
 The Wigner rotation of a massive spin-1/2 particle is defined group
 theoretically: ``W = L(Lambda p)^-1 Lambda L(p)`` with L(k) the canonical
 (rotation-free, symmetric) boost taking the rest momentum to k.  The spatial
-block of W is an SO(3) rotation; ``wigner_oracle`` returns it directly and is
-the ground truth against which the closed-form angle is validated.
+block of W is an SO(3) rotation about the axis normal to the plane of the
+boost axis and the momentum; ``wigner_angle`` gives its angle in closed form.
 """
 
 from __future__ import annotations
@@ -29,18 +29,10 @@ __all__ = [
     "boost_momentum",
     "wigner_angle",
     "wigner_rotation",
-    "wigner_oracle",
     "wigner_matrix",
     "su2_matrix",
     "energy_ratio",
-    "standard_boost",
-    "rotation_angle",
-    "su2_from_so3",
 ]
-
-_SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-_SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 #: beta values above this are rejected; the light-speed physics is reached
 #: through the analytic-limit evaluation mode instead of numerics at beta = 1.
@@ -95,10 +87,6 @@ class FourMomentum:
             return 0.0
         return float(np.arctan2(self.p_vec[2], self.p_vec[1]))
 
-    def four_vector(self) -> np.ndarray:
-        """(p0, px, py, pz)."""
-        return np.concatenate(([self.p0], self.p_vec))
-
 
 @dataclass(frozen=True)
 class Boost:
@@ -113,10 +101,6 @@ class Boost:
     @property
     def gamma(self) -> float:
         return 1.0 / np.sqrt((1.0 - self.beta) * (1.0 + self.beta))
-
-    @property
-    def rapidity(self) -> float:
-        return float(np.arctanh(self.beta))
 
 
 @dataclass(frozen=True)
@@ -212,107 +196,3 @@ def wigner_rotation(mom: FourMomentum, b: Boost) -> WignerRotation:
     )
     phi = mom.phi
     return WignerRotation(omega=omega, phi=phi, matrix=wigner_matrix(omega, phi))
-
-
-def standard_boost(mom: FourMomentum) -> np.ndarray:
-    """Canonical pure boost L(k): the symmetric 4x4 taking (m, 0) to k.
-
-    Uses gamma - 1 = (p/m)^2 / (gamma + 1) so tiny momenta lose no precision.
-    """
-    m = mom.m
-    gamma = mom.p0 / m
-    L = np.eye(4)
-    L[0, 0] = gamma
-    L[0, 1:] = mom.p_vec / m
-    L[1:, 0] = mom.p_vec / m
-    L[1:, 1:] += np.outer(mom.p_vec, mom.p_vec) / (m**2 * (gamma + 1.0))
-    return L
-
-
-def _boost_matrix_x(b: Boost) -> np.ndarray:
-    g = b.gamma
-    gb = g * b.beta
-    L = np.eye(4)
-    L[0, 0] = g
-    L[0, 1] = gb
-    L[1, 0] = gb
-    L[1, 1] = g
-    return L
-
-
-def wigner_oracle(mom: FourMomentum, b: Boost) -> np.ndarray:
-    """Wigner rotation by brute-force matrix composition.
-
-    Returns the spatial 3x3 block of L(Lambda p)^-1 Lambda L(p); orthogonal
-    with det +1, axis orthogonal to the boost-axis/momentum plane.
-    """
-    Lp = standard_boost(mom)
-    boosted = boost_momentum(mom, b)
-    Lout_inv = standard_boost(
-        FourMomentum(p_vec=-boosted.p_vec, m=boosted.m)
-    )  # inverse of a pure boost = pure boost with opposite velocity
-    W = Lout_inv @ _boost_matrix_x(b) @ Lp
-    return W[1:, 1:].copy()
-
-
-def rotation_angle(R: np.ndarray) -> float:
-    """Rotation angle in [0, pi] of a 3x3 rotation matrix.
-
-    Uses atan2 of the antisymmetric part against the trace, which stays
-    accurate near 0 and pi.
-    """
-    R = np.asarray(R, dtype=float)
-    axis_vec = 0.5 * np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
-    s = np.linalg.norm(axis_vec)
-    c = (np.trace(R) - 1.0) / 2.0
-    return float(np.arctan2(s, c))
-
-
-def su2_from_so3(R: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """SU(2) element U with U sigma_i U^dag = sum_j R_ji sigma_j.
-
-    The double-cover sign is fixed by continuity from the identity (the
-    quaternion scalar part is kept >= 0, which is the branch reached from
-    beta = 0 since the Wigner angle stays below pi).  Rejects input that is
-    not a rotation to within `tol`.
-    """
-    R = np.asarray(R, dtype=float)
-    if R.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 matrix, got shape {R.shape}")
-    if np.max(np.abs(R.T @ R - np.eye(3))) > tol or abs(np.linalg.det(R) - 1.0) > tol:
-        raise ValueError("input is not a rotation matrix (orthogonality/det check failed)")
-
-    # Shepperd's method: pick the largest of (w, x, y, z) for stability.
-    t = np.trace(R)
-    candidates = np.array([t, R[0, 0], R[1, 1], R[2, 2]])
-    k = int(np.argmax(candidates))
-    if k == 0:
-        w = np.sqrt(1.0 + t) / 2.0
-        x = (R[2, 1] - R[1, 2]) / (4.0 * w)
-        y = (R[0, 2] - R[2, 0]) / (4.0 * w)
-        z = (R[1, 0] - R[0, 1]) / (4.0 * w)
-    elif k == 1:
-        x = np.sqrt(1.0 + 2.0 * R[0, 0] - t) / 2.0
-        w = (R[2, 1] - R[1, 2]) / (4.0 * x)
-        y = (R[0, 1] + R[1, 0]) / (4.0 * x)
-        z = (R[0, 2] + R[2, 0]) / (4.0 * x)
-    elif k == 2:
-        y = np.sqrt(1.0 + 2.0 * R[1, 1] - t) / 2.0
-        w = (R[0, 2] - R[2, 0]) / (4.0 * y)
-        x = (R[0, 1] + R[1, 0]) / (4.0 * y)
-        z = (R[1, 2] + R[2, 1]) / (4.0 * y)
-    else:
-        z = np.sqrt(1.0 + 2.0 * R[2, 2] - t) / 2.0
-        w = (R[1, 0] - R[0, 1]) / (4.0 * z)
-        x = (R[0, 2] + R[2, 0]) / (4.0 * z)
-        y = (R[1, 2] + R[2, 1]) / (4.0 * z)
-
-    q = np.array([w, x, y, z])
-    if q[0] < 0.0:
-        q = -q
-    elif q[0] == 0.0:  # half-turn: sign fixed by the first nonzero component
-        nonzero = q[np.abs(q) > 0.0]
-        if nonzero.size and nonzero[0] < 0.0:
-            q = -q
-    w, x, y, z = q
-    return w * np.eye(2, dtype=complex) - 1j * (x * _SIGMA_X + y * _SIGMA_Y + z * _SIGMA_Z)

@@ -11,9 +11,9 @@ Two two-particle momentum amplitudes are supported:
 
 All 3D integrals use a tensor Gauss-Legendre grid: radial nodes mapped to
 [0, p_max], polar nodes in cos(theta), uniform periodic azimuth nodes.
-Integration sums node contributions with numpy's pairwise reduction over a
-fixed node ordering, so results are bit-identical across runs and worker
-counts.
+Callers integrate as ``np.sum(grid.weights * values)``, numpy's pairwise
+reduction over a fixed node ordering, so results are bit-identical across
+runs and worker counts.
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ __all__ = [
     "build_grid",
     "default_p_max",
     "gauss_legendre",
-    "integrate3",
-    "integrate6",
 ]
 
 
@@ -42,8 +40,8 @@ class GridCoverageError(Exception):
 
 
 @dataclass(frozen=True)
-class GaussianProduct:
-    """Product of two isotropic Gaussian wavepackets of common width delta (m^2 units)."""
+class _Gaussian:
+    """Isotropic Gaussian radial profile of width delta (m^2 units)."""
 
     delta: float
 
@@ -56,17 +54,22 @@ class GaussianProduct:
         """N with integral of N exp(-p^2/delta) over R^3 equal to 1."""
         return float((np.pi * self.delta) ** (-1.5))
 
-    def amplitude1(self, p_sq):
-        """Single-particle amplitude f1(p) = sqrt(N exp(-p^2/delta)), from |p|^2."""
-        return np.sqrt(self.norm) * np.exp(-np.asarray(p_sq, dtype=float) / (2.0 * self.delta))
-
     def density1(self, p_sq):
-        """|f1(p)|^2 from |p|^2."""
+        """|f1(p)|^2 = N exp(-p^2/delta) from |p|^2; integrates to 1 over R^3."""
         return self.norm * np.exp(-np.asarray(p_sq, dtype=float) / self.delta)
 
 
 @dataclass(frozen=True)
-class EntangledMomentum:
+class GaussianProduct(_Gaussian):
+    """Product of two isotropic Gaussian wavepackets of common width delta."""
+
+    def amplitude1(self, p_sq):
+        """Single-particle amplitude f1(p) = sqrt(N exp(-p^2/delta)), from |p|^2."""
+        return np.sqrt(self.norm) * np.exp(-np.asarray(p_sq, dtype=float) / (2.0 * self.delta))
+
+
+@dataclass(frozen=True)
+class EntangledMomentum(_Gaussian):
     """Delta-correlated pair amplitude with isotropic Gaussian radial profile.
 
     ``sign`` is the correlation sign s in q = s p; the default -1 gives the
@@ -74,22 +77,12 @@ class EntangledMomentum:
     analysis.
     """
 
-    delta: float
     sign: int = -1
 
     def __post_init__(self):
-        if not (self.delta > 0.0):
-            raise ValueError(f"delta must be positive, got {self.delta}")
+        super().__post_init__()
         if self.sign not in (-1, 1):
             raise ValueError(f"sign must be -1 or +1, got {self.sign}")
-
-    @property
-    def norm(self) -> float:
-        return float((np.pi * self.delta) ** (-1.5))
-
-    def density1(self, p_sq):
-        """|g(p)|^2 from |p|^2; integrates to 1 over R^3."""
-        return self.norm * np.exp(-np.asarray(p_sq, dtype=float) / self.delta)
 
 
 def default_p_max(delta: float, beta: float = 0.0, m: float = 1.0) -> float:
@@ -127,17 +120,6 @@ class QuadratureGrid:
     @property
     def size(self) -> int:
         return self.p.size
-
-    @property
-    def sintheta(self) -> np.ndarray:
-        return np.sqrt(np.maximum(0.0, 1.0 - self.costheta**2))
-
-    def points(self) -> np.ndarray:
-        """Cartesian node coordinates, shape (size, 3)."""
-        st = self.sintheta
-        return np.column_stack(
-            (self.p * self.costheta, self.p * st * np.cos(self.phi), self.p * st * np.sin(self.phi))
-        )
 
 
 def _read_only(*arrays: np.ndarray) -> tuple:
@@ -200,47 +182,3 @@ def build_grid(n_r: int, n_theta: int, n_phi: int, p_max: float) -> QuadratureGr
         n_r=n_r, n_theta=n_theta, n_phi=n_phi, p_max=float(p_max),
         p=P, costheta=CT, phi=PHI, weights=W,
     )
-
-
-def _check_finite(values: np.ndarray) -> np.ndarray:
-    values = np.asarray(values)
-    if not np.all(np.isfinite(values)):
-        raise ValueError("integrand produced non-finite values")
-    return values
-
-
-def integrate3(grid: QuadratureGrid, h) -> complex:
-    """Integral of h over R^3 (within the radial cutoff).
-
-    ``h`` is called with the Cartesian node array of shape (size, 3) and must
-    return one value per node.  Summation is numpy's pairwise reduction over
-    the fixed node order, deterministic across runs and thread counts.
-    """
-    vals = _check_finite(h(grid.points()))
-    return complex(np.sum(grid.weights * vals))
-
-
-def integrate6(grid: QuadratureGrid, dist, h, chunk: int = 256) -> complex:
-    """Integral of |f(p, q)|^2 h(p, q) over both momenta.
-
-    ``h`` is called with broadcastable Cartesian arrays (shapes (n, 1, 3) and
-    (1, m, 3) for the product case, (n, 3) twice for the delta-correlated
-    case).  For ``EntangledMomentum`` the delta collapses q = s p and the
-    integral reduces to a single 3D quadrature; for ``GaussianProduct`` the
-    tensor grid is evaluated in fixed-size chunks, keeping the summation
-    order deterministic.
-    """
-    pts = grid.points()
-    if isinstance(dist, EntangledMomentum):
-        vals = _check_finite(h(pts, dist.sign * pts))
-        w = grid.weights * dist.density1(grid.p**2)
-        return complex(np.sum(w * vals))
-    if isinstance(dist, GaussianProduct):
-        wp = grid.weights * dist.density1(grid.p**2)
-        total = 0.0 + 0.0j
-        for start in range(0, grid.size, chunk):
-            sl = slice(start, start + chunk)
-            vals = _check_finite(h(pts[sl, None, :], pts[None, :, :]))
-            total += complex(np.sum((wp[sl, None] * wp[None, :]) * vals))
-        return total
-    raise TypeError(f"unsupported distribution type: {type(dist).__name__}")

@@ -19,14 +19,17 @@ import time
 
 import numpy as np
 
-from oracles import bell_expectation, mc_bell_fidelity
-from relent.cli import emit, parse_config, run
-from relent.correlations import (
-    ObservableDirection,
-    classical_correlation,
-    quantum_correlation,
+from oracles import (
+    bell_expectation,
+    bell_fidelity_cos,
+    mc_bell_fidelity,
+    rotation_angle,
+    su2_from_so3,
+    wigner_oracle,
     xyzw,
 )
+from relent.cli import emit, parse_config, run
+from relent.correlations import ObservableDirection, classical_correlation, quantum_correlation
 from relent.entanglement import (
     abcd,
     bell_ABCD,
@@ -42,10 +45,7 @@ from relent.kinematics import (
     BETA_CAP,
     Boost,
     FourMomentum,
-    rotation_angle,
-    su2_from_so3,
     wigner_matrix,
-    wigner_oracle,
     wigner_rotation,
 )
 from relent.relstate import (
@@ -391,12 +391,13 @@ def test_criterion9_structural_invariants():
         eig = np.sort(np.linalg.eigvalsh(partial_transpose(bell_density_from_ABCD(v))))
         assert np.max(np.abs(eig - pt_eigenvalues_from_ABCD(v))) < 1e-10
 
-    # two overlap-kernel routes agree after isotropic integration
+    # the moment-matrix fidelity agrees with the azimuth-free Bell kernel after
+    # isotropic integration
     state = BipartiteState(gp, bell_phi_plus())
     for beta in (0.3, 0.7):
         g = build_grid(32, 32, 16, default_p_max(1.0, beta))
-        f1 = fidelity(state, Boost(beta), g, method="generic").fidelity
-        f2 = fidelity(state, Boost(beta), g, method="cos").fidelity
+        f1 = fidelity(state, Boost(beta), g).fidelity
+        f2 = bell_fidelity_cos(1.0, beta, g)
         assert abs(f1 - f2) < 1e-8
 
     elapsed_ok = time.monotonic() - t0 < 60.0

@@ -24,6 +24,11 @@ from relent.cli import (
     run,
 )
 from relent import wavepacket
+from relent.kinematics import BETA_CAP
+from relent.wavepacket import default_p_max
+
+#: the largest fixed grid.p_max a config may set: the auto policy's largest cutoff
+P_MAX_CAP = default_p_max(DELTA_MAX, BETA_CAP)
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -289,6 +294,16 @@ class TestMainEntry:
         )
         assert main(["run", "--config", cfg_path]) == EXIT_CONFIG
         assert "grid.p_max" in capsys.readouterr().err
+        # a fixed cutoff past the bound used to overflow: p_max^2 raised an
+        # uncaught OverflowError at 1e200, and 1e150 ran through numpy overflow
+        # warnings to a nan (exit 3)
+        for scenario in SCENARIOS:
+            for p_max in (1e200, 1e150, P_MAX_CAP * (1 + 1e-9)):
+                cfg_path = write_config(
+                    tmp_path, {"scenario": scenario, "betas": [0.5], "grid": {"p_max": p_max}}
+                )
+                assert main(["run", "--config", cfg_path]) == EXIT_CONFIG, (scenario, p_max)
+                assert "grid.p_max" in capsys.readouterr().err, (scenario, p_max)
         # widths whose normalisation or grid weights leave the float range used to
         # end in an OverflowError traceback (1e-300) or a bare nan message (1e300)
         for width in (1e-300, 1e300, DELTA_MIN * (1 - 1e-9), DELTA_MAX * (1 + 1e-9)):
@@ -314,6 +329,25 @@ class TestMainEntry:
         assert main(["run", "--config", cfg_path, "--output", out_path]) == EXIT_OK
         cells = [c for line in open(out_path).read().splitlines()[1:] for c in line.split(",")]
         assert all(math.isfinite(float(c)) for c in cells if c)
+        # the largest fixed cutoff runs without overflow (a RuntimeWarning fails
+        # the test); it may leave the packet unresolved, which is a coverage error
+        cfg_path = write_config(
+            tmp_path,
+            {
+                "scenario": scenario,
+                "betas": [0.0, BETA_CAP],
+                "delta": width,
+                "grid": {"n_r": 16, "n_theta": 16, "n_phi": 8, "p_max": P_MAX_CAP},
+            },
+        )
+        capsys.readouterr()
+        code = main(["run", "--config", cfg_path, "--output", out_path])
+        if code == EXIT_NUMERIC:
+            assert "grid" in capsys.readouterr().err
+        else:
+            assert code == EXIT_OK
+            cells = [c for line in open(out_path).read().splitlines()[1:] for c in line.split(",")]
+            assert all(math.isfinite(float(c)) for c in cells if c)
 
     def test_missing_file_is_config_error(self, capsys):
         assert main(["validate", "--config", "/nonexistent.json"]) == EXIT_CONFIG

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import mc_bell_abcd, mc_bell_fidelity
+from oracles import bell_fidelity_cos, mc_bell_abcd, mc_bell_fidelity
 from relent.cli import ConfigError, parse_config, run
 from relent.entanglement import (
     ABCDValues,
@@ -13,15 +13,19 @@ from relent.entanglement import (
     bell_density_from_ABCD,
     entanglement_measure,
     fidelity,
-    overlap_kernel_cos,
-    overlap_kernel_generic,
     partial_transpose,
     pt_eigenvalues_from_ABCD,
     separability_verdict,
     xstate_stats,
 )
 from relent.kinematics import Boost, FourMomentum
-from relent.relstate import BipartiteState, bell_phi_plus, reduced_spin_density, spin_up_up
+from relent.relstate import (
+    BipartiteState,
+    bell_phi_plus,
+    reduced_spin_density,
+    spin_kernel,
+    spin_up_up,
+)
 from relent.wavepacket import (
     EntangledMomentum,
     GaussianProduct,
@@ -73,8 +77,6 @@ class TestABCDAmplitudes:
     @given(p=momenta, q=momenta, b=boosts)
     @settings(max_examples=120)
     def test_matches_kernel_on_up_up(self, p, q, b):
-        from relent.relstate import spin_kernel
-
         vals = np.array(abcd(p, q, b))
         via_kernel = spin_kernel(p, q, b) @ spin_up_up()
         assert np.max(np.abs(vals - via_kernel)) < 1e-12
@@ -156,19 +158,24 @@ class TestSeparabilityVerdict:
         assert v.margin_corner == pytest.approx(0.24, abs=1e-12)
 
 
+def bell_overlap_kernel(p, q, b):
+    """<Phi+| D(Omega_p) x D(Omega_q) |Phi+> at one momentum pair."""
+    bell = bell_phi_plus()
+    return complex(bell.conj() @ spin_kernel(p, q, b) @ bell)
+
+
 class TestOverlapKernels:
     def test_zero_angles_both_one(self):
         p = FourMomentum.from_spherical(1.0, 0.0, 0.0)
         q = FourMomentum.from_spherical(2.0, 0.0, 0.0)
-        assert overlap_kernel_generic(p, q, Boost(0.8), bell_phi_plus()) == pytest.approx(1.0)
-        assert overlap_kernel_cos(p, q, Boost(0.8)) == pytest.approx(1.0)
+        assert bell_overlap_kernel(p, q, Boost(0.8)) == pytest.approx(1.0)
 
     @given(p=momenta, q=momenta, b=boosts)
     @settings(max_examples=80)
     def test_generic_equals_closed_form_for_bell(self, p, q, b):
         from relent.kinematics import wigner_rotation
 
-        val = overlap_kernel_generic(p, q, b, bell_phi_plus())
+        val = bell_overlap_kernel(p, q, b)
         wp, wq = wigner_rotation(p, b), wigner_rotation(q, b)
         expected = np.cos(wp.omega / 2) * np.cos(wq.omega / 2) - np.sin(wp.omega / 2) * np.sin(
             wq.omega / 2
@@ -195,16 +202,8 @@ class TestFidelity:
     def test_generic_and_cos_paths_agree(self, gauss_unit):
         grid = build_grid(32, 32, 16, default_p_max(1.0, 0.6))
         state = BipartiteState(gauss_unit, bell_phi_plus())
-        b = Boost(0.6)
-        f_gen = fidelity(state, b, grid, method="generic").fidelity
-        f_cos = fidelity(state, b, grid, method="cos").fidelity
-        assert f_gen == pytest.approx(f_cos, abs=1e-8)
-
-    def test_cos_path_rejects_non_bell(self, gauss_unit):
-        grid = build_grid(16, 16, 8, default_p_max(1.0))
-        state = BipartiteState(gauss_unit, spin_up_up())
-        with pytest.raises(ValueError):
-            fidelity(state, Boost(0.3), grid, method="cos")
+        f_gen = fidelity(state, Boost(0.6), grid).fidelity
+        assert f_gen == pytest.approx(bell_fidelity_cos(1.0, 0.6, grid), abs=1e-8)
 
     def test_leak_detection(self, gauss_unit):
         # grid without boost headroom cannot account for the boosted marginal

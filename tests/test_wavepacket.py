@@ -8,8 +8,6 @@ from relent.wavepacket import (
     build_grid,
     default_p_max,
     gauss_legendre,
-    integrate3,
-    integrate6,
 )
 
 
@@ -43,14 +41,12 @@ class TestBuildGrid:
 
     def test_gaussian_norm_small_grid(self):
         g = build_grid(16, 16, 8, 6.0)
-        gp = GaussianProduct(1.0)
-        val = integrate3(g, lambda pts: gp.density1(np.sum(pts**2, axis=1)))
-        assert val.real == pytest.approx(1.0, abs=1e-6)
+        val = np.sum(g.weights * GaussianProduct(1.0).density1(g.p**2))
+        assert val == pytest.approx(1.0, abs=1e-6)
 
     def test_ball_volume(self):
         g = build_grid(32, 32, 16, 2.0)
-        val = integrate3(g, lambda pts: np.ones(pts.shape[0]))
-        assert val.real == pytest.approx(4 * np.pi * 8.0 / 3.0, abs=1e-6)
+        assert np.sum(g.weights) == pytest.approx(4 * np.pi * 8.0 / 3.0, abs=1e-6)
 
     def test_deterministic_construction(self):
         g1 = build_grid(8, 8, 4, 3.0)
@@ -84,70 +80,50 @@ class TestBuildGrid:
 
 
 class TestIntegrate3:
+    """3D integrals as the library takes them: np.sum(grid.weights * values)."""
+
     def test_normalization(self, grid_default, gauss_unit):
-        val = integrate3(grid_default, lambda pts: gauss_unit.density1(np.sum(pts**2, axis=1)))
-        assert val.real == pytest.approx(1.0, abs=1e-6)
+        val = np.sum(grid_default.weights * gauss_unit.density1(grid_default.p**2))
+        assert val == pytest.approx(1.0, abs=1e-6)
 
     def test_azimuthal_annihilation(self, grid_default, gauss_unit):
-        def h(pts):
-            phi = np.arctan2(pts[:, 2], pts[:, 1])
-            return gauss_unit.density1(np.sum(pts**2, axis=1)) * np.cos(phi)
-
-        assert abs(integrate3(grid_default, h)) < 1e-10
+        g = grid_default
+        assert abs(np.sum(g.weights * gauss_unit.density1(g.p**2) * np.cos(g.phi))) < 1e-10
 
     def test_zero_boost_wigner_weight(self, grid_default, gauss_unit):
-        def h(pts):
-            p = np.linalg.norm(pts, axis=1)
-            ct = np.divide(pts[:, 0], p, out=np.ones_like(p), where=p > 0)
-            omega = wigner_angle(p, ct, 0.0)
-            return gauss_unit.density1(p**2) * np.sin(omega / 2) ** 2
-
-        assert integrate3(grid_default, h) == 0.0
-
-    def test_propagates_non_finite(self, grid_default):
-        with pytest.raises(ValueError, match="non-finite"):
-            integrate3(grid_default, lambda pts: np.full(pts.shape[0], np.nan))
+        g = grid_default
+        omega = wigner_angle(g.p, g.costheta, 0.0)
+        assert np.sum(g.weights * gauss_unit.density1(g.p**2) * np.sin(omega / 2) ** 2) == 0.0
 
     def test_deterministic_sum(self, grid_default, gauss_unit):
-        h = lambda pts: gauss_unit.density1(np.sum(pts**2, axis=1))
-        assert integrate3(grid_default, h) == integrate3(grid_default, h)
+        g = grid_default
+        first = np.sum(g.weights * gauss_unit.density1(g.p**2))
+        assert np.sum(g.weights * gauss_unit.density1(g.p**2)) == first
 
 
 class TestIntegrate6:
+    """Integrals over both momenta of a pair, on the same weighted node sums.
+
+    The product measure is the outer product of the single-packet weights;
+    the delta-correlated measure collapses the companion (q = s p) and leaves
+    one 3D sum.
+    """
+
     def test_product_normalization(self, gauss_unit):
         g = build_grid(16, 16, 8, 6.0)
-        val = integrate6(g, gauss_unit, lambda p, q: np.ones(np.broadcast(p, q).shape[:-1]))
-        assert val.real == pytest.approx(1.0, abs=1e-6)
+        w = g.weights * gauss_unit.density1(g.p**2)
+        assert np.sum(np.outer(w, w)) == pytest.approx(1.0, abs=1e-6)
 
     @pytest.mark.parametrize("sign", [-1, 1])
     def test_entangled_normalization(self, sign):
         g = build_grid(16, 16, 8, 6.0)
         em = EntangledMomentum(1.0, sign)
-        val = integrate6(g, em, lambda p, q: np.ones(p.shape[0]))
-        assert val.real == pytest.approx(1.0, abs=1e-6)
-
-    def test_entangled_collapses_companion(self):
-        g = build_grid(16, 16, 8, 6.0)
-        em = EntangledMomentum(1.0, -1)
-        val = integrate6(g, em, lambda p, q: np.max(np.abs(p + q), axis=-1) < 1e-14)
-        assert val.real == pytest.approx(1.0, abs=1e-6)
+        assert np.sum(g.weights * em.density1(g.p**2)) == pytest.approx(1.0, abs=1e-6)
 
     def test_independent_azimuths_annihilate(self, gauss_unit):
-        g = build_grid(16, 16, 8, 6.0)
-
-        def h(p, q):
-            phi_p = np.arctan2(p[..., 2], p[..., 1])
-            phi_q = np.arctan2(q[..., 2], q[..., 1])
-            return np.cos(phi_p + phi_q)
-
-        assert abs(integrate6(g, gauss_unit, h)) < 1e-10
-
-    def test_chunking_does_not_change_result(self, gauss_unit):
-        g = build_grid(8, 8, 4, 6.0)
-        h = lambda p, q: np.sum(p * q, axis=-1) ** 2
-        assert integrate6(g, gauss_unit, h, chunk=7) == pytest.approx(
-            integrate6(g, gauss_unit, h, chunk=256), rel=1e-13
-        )
+        g = build_grid(8, 8, 8, 6.0)
+        w = g.weights * gauss_unit.density1(g.p**2)
+        assert abs(np.sum(np.outer(w, w) * np.cos(g.phi[:, None] + g.phi[None, :]))) < 1e-10
 
 
 class TestRefinementConvergence:
