@@ -32,7 +32,7 @@ from relent.wavepacket import EntangledMomentum, GaussianProduct, build_grid, de
 def main() -> int:
     betas = [0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.9999]
 
-    grid = build_grid(32, 32, 16, default_p_max(1.0))
+    grid = build_grid(32, 32, default_p_max(1.0))
     em = EntangledMomentum(1.0, sign=-1)
     print("momentum-entangled, spin-product pair (width 1):")
     print("  beta     corner margin   middle margin   verdict")
@@ -44,7 +44,7 @@ def main() -> int:
     print()
     print("Bell-spin, product-momentum pair (bulk momenta ~ 1e3 m):")
     ur = GaussianProduct(1.0e6)
-    ur_grid = build_grid(32, 32, 16, default_p_max(1.0e6))
+    ur_grid = build_grid(32, 32, default_p_max(1.0e6))
     state = BipartiteState(ur, bell_phi_plus())
     pairs = default_sample_pairs(ur, n=64, seed=42)
     print("  beta     factorization distance")
@@ -55,7 +55,7 @@ def main() -> int:
     print()
     print("doubly entangled narrow pair (width 0.01), measurement along the boost axis:")
     narrow = EntangledMomentum(0.01, sign=-1)
-    narrow_grid = build_grid(32, 32, 16, default_p_max(0.01))
+    narrow_grid = build_grid(32, 32, default_p_max(0.01))
     x = ObservableDirection(np.array([1.0, 0.0, 0.0]))
     print("  beta     quantum    classical")
     for beta in betas:

@@ -6,23 +6,25 @@ Configuration is a single JSON document.  Example:
       "scenario": "spin_bell_momentum_product",
       "betas": [0.0, 0.3, 0.6, 0.9],
       "delta": [1.0],
-      "grid": {"n_r": 32, "n_theta": 32, "n_phi": 16, "p_max": "auto"},
+      "grid": {"n_r": 32, "n_theta": 32, "p_max": "auto"},
       "delta_sign": -1,
       "analytic_limit": false,
       "directions": {"a": [1.0, 0.0, 0.0], "b": [1.0, 0.0, 0.0]},
       "seed": 42
     }
 
-Scenarios populate different columns of the fixed CSV header; cells that a
-scenario does not produce stay empty (CSV) or null (JSON).  Identical config
-and seed give byte-identical output regardless of worker count: each
+The azimuth is integrated by a fixed exact rule (``wavepacket.AZIMUTH_NODES``),
+so ``grid.n_phi`` is accepted, validated and echoed for old configs but has
+no effect; likewise ``--workers``.  Scenarios populate different columns of
+the fixed CSV header; cells that a scenario does not produce stay empty (CSV)
+or null (JSON).  Identical config and seed give byte-identical output: each
 (beta, delta) cell is evaluated independently and rows are emitted in config
 order.
 
-Exit codes: 0 success, 2 configuration error (including a width outside
-[DELTA_MIN, DELTA_MAX] or a fixed grid.p_max above the auto policy's largest
-cutoff), 3 numeric/grid-coverage error, 4 I/O error while writing the output
-or plot script.
+Exit codes: 0 success, 2 configuration or usage error (among them a width
+outside [DELTA_MIN, DELTA_MAX], a fixed grid.p_max above the auto policy's
+largest cutoff, and --plot without a CSV --output), 3 numeric/grid-coverage
+error, 4 I/O error while writing the output or plot script.
 """
 
 from __future__ import annotations
@@ -33,8 +35,6 @@ import io
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -108,7 +108,7 @@ class ConfigError(Exception):
 class GridSpec:
     n_r: int = 32
     n_theta: int = 32
-    n_phi: int = 16
+    n_phi: int = 16  # accepted for old configs; the azimuth rule is fixed and exact
     p_max: object = "auto"  # "auto" or a positive number
 
     def resolve_p_max(self, delta: float, beta: float) -> float:
@@ -309,7 +309,7 @@ def _cell(
         gp = GaussianProduct(delta)
         state = BipartiteState(gp, bell_phi_plus())
         if not config.analytic_limit:
-            fid_grid = build_grid(gs.n_r, gs.n_theta, gs.n_phi, gs.resolve_p_max(delta, beta))
+            fid_grid = build_grid(gs.n_r, gs.n_theta, gs.resolve_p_max(delta, beta))
             row.fidelity = fidelity(state, b, fid_grid).fidelity
         if config.scenario == "fidelity_only":
             return row
@@ -353,7 +353,7 @@ def _width_inputs(config: SweepConfig, delta: float):
     marginal product; otherwise ``pairs`` is None.
     """
     gs = config.grid
-    base_grid = build_grid(gs.n_r, gs.n_theta, gs.n_phi, gs.resolve_p_max(delta, 0.0))
+    base_grid = build_grid(gs.n_r, gs.n_theta, gs.resolve_p_max(delta, 0.0))
     pairs = None
     if config.scenario == "spin_bell_momentum_product" and not config.analytic_limit:
         pairs = default_sample_pairs(GaussianProduct(delta), n=64, seed=config.seed)
@@ -364,19 +364,14 @@ def run(config: SweepConfig, workers: int = 1) -> list[SweepRow]:
     """All (beta, delta) cells in config order; cells are independent.
 
     Widths are taken one at a time: their beta-independent inputs are built
-    once, shared by that width's cells (on the thread pool when ``workers``
-    > 1) and released before the next width.
+    once, shared by that width's cells and released before the next width.
+    ``workers`` is accepted for old callers and has no effect.
     """
     rows = []
-    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        for delta in config.delta:
-            shared = _width_inputs(config, delta)
-            if pool is None:
-                rows += [_cell(config, beta, delta, *shared) for beta in config.betas]
-            else:
-                futures = [pool.submit(_cell, config, beta, delta, *shared) for beta in config.betas]
-                rows += [f.result() for f in futures]
-            del shared
+    for delta in config.delta:
+        shared = _width_inputs(config, delta)
+        rows += [_cell(config, beta, delta, *shared) for beta in config.betas]
+        del shared
     return rows
 
 
@@ -463,7 +458,7 @@ def _cmd_run(args) -> int:
     if args.output is None:
         sys.stdout.write(text)
     if args.plot is not None:
-        emit_plotscript(rows, args.plot, args.output or "sweep.csv")
+        emit_plotscript(rows, args.plot, args.output)
     return EXIT_OK
 
 
@@ -475,7 +470,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_limits(_args) -> int:
     """Print the light-speed benchmark table, computed through the pipeline."""
-    grid = build_grid(32, 32, 16, default_p_max(1.0))
+    grid = build_grid(32, 32, default_p_max(1.0))
     v = bell_ABCD(GaussianProduct(1.0), Boost(0.0), grid, analytic_limit=True)
     rho = bell_density_from_ABCD(v)
     spectrum = pt_eigenvalues_from_ABCD(v)
@@ -499,8 +494,9 @@ def main(argv=None) -> int:
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--output", default=None, help="output path (default: stdout)")
     p_run.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_run.add_argument("--plot", default=None, help="write a gnuplot script here")
-    p_run.add_argument("--workers", type=int, default=1)
+    p_run.add_argument("--plot", default=None,
+                       help="write a gnuplot script here (needs --output and --format csv)")
+    p_run.add_argument("--workers", type=int, default=1, help="accepted; has no effect")
     p_run.set_defaults(func=_cmd_run)
 
     p_val = sub.add_parser("validate", help="validate a config and echo its canonical form")
@@ -511,6 +507,10 @@ def main(argv=None) -> int:
     p_lim.set_defaults(func=_cmd_limits)
 
     args = parser.parse_args(argv)
+    # the plot script reads the sweep back as comma-separated data from --output
+    if args.command == "run" and args.plot is not None:
+        if args.output is None or args.format != "csv":
+            parser.error("--plot needs --output and --format csv")
     try:
         return args.func(args)
     except ConfigError as exc:

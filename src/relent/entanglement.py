@@ -89,10 +89,9 @@ class XStateStats:
     """Distribution aggregates of the rotated product-spin amplitudes.
 
     mean_* of the squares are the diagonal of the reduced spin density;
-    mean_ad and mean_bc are its two anti-diagonal entries.  mean_abs_ad and
-    mean_abs_bc average the pointwise moduli |a d*| and |b c*|, which are
-    equal identically and give the sharp Cauchy-Schwarz route to the
-    separability verdict.
+    mean_ad and mean_bc are its two anti-diagonal entries.  Their integrands
+    are trigonometric polynomials in phi, which the grid's fixed azimuth rule
+    integrates exactly.
     """
 
     mean_a2: float
@@ -101,8 +100,6 @@ class XStateStats:
     mean_d2: float
     mean_ad: complex
     mean_bc: complex
-    mean_abs_ad: float
-    mean_abs_bc: float
 
     def density(self) -> SpinDensity:
         """Reassemble the sparse (anti-diagonal plus diagonal) spin density."""
@@ -166,8 +163,6 @@ def xstate_stats(dist: EntangledMomentum, b: Boost, grid: QuadratureGrid) -> XSt
         mean_d2=mean(np.abs(d) ** 2).real,
         mean_ad=mean(a * np.conj(d)),
         mean_bc=mean(b_ * np.conj(c_)),
-        mean_abs_ad=mean(np.abs(a * d)).real,
-        mean_abs_bc=mean(np.abs(b_ * c_)).real,
     )
 
 

@@ -9,16 +9,16 @@ Two two-particle momentum amplitudes are supported:
   sign s = -1 (back-to-back, q = -p) is the package default; s = +1 selects
   co-moving momenta.  The delta is always eliminated symbolically.
 
-All 3D integrals use a tensor Gauss-Legendre grid: radial nodes mapped to
-[0, p_max], polar nodes in cos(theta), uniform periodic azimuth nodes.
-Callers integrate as ``np.sum(grid.weights * values)``, numpy's pairwise
-reduction over a fixed node ordering, so results are bit-identical across
-runs and worker counts.
+All 3D integrals use a tensor grid: Gauss-Legendre radial nodes mapped to
+[0, p_max], Gauss-Legendre polar nodes in cos(theta), and a fixed rule of
+``AZIMUTH_NODES`` periodic azimuth nodes that integrates every production
+integrand's azimuthal dependence exactly.  Callers integrate as
+``np.sum(grid.weights * values)``, numpy's pairwise reduction over a fixed
+node ordering, so results are bit-identical across runs.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -32,7 +32,18 @@ __all__ = [
     "build_grid",
     "default_p_max",
     "gauss_legendre",
+    "AZIMUTH_NODES",
 ]
+
+#: Periodic trapezoid nodes in phi.  A boost along x turns each spin about the
+#: axis normal to the plane of the boost and the momentum, so every production
+#: integrand is a trigonometric polynomial in phi: of degree <= 2 for
+#: ``fidelity`` and ``bell_ABCD``, and of degree <= 4 for psi psi^dag with
+#: psi = D_p Phi D_q^T (each Wigner matrix is of degree 1).  An n-node
+#: periodic trapezoid rule integrates e^{ik phi} exactly for |k| < n, so 5
+#: nodes are exact for all of them (Trefethen & Weideman, SIAM Rev. 56, 385
+#: (2014)); 4 nodes alias the fourth harmonic.
+AZIMUTH_NODES = 5
 
 
 class GridCoverageError(Exception):
@@ -101,16 +112,17 @@ def default_p_max(delta: float, beta: float = 0.0, m: float = 1.0) -> float:
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Tensor Gauss-Legendre grid in (p, cos(theta), phi).
+    """Tensor grid in (p, cos(theta), phi): Gauss-Legendre in p and cos(theta).
 
-    Flattened node arrays (length n_r * n_theta * n_phi, C order with phi
-    fastest) carry the full 3D measure in ``weights``:
-    w = w_r * p^2 * w_cos * w_phi.
+    Flattened node arrays (length n_r * n_theta * AZIMUTH_NODES from
+    ``build_grid``, C order with phi fastest) carry the full 3D measure in
+    ``weights``: w = w_r * p^2 * w_cos * w_phi.  The azimuth rule is exact for
+    every integrand the package takes (see ``AZIMUTH_NODES``), so only n_r,
+    n_theta and p_max set the resolution.
     """
 
     n_r: int
     n_theta: int
-    n_phi: int
     p_max: float
     p: np.ndarray = field(repr=False)
     costheta: np.ndarray = field(repr=False)
@@ -129,31 +141,21 @@ def _read_only(*arrays: np.ndarray) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _cached_rule(n: int) -> tuple:
-    return _read_only(*np.polynomial.legendre.leggauss(n))
-
-
-_rule_lock = threading.Lock()
-
-
 def gauss_legendre(n: int) -> tuple:
     """Gauss-Legendre nodes and weights on [-1, 1], computed once per node count.
 
-    The arrays are shared between callers and threads, so they are read-only.
-    The lock keeps two threads that miss the cache at once from both
-    computing the rule.
+    The arrays are shared between callers, so they are read-only.
     """
-    with _rule_lock:
-        return _cached_rule(n)
+    return _read_only(*np.polynomial.legendre.leggauss(n))
 
 
-def build_grid(n_r: int, n_theta: int, n_phi: int, p_max: float) -> QuadratureGrid:
+def build_grid(n_r: int, n_theta: int, p_max: float) -> QuadratureGrid:
     """Deterministic node/weight sets; same inputs give bit-identical grids.
 
     The node and weight arrays are read-only, so one grid can be shared
-    between the cells and threads of a sweep.
+    between the cells of a sweep.
     """
-    for name, n in (("n_r", n_r), ("n_theta", n_theta), ("n_phi", n_phi)):
+    for name, n in (("n_r", n_r), ("n_theta", n_theta)):
         if n < 2:
             raise ValueError(f"{name} must be >= 2, got {n}")
     if not (p_max > 0.0):
@@ -165,6 +167,7 @@ def build_grid(n_r: int, n_theta: int, n_phi: int, p_max: float) -> QuadratureGr
 
     x_t, w_t = gauss_legendre(n_theta)
 
+    n_phi = AZIMUTH_NODES
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
     wphi = np.full(n_phi, 2.0 * np.pi / n_phi)
 
@@ -179,6 +182,6 @@ def build_grid(n_r: int, n_theta: int, n_phi: int, p_max: float) -> QuadratureGr
     )
     _read_only(P, CT, PHI, W)
     return QuadratureGrid(
-        n_r=n_r, n_theta=n_theta, n_phi=n_phi, p_max=float(p_max),
+        n_r=n_r, n_theta=n_theta, p_max=float(p_max),
         p=P, costheta=CT, phi=PHI, weights=W,
     )

@@ -7,7 +7,7 @@ from relent.wavepacket import EntangledMomentum, GaussianProduct, build_grid, de
 @pytest.fixture(scope="session")
 def grid_default():
     """Default-resolution grid for unit-width distributions, no boost headroom."""
-    return build_grid(32, 32, 16, default_p_max(1.0))
+    return build_grid(32, 32, default_p_max(1.0))
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,9 @@ return mean plus standard error, so quadrature results can be gated at
 3 sigma.  The matrix-composition oracle builds the Wigner rotation from 4x4
 Lorentz matrices, the antipodal-pair kernel gives the light-speed form of the
 longitudinal correlation, and ``bell_fidelity_cos`` is the Bell-only scalar
-route to the fidelity.
+route to the fidelity.  ``azimuth_grid`` is the production node layout with
+any number of azimuth nodes, and ``mean_abs_products`` averages the pointwise
+amplitude moduli that the production aggregates leave out.
 """
 
 from dataclasses import dataclass
@@ -14,6 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from relent.kinematics import Boost, FourMomentum, boost_momentum, wigner_angle
+from relent.relstate import pair_amplitudes, spin_up_up
+from relent.wavepacket import QuadratureGrid
 
 _SIGMA = np.array(
     [
@@ -135,6 +139,38 @@ def bell_fidelity_cos(delta, beta, grid):
     omega, _ = _angles(vecs, beta)
     moment = np.sum(grid.weights * density * _boost_weight(vecs, beta, delta) * np.cos(omega / 2))
     return float(moment**4)
+
+
+def azimuth_grid(n_r, n_theta, p_max, n_phi):
+    """``build_grid``'s (p, cos theta, phi) layout with ``n_phi`` azimuth nodes.
+
+    The reference for the fixed azimuth rule: the same Gauss-Legendre radial
+    and polar rules, flattened with phi fastest, and an n_phi-node periodic
+    trapezoid rule in phi.
+    """
+    x_r, w_r = np.polynomial.legendre.leggauss(n_r)
+    r = 0.5 * p_max * (x_r + 1.0)
+    x_t, w_t = np.polynomial.legendre.leggauss(n_theta)
+    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    P, CT, PHI = np.meshgrid(r, x_t, phi, indexing="ij")
+    W = np.einsum("i,j,k->ijk", 0.5 * p_max * w_r * r**2, w_t, np.full(n_phi, 2.0 * np.pi / n_phi))
+    return QuadratureGrid(
+        n_r=n_r, n_theta=n_theta, p_max=float(p_max),
+        p=P.ravel(), costheta=CT.ravel(), phi=PHI.ravel(), weights=W.ravel(),
+    )
+
+
+def mean_abs_products(dist, b, grid):
+    """<|a d*|> and <|b c*|> of the rotated up-up amplitudes of a delta-correlated pair.
+
+    The two moduli are equal at every node, hence under any common average;
+    with Cauchy-Schwarz this carries the separability conclusion.  They are
+    not trigonometric polynomials in phi, so unlike the density aggregates of
+    ``xstate_stats`` they are not integrated exactly by the azimuth rule.
+    """
+    w = grid.weights * dist.density1(grid.p**2)
+    (a, b_), (c, d) = pair_amplitudes(dist, b, grid, spin_up_up())
+    return float(np.sum(w * np.abs(a * d))), float(np.sum(w * np.abs(b_ * c)))
 
 
 # -- matrix-composition oracle for the Wigner rotation -------------------------

@@ -23,6 +23,7 @@ from oracles import (
     bell_expectation,
     bell_fidelity_cos,
     mc_bell_fidelity,
+    mean_abs_products,
     rotation_angle,
     su2_from_so3,
     wigner_oracle,
@@ -76,7 +77,7 @@ def report(name: str, ok: bool, started: float, detail: str = "") -> None:
 
 def test_criterion1_rest_frame_anchor():
     t0 = time.monotonic()
-    grid = build_grid(32, 32, 16, default_p_max(1.0))
+    grid = build_grid(32, 32, default_p_max(1.0))
     gp = GaussianProduct(1.0)
     v = bell_ABCD(gp, Boost(0.0), grid)
     rho = bell_density_from_ABCD(v)
@@ -98,7 +99,7 @@ def test_criterion1_rest_frame_anchor():
 
 def test_criterion2_light_speed_limit_table():
     t0 = time.monotonic()
-    grid = build_grid(32, 32, 16, default_p_max(1.0))
+    grid = build_grid(32, 32, default_p_max(1.0))
     v = bell_ABCD(GaussianProduct(1.0), Boost(0.0), grid, analytic_limit=True)
     spectrum = np.sort(np.linalg.eigvalsh(partial_transpose(bell_density_from_ABCD(v))))
     expected_spectrum = np.array([0.125, 0.25, 0.25, 0.375])
@@ -123,10 +124,10 @@ def test_criterion3_fidelity_degradation():
     for delta in (0.5, 1.0, 4.0):
         state = BipartiteState(GaussianProduct(delta), bell_phi_plus())
         for beta in BETA_GRID_COARSE:
-            grid = build_grid(32, 32, 16, default_p_max(delta, beta))
+            grid = build_grid(32, 32, default_p_max(delta, beta))
             f = fidelity(state, Boost(beta), grid).fidelity
             assert f < 1.0 - 1e-6, (delta, beta, f)
-    grid = build_grid(32, 32, 16, default_p_max(1.0, 0.5))
+    grid = build_grid(32, 32, default_p_max(1.0, 0.5))
     f_quad = fidelity(BipartiteState(GaussianProduct(1.0), bell_phi_plus()), Boost(0.5), grid)
     f_mc, err = mc_bell_fidelity(1.0, 0.5, n=10**6, seed=7)
     mc_ok = abs(f_quad.fidelity - f_mc) < 3.0 * err
@@ -154,7 +155,7 @@ def test_criterion4_measure_monotone_in_beta():
 
 def test_criterion5_no_momentum_to_spin_transfer():
     t0 = time.monotonic()
-    grid = build_grid(32, 32, 16, default_p_max(1.0))
+    grid = build_grid(32, 32, default_p_max(1.0))
     for beta in BETA_GRID_COARSE:
         stats = xstate_stats(EntangledMomentum(1.0, -1), Boost(beta), grid)
         verdict = separability_verdict(stats)
@@ -187,14 +188,14 @@ def test_criterion5_identity_equality_of_mean_products():
     never decouples.
     """
     t0 = time.monotonic()
-    grid = build_grid(32, 32, 16, default_p_max(1.0))
+    grid = build_grid(32, 32, default_p_max(1.0))
     worst_gap = 0.0
     for beta in BETA_GRID_COARSE:
-        stats = xstate_stats(EntangledMomentum(1.0, -1), Boost(beta), grid)
-        worst_gap = max(worst_gap, abs(stats.mean_abs_ad - stats.mean_abs_bc))
+        mean_abs_ad, mean_abs_bc = mean_abs_products(EntangledMomentum(1.0, -1), Boost(beta), grid)
+        worst_gap = max(worst_gap, abs(mean_abs_ad - mean_abs_bc))
 
     ur = EntangledMomentum(1.0e8, -1)
-    ur_grid = build_grid(32, 32, 16, default_p_max(1.0e8))
+    ur_grid = build_grid(32, 32, default_p_max(1.0e8))
     residuals = [
         xstate_stats(ur, Boost(beta), ur_grid).mean_product_residual()
         for beta in BETA_GRID_COARSE + [BETA_CAP]
@@ -215,7 +216,7 @@ def test_criterion5_identity_equality_of_mean_products():
 def test_criterion6_factorization_limit():
     t0 = time.monotonic()
     dist = GaussianProduct(1.0e6)  # bulk momenta ~ 1e3 m
-    grid = build_grid(32, 32, 16, default_p_max(1.0e6))
+    grid = build_grid(32, 32, default_p_max(1.0e6))
     state = BipartiteState(dist, bell_phi_plus())
     pairs = default_sample_pairs(dist, n=64, seed=42)
     d = product_distance(momentum_density_samples(state, Boost(0.9999), grid, pairs))
@@ -228,7 +229,7 @@ def test_criterion6_factorization_limit():
 def _factorization_distances(delta: float, betas) -> list:
     """Factorization distance of a Bell-spin pair of width delta, per boost speed."""
     dist = GaussianProduct(delta)
-    grid = build_grid(32, 32, 16, default_p_max(delta))
+    grid = build_grid(32, 32, default_p_max(delta))
     state = BipartiteState(dist, bell_phi_plus())
     pairs = default_sample_pairs(dist, n=64, seed=42)
     return [
@@ -321,7 +322,7 @@ def test_criterion8_correlation_limits():
         assert comb >= lower - 1e-12
 
     dist = EntangledMomentum(0.01, -1)
-    grid = build_grid(32, 32, 16, default_p_max(0.01))
+    grid = build_grid(32, 32, default_p_max(0.01))
     worst = 0.0
     for _ in range(12):
         av = rng.normal(size=3)
@@ -347,7 +348,7 @@ def test_criterion8_correlation_limits():
 
 def test_criterion9_structural_invariants():
     t0 = time.monotonic()
-    grid = build_grid(32, 32, 16, default_p_max(1.0))
+    grid = build_grid(32, 32, default_p_max(1.0))
     gp = GaussianProduct(1.0)
 
     # every reduced density Hermitian, PSD, unit trace
@@ -395,7 +396,7 @@ def test_criterion9_structural_invariants():
     # isotropic integration
     state = BipartiteState(gp, bell_phi_plus())
     for beta in (0.3, 0.7):
-        g = build_grid(32, 32, 16, default_p_max(1.0, beta))
+        g = build_grid(32, 32, default_p_max(1.0, beta))
         f1 = fidelity(state, Boost(beta), g).fidelity
         f2 = bell_fidelity_cos(1.0, beta, g)
         assert abs(f1 - f2) < 1e-8

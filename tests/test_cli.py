@@ -1,6 +1,5 @@
 import json
 import math
-import sys
 from collections import Counter
 
 import numpy as np
@@ -123,6 +122,7 @@ class TestRunScenarios:
         assert abs(rows[1].qcorr) <= 1.0 + 1e-9
 
     def test_workers_do_not_change_rows(self):
+        # the worker count is accepted for old callers and has no effect
         cfg = parse_config(
             {
                 "betas": [0.0, 0.4, 0.8],
@@ -131,14 +131,17 @@ class TestRunScenarios:
             }
         )
         serial = emit(run(cfg, workers=1), "csv", None)
-        # more threads than cores, switching often, over each width's shared inputs
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threaded = emit(run(cfg, workers=4), "csv", None)
-        finally:
-            sys.setswitchinterval(interval)
-        assert serial == threaded
+        assert emit(run(cfg, workers=4), "csv", None) == serial
+
+    @pytest.mark.parametrize(
+        "scenario", ["momentum_bell_spin_up", "both_bell_correlations", "spin_bell_momentum_product"]
+    )
+    def test_n_phi_has_no_effect(self, scenario):
+        # two azimuth nodes used to alias the Wigner rotation's harmonics and
+        # print wrong rows with exit 0 (qcorr 0.992 for 0.810 at beta 0.9)
+        doc = {"scenario": scenario, "betas": [0.9]}
+        fixed = emit(run(parse_config(doc)), "csv", None)
+        assert emit(run(parse_config({**doc, "grid": {"n_phi": 2}})), "csv", None) == fixed
 
     def test_beta_independent_inputs_built_once(self, monkeypatch):
         rule_calls, pair_draws = Counter(), []
@@ -157,7 +160,7 @@ class TestRunScenarios:
         cfg = parse_config({"delta": [0.5, 1.0, 4.0]})  # the default 21 betas, 32x32x16
         texts = []
         for workers in (1, 2):
-            wavepacket._cached_rule.cache_clear()
+            wavepacket.gauss_legendre.cache_clear()
             rule_calls.clear()
             pair_draws.clear()
             texts.append(emit(run(cfg, workers=workers), "csv", None))
@@ -386,3 +389,17 @@ class TestMainEntry:
         )
         assert code == EXIT_OK
         assert "plot" in open(plot_path).read()
+
+    def test_plot_needs_csv_output(self, tmp_path, capsys):
+        # the script reads --output as comma-separated data; without it, it
+        # used to point at a 'sweep.csv' that nobody wrote, and with JSON it
+        # read the JSON file as CSV
+        cfg_path = write_config(tmp_path, {"betas": [0.0]})
+        plot_path = tmp_path / "plot.gp"
+        json_out = str(tmp_path / "out.json")
+        for extra in ([], ["--output", json_out, "--format", "json"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["run", "--config", cfg_path, "--plot", str(plot_path)] + extra)
+            assert exc.value.code == EXIT_CONFIG, extra
+            assert "--plot" in capsys.readouterr().err, extra
+            assert not plot_path.exists(), extra

@@ -136,7 +136,7 @@ class TestXYZW:
 @pytest.fixture(scope="module")
 def narrow_setup():
     dist = EntangledMomentum(0.01, sign=-1)
-    grid = build_grid(32, 32, 16, default_p_max(0.01))
+    grid = build_grid(32, 32, default_p_max(0.01))
     return dist, grid
 
 

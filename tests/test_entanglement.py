@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bell_fidelity_cos, mc_bell_abcd, mc_bell_fidelity
+from oracles import bell_fidelity_cos, mc_bell_abcd, mc_bell_fidelity, mean_abs_products
 from relent.cli import ConfigError, parse_config, run
 from relent.entanglement import (
     ABCDValues,
@@ -100,8 +100,10 @@ class TestXStateStats:
     @pytest.mark.parametrize("beta", [0.1, 0.5, 0.9, 0.99])
     def test_pointwise_modulus_identity(self, grid_default, sign, beta):
         # |a d*| and |b c*| agree pointwise, hence under any common average
-        s = xstate_stats(EntangledMomentum(1.0, sign), Boost(beta), grid_default)
-        assert s.mean_abs_ad == pytest.approx(s.mean_abs_bc, abs=1e-12)
+        mean_abs_ad, mean_abs_bc = mean_abs_products(
+            EntangledMomentum(1.0, sign), Boost(beta), grid_default
+        )
+        assert mean_abs_ad == pytest.approx(mean_abs_bc, abs=1e-12)
 
     @pytest.mark.parametrize("beta", [0.1, 0.5, 0.9, 0.99])
     def test_middle_dominates_corner_for_coaligned_pairs(self, grid_default, beta):
@@ -120,7 +122,7 @@ class TestCoverageGuards:
     def test_unbounded_grid_is_coverage_error(self):
         # weights at infinite radius come out as inf * 0 = nan, which every
         # norm and trace guard must reject
-        grid = build_grid(8, 8, 4, np.inf)
+        grid = build_grid(8, 8, np.inf)
         b = Boost(0.5)
         calls = [
             lambda: reduced_spin_density(
@@ -151,7 +153,7 @@ class TestSeparabilityVerdict:
     def test_synthetic_entangled_stats(self):
         s = XStateStats(
             mean_a2=0.4, mean_b2=0.1, mean_c2=0.1, mean_d2=0.4,
-            mean_ad=0.5, mean_bc=0.0, mean_abs_ad=0.5, mean_abs_bc=0.5,
+            mean_ad=0.5, mean_bc=0.0,
         )
         v = separability_verdict(s)
         assert v.entangled
@@ -186,34 +188,34 @@ class TestOverlapKernels:
 
 class TestFidelity:
     def test_no_boost_unity(self, gauss_unit):
-        grid = build_grid(32, 32, 16, default_p_max(1.0))
+        grid = build_grid(32, 32, default_p_max(1.0))
         state = BipartiteState(gauss_unit, bell_phi_plus())
         assert fidelity(state, Boost(0.0), grid).fidelity == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("delta", [0.5, 1.0, 4.0])
     @pytest.mark.parametrize("beta", [0.1, 0.5, 0.9, 0.99])
     def test_degrades_under_boost(self, delta, beta):
-        grid = build_grid(32, 32, 16, default_p_max(delta, beta))
+        grid = build_grid(32, 32, default_p_max(delta, beta))
         state = BipartiteState(GaussianProduct(delta), bell_phi_plus())
         f = fidelity(state, Boost(beta), grid).fidelity
         assert f < 1.0 - 1e-6
         assert f >= 0.0
 
     def test_generic_and_cos_paths_agree(self, gauss_unit):
-        grid = build_grid(32, 32, 16, default_p_max(1.0, 0.6))
+        grid = build_grid(32, 32, default_p_max(1.0, 0.6))
         state = BipartiteState(gauss_unit, bell_phi_plus())
         f_gen = fidelity(state, Boost(0.6), grid).fidelity
         assert f_gen == pytest.approx(bell_fidelity_cos(1.0, 0.6, grid), abs=1e-8)
 
     def test_leak_detection(self, gauss_unit):
         # grid without boost headroom cannot account for the boosted marginal
-        grid = build_grid(32, 32, 16, default_p_max(1.0, 0.0))
+        grid = build_grid(32, 32, default_p_max(1.0, 0.0))
         state = BipartiteState(gauss_unit, bell_phi_plus())
         with pytest.raises(GridCoverageError):
             fidelity(state, Boost(0.9), grid)
 
     def test_against_monte_carlo(self, gauss_unit):
-        grid = build_grid(32, 32, 16, default_p_max(1.0, 0.5))
+        grid = build_grid(32, 32, default_p_max(1.0, 0.5))
         state = BipartiteState(gauss_unit, bell_phi_plus())
         f_quad = fidelity(state, Boost(0.5), grid).fidelity
         f_mc, err = mc_bell_fidelity(1.0, 0.5, n=10**6, seed=7)

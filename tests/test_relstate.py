@@ -117,17 +117,17 @@ class TestReducedSpinDensity:
             SpinDensity(m).validate()
 
     def test_grid_coverage_error(self, gauss_unit):
-        bad = build_grid(8, 8, 4, 0.5)  # cuts most of the Gaussian
+        bad = build_grid(8, 8, 0.5)  # cuts most of the Gaussian
         state = BipartiteState(gauss_unit, bell_phi_plus())
         with pytest.raises(GridCoverageError):
             reduced_spin_density(state, Boost(0.5), bad)
 
     def test_product_path_matches_delta_free_quadrature(self, gauss_unit):
         # same physics through spin_kernel at scattered nodes: coarse consistency
-        grid = build_grid(24, 24, 12, default_p_max(1.0))
+        grid = build_grid(24, 24, default_p_max(1.0))
         state = BipartiteState(gauss_unit, bell_phi_plus())
         rho_a = reduced_spin_density(state, Boost(0.5), grid).matrix
-        grid_b = build_grid(32, 32, 16, default_p_max(1.0))
+        grid_b = build_grid(32, 32, default_p_max(1.0))
         rho_b = reduced_spin_density(state, Boost(0.5), grid_b).matrix
         assert np.max(np.abs(rho_a - rho_b)) < 1e-6
 
@@ -135,7 +135,7 @@ class TestReducedSpinDensity:
 @pytest.fixture(scope="module")
 def ur_setup():
     dist = GaussianProduct(1.0e6)
-    grid = build_grid(32, 32, 16, default_p_max(1.0e6))
+    grid = build_grid(32, 32, default_p_max(1.0e6))
     state = BipartiteState(dist, bell_phi_plus())
     pairs = default_sample_pairs(dist, n=64, seed=42)
     return state, grid, pairs

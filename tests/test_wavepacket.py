@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
-from relent.kinematics import wigner_angle
+from oracles import azimuth_grid
+from relent.entanglement import bell_ABCD, fidelity, xstate_stats
+from relent.kinematics import Boost, wigner_angle
+from relent.relstate import BipartiteState, bell_phi_plus, reduced_spin_density
 from relent.wavepacket import (
+    AZIMUTH_NODES,
     EntangledMomentum,
     GaussianProduct,
     build_grid,
@@ -30,32 +34,32 @@ class TestDistributions:
 class TestBuildGrid:
     def test_rejects_bad_counts(self):
         with pytest.raises(ValueError):
-            build_grid(1, 16, 8, 6.0)
+            build_grid(1, 16, 6.0)
         with pytest.raises(ValueError):
-            build_grid(16, 16, 8, 0.0)
+            build_grid(16, 16, 0.0)
 
     def test_minimal_grid_is_valid(self):
-        g = build_grid(2, 2, 2, 1.0)
-        assert g.size == 8
+        g = build_grid(2, 2, 1.0)
+        assert g.size == 2 * 2 * AZIMUTH_NODES == 20
         assert np.all(g.weights > 0)
 
     def test_gaussian_norm_small_grid(self):
-        g = build_grid(16, 16, 8, 6.0)
+        g = build_grid(16, 16, 6.0)
         val = np.sum(g.weights * GaussianProduct(1.0).density1(g.p**2))
         assert val == pytest.approx(1.0, abs=1e-6)
 
     def test_ball_volume(self):
-        g = build_grid(32, 32, 16, 2.0)
+        g = build_grid(32, 32, 2.0)
         assert np.sum(g.weights) == pytest.approx(4 * np.pi * 8.0 / 3.0, abs=1e-6)
 
     def test_deterministic_construction(self):
-        g1 = build_grid(8, 8, 4, 3.0)
-        g2 = build_grid(8, 8, 4, 3.0)
+        g1 = build_grid(8, 8, 3.0)
+        g2 = build_grid(8, 8, 3.0)
         assert g1.p.tobytes() == g2.p.tobytes()
         assert g1.weights.tobytes() == g2.weights.tobytes()
 
     def test_arrays_are_read_only(self):
-        g = build_grid(8, 8, 4, 3.0)
+        g = build_grid(8, 8, 3.0)
         for a in (g.p, g.costheta, g.phi, g.weights):
             assert not a.flags.writeable
         with pytest.raises(ValueError):
@@ -110,37 +114,81 @@ class TestIntegrate6:
     """
 
     def test_product_normalization(self, gauss_unit):
-        g = build_grid(16, 16, 8, 6.0)
+        g = build_grid(16, 16, 6.0)
         w = g.weights * gauss_unit.density1(g.p**2)
         assert np.sum(np.outer(w, w)) == pytest.approx(1.0, abs=1e-6)
 
     @pytest.mark.parametrize("sign", [-1, 1])
     def test_entangled_normalization(self, sign):
-        g = build_grid(16, 16, 8, 6.0)
+        g = build_grid(16, 16, 6.0)
         em = EntangledMomentum(1.0, sign)
         assert np.sum(g.weights * em.density1(g.p**2)) == pytest.approx(1.0, abs=1e-6)
 
     def test_independent_azimuths_annihilate(self, gauss_unit):
-        g = build_grid(8, 8, 8, 6.0)
+        g = build_grid(8, 8, 6.0)
         w = g.weights * gauss_unit.density1(g.p**2)
         assert abs(np.sum(np.outer(w, w) * np.cos(g.phi[:, None] + g.phi[None, :]))) < 1e-10
 
 
+class TestAzimuthRule:
+    """The fixed azimuth rule against a 64-node one.
+
+    Every production integrand is a trigonometric polynomial of degree <= 4
+    in phi, so the two agree to rounding (1.0e-14 measured).  A 4-node rule
+    misses the entangled-pair aggregates by up to 2.8e-3, and a 2-node rule
+    misses bell_ABCD too.
+    """
+
+    BETAS = [0.3, 0.9, 0.99]
+
+    @staticmethod
+    def _grids(p_max):
+        return build_grid(24, 24, p_max), azimuth_grid(24, 24, p_max, 64)
+
+    @pytest.mark.parametrize("beta", BETAS)
+    @pytest.mark.parametrize("sign", [-1, 1])
+    def test_xstate_stats(self, beta, sign):
+        grid, fine = self._grids(default_p_max(1.0))
+        em = EntangledMomentum(1.0, sign)
+        s, f = xstate_stats(em, Boost(beta), grid), xstate_stats(em, Boost(beta), fine)
+        for name in ("mean_a2", "mean_b2", "mean_c2", "mean_d2", "mean_ad", "mean_bc"):
+            assert abs(getattr(s, name) - getattr(f, name)) < 1e-13, name
+
+    @pytest.mark.parametrize("beta", BETAS)
+    @pytest.mark.parametrize("dist", [EntangledMomentum(1.0, -1), GaussianProduct(1.0)])
+    def test_reduced_spin_density(self, beta, dist):
+        grid, fine = self._grids(default_p_max(1.0))
+        state = BipartiteState(dist, bell_phi_plus())
+        rho = reduced_spin_density(state, Boost(beta), grid).matrix
+        assert np.max(np.abs(rho - reduced_spin_density(state, Boost(beta), fine).matrix)) < 1e-13
+
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_bell_ABCD(self, beta):
+        gp = GaussianProduct(1.0)
+        v, f = (bell_ABCD(gp, Boost(beta), g) for g in self._grids(default_p_max(1.0)))
+        for name in ("A", "B", "C", "D", "eta"):
+            assert abs(getattr(v, name) - getattr(f, name)) < 1e-13, name
+
+    @pytest.mark.parametrize("beta", BETAS)
+    def test_fidelity(self, beta):
+        grid, fine = self._grids(default_p_max(1.0, beta))
+        state = BipartiteState(GaussianProduct(1.0), bell_phi_plus())
+        v, f = fidelity(state, Boost(beta), grid), fidelity(state, Boost(beta), fine)
+        assert abs(v.overlap - f.overlap) < 1e-13
+        assert abs(v.fidelity - f.fidelity) < 1e-13
+
+
 class TestRefinementConvergence:
     def test_doubling_radial_polar_is_stable(self):
-        from relent.entanglement import bell_ABCD, fidelity
-        from relent.kinematics import Boost
-        from relent.relstate import BipartiteState, bell_phi_plus
-
         gp = GaussianProduct(1.0)
-        coarse = build_grid(32, 32, 16, default_p_max(1.0))
-        fine = build_grid(64, 64, 16, default_p_max(1.0))
+        coarse = build_grid(32, 32, default_p_max(1.0))
+        fine = build_grid(64, 64, default_p_max(1.0))
         va = bell_ABCD(gp, Boost(0.7), coarse)
         vb = bell_ABCD(gp, Boost(0.7), fine)
         for name in ("A", "B", "C", "D", "eta"):
             assert abs(getattr(va, name) - getattr(vb, name)) < 1e-4
 
         state = BipartiteState(gp, bell_phi_plus())
-        fa = fidelity(state, Boost(0.7), build_grid(32, 32, 16, default_p_max(1.0, 0.7)))
-        fb = fidelity(state, Boost(0.7), build_grid(64, 64, 16, default_p_max(1.0, 0.7)))
+        fa = fidelity(state, Boost(0.7), build_grid(32, 32, default_p_max(1.0, 0.7)))
+        fb = fidelity(state, Boost(0.7), build_grid(64, 64, default_p_max(1.0, 0.7)))
         assert abs(fa.fidelity - fb.fidelity) < 1e-4
