@@ -17,9 +17,10 @@ The azimuth is integrated by a fixed exact rule (``wavepacket.AZIMUTH_NODES``),
 so ``grid.n_phi`` is accepted, validated and echoed for old configs but has
 no effect; likewise ``--workers``.  Scenarios populate different columns of
 the fixed CSV header; cells that a scenario does not produce stay empty (CSV)
-or null (JSON).  Identical config and seed give byte-identical output: each
-(beta, delta) cell is evaluated independently and rows are emitted in config
-order.
+or null (JSON).  Each width's betas are evaluated together, as one array
+program per kernel, and every row equals the row of a sweep over its beta
+alone.  Identical config and seed give byte-identical output, with rows
+emitted in config order.
 
 Exit codes: 0 success, 2 configuration or usage error (among them a width
 outside [DELTA_MIN, DELTA_MAX], a fixed grid.p_max above the auto policy's
@@ -49,6 +50,7 @@ from relent.entanglement import (
     bell_density_from_ABCD,
     entanglement_measure,
     fidelity,
+    negativity_measure,
     partial_transpose,
     pt_eigenvalues_from_ABCD,
     separability_verdict,
@@ -66,7 +68,6 @@ from relent.wavepacket import (
     EntangledMomentum,
     GaussianProduct,
     GridCoverageError,
-    QuadratureGrid,
     build_grid,
     default_p_max,
 )
@@ -111,7 +112,8 @@ class GridSpec:
     n_phi: int = 16  # accepted for old configs; the azimuth rule is fixed and exact
     p_max: object = "auto"  # "auto" or a positive number
 
-    def resolve_p_max(self, delta: float, beta: float) -> float:
+    def resolve_p_max(self, delta: float, beta):
+        """The radial cutoff at each boost speed in ``beta`` (one value if fixed)."""
         if self.p_max == "auto":
             return default_p_max(delta, beta)
         return float(self.p_max)
@@ -286,92 +288,80 @@ def load_config(path: str) -> SweepConfig:
     return parse_config(doc)
 
 
-def _set_pt_columns(row: SweepRow, rho) -> None:
-    """Lowest partial-transpose eigenvalue and entanglement measure of ``rho``."""
-    row.min_pt_eig = float(np.linalg.eigvalsh(partial_transpose(rho))[0])
-    row.E = entanglement_measure(rho)
+def _pt_columns(rho) -> dict:
+    """Lowest PT eigenvalue and measure of each density, from one stacked eigensolve."""
+    spectrum = np.linalg.eigvalsh(partial_transpose(rho))
+    return {"min_pt_eig": spectrum[..., 0], "E": negativity_measure(spectrum)}
 
 
-def _cell(
-    config: SweepConfig, beta: float, delta: float, base_grid: QuadratureGrid, pairs
-) -> SweepRow:
-    """Evaluate one (beta, delta) cell of the configured scenario.
+def _width_columns(config: SweepConfig, delta: float) -> dict:
+    """The scenario's columns for every beta of one width, each an array over beta.
 
-    ``base_grid`` and ``pairs`` (None where unused) are the width's
-    beta-independent inputs from ``_width_inputs``; the fidelity grid depends
-    on beta and is built here.
+    Each kernel is called once, with all betas as one boost; the lattice has
+    its cutoff at beta = 0, the fidelity lattice one cutoff per beta.
     """
-    row = SweepRow(beta=beta, delta=delta)
     gs = config.grid
-    b = Boost(beta)
-
+    b = Boost(np.array(config.betas))
+    cols = {}
     if config.scenario in ("spin_bell_momentum_product", "fidelity_only"):
         gp = GaussianProduct(delta)
         state = BipartiteState(gp, bell_phi_plus())
         if not config.analytic_limit:
-            fid_grid = build_grid(gs.n_r, gs.n_theta, gs.resolve_p_max(delta, beta))
-            row.fidelity = fidelity(state, b, fid_grid).fidelity
+            fid_grid = build_grid(gs.n_r, gs.n_theta, gs.resolve_p_max(delta, b.beta))
+            cols["fidelity"] = fidelity(state, b, fid_grid).fidelity
         if config.scenario == "fidelity_only":
-            return row
+            return cols
+
+    base_grid = build_grid(gs.n_r, gs.n_theta, gs.resolve_p_max(delta, 0.0))
+    if config.scenario == "spin_bell_momentum_product":
         v = bell_ABCD(gp, b, base_grid, analytic_limit=config.analytic_limit)
-        row.A, row.B, row.C, row.D, row.eta = v.A, v.B, v.C, v.D, v.eta
-        _set_pt_columns(row, bell_density_from_ABCD(v))
-        if pairs is not None:
+        cols.update(A=v.A, B=v.B, C=v.C, D=v.D, eta=v.eta)
+        cols.update(_pt_columns(bell_density_from_ABCD(v)))
+        if not config.analytic_limit:
+            pairs = default_sample_pairs(gp, n=64, seed=config.seed)
             sample = momentum_density_samples(state, b, base_grid, pairs)
-            row.product_distance = product_distance(sample)
-        return row
+            cols["product_distance"] = product_distance(sample)
+        return cols
 
     if config.scenario == "momentum_bell_spin_up":
         em = EntangledMomentum(delta, config.delta_sign)
         stats = xstate_stats(em, b, base_grid)
         verdict = separability_verdict(stats)
-        row.ineq15_margin = verdict.margin_corner
-        row.ineq16_margin = verdict.margin_middle
-        row.identity14_residual = stats.mean_product_residual()
-        _set_pt_columns(row, stats.density())
-        return row
+        cols["ineq15_margin"] = verdict.margin_corner
+        cols["ineq16_margin"] = verdict.margin_middle
+        cols["identity14_residual"] = stats.mean_product_residual()
+        cols.update(_pt_columns(stats.density()))
+        return cols
 
     if config.scenario == "both_bell_correlations":
         em = EntangledMomentum(delta, config.delta_sign)
         a = ObservableDirection(np.array(config.direction_a))
         b_dir = ObservableDirection(np.array(config.direction_b))
-        row.qcorr = quantum_correlation(a, b_dir, em, bell_phi_plus(), b, base_grid)
+        cols["qcorr"] = quantum_correlation(a, b_dir, em, bell_phi_plus(), b, base_grid)
         try:
-            row.ccorr = classical_correlation(a, b_dir)
+            cols["ccorr"] = np.full(len(config.betas), classical_correlation(a, b_dir))
         except ValueError:
-            row.ccorr = None  # transverse direction: classical sign undefined
-        return row
+            pass  # transverse direction: classical sign undefined
+        return cols
 
     raise ConfigError(f"config field 'scenario': unhandled scenario {config.scenario!r}")
 
 
-def _width_inputs(config: SweepConfig, delta: float):
-    """The beta-independent inputs of one width's cells: base grid and sample pairs.
-
-    The base grid has its radial cutoff resolved at beta = 0.  Sample pairs
-    are drawn only where the scenario compares the momentum density with its
-    marginal product; otherwise ``pairs`` is None.
-    """
-    gs = config.grid
-    base_grid = build_grid(gs.n_r, gs.n_theta, gs.resolve_p_max(delta, 0.0))
-    pairs = None
-    if config.scenario == "spin_bell_momentum_product" and not config.analytic_limit:
-        pairs = default_sample_pairs(GaussianProduct(delta), n=64, seed=config.seed)
-    return base_grid, pairs
-
-
 def run(config: SweepConfig, workers: int = 1) -> list[SweepRow]:
-    """All (beta, delta) cells in config order; cells are independent.
+    """All (beta, delta) cells in config order, widths outer and betas inner.
 
-    Widths are taken one at a time: their beta-independent inputs are built
-    once, shared by that width's cells and released before the next width.
-    ``workers`` is accepted for old callers and has no effect.
+    Widths are taken one at a time, and each width's betas are evaluated
+    together (``_width_columns``); every row equals the row of a sweep over
+    that beta alone.  ``workers`` is accepted for old callers and has no
+    effect.
     """
     rows = []
     for delta in config.delta:
-        shared = _width_inputs(config, delta)
-        rows += [_cell(config, beta, delta, *shared) for beta in config.betas]
-        del shared
+        cols = _width_columns(config, delta)
+        rows += [
+            SweepRow(beta=beta, delta=delta, **{k: float(v[i]) for k, v in cols.items()})
+            for i, beta in enumerate(config.betas)
+        ]
     return rows
 
 

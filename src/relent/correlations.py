@@ -57,13 +57,14 @@ class ObservableDirection:
 
 
 def relativistic_observable(direction: ObservableDirection, b: Boost) -> np.ndarray:
-    """n.sigma with n the boost-contracted, renormalised measurement direction."""
+    """n.sigma, n the boost-contracted, renormalised direction; shape(b.beta) + (2, 2)."""
     a = direction.a_vec
     ax = a[0]
-    num = np.sqrt((1.0 - b.beta) * (1.0 + b.beta)) * (a - _E_BOOST * ax) + _E_BOOST * ax
-    den = np.sqrt(1.0 + b.beta**2 * (ax**2 - 1.0))
+    beta = np.expand_dims(b.beta, -1)
+    num = np.sqrt((1.0 - beta) * (1.0 + beta)) * (a - _E_BOOST * ax) + _E_BOOST * ax
+    den = np.sqrt(1.0 + beta**2 * (ax**2 - 1.0))
     n = num / den
-    return np.einsum("i,ijk->jk", n, _SIGMA)
+    return np.einsum("...i,ijk->...jk", n, _SIGMA)
 
 
 def classical_correlation(a: ObservableDirection, b_dir: ObservableDirection) -> float:
@@ -87,13 +88,16 @@ def quantum_correlation(
     """Tr[rho (a_hat x b_hat)] for the boosted momentum-entangled Bell pair.
 
     Computed from first principles at any beta: the boosted reduced spin
-    density contracted with the two normalised relativistic observables.
+    density contracted with the two normalised relativistic observables, one
+    value per speed of ``b``.
     """
-    if b.beta >= 1.0 - 1e-6 and (a.longitudinal == 0.0 or b_dir.longitudinal == 0.0):
+    if np.any(b.beta >= 1.0 - 1e-6) and (a.longitudinal == 0.0 or b_dir.longitudinal == 0.0):
         raise ValueError(
             "correlation sign degenerates for transverse directions at near-light boosts"
         )
     state = BipartiteState(dist=dist, spin=np.asarray(spin, dtype=complex))
     rho = reduced_spin_density(state, b, grid).matrix
-    op = np.kron(relativistic_observable(a, b), relativistic_observable(b_dir, b))
-    return float(np.real(np.trace(rho @ op)))
+    op_a, op_b = relativistic_observable(a, b), relativistic_observable(b_dir, b)
+    # Tr[rho (op_a x op_b)] with rho indexed (i k, j l) over (qubit A, qubit B)
+    rho4 = rho.reshape(rho.shape[:-2] + (2, 2, 2, 2))
+    return np.einsum("...ikjl,...ji,...lk->...", rho4, op_a, op_b).real

@@ -12,6 +12,9 @@ Covers the three diagnostics applied to a boosted two-particle state:
   Bell-spin, product-momentum scenario, whose reduced density is fixed by
   four real weights with a closed-form partial-transpose spectrum.
 
+A ``Boost`` with an array of speeds is evaluated as one array program on the
+(beta, p, cos(theta)) lattice; results, densities and spectra carry beta's axes.
+
 The entanglement measure is doubled negativity, -2 sum(min(0, PT eigenvalue)),
 normalised so a two-qubit maximally entangled state scores exactly 1.
 
@@ -27,11 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from relent.kinematics import Boost, FourMomentum, energy_ratio, su2_matrix, wigner_angle
+from relent.kinematics import Boost, FourMomentum, energy_ratio, wigner_angle
 from relent.relstate import (
     BipartiteState,
     SpinDensity,
-    pair_amplitudes,
+    reduced_spin_density,
     spin_kernel,
     spin_up_up,
 )
@@ -56,6 +59,7 @@ __all__ = [
     "bell_density_from_ABCD",
     "pt_eigenvalues_from_ABCD",
     "partial_transpose",
+    "negativity_measure",
     "entanglement_measure",
 ]
 
@@ -69,7 +73,8 @@ class FidelityResult:
     fidelity: float
 
     def __post_init__(self):
-        if not (-1e-9 <= self.fidelity <= 1.0 + 1e-9):
+        f = np.asarray(self.fidelity)
+        if not np.all((-1e-9 <= f) & (f <= 1.0 + 1e-9)):
             raise ValueError(f"fidelity out of [0, 1]: {self.fidelity}")
 
 
@@ -90,7 +95,7 @@ class XStateStats:
 
     mean_* of the squares are the diagonal of the reduced spin density;
     mean_ad and mean_bc are its two anti-diagonal entries.  Their integrands
-    are trigonometric polynomials in phi, which the grid's fixed azimuth rule
+    are trigonometric polynomials in phi, which ``reduced_spin_density``
     integrates exactly.
     """
 
@@ -103,14 +108,14 @@ class XStateStats:
 
     def density(self) -> SpinDensity:
         """Reassemble the sparse (anti-diagonal plus diagonal) spin density."""
-        rho = np.zeros((4, 4), dtype=complex)
-        rho[0, 0], rho[1, 1], rho[2, 2], rho[3, 3] = (
+        rho = np.zeros(np.shape(self.mean_a2) + (4, 4), dtype=complex)
+        rho[..., 0, 0], rho[..., 1, 1], rho[..., 2, 2], rho[..., 3, 3] = (
             self.mean_a2, self.mean_b2, self.mean_c2, self.mean_d2,
         )
-        rho[0, 3] = self.mean_ad
-        rho[3, 0] = np.conj(self.mean_ad)
-        rho[1, 2] = self.mean_bc
-        rho[2, 1] = np.conj(self.mean_bc)
+        rho[..., 0, 3] = self.mean_ad
+        rho[..., 3, 0] = np.conj(self.mean_ad)
+        rho[..., 1, 2] = self.mean_bc
+        rho[..., 2, 1] = np.conj(self.mean_bc)
         return SpinDensity(matrix=rho)
 
     def mean_product_residual(self) -> float:
@@ -124,7 +129,7 @@ class XStateStats:
         """
         lhs = self.mean_a2 * self.mean_d2
         rhs = self.mean_b2 * self.mean_c2
-        return abs(lhs - rhs) / max(lhs, rhs, 1e-300)
+        return abs(lhs - rhs) / np.maximum(np.maximum(lhs, rhs), 1e-300)
 
 
 @dataclass(frozen=True)
@@ -150,19 +155,15 @@ def xstate_stats(dist: EntangledMomentum, b: Boost, grid: QuadratureGrid) -> XSt
     """Aggregates of (a, b, c, d) under the delta-collapsed pair measure."""
     if not isinstance(dist, EntangledMomentum):
         raise TypeError("xstate_stats requires a delta-correlated momentum distribution")
-    w = grid.weights * dist.density1(grid.p**2)
-    _norm_check(float(np.sum(w)), "xstate_stats")
-
-    (a, b_), (c_, d) = pair_amplitudes(dist, b, grid, spin_up_up())
-
-    mean = lambda x: complex(np.sum(w * x))
+    _norm_check(float(np.sum(grid.weights * dist.density1(grid.p**2))), "xstate_stats")
+    rho = reduced_spin_density(BipartiteState(dist, spin_up_up()), b, grid).matrix
     return XStateStats(
-        mean_a2=mean(np.abs(a) ** 2).real,
-        mean_b2=mean(np.abs(b_) ** 2).real,
-        mean_c2=mean(np.abs(c_) ** 2).real,
-        mean_d2=mean(np.abs(d) ** 2).real,
-        mean_ad=mean(a * np.conj(d)),
-        mean_bc=mean(b_ * np.conj(c_)),
+        mean_a2=rho[..., 0, 0].real,
+        mean_b2=rho[..., 1, 1].real,
+        mean_c2=rho[..., 2, 2].real,
+        mean_d2=rho[..., 3, 3].real,
+        mean_ad=rho[..., 0, 3],
+        mean_bc=rho[..., 1, 2],
     )
 
 
@@ -175,14 +176,14 @@ def separability_verdict(stats: XStateStats) -> SeparabilityVerdict:
     m_corner = abs(stats.mean_ad) ** 2 - stats.mean_b2 * stats.mean_c2
     m_middle = abs(stats.mean_bc) ** 2 - stats.mean_a2 * stats.mean_d2
     return SeparabilityVerdict(
-        entangled=bool(max(m_corner, m_middle) > MARGIN_TOL),
-        margin_corner=float(m_corner),
-        margin_middle=float(m_middle),
+        entangled=np.maximum(m_corner, m_middle) > MARGIN_TOL,
+        margin_corner=m_corner,
+        margin_middle=m_middle,
     )
 
 
 def _boosted_args(grid: QuadratureGrid, b: Boost, m: float = 1.0):
-    """|Lambda p|^2 and the energy ratio (Lambda p)^0/p^0 at every node."""
+    """|Lambda p|^2 and (Lambda p)^0/p^0 on the (beta, p, cos(theta)) lattice of nodewise b."""
     px = grid.p * grid.costheta
     pt_sq = grid.p**2 - px**2
     p0 = np.sqrt(m**2 + grid.p**2)
@@ -190,23 +191,27 @@ def _boosted_args(grid: QuadratureGrid, b: Boost, m: float = 1.0):
     return px_b**2 + pt_sq, energy_ratio(px, p0, b)
 
 
-def _leaked_mass(dist: GaussianProduct, b: Boost, p_max: float, m: float = 1.0) -> float:
-    """Wavepacket mass whose inverse-boosted argument lies beyond p_max.
+def _leaked_mass(dist: GaussianProduct, b: Boost, p_max, m: float = 1.0) -> np.ndarray:
+    """Wavepacket mass whose inverse-boosted argument lies beyond p_max, per speed.
 
     This is the part of |f1|^2 that boosted-argument evaluation on a grid of
     radius p_max can never see.  Azimuthal symmetry reduces it to a fixed
-    fine 2D reference quadrature, so the estimate does not inherit the
-    resolution of the grid being checked.
+    fine 2D reference quadrature, built once per call (one cutoff or one per
+    speed), so the estimate does not inherit the grid's resolution.
     """
     x, w = gauss_legendre(128)  # the same rule in radius and in cos(theta)
     r = 3.0 * np.sqrt(dist.delta) * (x + 1.0)  # covers [0, 6 sqrt(delta)]
     wr = 3.0 * np.sqrt(dist.delta) * w
-    R, CT = np.meshgrid(r, x, indexing="ij")
+    R, CT = r[:, None], x  # broadcast to the 128 x 128 reference
     W = np.outer(wr * r**2 * dist.density1(r**2), w) * 2.0 * np.pi
     k0 = np.sqrt(m**2 + R**2)
-    inv_x = b.gamma * (R * CT - b.beta * k0)  # x component after undoing the boost
-    outside = inv_x**2 + R**2 * (1.0 - CT**2) > p_max**2
-    return float(np.sum(W * outside))
+    px, pt_sq = R * CT, R**2 * (1.0 - CT**2)
+    gamma, beta, cutoff = np.broadcast_arrays(b.gamma, b.beta, p_max)
+    leaked = np.empty(beta.shape)
+    for i in np.ndindex(beta.shape):
+        inv_x = gamma[i] * (px - beta[i] * k0)  # x component after undoing the boost
+        leaked[i] = np.sum(W * (inv_x**2 + pt_sq > cutoff[i] ** 2))
+    return leaked
 
 
 def fidelity(state: BipartiteState, b: Boost, grid: QuadratureGrid) -> FidelityResult:
@@ -214,7 +219,9 @@ def fidelity(state: BipartiteState, b: Boost, grid: QuadratureGrid) -> FidelityR
 
     The 6D overlap factorises into identical per-particle 2x2 moment matrices
     M = int dp sqrt((Lp)^0/p^0) f1(Lp) f1(p) D(Omega_p); the boosted argument
-    is evaluated in closed form.
+    is evaluated in closed form.  D = cos(Omega/2) + sin(Omega/2) J(phi) with J
+    linear in (cos(phi), sin(phi)), whose azimuthal averages vanish, so M is the
+    cos(Omega/2) moment times the identity.  ``grid`` has one cutoff or one per speed.
 
     Raises GridCoverageError when the boosted wavepacket's mass is not
     resolved by the grid (invariant-norm deficit above 1e-4).
@@ -224,23 +231,23 @@ def fidelity(state: BipartiteState, b: Boost, grid: QuadratureGrid) -> FidelityR
     dist = state.dist
 
     deficit = _leaked_mass(dist, b, grid.p_max)
-    if deficit > 1e-4:
+    if np.any(deficit > 1e-4):
         raise GridCoverageError(
-            f"fidelity: boosted wavepacket leaks past p_max (norm deficit {deficit:.2e})"
+            f"fidelity: boosted wavepacket leaks past p_max (norm deficit {np.max(deficit):.2e})"
         )
 
-    boosted_sq, jac = _boosted_args(grid, b)
-    f_unboosted = dist.amplitude1(grid.p**2)
-    f_boosted = dist.amplitude1(boosted_sq)
-
-    w = grid.weights * np.sqrt(jac) * f_boosted * f_unboosted
-    omega = wigner_angle(grid.p, grid.costheta, b.beta)
-    c, s = np.cos(omega / 2.0), np.sin(omega / 2.0)
-    # D is linear in (c, s cos(phi), s sin(phi)): M is the same form of their sums
-    ws = w * s
-    M = su2_matrix(np.sum(w * c), np.sum(ws * np.cos(grid.phi)), np.sum(ws * np.sin(grid.phi)))
-    overlap = complex(state.spin.conj() @ (np.kron(M, M) @ state.spin))
-    return FidelityResult(overlap=overlap, fidelity=float(abs(overlap) ** 2))
+    nb = b.nodewise()
+    boosted_sq, jac = _boosted_args(grid, nb)
+    # in place: the (beta, p, cos(theta)) temporaries set the sweep's peak memory
+    w = np.multiply(grid.weights, np.sqrt(jac, out=jac), out=jac)
+    w *= dist.amplitude1(boosted_sq)
+    w *= dist.amplitude1(grid.p**2)
+    del boosted_sq
+    half = wigner_angle(grid.p, grid.costheta, nb.beta)
+    half /= 2.0
+    m = np.sum(w * np.cos(half, out=half), axis=(-2, -1))
+    overlap = m**2 * np.vdot(state.spin, state.spin)
+    return FidelityResult(overlap=overlap, fidelity=np.abs(overlap) ** 2)
 
 
 def bell_ABCD(
@@ -249,9 +256,11 @@ def bell_ABCD(
     """The four integrated weights of the Bell-spin, product-momentum scenario.
 
     Each weight is a quadrature of trigonometric Wigner-angle moments against
-    |f1|^2 for each particle separately; the azimuthal cross terms reduce to
-    second-harmonic moments that vanish for isotropic distributions but are
-    kept explicitly.  ``analytic_limit`` substitutes Omega := theta.
+    |f1|^2 for each particle separately.  The azimuthal cross terms are
+    second-harmonic moments, sin^2(Omega/2) against cos(2 phi) and
+    sin(2 phi), whose exact azimuthal averages vanish; with them
+    A = c2^2 + s2^2/2, B = D = c2 s2 and C = s2^2/2.  ``analytic_limit``
+    substitutes Omega := theta.
     """
     if not isinstance(dist, GaussianProduct):
         raise TypeError("bell_ABCD requires a product momentum distribution")
@@ -262,49 +271,47 @@ def bell_ABCD(
     if analytic_limit:
         omega = np.arccos(np.clip(grid.costheta, -1.0, 1.0))
     else:
-        omega = wigner_angle(grid.p, grid.costheta, b.beta)
+        omega = wigner_angle(grid.p, grid.costheta, b.nodewise().beta)
     c2_node = np.cos(omega / 2.0) ** 2
-    s2_node = 1.0 - c2_node
+    shape = np.shape(b.beta)
+    c2 = np.broadcast_to(np.sum(w * c2_node, axis=(-2, -1)), shape)
+    s2 = np.broadcast_to(np.sum(w * (1.0 - c2_node), axis=(-2, -1)), shape)
 
-    c2 = float(np.sum(w * c2_node))
-    s2 = float(np.sum(w * s2_node))
-    tc = float(np.sum(w * s2_node * np.cos(2.0 * grid.phi)))
-    ts = float(np.sum(w * s2_node * np.sin(2.0 * grid.phi)))
-
-    A = c2**2 + 0.5 * (s2**2 + tc**2 - ts**2)
-    B = c2 * (s2 - tc)
-    C = 0.5 * (s2**2 - tc**2 + ts**2)
-    D = c2 * (s2 + tc)
+    A = c2**2 + 0.5 * s2**2
+    B = c2 * s2
+    C = 0.5 * s2**2
     eta = 2.0 * s2 / norm
-    return ABCDValues(A=A, B=B, C=C, D=D, eta=eta)
+    return ABCDValues(A=A, B=B, C=C, D=B, eta=eta)
 
 
 def bell_density_from_ABCD(v: ABCDValues) -> SpinDensity:
     """The reduced Bell-spin density determined by the four weights."""
-    A, B, C, D = v.A, v.B, v.C, v.D
-    rho = np.array(
-        [
-            [(A + D) / 2, 0.0, 0.0, (A - D) / 2],
-            [0.0, (B + C) / 2, -(B - C) / 2, 0.0],
-            [0.0, -(B - C) / 2, (B + C) / 2, 0.0],
-            [(A - D) / 2, 0.0, 0.0, (A + D) / 2],
-        ],
-        dtype=complex,
-    )
+    A, B, C, D = np.broadcast_arrays(v.A, v.B, v.C, v.D)
+    rho = np.zeros(A.shape + (4, 4), dtype=complex)
+    rho[..., 0, 0] = rho[..., 3, 3] = (A + D) / 2
+    rho[..., 0, 3] = rho[..., 3, 0] = (A - D) / 2
+    rho[..., 1, 1] = rho[..., 2, 2] = (B + C) / 2
+    rho[..., 1, 2] = rho[..., 2, 1] = -(B - C) / 2
     return SpinDensity(matrix=rho)
 
 
 def pt_eigenvalues_from_ABCD(v: ABCDValues) -> np.ndarray:
     """Closed-form partial-transpose spectrum {(1-2A)/2, ..., (1-2D)/2}, sorted."""
-    return np.sort(np.array([(1.0 - 2.0 * x) / 2.0 for x in (v.A, v.B, v.C, v.D)]))
+    return np.sort(np.stack([(1.0 - 2.0 * x) / 2.0 for x in (v.A, v.B, v.C, v.D)], axis=-1))
 
 
 def partial_transpose(rho) -> np.ndarray:
-    """Transpose the second party's indices of a 4x4 two-qubit matrix."""
+    """Transpose the second party's indices of 4x4 two-qubit matrices (last two axes)."""
     m = rho.matrix if isinstance(rho, SpinDensity) else np.asarray(rho, dtype=complex)
-    if m.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
-    return m.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+    if m.shape[-2:] != (4, 4):
+        raise ValueError(f"expected 4x4 matrices, got shape {m.shape}")
+    lead = m.shape[:-2]
+    return m.reshape(lead + (2, 2, 2, 2)).swapaxes(-3, -1).reshape(lead + (4, 4))
+
+
+def negativity_measure(pt_spectrum) -> float:
+    """Doubled negativity -2 sum(min(0, eigenvalue)) of partial-transpose spectra (last axis)."""
+    return -2.0 * np.sum(np.minimum(pt_spectrum, 0.0), axis=-1) + 0.0
 
 
 def entanglement_measure(rho) -> float:
@@ -313,5 +320,4 @@ def entanglement_measure(rho) -> float:
     1 for two-qubit maximally entangled states, 0 for any state with a
     positive partial transpose.
     """
-    eig = np.linalg.eigvalsh(partial_transpose(rho))
-    return float(-2.0 * np.sum(np.minimum(eig, 0.0)) + 0.0)
+    return negativity_measure(np.linalg.eigvalsh(partial_transpose(rho)))

@@ -90,17 +90,22 @@ class FourMomentum:
 
 @dataclass(frozen=True)
 class Boost:
-    """A boost along +x with speed ratio beta in [0, 1 - 1e-9]."""
+    """A boost along +x with speed ratio beta in [0, 1 - 1e-9], or an array of such speeds."""
 
     beta: float
 
     def __post_init__(self):
-        if not (0.0 <= self.beta <= BETA_CAP):
+        beta = np.asarray(self.beta)
+        if not np.all((0.0 <= beta) & (beta <= BETA_CAP)):
             raise ValueError(f"beta must be in [0, {BETA_CAP}], got {self.beta}")
 
     @property
     def gamma(self) -> float:
         return 1.0 / np.sqrt((1.0 - self.beta) * (1.0 + self.beta))
+
+    def nodewise(self) -> "Boost":
+        """The same speeds with two trailing unit axes, broadcasting over a 2D node array."""
+        return Boost(np.reshape(self.beta, np.shape(self.beta) + (1, 1)))
 
 
 @dataclass(frozen=True)
@@ -126,7 +131,7 @@ def wigner_angle(p, costheta, beta, m=1.0, sintheta=None):
                    / (ch(a/2) ch(d/2) + sh(a/2) sh(d/2) cos(theta))
 
     with a the boost rapidity and d the particle rapidity (ch d = p0/m).
-    Vectorised over p and costheta.  Returns Omega in [0, pi).  Pass
+    Broadcast over p, costheta and beta.  Returns Omega in [0, pi).  Pass
     ``sintheta`` when the transverse fraction is known exactly (near-collinear
     momenta lose half their digits through 1 - cos^2).
     """
@@ -176,7 +181,7 @@ def wigner_matrix(omega, phi) -> np.ndarray:
 
 
 def energy_ratio(px, p0, b: Boost):
-    """(Lambda p)^0 / p^0 of the x-axis boost, vectorised over px and the energy p0."""
+    """(Lambda p)^0 / p^0 of the x-axis boost, broadcast over px, the energy p0 and beta."""
     return b.gamma * (1.0 + b.beta * px / p0)
 
 

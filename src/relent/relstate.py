@@ -5,9 +5,11 @@ four-component two-spin amplitude.  Under an x-axis boost each particle's
 spin picks up its own momentum-dependent Wigner rotation, so the boosted
 spin content at momenta (p, q) is ``(D(p) x D(q)) |spin>``.
 
-The reduced spin density integrates |f|^2-weighted projectors of the rotated
-spin state (the invariant-measure Jacobians cancel identically in the partial
-trace, so none appear here).  The spin-traced momentum density keeps its
+The reduced spin density of a delta-correlated pair integrates
+|f|^2-weighted projectors of the rotated spin state (the invariant-measure
+Jacobians cancel identically in the partial trace, so none appear here), for
+all boost speeds at once as one moment form on the (beta, p, cos(theta))
+lattice.  The spin-traced momentum density keeps its
 Jacobian factors explicitly; ``momentum_density_samples`` evaluates its matrix
 elements on a finite set of coordinate pairs together with the product of the
 single-particle marginals at the same coordinates, and ``product_distance``
@@ -24,11 +26,13 @@ from relent.kinematics import (
     Boost,
     FourMomentum,
     energy_ratio,
+    su2_matrix,
     wigner_angle,
     wigner_matrix,
     wigner_rotation,
 )
 from relent.wavepacket import (
+    AZIMUTH_NODES,
     EntangledMomentum,
     GaussianProduct,
     GridCoverageError,
@@ -42,7 +46,7 @@ __all__ = [
     "bell_phi_plus",
     "spin_up_up",
     "spin_kernel",
-    "pair_amplitudes",
+    "azimuth_tensor",
     "reduced_spin_density",
     "momentum_density_samples",
     "default_sample_pairs",
@@ -83,26 +87,15 @@ class BipartiteState:
 
 @dataclass(frozen=True)
 class SpinDensity:
-    """4x4 Hermitian, PSD, unit-trace matrix over the two-spin basis."""
+    """4x4 Hermitian, PSD, unit-trace matrices over the two-spin basis (last two axes)."""
 
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (4, 4):
-            raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
+        if m.shape[-2:] != (4, 4):
+            raise ValueError(f"expected 4x4 matrices, got shape {m.shape}")
         object.__setattr__(self, "matrix", m)
-
-    def validate(self, herm_tol=1e-10, trace_tol=1e-8, psd_tol=1e-8) -> "SpinDensity":
-        m = self.matrix
-        if not (np.max(np.abs(m - m.conj().T)) <= herm_tol):
-            raise ValueError("density is not Hermitian within tolerance")
-        tr = np.trace(m)
-        if not (abs(tr.real - 1.0) <= trace_tol and abs(tr.imag) <= trace_tol):
-            raise ValueError(f"trace deviates from 1: {tr}")
-        if np.min(np.linalg.eigvalsh((m + m.conj().T) / 2.0)) < -psd_tol:
-            raise ValueError("density has a negative eigenvalue beyond tolerance")
-        return self
 
 
 def spin_kernel(p: FourMomentum, q: FourMomentum, b: Boost) -> np.ndarray:
@@ -110,55 +103,60 @@ def spin_kernel(p: FourMomentum, q: FourMomentum, b: Boost) -> np.ndarray:
     return np.kron(wigner_rotation(p, b).matrix, wigner_rotation(q, b).matrix)
 
 
-def pair_amplitudes(
-    dist: EntangledMomentum, b: Boost, grid: QuadratureGrid, spin: np.ndarray
-) -> np.ndarray:
-    """Rotated spin amplitude D_p Phi D_q^T at every node, shape (2, 2, size).
+def azimuth_tensor(spin: np.ndarray, n_phi: int) -> np.ndarray:
+    """Y[k, l] = <vec(X_k) vec(X_l)^dag> over an n_phi-node periodic rule in phi, (4, 4, 4, 4).
 
-    Phi is the two-spin amplitude as a 2x2 matrix and q = sign * p the
-    companion momentum of the delta-correlated pair; for q = -p the
-    companion sits at polar cosine -cos(theta) and azimuth phi + pi.
+    Each Wigner matrix is D = cos(Omega/2) + sin(Omega/2) J(phi) with
+    J = su2_matrix(0, cos(phi), sin(phi)); the companion of a pair with
+    q = sign * p has D_q = cos(Omega_q/2) + sign sin(Omega_q/2) J.  So
+    D_p Phi D_q^T = sum_k a_k X_k with X = (Phi, J Phi, Phi J^T, J Phi J^T)
+    and real, phi-free a_k.  X_k X_l^dag has degree <= 4 in phi, which
+    ``AZIMUTH_NODES`` nodes average exactly.
     """
-    Dp = wigner_matrix(wigner_angle(grid.p, grid.costheta, b.beta), grid.phi)
-    if dist.sign == 1:
-        Dq = Dp
-    else:
-        Dq = wigner_matrix(wigner_angle(grid.p, -grid.costheta, b.beta), grid.phi + np.pi)
-    return np.einsum("abn,bc,dcn->adn", Dp, spin.reshape(2, 2), Dq)
+    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    J = np.moveaxis(su2_matrix(0.0, np.cos(phi), np.sin(phi)), -1, 0)
+    F, JT = np.broadcast_to(spin.reshape(2, 2), J.shape), J.swapaxes(-1, -2)
+    X = np.stack([F, J @ F, F @ JT, J @ F @ JT]).reshape(4, n_phi, 4)
+    return np.einsum("kni,lnj->klij", X, X.conj()) / n_phi
 
 
-def _check_trace(rho: np.ndarray, what: str) -> np.ndarray:
-    tr = np.trace(rho).real
-    if not (abs(tr - 1.0) <= TRACE_TOL):
-        raise GridCoverageError(
-            f"{what}: quadrature trace {tr:.6f} deviates from 1 by more than {TRACE_TOL}; "
-            "the grid does not cover the distribution"
-        )
-    return rho
+def _half_cos_sin(omega):
+    return np.cos(omega / 2.0), np.sin(omega / 2.0)
 
 
 def reduced_spin_density(state: BipartiteState, b: Boost, grid: QuadratureGrid) -> SpinDensity:
-    """Spin density after boosting and tracing out both momenta.
+    """Spin density of a delta-correlated pair after boosting and tracing out both momenta.
 
-    For a delta-correlated distribution the companion momentum is +/-p and a
-    single 3D quadrature of the rotated projector suffices.  For a product
-    distribution the two-spin map factorises into identical single-particle
-    channels, each a 3D quadrature of D (x) D*.
+    rho = sum_kl G_kl Y_kl, with Y the fixed ``azimuth_tensor`` and G the real
+    moment matrix of a = (c_p c_q, s_p c_q, sign c_p s_q, sign s_p s_q) (c, s
+    of half the Wigner angle) on the (beta, p, cos(theta)) lattice.  G is
+    formed one entry at a time, so no stacked coefficient array is made.
     """
-    w = grid.weights * state.dist.density1(grid.p**2)
-    if isinstance(state.dist, EntangledMomentum):
-        psi = pair_amplitudes(state.dist, b, grid, state.spin).reshape(4, -1)
-        rho = np.einsum("n,in,jn->ij", w, psi, psi.conj())
-        return SpinDensity(matrix=_check_trace(rho, "reduced_spin_density"))
-
-    D = wigner_matrix(wigner_angle(grid.p, grid.costheta, b.beta), grid.phi)
-    # single-particle channel X -> int w D X D^dag as T[a, a', c, c'] acting on X[c, c']
-    T = np.einsum("n,acn,bdn->abcd", w, D, D.conj())
-    # rho0[c, d, c', d'] over (qubit A, qubit B, primed A, primed B)
-    rho0 = np.outer(state.spin, state.spin.conj()).reshape(2, 2, 2, 2)
-    rho4 = np.einsum("aick,bjdl,cdkl->abij", T, T, rho0)
-    rho = rho4.reshape(4, 4)
-    return SpinDensity(matrix=_check_trace(rho, "reduced_spin_density"))
+    dist = state.dist
+    if not isinstance(dist, EntangledMomentum):
+        raise TypeError("reduced_spin_density requires a delta-correlated momentum distribution")
+    w = grid.weights * dist.density1(grid.p**2)
+    beta = b.nodewise().beta
+    c_p, s_p = _half_cos_sin(wigner_angle(grid.p, grid.costheta, beta))
+    if dist.sign == 1:
+        c_q, s_q = c_p, s_p
+    else:
+        c_q, s_q = _half_cos_sin(wigner_angle(grid.p, -grid.costheta, beta))
+    factors = ((c_p, c_q), (s_p, c_q), (c_p, s_q), (s_p, s_q))
+    signs = (1, 1, dist.sign, dist.sign)
+    G = np.empty(np.shape(b.beta) + (4, 4))
+    for k in range(4):
+        for l in range(k, 4):
+            moment = np.einsum("...ij,...ij,...ij,...ij,...ij->...", w, *factors[k], *factors[l])
+            G[..., k, l] = G[..., l, k] = signs[k] * signs[l] * moment
+    rho = np.einsum("...kl,klij->...ij", G, azimuth_tensor(state.spin, AZIMUTH_NODES))
+    worst = np.max(np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0))
+    if not (worst <= TRACE_TOL):
+        raise GridCoverageError(
+            f"reduced_spin_density: quadrature trace deviates from 1 by {worst:.6f}, more than "
+            f"{TRACE_TOL}; the grid does not cover the distribution"
+        )
+    return SpinDensity(matrix=rho)
 
 
 @dataclass(frozen=True)
@@ -168,7 +166,8 @@ class MomentumDensitySample:
     ``pairs`` has shape (n, 4, 3): rows of Cartesian (p, q, p', q').  Each
     element carries the invariant-normalisation Jacobian sqrt of all four
     energies ratios; ``marginal_products`` holds <p|rho_A|p'><q|rho_B|q'> at
-    the same coordinates for the factorization comparison.
+    the same coordinates for the factorization comparison.  Both have shape
+    (..., n), the leading axes those of the boost speeds.
     """
 
     pairs: np.ndarray = field(repr=False)
@@ -181,7 +180,7 @@ class MomentumDensitySample:
         diag = np.all(self.pairs[:, 0] == self.pairs[:, 2], axis=1) & np.all(
             self.pairs[:, 1] == self.pairs[:, 3], axis=1
         )
-        if np.any(self.elements[diag].real < -1e-10):
+        if np.any(self.elements[..., diag].real < -1e-10):
             raise ValueError("diagonal momentum-density elements must be non-negative")
 
 
@@ -199,7 +198,8 @@ def momentum_density_samples(
     product as beta grows: the Wigner-phase difference between two radii
     along one direction rises as the boost saturates and levels off at
     O(1/p).  Factorization is therefore reached only in the joint limit of
-    ultra-relativistic boost and momenta.
+    ultra-relativistic boost and momenta.  All speeds of ``b`` are evaluated
+    on the same pairs at once.
     """
     if not isinstance(state.dist, GaussianProduct):
         raise TypeError("momentum_density_samples requires a product momentum distribution")
@@ -212,23 +212,24 @@ def momentum_density_samples(
     # companion-trace normalisation, computed on the grid it was handed
     norm1 = float(np.sum(grid.weights * dist.density1(grid.p**2)))
 
-    # Wigner matrices of all four momenta of every row, D[:, :, row, slot]
+    # Wigner matrices of all four momenta of every row, D[:, :, ..., row, slot]
+    nb = b.nodewise()
     p_sq = np.sum(pairs**2, axis=-1)
     p = np.sqrt(p_sq)
     transverse = np.hypot(pairs[..., 1], pairs[..., 2])
     safe_p = np.where(p > 0.0, p, 1.0)  # collinear and p = 0 rows give omega = 0 exactly
-    omega = wigner_angle(p, pairs[..., 0] / safe_p, b.beta, sintheta=transverse / safe_p)
+    omega = wigner_angle(p, pairs[..., 0] / safe_p, nb.beta, sintheta=transverse / safe_p)
     D = wigner_matrix(omega, np.arctan2(pairs[..., 2], pairs[..., 1]))
-    A = np.einsum("ban,bcn->acn", D[..., 2].conj(), D[..., 0])  # D_p'^dag D_p
-    B = np.einsum("ban,bcn->acn", D[..., 3].conj(), D[..., 1])  # D_q'^dag D_q
+    A = np.einsum("ba...,bc...->ac...", D[..., 2].conj(), D[..., 0])  # D_p'^dag D_p
+    B = np.einsum("ba...,bc...->ac...", D[..., 3].conj(), D[..., 1])  # D_q'^dag D_q
     # <Phi| A x B |Phi> and the single-party overlaps with the other factor traced
-    spin_sum = np.einsum("ab,acn,cd,bdn->n", F.conj(), A, F, B)
-    spin_a = np.einsum("ab,acn,cb->n", F.conj(), A, F)
-    spin_b = np.einsum("ab,ad,bdn->n", F.conj(), F, B)
+    spin_sum = np.einsum("ab,ac...,cd,bd...->...", F.conj(), A, F, B)
+    spin_a = np.einsum("ab,ac...,cb->...", F.conj(), A, F)
+    spin_b = np.einsum("ab,ad,bd...->...", F.conj(), F, B)
 
-    ratio = energy_ratio(pairs[..., 0], np.sqrt(1.0 + p_sq), b)
-    jac = np.sqrt(np.prod(ratio, axis=1))
-    amp = np.prod(dist.amplitude1(p_sq), axis=1)
+    ratio = energy_ratio(pairs[..., 0], np.sqrt(1.0 + p_sq), nb)
+    jac = np.sqrt(np.prod(ratio, axis=-1))
+    amp = np.prod(dist.amplitude1(p_sq), axis=-1)
     elements = jac * amp * spin_sum
     marginals = jac * amp * (spin_a * norm1) * (spin_b * norm1)
     return MomentumDensitySample(pairs=pairs, elements=elements, marginal_products=marginals)
@@ -263,6 +264,8 @@ def default_sample_pairs(
 def product_distance(sample: MomentumDensitySample) -> float:
     """Max guarded relative deviation of sampled elements from the marginal product.
 
+    Taken over the pairs (last axis), so a sample of several speeds gives one
+    distance per speed.
     For fixed pairs it does not decrease with beta, and its saturated value
     falls as 1/delta with the width (9e-5, 9e-7, 9e-9 at widths 1e4, 1e6, 1e8
     and beta 0.9999).
@@ -272,4 +275,4 @@ def product_distance(sample: MomentumDensitySample) -> float:
     dev = np.abs(sample.elements - sample.marginal_products) / (
         np.abs(sample.marginal_products) + 1e-300
     )
-    return float(np.max(dev))
+    return np.max(dev, axis=-1)

@@ -9,10 +9,12 @@ Two two-particle momentum amplitudes are supported:
   sign s = -1 (back-to-back, q = -p) is the package default; s = +1 selects
   co-moving momenta.  The delta is always eliminated symbolically.
 
-All 3D integrals use a tensor grid: Gauss-Legendre radial nodes mapped to
-[0, p_max], Gauss-Legendre polar nodes in cos(theta), and a fixed rule of
-``AZIMUTH_NODES`` periodic azimuth nodes that integrates every production
-integrand's azimuthal dependence exactly.  Callers integrate as
+All 3D integrals use a tensor rule on the (p, cos(theta)) lattice:
+Gauss-Legendre radial nodes mapped to [0, p_max] and Gauss-Legendre polar
+nodes in cos(theta).  Every production integrand depends on the azimuth
+through a trigonometric polynomial whose phi-average the kernels take in
+closed form or on a fixed exact rule of ``AZIMUTH_NODES`` nodes, so the
+lattice weights carry the whole 2 pi.  Callers integrate as
 ``np.sum(grid.weights * values)``, numpy's pairwise reduction over a fixed
 node ordering, so results are bit-identical across runs.
 """
@@ -42,7 +44,9 @@ __all__ = [
 #: psi = D_p Phi D_q^T (each Wigner matrix is of degree 1).  An n-node
 #: periodic trapezoid rule integrates e^{ik phi} exactly for |k| < n, so 5
 #: nodes are exact for all of them (Trefethen & Weideman, SIAM Rev. 56, 385
-#: (2014)); 4 nodes alias the fourth harmonic.
+#: (2014)); 4 nodes alias the fourth harmonic.  The first two kernels need
+#: only the vanishing averages of cos(phi), sin(phi) and their doubles and take
+#: them in closed form; the pair density sums its fixed phi tensor on this rule.
 AZIMUTH_NODES = 5
 
 
@@ -103,21 +107,22 @@ def default_p_max(delta: float, beta: float = 0.0, m: float = 1.0) -> float:
     image of the Gaussian bulk inside the grid.  At extreme boosts the
     unreachable region approaches the half-space p_x < -(m + 7 sqrt(delta))/2,
     a > 4.9 sigma single-axis tail, so boosted-argument evaluation misses
-    less than ~1e-6 of the mass for any beta.
+    less than ~1e-6 of the mass for any beta.  Broadcasts over delta and beta.
     """
     root = np.sqrt(delta)
     gamma = 1.0 / np.sqrt((1.0 - beta) * (1.0 + beta))
-    return float(6.0 * root + max(0.0, gamma * beta * (m + 7.0 * root)))
+    return 6.0 * root + np.maximum(0.0, gamma * beta * (m + 7.0 * root))
 
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Tensor grid in (p, cos(theta), phi): Gauss-Legendre in p and cos(theta).
+    """Tensor rule in (p, cos(theta)): Gauss-Legendre in both, azimuth exact.
 
-    Flattened node arrays (length n_r * n_theta * AZIMUTH_NODES from
-    ``build_grid``, C order with phi fastest) carry the full 3D measure in
-    ``weights``: w = w_r * p^2 * w_cos * w_phi.  The azimuth rule is exact for
-    every integrand the package takes (see ``AZIMUTH_NODES``), so only n_r,
+    ``p`` has shape (..., n_r, 1), ``costheta`` shape (n_theta,) and
+    ``weights`` shape (..., n_r, n_theta), so the three broadcast to the node
+    lattice; the leading axes are those of ``p_max`` (one lattice per radial
+    cutoff).  The weights carry the full 3D measure, w_r p^2 w_cos 2 pi: the
+    kernels fold the azimuth in exactly (see ``AZIMUTH_NODES``), so only n_r,
     n_theta and p_max set the resolution.
     """
 
@@ -126,12 +131,11 @@ class QuadratureGrid:
     p_max: float
     p: np.ndarray = field(repr=False)
     costheta: np.ndarray = field(repr=False)
-    phi: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
 
     @property
     def size(self) -> int:
-        return self.p.size
+        return self.weights.size
 
 
 def _read_only(*arrays: np.ndarray) -> tuple:
@@ -149,39 +153,27 @@ def gauss_legendre(n: int) -> tuple:
     return _read_only(*np.polynomial.legendre.leggauss(n))
 
 
-def build_grid(n_r: int, n_theta: int, p_max: float) -> QuadratureGrid:
+def build_grid(n_r: int, n_theta: int, p_max) -> QuadratureGrid:
     """Deterministic node/weight sets; same inputs give bit-identical grids.
 
-    The node and weight arrays are read-only, so one grid can be shared
-    between the cells of a sweep.
+    ``p_max`` may be an array of cutoffs, which rescales the cached radial
+    rule once per cutoff.  The node and weight arrays are read-only, so one
+    grid can be shared between the speeds of a sweep.
     """
     for name, n in (("n_r", n_r), ("n_theta", n_theta)):
         if n < 2:
             raise ValueError(f"{name} must be >= 2, got {n}")
-    if not (p_max > 0.0):
+    cutoff = np.array(p_max, dtype=float)
+    if not np.all(cutoff > 0.0):
         raise ValueError(f"p_max must be positive, got {p_max}")
 
     x_r, w_r = gauss_legendre(n_r)
-    r = 0.5 * p_max * (x_r + 1.0)
-    wr = 0.5 * p_max * w_r
-
+    half = 0.5 * cutoff[..., None]
+    r = half * (x_r + 1.0)
     x_t, w_t = gauss_legendre(n_theta)
-
-    n_phi = AZIMUTH_NODES
-    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    wphi = np.full(n_phi, 2.0 * np.pi / n_phi)
-
-    # flatten with phi fastest, radius slowest
-    P = np.repeat(r, n_theta * n_phi)
-    CT = np.tile(np.repeat(x_t, n_phi), n_r)
-    PHI = np.tile(phi, n_r * n_theta)
-    W = (
-        np.repeat(wr * r**2, n_theta * n_phi)
-        * np.tile(np.repeat(w_t, n_phi), n_r)
-        * np.tile(wphi, n_r * n_theta)
-    )
-    _read_only(P, CT, PHI, W)
+    W = (half * w_r * r**2)[..., None] * (2.0 * np.pi * w_t)
+    P = r[..., None]
+    _read_only(cutoff, P, W)
     return QuadratureGrid(
-        n_r=n_r, n_theta=n_theta, p_max=float(p_max),
-        p=P, costheta=CT, phi=PHI, weights=W,
+        n_r=n_r, n_theta=n_theta, p_max=cutoff[()], p=P, costheta=x_t, weights=W,
     )

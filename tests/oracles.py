@@ -6,18 +6,31 @@ return mean plus standard error, so quadrature results can be gated at
 3 sigma.  The matrix-composition oracle builds the Wigner rotation from 4x4
 Lorentz matrices, the antipodal-pair kernel gives the light-speed form of the
 longitudinal correlation, and ``bell_fidelity_cos`` is the Bell-only scalar
-route to the fidelity.  ``azimuth_grid`` is the production node layout with
-any number of azimuth nodes, and ``mean_abs_products`` averages the pointwise
-amplitude moduli that the production aggregates leave out.
+route to the fidelity.  ``azimuth_grid`` is the (p, cos theta, phi) node set
+with any number of azimuth nodes, and the ``*_3d`` kernels are the per-speed
+3D quadratures the library's lattice kernels replaced, kept as references:
+they sum over explicit azimuth nodes instead of folding phi in.  The
+product-momentum branch of the reduced spin density and the density checks
+of ``validate_density`` live here too, as nothing in the library uses them.
+``mean_abs_products`` averages the pointwise amplitude moduli that the
+production aggregates leave out.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from relent.kinematics import Boost, FourMomentum, boost_momentum, wigner_angle
-from relent.relstate import pair_amplitudes, spin_up_up
-from relent.wavepacket import QuadratureGrid
+from relent.entanglement import ABCDValues, FidelityResult, XStateStats, _boosted_args
+from relent.kinematics import (
+    Boost,
+    FourMomentum,
+    boost_momentum,
+    su2_matrix,
+    wigner_angle,
+    wigner_matrix,
+)
+from relent.relstate import TRACE_TOL, SpinDensity, spin_up_up
+from relent.wavepacket import AZIMUTH_NODES, EntangledMomentum, GridCoverageError
 
 _SIGMA = np.array(
     [
@@ -128,25 +141,44 @@ def bell_fidelity_cos(delta, beta, grid):
     Pointwise the Bell kernel also carries
     -sin(Omega_p/2) sin(Omega_q/2) cos(phi_p + phi_q), which integrates to
     zero against the isotropic packet, so the overlap is the square of one
-    scalar moment.  Built from this module's boost weight and density, on the
-    nodes of ``grid``.
+    scalar moment.  Its integrand does not depend on phi, so it is evaluated
+    at phi = 0 on the nodes of the (p, cos theta) lattice ``grid``, built
+    from this module's boost weight and density.
     """
-    st = np.sqrt(np.maximum(0.0, 1.0 - grid.costheta**2))
-    vecs = grid.p[:, None] * np.column_stack(
-        (grid.costheta, st * np.cos(grid.phi), st * np.sin(grid.phi))
-    )
-    density = (np.pi * delta) ** -1.5 * np.exp(-(grid.p**2) / delta)
+    P, CT = (np.broadcast_to(a, grid.weights.shape).ravel() for a in (grid.p, grid.costheta))
+    vecs = P[:, None] * np.column_stack((CT, np.sqrt(np.maximum(0.0, 1.0 - CT**2)), 0.0 * CT))
+    density = (np.pi * delta) ** -1.5 * np.exp(-(P**2) / delta)
     omega, _ = _angles(vecs, beta)
-    moment = np.sum(grid.weights * density * _boost_weight(vecs, beta, delta) * np.cos(omega / 2))
+    kernel = _boost_weight(vecs, beta, delta) * np.cos(omega / 2)
+    moment = np.sum(grid.weights.ravel() * density * kernel)
     return float(moment**4)
 
 
-def azimuth_grid(n_r, n_theta, p_max, n_phi):
-    """``build_grid``'s (p, cos theta, phi) layout with ``n_phi`` azimuth nodes.
+# -- per-speed 3D quadratures on explicit azimuth nodes ------------------------
 
-    The reference for the fixed azimuth rule: the same Gauss-Legendre radial
-    and polar rules, flattened with phi fastest, and an n_phi-node periodic
-    trapezoid rule in phi.
+
+@dataclass(frozen=True)
+class AzimuthGrid:
+    """Flattened (p, cos theta, phi) nodes, phi fastest, with the 3D weights."""
+
+    n_r: int
+    n_theta: int
+    p_max: float
+    p: np.ndarray = field(repr=False)
+    costheta: np.ndarray = field(repr=False)
+    phi: np.ndarray = field(repr=False)
+    weights: np.ndarray = field(repr=False)
+
+    @property
+    def size(self) -> int:
+        return self.p.size
+
+
+def azimuth_grid(n_r, n_theta, p_max, n_phi):
+    """The library's radial and polar Gauss-Legendre rules times an n_phi-node azimuth rule.
+
+    Flattened with phi fastest, radius slowest; the azimuth rule is the
+    periodic trapezoid rule.
     """
     x_r, w_r = np.polynomial.legendre.leggauss(n_r)
     r = 0.5 * p_max * (x_r + 1.0)
@@ -154,10 +186,121 @@ def azimuth_grid(n_r, n_theta, p_max, n_phi):
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
     P, CT, PHI = np.meshgrid(r, x_t, phi, indexing="ij")
     W = np.einsum("i,j,k->ijk", 0.5 * p_max * w_r * r**2, w_t, np.full(n_phi, 2.0 * np.pi / n_phi))
-    return QuadratureGrid(
+    return AzimuthGrid(
         n_r=n_r, n_theta=n_theta, p_max=float(p_max),
         p=P.ravel(), costheta=CT.ravel(), phi=PHI.ravel(), weights=W.ravel(),
     )
+
+
+def as_azimuth_grid(grid, n_phi=AZIMUTH_NODES):
+    """``grid`` itself if it has azimuth nodes, else the node set of its (p, cos theta) lattice."""
+    if isinstance(grid, AzimuthGrid):
+        return grid
+    return azimuth_grid(grid.n_r, grid.n_theta, grid.p_max, n_phi)
+
+
+def pair_amplitudes(dist, b, grid, spin):
+    """Rotated spin amplitude D_p Phi D_q^T at every azimuth-grid node, shape (2, 2, size).
+
+    Phi is the two-spin amplitude as a 2x2 matrix and q = sign * p the
+    companion momentum of the delta-correlated pair; for q = -p the
+    companion sits at polar cosine -cos(theta) and azimuth phi + pi.
+    """
+    Dp = wigner_matrix(wigner_angle(grid.p, grid.costheta, b.beta), grid.phi)
+    if dist.sign == 1:
+        Dq = Dp
+    else:
+        Dq = wigner_matrix(wigner_angle(grid.p, -grid.costheta, b.beta), grid.phi + np.pi)
+    return np.einsum("abn,bc,dcn->adn", Dp, np.asarray(spin).reshape(2, 2), Dq)
+
+
+def xstate_stats_3d(dist, b, grid):
+    """``entanglement.xstate_stats`` as a 3D quadrature of the rotated up-up amplitudes."""
+    w = grid.weights * dist.density1(grid.p**2)
+    (a, b_), (c_, d) = pair_amplitudes(dist, b, grid, spin_up_up())
+    mean = lambda x: complex(np.sum(w * x))
+    return XStateStats(
+        mean_a2=mean(np.abs(a) ** 2).real,
+        mean_b2=mean(np.abs(b_) ** 2).real,
+        mean_c2=mean(np.abs(c_) ** 2).real,
+        mean_d2=mean(np.abs(d) ** 2).real,
+        mean_ad=mean(a * np.conj(d)),
+        mean_bc=mean(b_ * np.conj(c_)),
+    )
+
+
+def reduced_spin_density_3d(state, b, grid):
+    """Reduced spin density as a 3D quadrature, for either momentum distribution.
+
+    For a delta-correlated distribution the companion momentum is +/-p and a
+    single quadrature of the rotated projector suffices.  For a product
+    distribution the two-spin map factorises into identical single-particle
+    channels, each a quadrature of D (x) D*.  Trace-checked like the library.
+    """
+
+    def checked(rho):
+        if not (abs(np.trace(rho).real - 1.0) <= TRACE_TOL):
+            raise GridCoverageError(f"reduced_spin_density_3d: trace {np.trace(rho).real:.6f}")
+        return SpinDensity(matrix=rho)
+
+    grid = as_azimuth_grid(grid)
+    w = grid.weights * state.dist.density1(grid.p**2)
+    if isinstance(state.dist, EntangledMomentum):
+        psi = pair_amplitudes(state.dist, b, grid, state.spin).reshape(4, -1)
+        return checked(np.einsum("n,in,jn->ij", w, psi, psi.conj()))
+
+    D = wigner_matrix(wigner_angle(grid.p, grid.costheta, b.beta), grid.phi)
+    # single-particle channel X -> int w D X D^dag as T[a, a', c, c'] acting on X[c, c']
+    T = np.einsum("n,acn,bdn->abcd", w, D, D.conj())
+    # rho0[c, d, c', d'] over (qubit A, qubit B, primed A, primed B)
+    rho0 = np.outer(state.spin, state.spin.conj()).reshape(2, 2, 2, 2)
+    return checked(np.einsum("aick,bjdl,cdkl->abij", T, T, rho0).reshape(4, 4))
+
+
+def bell_ABCD_3d(dist, b, grid):
+    """``entanglement.bell_ABCD`` with the second-harmonic azimuth moments summed on the nodes."""
+    w = grid.weights * dist.density1(grid.p**2)
+    norm = float(np.sum(w))
+    c2_node = np.cos(wigner_angle(grid.p, grid.costheta, b.beta) / 2.0) ** 2
+    s2_node = 1.0 - c2_node
+    c2 = float(np.sum(w * c2_node))
+    s2 = float(np.sum(w * s2_node))
+    tc = float(np.sum(w * s2_node * np.cos(2.0 * grid.phi)))
+    ts = float(np.sum(w * s2_node * np.sin(2.0 * grid.phi)))
+    A = c2**2 + 0.5 * (s2**2 + tc**2 - ts**2)
+    B = c2 * (s2 - tc)
+    C = 0.5 * (s2**2 - tc**2 + ts**2)
+    D = c2 * (s2 + tc)
+    return ABCDValues(A=A, B=B, C=C, D=D, eta=2.0 * s2 / norm)
+
+
+def fidelity_3d(state, b, grid):
+    """``entanglement.fidelity`` with the full 2x2 moment matrix summed on the nodes."""
+    dist = state.dist
+    boosted_sq, jac = _boosted_args(grid, b)
+    w = grid.weights * np.sqrt(jac) * dist.amplitude1(boosted_sq) * dist.amplitude1(grid.p**2)
+    omega = wigner_angle(grid.p, grid.costheta, b.beta)
+    ws = w * np.sin(omega / 2.0)
+    M = su2_matrix(
+        np.sum(w * np.cos(omega / 2.0)),
+        np.sum(ws * np.cos(grid.phi)),
+        np.sum(ws * np.sin(grid.phi)),
+    )
+    overlap = complex(state.spin.conj() @ (np.kron(M, M) @ state.spin))
+    return FidelityResult(overlap=overlap, fidelity=float(abs(overlap) ** 2))
+
+
+def validate_density(rho, herm_tol=1e-10, trace_tol=1e-8, psd_tol=1e-8):
+    """Raise ValueError unless the 4x4 density is Hermitian, unit-trace and PSD."""
+    m = rho.matrix if isinstance(rho, SpinDensity) else np.asarray(rho, dtype=complex)
+    if not (np.max(np.abs(m - m.conj().T)) <= herm_tol):
+        raise ValueError("density is not Hermitian within tolerance")
+    tr = np.trace(m)
+    if not (abs(tr.real - 1.0) <= trace_tol and abs(tr.imag) <= trace_tol):
+        raise ValueError(f"trace deviates from 1: {tr}")
+    if np.min(np.linalg.eigvalsh((m + m.conj().T) / 2.0)) < -psd_tol:
+        raise ValueError("density has a negative eigenvalue beyond tolerance")
+    return rho
 
 
 def mean_abs_products(dist, b, grid):
@@ -168,6 +311,7 @@ def mean_abs_products(dist, b, grid):
     not trigonometric polynomials in phi, so unlike the density aggregates of
     ``xstate_stats`` they are not integrated exactly by the azimuth rule.
     """
+    grid = as_azimuth_grid(grid)
     w = grid.weights * dist.density1(grid.p**2)
     (a, b_), (c, d) = pair_amplitudes(dist, b, grid, spin_up_up())
     return float(np.sum(w * np.abs(a * d))), float(np.sum(w * np.abs(b_ * c)))
@@ -346,6 +490,7 @@ def quantum_correlation_asymptotic(a, b_dir, dist, b: Boost, grid) -> float:
     ax, bx = a.longitudinal, b_dir.longitudinal
     if ax == 0.0 or bx == 0.0:
         raise ValueError("asymptotic correlation undefined for transverse directions")
+    grid = as_azimuth_grid(grid)
     w = grid.weights * dist.density1(grid.p**2)
     omega_p, omega_m = signed_companion_angles(grid.p, grid.costheta, b.beta)
     X, Y, Z, W = xyzw_from_angles(omega_p, omega_m, grid.phi)

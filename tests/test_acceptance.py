@@ -351,13 +351,15 @@ def test_criterion9_structural_invariants():
     grid = build_grid(32, 32, default_p_max(1.0))
     gp = GaussianProduct(1.0)
 
-    # every reduced density Hermitian, PSD, unit trace
+    # every reduced density Hermitian, PSD, unit trace: the Bell-spin,
+    # product-momentum density from its four weights, the pair density directly
     for beta in (0.0, 0.4, 0.8, 0.99):
-        for state in (
-            BipartiteState(gp, bell_phi_plus()),
-            BipartiteState(EntangledMomentum(1.0, -1), spin_up_up()),
+        for m in (
+            bell_density_from_ABCD(bell_ABCD(gp, Boost(beta), grid)).matrix,
+            reduced_spin_density(
+                BipartiteState(EntangledMomentum(1.0, -1), spin_up_up()), Boost(beta), grid
+            ).matrix,
         ):
-            m = reduced_spin_density(state, Boost(beta), grid).matrix
             assert abs(np.trace(m).real - 1.0) < 1e-6
             assert np.max(np.abs(m - m.conj().T)) < 1e-10
             assert np.min(np.linalg.eigvalsh(m)) > -1e-8

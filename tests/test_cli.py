@@ -4,8 +4,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import relent.cli as cli
+import relent.entanglement as entanglement
+import relent.relstate as relstate
 from relent.cli import (
     CSV_HEADER,
     DELTA_MAX,
@@ -144,7 +148,7 @@ class TestRunScenarios:
         assert emit(run(parse_config({**doc, "grid": {"n_phi": 2}})), "csv", None) == fixed
 
     def test_beta_independent_inputs_built_once(self, monkeypatch):
-        rule_calls, pair_draws = Counter(), []
+        rule_calls, pair_draws, kernel_calls = Counter(), [], Counter()
         leggauss, draw = np.polynomial.legendre.leggauss, cli.default_sample_pairs
 
         def counting_leggauss(n):
@@ -155,18 +159,86 @@ class TestRunScenarios:
             pair_draws.append(dist.delta)
             return draw(dist, *args, **kwargs)
 
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                kernel_calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
         monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting_leggauss)
         monkeypatch.setattr(cli, "default_sample_pairs", counting_draw)
-        cfg = parse_config({"delta": [0.5, 1.0, 4.0]})  # the default 21 betas, 32x32x16
-        texts = []
-        for workers in (1, 2):
+        # every Wigner-angle evaluation and every leaked-mass check, which
+        # builds its 128x128 reference once per call
+        for module in (entanglement, relstate):
+            wrapped = counting("wigner_angle", module.wigner_angle)
+            monkeypatch.setattr(module, "wigner_angle", wrapped)
+        monkeypatch.setattr(
+            entanglement, "_leaked_mass", counting("_leaked_mass", entanglement._leaked_mass)
+        )
+        texts, per_sweep = [], []
+        for betas, workers in (([0.0, 0.5], 1), (cli._DEFAULT_BETAS, 1), (cli._DEFAULT_BETAS, 2)):
+            cfg = parse_config({"betas": betas, "delta": [0.5, 1.0, 4.0]})  # 32x32 lattice
             wavepacket.gauss_legendre.cache_clear()
             rule_calls.clear()
             pair_draws.clear()
+            kernel_calls.clear()
             texts.append(emit(run(cfg, workers=workers), "csv", None))
             assert dict(rule_calls) == {32: 1, 128: 1}
             assert pair_draws == [0.5, 1.0, 4.0]
-        assert texts[0] == texts[1]
+            per_sweep.append(dict(kernel_calls))
+        # one call per kernel and width, whatever the number of betas
+        assert per_sweep[0] == per_sweep[1] == {"wigner_angle": 9, "_leaked_mass": 3}
+        assert texts[1] == texts[2]
+
+
+#: (scenario, config fields) for every combination a sweep can batch
+BATCHED_CASES = [
+    ("spin_bell_momentum_product", {}),
+    ("spin_bell_momentum_product", {"analytic_limit": True}),
+    ("fidelity_only", {}),
+    ("momentum_bell_spin_up", {"delta_sign": -1}),
+    ("momentum_bell_spin_up", {"delta_sign": 1}),
+    ("both_bell_correlations", {"delta_sign": -1}),
+    (
+        "both_bell_correlations",
+        {"delta_sign": 1, "directions": {"a": [0.6, 0.8, 0], "b": [1, 0, 0]}},
+    ),
+]
+
+
+class TestBatchedSweep:
+    """A width's betas run as one batch give the rows of one sweep per beta."""
+
+    @staticmethod
+    def _rows(doc):
+        names = CSV_HEADER.split(",")
+        return [[getattr(row, name) for name in names] for row in run(parse_config(doc))]
+
+    @pytest.mark.parametrize("scenario, fields", BATCHED_CASES)
+    @pytest.mark.parametrize("p_max", ["auto", 14.0])
+    @given(data=st.data())
+    @settings(max_examples=8, deadline=None)
+    def test_rows_equal_single_beta_runs(self, scenario, fields, p_max, data):
+        # a fixed cutoff of 14 resolves both packets and their boosted images up to beta 0.6
+        top = 0.99 if p_max == "auto" else 0.6
+        betas = sorted(data.draw(st.lists(st.floats(0.0, top), min_size=2, max_size=5)))
+        doc = {
+            "scenario": scenario, "betas": betas, "delta": [0.5, 1.0],
+            "grid": {"n_r": 24, "n_theta": 16, "p_max": p_max}, **fields,
+        }
+        single = [
+            row
+            for delta in doc["delta"]
+            for beta in betas
+            for row in self._rows({**doc, "betas": [beta], "delta": [delta]})
+        ]
+        batched = self._rows(doc)
+        assert len(batched) == len(single) == 2 * len(betas)
+        for got, want in zip(batched, single):
+            for g, w in zip(got, want):
+                assert (g is None) == (w is None)
+                if w is not None:
+                    assert math.isclose(g, w, rel_tol=1e-14, abs_tol=1e-14), (got, want)
 
 
 @pytest.fixture(scope="module")

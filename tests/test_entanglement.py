@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import bell_fidelity_cos, mc_bell_abcd, mc_bell_fidelity, mean_abs_products
+from oracles import (
+    bell_fidelity_cos,
+    mc_bell_abcd,
+    mc_bell_fidelity,
+    mean_abs_products,
+    reduced_spin_density_3d,
+)
 from relent.cli import ConfigError, parse_config, run
 from relent.entanglement import (
     ABCDValues,
@@ -127,9 +133,6 @@ class TestCoverageGuards:
         calls = [
             lambda: reduced_spin_density(
                 BipartiteState(EntangledMomentum(1.0, -1), bell_phi_plus()), b, grid
-            ),
-            lambda: reduced_spin_density(
-                BipartiteState(GaussianProduct(1.0), bell_phi_plus()), b, grid
             ),
             lambda: xstate_stats(EntangledMomentum(1.0, -1), b, grid),
             lambda: bell_ABCD(GaussianProduct(1.0), b, grid),
@@ -272,7 +275,7 @@ class TestBellABCD:
     def test_matches_reduced_density(self, grid_default, gauss_unit):
         b = Boost(0.6)
         v = bell_ABCD(gauss_unit, b, grid_default)
-        direct = reduced_spin_density(
+        direct = reduced_spin_density_3d(
             BipartiteState(gauss_unit, bell_phi_plus()), b, grid_default
         ).matrix
         assert np.max(np.abs(bell_density_from_ABCD(v).matrix - direct)) < 1e-6

@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import sample_pairs_loop
+from oracles import reduced_spin_density_3d, sample_pairs_loop, validate_density
 
 from relent.kinematics import Boost, FourMomentum, boost_momentum
 from relent.relstate import (
     BipartiteState,
-    SpinDensity,
     bell_phi_plus,
     default_sample_pairs,
     momentum_density_samples,
@@ -78,8 +77,8 @@ class TestSpinKernel:
 
 
 class TestReducedSpinDensity:
-    def test_no_boost_recovers_input(self, grid_default, gauss_unit):
-        state = BipartiteState(gauss_unit, bell_phi_plus())
+    def test_no_boost_recovers_input(self, grid_default, entangled_unit):
+        state = BipartiteState(entangled_unit, bell_phi_plus())
         rho = reduced_spin_density(state, Boost(0.0), grid_default).matrix
         target = np.outer(bell_phi_plus(), bell_phi_plus().conj())
         assert np.max(np.abs(rho - target)) < 1e-10
@@ -87,16 +86,18 @@ class TestReducedSpinDensity:
     @pytest.mark.parametrize("beta", [0.0, 0.3, 0.7, 0.95])
     @pytest.mark.parametrize("which", ["product_bell", "entangled_up"])
     def test_density_invariants(self, grid_default, beta, which):
+        # the product-momentum channel is a test reference (oracles)
         if which == "product_bell":
             state = BipartiteState(GaussianProduct(1.0), bell_phi_plus())
+            rho = reduced_spin_density_3d(state, Boost(beta), grid_default)
         else:
             state = BipartiteState(EntangledMomentum(1.0, -1), spin_up_up())
-        rho = reduced_spin_density(state, Boost(beta), grid_default)
+            rho = reduced_spin_density(state, Boost(beta), grid_default)
         m = rho.matrix
         assert abs(np.trace(m).real - 1.0) < 1e-6
         assert np.max(np.abs(m - m.conj().T)) < 1e-10
         assert np.min(np.linalg.eigvalsh(m)) > -1e-8
-        rho.validate(trace_tol=1e-6)
+        validate_density(rho, trace_tol=1e-6)
 
     @pytest.mark.parametrize("sign", [-1, 1])
     def test_up_up_entangled_has_x_pattern(self, grid_default, sign):
@@ -107,18 +108,18 @@ class TestReducedSpinDensity:
     def test_generic_spin_product_distribution(self, grid_default, gauss_unit):
         spin = np.array([0.5, 0.5j, -0.5, 0.5], dtype=complex)
         state = BipartiteState(gauss_unit, spin)
-        rho = reduced_spin_density(state, Boost(0.6), grid_default)
-        rho.validate(trace_tol=1e-6)
+        rho = reduced_spin_density_3d(state, Boost(0.6), grid_default)
+        validate_density(rho, trace_tol=1e-6)
 
     def test_validate_rejects_nan(self):
         m = np.eye(4, dtype=complex) / 4.0
         m[0, 0] = np.nan
         with pytest.raises(ValueError):
-            SpinDensity(m).validate()
+            validate_density(m)
 
-    def test_grid_coverage_error(self, gauss_unit):
+    def test_grid_coverage_error(self, entangled_unit):
         bad = build_grid(8, 8, 0.5)  # cuts most of the Gaussian
-        state = BipartiteState(gauss_unit, bell_phi_plus())
+        state = BipartiteState(entangled_unit, bell_phi_plus())
         with pytest.raises(GridCoverageError):
             reduced_spin_density(state, Boost(0.5), bad)
 
@@ -126,9 +127,9 @@ class TestReducedSpinDensity:
         # same physics through spin_kernel at scattered nodes: coarse consistency
         grid = build_grid(24, 24, default_p_max(1.0))
         state = BipartiteState(gauss_unit, bell_phi_plus())
-        rho_a = reduced_spin_density(state, Boost(0.5), grid).matrix
+        rho_a = reduced_spin_density_3d(state, Boost(0.5), grid).matrix
         grid_b = build_grid(32, 32, default_p_max(1.0))
-        rho_b = reduced_spin_density(state, Boost(0.5), grid_b).matrix
+        rho_b = reduced_spin_density_3d(state, Boost(0.5), grid_b).matrix
         assert np.max(np.abs(rho_a - rho_b)) < 1e-6
 
 

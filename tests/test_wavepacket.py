@@ -1,10 +1,23 @@
 import numpy as np
 import pytest
 
-from oracles import azimuth_grid
+from oracles import (
+    as_azimuth_grid,
+    azimuth_grid,
+    bell_ABCD_3d,
+    fidelity_3d,
+    reduced_spin_density_3d,
+    xstate_stats_3d,
+)
 from relent.entanglement import bell_ABCD, fidelity, xstate_stats
 from relent.kinematics import Boost, wigner_angle
-from relent.relstate import BipartiteState, bell_phi_plus, reduced_spin_density
+from relent.relstate import (
+    BipartiteState,
+    azimuth_tensor,
+    bell_phi_plus,
+    reduced_spin_density,
+    spin_up_up,
+)
 from relent.wavepacket import (
     AZIMUTH_NODES,
     EntangledMomentum,
@@ -40,8 +53,17 @@ class TestBuildGrid:
 
     def test_minimal_grid_is_valid(self):
         g = build_grid(2, 2, 1.0)
-        assert g.size == 2 * 2 * AZIMUTH_NODES == 20
+        assert g.size == 2 * 2 == 4
         assert np.all(g.weights > 0)
+
+    def test_cutoff_array_stacks_lattices(self):
+        # one lattice per cutoff, each bit-identical to the grid of that cutoff alone
+        cutoffs = np.array([1.0, 2.5, 7.0])
+        g = build_grid(6, 5, cutoffs)
+        assert g.weights.shape == (3, 6, 5) and g.p.shape == (3, 6, 1)
+        for i, p_max in enumerate(cutoffs):
+            one = build_grid(6, 5, p_max)
+            assert np.array_equal(g.p[i], one.p) and np.array_equal(g.weights[i], one.weights)
 
     def test_gaussian_norm_small_grid(self):
         g = build_grid(16, 16, 6.0)
@@ -60,7 +82,7 @@ class TestBuildGrid:
 
     def test_arrays_are_read_only(self):
         g = build_grid(8, 8, 3.0)
-        for a in (g.p, g.costheta, g.phi, g.weights):
+        for a in (g.p, g.costheta, g.weights):
             assert not a.flags.writeable
         with pytest.raises(ValueError):
             g.weights[0] = 0.0
@@ -91,8 +113,14 @@ class TestIntegrate3:
         assert val == pytest.approx(1.0, abs=1e-6)
 
     def test_azimuthal_annihilation(self, grid_default, gauss_unit):
+        # the lattice weights carry the exact azimuth: they equal a 64-node
+        # azimuth rule's weights summed over phi, on which cos(phi) annihilates
         g = grid_default
-        assert abs(np.sum(g.weights * gauss_unit.density1(g.p**2) * np.cos(g.phi))) < 1e-10
+        fine = azimuth_grid(g.n_r, g.n_theta, g.p_max, 64)
+        w = fine.weights * gauss_unit.density1(fine.p**2)
+        assert abs(np.sum(w * np.cos(fine.phi))) < 1e-10
+        folded = fine.weights.reshape(g.weights.shape + (64,)).sum(axis=-1)
+        assert np.max(np.abs(folded - g.weights)) < 1e-13 * np.max(g.weights)
 
     def test_zero_boost_wigner_weight(self, grid_default, gauss_unit):
         g = grid_default
@@ -125,18 +153,19 @@ class TestIntegrate6:
         assert np.sum(g.weights * em.density1(g.p**2)) == pytest.approx(1.0, abs=1e-6)
 
     def test_independent_azimuths_annihilate(self, gauss_unit):
-        g = build_grid(8, 8, 6.0)
+        # on the fixed azimuth rule the lattice kernels drop these cross terms
+        g = azimuth_grid(8, 8, 6.0, AZIMUTH_NODES)
         w = g.weights * gauss_unit.density1(g.p**2)
         assert abs(np.sum(np.outer(w, w) * np.cos(g.phi[:, None] + g.phi[None, :]))) < 1e-10
 
 
 class TestAzimuthRule:
-    """The fixed azimuth rule against a 64-node one.
+    """The lattice kernels against per-speed 3D quadratures on a 64-node azimuth.
 
     Every production integrand is a trigonometric polynomial of degree <= 4
-    in phi, so the two agree to rounding (1.0e-14 measured).  A 4-node rule
-    misses the entangled-pair aggregates by up to 2.8e-3, and a 2-node rule
-    misses bell_ABCD too.
+    in phi, which the lattice kernels average exactly, so the two agree to
+    rounding.  A 4-node rule misses the entangled-pair aggregates by up to
+    2.8e-3, and a 2-node rule misses bell_ABCD too.
     """
 
     BETAS = [0.3, 0.9, 0.99]
@@ -150,22 +179,29 @@ class TestAzimuthRule:
     def test_xstate_stats(self, beta, sign):
         grid, fine = self._grids(default_p_max(1.0))
         em = EntangledMomentum(1.0, sign)
-        s, f = xstate_stats(em, Boost(beta), grid), xstate_stats(em, Boost(beta), fine)
+        s, f = xstate_stats(em, Boost(beta), grid), xstate_stats_3d(em, Boost(beta), fine)
         for name in ("mean_a2", "mean_b2", "mean_c2", "mean_d2", "mean_ad", "mean_bc"):
             assert abs(getattr(s, name) - getattr(f, name)) < 1e-13, name
 
     @pytest.mark.parametrize("beta", BETAS)
     @pytest.mark.parametrize("dist", [EntangledMomentum(1.0, -1), GaussianProduct(1.0)])
     def test_reduced_spin_density(self, beta, dist):
+        # the product-momentum channel is a test reference only: its exact
+        # azimuth rule is checked against the 64-node one
         grid, fine = self._grids(default_p_max(1.0))
         state = BipartiteState(dist, bell_phi_plus())
-        rho = reduced_spin_density(state, Boost(beta), grid).matrix
-        assert np.max(np.abs(rho - reduced_spin_density(state, Boost(beta), fine).matrix)) < 1e-13
+        if isinstance(dist, EntangledMomentum):
+            rho = reduced_spin_density(state, Boost(beta), grid).matrix
+        else:
+            rho = reduced_spin_density_3d(state, Boost(beta), as_azimuth_grid(grid)).matrix
+        ref = reduced_spin_density_3d(state, Boost(beta), fine).matrix
+        assert np.max(np.abs(rho - ref)) < 1e-13
 
     @pytest.mark.parametrize("beta", BETAS)
     def test_bell_ABCD(self, beta):
         gp = GaussianProduct(1.0)
-        v, f = (bell_ABCD(gp, Boost(beta), g) for g in self._grids(default_p_max(1.0)))
+        grid, fine = self._grids(default_p_max(1.0))
+        v, f = bell_ABCD(gp, Boost(beta), grid), bell_ABCD_3d(gp, Boost(beta), fine)
         for name in ("A", "B", "C", "D", "eta"):
             assert abs(getattr(v, name) - getattr(f, name)) < 1e-13, name
 
@@ -173,9 +209,17 @@ class TestAzimuthRule:
     def test_fidelity(self, beta):
         grid, fine = self._grids(default_p_max(1.0, beta))
         state = BipartiteState(GaussianProduct(1.0), bell_phi_plus())
-        v, f = fidelity(state, Boost(beta), grid), fidelity(state, Boost(beta), fine)
+        v, f = fidelity(state, Boost(beta), grid), fidelity_3d(state, Boost(beta), fine)
         assert abs(v.overlap - f.overlap) < 1e-13
         assert abs(v.fidelity - f.fidelity) < 1e-13
+
+    @pytest.mark.parametrize("spin", [spin_up_up(), bell_phi_plus()], ids=["up_up", "bell"])
+    def test_moment_tensor_is_exact(self, spin):
+        # the pair density's fixed phi tensor on the production rule equals a
+        # 64-node one; a 4-node rule aliases its fourth harmonic
+        Y = azimuth_tensor(spin, AZIMUTH_NODES)
+        assert Y.shape == (4, 4, 4, 4)
+        assert np.max(np.abs(Y - azimuth_tensor(spin, 64))) < 1e-15
 
 
 class TestRefinementConvergence:
