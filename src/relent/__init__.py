@@ -15,7 +15,6 @@ from relent.correlations import (
     relativistic_observable,
 )
 from relent.entanglement import (
-    abcd,
     bell_ABCD,
     bell_density_from_ABCD,
     entanglement_measure,
@@ -24,14 +23,7 @@ from relent.entanglement import (
     separability_verdict,
     xstate_stats,
 )
-from relent.kinematics import (
-    Boost,
-    FourMomentum,
-    WignerRotation,
-    boost_momentum,
-    wigner_matrix,
-    wigner_rotation,
-)
+from relent.kinematics import Boost, wigner_matrix
 from relent.relstate import (
     BipartiteState,
     SpinDensity,
@@ -39,7 +31,6 @@ from relent.relstate import (
     momentum_density_samples,
     product_distance,
     reduced_spin_density,
-    spin_kernel,
     spin_up_up,
 )
 from relent.wavepacket import (

@@ -30,14 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from relent.kinematics import Boost, FourMomentum, energy_ratio, wigner_angle
-from relent.relstate import (
-    BipartiteState,
-    SpinDensity,
-    reduced_spin_density,
-    spin_kernel,
-    spin_up_up,
-)
+from relent.kinematics import Boost, energy_ratio, wigner_angle
+from relent.relstate import BipartiteState, SpinDensity, reduced_spin_density, spin_up_up
 from relent.wavepacket import (
     EntangledMomentum,
     GaussianProduct,
@@ -51,7 +45,6 @@ __all__ = [
     "ABCDValues",
     "XStateStats",
     "SeparabilityVerdict",
-    "abcd",
     "xstate_stats",
     "separability_verdict",
     "fidelity",
@@ -139,11 +132,6 @@ class SeparabilityVerdict:
     margin_middle: float  #: |<b c*>|^2 - <|a|^2><|d|^2>
 
 
-def abcd(p: FourMomentum, q: FourMomentum, b: Boost) -> np.ndarray:
-    """Rotated amplitudes of an initially up-up spin pair at momenta (p, q)."""
-    return spin_kernel(p, q, b)[:, 0]
-
-
 def _norm_check(norm: float, what: str, tol: float = 1e-4) -> None:
     if not (abs(norm - 1.0) <= tol):
         raise GridCoverageError(
@@ -198,6 +186,12 @@ def _leaked_mass(dist: GaussianProduct, b: Boost, p_max, m: float = 1.0) -> np.n
     radius p_max can never see.  Azimuthal symmetry reduces it to a fixed
     fine 2D reference quadrature, built once per call (one cutoff or one per
     speed), so the estimate does not inherit the grid's resolution.
+
+    At fixed radius R, |Lambda^-1 p|^2 falls with cos(theta) for beta > 0 (its
+    derivative is 2 R gamma^2 beta (beta R cos(theta) - k0) < 0) and is flat
+    at beta = 0, so a radius can leak only if its smallest cos(theta) node
+    does.  The mask is evaluated on those radii alone, picked with a relative
+    margin so that rounding cannot drop one.
     """
     x, w = gauss_legendre(128)  # the same rule in radius and in cos(theta)
     r = 3.0 * np.sqrt(dist.delta) * (x + 1.0)  # covers [0, 6 sqrt(delta)]
@@ -207,10 +201,13 @@ def _leaked_mass(dist: GaussianProduct, b: Boost, p_max, m: float = 1.0) -> np.n
     k0 = np.sqrt(m**2 + R**2)
     px, pt_sq = R * CT, R**2 * (1.0 - CT**2)
     gamma, beta, cutoff = np.broadcast_arrays(b.gamma, b.beta, p_max)
+    first = (gamma[..., None] * (px[:, 0] - beta[..., None] * k0[:, 0])) ** 2 + pt_sq[:, 0]
+    can_leak = first > (cutoff**2 * (1.0 - 1e-12))[..., None]  # (..., radius)
     leaked = np.empty(beta.shape)
     for i in np.ndindex(beta.shape):
-        inv_x = gamma[i] * (px - beta[i] * k0)  # x component after undoing the boost
-        leaked[i] = np.sum(W * (inv_x**2 + pt_sq > cutoff[i] ** 2))
+        rows = can_leak[i]
+        inv_x = gamma[i] * (px[rows] - beta[i] * k0[rows])  # x component after undoing the boost
+        leaked[i] = np.sum(W[rows] * (inv_x**2 + pt_sq[rows] > cutoff[i] ** 2))
     return leaked
 
 

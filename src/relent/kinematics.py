@@ -1,4 +1,4 @@
-"""Four-momentum algebra, x-axis Lorentz boosts, and spin-1/2 Wigner rotations.
+"""x-axis Lorentz boosts and spin-1/2 Wigner rotations, broadcast over momentum nodes.
 
 Conventions (used throughout the package):
 
@@ -18,17 +18,13 @@ boost axis and the momentum; ``wigner_angle`` gives its angle in closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "FourMomentum",
     "Boost",
-    "WignerRotation",
-    "boost_momentum",
     "wigner_angle",
-    "wigner_rotation",
     "wigner_matrix",
     "su2_matrix",
     "energy_ratio",
@@ -37,55 +33,6 @@ __all__ = [
 #: beta values above this are rejected; the light-speed physics is reached
 #: through the analytic-limit evaluation mode instead of numerics at beta = 1.
 BETA_CAP = 1.0 - 1e-9
-
-
-@dataclass(frozen=True)
-class FourMomentum:
-    """On-shell momentum of a massive particle, p0 derived from the mass shell."""
-
-    p_vec: np.ndarray
-    m: float = 1.0
-
-    def __post_init__(self):
-        vec = np.asarray(self.p_vec, dtype=float)
-        if vec.shape != (3,):
-            raise ValueError(f"p_vec must be a 3-vector, got shape {vec.shape}")
-        if not np.all(np.isfinite(vec)):
-            raise ValueError("p_vec must be finite")
-        if not (self.m > 0.0):
-            raise ValueError(f"mass must be positive, got {self.m}")
-        object.__setattr__(self, "p_vec", vec)
-
-    @classmethod
-    def from_spherical(cls, p: float, theta: float, phi: float, m: float = 1.0) -> "FourMomentum":
-        if p < 0.0:
-            raise ValueError("momentum magnitude must be >= 0")
-        st = np.sin(theta)
-        vec = np.array([p * np.cos(theta), p * st * np.cos(phi), p * st * np.sin(phi)])
-        return cls(p_vec=vec, m=m)
-
-    @property
-    def p0(self) -> float:
-        """Energy sqrt(m^2 + |p_vec|^2)."""
-        return float(np.sqrt(self.m**2 + self.p_vec @ self.p_vec))
-
-    @property
-    def p(self) -> float:
-        return float(np.linalg.norm(self.p_vec))
-
-    @property
-    def theta(self) -> float:
-        """Polar angle from the boost (x) axis."""
-        if self.p == 0.0:
-            return 0.0
-        return float(np.arccos(np.clip(self.p_vec[0] / self.p, -1.0, 1.0)))
-
-    @property
-    def phi(self) -> float:
-        """Azimuth around the x axis; 0 by convention for collinear momenta."""
-        if np.hypot(self.p_vec[1], self.p_vec[2]) == 0.0:
-            return 0.0
-        return float(np.arctan2(self.p_vec[2], self.p_vec[1]))
 
 
 @dataclass(frozen=True)
@@ -106,22 +53,6 @@ class Boost:
     def nodewise(self) -> "Boost":
         """The same speeds with two trailing unit axes, broadcasting over a 2D node array."""
         return Boost(np.reshape(self.beta, np.shape(self.beta) + (1, 1)))
-
-
-@dataclass(frozen=True)
-class WignerRotation:
-    """Wigner angle, momentum azimuth, and the 2x2 spin-1/2 representation."""
-
-    omega: float
-    phi: float
-    matrix: np.ndarray = field(repr=False)
-
-
-def boost_momentum(mom: FourMomentum, b: Boost) -> FourMomentum:
-    """Apply the x-axis boost; output is on-shell with the same mass."""
-    g = b.gamma
-    px = g * (mom.p_vec[0] + b.beta * mom.p0)
-    return FourMomentum(p_vec=np.array([px, mom.p_vec[1], mom.p_vec[2]]), m=mom.m)
 
 
 def wigner_angle(p, costheta, beta, m=1.0, sintheta=None):
@@ -183,21 +114,3 @@ def wigner_matrix(omega, phi) -> np.ndarray:
 def energy_ratio(px, p0, b: Boost):
     """(Lambda p)^0 / p^0 of the x-axis boost, broadcast over px, the energy p0 and beta."""
     return b.gamma * (1.0 + b.beta * px / p0)
-
-
-def wigner_rotation(mom: FourMomentum, b: Boost) -> WignerRotation:
-    """Wigner angle/azimuth pair and its spin-1/2 matrix for a boosted momentum.
-
-    Collinear momenta (sin(theta) = 0, including p = 0) rotate trivially:
-    omega = 0 and phi is set to 0 by convention.
-    """
-    transverse = np.hypot(mom.p_vec[1], mom.p_vec[2])
-    if b.beta == 0.0 or mom.p == 0.0 or transverse == 0.0:
-        return WignerRotation(omega=0.0, phi=0.0, matrix=np.eye(2, dtype=complex))
-    omega = float(
-        wigner_angle(
-            mom.p, mom.p_vec[0] / mom.p, b.beta, m=mom.m, sintheta=transverse / mom.p
-        )
-    )
-    phi = mom.phi
-    return WignerRotation(omega=omega, phi=phi, matrix=wigner_matrix(omega, phi))

@@ -22,15 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from relent.kinematics import (
-    Boost,
-    FourMomentum,
-    energy_ratio,
-    su2_matrix,
-    wigner_angle,
-    wigner_matrix,
-    wigner_rotation,
-)
+from relent.kinematics import Boost, energy_ratio, su2_matrix, wigner_angle, wigner_matrix
 from relent.wavepacket import (
     AZIMUTH_NODES,
     EntangledMomentum,
@@ -45,7 +37,6 @@ __all__ = [
     "MomentumDensitySample",
     "bell_phi_plus",
     "spin_up_up",
-    "spin_kernel",
     "azimuth_tensor",
     "reduced_spin_density",
     "momentum_density_samples",
@@ -96,11 +87,6 @@ class SpinDensity:
         if m.shape[-2:] != (4, 4):
             raise ValueError(f"expected 4x4 matrices, got shape {m.shape}")
         object.__setattr__(self, "matrix", m)
-
-
-def spin_kernel(p: FourMomentum, q: FourMomentum, b: Boost) -> np.ndarray:
-    """D(Omega_p) tensor D(Omega_q), the unitary acting on the two-spin amplitude."""
-    return np.kron(wigner_rotation(p, b).matrix, wigner_rotation(q, b).matrix)
 
 
 def azimuth_tensor(spin: np.ndarray, n_phi: int) -> np.ndarray:
@@ -235,6 +221,60 @@ def momentum_density_samples(
     return MomentumDensitySample(pairs=pairs, elements=elements, marginal_products=marginals)
 
 
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+
+
+def _pcg64_doubles(seed: int, count: int) -> list:
+    """The first ``count`` doubles of ``np.random.default_rng(seed).random()``, bit for bit.
+
+    NumPy's ``SeedSequence`` hashes the seed's 32-bit words into the 128-bit
+    state and increment of a PCG64 generator (O'Neill, HMC-CS-2014-0905),
+    whose XSL-RR outputs give (x >> 11) 2^-53.  Written out here so that a
+    sweep never imports ``numpy.random``.
+    """
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    entropy = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    const = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal const
+        value ^= const
+        const = const * 0x931E8875 & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        x = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return x ^ x >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const, words = 0x8B51F9DD, []
+    for i in range(8):
+        value = pool[i % 4] ^ const
+        const = const * 0x58F38DED & _M32
+        value = value * const & _M32
+        words.append(value ^ value >> 16)
+    # four little-endian 64-bit words: (state high, state low, increment high, low)
+    w = [words[2 * k] | words[2 * k + 1] << 32 for k in range(4)]
+    mult, inc = 0x2360ED051FC65DA44385DF649FCCF645, (w[2] << 65 | w[3] << 1 | 1) & _M128
+    state = ((inc + (w[0] << 64 | w[1])) * mult + inc) & _M128
+    out = []
+    for _ in range(count):
+        state = (state * mult + inc) & _M128
+        x, rot = (state >> 64 ^ state) & _M64, state >> 122
+        x = (x >> rot | x << (64 - rot)) & _M64
+        out.append((x >> 11) * 2.0**-53)
+    return out
+
+
 def default_sample_pairs(
     dist: GaussianProduct, n: int = 64, seed: int = 42
 ) -> np.ndarray:
@@ -246,12 +286,11 @@ def default_sample_pairs(
     coordinate direction the ultra-relativistic factorization statement
     addresses.
     """
-    rng = np.random.default_rng(seed)
     # one row of uniforms per pair, columns in the order (cos theta, phi) of
     # each particle's direction, then the four radii
     low = np.array([-1.0, 0.0, -1.0, 0.0, 0.3, 0.3, 0.3, 0.3])
     high = np.array([1.0, 2.0 * np.pi, 1.0, 2.0 * np.pi, 2.5, 2.5, 2.5, 2.5])
-    u = rng.uniform(low, high, size=(n, 8))
+    u = low + (high - low) * np.reshape(_pcg64_doubles(seed, 8 * n), (n, 8))
     ct, ph = u[:, [0, 2]], u[:, [1, 3]]
     st = np.sqrt(1.0 - ct * ct)
     dirs = np.stack((ct, st * np.cos(ph), st * np.sin(ph)), axis=-1)  # (n, 2, 3)

@@ -11,12 +11,14 @@ Two two-particle momentum amplitudes are supported:
 
 All 3D integrals use a tensor rule on the (p, cos(theta)) lattice:
 Gauss-Legendre radial nodes mapped to [0, p_max] and Gauss-Legendre polar
-nodes in cos(theta).  Every production integrand depends on the azimuth
-through a trigonometric polynomial whose phi-average the kernels take in
-closed form or on a fixed exact rule of ``AZIMUTH_NODES`` nodes, so the
-lattice weights carry the whole 2 pi.  Callers integrate as
-``np.sum(grid.weights * values)``, numpy's pairwise reduction over a fixed
-node ordering, so results are bit-identical across runs.
+nodes in cos(theta), each rule computed once per process by the
+Golub-Welsch eigenvalue method (``gauss_legendre``).  Every production
+integrand depends on the azimuth through a trigonometric polynomial whose
+phi-average the kernels take in closed form or on a fixed exact rule of
+``AZIMUTH_NODES`` nodes, so the lattice weights carry the whole 2 pi.
+Callers integrate as ``np.sum(grid.weights * values)``, numpy's pairwise
+reduction over a fixed node ordering, so results are bit-identical across
+runs.
 """
 
 from __future__ import annotations
@@ -144,13 +146,33 @@ def _read_only(*arrays: np.ndarray) -> tuple:
     return arrays
 
 
+def _legendre(n: int, x: np.ndarray) -> tuple:
+    """P_n(x) and P_n'(x) by the three-term recurrence, for x inside (-1, 1)."""
+    p_prev, p = np.ones_like(x), x
+    for k in range(1, n):
+        p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+    return p, n * (x * p - p_prev) / (x * x - 1.0)
+
+
 @lru_cache(maxsize=None)
 def gauss_legendre(n: int) -> tuple:
     """Gauss-Legendre nodes and weights on [-1, 1], computed once per node count.
 
-    The arrays are shared between callers, so they are read-only.
+    Golub-Welsch (Math. Comp. 23, 221 (1969)): the nodes are the eigenvalues
+    of the symmetric Jacobi matrix of the Legendre recurrence, off-diagonal
+    k / sqrt(4 k^2 - 1), polished by two Newton steps on P_n.  The weights are
+    2 / ((1 - x^2) P_n'(x)^2), symmetrised and scaled to sum to 2.  The arrays
+    are shared between callers, so they are read-only.
     """
-    return _read_only(*np.polynomial.legendre.leggauss(n))
+    k = np.arange(1.0, n)
+    x = np.linalg.eigvalsh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
+    for _ in range(2):
+        p, dp = _legendre(n, x)
+        x = x - p / dp
+    dp = _legendre(n, x)[1]
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    w = (w + w[::-1]) / 2.0
+    return _read_only((x - x[::-1]) / 2.0, w * (2.0 / np.sum(w)))
 
 
 def build_grid(n_r: int, n_theta: int, p_max) -> QuadratureGrid:

@@ -13,7 +13,10 @@ they sum over explicit azimuth nodes instead of folding phi in.  The
 product-momentum branch of the reduced spin density and the density checks
 of ``validate_density`` live here too, as nothing in the library uses them.
 ``mean_abs_products`` averages the pointwise amplitude moduli that the
-production aggregates leave out.
+production aggregates leave out.  The per-momentum scalar API
+(``FourMomentum``, ``wigner_rotation``, ``spin_kernel``, ``abcd``) evaluates
+one momentum or pair at a time, and ``leaked_mass_full`` applies the leak
+mask on every node of the fine reference.
 """
 
 from dataclasses import dataclass, field
@@ -21,16 +24,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from relent.entanglement import ABCDValues, FidelityResult, XStateStats, _boosted_args
-from relent.kinematics import (
-    Boost,
-    FourMomentum,
-    boost_momentum,
-    su2_matrix,
-    wigner_angle,
-    wigner_matrix,
-)
+from relent.kinematics import Boost, su2_matrix, wigner_angle, wigner_matrix
 from relent.relstate import TRACE_TOL, SpinDensity, spin_up_up
-from relent.wavepacket import AZIMUTH_NODES, EntangledMomentum, GridCoverageError
+from relent.wavepacket import (
+    AZIMUTH_NODES,
+    EntangledMomentum,
+    GridCoverageError,
+    gauss_legendre,
+)
 
 _SIGMA = np.array(
     [
@@ -152,6 +153,26 @@ def bell_fidelity_cos(delta, beta, grid):
     kernel = _boost_weight(vecs, beta, delta) * np.cos(omega / 2)
     moment = np.sum(grid.weights.ravel() * density * kernel)
     return float(moment**4)
+
+
+def leaked_mass_full(dist, b, p_max, m=1.0):
+    """``entanglement._leaked_mass`` with the leak mask evaluated on every reference node.
+
+    The same 128 x 128 (radius, cos theta) reference rule, one full mask per speed.
+    """
+    x, w = gauss_legendre(128)
+    r = 3.0 * np.sqrt(dist.delta) * (x + 1.0)
+    wr = 3.0 * np.sqrt(dist.delta) * w
+    R, CT = r[:, None], x
+    W = np.outer(wr * r**2 * dist.density1(r**2), w) * 2.0 * np.pi
+    k0 = np.sqrt(m**2 + R**2)
+    px, pt_sq = R * CT, R**2 * (1.0 - CT**2)
+    gamma, beta, cutoff = np.broadcast_arrays(b.gamma, b.beta, p_max)
+    leaked = np.empty(beta.shape)
+    for i in np.ndindex(beta.shape):
+        inv_x = gamma[i] * (px - beta[i] * k0)
+        leaked[i] = np.sum(W * (inv_x**2 + pt_sq > cutoff[i] ** 2))
+    return leaked
 
 
 # -- per-speed 3D quadratures on explicit azimuth nodes ------------------------
@@ -315,6 +336,102 @@ def mean_abs_products(dist, b, grid):
     w = grid.weights * dist.density1(grid.p**2)
     (a, b_), (c, d) = pair_amplitudes(dist, b, grid, spin_up_up())
     return float(np.sum(w * np.abs(a * d))), float(np.sum(w * np.abs(b_ * c)))
+
+
+# -- per-momentum scalar API ----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FourMomentum:
+    """On-shell momentum of a massive particle, p0 derived from the mass shell."""
+
+    p_vec: np.ndarray
+    m: float = 1.0
+
+    def __post_init__(self):
+        vec = np.asarray(self.p_vec, dtype=float)
+        if vec.shape != (3,):
+            raise ValueError(f"p_vec must be a 3-vector, got shape {vec.shape}")
+        if not np.all(np.isfinite(vec)):
+            raise ValueError("p_vec must be finite")
+        if not (self.m > 0.0):
+            raise ValueError(f"mass must be positive, got {self.m}")
+        object.__setattr__(self, "p_vec", vec)
+
+    @classmethod
+    def from_spherical(cls, p: float, theta: float, phi: float, m: float = 1.0) -> "FourMomentum":
+        if p < 0.0:
+            raise ValueError("momentum magnitude must be >= 0")
+        st = np.sin(theta)
+        vec = np.array([p * np.cos(theta), p * st * np.cos(phi), p * st * np.sin(phi)])
+        return cls(p_vec=vec, m=m)
+
+    @property
+    def p0(self) -> float:
+        """Energy sqrt(m^2 + |p_vec|^2)."""
+        return float(np.sqrt(self.m**2 + self.p_vec @ self.p_vec))
+
+    @property
+    def p(self) -> float:
+        return float(np.linalg.norm(self.p_vec))
+
+    @property
+    def theta(self) -> float:
+        """Polar angle from the boost (x) axis."""
+        if self.p == 0.0:
+            return 0.0
+        return float(np.arccos(np.clip(self.p_vec[0] / self.p, -1.0, 1.0)))
+
+    @property
+    def phi(self) -> float:
+        """Azimuth around the x axis; 0 by convention for collinear momenta."""
+        if np.hypot(self.p_vec[1], self.p_vec[2]) == 0.0:
+            return 0.0
+        return float(np.arctan2(self.p_vec[2], self.p_vec[1]))
+
+
+@dataclass(frozen=True)
+class WignerRotation:
+    """Wigner angle, momentum azimuth, and the 2x2 spin-1/2 representation."""
+
+    omega: float
+    phi: float
+    matrix: np.ndarray = field(repr=False)
+
+
+def boost_momentum(mom: FourMomentum, b: Boost) -> FourMomentum:
+    """Apply the x-axis boost; output is on-shell with the same mass."""
+    g = b.gamma
+    px = g * (mom.p_vec[0] + b.beta * mom.p0)
+    return FourMomentum(p_vec=np.array([px, mom.p_vec[1], mom.p_vec[2]]), m=mom.m)
+
+
+def wigner_rotation(mom: FourMomentum, b: Boost) -> WignerRotation:
+    """Wigner angle/azimuth pair and its spin-1/2 matrix for a boosted momentum.
+
+    Collinear momenta (sin(theta) = 0, including p = 0) rotate trivially:
+    omega = 0 and phi is set to 0 by convention.
+    """
+    transverse = np.hypot(mom.p_vec[1], mom.p_vec[2])
+    if b.beta == 0.0 or mom.p == 0.0 or transverse == 0.0:
+        return WignerRotation(omega=0.0, phi=0.0, matrix=np.eye(2, dtype=complex))
+    omega = float(
+        wigner_angle(
+            mom.p, mom.p_vec[0] / mom.p, b.beta, m=mom.m, sintheta=transverse / mom.p
+        )
+    )
+    phi = mom.phi
+    return WignerRotation(omega=omega, phi=phi, matrix=wigner_matrix(omega, phi))
+
+
+def spin_kernel(p: FourMomentum, q: FourMomentum, b: Boost) -> np.ndarray:
+    """D(Omega_p) tensor D(Omega_q), the unitary acting on the two-spin amplitude."""
+    return np.kron(wigner_rotation(p, b).matrix, wigner_rotation(q, b).matrix)
+
+
+def abcd(p: FourMomentum, q: FourMomentum, b: Boost) -> np.ndarray:
+    """Rotated amplitudes of an initially up-up spin pair at momenta (p, q)."""
+    return spin_kernel(p, q, b)[:, 0]
 
 
 # -- matrix-composition oracle for the Wigner rotation -------------------------

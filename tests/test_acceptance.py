@@ -20,6 +20,8 @@ import time
 import numpy as np
 
 from oracles import (
+    FourMomentum,
+    abcd,
     bell_expectation,
     bell_fidelity_cos,
     mc_bell_fidelity,
@@ -27,12 +29,12 @@ from oracles import (
     rotation_angle,
     su2_from_so3,
     wigner_oracle,
+    wigner_rotation,
     xyzw,
 )
 from relent.cli import emit, parse_config, run
 from relent.correlations import ObservableDirection, classical_correlation, quantum_correlation
 from relent.entanglement import (
-    abcd,
     bell_ABCD,
     bell_density_from_ABCD,
     entanglement_measure,
@@ -42,13 +44,7 @@ from relent.entanglement import (
     separability_verdict,
     xstate_stats,
 )
-from relent.kinematics import (
-    BETA_CAP,
-    Boost,
-    FourMomentum,
-    wigner_matrix,
-    wigner_rotation,
-)
+from relent.kinematics import BETA_CAP, Boost, wigner_matrix
 from relent.relstate import (
     BipartiteState,
     bell_phi_plus,

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -148,12 +152,8 @@ class TestRunScenarios:
         assert emit(run(parse_config({**doc, "grid": {"n_phi": 2}})), "csv", None) == fixed
 
     def test_beta_independent_inputs_built_once(self, monkeypatch):
-        rule_calls, pair_draws, kernel_calls = Counter(), [], Counter()
-        leggauss, draw = np.polynomial.legendre.leggauss, cli.default_sample_pairs
-
-        def counting_leggauss(n):
-            rule_calls[n] += 1
-            return leggauss(n)
+        pair_draws, kernel_calls = [], Counter()
+        draw, rule = cli.default_sample_pairs, wavepacket.gauss_legendre
 
         def counting_draw(dist, *args, **kwargs):
             pair_draws.append(dist.delta)
@@ -165,7 +165,6 @@ class TestRunScenarios:
                 return fn(*args, **kwargs)
             return wrapped
 
-        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting_leggauss)
         monkeypatch.setattr(cli, "default_sample_pairs", counting_draw)
         # every Wigner-angle evaluation and every leaked-mass check, which
         # builds its 128x128 reference once per call
@@ -178,12 +177,14 @@ class TestRunScenarios:
         texts, per_sweep = [], []
         for betas, workers in (([0.0, 0.5], 1), (cli._DEFAULT_BETAS, 1), (cli._DEFAULT_BETAS, 2)):
             cfg = parse_config({"betas": betas, "delta": [0.5, 1.0, 4.0]})  # 32x32 lattice
-            wavepacket.gauss_legendre.cache_clear()
-            rule_calls.clear()
+            rule.cache_clear()
             pair_draws.clear()
             kernel_calls.clear()
             texts.append(emit(run(cfg, workers=workers), "csv", None))
-            assert dict(rule_calls) == {32: 1, 128: 1}
+            # two rules computed, and they are the 32- and 128-node ones
+            assert rule.cache_info().misses == 2
+            rule(32), rule(128)
+            assert rule.cache_info().misses == 2
             assert pair_draws == [0.5, 1.0, 4.0]
             per_sweep.append(dict(kernel_calls))
         # one call per kernel and width, whatever the number of betas
@@ -461,6 +462,28 @@ class TestMainEntry:
         )
         assert code == EXIT_OK
         assert "plot" in open(plot_path).read()
+
+    def test_sweeps_import_no_lazy_numpy_submodule(self, tmp_path):
+        # in a fresh interpreter, because pytest and hypothesis import
+        # numpy.random themselves
+        runs = [
+            ["run", "--config", write_config(tmp_path, {"scenario": s}, f"{s}.json"),
+             "--output", str(tmp_path / f"{s}.csv")]
+            for s in SCENARIOS
+        ] + [["limits"]]
+        code = (
+            "import sys, relent.cli\n"
+            f"codes = [relent.cli.main(argv) for argv in {runs!r}]\n"
+            "lazy = [m for m in ('numpy.random', 'numpy.polynomial') if m in sys.modules]\n"
+            "print(codes, lazy, file=sys.stderr)\n"
+        )
+        src = Path(cli.__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.strip().splitlines()[-1] == f"{[EXIT_OK] * 5} []"
 
     def test_plot_needs_csv_output(self, tmp_path, capsys):
         # the script reads --output as comma-separated data; without it, it

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    FourMomentum,
     bell_expectation,
     quantum_correlation_asymptotic,
     signed_companion_angles,
@@ -16,7 +17,7 @@ from relent.correlations import (
     quantum_correlation,
     relativistic_observable,
 )
-from relent.kinematics import Boost, FourMomentum
+from relent.kinematics import Boost
 from relent.relstate import bell_phi_plus
 from relent.wavepacket import EntangledMomentum, build_grid, default_p_max
 

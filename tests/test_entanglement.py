@@ -4,17 +4,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    FourMomentum,
+    abcd,
     bell_fidelity_cos,
     mc_bell_abcd,
     mc_bell_fidelity,
     mean_abs_products,
+    leaked_mass_full,
     reduced_spin_density_3d,
+    spin_kernel,
+    wigner_rotation,
 )
 from relent.cli import ConfigError, parse_config, run
 from relent.entanglement import (
     ABCDValues,
+    _leaked_mass,
     XStateStats,
-    abcd,
     bell_ABCD,
     bell_density_from_ABCD,
     entanglement_measure,
@@ -24,12 +29,11 @@ from relent.entanglement import (
     separability_verdict,
     xstate_stats,
 )
-from relent.kinematics import Boost, FourMomentum
+from relent.kinematics import BETA_CAP, Boost
 from relent.relstate import (
     BipartiteState,
     bell_phi_plus,
     reduced_spin_density,
-    spin_kernel,
     spin_up_up,
 )
 from relent.wavepacket import (
@@ -38,6 +42,7 @@ from relent.wavepacket import (
     GridCoverageError,
     build_grid,
     default_p_max,
+    gauss_legendre,
 )
 
 momenta = st.builds(
@@ -178,8 +183,6 @@ class TestOverlapKernels:
     @given(p=momenta, q=momenta, b=boosts)
     @settings(max_examples=80)
     def test_generic_equals_closed_form_for_bell(self, p, q, b):
-        from relent.kinematics import wigner_rotation
-
         val = bell_overlap_kernel(p, q, b)
         wp, wq = wigner_rotation(p, b), wigner_rotation(q, b)
         expected = np.cos(wp.omega / 2) * np.cos(wq.omega / 2) - np.sin(wp.omega / 2) * np.sin(
@@ -215,6 +218,24 @@ class TestFidelity:
         grid = build_grid(32, 32, default_p_max(1.0, 0.0))
         state = BipartiteState(gauss_unit, bell_phi_plus())
         with pytest.raises(GridCoverageError):
+            fidelity(state, Boost(0.9), grid)
+
+    @pytest.mark.parametrize("delta", [1e-12, 1e-3, 0.5, 1.0, 4.0, 100.0, 1e6, 1e12])
+    def test_leak_mask_on_leaking_radii_matches_full_mask(self, delta):
+        dist = GaussianProduct(delta)
+        b = Boost(np.append(np.arange(20) * 0.05, [0.99, 0.999, BETA_CAP]))
+        # cutoffs on reference radii put nodes on the mask's edge
+        on_nodes = 3.0 * np.sqrt(delta) * (gauss_legendre(128)[0][[5, 64, 100]] + 1.0)
+        leaks = False
+        for p_max in (default_p_max(delta, b.beta), default_p_max(delta), *on_nodes):
+            full = leaked_mass_full(dist, b, p_max)
+            assert np.max(np.abs(_leaked_mass(dist, b, p_max) - full)) <= 1e-14
+            leaks |= np.any(full > 1e-4)
+        assert leaks
+        # a fixed cutoff without boost headroom still fails the fidelity guard
+        grid = build_grid(32, 32, default_p_max(delta))
+        state = BipartiteState(dist, bell_phi_plus())
+        with pytest.raises(GridCoverageError, match="leaks past p_max"):
             fidelity(state, Boost(0.9), grid)
 
     def test_against_monte_carlo(self, gauss_unit):

@@ -3,15 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import rotation_angle, standard_boost, su2_from_so3, wigner_oracle
-from relent.kinematics import (
-    BETA_CAP,
-    Boost,
+from oracles import (
     FourMomentum,
     boost_momentum,
-    wigner_matrix,
+    rotation_angle,
+    standard_boost,
+    su2_from_so3,
+    wigner_oracle,
     wigner_rotation,
 )
+from relent.kinematics import BETA_CAP, Boost, wigner_matrix
 
 momenta = st.builds(
     FourMomentum.from_spherical,

@@ -2,17 +2,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import reduced_spin_density_3d, sample_pairs_loop, validate_density
+from oracles import (
+    FourMomentum,
+    boost_momentum,
+    reduced_spin_density_3d,
+    sample_pairs_loop,
+    spin_kernel,
+    validate_density,
+)
 
-from relent.kinematics import Boost, FourMomentum, boost_momentum
+from relent.kinematics import Boost
 from relent.relstate import (
     BipartiteState,
     bell_phi_plus,
     default_sample_pairs,
     momentum_density_samples,
     product_distance,
+    _pcg64_doubles,
     reduced_spin_density,
-    spin_kernel,
     spin_up_up,
 )
 from relent.wavepacket import (
@@ -223,6 +230,24 @@ class TestMomentumDensitySamples:
             pairs = default_sample_pairs(dist, n=n, seed=seed)
             assert pairs.shape == (n, 4, 3)
             assert np.array_equal(pairs, sample_pairs_loop(dist, n=n, seed=seed))
+
+    def test_sampler_draws_match_default_rng(self):
+        # the sampler draws default_rng's stream written out in Python: a NumPy
+        # whose default_rng changes must fail here, not drift silently
+        big = [2**32 - 1, 2**32, 2**40 + 7, 2**64 + 3, 2**128 + 5, 2**160 + 11, 10**40]
+        for seed in list(range(300)) + big:
+            for n in (1, 4, 64, 200):
+                ref = np.random.default_rng(seed).uniform(0.0, 1.0, size=8 * n)
+                assert np.array_equal(_pcg64_doubles(seed, 8 * n), ref)
+        with pytest.raises(ValueError):
+            default_sample_pairs(GaussianProduct(1.0), seed=-1)
+
+    @given(seed=st.integers(0, 2**192), n=st.integers(1, 70))
+    @settings(max_examples=60, deadline=None)
+    def test_sampler_draws_match_default_rng_for_any_seed(self, seed, n):
+        dist = GaussianProduct(1.0)
+        pairs = default_sample_pairs(dist, n=n, seed=seed)
+        assert np.array_equal(pairs, sample_pairs_loop(dist, n=n, seed=seed))
 
     def test_diagonal_pairs_present_and_real(self, ur_setup):
         state, grid, pairs = ur_setup
