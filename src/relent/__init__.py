@@ -16,17 +16,14 @@ from relent.correlations import (
 )
 from relent.entanglement import (
     bell_ABCD,
-    bell_density_from_ABCD,
-    entanglement_measure,
     fidelity,
-    partial_transpose,
-    separability_verdict,
+    negativity_measure,
+    xstate_pt_spectrum,
     xstate_stats,
 )
 from relent.kinematics import Boost, wigner_matrix
 from relent.relstate import (
     BipartiteState,
-    SpinDensity,
     bell_phi_plus,
     momentum_density_samples,
     product_distance,

@@ -23,9 +23,10 @@ alone.  Identical config and seed give byte-identical output, with rows
 emitted in config order.
 
 Exit codes: 0 success, 2 configuration or usage error (among them a width
-outside [DELTA_MIN, DELTA_MAX], a fixed grid.p_max above the auto policy's
-largest cutoff, and --plot without a CSV --output), 3 numeric/grid-coverage
-error, 4 I/O error while writing the output or plot script.
+outside [DELTA_MIN, DELTA_MAX], grid.n_r or grid.n_theta above GRID_COUNT_MAX,
+a fixed grid.p_max above the auto policy's largest cutoff, an unknown field,
+and --plot without a CSV --output), 3 numeric/grid-coverage error, 4 I/O
+error while writing the output or plot script.
 """
 
 from __future__ import annotations
@@ -46,14 +47,11 @@ from relent.correlations import (
     quantum_correlation,
 )
 from relent.entanglement import (
+    ABCDValues,
     bell_ABCD,
-    bell_density_from_ABCD,
-    entanglement_measure,
     fidelity,
     negativity_measure,
-    partial_transpose,
-    pt_eigenvalues_from_ABCD,
-    separability_verdict,
+    xstate_pt_spectrum,
     xstate_stats,
 )
 from relent.kinematics import BETA_CAP, Boost
@@ -97,6 +95,9 @@ EXIT_IO = 4
 #: outside about 1e-100 to 1e100 they overflow or underflow.
 DELTA_MIN = 1e-12
 DELTA_MAX = 1e12
+#: largest accepted grid.n_r and grid.n_theta: a rule's dense n x n Jacobi
+#: matrix is 8 MiB at 1,024 nodes, far above the finest grid in use (64)
+GRID_COUNT_MAX = 1024
 
 _DEFAULT_BETAS = [round(0.05 * i, 2) for i in range(20)] + [0.99]
 
@@ -226,6 +227,8 @@ def parse_config(doc: dict) -> SweepConfig:
         if name in grid_doc:
             v = grid_doc[name]
             _expect(_is_int(v) and v >= 2, f"grid.{name}", f"must be an integer >= 2, got {v!r}")
+            _expect(name == "n_phi" or v <= GRID_COUNT_MAX, f"grid.{name}",
+                    f"must be at most {GRID_COUNT_MAX}, got {v}")
             grid_kwargs[name] = v
     if "p_max" in grid_doc:
         # the largest cutoff the auto policy makes; far above it p_max^2 and
@@ -252,6 +255,9 @@ def parse_config(doc: dict) -> SweepConfig:
 
     directions = doc.get("directions", {"a": [1.0, 0.0, 0.0], "b": [1.0, 0.0, 0.0]})
     _expect(isinstance(directions, dict), "directions", "must be an object with 'a' and 'b'")
+    unknown_dir = set(directions) - {"a", "b"}
+    _expect(not unknown_dir, f"directions.{sorted(unknown_dir)[0]}" if unknown_dir else "directions",
+            "unknown field")
     dir_vals = {}
     for key in ("a", "b"):
         v = directions.get(key, [1.0, 0.0, 0.0])
@@ -288,10 +294,11 @@ def load_config(path: str) -> SweepConfig:
     return parse_config(doc)
 
 
-def _pt_columns(rho) -> dict:
-    """Lowest PT eigenvalue and measure of each density, from one stacked eigensolve."""
-    spectrum = np.linalg.eigvalsh(partial_transpose(rho))
-    return {"min_pt_eig": spectrum[..., 0], "E": negativity_measure(spectrum)}
+def _bell_pt_spectrum(v: ABCDValues) -> np.ndarray:
+    """PT spectrum of the Bell-spin X-state that the four weights fix."""
+    outer, inner = (v.A + v.D) / 2, (v.B + v.C) / 2
+    diag = np.stack([outer, inner, inner, outer], axis=-1)
+    return xstate_pt_spectrum(diag, (v.A - v.D) / 2, -(v.B - v.C) / 2)[0]
 
 
 def _width_columns(config: SweepConfig, delta: float) -> dict:
@@ -316,7 +323,8 @@ def _width_columns(config: SweepConfig, delta: float) -> dict:
     if config.scenario == "spin_bell_momentum_product":
         v = bell_ABCD(gp, b, base_grid, analytic_limit=config.analytic_limit)
         cols.update(A=v.A, B=v.B, C=v.C, D=v.D, eta=v.eta)
-        cols.update(_pt_columns(bell_density_from_ABCD(v)))
+        spectrum = _bell_pt_spectrum(v)
+        cols.update(min_pt_eig=spectrum[..., 0], E=negativity_measure(spectrum))
         if not config.analytic_limit:
             pairs = default_sample_pairs(gp, n=64, seed=config.seed)
             sample = momentum_density_samples(state, b, base_grid, pairs)
@@ -326,11 +334,12 @@ def _width_columns(config: SweepConfig, delta: float) -> dict:
     if config.scenario == "momentum_bell_spin_up":
         em = EntangledMomentum(delta, config.delta_sign)
         stats = xstate_stats(em, b, base_grid)
-        verdict = separability_verdict(stats)
-        cols["ineq15_margin"] = verdict.margin_corner
-        cols["ineq16_margin"] = verdict.margin_middle
+        diag = np.stack([stats.mean_a2, stats.mean_b2, stats.mean_c2, stats.mean_d2], axis=-1)
+        spectrum, cols["ineq15_margin"], cols["ineq16_margin"] = xstate_pt_spectrum(
+            diag, stats.mean_ad, stats.mean_bc
+        )
         cols["identity14_residual"] = stats.mean_product_residual()
-        cols.update(_pt_columns(stats.density()))
+        cols.update(min_pt_eig=spectrum[..., 0], E=negativity_measure(spectrum))
         return cols
 
     if config.scenario == "both_bell_correlations":
@@ -462,9 +471,8 @@ def _cmd_limits(_args) -> int:
     """Print the light-speed benchmark table, computed through the pipeline."""
     grid = build_grid(32, 32, default_p_max(1.0))
     v = bell_ABCD(GaussianProduct(1.0), Boost(0.0), grid, analytic_limit=True)
-    rho = bell_density_from_ABCD(v)
-    spectrum = pt_eigenvalues_from_ABCD(v)
-    E = entanglement_measure(rho)
+    spectrum = _bell_pt_spectrum(v)
+    E = negativity_measure(spectrum)
     sys.stdout.write("ultra-relativistic analytic limit (Omega -> theta):\n")
     for name, val in (("A", v.A), ("B", v.B), ("C", v.C), ("D", v.D), ("eta", v.eta)):
         sys.stdout.write(f"  {name} = {val:.12f}\n")

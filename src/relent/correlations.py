@@ -96,7 +96,7 @@ def quantum_correlation(
             "correlation sign degenerates for transverse directions at near-light boosts"
         )
     state = BipartiteState(dist=dist, spin=np.asarray(spin, dtype=complex))
-    rho = reduced_spin_density(state, b, grid).matrix
+    rho = reduced_spin_density(state, b, grid)
     op_a, op_b = relativistic_observable(a, b), relativistic_observable(b_dir, b)
     # Tr[rho (op_a x op_b)] with rho indexed (i k, j l) over (qubit A, qubit B)
     rho4 = rho.reshape(rho.shape[:-2] + (2, 2, 2, 2))

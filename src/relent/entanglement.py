@@ -1,19 +1,21 @@
-"""Entanglement fidelity, closed-form amplitude aggregates, and partial-transpose tests.
+"""Entanglement fidelity, closed-form amplitude aggregates, and the partial-transpose spectrum.
 
 Covers the three diagnostics applied to a boosted two-particle state:
 
 * ``fidelity``: squared overlap between the state and its boosted image,
   for a product of Gaussian wavepackets (closed-form boosted arguments, no
   resampling).
-* ``xstate_stats`` / ``separability_verdict``: the delta-correlated-momentum,
-  product-spin scenario, reduced to six scalar aggregates of the rotated
-  amplitudes (a, b, c, d) and the two partial-transpose inequality margins.
-* ``bell_ABCD`` / ``bell_density_from_ABCD`` / ``entanglement_measure``: the
-  Bell-spin, product-momentum scenario, whose reduced density is fixed by
-  four real weights with a closed-form partial-transpose spectrum.
+* ``xstate_stats``: the delta-correlated-momentum, product-spin scenario,
+  reduced to six scalar aggregates of the rotated amplitudes (a, b, c, d).
+* ``bell_ABCD``: the Bell-spin, product-momentum scenario, whose reduced
+  density is fixed by four real weights.
+
+Both reduced spin densities are X-states (nonzero only on the diagonal and
+the anti-diagonal), and ``xstate_pt_spectrum`` gives the partial-transpose
+spectrum and the two separability margins of either in closed form.
 
 A ``Boost`` with an array of speeds is evaluated as one array program on the
-(beta, p, cos(theta)) lattice; results, densities and spectra carry beta's axes.
+(beta, p, cos(theta)) lattice; results and spectra carry beta's axes.
 
 The entanglement measure is doubled negativity, -2 sum(min(0, PT eigenvalue)),
 normalised so a two-qubit maximally entangled state scores exactly 1.
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from relent.kinematics import Boost, energy_ratio, wigner_angle
-from relent.relstate import BipartiteState, SpinDensity, reduced_spin_density, spin_up_up
+from relent.relstate import BipartiteState, reduced_spin_density, spin_up_up
 from relent.wavepacket import (
     EntangledMomentum,
     GaussianProduct,
@@ -44,20 +46,12 @@ __all__ = [
     "FidelityResult",
     "ABCDValues",
     "XStateStats",
-    "SeparabilityVerdict",
     "xstate_stats",
-    "separability_verdict",
     "fidelity",
     "bell_ABCD",
-    "bell_density_from_ABCD",
-    "pt_eigenvalues_from_ABCD",
-    "partial_transpose",
+    "xstate_pt_spectrum",
     "negativity_measure",
-    "entanglement_measure",
 ]
-
-#: verdict threshold on the partial-transpose inequality margins
-MARGIN_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -99,37 +93,18 @@ class XStateStats:
     mean_ad: complex
     mean_bc: complex
 
-    def density(self) -> SpinDensity:
-        """Reassemble the sparse (anti-diagonal plus diagonal) spin density."""
-        rho = np.zeros(np.shape(self.mean_a2) + (4, 4), dtype=complex)
-        rho[..., 0, 0], rho[..., 1, 1], rho[..., 2, 2], rho[..., 3, 3] = (
-            self.mean_a2, self.mean_b2, self.mean_c2, self.mean_d2,
-        )
-        rho[..., 0, 3] = self.mean_ad
-        rho[..., 3, 0] = np.conj(self.mean_ad)
-        rho[..., 1, 2] = self.mean_bc
-        rho[..., 2, 1] = np.conj(self.mean_bc)
-        return SpinDensity(matrix=rho)
-
     def mean_product_residual(self) -> float:
         """|<|a|^2><|d|^2> - <|b|^2><|c|^2>| as a fraction of the larger product.
 
         Zero only where the squared aggregates decouple: for q = -p that is
         the saturated profile Omega = theta, reached in the joint light-speed
         limit of boost and momenta.  It is O(0.5) at width 1 for every boost
-        and falls to 3e-7 at width 1e8 and the speed cap.  The verdict
-        margins, not this residual, decide separability.
+        and falls to 3e-7 at width 1e8 and the speed cap.  The
+        partial-transpose margins, not this residual, decide separability.
         """
         lhs = self.mean_a2 * self.mean_d2
         rhs = self.mean_b2 * self.mean_c2
         return abs(lhs - rhs) / np.maximum(np.maximum(lhs, rhs), 1e-300)
-
-
-@dataclass(frozen=True)
-class SeparabilityVerdict:
-    entangled: bool
-    margin_corner: float  #: |<a d*>|^2 - <|b|^2><|c|^2>
-    margin_middle: float  #: |<b c*>|^2 - <|a|^2><|d|^2>
 
 
 def _norm_check(norm: float, what: str, tol: float = 1e-4) -> None:
@@ -144,7 +119,7 @@ def xstate_stats(dist: EntangledMomentum, b: Boost, grid: QuadratureGrid) -> XSt
     if not isinstance(dist, EntangledMomentum):
         raise TypeError("xstate_stats requires a delta-correlated momentum distribution")
     _norm_check(float(np.sum(grid.weights * dist.density1(grid.p**2))), "xstate_stats")
-    rho = reduced_spin_density(BipartiteState(dist, spin_up_up()), b, grid).matrix
+    rho = reduced_spin_density(BipartiteState(dist, spin_up_up()), b, grid)
     return XStateStats(
         mean_a2=rho[..., 0, 0].real,
         mean_b2=rho[..., 1, 1].real,
@@ -152,21 +127,6 @@ def xstate_stats(dist: EntangledMomentum, b: Boost, grid: QuadratureGrid) -> XSt
         mean_d2=rho[..., 3, 3].real,
         mean_ad=rho[..., 0, 3],
         mean_bc=rho[..., 1, 2],
-    )
-
-
-def separability_verdict(stats: XStateStats) -> SeparabilityVerdict:
-    """Partial-transpose test of the sparse spin density from its aggregates.
-
-    A positive margin on either anti-diagonal block would certify a negative
-    partial-transpose eigenvalue, i.e. spin entanglement.
-    """
-    m_corner = abs(stats.mean_ad) ** 2 - stats.mean_b2 * stats.mean_c2
-    m_middle = abs(stats.mean_bc) ** 2 - stats.mean_a2 * stats.mean_d2
-    return SeparabilityVerdict(
-        entangled=np.maximum(m_corner, m_middle) > MARGIN_TOL,
-        margin_corner=m_corner,
-        margin_middle=m_middle,
     )
 
 
@@ -281,40 +241,27 @@ def bell_ABCD(
     return ABCDValues(A=A, B=B, C=C, D=B, eta=eta)
 
 
-def bell_density_from_ABCD(v: ABCDValues) -> SpinDensity:
-    """The reduced Bell-spin density determined by the four weights."""
-    A, B, C, D = np.broadcast_arrays(v.A, v.B, v.C, v.D)
-    rho = np.zeros(A.shape + (4, 4), dtype=complex)
-    rho[..., 0, 0] = rho[..., 3, 3] = (A + D) / 2
-    rho[..., 0, 3] = rho[..., 3, 0] = (A - D) / 2
-    rho[..., 1, 1] = rho[..., 2, 2] = (B + C) / 2
-    rho[..., 1, 2] = rho[..., 2, 1] = -(B - C) / 2
-    return SpinDensity(matrix=rho)
+def xstate_pt_spectrum(diag, rho03, rho12):
+    """Sorted partial-transpose spectrum (..., 4) and both separability margins of X-states.
 
-
-def pt_eigenvalues_from_ABCD(v: ABCDValues) -> np.ndarray:
-    """Closed-form partial-transpose spectrum {(1-2A)/2, ..., (1-2D)/2}, sorted."""
-    return np.sort(np.stack([(1.0 - 2.0 * x) / 2.0 for x in (v.A, v.B, v.C, v.D)], axis=-1))
-
-
-def partial_transpose(rho) -> np.ndarray:
-    """Transpose the second party's indices of 4x4 two-qubit matrices (last two axes)."""
-    m = rho.matrix if isinstance(rho, SpinDensity) else np.asarray(rho, dtype=complex)
-    if m.shape[-2:] != (4, 4):
-        raise ValueError(f"expected 4x4 matrices, got shape {m.shape}")
-    lead = m.shape[:-2]
-    return m.reshape(lead + (2, 2, 2, 2)).swapaxes(-3, -1).reshape(lead + (4, 4))
+    An X-state has the diagonal ``diag`` (..., 4) and the coherences rho03 and
+    rho12.  Its partial transpose has a {0, 3} block carrying rho12 and a {1, 2}
+    block carrying rho03, each with eigenvalues mean +- hypot(half the diagonal
+    difference, |coherence|) (Yu & Eberly, Quantum Inf. Comput. 7, 459 (2007)).
+    The margins are the blocks' negated determinants, margin_corner = |rho03|^2 -
+    rho11 rho22 and margin_middle = |rho12|^2 - rho00 rho33; a positive margin
+    is a negative PT eigenvalue, i.e. entanglement (Peres, PRL 77, 1413 (1996)).
+    """
+    d = np.moveaxis(np.asarray(diag, dtype=float), -1, 0)
+    c03, c12 = np.abs(rho03), np.abs(rho12)
+    eigenvalues = []
+    for x, y, c in ((d[0], d[3], c12), (d[1], d[2], c03)):
+        mean, radius = (x + y) / 2.0, np.hypot((x - y) / 2.0, c)
+        eigenvalues += [mean - radius, mean + radius]
+    spectrum = np.sort(np.stack(eigenvalues, axis=-1), axis=-1)
+    return spectrum, c03**2 - d[1] * d[2], c12**2 - d[0] * d[3]
 
 
 def negativity_measure(pt_spectrum) -> float:
     """Doubled negativity -2 sum(min(0, eigenvalue)) of partial-transpose spectra (last axis)."""
     return -2.0 * np.sum(np.minimum(pt_spectrum, 0.0), axis=-1) + 0.0
-
-
-def entanglement_measure(rho) -> float:
-    """Doubled negativity: -2 sum of negative partial-transpose eigenvalues.
-
-    1 for two-qubit maximally entangled states, 0 for any state with a
-    positive partial transpose.
-    """
-    return negativity_measure(np.linalg.eigvalsh(partial_transpose(rho)))

@@ -9,7 +9,8 @@ The reduced spin density of a delta-correlated pair integrates
 |f|^2-weighted projectors of the rotated spin state (the invariant-measure
 Jacobians cancel identically in the partial trace, so none appear here), for
 all boost speeds at once as one moment form on the (beta, p, cos(theta))
-lattice.  The spin-traced momentum density keeps its
+lattice; it is a plain complex array of shape (..., 4, 4) over the basis
+(uu, ud, du, dd).  The spin-traced momentum density keeps its
 Jacobian factors explicitly; ``momentum_density_samples`` evaluates its matrix
 elements on a finite set of coordinate pairs together with the product of the
 single-particle marginals at the same coordinates, and ``product_distance``
@@ -33,7 +34,6 @@ from relent.wavepacket import (
 
 __all__ = [
     "BipartiteState",
-    "SpinDensity",
     "MomentumDensitySample",
     "bell_phi_plus",
     "spin_up_up",
@@ -76,19 +76,6 @@ class BipartiteState:
         object.__setattr__(self, "spin", spin)
 
 
-@dataclass(frozen=True)
-class SpinDensity:
-    """4x4 Hermitian, PSD, unit-trace matrices over the two-spin basis (last two axes)."""
-
-    matrix: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape[-2:] != (4, 4):
-            raise ValueError(f"expected 4x4 matrices, got shape {m.shape}")
-        object.__setattr__(self, "matrix", m)
-
-
 def azimuth_tensor(spin: np.ndarray, n_phi: int) -> np.ndarray:
     """Y[k, l] = <vec(X_k) vec(X_l)^dag> over an n_phi-node periodic rule in phi, (4, 4, 4, 4).
 
@@ -110,7 +97,7 @@ def _half_cos_sin(omega):
     return np.cos(omega / 2.0), np.sin(omega / 2.0)
 
 
-def reduced_spin_density(state: BipartiteState, b: Boost, grid: QuadratureGrid) -> SpinDensity:
+def reduced_spin_density(state: BipartiteState, b: Boost, grid: QuadratureGrid) -> np.ndarray:
     """Spin density of a delta-correlated pair after boosting and tracing out both momenta.
 
     rho = sum_kl G_kl Y_kl, with Y the fixed ``azimuth_tensor`` and G the real
@@ -142,7 +129,7 @@ def reduced_spin_density(state: BipartiteState, b: Boost, grid: QuadratureGrid) 
             f"reduced_spin_density: quadrature trace deviates from 1 by {worst:.6f}, more than "
             f"{TRACE_TOL}; the grid does not cover the distribution"
         )
-    return SpinDensity(matrix=rho)
+    return rho
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,11 @@ of ``validate_density`` live here too, as nothing in the library uses them.
 production aggregates leave out.  The per-momentum scalar API
 (``FourMomentum``, ``wigner_rotation``, ``spin_kernel``, ``abcd``) evaluates
 one momentum or pair at a time, and ``leaked_mass_full`` applies the leak
-mask on every node of the fine reference.
+mask on every node of the fine reference.  ``partial_transpose`` of a
+general 4x4 density, followed by ``eigvalsh``, is the reference for the
+closed-form X-state spectrum; ``bell_density_from_ABCD`` assembles the
+Bell-spin density from its four weights, and ``xstate_concurrence`` is
+Wootters' concurrence in its X-state form.
 """
 
 from dataclasses import dataclass, field
@@ -25,7 +29,7 @@ import numpy as np
 
 from relent.entanglement import ABCDValues, FidelityResult, XStateStats, _boosted_args
 from relent.kinematics import Boost, su2_matrix, wigner_angle, wigner_matrix
-from relent.relstate import TRACE_TOL, SpinDensity, spin_up_up
+from relent.relstate import TRACE_TOL, spin_up_up
 from relent.wavepacket import (
     AZIMUTH_NODES,
     EntangledMomentum,
@@ -262,7 +266,7 @@ def reduced_spin_density_3d(state, b, grid):
     def checked(rho):
         if not (abs(np.trace(rho).real - 1.0) <= TRACE_TOL):
             raise GridCoverageError(f"reduced_spin_density_3d: trace {np.trace(rho).real:.6f}")
-        return SpinDensity(matrix=rho)
+        return rho
 
     grid = as_azimuth_grid(grid)
     w = grid.weights * state.dist.density1(grid.p**2)
@@ -313,7 +317,7 @@ def fidelity_3d(state, b, grid):
 
 def validate_density(rho, herm_tol=1e-10, trace_tol=1e-8, psd_tol=1e-8):
     """Raise ValueError unless the 4x4 density is Hermitian, unit-trace and PSD."""
-    m = rho.matrix if isinstance(rho, SpinDensity) else np.asarray(rho, dtype=complex)
+    m = np.asarray(rho, dtype=complex)
     if not (np.max(np.abs(m - m.conj().T)) <= herm_tol):
         raise ValueError("density is not Hermitian within tolerance")
     tr = np.trace(m)
@@ -322,6 +326,59 @@ def validate_density(rho, herm_tol=1e-10, trace_tol=1e-8, psd_tol=1e-8):
     if np.min(np.linalg.eigvalsh((m + m.conj().T) / 2.0)) < -psd_tol:
         raise ValueError("density has a negative eigenvalue beyond tolerance")
     return rho
+
+
+def bell_density_from_ABCD(v):
+    """The reduced Bell-spin density (..., 4, 4) determined by the four weights."""
+    A, B, C, D = np.broadcast_arrays(v.A, v.B, v.C, v.D)
+    rho = np.zeros(A.shape + (4, 4), dtype=complex)
+    rho[..., 0, 0] = rho[..., 3, 3] = (A + D) / 2
+    rho[..., 0, 3] = rho[..., 3, 0] = (A - D) / 2
+    rho[..., 1, 1] = rho[..., 2, 2] = (B + C) / 2
+    rho[..., 1, 2] = rho[..., 2, 1] = -(B - C) / 2
+    return rho
+
+
+def partial_transpose(rho):
+    """Transpose the second party's indices of 4x4 two-qubit matrices (last two axes)."""
+    m = np.asarray(rho, dtype=complex)
+    if m.shape[-2:] != (4, 4):
+        raise ValueError(f"expected 4x4 matrices, got shape {m.shape}")
+    lead = m.shape[:-2]
+    return m.reshape(lead + (2, 2, 2, 2)).swapaxes(-3, -1).reshape(lead + (4, 4))
+
+
+def xstate_density(diag, rho03, rho12):
+    """The X-state density (..., 4, 4) with diagonal ``diag`` (..., 4) and coherences rho03, rho12."""
+    diag = np.asarray(diag, dtype=float)
+    rho = np.zeros(diag.shape[:-1] + (4, 4), dtype=complex)
+    rho[..., range(4), range(4)] = diag
+    rho[..., 0, 3], rho[..., 1, 2] = rho03, rho12
+    rho[..., 3, 0], rho[..., 2, 1] = np.conj(rho03), np.conj(rho12)
+    return rho
+
+
+def xstate_entries(rho):
+    """(diagonal (..., 4), rho03, rho12) of X-state densities (..., 4, 4)."""
+    m = np.asarray(rho, dtype=complex)
+    return np.diagonal(m, axis1=-2, axis2=-1).real, m[..., 0, 3], m[..., 1, 2]
+
+
+def stats_entries(s):
+    """(diagonal (..., 4), rho03, rho12) of the X-state that ``XStateStats`` aggregates."""
+    return np.stack([s.mean_a2, s.mean_b2, s.mean_c2, s.mean_d2], axis=-1), s.mean_ad, s.mean_bc
+
+
+def xstate_concurrence(rho):
+    """Wootters concurrence (PRL 80, 2245 (1998)) of X-states, in Yu and Eberly's closed form.
+
+    C = 2 max(0, |rho03| - sqrt(rho11 rho22), |rho12| - sqrt(rho00 rho33));
+    only the X entries of ``rho`` are read.
+    """
+    d, rho03, rho12 = xstate_entries(rho)
+    corner = np.abs(rho03) - np.sqrt(d[..., 1] * d[..., 2])
+    middle = np.abs(rho12) - np.sqrt(d[..., 0] * d[..., 3])
+    return 2.0 * np.maximum(0.0, np.maximum(corner, middle))
 
 
 def mean_abs_products(dist, b, grid):

@@ -22,26 +22,26 @@ import numpy as np
 from oracles import (
     FourMomentum,
     abcd,
+    bell_density_from_ABCD,
     bell_expectation,
     bell_fidelity_cos,
     mc_bell_fidelity,
     mean_abs_products,
+    partial_transpose,
     rotation_angle,
+    stats_entries,
     su2_from_so3,
     wigner_oracle,
     wigner_rotation,
     xyzw,
 )
-from relent.cli import emit, parse_config, run
+from relent.cli import _bell_pt_spectrum, emit, parse_config, run
 from relent.correlations import ObservableDirection, classical_correlation, quantum_correlation
 from relent.entanglement import (
     bell_ABCD,
-    bell_density_from_ABCD,
-    entanglement_measure,
     fidelity,
-    partial_transpose,
-    pt_eigenvalues_from_ABCD,
-    separability_verdict,
+    negativity_measure,
+    xstate_pt_spectrum,
     xstate_stats,
 )
 from relent.kinematics import BETA_CAP, Boost, wigner_matrix
@@ -76,9 +76,9 @@ def test_criterion1_rest_frame_anchor():
     grid = build_grid(32, 32, default_p_max(1.0))
     gp = GaussianProduct(1.0)
     v = bell_ABCD(gp, Boost(0.0), grid)
-    rho = bell_density_from_ABCD(v)
-    E = entanglement_measure(rho)
-    min_pt = float(np.min(np.linalg.eigvalsh(partial_transpose(rho))))
+    spectrum = _bell_pt_spectrum(v)
+    E = negativity_measure(spectrum)
+    min_pt = float(spectrum[0])
     F = fidelity(BipartiteState(gp, bell_phi_plus()), Boost(0.0), grid).fidelity
     ok = (
         abs(E - 1.0) < 1e-9
@@ -97,9 +97,9 @@ def test_criterion2_light_speed_limit_table():
     t0 = time.monotonic()
     grid = build_grid(32, 32, default_p_max(1.0))
     v = bell_ABCD(GaussianProduct(1.0), Boost(0.0), grid, analytic_limit=True)
-    spectrum = np.sort(np.linalg.eigvalsh(partial_transpose(bell_density_from_ABCD(v))))
+    spectrum = _bell_pt_spectrum(v)
     expected_spectrum = np.array([0.125, 0.25, 0.25, 0.375])
-    E = entanglement_measure(bell_density_from_ABCD(v))
+    E = negativity_measure(spectrum)
     checks = {
         "A": abs(v.A - 0.375) < 1e-9,
         "B": abs(v.B - 0.25) < 1e-9,
@@ -154,10 +154,10 @@ def test_criterion5_no_momentum_to_spin_transfer():
     grid = build_grid(32, 32, default_p_max(1.0))
     for beta in BETA_GRID_COARSE:
         stats = xstate_stats(EntangledMomentum(1.0, -1), Boost(beta), grid)
-        verdict = separability_verdict(stats)
-        assert verdict.margin_corner <= 1e-9, beta
-        assert verdict.margin_middle <= 1e-9, beta
-        assert not verdict.entangled, beta
+        spectrum, margin_corner, margin_middle = xstate_pt_spectrum(*stats_entries(stats))
+        assert margin_corner <= 1e-9, beta
+        assert margin_middle <= 1e-9, beta
+        assert spectrum[0] >= -1e-9, beta
     elapsed_ok = time.monotonic() - t0 < 120.0
     report("criterion-5 separability-margins-and-verdict", elapsed_ok, t0)
     assert elapsed_ok
@@ -351,10 +351,10 @@ def test_criterion9_structural_invariants():
     # product-momentum density from its four weights, the pair density directly
     for beta in (0.0, 0.4, 0.8, 0.99):
         for m in (
-            bell_density_from_ABCD(bell_ABCD(gp, Boost(beta), grid)).matrix,
+            bell_density_from_ABCD(bell_ABCD(gp, Boost(beta), grid)),
             reduced_spin_density(
                 BipartiteState(EntangledMomentum(1.0, -1), spin_up_up()), Boost(beta), grid
-            ).matrix,
+            ),
         ):
             assert abs(np.trace(m).real - 1.0) < 1e-6
             assert np.max(np.abs(m - m.conj().T)) < 1e-10
@@ -388,7 +388,7 @@ def test_criterion9_structural_invariants():
     for beta in (0.1, 0.5, 0.9):
         v = bell_ABCD(gp, Boost(beta), grid)
         eig = np.sort(np.linalg.eigvalsh(partial_transpose(bell_density_from_ABCD(v))))
-        assert np.max(np.abs(eig - pt_eigenvalues_from_ABCD(v))) < 1e-10
+        assert np.max(np.abs(eig - _bell_pt_spectrum(v))) < 1e-10
 
     # the moment-matrix fidelity agrees with the azimuth-free Bell kernel after
     # isotropic integration

@@ -22,6 +22,7 @@ from relent.cli import (
     EXIT_IO,
     EXIT_NUMERIC,
     EXIT_OK,
+    GRID_COUNT_MAX,
     SCENARIOS,
     ConfigError,
     emit,
@@ -75,9 +76,12 @@ class TestConfigParsing:
                 parse_config({"directions": {"a": a, "b": [1, 0, 0]}})
 
     def test_rejects_bad_grid_counts(self):
-        for n_r in (1, True, 16.0):
+        for n_r in (1, True, 16.0, GRID_COUNT_MAX + 1):
             with pytest.raises(ConfigError, match="grid.n_r"):
                 parse_config({"grid": {"n_r": n_r}})
+        # parsing builds no grid, so the bound itself can be checked for free
+        at_bound = {"n_r": GRID_COUNT_MAX, "n_theta": GRID_COUNT_MAX}
+        assert parse_config({"grid": at_bound}).grid.n_theta == GRID_COUNT_MAX
         for p_max in (0, True, float("inf"), float("nan")):
             with pytest.raises(ConfigError, match="grid.p_max"):
                 parse_config({"grid": {"p_max": p_max}})
@@ -359,6 +363,10 @@ class TestMainEntry:
             ({"grid": {"p_max": inf}}, "grid.p_max"),
             ({"grid": {"n_phi": False}}, "grid.n_phi"),
             ({"directions": {"a": [1, 0, 0], "b": [True, 0, 0]}}, "directions.b"),
+            ({"directions": {"A": [0, 1, 0]}}, "directions.A"),  # ran with the default a
+            # a dense n x n Jacobi matrix of 74.5 GiB used to end in a MemoryError
+            ({"grid": {"n_r": 100000}}, "grid.n_r"),
+            ({"grid": {"n_theta": GRID_COUNT_MAX + 1}}, "grid.n_theta"),
         ]
         for doc, field in cases:
             cfg_path = write_config(tmp_path, doc)  # json writes inf as Infinity
@@ -462,6 +470,19 @@ class TestMainEntry:
         )
         assert code == EXIT_OK
         assert "plot" in open(plot_path).read()
+
+    def test_spin_sweeps_do_no_eigensolve(self, monkeypatch):
+        # the first runs fill gauss_legendre's cache, whose Golub-Welsch rule
+        # is the one eigensolve allowed
+        docs = [{"scenario": s} for s in ("spin_bell_momentum_product", "momentum_bell_spin_up")]
+        want = [emit(run(parse_config(doc)), "csv", None) for doc in docs]
+
+        def no_eigensolve(*args, **kwargs):
+            raise AssertionError("eigensolve on the sweep path")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
+        assert [emit(run(parse_config(doc)), "csv", None) for doc in docs] == want
+        assert main(["limits"]) == EXIT_OK
 
     def test_sweeps_import_no_lazy_numpy_submodule(self, tmp_path):
         # in a fresh interpreter, because pytest and hypothesis import

@@ -6,27 +6,32 @@ from hypothesis import strategies as st
 from oracles import (
     FourMomentum,
     abcd,
+    bell_density_from_ABCD,
     bell_fidelity_cos,
     mc_bell_abcd,
     mc_bell_fidelity,
     mean_abs_products,
     leaked_mass_full,
+    partial_transpose,
     reduced_spin_density_3d,
     spin_kernel,
+    stats_entries,
     wigner_rotation,
+    xstate_concurrence,
+    xstate_density,
+    xstate_entries,
 )
-from relent.cli import ConfigError, parse_config, run
+from test_golden import GOLDEN
+import relent.cli as cli
+from relent.cli import ConfigError, _bell_pt_spectrum, parse_config, run
 from relent.entanglement import (
     ABCDValues,
     _leaked_mass,
     XStateStats,
     bell_ABCD,
-    bell_density_from_ABCD,
-    entanglement_measure,
     fidelity,
-    partial_transpose,
-    pt_eigenvalues_from_ABCD,
-    separability_verdict,
+    negativity_measure,
+    xstate_pt_spectrum,
     xstate_stats,
 )
 from relent.kinematics import BETA_CAP, Boost
@@ -125,8 +130,9 @@ class TestXStateStats:
     def test_density_matches_reduced_path(self, grid_default, entangled_unit):
         s = xstate_stats(entangled_unit, Boost(0.8), grid_default)
         state = BipartiteState(entangled_unit, spin_up_up())
-        rho = reduced_spin_density(state, Boost(0.8), grid_default).matrix
-        assert np.max(np.abs(s.density().matrix - rho)) < 1e-10
+        rho = reduced_spin_density(state, Boost(0.8), grid_default)
+        diag, rho03, rho12 = stats_entries(s)
+        assert np.max(np.abs(xstate_density(diag, rho03, rho12) - rho)) < 1e-10
 
 
 class TestCoverageGuards:
@@ -153,19 +159,19 @@ class TestSeparabilityVerdict:
     @pytest.mark.parametrize("beta", [0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99])
     def test_never_entangled(self, grid_default, sign, beta):
         s = xstate_stats(EntangledMomentum(1.0, sign), Boost(beta), grid_default)
-        v = separability_verdict(s)
-        assert not v.entangled
-        assert v.margin_corner <= 1e-9
-        assert v.margin_middle <= 1e-9
+        spectrum, margin_corner, margin_middle = xstate_pt_spectrum(*stats_entries(s))
+        assert margin_corner <= 1e-9
+        assert margin_middle <= 1e-9
+        assert spectrum[0] >= -1e-9
 
     def test_synthetic_entangled_stats(self):
         s = XStateStats(
             mean_a2=0.4, mean_b2=0.1, mean_c2=0.1, mean_d2=0.4,
             mean_ad=0.5, mean_bc=0.0,
         )
-        v = separability_verdict(s)
-        assert v.entangled
-        assert v.margin_corner == pytest.approx(0.24, abs=1e-12)
+        spectrum, margin_corner, _ = xstate_pt_spectrum(*stats_entries(s))
+        assert margin_corner == pytest.approx(0.24, abs=1e-12)
+        assert spectrum[0] == pytest.approx(-0.4, abs=1e-12)
 
 
 def bell_overlap_kernel(p, q, b):
@@ -298,18 +304,18 @@ class TestBellABCD:
         v = bell_ABCD(gauss_unit, b, grid_default)
         direct = reduced_spin_density_3d(
             BipartiteState(gauss_unit, bell_phi_plus()), b, grid_default
-        ).matrix
-        assert np.max(np.abs(bell_density_from_ABCD(v).matrix - direct)) < 1e-6
+        )
+        assert np.max(np.abs(bell_density_from_ABCD(v) - direct)) < 1e-6
 
 
 class TestBellDensityAndPT:
     def test_pure_bell_from_unit_A(self):
-        rho = bell_density_from_ABCD(ABCDValues(1.0, 0.0, 0.0, 0.0, 0.0)).matrix
+        rho = bell_density_from_ABCD(ABCDValues(1.0, 0.0, 0.0, 0.0, 0.0))
         assert np.allclose(rho, np.outer(bell_phi_plus(), bell_phi_plus().conj()), atol=0)
 
     def test_analytic_limit_matrix_structure(self):
         v = ABCDValues(0.375, 0.25, 0.125, 0.25, 1.0)
-        rho = bell_density_from_ABCD(v).matrix
+        rho = bell_density_from_ABCD(v)
         assert rho[0, 0] == pytest.approx(5 / 16)
         assert rho[0, 3] == pytest.approx(1 / 16)
         assert rho[1, 1] == pytest.approx(3 / 16)
@@ -345,20 +351,100 @@ class TestBellDensityAndPT:
         A, B, C, D = (x / total for x in weights)
         v = ABCDValues(A, B, C, D, 0.0)
         eig = np.sort(np.linalg.eigvalsh(partial_transpose(bell_density_from_ABCD(v))))
-        assert np.max(np.abs(eig - pt_eigenvalues_from_ABCD(v))) < 1e-10
+        spectrum = _bell_pt_spectrum(v)
+        assert np.max(np.abs(eig - spectrum)) < 1e-10
+        # unit trace makes the spectrum the weights' complements (1 - 2x)/2
+        assert np.max(np.abs(spectrum - np.sort([(1 - 2 * x) / 2 for x in (A, B, C, D)]))) < 1e-10
+
+
+def measure(rho):
+    """Doubled negativity of an X-state density through the closed-form spectrum."""
+    return negativity_measure(xstate_pt_spectrum(*xstate_entries(rho))[0])
 
 
 class TestEntanglementMeasure:
     def test_bell_is_maximal(self):
         rho = np.outer(bell_phi_plus(), bell_phi_plus().conj())
-        assert entanglement_measure(rho) == pytest.approx(1.0, abs=1e-12)
+        assert measure(rho) == pytest.approx(1.0, abs=1e-12)
 
     def test_analytic_limit_is_zero(self):
-        rho = bell_density_from_ABCD(ABCDValues(0.375, 0.25, 0.125, 0.25, 1.0))
-        assert entanglement_measure(rho) == 0.0
+        v = ABCDValues(0.375, 0.25, 0.125, 0.25, 1.0)
+        assert negativity_measure(_bell_pt_spectrum(v)) == 0.0
+        assert measure(bell_density_from_ABCD(v)) == 0.0
 
     def test_maximally_mixed_is_zero(self):
-        assert entanglement_measure(np.eye(4) / 4.0) == 0.0
+        assert measure(np.eye(4) / 4.0) == 0.0
+
+
+def assert_matches_eigensolve(diag, rho03, rho12, atol):
+    """The closed form against the eigensolve of the X-state's partial transpose.
+
+    Returns the closed-form spectrum and the X-state density.
+    """
+    spectrum, margin_corner, margin_middle = xstate_pt_spectrum(diag, rho03, rho12)
+    rho = xstate_density(diag, rho03, rho12)
+    pt = partial_transpose(rho)
+    assert np.max(np.abs(spectrum - np.linalg.eigvalsh(pt))) <= atol
+    # each margin is the negated determinant of its 2x2 block of the transpose
+    for margin, block in ((margin_corner, [1, 2]), (margin_middle, [0, 3])):
+        det = np.linalg.det(pt[..., block, :][..., :, block]).real
+        assert np.max(np.abs(margin + det)) <= atol
+    return spectrum, rho
+
+
+def assert_negativity_within_concurrence(spectrum, rho, atol):
+    """N <= C for two qubits (Verstraete et al., J. Phys. A 34, 10327 (2001))."""
+    N, C = negativity_measure(spectrum), xstate_concurrence(rho)
+    assert np.all(N <= C + atol), np.max(N - C)
+    return N, C
+
+
+@st.composite
+def xstates(draw):
+    """PSD, unit-trace X-states with complex coherences, as (diag, rho03, rho12)."""
+    raw = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4)))
+    diag = raw / raw.sum() if raw.sum() > 0 else np.full(4, 0.25)
+    # |rho03| <= sqrt(rho00 rho33) and |rho12| <= sqrt(rho11 rho22) keep it PSD
+    r03, r12 = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
+    t03, t12 = draw(st.floats(0.0, 2 * np.pi)), draw(st.floats(0.0, 2 * np.pi))
+    rho03 = r03 * np.sqrt(diag[0] * diag[3]) * np.exp(1j * t03)
+    rho12 = r12 * np.sqrt(diag[1] * diag[2]) * np.exp(1j * t12)
+    return diag, rho03, rho12
+
+
+class TestXStatePTSpectrum:
+    """The closed form against the partial-transpose eigensolve oracle."""
+
+    @pytest.mark.parametrize(
+        "name", ["spin_bell_momentum_product", "run_default_sweep", "momentum_bell_spin_up"]
+    )
+    def test_matches_eigensolve_on_golden_cells(self, monkeypatch, name):
+        # every spectrum a golden spin sweep computes, with the concurrence on
+        # the same cells
+        seen = []
+
+        def recording(diag, rho03, rho12):
+            seen.append((diag, rho03, rho12))
+            return xstate_pt_spectrum(diag, rho03, rho12)
+
+        monkeypatch.setattr(cli, "xstate_pt_spectrum", recording)
+        config = parse_config(GOLDEN[name])
+        rows = run(config)
+        assert len(seen) == len(config.delta)
+        n_cells = 0
+        for args in seen:
+            spectrum, rho = assert_matches_eigensolve(*args, atol=1e-14)
+            N, C = assert_negativity_within_concurrence(spectrum, rho, atol=1e-14)
+            assert np.array_equal(N == 0.0, C == 0.0)
+            n_cells += len(N)
+        assert n_cells == len(rows)
+
+    @given(x=xstates())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_eigensolve_on_random_xstates(self, x):
+        spectrum, rho = assert_matches_eigensolve(*x, atol=1e-14)
+        assert_negativity_within_concurrence(spectrum, rho, atol=1e-14)
+
 
 
 class TestMeasureSweep:

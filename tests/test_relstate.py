@@ -86,7 +86,7 @@ class TestSpinKernel:
 class TestReducedSpinDensity:
     def test_no_boost_recovers_input(self, grid_default, entangled_unit):
         state = BipartiteState(entangled_unit, bell_phi_plus())
-        rho = reduced_spin_density(state, Boost(0.0), grid_default).matrix
+        rho = reduced_spin_density(state, Boost(0.0), grid_default)
         target = np.outer(bell_phi_plus(), bell_phi_plus().conj())
         assert np.max(np.abs(rho - target)) < 1e-10
 
@@ -100,16 +100,15 @@ class TestReducedSpinDensity:
         else:
             state = BipartiteState(EntangledMomentum(1.0, -1), spin_up_up())
             rho = reduced_spin_density(state, Boost(beta), grid_default)
-        m = rho.matrix
-        assert abs(np.trace(m).real - 1.0) < 1e-6
-        assert np.max(np.abs(m - m.conj().T)) < 1e-10
-        assert np.min(np.linalg.eigvalsh(m)) > -1e-8
+        assert abs(np.trace(rho).real - 1.0) < 1e-6
+        assert np.max(np.abs(rho - rho.conj().T)) < 1e-10
+        assert np.min(np.linalg.eigvalsh(rho)) > -1e-8
         validate_density(rho, trace_tol=1e-6)
 
     @pytest.mark.parametrize("sign", [-1, 1])
     def test_up_up_entangled_has_x_pattern(self, grid_default, sign):
         state = BipartiteState(EntangledMomentum(1.0, sign), spin_up_up())
-        rho = reduced_spin_density(state, Boost(0.8), grid_default).matrix
+        rho = reduced_spin_density(state, Boost(0.8), grid_default)
         assert np.max(np.abs(rho[~X_PATTERN])) < 1e-8
 
     def test_generic_spin_product_distribution(self, grid_default, gauss_unit):
@@ -134,9 +133,9 @@ class TestReducedSpinDensity:
         # same physics through spin_kernel at scattered nodes: coarse consistency
         grid = build_grid(24, 24, default_p_max(1.0))
         state = BipartiteState(gauss_unit, bell_phi_plus())
-        rho_a = reduced_spin_density_3d(state, Boost(0.5), grid).matrix
+        rho_a = reduced_spin_density_3d(state, Boost(0.5), grid)
         grid_b = build_grid(32, 32, default_p_max(1.0))
-        rho_b = reduced_spin_density_3d(state, Boost(0.5), grid_b).matrix
+        rho_b = reduced_spin_density_3d(state, Boost(0.5), grid_b)
         assert np.max(np.abs(rho_a - rho_b)) < 1e-6
 
 

@@ -198,10 +198,10 @@ class TestAzimuthRule:
         grid, fine = self._grids(default_p_max(1.0))
         state = BipartiteState(dist, bell_phi_plus())
         if isinstance(dist, EntangledMomentum):
-            rho = reduced_spin_density(state, Boost(beta), grid).matrix
+            rho = reduced_spin_density(state, Boost(beta), grid)
         else:
-            rho = reduced_spin_density_3d(state, Boost(beta), as_azimuth_grid(grid)).matrix
-        ref = reduced_spin_density_3d(state, Boost(beta), fine).matrix
+            rho = reduced_spin_density_3d(state, Boost(beta), as_azimuth_grid(grid))
+        ref = reduced_spin_density_3d(state, Boost(beta), fine)
         assert np.max(np.abs(rho - ref)) < 1e-13
 
     @pytest.mark.parametrize("beta", BETAS)
