@@ -25,8 +25,9 @@ emitted in config order.
 Exit codes: 0 success, 2 configuration or usage error (among them a width
 outside [DELTA_MIN, DELTA_MAX], grid.n_r or grid.n_theta above GRID_COUNT_MAX,
 a fixed grid.p_max above the auto policy's largest cutoff, an unknown field,
-and --plot without a CSV --output), 3 numeric/grid-coverage error, 4 I/O
-error while writing the output or plot script.
+and --plot without a CSV --output or naming the --output file), 3
+numeric/grid-coverage error, 4 I/O error while writing the output or plot
+script.
 """
 
 from __future__ import annotations
@@ -36,8 +37,9 @@ import csv
 import io
 import json
 import math
+import os
 import sys
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -106,8 +108,7 @@ class ConfigError(Exception):
     """Configuration problem; the message names the offending field."""
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(NamedTuple):
     n_r: int = 32
     n_theta: int = 32
     n_phi: int = 16  # accepted for old configs; the azimuth rule is fixed and exact
@@ -120,8 +121,7 @@ class GridSpec:
         return float(self.p_max)
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(NamedTuple):
     scenario: str = "spin_bell_momentum_product"
     betas: tuple = tuple(_DEFAULT_BETAS)
     delta: tuple = (1.0,)
@@ -150,8 +150,7 @@ class SweepConfig:
         }
 
 
-@dataclass
-class SweepRow:
+class SweepRow(NamedTuple):
     """One (beta, delta) cell; None marks columns the scenario does not produce."""
 
     beta: float
@@ -367,9 +366,10 @@ def run(config: SweepConfig, workers: int = 1) -> list[SweepRow]:
     rows = []
     for delta in config.delta:
         cols = _width_columns(config, delta)
+        values = [np.asarray(v, dtype=float).tolist() for v in cols.values()]
         rows += [
-            SweepRow(beta=beta, delta=delta, **{k: float(v[i]) for k, v in cols.items()})
-            for i, beta in enumerate(config.betas)
+            SweepRow(beta=beta, delta=delta, **dict(zip(cols, cells)))
+            for beta, *cells in zip(config.betas, *values)
         ]
     return rows
 
@@ -384,18 +384,17 @@ def emit(rows: list[SweepRow], fmt: str, path: str | None) -> str:
     """Serialise rows as CSV (fixed header) or JSON; returns the text emitted."""
     if not rows:
         raise ValueError("no rows to emit")
-    names = [f.name for f in fields(SweepRow)]
+    names = SweepRow._fields
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(names)
         for row in rows:
-            writer.writerow([_format_value(getattr(row, n)) for n in names])
+            writer.writerow([_format_value(x) for x in row])
         text = buf.getvalue()
     elif fmt == "json":
         payload = [
-            {n: (None if getattr(r, n) is None else float(getattr(r, n))) for n in names}
-            for r in rows
+            {n: (None if x is None else float(x)) for n, x in zip(names, r)} for r in rows
         ]
         text = json.dumps(payload, indent=2) + "\n"
     else:
@@ -509,6 +508,8 @@ def main(argv=None) -> int:
     if args.command == "run" and args.plot is not None:
         if args.output is None or args.format != "csv":
             parser.error("--plot needs --output and --format csv")
+        if os.path.realpath(args.plot) == os.path.realpath(args.output):
+            parser.error("--plot names the --output file, which the script would overwrite")
     try:
         return args.func(args)
     except ConfigError as exc:

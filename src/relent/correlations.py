@@ -10,8 +10,6 @@ transverse information.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from relent.kinematics import Boost
@@ -37,19 +35,16 @@ _SIGMA = np.array(
 _E_BOOST = np.array([1.0, 0.0, 0.0])
 
 
-@dataclass(frozen=True)
 class ObservableDirection:
     """Unit measurement direction in the moving frame; the boost axis is +x."""
 
-    a_vec: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.a_vec, dtype=float)
+    def __init__(self, a_vec: np.ndarray):
+        v = np.asarray(a_vec, dtype=float)
         if v.shape != (3,):
             raise ValueError(f"direction must be a 3-vector, got shape {v.shape}")
         if abs(np.linalg.norm(v) - 1.0) > 1e-12:
             raise ValueError("direction must be a unit vector")
-        object.__setattr__(self, "a_vec", v)
+        self.a_vec = v
 
     @property
     def longitudinal(self) -> float:

@@ -28,7 +28,7 @@ C = 1/8, eta = 1) is reproduced exactly in this mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,19 +54,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class FidelityResult:
-    overlap: complex
-    fidelity: float
-
-    def __post_init__(self):
-        f = np.asarray(self.fidelity)
+    def __init__(self, overlap: complex, fidelity: float):
+        f = np.asarray(fidelity)
         if not np.all((-1e-9 <= f) & (f <= 1.0 + 1e-9)):
-            raise ValueError(f"fidelity out of [0, 1]: {self.fidelity}")
+            raise ValueError(f"fidelity out of [0, 1]: {fidelity}")
+        self.overlap, self.fidelity = overlap, fidelity
 
 
-@dataclass(frozen=True)
-class ABCDValues:
+class ABCDValues(NamedTuple):
     """Integrated weights of the boosted Bell-state spin density, plus eta."""
 
     A: float
@@ -76,8 +72,7 @@ class ABCDValues:
     eta: float
 
 
-@dataclass(frozen=True)
-class XStateStats:
+class XStateStats(NamedTuple):
     """Distribution aggregates of the rotated product-spin amplitudes.
 
     mean_* of the squares are the diagonal of the reduced spin density;

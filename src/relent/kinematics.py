@@ -18,8 +18,6 @@ boost axis and the momentum; ``wigner_angle`` gives its angle in closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
@@ -35,16 +33,14 @@ __all__ = [
 BETA_CAP = 1.0 - 1e-9
 
 
-@dataclass(frozen=True)
 class Boost:
     """A boost along +x with speed ratio beta in [0, 1 - 1e-9], or an array of such speeds."""
 
-    beta: float
-
-    def __post_init__(self):
-        beta = np.asarray(self.beta)
-        if not np.all((0.0 <= beta) & (beta <= BETA_CAP)):
-            raise ValueError(f"beta must be in [0, {BETA_CAP}], got {self.beta}")
+    def __init__(self, beta):
+        speeds = np.asarray(beta)
+        if not np.all((0.0 <= speeds) & (speeds <= BETA_CAP)):
+            raise ValueError(f"beta must be in [0, {BETA_CAP}], got {beta}")
+        self.beta = beta
 
     @property
     def gamma(self) -> float:

@@ -10,7 +10,10 @@ The reduced spin density of a delta-correlated pair integrates
 Jacobians cancel identically in the partial trace, so none appear here), for
 all boost speeds at once as one moment form on the (beta, p, cos(theta))
 lattice; it is a plain complex array of shape (..., 4, 4) over the basis
-(uu, ud, du, dd).  The spin-traced momentum density keeps its
+(uu, ud, du, dd).  The Wigner angle is evaluated once per lattice: the
+q = -p companion's angles are the particle's on the mirrored cos(theta)
+nodes, and the moment form reduces to a 3x3 moment of the squared half-angle
+cosines and sines.  The spin-traced momentum density keeps its
 Jacobian factors explicitly; ``momentum_density_samples`` evaluates its matrix
 elements on a finite set of coordinate pairs together with the product of the
 single-particle marginals at the same coordinates, and ``product_distance``
@@ -19,7 +22,7 @@ reduces the comparison to one scalar.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -57,23 +60,19 @@ def spin_up_up() -> np.ndarray:
     return np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
 
 
-@dataclass(frozen=True)
 class BipartiteState:
     """Momentum distribution tensored with a unit-norm two-spin amplitude."""
 
-    dist: object
-    spin: np.ndarray
-
-    def __post_init__(self):
-        spin = np.asarray(self.spin, dtype=complex)
+    def __init__(self, dist, spin):
+        spin = np.asarray(spin, dtype=complex)
         if spin.shape != (4,):
             raise ValueError(f"spin amplitude must have 4 components, got shape {spin.shape}")
         norm = np.linalg.norm(spin)
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"spin amplitude must be unit norm, |norm - 1| = {abs(norm - 1.0):.3e}")
-        if not isinstance(self.dist, (GaussianProduct, EntangledMomentum)):
-            raise TypeError(f"unsupported distribution type: {type(self.dist).__name__}")
-        object.__setattr__(self, "spin", spin)
+        if not isinstance(dist, (GaussianProduct, EntangledMomentum)):
+            raise TypeError(f"unsupported distribution type: {type(dist).__name__}")
+        self.dist, self.spin = dist, spin
 
 
 def azimuth_tensor(spin: np.ndarray, n_phi: int) -> np.ndarray:
@@ -93,8 +92,9 @@ def azimuth_tensor(spin: np.ndarray, n_phi: int) -> np.ndarray:
     return np.einsum("kni,lnj->klij", X, X.conj()) / n_phi
 
 
-def _half_cos_sin(omega):
-    return np.cos(omega / 2.0), np.sin(omega / 2.0)
+#: G[i + 2j, k + 2l] = M[i + k, j + l], the 4x4 moment matrix from the 3x3 one
+_G_ROW = np.add.outer(np.arange(4) % 2, np.arange(4) % 2)
+_G_COL = np.add.outer(np.arange(4) // 2, np.arange(4) // 2)
 
 
 def reduced_spin_density(state: BipartiteState, b: Boost, grid: QuadratureGrid) -> np.ndarray:
@@ -102,26 +102,33 @@ def reduced_spin_density(state: BipartiteState, b: Boost, grid: QuadratureGrid) 
 
     rho = sum_kl G_kl Y_kl, with Y the fixed ``azimuth_tensor`` and G the real
     moment matrix of a = (c_p c_q, s_p c_q, sign c_p s_q, sign s_p s_q) (c, s
-    of half the Wigner angle) on the (beta, p, cos(theta)) lattice.  G is
-    formed one entry at a time, so no stacked coefficient array is made.
+    of half the Wigner angle) on the (beta, p, cos(theta)) lattice.  As
+    a_{i+2j} is a product of a p factor i and a q factor j, G[i + 2j, k + 2l]
+    = M[i + k, j + l] for the 3x3 moment M_ab = sum w P_a Q_b of
+    P = (c_p^2, c_p s_p, s_p^2) and Q = (c_q^2, sign c_q s_q, s_q^2).  The
+    companion q = sign p has the particle's angles (sign +1) or those at
+    -cos(theta), which on the grid's symmetric Gauss-Legendre nodes are the
+    mirrored nodes (sign -1): one Wigner-angle evaluation serves both.
     """
     dist = state.dist
     if not isinstance(dist, EntangledMomentum):
         raise TypeError("reduced_spin_density requires a delta-correlated momentum distribution")
+    if not np.array_equal(grid.costheta[::-1], -grid.costheta):
+        raise ValueError("reduced_spin_density: the cos(theta) nodes must be symmetric about 0")
     w = grid.weights * dist.density1(grid.p**2)
-    beta = b.nodewise().beta
-    c_p, s_p = _half_cos_sin(wigner_angle(grid.p, grid.costheta, beta))
-    if dist.sign == 1:
-        c_q, s_q = c_p, s_p
-    else:
-        c_q, s_q = _half_cos_sin(wigner_angle(grid.p, -grid.costheta, beta))
-    factors = ((c_p, c_q), (s_p, c_q), (c_p, s_q), (s_p, s_q))
-    signs = (1, 1, dist.sign, dist.sign)
-    G = np.empty(np.shape(b.beta) + (4, 4))
-    for k in range(4):
-        for l in range(k, 4):
-            moment = np.einsum("...ij,...ij,...ij,...ij,...ij->...", w, *factors[k], *factors[l])
-            G[..., k, l] = G[..., l, k] = signs[k] * signs[l] * moment
+    half = wigner_angle(grid.p, grid.costheta, b.nodewise().beta)
+    half /= 2.0
+    c = np.cos(half)
+    s = np.sin(half, out=half)
+    cs = c * s
+    P = (np.multiply(c, c, out=c), cs, np.multiply(s, s, out=s))
+    Q = P if dist.sign == 1 else tuple(x[..., ::-1] for x in P)
+    M = np.empty(np.shape(b.beta) + (3, 3))
+    for i in range(3):
+        for j in range(3):
+            M[..., i, j] = np.einsum("...ij,...ij,...ij->...", w, P[i], Q[j])
+    M[..., :, 1] *= dist.sign
+    G = M[..., _G_ROW, _G_COL]
     rho = np.einsum("...kl,klij->...ij", G, azimuth_tensor(state.spin, AZIMUTH_NODES))
     worst = np.max(np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0))
     if not (worst <= TRACE_TOL):
@@ -132,7 +139,6 @@ def reduced_spin_density(state: BipartiteState, b: Boost, grid: QuadratureGrid) 
     return rho
 
 
-@dataclass(frozen=True)
 class MomentumDensitySample:
     """Matrix elements of the spin-traced momentum density at sampled coordinates.
 
@@ -143,18 +149,15 @@ class MomentumDensitySample:
     (..., n), the leading axes those of the boost speeds.
     """
 
-    pairs: np.ndarray = field(repr=False)
-    elements: np.ndarray = field(repr=False)
-    marginal_products: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if self.pairs.shape[1:] != (4, 3):
+    def __init__(self, pairs: np.ndarray, elements: np.ndarray, marginal_products: np.ndarray):
+        if pairs.shape[1:] != (4, 3):
             raise ValueError("pairs must have shape (n, 4, 3)")
-        diag = np.all(self.pairs[:, 0] == self.pairs[:, 2], axis=1) & np.all(
-            self.pairs[:, 1] == self.pairs[:, 3], axis=1
+        diag = np.all(pairs[:, 0] == pairs[:, 2], axis=1) & np.all(
+            pairs[:, 1] == pairs[:, 3], axis=1
         )
-        if np.any(self.elements[..., diag].real < -1e-10):
+        if np.any(elements[..., diag].real < -1e-10):
             raise ValueError("diagonal momentum-density elements must be non-negative")
+        self.pairs, self.elements, self.marginal_products = pairs, elements, marginal_products
 
 
 def momentum_density_samples(
@@ -211,13 +214,15 @@ def momentum_density_samples(
 _M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 
 
-def _pcg64_doubles(seed: int, count: int) -> list:
+@lru_cache(maxsize=16)
+def _pcg64_doubles(seed: int, count: int) -> tuple:
     """The first ``count`` doubles of ``np.random.default_rng(seed).random()``, bit for bit.
 
     NumPy's ``SeedSequence`` hashes the seed's 32-bit words into the 128-bit
     state and increment of a PCG64 generator (O'Neill, HMC-CS-2014-0905),
     whose XSL-RR outputs give (x >> 11) 2^-53.  Written out here so that a
-    sweep never imports ``numpy.random``.
+    sweep never imports ``numpy.random``; each stream is drawn once per
+    process and shared, as an immutable tuple, by every width of a sweep.
     """
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
@@ -259,7 +264,7 @@ def _pcg64_doubles(seed: int, count: int) -> list:
         x, rot = (state >> 64 ^ state) & _M64, state >> 122
         x = (x >> rot | x << (64 - rot)) & _M64
         out.append((x >> 11) * 2.0**-53)
-    return out
+    return tuple(out)
 
 
 def default_sample_pairs(

@@ -23,8 +23,8 @@ runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,15 +56,13 @@ class GridCoverageError(Exception):
     """Raised when a quadrature grid demonstrably fails to cover an integrand."""
 
 
-@dataclass(frozen=True)
 class _Gaussian:
     """Isotropic Gaussian radial profile of width delta (m^2 units)."""
 
-    delta: float
-
-    def __post_init__(self):
-        if not (self.delta > 0.0):
-            raise ValueError(f"delta must be positive, got {self.delta}")
+    def __init__(self, delta: float):
+        if not (delta > 0.0):
+            raise ValueError(f"delta must be positive, got {delta}")
+        self.delta = delta
 
     @property
     def norm(self) -> float:
@@ -76,7 +74,6 @@ class _Gaussian:
         return self.norm * np.exp(-np.asarray(p_sq, dtype=float) / self.delta)
 
 
-@dataclass(frozen=True)
 class GaussianProduct(_Gaussian):
     """Product of two isotropic Gaussian wavepackets of common width delta."""
 
@@ -85,7 +82,6 @@ class GaussianProduct(_Gaussian):
         return np.sqrt(self.norm) * np.exp(-np.asarray(p_sq, dtype=float) / (2.0 * self.delta))
 
 
-@dataclass(frozen=True)
 class EntangledMomentum(_Gaussian):
     """Delta-correlated pair amplitude with isotropic Gaussian radial profile.
 
@@ -94,12 +90,11 @@ class EntangledMomentum(_Gaussian):
     analysis.
     """
 
-    sign: int = -1
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.sign not in (-1, 1):
-            raise ValueError(f"sign must be -1 or +1, got {self.sign}")
+    def __init__(self, delta: float, sign: int = -1):
+        super().__init__(delta)
+        if sign not in (-1, 1):
+            raise ValueError(f"sign must be -1 or +1, got {sign}")
+        self.sign = sign
 
 
 def default_p_max(delta: float, beta: float = 0.0, m: float = 1.0) -> float:
@@ -116,8 +111,7 @@ def default_p_max(delta: float, beta: float = 0.0, m: float = 1.0) -> float:
     return 6.0 * root + np.maximum(0.0, gamma * beta * (m + 7.0 * root))
 
 
-@dataclass(frozen=True)
-class QuadratureGrid:
+class QuadratureGrid(NamedTuple):
     """Tensor rule in (p, cos(theta)): Gauss-Legendre in both, azimuth exact.
 
     ``p`` has shape (..., n_r, 1), ``costheta`` shape (n_theta,) and
@@ -131,9 +125,9 @@ class QuadratureGrid:
     n_r: int
     n_theta: int
     p_max: float
-    p: np.ndarray = field(repr=False)
-    costheta: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)
+    p: np.ndarray
+    costheta: np.ndarray
+    weights: np.ndarray
 
     @property
     def size(self) -> int:

@@ -9,7 +9,9 @@ longitudinal correlation, and ``bell_fidelity_cos`` is the Bell-only scalar
 route to the fidelity.  ``azimuth_grid`` is the (p, cos theta, phi) node set
 with any number of azimuth nodes, and the ``*_3d`` kernels are the per-speed
 3D quadratures the library's lattice kernels replaced, kept as references:
-they sum over explicit azimuth nodes instead of folding phi in.  The
+they sum over explicit azimuth nodes instead of folding phi in.
+``reduced_spin_density_two_angles`` evaluates the q = -p companion's Wigner
+angle itself and sums the 4x4 moment entry by entry.  The
 product-momentum branch of the reduced spin density and the density checks
 of ``validate_density`` live here too, as nothing in the library uses them.
 ``mean_abs_products`` averages the pointwise amplitude moduli that the
@@ -29,7 +31,7 @@ import numpy as np
 
 from relent.entanglement import ABCDValues, FidelityResult, XStateStats, _boosted_args
 from relent.kinematics import Boost, su2_matrix, wigner_angle, wigner_matrix
-from relent.relstate import TRACE_TOL, spin_up_up
+from relent.relstate import TRACE_TOL, azimuth_tensor, spin_up_up
 from relent.wavepacket import (
     AZIMUTH_NODES,
     EntangledMomentum,
@@ -280,6 +282,34 @@ def reduced_spin_density_3d(state, b, grid):
     # rho0[c, d, c', d'] over (qubit A, qubit B, primed A, primed B)
     rho0 = np.outer(state.spin, state.spin.conj()).reshape(2, 2, 2, 2)
     return checked(np.einsum("aick,bjdl,cdkl->abij", T, T, rho0).reshape(4, 4))
+
+
+def reduced_spin_density_two_angles(state, b, grid):
+    """``relstate.reduced_spin_density`` with the companion's Wigner angle evaluated itself.
+
+    The q = -p companion's angles come from their own ``wigner_angle`` call at
+    -cos(theta), not from the mirrored nodes, and the 4x4 moment matrix G of
+    a = (c_p c_q, s_p c_q, sign c_p s_q, sign s_p s_q) is summed entry by entry
+    (ten 5-operand sums) rather than gathered from a 3x3 moment.
+    """
+    dist = state.dist
+    w = grid.weights * dist.density1(grid.p**2)
+    beta = b.nodewise().beta
+
+    def half_cos_sin(costheta):
+        omega = wigner_angle(grid.p, costheta, beta)
+        return np.cos(omega / 2.0), np.sin(omega / 2.0)
+
+    c_p, s_p = half_cos_sin(grid.costheta)
+    c_q, s_q = (c_p, s_p) if dist.sign == 1 else half_cos_sin(-grid.costheta)
+    factors = ((c_p, c_q), (s_p, c_q), (c_p, s_q), (s_p, s_q))
+    signs = (1, 1, dist.sign, dist.sign)
+    G = np.empty(np.shape(b.beta) + (4, 4))
+    for k in range(4):
+        for l in range(k, 4):
+            moment = np.einsum("...ij,...ij,...ij,...ij,...ij->...", w, *factors[k], *factors[l])
+            G[..., k, l] = G[..., l, k] = signs[k] * signs[l] * moment
+    return np.einsum("...kl,klij->...ij", G, azimuth_tensor(state.spin, AZIMUTH_NODES))
 
 
 def bell_ABCD_3d(dist, b, grid):

@@ -31,6 +31,7 @@ from relent.cli import (
     parse_config,
     run,
 )
+from oracles import sample_pairs_loop
 from relent import wavepacket
 from relent.kinematics import BETA_CAP
 from relent.wavepacket import default_p_max
@@ -158,10 +159,14 @@ class TestRunScenarios:
     def test_beta_independent_inputs_built_once(self, monkeypatch):
         pair_draws, kernel_calls = [], Counter()
         draw, rule = cli.default_sample_pairs, wavepacket.gauss_legendre
+        stream = relstate._pcg64_doubles
 
         def counting_draw(dist, *args, **kwargs):
+            pairs = draw(dist, *args, **kwargs)
+            # the shared stream gives each width the pairs of its own draw
+            assert np.array_equal(pairs, sample_pairs_loop(dist, *args, **kwargs))
             pair_draws.append(dist.delta)
-            return draw(dist, *args, **kwargs)
+            return pairs
 
         def counting(name, fn):
             def wrapped(*args, **kwargs):
@@ -182,6 +187,7 @@ class TestRunScenarios:
         for betas, workers in (([0.0, 0.5], 1), (cli._DEFAULT_BETAS, 1), (cli._DEFAULT_BETAS, 2)):
             cfg = parse_config({"betas": betas, "delta": [0.5, 1.0, 4.0]})  # 32x32 lattice
             rule.cache_clear()
+            stream.cache_clear()
             pair_draws.clear()
             kernel_calls.clear()
             texts.append(emit(run(cfg, workers=workers), "csv", None))
@@ -190,10 +196,29 @@ class TestRunScenarios:
             rule(32), rule(128)
             assert rule.cache_info().misses == 2
             assert pair_draws == [0.5, 1.0, 4.0]
+            # the three widths share one draw of the PCG64 stream
+            assert stream.cache_info().misses == 1
             per_sweep.append(dict(kernel_calls))
         # one call per kernel and width, whatever the number of betas
         assert per_sweep[0] == per_sweep[1] == {"wigner_angle": 9, "_leaked_mass": 3}
         assert texts[1] == texts[2]
+
+    @pytest.mark.parametrize("scenario", ["momentum_bell_spin_up", "both_bell_correlations"])
+    def test_one_wigner_angle_evaluation_per_width(self, monkeypatch, scenario):
+        # the q = -p companion's angles are the particle's on the mirrored
+        # cos(theta) nodes, so the entangled-momentum kernel evaluates once
+        calls = []
+
+        def counting(fn):
+            def wrapped(*args, **kwargs):
+                calls.append(fn)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for module in (entanglement, relstate):
+            monkeypatch.setattr(module, "wigner_angle", counting(module.wigner_angle))
+        run(parse_config({"scenario": scenario, "delta": [0.5, 1.0, 4.0]}))
+        assert len(calls) == 3
 
 
 #: (scenario, config fields) for every combination a sweep can batch
@@ -495,7 +520,8 @@ class TestMainEntry:
         code = (
             "import sys, relent.cli\n"
             f"codes = [relent.cli.main(argv) for argv in {runs!r}]\n"
-            "lazy = [m for m in ('numpy.random', 'numpy.polynomial') if m in sys.modules]\n"
+            "lazy = [m for m in ('numpy.random', 'numpy.polynomial', 'dataclasses')\n"
+            "        if m in sys.modules]\n"
             "print(codes, lazy, file=sys.stderr)\n"
         )
         src = Path(cli.__file__).resolve().parent.parent
@@ -505,6 +531,17 @@ class TestMainEntry:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr.strip().splitlines()[-1] == f"{[EXIT_OK] * 5} []"
+
+    def test_plot_must_not_overwrite_output(self, tmp_path, capsys):
+        # the script used to replace the sweep it plots, with exit 0
+        cfg_path = write_config(tmp_path, {"betas": [0.0]})
+        out_path = tmp_path / "out.csv"
+        for plot in (str(out_path), os.path.join(str(tmp_path), ".", "out.csv")):
+            with pytest.raises(SystemExit) as exc:
+                main(["run", "--config", cfg_path, "--output", str(out_path), "--plot", plot])
+            assert exc.value.code == EXIT_CONFIG, plot
+            assert "--plot" in capsys.readouterr().err, plot
+            assert not out_path.exists(), plot
 
     def test_plot_needs_csv_output(self, tmp_path, capsys):
         # the script reads --output as comma-separated data; without it, it

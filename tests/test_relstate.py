@@ -6,12 +6,13 @@ from oracles import (
     FourMomentum,
     boost_momentum,
     reduced_spin_density_3d,
+    reduced_spin_density_two_angles,
     sample_pairs_loop,
     spin_kernel,
     validate_density,
 )
 
-from relent.kinematics import Boost
+from relent.kinematics import BETA_CAP, Boost
 from relent.relstate import (
     BipartiteState,
     bell_phi_plus,
@@ -110,6 +111,31 @@ class TestReducedSpinDensity:
         state = BipartiteState(EntangledMomentum(1.0, sign), spin_up_up())
         rho = reduced_spin_density(state, Boost(0.8), grid_default)
         assert np.max(np.abs(rho[~X_PATTERN])) < 1e-8
+
+    @pytest.mark.parametrize("sign", [-1, 1])
+    @pytest.mark.parametrize("n_theta", [2, 9, 32, 33])
+    @pytest.mark.parametrize(
+        "spin",
+        [spin_up_up(), bell_phi_plus(), np.array([0.5, 0.5j, -0.5, 0.5], dtype=complex)],
+        ids=["up_up", "bell", "generic"],
+    )
+    def test_matches_two_angle_reference(self, sign, n_theta, spin):
+        # the mirrored companion angles and the 3x3 moment against a second
+        # Wigner-angle evaluation and the 4x4 moment summed entry by entry
+        betas = np.array([0.0, 0.05, 0.3, 0.6, 0.9, 0.99, BETA_CAP])
+        for delta in (0.5, 1.0, 4.0):
+            state = BipartiteState(EntangledMomentum(delta, sign), spin)
+            grid = build_grid(24, n_theta, default_p_max(delta))
+            for b in (Boost(betas), Boost(0.0), Boost(BETA_CAP)):
+                ref = reduced_spin_density_two_angles(state, b, grid)
+                assert np.max(np.abs(reduced_spin_density(state, b, grid) - ref)) <= 1e-15
+
+    def test_rejects_asymmetric_polar_nodes(self, grid_default, entangled_unit):
+        # the companion's angles are read off the mirrored cos(theta) nodes
+        skewed = grid_default._replace(costheta=grid_default.costheta + 1e-3)
+        state = BipartiteState(entangled_unit, spin_up_up())
+        with pytest.raises(ValueError, match="symmetric"):
+            reduced_spin_density(state, Boost(0.5), skewed)
 
     def test_generic_spin_product_distribution(self, grid_default, gauss_unit):
         spin = np.array([0.5, 0.5j, -0.5, 0.5], dtype=complex)

@@ -107,6 +107,16 @@ class TestBuildGrid:
             assert np.max(np.abs(x - x_ref)) <= 1e-15
             assert np.max(np.abs(w / w_ref - 1.0)) <= 1e-10
 
+    def test_rules_exactly_symmetric(self):
+        # reduced_spin_density reads the q = -p companion off the mirrored
+        # nodes, which needs -x == x[::-1] bit for bit; every count up to 256
+        # and odd/even counts up to GRID_COUNT_MAX (1,024; a dense eigensolve
+        # each, 40 s for all of them)
+        for n in list(range(2, 257)) + [511, 512, 513, 1023, 1024]:
+            x, w = gauss_legendre(n)
+            assert np.array_equal(-x, x[::-1]), n
+            assert np.array_equal(w, w[::-1]), n
+
     def test_p_max_policy(self):
         assert default_p_max(1.0) == pytest.approx(6.0)
         assert default_p_max(1.0, beta=0.6) > 6.0
