@@ -426,16 +426,12 @@ def emit_plotscript(rows: list[SweepRow], path: str, csv_path: str) -> str:
     ]
     series = []
     for d in deltas:
-        if have_E:
-            series.append(
-                f"'{csv_path}' using 1:(column(2)=={_format_value(d)} ? column(4) : 1/0) "
-                f"with linespoints title 'E delta={_format_value(d)}'"
-            )
-        if have_F:
-            series.append(
-                f"'{csv_path}' using 1:(column(2)=={_format_value(d)} ? column(3) : 1/0) "
-                f"with linespoints title 'F delta={_format_value(d)}'"
-            )
+        for present, col, label in ((have_E, 4, "E"), (have_F, 3, "F")):
+            if present:
+                series.append(
+                    f"'{csv_path}' using 1:(column(2)=={_format_value(d)} ? column({col}) : 1/0) "
+                    f"with linespoints title '{label} delta={_format_value(d)}'"
+                )
     if not series:
         raise ValueError("rows contain neither a measure nor a fidelity column")
     lines.append("plot \\")

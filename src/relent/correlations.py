@@ -23,14 +23,8 @@ __all__ = [
     "quantum_correlation",
 ]
 
-_SIGMA = np.array(
-    [
-        [[0.0, 1.0], [1.0, 0.0]],
-        [[0.0, -1.0j], [1.0j, 0.0]],
-        [[1.0, 0.0], [0.0, -1.0]],
-    ],
-    dtype=complex,
-)
+#: the Pauli matrices (x, y, z)
+_SIGMA = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
 
 _E_BOOST = np.array([1.0, 0.0, 0.0])
 

@@ -28,18 +28,15 @@ C = 1/8, eta = 1) is reproduced exactly in this mode.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 
-from relent.kinematics import Boost, energy_ratio, wigner_angle
+from relent.kinematics import Boost, energy_ratio, wigner_half_angle
 from relent.relstate import BipartiteState, reduced_spin_density, spin_up_up
 from relent.wavepacket import (
-    EntangledMomentum,
-    GaussianProduct,
-    GridCoverageError,
-    QuadratureGrid,
-    gauss_legendre,
+    EntangledMomentum, GaussianProduct, GridCoverageError, QuadratureGrid,
 )
 
 __all__ = [
@@ -102,27 +99,12 @@ class XStateStats(NamedTuple):
         return abs(lhs - rhs) / np.maximum(np.maximum(lhs, rhs), 1e-300)
 
 
-def _norm_check(norm: float, what: str, tol: float = 1e-4) -> None:
-    if not (abs(norm - 1.0) <= tol):
-        raise GridCoverageError(
-            f"{what}: distribution norm on the grid is {norm:.6f}; grid coverage insufficient"
-        )
-
-
 def xstate_stats(dist: EntangledMomentum, b: Boost, grid: QuadratureGrid) -> XStateStats:
     """Aggregates of (a, b, c, d) under the delta-collapsed pair measure."""
     if not isinstance(dist, EntangledMomentum):
         raise TypeError("xstate_stats requires a delta-correlated momentum distribution")
-    _norm_check(float(np.sum(grid.weights * dist.density1(grid.p**2))), "xstate_stats")
     rho = reduced_spin_density(BipartiteState(dist, spin_up_up()), b, grid)
-    return XStateStats(
-        mean_a2=rho[..., 0, 0].real,
-        mean_b2=rho[..., 1, 1].real,
-        mean_c2=rho[..., 2, 2].real,
-        mean_d2=rho[..., 3, 3].real,
-        mean_ad=rho[..., 0, 3],
-        mean_bc=rho[..., 1, 2],
-    )
+    return XStateStats(*(rho[..., i, i].real for i in range(4)), rho[..., 0, 3], rho[..., 1, 2])
 
 
 def _boosted_args(grid: QuadratureGrid, b: Boost, m: float = 1.0):
@@ -134,36 +116,56 @@ def _boosted_args(grid: QuadratureGrid, b: Boost, m: float = 1.0):
     return px_b**2 + pt_sq, energy_ratio(px, p0, b)
 
 
+def _erfcx(y: float) -> float:
+    """exp(y^2) erfc(y), by the continued fraction of erfc where erfc underflows (y >= 26)."""
+    if y < 26.0:
+        return math.exp(y * y) * math.erfc(y)
+    tail = 0.0
+    for k in range(20, 0, -1):
+        tail = 0.5 * k / (y + tail)
+    return 1.0 / (math.sqrt(math.pi) * (y + tail))
+
+
+#: (node, weight) of the 3-node Gauss-Legendre rule on [0, 1]
+_GL3 = tuple((0.5 + 0.5 * x * math.sqrt(0.6), w / 18) for x, w in ((-1, 5), (0, 8), (1, 5)))
+
+
 def _leaked_mass(dist: GaussianProduct, b: Boost, p_max, m: float = 1.0) -> np.ndarray:
-    """Wavepacket mass whose inverse-boosted argument lies beyond p_max, per speed.
+    """Wavepacket mass whose inverse-boosted argument lies beyond P = p_max, per speed.
 
-    This is the part of |f1|^2 that boosted-argument evaluation on a grid of
-    radius p_max can never see.  Azimuthal symmetry reduces it to a fixed
-    fine 2D reference quadrature, built once per call (one cutoff or one per
-    speed), so the estimate does not inherit the grid's resolution.
-
-    At fixed radius R, |Lambda^-1 p|^2 falls with cos(theta) for beta > 0 (its
-    derivative is 2 R gamma^2 beta (beta R cos(theta) - k0) < 0) and is flat
-    at beta = 0, so a radius can leak only if its smallest cos(theta) node
-    does.  The mask is evaluated on those radii alone, picked with a relative
-    margin so that rounding cannot drop one.
+    Boosted-argument evaluation on a grid of radius P never sees it.  p leaks
+    exactly when gamma (E_p - beta p_x) > E_P (Lambda^-1 p is on shell).  The
+    transverse Gaussian beyond the leaking radius integrates to
+    exp(-rho^2/delta), so the leak is the whole p_x marginal outside [x-, x+],
+    x-+ = gamma (beta E_P -+ P), plus [exp(-x-^2/delta) erfcx(E-/sqrt(delta)) -
+    exp(-x+^2/delta) erfcx(E+/sqrt(delta))] / (2 beta), E-+ = gamma (E_P -+
+    beta P); at beta = 0, erfc(u) + 2 u exp(-u^2)/sqrt(pi) with u = P/sqrt(delta).
+    Where the exponent changes by less than 0.1 across [x-, x+] the erfcx terms
+    cancel, and the inner integrand exp(-(x-^2 + beta s (2 E- + beta s))/delta)
+    / sqrt(pi delta), p_x = x- + s, goes on ``_GL3`` (relative error < 1e-12).
     """
-    x, w = gauss_legendre(128)  # the same rule in radius and in cos(theta)
-    r = 3.0 * np.sqrt(dist.delta) * (x + 1.0)  # covers [0, 6 sqrt(delta)]
-    wr = 3.0 * np.sqrt(dist.delta) * w
-    R, CT = r[:, None], x  # broadcast to the 128 x 128 reference
-    W = np.outer(wr * r**2 * dist.density1(r**2), w) * 2.0 * np.pi
-    k0 = np.sqrt(m**2 + R**2)
-    px, pt_sq = R * CT, R**2 * (1.0 - CT**2)
-    gamma, beta, cutoff = np.broadcast_arrays(b.gamma, b.beta, p_max)
-    first = (gamma[..., None] * (px[:, 0] - beta[..., None] * k0[:, 0])) ** 2 + pt_sq[:, 0]
-    can_leak = first > (cutoff**2 * (1.0 - 1e-12))[..., None]  # (..., radius)
-    leaked = np.empty(beta.shape)
-    for i in np.ndindex(beta.shape):
-        rows = can_leak[i]
-        inv_x = gamma[i] * (px[rows] - beta[i] * k0[rows])  # x component after undoing the boost
-        leaked[i] = np.sum(W[rows] * (inv_x**2 + pt_sq[rows] > cutoff[i] ** 2))
-    return leaked
+    delta, root = dist.delta, math.sqrt(dist.delta)
+    beta, cutoff = np.broadcast_arrays(b.beta, p_max)
+    leaked = []
+    for v, P in zip(beta.ravel().tolist(), cutoff.ravel().tolist()):
+        gamma = 1.0 / math.sqrt((1.0 - v) * (1.0 + v))
+        E_P = math.sqrt(m * m + P * P)
+        # x- and E- in forms without cancellation
+        x_lo = gamma * ((v * m) ** 2 - (P / gamma) ** 2) / (v * E_P + P)
+        x_hi = gamma * (v * E_P + P)
+        E_lo = gamma * (m * m + (P / gamma) ** 2) / (E_P + v * P)
+        width = x_hi - x_lo  # 2 gamma P
+        leak = 0.5 * math.erfc(-x_lo / root) + 0.5 * math.erfc(x_hi / root)
+        if v * width * (2.0 * E_lo + v * width) >= 0.1 * delta:
+            E_hi = gamma * (E_P + v * P)
+            leak += (math.exp(-x_lo * x_lo / delta) * _erfcx(E_lo / root)
+                     - math.exp(-x_hi * x_hi / delta) * _erfcx(E_hi / root)) / (2.0 * v)
+        else:
+            inner = sum(w * math.exp(-v * s * width * (2.0 * E_lo + v * s * width) / delta)
+                        for s, w in _GL3)
+            leak += math.exp(-x_lo * x_lo / delta) * width * inner / (math.sqrt(math.pi) * root)
+        leaked.append(leak)
+    return np.reshape(leaked, beta.shape)
 
 
 def fidelity(state: BipartiteState, b: Boost, grid: QuadratureGrid) -> FidelityResult:
@@ -195,9 +197,7 @@ def fidelity(state: BipartiteState, b: Boost, grid: QuadratureGrid) -> FidelityR
     w *= dist.amplitude1(boosted_sq)
     w *= dist.amplitude1(grid.p**2)
     del boosted_sq
-    half = wigner_angle(grid.p, grid.costheta, nb.beta)
-    half /= 2.0
-    m = np.sum(w * np.cos(half, out=half), axis=(-2, -1))
+    m = np.sum(w * wigner_half_angle(grid.p, grid.costheta, nb.beta)[0], axis=(-2, -1))
     overlap = m**2 * np.vdot(state.spin, state.spin)
     return FidelityResult(overlap=overlap, fidelity=np.abs(overlap) ** 2)
 
@@ -218,13 +218,15 @@ def bell_ABCD(
         raise TypeError("bell_ABCD requires a product momentum distribution")
     w = grid.weights * dist.density1(grid.p**2)
     norm = float(np.sum(w))
-    _norm_check(norm, "bell_ABCD")
+    if not (abs(norm - 1.0) <= 1e-4):
+        raise GridCoverageError(
+            f"bell_ABCD: distribution norm on the grid is {norm:.6f}; grid coverage insufficient"
+        )
 
     if analytic_limit:
-        omega = np.arccos(np.clip(grid.costheta, -1.0, 1.0))
+        c2_node = (1.0 + grid.costheta) / 2.0
     else:
-        omega = wigner_angle(grid.p, grid.costheta, b.nodewise().beta)
-    c2_node = np.cos(omega / 2.0) ** 2
+        c2_node = wigner_half_angle(grid.p, grid.costheta, b.nodewise().beta)[0] ** 2
     shape = np.shape(b.beta)
     c2 = np.broadcast_to(np.sum(w * c2_node, axis=(-2, -1)), shape)
     s2 = np.broadcast_to(np.sum(w * (1.0 - c2_node), axis=(-2, -1)), shape)

@@ -13,7 +13,7 @@ The Wigner rotation of a massive spin-1/2 particle is defined group
 theoretically: ``W = L(Lambda p)^-1 Lambda L(p)`` with L(k) the canonical
 (rotation-free, symmetric) boost taking the rest momentum to k.  The spatial
 block of W is an SO(3) rotation about the axis normal to the plane of the
-boost axis and the momentum; ``wigner_angle`` gives its angle in closed form.
+boost axis and the momentum; ``wigner_half_angle`` gives its half-angle's cos/sin.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import numpy as np
 __all__ = [
     "Boost",
     "wigner_angle",
+    "wigner_half_angle",
     "wigner_matrix",
     "su2_matrix",
     "energy_ratio",
@@ -51,16 +52,17 @@ class Boost:
         return Boost(np.reshape(self.beta, np.shape(self.beta) + (1, 1)))
 
 
-def wigner_angle(p, costheta, beta, m=1.0, sintheta=None):
-    """Closed-form Wigner angle for momentum magnitude p at polar angle theta.
+def wigner_half_angle(p, costheta, beta, m=1.0, sintheta=None):
+    """cos(Omega/2) and sin(Omega/2) of the Wigner angle at momentum p and polar angle theta.
 
     tan(Omega/2) = sh(a/2) sh(d/2) sin(theta)
                    / (ch(a/2) ch(d/2) + sh(a/2) sh(d/2) cos(theta))
 
-    with a the boost rapidity and d the particle rapidity (ch d = p0/m).
-    Broadcast over p, costheta and beta.  Returns Omega in [0, pi).  Pass
-    ``sintheta`` when the transverse fraction is known exactly (near-collinear
-    momenta lose half their digits through 1 - cos^2).
+    with a the boost rapidity and d the particle rapidity (ch d = p0/m); the
+    denominator is positive, so (cos, sin) = (den, num) / hypot(num, den)
+    exactly.  Broadcast over p, costheta and beta.  Pass ``sintheta`` when the
+    transverse fraction is known exactly (near-collinear momenta lose half
+    their digits through 1 - cos^2).
     """
     p = np.asarray(p, dtype=float)
     costheta = np.asarray(costheta, dtype=float)
@@ -76,7 +78,14 @@ def wigner_angle(p, costheta, beta, m=1.0, sintheta=None):
         sintheta = np.sqrt(np.maximum(0.0, 1.0 - costheta**2))
     num = sha * shd * sintheta
     den = cha * chd + sha * shd * costheta
-    return 2.0 * np.arctan2(num, den)
+    norm = np.hypot(num, den)
+    return den / norm, num / norm
+
+
+def wigner_angle(p, costheta, beta, m=1.0, sintheta=None):
+    """The Wigner angle Omega in [0, pi), twice the angle of ``wigner_half_angle``."""
+    c, s = wigner_half_angle(p, costheta, beta, m, sintheta)
+    return 2.0 * np.arctan2(s, c)
 
 
 def su2_matrix(c, u, v) -> np.ndarray:

@@ -26,7 +26,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from relent.kinematics import Boost, energy_ratio, su2_matrix, wigner_angle, wigner_matrix
+from relent.kinematics import (
+    Boost, energy_ratio, su2_matrix, wigner_angle, wigner_half_angle, wigner_matrix,
+)
 from relent.wavepacket import (
     AZIMUTH_NODES,
     EntangledMomentum,
@@ -116,10 +118,7 @@ def reduced_spin_density(state: BipartiteState, b: Boost, grid: QuadratureGrid) 
     if not np.array_equal(grid.costheta[::-1], -grid.costheta):
         raise ValueError("reduced_spin_density: the cos(theta) nodes must be symmetric about 0")
     w = grid.weights * dist.density1(grid.p**2)
-    half = wigner_angle(grid.p, grid.costheta, b.nodewise().beta)
-    half /= 2.0
-    c = np.cos(half)
-    s = np.sin(half, out=half)
+    c, s = wigner_half_angle(grid.p, grid.costheta, b.nodewise().beta)
     cs = c * s
     P = (np.multiply(c, c, out=c), cs, np.multiply(s, s, out=s))
     Q = P if dist.sign == 1 else tuple(x[..., ::-1] for x in P)

@@ -101,10 +101,10 @@ def default_p_max(delta: float, beta: float = 0.0, m: float = 1.0) -> float:
     """Radial cutoff policy: 6 sqrt(delta) plus boost headroom.
 
     The headroom gamma*beta*(m + 7 sqrt(delta)) keeps the inverse-boosted
-    image of the Gaussian bulk inside the grid.  At extreme boosts the
-    unreachable region approaches the half-space p_x < -(m + 7 sqrt(delta))/2,
-    a > 4.9 sigma single-axis tail, so boosted-argument evaluation misses
-    less than ~1e-6 of the mass for any beta.  Broadcasts over delta and beta.
+    image of the Gaussian bulk inside the grid.  The mass it leaves outside
+    (``entanglement._leaked_mass``, in closed form) is 1.6e-15 at beta = 0 and
+    below 7.5e-7 for every width in [1e-12, 1e12] and beta up to the cap,
+    largest at width 1e12 and the cap.  Broadcasts over delta and beta.
     """
     root = np.sqrt(delta)
     gamma = 1.0 / np.sqrt((1.0 - beta) * (1.0 + beta))
@@ -155,16 +155,16 @@ def gauss_legendre(n: int) -> tuple:
     Golub-Welsch (Math. Comp. 23, 221 (1969)): the nodes are the eigenvalues
     of the symmetric Jacobi matrix of the Legendre recurrence, off-diagonal
     k / sqrt(4 k^2 - 1), polished by two Newton steps on P_n.  The weights are
-    2 / ((1 - x^2) P_n'(x)^2), symmetrised and scaled to sum to 2.  The arrays
-    are shared between callers, so they are read-only.
+    2 / ((1 - x^2) P_n'(x)^2) at the second step's x, where P_n' is already
+    known, symmetrised and scaled to sum to 2.  The arrays are shared between
+    callers, so they are read-only.
     """
     k = np.arange(1.0, n)
     x = np.linalg.eigvalsh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
     for _ in range(2):
         p, dp = _legendre(n, x)
-        x = x - p / dp
-    dp = _legendre(n, x)[1]
-    w = 2.0 / ((1.0 - x * x) * dp * dp)
+        x, x_prev = x - p / dp, x
+    w = 2.0 / ((1.0 - x_prev * x_prev) * dp * dp)
     w = (w + w[::-1]) / 2.0
     return _read_only((x - x[::-1]) / 2.0, w * (2.0 / np.sum(w)))
 

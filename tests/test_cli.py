@@ -95,6 +95,14 @@ class TestConfigParsing:
         assert parse_config(cfg.to_json_dict()) == cfg
 
 
+#: every module-level binding of a Wigner-angle function that a sweep calls
+ANGLE_BINDINGS = (
+    (entanglement, "wigner_half_angle"),
+    (relstate, "wigner_half_angle"),
+    (relstate, "wigner_angle"),
+)
+
+
 class TestRunScenarios:
     def test_trivial_bell_row(self):
         cfg = parse_config({"betas": [0.0]})
@@ -175,50 +183,52 @@ class TestRunScenarios:
             return wrapped
 
         monkeypatch.setattr(cli, "default_sample_pairs", counting_draw)
-        # every Wigner-angle evaluation and every leaked-mass check, which
-        # builds its 128x128 reference once per call
-        for module in (entanglement, relstate):
-            wrapped = counting("wigner_angle", module.wigner_angle)
-            monkeypatch.setattr(module, "wigner_angle", wrapped)
+        # every Wigner-angle evaluation, as half-angle cosines and sines or as
+        # the angle itself, and every leaked-mass check
+        for module, name in ANGLE_BINDINGS:
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         monkeypatch.setattr(
             entanglement, "_leaked_mass", counting("_leaked_mass", entanglement._leaked_mass)
         )
         texts, per_sweep = [], []
         for betas, workers in (([0.0, 0.5], 1), (cli._DEFAULT_BETAS, 1), (cli._DEFAULT_BETAS, 2)):
-            cfg = parse_config({"betas": betas, "delta": [0.5, 1.0, 4.0]})  # 32x32 lattice
+            cfg = parse_config({"betas": betas, "delta": [0.5, 1.0, 4.0], "grid": {"n_theta": 24}})
             rule.cache_clear()
             stream.cache_clear()
             pair_draws.clear()
             kernel_calls.clear()
             texts.append(emit(run(cfg, workers=workers), "csv", None))
-            # two rules computed, and they are the 32- and 128-node ones
-            assert rule.cache_info().misses == 2
-            rule(32), rule(128)
+            # only the n_r and n_theta rules are computed: the leak check
+            # builds none, so no sweep computes a 128-node rule
+            assert rule.cache_info().misses == rule.cache_info().currsize == 2
+            rule(32), rule(24)
             assert rule.cache_info().misses == 2
             assert pair_draws == [0.5, 1.0, 4.0]
             # the three widths share one draw of the PCG64 stream
             assert stream.cache_info().misses == 1
             per_sweep.append(dict(kernel_calls))
-        # one call per kernel and width, whatever the number of betas
-        assert per_sweep[0] == per_sweep[1] == {"wigner_angle": 9, "_leaked_mass": 3}
+        # one call per kernel and width, whatever the number of betas:
+        # fidelity and bell_ABCD take half-angles, the density samples the angle
+        want = {"wigner_half_angle": 6, "wigner_angle": 3, "_leaked_mass": 3}
+        assert per_sweep[0] == per_sweep[1] == want
         assert texts[1] == texts[2]
 
     @pytest.mark.parametrize("scenario", ["momentum_bell_spin_up", "both_bell_correlations"])
     def test_one_wigner_angle_evaluation_per_width(self, monkeypatch, scenario):
         # the q = -p companion's angles are the particle's on the mirrored
         # cos(theta) nodes, so the entangled-momentum kernel evaluates once
-        calls = []
+        calls = Counter()
 
-        def counting(fn):
+        def counting(name, fn):
             def wrapped(*args, **kwargs):
-                calls.append(fn)
+                calls[name] += 1
                 return fn(*args, **kwargs)
             return wrapped
 
-        for module in (entanglement, relstate):
-            monkeypatch.setattr(module, "wigner_angle", counting(module.wigner_angle))
+        for module, name in ANGLE_BINDINGS:
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         run(parse_config({"scenario": scenario, "delta": [0.5, 1.0, 4.0]}))
-        assert len(calls) == 3
+        assert calls == {"wigner_half_angle": 3}
 
 
 #: (scenario, config fields) for every combination a sweep can batch

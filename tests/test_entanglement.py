@@ -1,3 +1,7 @@
+import importlib.util
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +15,8 @@ from oracles import (
     mc_bell_abcd,
     mc_bell_fidelity,
     mean_abs_products,
-    leaked_mass_full,
+    leaked_mass_mask,
+    leaked_mass_panels,
     partial_transpose,
     reduced_spin_density_3d,
     spin_kernel,
@@ -47,7 +52,6 @@ from relent.wavepacket import (
     GridCoverageError,
     build_grid,
     default_p_max,
-    gauss_legendre,
 )
 
 momenta = st.builds(
@@ -154,6 +158,17 @@ class TestCoverageGuards:
                     call()
 
 
+    @pytest.mark.parametrize("p_max", [2.0, 3.0])
+    def test_under_covered_grid_is_coverage_error(self, p_max):
+        # xstate_stats has no norm check of its own: for a unit spin the
+        # density's trace is the grid norm, checked at the same 1e-4
+        dist, grid = EntangledMomentum(1.0, -1), build_grid(32, 32, p_max)
+        deficit = 1.0 - np.sum(grid.weights * dist.density1(grid.p**2))
+        assert deficit > 1e-4
+        with pytest.raises(GridCoverageError):
+            xstate_stats(dist, Boost(np.array([0.0, 0.5])), grid)
+
+
 class TestSeparabilityVerdict:
     @pytest.mark.parametrize("sign", [-1, 1])
     @pytest.mark.parametrize("beta", [0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99])
@@ -227,18 +242,12 @@ class TestFidelity:
             fidelity(state, Boost(0.9), grid)
 
     @pytest.mark.parametrize("delta", [1e-12, 1e-3, 0.5, 1.0, 4.0, 100.0, 1e6, 1e12])
-    def test_leak_mask_on_leaking_radii_matches_full_mask(self, delta):
+    def test_fixed_cutoff_leaks_past_p_max(self, delta):
         dist = GaussianProduct(delta)
         b = Boost(np.append(np.arange(20) * 0.05, [0.99, 0.999, BETA_CAP]))
-        # cutoffs on reference radii put nodes on the mask's edge
-        on_nodes = 3.0 * np.sqrt(delta) * (gauss_legendre(128)[0][[5, 64, 100]] + 1.0)
-        leaks = False
-        for p_max in (default_p_max(delta, b.beta), default_p_max(delta), *on_nodes):
-            full = leaked_mass_full(dist, b, p_max)
-            assert np.max(np.abs(_leaked_mass(dist, b, p_max) - full)) <= 1e-14
-            leaks |= np.any(full > 1e-4)
-        assert leaks
-        # a fixed cutoff without boost headroom still fails the fidelity guard
+        # the auto cutoff holds every speed's boosted packet, a fixed one does not
+        assert np.all(_leaked_mass(dist, b, default_p_max(delta, b.beta)) < 1e-6)
+        assert np.any(_leaked_mass(dist, b, default_p_max(delta)) > 1e-4)
         grid = build_grid(32, 32, default_p_max(delta))
         state = BipartiteState(dist, bell_phi_plus())
         with pytest.raises(GridCoverageError, match="leaks past p_max"):
@@ -250,6 +259,102 @@ class TestFidelity:
         f_quad = fidelity(state, Boost(0.5), grid).fidelity
         f_mc, err = mc_bell_fidelity(1.0, 0.5, n=10**6, seed=7)
         assert abs(f_quad - f_mc) < 3.0 * err
+
+
+def _leak_cases():
+    """(width, betas, cutoffs) of every fidelity sweep in the goldens and the seed-0 benchmark."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    docs = list(GOLDEN.values())
+    docs += [d for w in workloads.WORKLOADS for d in workloads.configs(w, 0)]
+    for doc in docs:
+        cfg = parse_config(doc)
+        if cfg.scenario in ("spin_bell_momentum_product", "fidelity_only"):
+            for delta in cfg.delta:
+                betas = np.array(cfg.betas)
+                yield delta, betas, cfg.grid.resolve_p_max(delta, betas)
+
+
+class TestLeakedMass:
+    """The closed-form leaked mass against the exact 3D tail and two quadratures."""
+
+    @pytest.mark.parametrize("delta", [1e-12, 1e-3, 1.0, 4.0, 1e6, 1e12])
+    @pytest.mark.parametrize("u", [0.5, 2.5, 3.25, 6.0, 12.0])
+    def test_unboosted_is_the_3d_tail(self, delta, u):
+        tail = math.erfc(u) + 2.0 * u * math.exp(-u * u) / math.sqrt(math.pi)
+        got = _leaked_mass(GaussianProduct(delta), Boost(0.0), u * math.sqrt(delta))
+        assert abs(got / tail - 1.0) <= 1e-13
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        log_delta=st.floats(-12.0, 12.0),
+        beta=st.one_of(
+            st.just(0.0),
+            st.floats(1e-14, BETA_CAP),
+            st.floats(-14.0, -1.0).map(lambda e: 10.0**e),
+            st.floats(-9.0, -1.0).map(lambda e: 1.0 - 10.0**e),
+        ),
+        frac=st.floats(0.0, 1.0),
+    )
+    def test_against_panel_quadrature(self, log_delta, beta, frac):
+        delta = 10.0**log_delta
+        beta = min(beta, BETA_CAP)
+        lo, hi = 2.5 * math.sqrt(delta), float(default_p_max(delta, beta))
+        p_max = lo * (hi / lo) ** frac
+        got = float(_leaked_mass(GaussianProduct(delta), Boost(beta), p_max))
+        assert math.isfinite(got) and 0.0 <= got <= 1.0
+        want = leaked_mass_panels(delta, beta, p_max)
+        assert abs(got - want) <= 1e-6 * want + 1e-12
+
+    @pytest.mark.parametrize("delta", [1e-12, 1.0, 1e12])
+    @pytest.mark.parametrize("u", [2.5, 4.0])
+    def test_continuous_as_beta_vanishes(self, delta, u):
+        # both branches: the tiny-speed rule below the switch at an exponent
+        # change of 0.1 across [x-, x+], the two erfcx terms above it
+        p_max = u * math.sqrt(delta)
+        e_p = math.sqrt(1.0 + p_max**2)
+        switch = 0.1 * delta / (4.0 * p_max * e_p)
+        betas = np.concatenate(
+            ([0.0], 10.0 ** -np.arange(14.0, 0.0, -1.0), switch * (1.0 + np.linspace(-0.01, 0.01, 41)))
+        )
+        betas = betas[betas <= BETA_CAP]
+        dist = GaussianProduct(delta)
+        got = _leaked_mass(dist, Boost(betas), p_max)
+        want = np.array([leaked_mass_panels(delta, b, p_max) for b in betas])
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-11
+        assert abs(got[1] / got[0] - 1.0) <= 1e-13  # beta = 1e-14 against beta = 0
+
+    @pytest.mark.parametrize(
+        "p_max, want",
+        # mpmath at 50 digits on the same closed form's integral
+        [(22360.6868, 0.33528651763260137), (22360.7136, 0.01698865100809349),
+         (22360.73, 0.0007954608759120591)],
+    )
+    def test_packet_on_the_cutoff_at_the_cap(self, p_max, want):
+        # at width 1e-12 and BETA_CAP a cutoff just past gamma beta m puts the
+        # boosted packet on the edge; gamma (beta E_P - P) then cancels from
+        # 2.2e4 down to a few sqrt(delta), and taken as written it errs by 4-13%
+        got = _leaked_mass(GaussianProduct(1e-12), Boost(BETA_CAP), p_max)
+        assert abs(got / want - 1.0) <= 1e-8
+
+    def test_same_verdict_as_mask_quadrature(self):
+        # every golden and seed-0 benchmark cell passes the check under both,
+        # and with the cutoff fixed at beta = 0 both fail from the same speeds
+        # on (the mask quadrature errs by a few percent, so cells within 20% of
+        # the threshold may differ; none of these is)
+        cases = 0
+        for delta, betas, p_max in _leak_cases():
+            dist, b = GaussianProduct(delta), Boost(betas)
+            for cutoff in (p_max, default_p_max(delta)):
+                exact, mask = _leaked_mass(dist, b, cutoff), leaked_mass_mask(dist, b, cutoff)
+                assert np.all(np.abs(exact / 1e-4 - 1.0) > 0.2)
+                assert np.array_equal(exact > 1e-4, mask > 1e-4)
+            assert not np.any(_leaked_mass(dist, b, p_max) > 1e-4)
+            cases += 1
+        assert cases == 11  # 5 golden and 6 benchmark sweeps of one width
 
 
 class TestBellABCD:
