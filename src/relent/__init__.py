@@ -21,7 +21,7 @@ from relent.entanglement import (
     xstate_pt_spectrum,
     xstate_stats,
 )
-from relent.kinematics import Boost, wigner_matrix
+from relent.kinematics import Boost
 from relent.relstate import (
     BipartiteState,
     bell_phi_plus,

@@ -412,9 +412,11 @@ def emit_plotscript(rows: list[SweepRow], path: str, csv_path: str) -> str:
     """gnuplot script drawing the measure and fidelity against boost speed.
 
     One labelled series per width value and per populated quantity; quantities
-    absent from every row are left out.
+    absent from every row are left out.  ``csv_path`` is written in gnuplot
+    single quotes, inside which a quote is doubled.
     """
     deltas = sorted({row.delta for row in rows})
+    quoted = "'" + csv_path.replace("'", "''") + "'"
     have_E = any(row.E is not None for row in rows)
     have_F = any(row.fidelity is not None for row in rows)
     lines = [
@@ -429,7 +431,7 @@ def emit_plotscript(rows: list[SweepRow], path: str, csv_path: str) -> str:
         for present, col, label in ((have_E, 4, "E"), (have_F, 3, "F")):
             if present:
                 series.append(
-                    f"'{csv_path}' using 1:(column(2)=={_format_value(d)} ? column({col}) : 1/0) "
+                    f"{quoted} using 1:(column(2)=={_format_value(d)} ? column({col}) : 1/0) "
                     f"with linespoints title '{label} delta={_format_value(d)}'"
                 )
     if not series:

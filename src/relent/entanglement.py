@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from relent.kinematics import Boost, energy_ratio, wigner_half_angle
+from relent.kinematics import Boost, tan_half_angle, wigner_tan_product
 from relent.relstate import BipartiteState, reduced_spin_density, spin_up_up
 from relent.wavepacket import (
     EntangledMomentum, GaussianProduct, GridCoverageError, QuadratureGrid,
@@ -105,15 +105,6 @@ def xstate_stats(dist: EntangledMomentum, b: Boost, grid: QuadratureGrid) -> XSt
         raise TypeError("xstate_stats requires a delta-correlated momentum distribution")
     rho = reduced_spin_density(BipartiteState(dist, spin_up_up()), b, grid)
     return XStateStats(*(rho[..., i, i].real for i in range(4)), rho[..., 0, 3], rho[..., 1, 2])
-
-
-def _boosted_args(grid: QuadratureGrid, b: Boost, m: float = 1.0):
-    """|Lambda p|^2 and (Lambda p)^0/p^0 on the (beta, p, cos(theta)) lattice of nodewise b."""
-    px = grid.p * grid.costheta
-    pt_sq = grid.p**2 - px**2
-    p0 = np.sqrt(m**2 + grid.p**2)
-    px_b = b.gamma * (px + b.beta * p0)
-    return px_b**2 + pt_sq, energy_ratio(px, p0, b)
 
 
 def _erfcx(y: float) -> float:
@@ -190,14 +181,28 @@ def fidelity(state: BipartiteState, b: Boost, grid: QuadratureGrid) -> FidelityR
             f"fidelity: boosted wavepacket leaks past p_max (norm deficit {np.max(deficit):.2e})"
         )
 
-    nb = b.nodewise()
-    boosted_sq, jac = _boosted_args(grid, nb)
-    # in place: the (beta, p, cos(theta)) temporaries set the sweep's peak memory
-    w = np.multiply(grid.weights, np.sqrt(jac, out=jac), out=jac)
-    w *= dist.amplitude1(boosted_sq)
-    w *= dist.amplitude1(grid.p**2)
-    del boosted_sq
-    m = np.sum(w * wigner_half_angle(grid.p, grid.costheta, nb.beta)[0], axis=(-2, -1))
+    # sqrt(J) f1(Lp) f1(p) cos(Omega/2) in two (beta, p, cos(theta)) buffers, in
+    # place: the lattice temporaries set the sweep's peak memory
+    nb, p, ct = b.nodewise(), grid.p, grid.costheta
+    gamma, p0 = nb.gamma, np.sqrt(1.0 + p * p)
+    x, y = np.empty((2,) + np.broadcast_shapes(np.shape(nb.beta), grid.weights.shape))
+    np.multiply(p, ct, out=y)
+    y += nb.beta * p0
+    y *= gamma  # (Lp)_x
+    np.multiply(p * p, 2.0 - ct * ct, out=x)  # p^2 + |p_perp|^2
+    x += np.square(y, out=y)
+    x *= -0.5 / dist.delta
+    np.exp(x, out=x)  # f1(Lp) f1(p) / N
+    x *= grid.weights
+    np.multiply(nb.beta * p / p0, ct, out=y)
+    y += 1.0
+    y *= gamma  # (Lp)^0/p^0 = gamma (1 + beta p_x/p^0)
+    x *= np.sqrt(y, out=y)
+    r = tan_half_angle(wigner_tan_product(p, nb.beta), ct, out=y)
+    r *= r
+    r += 1.0
+    x /= np.sqrt(r, out=r)  # cos(Omega/2) = 1 / sqrt(1 + r^2)
+    m = dist.norm * np.sum(x, axis=(-2, -1))
     overlap = m**2 * np.vdot(state.spin, state.spin)
     return FidelityResult(overlap=overlap, fidelity=np.abs(overlap) ** 2)
 
@@ -224,12 +229,18 @@ def bell_ABCD(
         )
 
     if analytic_limit:
-        c2_node = (1.0 + grid.costheta) / 2.0
+        s2 = np.sum(w * (1.0 - grid.costheta), axis=(-2, -1)) / 2.0
     else:
-        c2_node = wigner_half_angle(grid.p, grid.costheta, b.nodewise().beta)[0] ** 2
-    shape = np.shape(b.beta)
-    c2 = np.broadcast_to(np.sum(w * c2_node, axis=(-2, -1)), shape)
-    s2 = np.broadcast_to(np.sum(w * (1.0 - c2_node), axis=(-2, -1)), shape)
+        # sin^2(Omega/2) = r^2 / (1 + r^2), contracted without a product temporary
+        nb = b.nodewise()
+        rr, c2_node = np.empty((2,) + np.broadcast_shapes(np.shape(nb.beta), grid.weights.shape))
+        tan_half_angle(wigner_tan_product(grid.p, nb.beta), grid.costheta, out=rr)
+        rr *= rr
+        np.add(rr, 1.0, out=c2_node)
+        np.reciprocal(c2_node, out=c2_node)
+        s2 = np.einsum("...ij,...ij,...ij->...", w, rr, c2_node)
+    s2 = np.broadcast_to(s2, np.shape(b.beta))
+    c2 = norm - s2
 
     A = c2**2 + 0.5 * s2**2
     B = c2 * s2

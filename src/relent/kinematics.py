@@ -13,7 +13,12 @@ The Wigner rotation of a massive spin-1/2 particle is defined group
 theoretically: ``W = L(Lambda p)^-1 Lambda L(p)`` with L(k) the canonical
 (rotation-free, symmetric) boost taking the rest momentum to k.  The spatial
 block of W is an SO(3) rotation about the axis normal to the plane of the
-boost axis and the momentum; ``wigner_half_angle`` gives its half-angle's cos/sin.
+boost axis and the momentum.  Its angle enters only through the product
+t = tanh(a/2) tanh(d/2) of the boost's and the particle's half-rapidity
+tanhs (``wigner_tan_product``, on the (beta, p) axes) and cos(theta):
+tan(Omega/2) = t sin(theta) / (1 + t cos(theta)) (``tan_half_angle``, which
+the lattice kernels write into their own buffers), and ``wigner_half_angle``
+gives the half-angle's cos and sin.
 """
 
 from __future__ import annotations
@@ -22,9 +27,9 @@ import numpy as np
 
 __all__ = [
     "Boost",
-    "wigner_angle",
+    "wigner_tan_product",
+    "tan_half_angle",
     "wigner_half_angle",
-    "wigner_matrix",
     "su2_matrix",
     "energy_ratio",
 ]
@@ -52,40 +57,51 @@ class Boost:
         return Boost(np.reshape(self.beta, np.shape(self.beta) + (1, 1)))
 
 
-def wigner_half_angle(p, costheta, beta, m=1.0, sintheta=None):
-    """cos(Omega/2) and sin(Omega/2) of the Wigner angle at momentum p and polar angle theta.
+def wigner_tan_product(p, beta, m=1.0):
+    """t = tanh(a/2) tanh(d/2), a the boost rapidity and d the particle's (ch d = p0/m).
 
-    tan(Omega/2) = sh(a/2) sh(d/2) sin(theta)
-                   / (ch(a/2) ch(d/2) + sh(a/2) sh(d/2) cos(theta))
+    tanh(a/2) = gamma beta / (gamma + 1) and tanh(d/2) = (p/m) / (p0/m + 1), so
+    0 <= t < 1 without cancellation at any speed or momentum.  The Wigner
+    angle at polar angle theta then has tan(Omega/2) = t sin(theta) /
+    (1 + t cos(theta)) (``tan_half_angle``).  Broadcast over p and beta only.
+    """
+    gamma_b = 1.0 / np.sqrt((1.0 - beta) * (1.0 + beta))
+    x = np.asarray(p, dtype=float) / m
+    return (gamma_b * beta / (gamma_b + 1.0)) * (x / (np.sqrt(1.0 + x * x) + 1.0))
 
-    with a the boost rapidity and d the particle rapidity (ch d = p0/m); the
-    denominator is positive, so (cos, sin) = (den, num) / hypot(num, den)
-    exactly.  Broadcast over p, costheta and beta.  Pass ``sintheta`` when the
+
+def tan_half_angle(t, costheta, sintheta=None, out=None):
+    """r = tan(Omega/2) = t sin(theta) / (1 + t cos(theta)), written into ``out`` if given.
+
+    The denominator is at least 1 - t > 0.  cos^2(Omega/2) = 1 / (1 + r^2),
+    and the cosine-sine product and sin^2 are r and r^2 times it.  ``out``
+    must have the broadcast shape of the inputs.  Pass ``sintheta`` when the
     transverse fraction is known exactly (near-collinear momenta lose half
     their digits through 1 - cos^2).
     """
-    p = np.asarray(p, dtype=float)
     costheta = np.asarray(costheta, dtype=float)
-    gamma_b = 1.0 / np.sqrt((1.0 - beta) * (1.0 + beta))
-    # half-rapidity hyperbolics via sinh(x/2) = sinh(x)/sqrt(2(cosh(x)+1)),
-    # which keeps full precision down to zero speed/momentum
-    cha = np.sqrt((gamma_b + 1.0) / 2.0)
-    sha = gamma_b * beta / np.sqrt(2.0 * (gamma_b + 1.0))
-    gamma_p = np.sqrt(1.0 + (p / m) ** 2)  # p0/m
-    chd = np.sqrt((gamma_p + 1.0) / 2.0)
-    shd = (p / m) / np.sqrt(2.0 * (gamma_p + 1.0))
     if sintheta is None:
         sintheta = np.sqrt(np.maximum(0.0, 1.0 - costheta**2))
-    num = sha * shd * sintheta
-    den = cha * chd + sha * shd * costheta
-    norm = np.hypot(num, den)
-    return den / norm, num / norm
+    if out is None:
+        out = np.empty(np.broadcast_shapes(np.shape(t), np.shape(costheta), np.shape(sintheta)))
+    np.multiply(t, costheta, out=out)
+    out += 1.0
+    np.reciprocal(out, out=out)
+    out *= t
+    out *= sintheta
+    return out
 
 
-def wigner_angle(p, costheta, beta, m=1.0, sintheta=None):
-    """The Wigner angle Omega in [0, pi), twice the angle of ``wigner_half_angle``."""
-    c, s = wigner_half_angle(p, costheta, beta, m, sintheta)
-    return 2.0 * np.arctan2(s, c)
+def wigner_half_angle(p, costheta, beta, m=1.0, sintheta=None):
+    """cos(Omega/2) and sin(Omega/2) of the Wigner angle at momentum p and polar angle theta.
+
+    With r = ``tan_half_angle`` of ``wigner_tan_product``, (cos, sin) =
+    (1, r) / sqrt(1 + r^2); Omega lies in [0, pi).  Broadcast over p, costheta
+    and beta.
+    """
+    r = tan_half_angle(wigner_tan_product(p, beta, m), costheta, sintheta)
+    c = 1.0 / np.sqrt(1.0 + r * r)
+    return c, np.multiply(r, c, out=r)
 
 
 def su2_matrix(c, u, v) -> np.ndarray:
@@ -101,19 +117,6 @@ def su2_matrix(c, u, v) -> np.ndarray:
     out.imag[0, 0], out.imag[1, 1] = u, -u
     out.real[0, 1], out.real[1, 0] = -v, v
     return out
-
-
-def wigner_matrix(omega, phi) -> np.ndarray:
-    """Spin-1/2 representation of the Wigner rotation, broadcast over nodes.
-
-    Equals exp(-i omega n.sigma / 2) for the axis n = (0, sin(phi), -cos(phi)),
-    i.e. the rotation leaves the plane spanned by the boost axis and the
-    momentum invariant.  Returns shape ``(2, 2) + broadcast(omega, phi).shape``:
-    a 2x2 matrix for scalar input, and node axes last, so that each entry is a
-    contiguous array.
-    """
-    s = np.sin(omega / 2.0)
-    return su2_matrix(np.cos(omega / 2.0), s * np.cos(phi), s * np.sin(phi))
 
 
 def energy_ratio(px, p0, b: Boost):

@@ -10,10 +10,11 @@ The reduced spin density of a delta-correlated pair integrates
 Jacobians cancel identically in the partial trace, so none appear here), for
 all boost speeds at once as one moment form on the (beta, p, cos(theta))
 lattice; it is a plain complex array of shape (..., 4, 4) over the basis
-(uu, ud, du, dd).  The Wigner angle is evaluated once per lattice: the
-q = -p companion's angles are the particle's on the mirrored cos(theta)
-nodes, and the moment form reduces to a 3x3 moment of the squared half-angle
-cosines and sines.  The spin-traced momentum density keeps its
+(uu, ud, du, dd).  The Wigner angle is evaluated once per lattice, as
+tan(Omega/2) from ``wigner_tan_product``: the q = -p companion's angles are
+the particle's on the mirrored cos(theta) nodes, and the moment form reduces
+to the five even moments of a 3x3 moment of the squared half-angle cosines
+and sines.  The spin-traced momentum density keeps its
 Jacobian factors explicitly; ``momentum_density_samples`` evaluates its matrix
 elements on a finite set of coordinate pairs together with the product of the
 single-particle marginals at the same coordinates, and ``product_distance``
@@ -27,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from relent.kinematics import (
-    Boost, energy_ratio, su2_matrix, wigner_angle, wigner_half_angle, wigner_matrix,
+    Boost, energy_ratio, su2_matrix, tan_half_angle, wigner_half_angle, wigner_tan_product,
 )
 from relent.wavepacket import (
     AZIMUTH_NODES,
@@ -107,7 +108,10 @@ def reduced_spin_density(state: BipartiteState, b: Boost, grid: QuadratureGrid) 
     of half the Wigner angle) on the (beta, p, cos(theta)) lattice.  As
     a_{i+2j} is a product of a p factor i and a q factor j, G[i + 2j, k + 2l]
     = M[i + k, j + l] for the 3x3 moment M_ab = sum w P_a Q_b of
-    P = (c_p^2, c_p s_p, s_p^2) and Q = (c_q^2, sign c_q s_q, s_q^2).  The
+    P = (c_p^2, c_p s_p, s_p^2) and Q = (c_q^2, sign c_q s_q, s_q^2), formed
+    from r = tan(Omega/2) as cos^2 = 1/(1 + r^2), cs = r cos^2, sin^2 = r cs.
+    Y[k, l] vanishes when the indices' factors i_k + j_k + i_l + j_l add up to
+    an odd number, so only the five M_ab with a + b even are summed.  The
     companion q = sign p has the particle's angles (sign +1) or those at
     -cos(theta), which on the grid's symmetric Gauss-Legendre nodes are the
     mirrored nodes (sign -1): one Wigner-angle evaluation serves both.
@@ -118,15 +122,22 @@ def reduced_spin_density(state: BipartiteState, b: Boost, grid: QuadratureGrid) 
     if not np.array_equal(grid.costheta[::-1], -grid.costheta):
         raise ValueError("reduced_spin_density: the cos(theta) nodes must be symmetric about 0")
     w = grid.weights * dist.density1(grid.p**2)
-    c, s = wigner_half_angle(grid.p, grid.costheta, b.nodewise().beta)
-    cs = c * s
-    P = (np.multiply(c, c, out=c), cs, np.multiply(s, s, out=s))
+    # P = (c^2, cs, s^2) in three (beta, p, cos(theta)) buffers, r = tan(Omega/2) in s2's
+    nb = b.nodewise()
+    s2, c2, cs = np.empty((3,) + np.broadcast_shapes(np.shape(nb.beta), grid.weights.shape))
+    r = tan_half_angle(wigner_tan_product(grid.p, nb.beta), grid.costheta, out=s2)
+    np.multiply(r, r, out=c2)
+    c2 += 1.0
+    np.reciprocal(c2, out=c2)
+    np.multiply(r, c2, out=cs)
+    np.multiply(r, cs, out=s2)
+    P = (c2, cs, s2)
     Q = P if dist.sign == 1 else tuple(x[..., ::-1] for x in P)
-    M = np.empty(np.shape(b.beta) + (3, 3))
-    for i in range(3):
-        for j in range(3):
-            M[..., i, j] = np.einsum("...ij,...ij,...ij->...", w, P[i], Q[j])
-    M[..., :, 1] *= dist.sign
+    # only the moments with i + j even: the azimuth tensor's odd entries vanish
+    M = np.zeros(np.shape(b.beta) + (3, 3))
+    for i, j in ((0, 0), (0, 2), (2, 0), (2, 2), (1, 1)):
+        M[..., i, j] = np.einsum("...ij,...ij,...ij->...", w, P[i], Q[j])
+    M[..., 1, 1] *= dist.sign
     G = M[..., _G_ROW, _G_COL]
     rho = np.einsum("...kl,klij->...ij", G, azimuth_tensor(state.spin, AZIMUTH_NODES))
     worst = np.max(np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0))
@@ -191,10 +202,13 @@ def momentum_density_samples(
     nb = b.nodewise()
     p_sq = np.sum(pairs**2, axis=-1)
     p = np.sqrt(p_sq)
-    transverse = np.hypot(pairs[..., 1], pairs[..., 2])
-    safe_p = np.where(p > 0.0, p, 1.0)  # collinear and p = 0 rows give omega = 0 exactly
-    omega = wigner_angle(p, pairs[..., 0] / safe_p, nb.beta, sintheta=transverse / safe_p)
-    D = wigner_matrix(omega, np.arctan2(pairs[..., 2], pairs[..., 1]))
+    transverse = np.sqrt(pairs[..., 1] ** 2 + pairs[..., 2] ** 2)
+    # collinear and p = 0 rows give the identity exactly (r = 0, azimuth 0)
+    safe_p = np.where(p > 0.0, p, 1.0)
+    safe_t = np.where(transverse > 0.0, transverse, 1.0)
+    c, s = wigner_half_angle(p, pairs[..., 0] / safe_p, nb.beta, sintheta=transverse / safe_p)
+    cos_phi = np.where(transverse > 0.0, pairs[..., 1] / safe_t, 1.0)
+    D = su2_matrix(c, s * cos_phi, s * (pairs[..., 2] / safe_t))
     A = np.einsum("ba...,bc...->ac...", D[..., 2].conj(), D[..., 0])  # D_p'^dag D_p
     B = np.einsum("ba...,bc...->ac...", D[..., 3].conj(), D[..., 1])  # D_q'^dag D_q
     # <Phi| A x B |Phi> and the single-party overlaps with the other factor traced

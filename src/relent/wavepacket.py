@@ -16,9 +16,9 @@ Golub-Welsch eigenvalue method (``gauss_legendre``).  Every production
 integrand depends on the azimuth through a trigonometric polynomial whose
 phi-average the kernels take in closed form or on a fixed exact rule of
 ``AZIMUTH_NODES`` nodes, so the lattice weights carry the whole 2 pi.
-Callers integrate as ``np.sum(grid.weights * values)``, numpy's pairwise
-reduction over a fixed node ordering, so results are bit-identical across
-runs.
+An integral is a weighted node sum over a fixed node ordering (the kernels
+multiply the weights into an integrand buffer and ``np.sum`` it, or contract
+them with ``np.einsum``), so results are bit-identical across runs.
 """
 
 from __future__ import annotations

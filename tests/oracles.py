@@ -24,19 +24,26 @@ panels.  ``partial_transpose`` of a
 general 4x4 density, followed by ``eigvalsh``, is the reference for the
 closed-form X-state spectrum; ``bell_density_from_ABCD`` assembles the
 Bell-spin density from its four weights, and ``xstate_concurrence`` is
-Wootters' concurrence in its X-state form.
+Wootters' concurrence in its X-state form.  ``wigner_half_angle_hypot``,
+``wigner_angle`` and ``wigner_matrix`` are the Wigner half-angle as
+(den, num) / hypot(num, den), the angle and its SU(2) matrix from the azimuth,
+and the ``*_hypot`` kernels are the library's four lattice kernels in the
+form they had before they took tan(Omega/2) and built their arrays in place.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from relent.entanglement import ABCDValues, FidelityResult, XStateStats, _boosted_args
-from relent.kinematics import Boost, su2_matrix, wigner_angle, wigner_matrix
-from relent.relstate import TRACE_TOL, azimuth_tensor, spin_up_up
+from relent.entanglement import ABCDValues, FidelityResult, XStateStats, _leaked_mass
+from relent.kinematics import Boost, energy_ratio, su2_matrix
+from relent.relstate import (
+    _G_COL, _G_ROW, TRACE_TOL, MomentumDensitySample, azimuth_tensor, spin_up_up,
+)
 from relent.wavepacket import (
     AZIMUTH_NODES,
     EntangledMomentum,
+    GaussianProduct,
     GridCoverageError,
     gauss_legendre,
 )
@@ -49,6 +56,161 @@ _SIGMA = np.array(
     ],
     dtype=complex,
 )
+
+
+# -- the Wigner angle in its (den, num) form and the kernels built on it --------
+#
+# The library's kernels take tan(Omega/2) = t sin(theta) / (1 + t cos(theta))
+# and build their lattice arrays in place.  The forms below are the ones they
+# replaced: (cos, sin)(Omega/2) = (den, num) / hypot(num, den), the angle as
+# 2 arctan2 of it, the azimuth by arctan2, and every lattice product as its own
+# temporary.
+
+
+def wigner_half_angle_hypot(p, costheta, beta, m=1.0, sintheta=None):
+    """cos(Omega/2) and sin(Omega/2) as (den, num) / hypot(num, den).
+
+    tan(Omega/2) = sh(a/2) sh(d/2) sin(theta)
+                   / (ch(a/2) ch(d/2) + sh(a/2) sh(d/2) cos(theta))
+    with a the boost rapidity and d the particle rapidity (ch d = p0/m).
+    """
+    p = np.asarray(p, dtype=float)
+    costheta = np.asarray(costheta, dtype=float)
+    gamma_b = 1.0 / np.sqrt((1.0 - beta) * (1.0 + beta))
+    cha = np.sqrt((gamma_b + 1.0) / 2.0)
+    sha = gamma_b * beta / np.sqrt(2.0 * (gamma_b + 1.0))
+    gamma_p = np.sqrt(1.0 + (p / m) ** 2)
+    chd = np.sqrt((gamma_p + 1.0) / 2.0)
+    shd = (p / m) / np.sqrt(2.0 * (gamma_p + 1.0))
+    if sintheta is None:
+        sintheta = np.sqrt(np.maximum(0.0, 1.0 - costheta**2))
+    num = sha * shd * sintheta
+    den = cha * chd + sha * shd * costheta
+    norm = np.hypot(num, den)
+    return den / norm, num / norm
+
+
+def wigner_angle(p, costheta, beta, m=1.0, sintheta=None):
+    """The Wigner angle Omega in [0, pi), twice the angle of ``wigner_half_angle_hypot``."""
+    c, s = wigner_half_angle_hypot(p, costheta, beta, m, sintheta)
+    return 2.0 * np.arctan2(s, c)
+
+
+def wigner_matrix(omega, phi) -> np.ndarray:
+    """Spin-1/2 representation of the Wigner rotation, broadcast over nodes.
+
+    Equals exp(-i omega n.sigma / 2) for the axis n = (0, sin(phi), -cos(phi)).
+    Returns shape ``(2, 2) + broadcast(omega, phi).shape``.
+    """
+    s = np.sin(omega / 2.0)
+    return su2_matrix(np.cos(omega / 2.0), s * np.cos(phi), s * np.sin(phi))
+
+
+def _boosted_args(grid, b: Boost, m: float = 1.0):
+    """|Lambda p|^2 and (Lambda p)^0/p^0 on the (beta, p, cos(theta)) lattice of nodewise b."""
+    px = grid.p * grid.costheta
+    pt_sq = grid.p**2 - px**2
+    p0 = np.sqrt(m**2 + grid.p**2)
+    px_b = b.gamma * (px + b.beta * p0)
+    return px_b**2 + pt_sq, energy_ratio(px, p0, b)
+
+
+def fidelity_hypot(state, b: Boost, grid) -> FidelityResult:
+    """``entanglement.fidelity`` with two amplitude exponentials and the hypot half-angle."""
+    if not isinstance(state.dist, GaussianProduct):
+        raise TypeError("fidelity requires a product momentum distribution")
+    dist = state.dist
+    deficit = _leaked_mass(dist, b, grid.p_max)
+    if np.any(deficit > 1e-4):
+        raise GridCoverageError(
+            f"fidelity: boosted wavepacket leaks past p_max (norm deficit {np.max(deficit):.2e})"
+        )
+    nb = b.nodewise()
+    boosted_sq, jac = _boosted_args(grid, nb)
+    w = grid.weights * np.sqrt(jac) * dist.amplitude1(boosted_sq) * dist.amplitude1(grid.p**2)
+    m = np.sum(w * wigner_half_angle_hypot(grid.p, grid.costheta, nb.beta)[0], axis=(-2, -1))
+    overlap = m**2 * np.vdot(state.spin, state.spin)
+    return FidelityResult(overlap=overlap, fidelity=np.abs(overlap) ** 2)
+
+
+def bell_ABCD_hypot(dist, b: Boost, grid, analytic_limit=False) -> ABCDValues:
+    """``entanglement.bell_ABCD`` summing c^2 and 1 - c^2 of the hypot half-angle."""
+    if not isinstance(dist, GaussianProduct):
+        raise TypeError("bell_ABCD requires a product momentum distribution")
+    w = grid.weights * dist.density1(grid.p**2)
+    norm = float(np.sum(w))
+    if not (abs(norm - 1.0) <= 1e-4):
+        raise GridCoverageError(
+            f"bell_ABCD: distribution norm on the grid is {norm:.6f}; grid coverage insufficient"
+        )
+    if analytic_limit:
+        c2_node = (1.0 + grid.costheta) / 2.0
+    else:
+        c2_node = wigner_half_angle_hypot(grid.p, grid.costheta, b.nodewise().beta)[0] ** 2
+    shape = np.shape(b.beta)
+    c2 = np.broadcast_to(np.sum(w * c2_node, axis=(-2, -1)), shape)
+    s2 = np.broadcast_to(np.sum(w * (1.0 - c2_node), axis=(-2, -1)), shape)
+    B = c2 * s2
+    return ABCDValues(A=c2**2 + 0.5 * s2**2, B=B, C=0.5 * s2**2, D=B, eta=2.0 * s2 / norm)
+
+
+def reduced_spin_density_hypot(state, b: Boost, grid):
+    """``relstate.reduced_spin_density`` from all nine 3x3 moments of the hypot half-angle."""
+    dist = state.dist
+    if not isinstance(dist, EntangledMomentum):
+        raise TypeError("reduced_spin_density requires a delta-correlated momentum distribution")
+    if not np.array_equal(grid.costheta[::-1], -grid.costheta):
+        raise ValueError("reduced_spin_density: the cos(theta) nodes must be symmetric about 0")
+    w = grid.weights * dist.density1(grid.p**2)
+    c, s = wigner_half_angle_hypot(grid.p, grid.costheta, b.nodewise().beta)
+    P = (c * c, c * s, s * s)
+    Q = P if dist.sign == 1 else tuple(x[..., ::-1] for x in P)
+    M = np.empty(np.shape(b.beta) + (3, 3))
+    for i in range(3):
+        for j in range(3):
+            M[..., i, j] = np.einsum("...ij,...ij,...ij->...", w, P[i], Q[j])
+    M[..., :, 1] *= dist.sign
+    rho = np.einsum("...kl,klij->...ij", M[..., _G_ROW, _G_COL],
+                    azimuth_tensor(state.spin, AZIMUTH_NODES))
+    worst = np.max(np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0))
+    if not (worst <= TRACE_TOL):
+        raise GridCoverageError(
+            f"reduced_spin_density: quadrature trace deviates from 1 by {worst:.6f}, more than "
+            f"{TRACE_TOL}; the grid does not cover the distribution"
+        )
+    return rho
+
+
+def momentum_density_samples_hypot(state, b: Boost, grid, pairs) -> MomentumDensitySample:
+    """``relstate.momentum_density_samples`` through ``wigner_angle`` and ``wigner_matrix``."""
+    if not isinstance(state.dist, GaussianProduct):
+        raise TypeError("momentum_density_samples requires a product momentum distribution")
+    pairs = np.asarray(pairs, dtype=float)
+    if pairs.ndim != 3 or pairs.shape[1:] != (4, 3):
+        raise ValueError("pairs must have shape (n, 4, 3)")
+    dist = state.dist
+    F = state.spin.reshape(2, 2)
+    norm1 = float(np.sum(grid.weights * dist.density1(grid.p**2)))
+    nb = b.nodewise()
+    p_sq = np.sum(pairs**2, axis=-1)
+    p = np.sqrt(p_sq)
+    transverse = np.hypot(pairs[..., 1], pairs[..., 2])
+    safe_p = np.where(p > 0.0, p, 1.0)
+    omega = wigner_angle(p, pairs[..., 0] / safe_p, nb.beta, sintheta=transverse / safe_p)
+    D = wigner_matrix(omega, np.arctan2(pairs[..., 2], pairs[..., 1]))
+    A = np.einsum("ba...,bc...->ac...", D[..., 2].conj(), D[..., 0])
+    B = np.einsum("ba...,bc...->ac...", D[..., 3].conj(), D[..., 1])
+    spin_sum = np.einsum("ab,ac...,cd,bd...->...", F.conj(), A, F, B)
+    spin_a = np.einsum("ab,ac...,cb->...", F.conj(), A, F)
+    spin_b = np.einsum("ab,ad,bd...->...", F.conj(), F, B)
+    ratio = energy_ratio(pairs[..., 0], np.sqrt(1.0 + p_sq), nb)
+    jac = np.sqrt(np.prod(ratio, axis=-1))
+    amp = np.prod(dist.amplitude1(p_sq), axis=-1)
+    return MomentumDensitySample(
+        pairs=pairs,
+        elements=jac * amp * spin_sum,
+        marginal_products=jac * amp * (spin_a * norm1) * (spin_b * norm1),
+    )
 
 
 def _sample_gaussian_momenta(delta, n, rng):

@@ -31,6 +31,7 @@ from oracles import (
     rotation_angle,
     stats_entries,
     su2_from_so3,
+    wigner_matrix,
     wigner_oracle,
     wigner_rotation,
     xyzw,
@@ -44,7 +45,7 @@ from relent.entanglement import (
     xstate_pt_spectrum,
     xstate_stats,
 )
-from relent.kinematics import BETA_CAP, Boost, wigner_matrix
+from relent.kinematics import BETA_CAP, Boost
 from relent.relstate import (
     BipartiteState,
     bell_phi_plus,

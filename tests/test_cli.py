@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -95,11 +96,13 @@ class TestConfigParsing:
         assert parse_config(cfg.to_json_dict()) == cfg
 
 
-#: every module-level binding of a Wigner-angle function that a sweep calls
+#: every module-level binding of a Wigner-angle function that a sweep calls: the
+#: lattice kernels take t = tanh(a/2) tanh(d/2) on the (beta, p) axes, the
+#: density samples the half-angle cosines and sines at their coordinates
 ANGLE_BINDINGS = (
-    (entanglement, "wigner_half_angle"),
+    (entanglement, "wigner_tan_product"),
+    (relstate, "wigner_tan_product"),
     (relstate, "wigner_half_angle"),
-    (relstate, "wigner_angle"),
 )
 
 
@@ -183,8 +186,8 @@ class TestRunScenarios:
             return wrapped
 
         monkeypatch.setattr(cli, "default_sample_pairs", counting_draw)
-        # every Wigner-angle evaluation, as half-angle cosines and sines or as
-        # the angle itself, and every leaked-mass check
+        # every Wigner-angle evaluation, as the tanh product or as half-angle
+        # cosines and sines, and every leaked-mass check
         for module, name in ANGLE_BINDINGS:
             monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         monkeypatch.setattr(
@@ -208,8 +211,9 @@ class TestRunScenarios:
             assert stream.cache_info().misses == 1
             per_sweep.append(dict(kernel_calls))
         # one call per kernel and width, whatever the number of betas:
-        # fidelity and bell_ABCD take half-angles, the density samples the angle
-        want = {"wigner_half_angle": 6, "wigner_angle": 3, "_leaked_mass": 3}
+        # fidelity and bell_ABCD take the tanh product, the density samples the
+        # half-angles
+        want = {"wigner_tan_product": 6, "wigner_half_angle": 3, "_leaked_mass": 3}
         assert per_sweep[0] == per_sweep[1] == want
         assert texts[1] == texts[2]
 
@@ -228,7 +232,7 @@ class TestRunScenarios:
         for module, name in ANGLE_BINDINGS:
             monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         run(parse_config({"scenario": scenario, "delta": [0.5, 1.0, 4.0]}))
-        assert calls == {"wigner_half_angle": 3}
+        assert calls == {"wigner_tan_product": 3}
 
 
 #: (scenario, config fields) for every combination a sweep can batch
@@ -342,6 +346,19 @@ class TestPlotScript:
         text = emit_plotscript(rows, str(tmp_path / "plot.gp"), "sweep.csv")
         assert "'sweep.csv'" in text
         assert "E delta=1" in text and "F delta=1" in text
+
+    def test_quote_in_csv_path_is_doubled(self, tmp_path):
+        # gnuplot reads '' inside a single-quoted string as one quote; the path
+        # used to be pasted in as is, which ended the string early
+        rows = run(parse_config({"betas": [0.0, 0.5], "delta": [0.5, 1.0]}))
+        csv_path = str(tmp_path / "it's a 'sweep'.csv")
+        text = emit_plotscript(rows, str(tmp_path / "plot.gp"), csv_path)
+        series = [line for line in text.splitlines() if " using 1:" in line]
+        assert len(series) == 4
+        for line in series:
+            quoted = re.match(r"\s*'((?:[^']|'')*)' using 1:", line)
+            assert quoted is not None, line
+            assert quoted.group(1).replace("''", "'") == csv_path
 
     def test_fidelity_only_drops_measure_series(self, tmp_path):
         cfg = parse_config(

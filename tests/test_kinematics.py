@@ -9,10 +9,11 @@ from oracles import (
     rotation_angle,
     standard_boost,
     su2_from_so3,
+    wigner_matrix,
     wigner_oracle,
     wigner_rotation,
 )
-from relent.kinematics import BETA_CAP, Boost, wigner_matrix
+from relent.kinematics import BETA_CAP, Boost
 
 momenta = st.builds(
     FourMomentum.from_spherical,

@@ -1,0 +1,176 @@
+"""The in-place lattice kernels against the (den, num) / hypot forms they replaced.
+
+``fidelity``, ``bell_ABCD``, ``reduced_spin_density`` and
+``momentum_density_samples`` take tan(Omega/2) = t sin(theta) / (1 + t cos(theta))
+with t = tanh(a/2) tanh(d/2), and build their (beta, p, cos(theta)) arrays in
+place.  ``oracles`` keeps the earlier forms, which evaluated the half-angle
+through ``np.hypot`` and held every lattice product as its own temporary.
+Both must give the same numbers and raise the same errors, and the new forms
+must hold no more lattice arrays at once than stated.
+"""
+
+import re
+import tracemalloc
+from typing import NamedTuple
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import (
+    bell_ABCD_hypot,
+    fidelity_hypot,
+    momentum_density_samples_hypot,
+    reduced_spin_density_hypot,
+)
+from relent.cli import _DEFAULT_BETAS
+from relent.entanglement import bell_ABCD, fidelity
+from relent.kinematics import BETA_CAP, Boost
+from relent.relstate import (
+    BipartiteState,
+    bell_phi_plus,
+    default_sample_pairs,
+    momentum_density_samples,
+    reduced_spin_density,
+    spin_up_up,
+)
+from relent.wavepacket import EntangledMomentum, GaussianProduct, build_grid, default_p_max
+
+SPINS = (spin_up_up(), bell_phi_plus(), np.array([0.5, 0.5j, -0.5, 0.5], dtype=complex))
+
+#: a collinear row and a p = 0 row, which both rotate by the identity
+EDGE_ROWS = np.array([
+    [[0.7, 0.0, 0.0], [-1.2, 0.0, 0.0], [0.3, 0.0, 0.0], [2.0, 0.0, 0.0]],
+    np.zeros((4, 3)),
+])
+
+
+@st.composite
+def cases(draw):
+    """Width, speeds, spin, sign and (n_r, n_theta, p_max) of one kernel call.
+
+    The cutoff is the auto policy's or a fixed multiple of the width's scale;
+    a fixed cutoff gives a lattice without a beta axis, and a small one makes
+    the kernels' coverage checks raise.
+    """
+    delta = 10.0 ** draw(st.floats(-12.0, 12.0))
+    speed = st.one_of(st.floats(0.0, BETA_CAP), st.sampled_from([0.0, 0.99, BETA_CAP]))
+    betas = np.array(sorted(draw(st.lists(speed, min_size=1, max_size=4))))
+    spin = SPINS[draw(st.integers(0, 2))]
+    sign = draw(st.sampled_from([-1, 1]))
+    n_r, n_theta = draw(st.integers(2, 40)), draw(st.integers(2, 41))
+    scale = draw(st.one_of(st.none(), st.floats(2.0, 12.0)))
+    return delta, betas, spin, sign, n_r, n_theta, scale
+
+
+class _Raised(NamedTuple):
+    kind: type
+    message: str
+
+
+def _outcome(fn, *args):
+    """The kernel's result, or the type and message of what it raised.
+
+    Numbers in the message are masked: they are printed to a few digits from
+    values that agree only to rounding.
+    """
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return _Raised(type(exc), re.sub(r"\d[\d.e+-]*", "#", str(exc)))
+
+
+def _same_error(got, want):
+    """Whether either call raised; if one did, both raised the same."""
+    if isinstance(got, _Raised) or isinstance(want, _Raised):
+        assert got == want
+        return True
+    return False
+
+
+@given(case=cases())
+@settings(max_examples=120, deadline=None)
+def test_kernels_match_hypot_forms(case):
+    delta, betas, spin, sign, n_r, n_theta, scale = case
+    b = Boost(betas)
+    root = np.sqrt(delta)
+    fid_cut = default_p_max(delta, betas) if scale is None else scale * root
+    cut = default_p_max(delta) if scale is None else scale * root
+    fid_grid, grid = build_grid(n_r, n_theta, fid_cut), build_grid(n_r, n_theta, cut)
+    gp = GaussianProduct(delta)
+
+    state = BipartiteState(gp, spin)
+    got, want = _outcome(fidelity, state, b, fid_grid), _outcome(fidelity_hypot, state, b, fid_grid)
+    if not _same_error(got, want):
+        f, f_ref = np.asarray(got.fidelity), np.asarray(want.fidelity)
+        assert np.all(np.abs(f - f_ref) <= 1e-12 * f_ref + 1e-300)
+
+    for limit in (False, True):
+        got = _outcome(bell_ABCD, gp, b, grid, limit)
+        want = _outcome(bell_ABCD_hypot, gp, b, grid, limit)
+        if not _same_error(got, want):
+            assert np.max(np.abs(np.subtract(got, want))) <= 1e-13
+
+    pair_state = BipartiteState(EntangledMomentum(delta, sign), spin)
+    got = _outcome(reduced_spin_density, pair_state, b, grid)
+    want = _outcome(reduced_spin_density_hypot, pair_state, b, grid)
+    if not _same_error(got, want):
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+    pairs = np.concatenate([default_sample_pairs(gp, n=9, seed=n_r), root * EDGE_ROWS])
+    got = _outcome(momentum_density_samples, state, b, grid, pairs)
+    want = _outcome(momentum_density_samples_hypot, state, b, grid, pairs)
+    if not _same_error(got, want):
+        for x, x_ref in ((got.elements, want.elements),
+                         (got.marginal_products, want.marginal_products)):
+            scale_ref = np.max(np.abs(x_ref), axis=-1, keepdims=True)
+            assert np.all(np.abs(x - x_ref) <= 1e-12 * scale_ref)
+        # collinear and p = 0 rows rotate by exactly the identity
+        assert np.all(got.elements[..., -2:].imag == 0.0)
+
+
+#: bytes of one (beta, p, cos(theta)) array at 64 x 64 nodes and the 21 default betas
+LATTICE = len(_DEFAULT_BETAS) * 64 * 64 * 8
+
+
+def _peak_lattices(fn, *args):
+    """Peak traced memory of one warm call, in lattice arrays."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return peak / LATTICE
+
+
+class TestLatticeMemory:
+    """Peak memory of one call, in (beta, p, cos(theta)) arrays, on the sweep's grids.
+
+    ``fidelity`` builds its integrand in two buffers and ``bell_ABCD`` r^2 and
+    cos^2 in two; ``reduced_spin_density`` holds (c^2, cs, s^2).  The rest of
+    each peak is a ufunc's broadcasting buffer.  The earlier forms peaked at
+    6.1, 5.05 and 5.05 arrays.
+    """
+
+    b = Boost(np.array(_DEFAULT_BETAS))
+
+    def test_fidelity(self):
+        state = BipartiteState(GaussianProduct(1.0), bell_phi_plus())
+        per_speed = build_grid(64, 64, default_p_max(1.0, self.b.beta))
+        fixed = build_grid(64, 64, default_p_max(1.0, 0.99))
+        assert _peak_lattices(fidelity, state, self.b, per_speed) <= 3.0
+        assert _peak_lattices(fidelity, state, self.b, fixed) <= 3.0
+
+    def test_bell_ABCD(self):
+        grid = build_grid(64, 64, default_p_max(1.0))
+        assert _peak_lattices(bell_ABCD, GaussianProduct(1.0), self.b, grid) <= 3.0
+
+    @pytest.mark.parametrize("sign", [-1, 1])
+    def test_reduced_spin_density(self, sign):
+        state = BipartiteState(EntangledMomentum(1.0, sign), spin_up_up())
+        grid = build_grid(64, 64, default_p_max(1.0))
+        assert _peak_lattices(reduced_spin_density, state, self.b, grid) <= 4.0

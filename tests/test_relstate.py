@@ -15,6 +15,7 @@ from oracles import (
 from relent.kinematics import BETA_CAP, Boost
 from relent.relstate import (
     BipartiteState,
+    azimuth_tensor,
     bell_phi_plus,
     default_sample_pairs,
     momentum_density_samples,
@@ -24,6 +25,7 @@ from relent.relstate import (
     spin_up_up,
 )
 from relent.wavepacket import (
+    AZIMUTH_NODES,
     EntangledMomentum,
     GaussianProduct,
     GridCoverageError,
@@ -129,6 +131,21 @@ class TestReducedSpinDensity:
             for b in (Boost(betas), Boost(0.0), Boost(BETA_CAP)):
                 ref = reduced_spin_density_two_angles(state, b, grid)
                 assert np.max(np.abs(reduced_spin_density(state, b, grid) - ref)) <= 1e-15
+
+    @given(parts=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8))
+    @settings(max_examples=200)
+    def test_odd_azimuth_entries_vanish(self, parts):
+        # reduced_spin_density sums only the moments M[a, b] with a + b even:
+        # G[k, l] = M[i_k + i_l, j_k + j_l] meets Y[k, l] = 0 whenever
+        # i_k + j_k + i_l + j_l is odd, with k = i_k + 2 j_k
+        spin = np.array(parts[:4]) + 1j * np.array(parts[4:])
+        norm = np.linalg.norm(spin)
+        if norm < 1e-3:
+            spin, norm = spin_up_up(), 1.0
+        Y = azimuth_tensor(spin / norm, AZIMUTH_NODES)
+        parity = np.arange(4) % 2 + np.arange(4) // 2
+        odd = (parity[:, None] + parity[None, :]) % 2 == 1
+        assert np.max(np.abs(Y[odd])) <= 1e-15
 
     def test_rejects_asymmetric_polar_nodes(self, grid_default, entangled_unit):
         # the companion's angles are read off the mirrored cos(theta) nodes

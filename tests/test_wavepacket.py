@@ -7,10 +7,11 @@ from oracles import (
     bell_ABCD_3d,
     fidelity_3d,
     reduced_spin_density_3d,
+    wigner_angle,
     xstate_stats_3d,
 )
 from relent.entanglement import bell_ABCD, fidelity, xstate_stats
-from relent.kinematics import Boost, wigner_angle
+from relent.kinematics import Boost
 from relent.relstate import (
     BipartiteState,
     azimuth_tensor,
