@@ -17,10 +17,10 @@ The azimuth is integrated by a fixed exact rule (``wavepacket.AZIMUTH_NODES``),
 so ``grid.n_phi`` is accepted, validated and echoed for old configs but has
 no effect; likewise ``--workers``.  Scenarios populate different columns of
 the fixed CSV header; cells that a scenario does not produce stay empty (CSV)
-or null (JSON).  Each width's betas are evaluated together, as one array
-program per kernel, and every row equals the row of a sweep over its beta
-alone.  Identical config and seed give byte-identical output, with rows
-emitted in config order.
+or null (JSON).  A config's widths and betas are evaluated together (``run``),
+and every row equals the row of a sweep over its beta and width alone.
+Identical config and seed give byte-identical output, with rows emitted in
+config order.
 
 Exit codes: 0 success, 2 configuration or usage error (among them a width
 outside [DELTA_MIN, DELTA_MAX], grid.n_r or grid.n_theta above GRID_COUNT_MAX,
@@ -39,7 +39,7 @@ import json
 import math
 import os
 import sys
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
@@ -171,9 +171,9 @@ class SweepRow(NamedTuple):
     ccorr: float | None = None
 
 
-def _expect(cond: bool, field_name: str, message: str) -> None:
-    if not cond:
-        raise ConfigError(f"config field '{field_name}': {message}")
+def _fail(field_name: str, message: str) -> NoReturn:
+    """Reject the field; called only once a check has failed, so valid configs format nothing."""
+    raise ConfigError(f"config field '{field_name}': {message}")
 
 
 def _is_int(x) -> bool:
@@ -202,72 +202,80 @@ def parse_config(doc: dict) -> SweepConfig:
             raise ConfigError(f"config field '{key}': unknown field")
 
     scenario = doc.get("scenario", "spin_bell_momentum_product")
-    _expect(scenario in SCENARIOS, "scenario", f"must be one of {SCENARIOS}, got {scenario!r}")
+    if scenario not in SCENARIOS:
+        _fail("scenario", f"must be one of {SCENARIOS}, got {scenario!r}")
 
     betas = doc.get("betas", _DEFAULT_BETAS)
-    _expect(isinstance(betas, list) and len(betas) > 0, "betas", "must be a non-empty list")
+    if not (isinstance(betas, list) and len(betas) > 0):
+        _fail("betas", "must be a non-empty list")
     for i, x in enumerate(betas):
-        _expect(_is_number(x) and 0.0 <= x <= BETA_CAP,
-                f"betas[{i}]", f"must be a number in [0, {BETA_CAP}], got {x!r}")
-    _expect(all(b2 >= b1 for b1, b2 in zip(betas, betas[1:])), "betas", "must be ascending")
+        if not (_is_number(x) and 0.0 <= x <= BETA_CAP):
+            _fail(f"betas[{i}]", f"must be a number in [0, {BETA_CAP}], got {x!r}")
+    if not all(b2 >= b1 for b1, b2 in zip(betas, betas[1:])):
+        _fail("betas", "must be ascending")
 
     delta = doc.get("delta", [1.0])
     if _is_number(delta):
         delta = [delta]
-    _expect(isinstance(delta, list) and len(delta) > 0, "delta", "must be a number or non-empty list")
+    if not (isinstance(delta, list) and len(delta) > 0):
+        _fail("delta", "must be a number or non-empty list")
     for i, x in enumerate(delta):
-        _expect(_is_number(x) and DELTA_MIN <= x <= DELTA_MAX,
-                f"delta[{i}]", f"must be a number in [{DELTA_MIN:g}, {DELTA_MAX:g}], got {x!r}")
+        if not (_is_number(x) and DELTA_MIN <= x <= DELTA_MAX):
+            _fail(f"delta[{i}]", f"must be a number in [{DELTA_MIN:g}, {DELTA_MAX:g}], got {x!r}")
 
     grid_doc = doc.get("grid", {})
-    _expect(isinstance(grid_doc, dict), "grid", "must be an object")
+    if not isinstance(grid_doc, dict):
+        _fail("grid", "must be an object")
     grid_kwargs = {}
     for name in ("n_r", "n_theta", "n_phi"):
         if name in grid_doc:
             v = grid_doc[name]
-            _expect(_is_int(v) and v >= 2, f"grid.{name}", f"must be an integer >= 2, got {v!r}")
-            _expect(name == "n_phi" or v <= GRID_COUNT_MAX, f"grid.{name}",
-                    f"must be at most {GRID_COUNT_MAX}, got {v}")
+            if not (_is_int(v) and v >= 2):
+                _fail(f"grid.{name}", f"must be an integer >= 2, got {v!r}")
+            if name != "n_phi" and v > GRID_COUNT_MAX:
+                _fail(f"grid.{name}", f"must be at most {GRID_COUNT_MAX}, got {v}")
             grid_kwargs[name] = v
     if "p_max" in grid_doc:
         # the largest cutoff the auto policy makes; far above it p_max^2 and
         # the grid weights (~ p_max^3) overflow
         p_max_cap = default_p_max(DELTA_MAX, BETA_CAP)
         v = grid_doc["p_max"]
-        _expect(v == "auto" or (_is_number(v) and 0 < v <= p_max_cap), "grid.p_max",
-                f"must be 'auto' or a number in (0, {p_max_cap:.6g}], got {v!r}")
+        if not (v == "auto" or (_is_number(v) and 0 < v <= p_max_cap)):
+            _fail("grid.p_max", f"must be 'auto' or a number in (0, {p_max_cap:.6g}], got {v!r}")
         grid_kwargs["p_max"] = v
     unknown_grid = set(grid_doc) - {"n_r", "n_theta", "n_phi", "p_max"}
-    _expect(not unknown_grid, f"grid.{sorted(unknown_grid)[0]}" if unknown_grid else "grid", "unknown field")
+    if unknown_grid:
+        _fail(f"grid.{sorted(unknown_grid)[0]}", "unknown field")
 
     delta_sign = doc.get("delta_sign", -1)
-    _expect(_is_number(delta_sign) and delta_sign in (-1, 1),
-            "delta_sign", f"must be -1 or 1, got {delta_sign!r}")
+    if not (_is_number(delta_sign) and delta_sign in (-1, 1)):
+        _fail("delta_sign", f"must be -1 or 1, got {delta_sign!r}")
 
     analytic_limit = doc.get("analytic_limit", False)
-    _expect(isinstance(analytic_limit, bool), "analytic_limit", "must be a boolean")
-    _expect(
-        not analytic_limit or scenario == "spin_bell_momentum_product",
-        "analytic_limit",
-        "only applies to the spin_bell_momentum_product scenario",
-    )
+    if not isinstance(analytic_limit, bool):
+        _fail("analytic_limit", "must be a boolean")
+    if analytic_limit and scenario != "spin_bell_momentum_product":
+        _fail("analytic_limit", "only applies to the spin_bell_momentum_product scenario")
 
     directions = doc.get("directions", {"a": [1.0, 0.0, 0.0], "b": [1.0, 0.0, 0.0]})
-    _expect(isinstance(directions, dict), "directions", "must be an object with 'a' and 'b'")
+    if not isinstance(directions, dict):
+        _fail("directions", "must be an object with 'a' and 'b'")
     unknown_dir = set(directions) - {"a", "b"}
-    _expect(not unknown_dir, f"directions.{sorted(unknown_dir)[0]}" if unknown_dir else "directions",
-            "unknown field")
+    if unknown_dir:
+        _fail(f"directions.{sorted(unknown_dir)[0]}", "unknown field")
     dir_vals = {}
     for key in ("a", "b"):
         v = directions.get(key, [1.0, 0.0, 0.0])
-        _expect(isinstance(v, list) and len(v) == 3 and all(_is_number(x) for x in v),
-                f"directions.{key}", "must be a 3-vector of finite numbers")
+        if not (isinstance(v, list) and len(v) == 3 and all(_is_number(x) for x in v)):
+            _fail(f"directions.{key}", "must be a 3-vector of finite numbers")
         norm = float(np.linalg.norm(v))
-        _expect(abs(norm - 1.0) <= 1e-9, f"directions.{key}", f"must be a unit vector (norm {norm:.6f})")
+        if not abs(norm - 1.0) <= 1e-9:
+            _fail(f"directions.{key}", f"must be a unit vector (norm {norm:.6f})")
         dir_vals[key] = tuple(float(x) for x in v)
 
     seed = doc.get("seed", 42)
-    _expect(_is_int(seed) and seed >= 0, "seed", f"must be a non-negative integer, got {seed!r}")
+    if not (_is_int(seed) and seed >= 0):
+        _fail("seed", f"must be a non-negative integer, got {seed!r}")
 
     return SweepConfig(
         scenario=scenario,
@@ -300,11 +308,11 @@ def _bell_pt_spectrum(v: ABCDValues) -> np.ndarray:
     return xstate_pt_spectrum(diag, (v.A - v.D) / 2, -(v.B - v.C) / 2)[0]
 
 
-def _width_columns(config: SweepConfig, delta: float) -> dict:
-    """The scenario's columns for every beta of one width, each an array over beta.
+def _sweep_columns(config: SweepConfig, delta: np.ndarray) -> dict:
+    """The scenario's columns for the widths ``delta`` (n, 1) and every beta, each (n, n_beta).
 
-    Each kernel is called once, with all betas as one boost; the lattice has
-    its cutoff at beta = 0, the fidelity lattice one cutoff per beta.
+    Each kernel is called once; the lattice has one cutoff per width at
+    beta = 0, the fidelity lattice one per (width, beta) cell.
     """
     gs = config.grid
     b = Boost(np.array(config.betas))
@@ -347,7 +355,7 @@ def _width_columns(config: SweepConfig, delta: float) -> dict:
         b_dir = ObservableDirection(np.array(config.direction_b))
         cols["qcorr"] = quantum_correlation(a, b_dir, em, bell_phi_plus(), b, base_grid)
         try:
-            cols["ccorr"] = np.full(len(config.betas), classical_correlation(a, b_dir))
+            cols["ccorr"] = np.full(np.shape(cols["qcorr"]), classical_correlation(a, b_dir))
         except ValueError:
             pass  # transverse direction: classical sign undefined
         return cols
@@ -358,19 +366,23 @@ def _width_columns(config: SweepConfig, delta: float) -> dict:
 def run(config: SweepConfig, workers: int = 1) -> list[SweepRow]:
     """All (beta, delta) cells in config order, widths outer and betas inner.
 
-    Widths are taken one at a time, and each width's betas are evaluated
-    together (``_width_columns``); every row equals the row of a sweep over
-    that beta alone.  ``workers`` is accepted for old callers and has no
-    effect.
+    Widths are evaluated in chunks, each as one array program per kernel with
+    the widths and betas on the leading axes (``_sweep_columns``).  A chunk
+    holds max(1, 2^20 // (n_beta n_r n_theta)) widths, so that a (width, beta,
+    p, cos(theta)) buffer stays within 8 MiB unless one width alone exceeds it.
+    Every row equals the row of a sweep over that beta and width alone.
+    ``workers`` is accepted for old callers and has no effect.
     """
-    rows = []
-    for delta in config.delta:
-        cols = _width_columns(config, delta)
-        values = [np.asarray(v, dtype=float).tolist() for v in cols.values()]
-        rows += [
-            SweepRow(beta=beta, delta=delta, **dict(zip(cols, cells)))
-            for beta, *cells in zip(config.betas, *values)
-        ]
+    gs, betas, rows = config.grid, list(config.betas), []
+    chunk = max(1, 2**20 // (len(betas) * gs.n_r * gs.n_theta))
+    for start in range(0, len(config.delta), chunk):
+        widths = config.delta[start:start + chunk]
+        cols = _sweep_columns(config, np.array(widths)[:, None])
+        # the chunk's rows, field by field, widths outer and betas inner
+        fields = {name: np.asarray(v, dtype=float).ravel().tolist() for name, v in cols.items()}
+        fields.update(beta=betas * len(widths), delta=[d for d in widths for _ in betas])
+        empty = [None] * len(fields["beta"])
+        rows += map(SweepRow._make, zip(*(fields.get(name, empty) for name in SweepRow._fields)))
     return rows
 
 

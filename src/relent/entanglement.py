@@ -14,8 +14,9 @@ Both reduced spin densities are X-states (nonzero only on the diagonal and
 the anti-diagonal), and ``xstate_pt_spectrum`` gives the partial-transpose
 spectrum and the two separability margins of either in closed form.
 
-A ``Boost`` with an array of speeds is evaluated as one array program on the
-(beta, p, cos(theta)) lattice; results and spectra carry beta's axes.
+A ``Boost`` with an array of speeds, and a distribution with an array of
+widths (n_delta, 1), are evaluated as one array program on the (delta, beta,
+p, cos(theta)) lattice; results and spectra carry the widths' and beta's axes.
 
 The entanglement measure is doubled negativity, -2 sum(min(0, PT eigenvalue)),
 normalised so a two-qubit maximally entangled state scores exactly 1.
@@ -122,7 +123,7 @@ _GL3 = tuple((0.5 + 0.5 * x * math.sqrt(0.6), w / 18) for x, w in ((-1, 5), (0, 
 
 
 def _leaked_mass(dist: GaussianProduct, b: Boost, p_max, m: float = 1.0) -> np.ndarray:
-    """Wavepacket mass whose inverse-boosted argument lies beyond P = p_max, per speed.
+    """Wavepacket mass whose inverse-boosted argument lies beyond P = p_max, per (width, speed).
 
     Boosted-argument evaluation on a grid of radius P never sees it.  p leaks
     exactly when gamma (E_p - beta p_x) > E_P (Lambda^-1 p is on shell).  The
@@ -135,10 +136,10 @@ def _leaked_mass(dist: GaussianProduct, b: Boost, p_max, m: float = 1.0) -> np.n
     cancel, and the inner integrand exp(-(x-^2 + beta s (2 E- + beta s))/delta)
     / sqrt(pi delta), p_x = x- + s, goes on ``_GL3`` (relative error < 1e-12).
     """
-    delta, root = dist.delta, math.sqrt(dist.delta)
-    beta, cutoff = np.broadcast_arrays(b.beta, p_max)
+    beta, cutoff, widths = np.broadcast_arrays(b.beta, p_max, dist.delta)
     leaked = []
-    for v, P in zip(beta.ravel().tolist(), cutoff.ravel().tolist()):
+    for v, P, delta in zip(beta.ravel().tolist(), cutoff.ravel().tolist(), widths.ravel().tolist()):
+        root = math.sqrt(delta)
         gamma = 1.0 / math.sqrt((1.0 - v) * (1.0 + v))
         E_P = math.sqrt(m * m + P * P)
         # x- and E- in forms without cancellation
@@ -166,7 +167,8 @@ def fidelity(state: BipartiteState, b: Boost, grid: QuadratureGrid) -> FidelityR
     M = int dp sqrt((Lp)^0/p^0) f1(Lp) f1(p) D(Omega_p); the boosted argument
     is evaluated in closed form.  D = cos(Omega/2) + sin(Omega/2) J(phi) with J
     linear in (cos(phi), sin(phi)), whose azimuthal averages vanish, so M is the
-    cos(Omega/2) moment times the identity.  ``grid`` has one cutoff or one per speed.
+    cos(Omega/2) moment times the identity.  ``grid`` has one cutoff or one per
+    (width, speed) cell, and the result one fidelity per cell.
 
     Raises GridCoverageError when the boosted wavepacket's mass is not
     resolved by the grid (invariant-norm deficit above 1e-4).
@@ -181,17 +183,17 @@ def fidelity(state: BipartiteState, b: Boost, grid: QuadratureGrid) -> FidelityR
             f"fidelity: boosted wavepacket leaks past p_max (norm deficit {np.max(deficit):.2e})"
         )
 
-    # sqrt(J) f1(Lp) f1(p) cos(Omega/2) in two (beta, p, cos(theta)) buffers, in
-    # place: the lattice temporaries set the sweep's peak memory
-    nb, p, ct = b.nodewise(), grid.p, grid.costheta
+    # sqrt(J) f1(Lp) f1(p) cos(Omega/2) in two (delta, beta, p, cos(theta)) buffers,
+    # in place: the lattice temporaries set the sweep's peak memory
+    nb, p, ct, delta = b.nodewise(), grid.p, grid.costheta, dist.nodes_delta
     gamma, p0 = nb.gamma, np.sqrt(1.0 + p * p)
-    x, y = np.empty((2,) + np.broadcast_shapes(np.shape(nb.beta), grid.weights.shape))
+    x, y = np.empty((2,) + np.broadcast_shapes(np.shape(delta), nb.beta.shape, grid.weights.shape))
     np.multiply(p, ct, out=y)
     y += nb.beta * p0
     y *= gamma  # (Lp)_x
     np.multiply(p * p, 2.0 - ct * ct, out=x)  # p^2 + |p_perp|^2
     x += np.square(y, out=y)
-    x *= -0.5 / dist.delta
+    x *= -0.5 / delta
     np.exp(x, out=x)  # f1(Lp) f1(p) / N
     x *= grid.weights
     np.multiply(nb.beta * p / p0, ct, out=y)
@@ -216,30 +218,31 @@ def bell_ABCD(
     |f1|^2 for each particle separately.  The azimuthal cross terms are
     second-harmonic moments, sin^2(Omega/2) against cos(2 phi) and
     sin(2 phi), whose exact azimuthal averages vanish; with them
-    A = c2^2 + s2^2/2, B = D = c2 s2 and C = s2^2/2.  ``analytic_limit``
-    substitutes Omega := theta.
+    A = c2^2 + s2^2/2, B = D = c2 s2 and C = s2^2/2, with sin^2(Omega/2) =
+    t^2 sin^2(theta) / (1 + t^2 + 2 t cos(theta)) in one lattice buffer; the
+    norm is checked per lattice.  ``analytic_limit`` substitutes Omega := theta.
     """
     if not isinstance(dist, GaussianProduct):
         raise TypeError("bell_ABCD requires a product momentum distribution")
     w = grid.weights * dist.density1(grid.p**2)
-    norm = float(np.sum(w))
-    if not (abs(norm - 1.0) <= 1e-4):
+    norm = np.sum(w, axis=(-2, -1))
+    worst = np.ravel(norm)[np.argmax(np.abs(np.ravel(norm) - 1.0))]  # argmax takes a NaN first
+    if not (abs(worst - 1.0) <= 1e-4):
         raise GridCoverageError(
-            f"bell_ABCD: distribution norm on the grid is {norm:.6f}; grid coverage insufficient"
+            f"bell_ABCD: distribution norm on the grid is {worst:.6f}; grid coverage insufficient"
         )
 
     if analytic_limit:
         s2 = np.sum(w * (1.0 - grid.costheta), axis=(-2, -1)) / 2.0
+        s2 = np.broadcast_to(s2, np.broadcast_shapes(np.shape(s2), np.shape(b.beta)))
     else:
-        # sin^2(Omega/2) = r^2 / (1 + r^2), contracted without a product temporary
-        nb = b.nodewise()
-        rr, c2_node = np.empty((2,) + np.broadcast_shapes(np.shape(nb.beta), grid.weights.shape))
-        tan_half_angle(wigner_tan_product(grid.p, nb.beta), grid.costheta, out=rr)
-        rr *= rr
-        np.add(rr, 1.0, out=c2_node)
-        np.reciprocal(c2_node, out=c2_node)
-        s2 = np.einsum("...ij,...ij,...ij->...", w, rr, c2_node)
-    s2 = np.broadcast_to(s2, np.shape(b.beta))
+        t, ct = wigner_tan_product(grid.p, b.nodewise().beta), grid.costheta
+        s2_node = 2.0 * t * ct
+        s2_node += 1.0 + t * t
+        np.reciprocal(s2_node, out=s2_node)
+        s2_node *= t * t
+        s2_node *= 1.0 - ct * ct
+        s2 = np.einsum("...ij,...ij->...", w, s2_node)
     c2 = norm - s2
 
     A = c2**2 + 0.5 * s2**2

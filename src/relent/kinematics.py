@@ -30,7 +30,6 @@ __all__ = [
     "wigner_tan_product",
     "tan_half_angle",
     "wigner_half_angle",
-    "su2_matrix",
     "energy_ratio",
 ]
 
@@ -102,21 +101,6 @@ def wigner_half_angle(p, costheta, beta, m=1.0, sintheta=None):
     r = tan_half_angle(wigner_tan_product(p, beta, m), costheta, sintheta)
     c = 1.0 / np.sqrt(1.0 + r * r)
     return c, np.multiply(r, c, out=r)
-
-
-def su2_matrix(c, u, v) -> np.ndarray:
-    """The SU(2) form [[c + iu, -v], [v, c - iu]], stacked over broadcast inputs.
-
-    Linear in (c, u, v), so a quadrature of the matrix is this form applied to
-    the quadratures of its three components.  Returns shape
-    ``(2, 2) + broadcast(c, u, v).shape``.
-    """
-    c, u, v = np.broadcast_arrays(c, u, v)
-    out = np.zeros((2, 2) + c.shape, dtype=complex)
-    out.real[0, 0] = out.real[1, 1] = c
-    out.imag[0, 0], out.imag[1, 1] = u, -u
-    out.real[0, 1], out.real[1, 0] = -v, v
-    return out
 
 
 def energy_ratio(px, p0, b: Boost):

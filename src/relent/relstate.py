@@ -8,8 +8,8 @@ spin content at momenta (p, q) is ``(D(p) x D(q)) |spin>``.
 The reduced spin density of a delta-correlated pair integrates
 |f|^2-weighted projectors of the rotated spin state (the invariant-measure
 Jacobians cancel identically in the partial trace, so none appear here), for
-all boost speeds at once as one moment form on the (beta, p, cos(theta))
-lattice; it is a plain complex array of shape (..., 4, 4) over the basis
+all widths and boost speeds at once as one moment form on the (delta, beta,
+p, cos(theta)) lattice; it is a plain complex array of shape (..., 4, 4) over the basis
 (uu, ud, du, dd).  The Wigner angle is evaluated once per lattice, as
 tan(Omega/2) from ``wigner_tan_product``: the q = -p companion's angles are
 the particle's on the mirrored cos(theta) nodes, and the moment form reduces
@@ -17,8 +17,8 @@ to the five even moments of a 3x3 moment of the squared half-angle cosines
 and sines.  The spin-traced momentum density keeps its
 Jacobian factors explicitly; ``momentum_density_samples`` evaluates its matrix
 elements on a finite set of coordinate pairs together with the product of the
-single-particle marginals at the same coordinates, and ``product_distance``
-reduces the comparison to one scalar.
+single-particle marginals at the same coordinates (spin algebra in real
+quaternions); ``product_distance`` gives one scalar per (width, speed).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from relent.kinematics import (
-    Boost, energy_ratio, su2_matrix, tan_half_angle, wigner_half_angle, wigner_tan_product,
+    Boost, energy_ratio, tan_half_angle, wigner_half_angle, wigner_tan_product,
 )
 from relent.wavepacket import (
     AZIMUTH_NODES,
@@ -78,18 +78,24 @@ class BipartiteState:
         self.dist, self.spin = dist, spin
 
 
+#: the quaternion units E = (1, i sigma_x, i sigma_y, i sigma_z), and E_m x E_n
+#: (4, 4, 4, 4) over the basis (uu, ud, du, dd)
+_UNITS = np.array([[[1, 0], [0, 1]], [[0, 1j], [1j, 0]], [[0, 1], [-1, 0]], [[1j, 0], [0, -1j]]])
+_UNIT_PAIRS = np.einsum("mac,nbd->mnabcd", _UNITS, _UNITS).reshape(4, 4, 4, 4)
+
+
 def azimuth_tensor(spin: np.ndarray, n_phi: int) -> np.ndarray:
     """Y[k, l] = <vec(X_k) vec(X_l)^dag> over an n_phi-node periodic rule in phi, (4, 4, 4, 4).
 
     Each Wigner matrix is D = cos(Omega/2) + sin(Omega/2) J(phi) with
-    J = su2_matrix(0, cos(phi), sin(phi)); the companion of a pair with
+    J = cos(phi) E_z - sin(phi) E_y; the companion of a pair with
     q = sign * p has D_q = cos(Omega_q/2) + sign sin(Omega_q/2) J.  So
     D_p Phi D_q^T = sum_k a_k X_k with X = (Phi, J Phi, Phi J^T, J Phi J^T)
     and real, phi-free a_k.  X_k X_l^dag has degree <= 4 in phi, which
     ``AZIMUTH_NODES`` nodes average exactly.
     """
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    J = np.moveaxis(su2_matrix(0.0, np.cos(phi), np.sin(phi)), -1, 0)
+    J = np.cos(phi)[:, None, None] * _UNITS[3] - np.sin(phi)[:, None, None] * _UNITS[2]
     F, JT = np.broadcast_to(spin.reshape(2, 2), J.shape), J.swapaxes(-1, -2)
     X = np.stack([F, J @ F, F @ JT, J @ F @ JT]).reshape(4, n_phi, 4)
     return np.einsum("kni,lnj->klij", X, X.conj()) / n_phi
@@ -134,7 +140,7 @@ def reduced_spin_density(state: BipartiteState, b: Boost, grid: QuadratureGrid) 
     P = (c2, cs, s2)
     Q = P if dist.sign == 1 else tuple(x[..., ::-1] for x in P)
     # only the moments with i + j even: the azimuth tensor's odd entries vanish
-    M = np.zeros(np.shape(b.beta) + (3, 3))
+    M = np.zeros(np.broadcast_shapes(w.shape, s2.shape)[:-2] + (3, 3))
     for i, j in ((0, 0), (0, 2), (2, 0), (2, 2), (1, 1)):
         M[..., i, j] = np.einsum("...ij,...ij,...ij->...", w, P[i], Q[j])
     M[..., 1, 1] *= dist.sign
@@ -152,20 +158,19 @@ def reduced_spin_density(state: BipartiteState, b: Boost, grid: QuadratureGrid) 
 class MomentumDensitySample:
     """Matrix elements of the spin-traced momentum density at sampled coordinates.
 
-    ``pairs`` has shape (n, 4, 3): rows of Cartesian (p, q, p', q').  Each
-    element carries the invariant-normalisation Jacobian sqrt of all four
-    energies ratios; ``marginal_products`` holds <p|rho_A|p'><q|rho_B|q'> at
-    the same coordinates for the factorization comparison.  Both have shape
-    (..., n), the leading axes those of the boost speeds.
+    ``pairs`` has shape (n, 4, 3), rows of Cartesian (p, q, p', q'), or
+    (n_delta, n, 4, 3).  Each element carries the invariant-normalisation
+    Jacobian sqrt of all four energies ratios; ``marginal_products`` holds
+    <p|rho_A|p'><q|rho_B|q'> at the same coordinates for the factorization
+    comparison.  Both have shape (..., n): any width axis, then the speeds'.
     """
 
     def __init__(self, pairs: np.ndarray, elements: np.ndarray, marginal_products: np.ndarray):
-        if pairs.shape[1:] != (4, 3):
+        if pairs.ndim not in (3, 4) or pairs.shape[-2:] != (4, 3):
             raise ValueError("pairs must have shape (n, 4, 3)")
-        diag = np.all(pairs[:, 0] == pairs[:, 2], axis=1) & np.all(
-            pairs[:, 1] == pairs[:, 3], axis=1
-        )
-        if np.any(elements[..., diag].real < -1e-10):
+        rows = pairs if pairs.ndim == 3 else pairs[:, None]  # a speed axis after the widths'
+        diag = np.all(rows[..., :2, :] == rows[..., 2:, :], axis=(-2, -1))  # p' = p and q' = q
+        if np.any(diag & (elements.real < -1e-10)):
             raise ValueError("diagonal momentum-density elements must be non-negative")
         self.pairs, self.elements, self.marginal_products = pairs, elements, marginal_products
 
@@ -180,45 +185,59 @@ def momentum_density_samples(
     spin overlap by the product of the single-party overlaps (with the
     companion particle traced out against |f1|^2, evaluated on the grid).
 
+    With (c, s) = (cos, sin)(Omega/2), D_p'^dag D_p = (c'c + s's cos(dphi), -s's sin(dphi),
+    s'c sin(phi') - c's sin(phi), c's cos(phi) - s'c cos(phi')) in E, dphi = phi' - phi,
+    and <Phi|A x B|Phi> = a T b with T_mn = <Phi|E_m x E_n|Phi>, all in real arithmetic.
+
     At fixed coordinates the elements depart further from the marginal
     product as beta grows: the Wigner-phase difference between two radii
     along one direction rises as the boost saturates and levels off at
     O(1/p).  Factorization is therefore reached only in the joint limit of
-    ultra-relativistic boost and momenta.  All speeds of ``b`` are evaluated
-    on the same pairs at once.
+    ultra-relativistic boost and momenta.  All speeds of ``b``, and the widths
+    of pairs (n_delta, n, 4, 3) with one grid lattice each, are evaluated at once.
     """
     if not isinstance(state.dist, GaussianProduct):
         raise TypeError("momentum_density_samples requires a product momentum distribution")
     pairs = np.asarray(pairs, dtype=float)
-    if pairs.ndim != 3 or pairs.shape[1:] != (4, 3):
+    if pairs.ndim not in (3, 4) or pairs.shape[-2:] != (4, 3):
         raise ValueError("pairs must have shape (n, 4, 3)")
     dist = state.dist
-    F = state.spin.reshape(2, 2)
+    T = _UNIT_PAIRS @ state.spin @ state.spin.conj()  # <Phi|E_m x E_n|Phi>
+    T = np.stack((T.real, T.imag))
 
     # companion-trace normalisation, computed on the grid it was handed
-    norm1 = float(np.sum(grid.weights * dist.density1(grid.p**2)))
+    norm1 = np.sum(grid.weights * dist.density1(grid.p**2), axis=(-2, -1))[..., None]
 
-    # Wigner matrices of all four momenta of every row, D[:, :, ..., row, slot]
+    # half-angles and azimuths of all four momenta of every row, (..., slot, row):
+    # the long row axis innermost keeps numpy's inner loops long
+    x, y, z = np.moveaxis(pairs if pairs.ndim == 3 else pairs[:, None], (-1, -3), (0, -1))
     nb = b.nodewise()
-    p_sq = np.sum(pairs**2, axis=-1)
+    p_sq = x * x + y * y + z * z
     p = np.sqrt(p_sq)
-    transverse = np.sqrt(pairs[..., 1] ** 2 + pairs[..., 2] ** 2)
+    transverse = np.sqrt(y * y + z * z)
     # collinear and p = 0 rows give the identity exactly (r = 0, azimuth 0)
     safe_p = np.where(p > 0.0, p, 1.0)
     safe_t = np.where(transverse > 0.0, transverse, 1.0)
-    c, s = wigner_half_angle(p, pairs[..., 0] / safe_p, nb.beta, sintheta=transverse / safe_p)
-    cos_phi = np.where(transverse > 0.0, pairs[..., 1] / safe_t, 1.0)
-    D = su2_matrix(c, s * cos_phi, s * (pairs[..., 2] / safe_t))
-    A = np.einsum("ba...,bc...->ac...", D[..., 2].conj(), D[..., 0])  # D_p'^dag D_p
-    B = np.einsum("ba...,bc...->ac...", D[..., 3].conj(), D[..., 1])  # D_q'^dag D_q
-    # <Phi| A x B |Phi> and the single-party overlaps with the other factor traced
-    spin_sum = np.einsum("ab,ac...,cd,bd...->...", F.conj(), A, F, B)
-    spin_a = np.einsum("ab,ac...,cb->...", F.conj(), A, F)
-    spin_b = np.einsum("ab,ad,bd...->...", F.conj(), F, B)
+    c, s = wigner_half_angle(p, x / safe_p, nb.beta, sintheta=transverse / safe_p)
+    cos_phi = np.where(transverse > 0.0, y / safe_t, 1.0)
+    sin_phi = z / safe_t
+    # D_p'^dag D_p, D_q'^dag D_q (4, ..., row) from slots (0, 2), (1, 3); (y, z) = (cos, sin)(phi)
+    qa, qb = [], []
+    for q, i, j in ((qa, 0, 2), (qb, 1, 3)):
+        (c0, s0, y0, z0), (c1, s1, y1, z1) = ([a[..., k, :] for a in (c, s, cos_phi, sin_phi)]
+                                              for k in (i, j))
+        ss, cs, sc = s1 * s0, c1 * s0, s1 * c0
+        q += [c1 * c0 + ss * (y1 * y0 + z1 * z0), ss * (y1 * z0 - z1 * y0), sc * z1 - cs * z0,
+              cs * y0 - sc * y1]
+    qa, qb = np.array(qa), np.array(qb)
+    # real and imaginary parts of <Phi|A x B|Phi>, sum_m T_m0 a_m and sum_n T_0n b_n
+    tb = np.einsum("kmn,n...->km...", T, qb)
+    parts = np.einsum("m...,km...->k...", qa, tb), np.einsum("km,m...->k...", T[..., 0], qa)
+    spin_sum, spin_a, spin_b = (part[0] + 1j * part[1] for part in (*parts, tb[:, 0]))
 
-    ratio = energy_ratio(pairs[..., 0], np.sqrt(1.0 + p_sq), nb)
-    jac = np.sqrt(np.prod(ratio, axis=-1))
-    amp = np.prod(dist.amplitude1(p_sq), axis=-1)
+    ratio = energy_ratio(x, np.sqrt(1.0 + p_sq), nb)
+    jac = np.sqrt(np.prod(ratio, axis=-2))
+    amp = np.prod(dist.amplitude1(p_sq), axis=-2)
     elements = jac * amp * spin_sum
     marginals = jac * amp * (spin_a * norm1) * (spin_b * norm1)
     return MomentumDensitySample(pairs=pairs, elements=elements, marginal_products=marginals)
@@ -289,7 +308,8 @@ def default_sample_pairs(
     (deep tails excluded); every fourth pair is diagonal (p'=p, q'=q), the
     rest differ in radius along a fixed direction per particle, which is the
     coordinate direction the ultra-relativistic factorization statement
-    addresses.
+    addresses.  An array width (n_delta, 1) scales one draw to each width and
+    gives pairs of shape (n_delta, n, 4, 3).
     """
     # one row of uniforms per pair, columns in the order (cos theta, phi) of
     # each particle's direction, then the four radii
@@ -299,9 +319,9 @@ def default_sample_pairs(
     ct, ph = u[:, [0, 2]], u[:, [1, 3]]
     st = np.sqrt(1.0 - ct * ct)
     dirs = np.stack((ct, st * np.cos(ph), st * np.sin(ph)), axis=-1)  # (n, 2, 3)
-    r = np.sqrt(dist.delta) * u[:, 4:]
+    r = np.sqrt(dist.delta)[..., None] * u[:, 4:]
     out = r[..., None] * np.concatenate((dirs, dirs), axis=1)  # p, q, p', q'
-    out[::4, 2:] = out[::4, :2]
+    out[..., ::4, 2:, :] = out[..., ::4, :2, :]
     return out
 
 
@@ -314,7 +334,7 @@ def product_distance(sample: MomentumDensitySample) -> float:
     falls as 1/delta with the width (9e-5, 9e-7, 9e-9 at widths 1e4, 1e6, 1e8
     and beta 0.9999).
     """
-    if sample.pairs.shape[0] == 0:
+    if sample.pairs.shape[-3] == 0:
         raise ValueError("sample is empty")
     dev = np.abs(sample.elements - sample.marginal_products) / (
         np.abs(sample.marginal_products) + 1e-300

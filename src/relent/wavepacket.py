@@ -57,21 +57,26 @@ class GridCoverageError(Exception):
 
 
 class _Gaussian:
-    """Isotropic Gaussian radial profile of width delta (m^2 units)."""
+    """Isotropic Gaussian radial profile of width delta (m^2 units), or of an array of widths.
 
-    def __init__(self, delta: float):
-        if not (delta > 0.0):
+    An array has a grid's cutoff axes, (n_delta, 1); ``nodes_delta`` adds the
+    two node axes of the |p|^2 that ``density1`` and ``amplitude1`` take."""
+
+    def __init__(self, delta):
+        if not np.all(np.asarray(delta) > 0.0):
             raise ValueError(f"delta must be positive, got {delta}")
-        self.delta = delta
+        self.delta = delta if np.ndim(delta) == 0 else np.asarray(delta, dtype=float)
+        self.nodes_delta = self.delta if np.ndim(delta) == 0 else self.delta[..., None, None]
 
     @property
-    def norm(self) -> float:
+    def norm(self):
         """N with integral of N exp(-p^2/delta) over R^3 equal to 1."""
-        return float((np.pi * self.delta) ** (-1.5))
+        return (np.pi * self.delta) ** (-1.5)
 
     def density1(self, p_sq):
         """|f1(p)|^2 = N exp(-p^2/delta) from |p|^2; integrates to 1 over R^3."""
-        return self.norm * np.exp(-np.asarray(p_sq, dtype=float) / self.delta)
+        d = self.nodes_delta
+        return (np.pi * d) ** (-1.5) * np.exp(-np.asarray(p_sq, dtype=float) / d)
 
 
 class GaussianProduct(_Gaussian):
@@ -79,7 +84,8 @@ class GaussianProduct(_Gaussian):
 
     def amplitude1(self, p_sq):
         """Single-particle amplitude f1(p) = sqrt(N exp(-p^2/delta)), from |p|^2."""
-        return np.sqrt(self.norm) * np.exp(-np.asarray(p_sq, dtype=float) / (2.0 * self.delta))
+        d = self.nodes_delta
+        return np.sqrt((np.pi * d) ** (-1.5)) * np.exp(-np.asarray(p_sq, dtype=float) / (2.0 * d))
 
 
 class EntangledMomentum(_Gaussian):
@@ -90,7 +96,7 @@ class EntangledMomentum(_Gaussian):
     analysis.
     """
 
-    def __init__(self, delta: float, sign: int = -1):
+    def __init__(self, delta, sign: int = -1):
         super().__init__(delta)
         if sign not in (-1, 1):
             raise ValueError(f"sign must be -1 or +1, got {sign}")

@@ -29,6 +29,8 @@ Wootters' concurrence in its X-state form.  ``wigner_half_angle_hypot``,
 (den, num) / hypot(num, den), the angle and its SU(2) matrix from the azimuth,
 and the ``*_hypot`` kernels are the library's four lattice kernels in the
 form they had before they took tan(Omega/2) and built their arrays in place.
+``momentum_density_samples_su2`` is the pair-density sampler with complex
+SU(2) matrices, as it was before it worked in real quaternions.
 """
 
 from dataclasses import dataclass, field
@@ -36,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from relent.entanglement import ABCDValues, FidelityResult, XStateStats, _leaked_mass
-from relent.kinematics import Boost, energy_ratio, su2_matrix
+from relent.kinematics import Boost, energy_ratio, wigner_half_angle
 from relent.relstate import (
     _G_COL, _G_ROW, TRACE_TOL, MomentumDensitySample, azimuth_tensor, spin_up_up,
 )
@@ -56,6 +58,21 @@ _SIGMA = np.array(
     ],
     dtype=complex,
 )
+
+
+def su2_matrix(c, u, v) -> np.ndarray:
+    """The SU(2) form [[c + iu, -v], [v, c - iu]], stacked over broadcast inputs.
+
+    Linear in (c, u, v), so a quadrature of the matrix is this form applied to
+    the quadratures of its three components.  Returns shape
+    ``(2, 2) + broadcast(c, u, v).shape``.
+    """
+    c, u, v = np.broadcast_arrays(c, u, v)
+    out = np.zeros((2, 2) + c.shape, dtype=complex)
+    out.real[0, 0] = out.real[1, 1] = c
+    out.imag[0, 0], out.imag[1, 1] = u, -u
+    out.real[0, 1], out.real[1, 0] = -v, v
+    return out
 
 
 # -- the Wigner angle in its (den, num) form and the kernels built on it --------
@@ -198,6 +215,45 @@ def momentum_density_samples_hypot(state, b: Boost, grid, pairs) -> MomentumDens
     safe_p = np.where(p > 0.0, p, 1.0)
     omega = wigner_angle(p, pairs[..., 0] / safe_p, nb.beta, sintheta=transverse / safe_p)
     D = wigner_matrix(omega, np.arctan2(pairs[..., 2], pairs[..., 1]))
+    A = np.einsum("ba...,bc...->ac...", D[..., 2].conj(), D[..., 0])
+    B = np.einsum("ba...,bc...->ac...", D[..., 3].conj(), D[..., 1])
+    spin_sum = np.einsum("ab,ac...,cd,bd...->...", F.conj(), A, F, B)
+    spin_a = np.einsum("ab,ac...,cb->...", F.conj(), A, F)
+    spin_b = np.einsum("ab,ad,bd...->...", F.conj(), F, B)
+    ratio = energy_ratio(pairs[..., 0], np.sqrt(1.0 + p_sq), nb)
+    jac = np.sqrt(np.prod(ratio, axis=-1))
+    amp = np.prod(dist.amplitude1(p_sq), axis=-1)
+    return MomentumDensitySample(
+        pairs=pairs,
+        elements=jac * amp * spin_sum,
+        marginal_products=jac * amp * (spin_a * norm1) * (spin_b * norm1),
+    )
+
+
+def momentum_density_samples_su2(state, b: Boost, grid, pairs) -> MomentumDensitySample:
+    """``relstate.momentum_density_samples`` with complex SU(2) matrices for one width.
+
+    The form before the real quaternions: the (2, 2, ..., row, slot) Wigner
+    matrices of all four momenta, the products D_p'^dag D_p and D_q'^dag D_q
+    by ``einsum``, and <Phi|A x B|Phi> as a four-operand ``einsum``.
+    """
+    if not isinstance(state.dist, GaussianProduct):
+        raise TypeError("momentum_density_samples requires a product momentum distribution")
+    pairs = np.asarray(pairs, dtype=float)
+    if pairs.ndim != 3 or pairs.shape[1:] != (4, 3):
+        raise ValueError("pairs must have shape (n, 4, 3)")
+    dist = state.dist
+    F = state.spin.reshape(2, 2)
+    norm1 = float(np.sum(grid.weights * dist.density1(grid.p**2)))
+    nb = b.nodewise()
+    p_sq = np.sum(pairs**2, axis=-1)
+    p = np.sqrt(p_sq)
+    transverse = np.sqrt(pairs[..., 1] ** 2 + pairs[..., 2] ** 2)
+    safe_p = np.where(p > 0.0, p, 1.0)
+    safe_t = np.where(transverse > 0.0, transverse, 1.0)
+    c, s = wigner_half_angle(p, pairs[..., 0] / safe_p, nb.beta, sintheta=transverse / safe_p)
+    cos_phi = np.where(transverse > 0.0, pairs[..., 1] / safe_t, 1.0)
+    D = su2_matrix(c, s * cos_phi, s * (pairs[..., 2] / safe_t))
     A = np.einsum("ba...,bc...->ac...", D[..., 2].conj(), D[..., 0])
     B = np.einsum("ba...,bc...->ac...", D[..., 3].conj(), D[..., 1])
     spin_sum = np.einsum("ab,ac...,cd,bd...->...", F.conj(), A, F, B)

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import relent.cli as cli
+import relent.correlations as correlations
 import relent.entanglement as entanglement
 import relent.relstate as relstate
 from relent.cli import (
@@ -35,7 +36,7 @@ from relent.cli import (
 from oracles import sample_pairs_loop
 from relent import wavepacket
 from relent.kinematics import BETA_CAP
-from relent.wavepacket import default_p_max
+from relent.wavepacket import GaussianProduct, default_p_max
 
 #: the largest fixed grid.p_max a config may set: the auto policy's largest cutoff
 P_MAX_CAP = default_p_max(DELTA_MAX, BETA_CAP)
@@ -47,7 +48,121 @@ def write_config(tmp_path, doc, name="config.json"):
     return str(path)
 
 
+#: "must be one of (...), got " as the scenario check words it
+SCENARIO_CHOICES = (
+    "must be one of ('spin_bell_momentum_product', 'momentum_bell_spin_up', "
+    "'both_bell_correlations', 'fidelity_only'), got "
+)
+
+#: (config document, its exact error message), one or more per check; the
+#: checks build a message only when they fail
+CONFIG_ERRORS = [
+    ([],
+     "config root: expected a JSON object"),
+    ({"scenari": 1},
+     "config field 'scenari': unknown field"),
+    ({"scenario": "bogus"},
+     "config field 'scenario': " + SCENARIO_CHOICES + "'bogus'"),
+    ({"scenario": 3},
+     "config field 'scenario': " + SCENARIO_CHOICES + "3"),
+    ({"betas": []},
+     "config field 'betas': must be a non-empty list"),
+    ({"betas": 0.5},
+     "config field 'betas': must be a non-empty list"),
+    ({"betas": [0.1, 1.5]},
+     "config field 'betas[1]': must be a number in [0, 0.999999999], got 1.5"),
+    ({"betas": [True]},
+     "config field 'betas[0]': must be a number in [0, 0.999999999], got True"),
+    ({"betas": ["0.5"]},
+     "config field 'betas[0]': must be a number in [0, 0.999999999], got '0.5'"),
+    ({"betas": [float("nan")]},
+     "config field 'betas[0]': must be a number in [0, 0.999999999], got nan"),
+    ({"betas": [0.0, float("inf")]},
+     "config field 'betas[1]': must be a number in [0, 0.999999999], got inf"),
+    ({"betas": [-0.0, -1e-300]},
+     "config field 'betas[1]': must be a number in [0, 0.999999999], got -1e-300"),
+    ({"betas": [0.5, 0.1]},
+     "config field 'betas': must be ascending"),
+    ({"delta": []},
+     "config field 'delta': must be a number or non-empty list"),
+    ({"delta": "1"},
+     "config field 'delta': must be a number or non-empty list"),
+    ({"delta": [1.0, 0.0]},
+     "config field 'delta[1]': must be a number in [1e-12, 1e+12], got 0.0"),
+    ({"delta": [10000000000000.0]},
+     "config field 'delta[0]': must be a number in [1e-12, 1e+12], got 10000000000000.0"),
+    ({"delta": [1e-13]},
+     "config field 'delta[0]': must be a number in [1e-12, 1e+12], got 1e-13"),
+    ({"delta": [False]},
+     "config field 'delta[0]': must be a number in [1e-12, 1e+12], got False"),
+    ({"delta": float("nan")},
+     "config field 'delta': must be a number or non-empty list"),
+    ({"delta": [1.0, None]},
+     "config field 'delta[1]': must be a number in [1e-12, 1e+12], got None"),
+    ({"grid": []},
+     "config field 'grid': must be an object"),
+    ({"grid": {"n_r": 1}},
+     "config field 'grid.n_r': must be an integer >= 2, got 1"),
+    ({"grid": {"n_theta": 2.0}},
+     "config field 'grid.n_theta': must be an integer >= 2, got 2.0"),
+    ({"grid": {"n_phi": True}},
+     "config field 'grid.n_phi': must be an integer >= 2, got True"),
+    ({"grid": {"n_r": 1025}},
+     "config field 'grid.n_r': must be at most 1024, got 1025"),
+    ({"grid": {"n_theta": 4096}},
+     "config field 'grid.n_theta': must be at most 1024, got 4096"),
+    ({"grid": {"p_max": 0}},
+     "config field 'grid.p_max': must be 'auto' or a number in (0, 1.56531e+11], got 0"),
+    ({"grid": {"p_max": "Auto"}},
+     "config field 'grid.p_max': must be 'auto' or a number in (0, 1.56531e+11], got 'Auto'"),
+    ({"grid": {"p_max": 1e+300}},
+     "config field 'grid.p_max': must be 'auto' or a number in (0, 1.56531e+11], got 1e+300"),
+    ({"grid": {"p_max": float("inf")}},
+     "config field 'grid.p_max': must be 'auto' or a number in (0, 1.56531e+11], got inf"),
+    ({"grid": {"bogus": 1, "alpha": 2}},
+     "config field 'grid.alpha': unknown field"),
+    ({"delta_sign": 0},
+     "config field 'delta_sign': must be -1 or 1, got 0"),
+    ({"delta_sign": True},
+     "config field 'delta_sign': must be -1 or 1, got True"),
+    ({"delta_sign": "1"},
+     "config field 'delta_sign': must be -1 or 1, got '1'"),
+    ({"delta_sign": 1.5},
+     "config field 'delta_sign': must be -1 or 1, got 1.5"),
+    ({"analytic_limit": 1},
+     "config field 'analytic_limit': must be a boolean"),
+    ({"analytic_limit": True, "scenario": "fidelity_only"},
+     "config field 'analytic_limit': only applies to the spin_bell_momentum_product scenario"),
+    ({"directions": []},
+     "config field 'directions': must be an object with 'a' and 'b'"),
+    ({"directions": {"c": 1, "d": 2}},
+     "config field 'directions.c': unknown field"),
+    ({"directions": {"a": [1, 0]}},
+     "config field 'directions.a': must be a 3-vector of finite numbers"),
+    ({"directions": {"a": [1, 1, 0]}},
+     "config field 'directions.a': must be a unit vector (norm 1.414214)"),
+    ({"directions": {"b": [0.6, 0.8, 0.1]}},
+     "config field 'directions.b': must be a unit vector (norm 1.004988)"),
+    ({"directions": {"a": [True, 0, 0]}},
+     "config field 'directions.a': must be a 3-vector of finite numbers"),
+    ({"seed": -1},
+     "config field 'seed': must be a non-negative integer, got -1"),
+    ({"seed": 1.0},
+     "config field 'seed': must be a non-negative integer, got 1.0"),
+    ({"seed": True},
+     "config field 'seed': must be a non-negative integer, got True"),
+    ({"seed": "42"},
+     "config field 'seed': must be a non-negative integer, got '42'"),
+]
+
+
 class TestConfigParsing:
+    @pytest.mark.parametrize("doc, message", CONFIG_ERRORS)
+    def test_error_messages_unchanged(self, doc, message):
+        with pytest.raises(ConfigError) as err:
+            parse_config(doc)
+        assert str(err.value) == message
+
     def test_defaults(self):
         cfg = parse_config({})
         assert cfg.scenario == "spin_bell_momentum_product"
@@ -103,6 +218,16 @@ ANGLE_BINDINGS = (
     (entanglement, "wigner_tan_product"),
     (relstate, "wigner_tan_product"),
     (relstate, "wigner_half_angle"),
+)
+
+
+#: every binding through which a sweep calls a lattice kernel
+LATTICE_KERNELS = (
+    (cli, "fidelity"),
+    (cli, "bell_ABCD"),
+    (cli, "momentum_density_samples"),
+    (entanglement, "reduced_spin_density"),
+    (correlations, "reduced_spin_density"),
 )
 
 
@@ -174,9 +299,11 @@ class TestRunScenarios:
 
         def counting_draw(dist, *args, **kwargs):
             pairs = draw(dist, *args, **kwargs)
-            # the shared stream gives each width the pairs of its own draw
-            assert np.array_equal(pairs, sample_pairs_loop(dist, *args, **kwargs))
-            pair_draws.append(dist.delta)
+            # one draw of the stream gives each width the pairs of its own draw
+            for delta, width_pairs in zip(dist.delta.ravel(), pairs):
+                want = sample_pairs_loop(GaussianProduct(delta), *args, **kwargs)
+                assert np.array_equal(width_pairs, want)
+            pair_draws.append(dist.delta.ravel().tolist())
             return pairs
 
         def counting(name, fn):
@@ -206,21 +333,22 @@ class TestRunScenarios:
             assert rule.cache_info().misses == rule.cache_info().currsize == 2
             rule(32), rule(24)
             assert rule.cache_info().misses == 2
-            assert pair_draws == [0.5, 1.0, 4.0]
+            assert pair_draws == [[0.5, 1.0, 4.0]]
             # the three widths share one draw of the PCG64 stream
             assert stream.cache_info().misses == 1
             per_sweep.append(dict(kernel_calls))
-        # one call per kernel and width, whatever the number of betas:
-        # fidelity and bell_ABCD take the tanh product, the density samples the
-        # half-angles
-        want = {"wigner_tan_product": 6, "wigner_half_angle": 3, "_leaked_mass": 3}
+        # one call per kernel and sweep, whatever the number of betas and
+        # widths: fidelity and bell_ABCD take the tanh product, the density
+        # samples the half-angles
+        want = {"wigner_tan_product": 2, "wigner_half_angle": 1, "_leaked_mass": 1}
         assert per_sweep[0] == per_sweep[1] == want
         assert texts[1] == texts[2]
 
     @pytest.mark.parametrize("scenario", ["momentum_bell_spin_up", "both_bell_correlations"])
     def test_one_wigner_angle_evaluation_per_width(self, monkeypatch, scenario):
         # the q = -p companion's angles are the particle's on the mirrored
-        # cos(theta) nodes, so the entangled-momentum kernel evaluates once
+        # cos(theta) nodes, so the entangled-momentum kernel evaluates once,
+        # for all three widths together
         calls = Counter()
 
         def counting(name, fn):
@@ -232,7 +360,33 @@ class TestRunScenarios:
         for module, name in ANGLE_BINDINGS:
             monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         run(parse_config({"scenario": scenario, "delta": [0.5, 1.0, 4.0]}))
-        assert calls == {"wigner_tan_product": 3}
+        assert calls == {"wigner_tan_product": 1}
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    @pytest.mark.parametrize(
+        "n_r, n_theta, calls", [(32, 32, 1), (128, 160, 2), (256, 256, 3)]
+    )
+    def test_lattice_kernels_called_once_per_chunk(self, monkeypatch, scenario, n_r, n_theta, calls):
+        # a chunk holds max(1, 2^20 // (21 n_r n_theta)) widths: all three on the
+        # default grid, two then one on 128x160, one at a time on 256x256
+        counts = Counter()
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for module, name in LATTICE_KERNELS:
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        doc = {"scenario": scenario, "delta": [0.5, 1.0, 4.0],
+               "grid": {"n_r": n_r, "n_theta": n_theta}}
+        rows = run(parse_config(doc))
+        assert len(rows) == 3 * len(cli._DEFAULT_BETAS)
+        assert set(counts.values()) == {calls}
+        if calls == 2:
+            split = [row for d in doc["delta"] for row in run(parse_config({**doc, "delta": [d]}))]
+            assert emit(rows, "csv", None) == emit(split, "csv", None)
 
 
 #: (scenario, config fields) for every combination a sweep can batch
@@ -251,7 +405,7 @@ BATCHED_CASES = [
 
 
 class TestBatchedSweep:
-    """A width's betas run as one batch give the rows of one sweep per beta."""
+    """A config's widths and betas run as one batch give the rows of one sweep per cell."""
 
     @staticmethod
     def _rows(doc):
@@ -263,11 +417,11 @@ class TestBatchedSweep:
     @given(data=st.data())
     @settings(max_examples=8, deadline=None)
     def test_rows_equal_single_beta_runs(self, scenario, fields, p_max, data):
-        # a fixed cutoff of 14 resolves both packets and their boosted images up to beta 0.6
+        # a fixed cutoff of 14 resolves the packets and their boosted images up to beta 0.6
         top = 0.99 if p_max == "auto" else 0.6
         betas = sorted(data.draw(st.lists(st.floats(0.0, top), min_size=2, max_size=5)))
         doc = {
-            "scenario": scenario, "betas": betas, "delta": [0.5, 1.0],
+            "scenario": scenario, "betas": betas, "delta": [0.5, 1.0, 4.0],
             "grid": {"n_r": 24, "n_theta": 16, "p_max": p_max}, **fields,
         }
         single = [
@@ -277,7 +431,7 @@ class TestBatchedSweep:
             for row in self._rows({**doc, "betas": [beta], "delta": [delta]})
         ]
         batched = self._rows(doc)
-        assert len(batched) == len(single) == 2 * len(betas)
+        assert len(batched) == len(single) == 3 * len(betas)
         for got, want in zip(batched, single):
             for g, w in zip(got, want):
                 assert (g is None) == (w is None)

@@ -384,6 +384,23 @@ class TestBellABCD:
         with pytest.raises(TypeError):
             bell_ABCD(EntangledMomentum(1.0, -1), Boost(0.5), grid_default)
 
+    @pytest.mark.parametrize("analytic_limit", [False, True])
+    def test_per_speed_grid_equals_single_speed_calls(self, gauss_unit, analytic_limit):
+        # the norm is checked on each lattice, not on the sum of all three
+        betas = [0.0, 0.5, 0.9]
+        cutoffs = default_p_max(1.0, np.array(betas))
+        v = bell_ABCD(gauss_unit, Boost(np.array(betas)), build_grid(32, 32, cutoffs), analytic_limit)
+        for i, (beta, cut) in enumerate(zip(betas, cutoffs)):
+            single = bell_ABCD(gauss_unit, Boost(beta), build_grid(32, 32, cut), analytic_limit)
+            for got, want in zip(v, single):
+                assert got[i] == pytest.approx(want, rel=1e-14, abs=1e-15)
+
+    def test_norm_error_reports_worst_lattice(self, gauss_unit):
+        # the second and third lattices both fail; the third fails worse
+        grid = build_grid(32, 32, [default_p_max(1.0), 2.0, 1.5])
+        with pytest.raises(GridCoverageError, match=r"norm on the grid is 0\.787710;"):
+            bell_ABCD(gauss_unit, Boost(np.array([0.0, 0.5, 0.9])), grid)
+
     def test_xstate_rejects_product_distribution(self, grid_default, gauss_unit):
         with pytest.raises(TypeError):
             xstate_stats(gauss_unit, Boost(0.5), grid_default)
@@ -538,13 +555,14 @@ class TestXStatePTSpectrum:
         monkeypatch.setattr(cli, "xstate_pt_spectrum", recording)
         config = parse_config(GOLDEN[name])
         rows = run(config)
-        assert len(seen) == len(config.delta)
+        # a golden sweep's widths fit in one chunk: one spectrum call per sweep
+        assert len(seen) == 1
         n_cells = 0
         for args in seen:
             spectrum, rho = assert_matches_eigensolve(*args, atol=1e-14)
             N, C = assert_negativity_within_concurrence(spectrum, rho, atol=1e-14)
             assert np.array_equal(N == 0.0, C == 0.0)
-            n_cells += len(N)
+            n_cells += N.size
         assert n_cells == len(rows)
 
     @given(x=xstates())

@@ -150,10 +150,10 @@ def _peak_lattices(fn, *args):
 class TestLatticeMemory:
     """Peak memory of one call, in (beta, p, cos(theta)) arrays, on the sweep's grids.
 
-    ``fidelity`` builds its integrand in two buffers and ``bell_ABCD`` r^2 and
-    cos^2 in two; ``reduced_spin_density`` holds (c^2, cs, s^2).  The rest of
-    each peak is a ufunc's broadcasting buffer.  The earlier forms peaked at
-    6.1, 5.05 and 5.05 arrays.
+    ``fidelity`` builds its integrand in two buffers and ``bell_ABCD``
+    sin^2(Omega/2) in one; ``reduced_spin_density`` holds (c^2, cs, s^2).  The
+    rest of each peak is a ufunc's broadcasting buffer.  The hypot forms peaked
+    at 6.1, 5.05 and 5.05 arrays.
     """
 
     b = Boost(np.array(_DEFAULT_BETAS))
@@ -167,7 +167,7 @@ class TestLatticeMemory:
 
     def test_bell_ABCD(self):
         grid = build_grid(64, 64, default_p_max(1.0))
-        assert _peak_lattices(bell_ABCD, GaussianProduct(1.0), self.b, grid) <= 3.0
+        assert _peak_lattices(bell_ABCD, GaussianProduct(1.0), self.b, grid) <= 2.0
 
     @pytest.mark.parametrize("sign", [-1, 1])
     def test_reduced_spin_density(self, sign):

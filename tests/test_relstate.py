@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from oracles import (
     FourMomentum,
     boost_momentum,
+    momentum_density_samples_su2,
     reduced_spin_density_3d,
     reduced_spin_density_two_angles,
     sample_pairs_loop,
@@ -172,6 +173,17 @@ class TestReducedSpinDensity:
         with pytest.raises(GridCoverageError):
             reduced_spin_density(state, Boost(0.5), bad)
 
+    @pytest.mark.parametrize("sign", [-1, 1])
+    def test_per_speed_grid_with_scalar_boost(self, sign):
+        # the moments take the grid's leading axis when the boost has none
+        cutoffs = default_p_max(1.0, np.array([0.0, 0.5, 0.9]))
+        state = BipartiteState(EntangledMomentum(1.0, sign), bell_phi_plus())
+        rho = reduced_spin_density(state, Boost(0.5), build_grid(32, 32, cutoffs))
+        assert rho.shape == (3, 4, 4)
+        for got, cut in zip(rho, cutoffs):
+            want = reduced_spin_density(state, Boost(0.5), build_grid(32, 32, cut))
+            assert np.max(np.abs(got - want)) <= 1e-15
+
     def test_product_path_matches_delta_free_quadrature(self, gauss_unit):
         # same physics through spin_kernel at scattered nodes: coarse consistency
         grid = build_grid(24, 24, default_p_max(1.0))
@@ -311,3 +323,83 @@ class TestMomentumDensitySamples:
                     marginal_products=np.zeros(0, dtype=complex),
                 )
             )
+
+
+#: a collinear row and a p = 0 row, which both rotate by exactly the identity
+EDGE_ROWS = np.array([
+    [[0.7, 0.0, 0.0], [-1.2, 0.0, 0.0], [0.3, 0.0, 0.0], [2.0, 0.0, 0.0]],
+    np.zeros((4, 3)),
+])
+SAMPLE_SPINS = (bell_phi_plus(), spin_up_up(), np.array([0.5, 0.5j, -0.5, 0.5], dtype=complex))
+
+
+@st.composite
+def sample_cases(draw):
+    """Spin, widths (one per row of a width axis, or None for a scalar width) and boost."""
+    spin = SAMPLE_SPINS[draw(st.integers(0, 2))]
+    exponents = draw(st.lists(st.floats(-12.0, 12.0), min_size=1, max_size=3))
+    widths = None if draw(st.booleans()) else np.power(10.0, exponents)[:, None]
+    speed = st.one_of(st.floats(0.0, BETA_CAP), st.sampled_from([0.0, 0.99, BETA_CAP]))
+    if draw(st.booleans()):
+        beta = draw(speed)
+    else:
+        beta = np.array(sorted(draw(st.lists(speed, min_size=1, max_size=4))))
+    return spin, 10.0 ** exponents[0], widths, beta, draw(st.integers(0, 100))
+
+
+def sample_rows(dist, seed):
+    """The sampler's pairs, rows in four unrelated directions, and ``EDGE_ROWS``, scaled by each width.
+
+    ``default_sample_pairs`` keeps each primed momentum on its unprimed one's
+    ray, so only the general rows give azimuths phi' != phi.
+    """
+    scale = np.sqrt(dist.delta)[..., None, None]  # (n_delta, 1, 1, 1) for an array width
+    general = np.random.default_rng(seed).normal(size=(6, 4, 3))
+    return np.concatenate(
+        [default_sample_pairs(dist, n=9, seed=seed), scale * general, scale * EDGE_ROWS], axis=-3
+    )
+
+
+class TestQuaternionSampler:
+    """The real-quaternion sampler against the complex SU(2) form, width by width."""
+
+    @given(case=sample_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_su2_form(self, case):
+        spin, delta, widths, beta, seed = case
+        b = Boost(beta)
+        dist = GaussianProduct(delta if widths is None else widths)
+        pairs = sample_rows(dist, seed)
+        if widths is None:
+            per_width = [(delta, pairs, Ellipsis)]
+        else:
+            per_width = [(w, rows, i) for i, (w, rows) in enumerate(zip(widths[:, 0], pairs))]
+        grid = build_grid(16, 16, default_p_max(delta if widths is None else widths))
+        got = momentum_density_samples(BipartiteState(dist, spin), b, grid, pairs)
+        for width, rows, i in per_width:
+            width_grid = build_grid(16, 16, default_p_max(width))
+            want = momentum_density_samples_su2(
+                BipartiteState(GaussianProduct(width), spin), b, width_grid, rows
+            )
+            for x, x_ref in ((got.elements[i], want.elements),
+                             (got.marginal_products[i], want.marginal_products)):
+                x = np.reshape(x, x_ref.shape)
+                scale = np.max(np.abs(x_ref), axis=-1, keepdims=True)
+                assert np.all(np.abs(x - x_ref) <= 1e-13 * scale)
+                # collinear and p = 0 rows keep an imaginary part of exactly 0
+                assert np.all(x[..., -2:].imag == 0.0)
+
+    @pytest.mark.parametrize("dist, pairs", [
+        (EntangledMomentum(1.0), np.zeros((2, 4, 3))),
+        (GaussianProduct(1.0), np.zeros((2, 3, 3))),
+        (GaussianProduct(1.0), np.zeros((2, 4, 2))),
+        (GaussianProduct(1.0), np.zeros((4, 3))),
+        (GaussianProduct(1.0), np.zeros((1, 1, 2, 4, 3))),
+    ])
+    def test_raises_like_su2_form(self, grid_default, dist, pairs):
+        state, errors = BipartiteState(dist, bell_phi_plus()), []
+        for fn in (momentum_density_samples, momentum_density_samples_su2):
+            with pytest.raises((TypeError, ValueError)) as err:
+                fn(state, Boost(0.5), grid_default, pairs)
+            errors.append((err.type, str(err.value)))
+        assert errors[0] == errors[1]
