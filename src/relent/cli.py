@@ -15,7 +15,9 @@ Configuration is a single JSON document.  Example:
 
 The azimuth is integrated by a fixed exact rule (``wavepacket.AZIMUTH_NODES``),
 so ``grid.n_phi`` is accepted, validated and echoed for old configs but has
-no effect; likewise ``--workers``.  Scenarios populate different columns of
+no effect; likewise ``--workers``.  ``grid.n_theta`` sets the polar rule of
+the fidelity and the Bell weights only: the two momentum-entangled scenarios
+integrate cos(theta) in closed form.  Scenarios populate different columns of
 the fixed CSV header; cells that a scenario does not produce stay empty (CSV)
 or null (JSON).  A config's widths and betas are evaluated together (``run``),
 and every row equals the row of a sweep over its beta and width alone.

@@ -16,7 +16,9 @@ spectrum and the two separability margins of either in closed form.
 
 A ``Boost`` with an array of speeds, and a distribution with an array of
 widths (n_delta, 1), are evaluated as one array program on the (delta, beta,
-p, cos(theta)) lattice; results and spectra carry the widths' and beta's axes.
+p, cos(theta)) lattice, which each kernel contracts with the grid's polar
+weights and then its radial ones (``_polar_sum``); results and spectra carry
+the widths' and beta's axes.
 
 The entanglement measure is doubled negativity, -2 sum(min(0, PT eigenvalue)),
 normalised so a two-qubit maximally entangled state scores exactly 1.
@@ -34,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from relent.kinematics import Boost, tan_half_angle, wigner_tan_product
+from relent.kinematics import Boost, wigner_tan_product
 from relent.relstate import BipartiteState, reduced_spin_density, spin_up_up
 from relent.wavepacket import (
     EntangledMomentum, GaussianProduct, GridCoverageError, QuadratureGrid,
@@ -160,6 +162,15 @@ def _leaked_mass(dist: GaussianProduct, b: Boost, p_max, m: float = 1.0) -> np.n
     return np.reshape(leaked, beta.shape)
 
 
+def _polar_sum(lattice: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Contract a lattice's cos(theta) axis with ``weights`` (n_theta,), keeping it as length 1.
+
+    A matrix-vector product: each row is its own dot product, unlike a
+    matrix-matrix product, whose last bits change with the rows batched.
+    """
+    return (lattice.reshape(-1, lattice.shape[-1]) @ weights).reshape(lattice.shape[:-1] + (1,))
+
+
 def fidelity(state: BipartiteState, b: Boost, grid: QuadratureGrid) -> FidelityResult:
     """Squared overlap between a product-wavepacket state and its boosted image.
 
@@ -169,6 +180,12 @@ def fidelity(state: BipartiteState, b: Boost, grid: QuadratureGrid) -> FidelityR
     linear in (cos(phi), sin(phi)), whose azimuthal averages vanish, so M is the
     cos(Omega/2) moment times the identity.  ``grid`` has one cutoff or one per
     (width, speed) cell, and the result one fidelity per cell.
+
+    The integrand comes from e = (Lp)^0 - 1 = e_back + gamma beta p (1 + cos(theta)), e_back
+    its value at cos(theta) = -1, so no term of e is negative: |Lp|^2 = e (e + 2), and with
+    C = ch(a/2) ch(d/2), S = sh(a/2) sh(d/2), C^2 + S^2 + 2 C S cos(theta) = (2 + e)/2 gives
+    sqrt((Lp)^0/p^0) cos(Omega/2) = (1 + t cos(theta)) sqrt((gamma + 1)(p0 + 1)(1 + e) /
+    (2 p0 (2 + e))).
 
     Raises GridCoverageError when the boosted wavepacket's mass is not
     resolved by the grid (invariant-norm deficit above 1e-4).
@@ -183,28 +200,30 @@ def fidelity(state: BipartiteState, b: Boost, grid: QuadratureGrid) -> FidelityR
             f"fidelity: boosted wavepacket leaks past p_max (norm deficit {np.max(deficit):.2e})"
         )
 
-    # sqrt(J) f1(Lp) f1(p) cos(Omega/2) in two (delta, beta, p, cos(theta)) buffers,
-    # in place: the lattice temporaries set the sweep's peak memory
+    # exp(-|Lp|^2 / (2 delta)) sqrt((1 + e)/(2 + e)) in two (delta, beta, p, cos(theta))
+    # buffers, in place: the lattice temporaries set the sweep's peak memory
     nb, p, ct, delta = b.nodewise(), grid.p, grid.costheta, dist.nodes_delta
-    gamma, p0 = nb.gamma, np.sqrt(1.0 + p * p)
-    x, y = np.empty((2,) + np.broadcast_shapes(np.shape(delta), nb.beta.shape, grid.weights.shape))
-    np.multiply(p, ct, out=y)
-    y += nb.beta * p0
-    y *= gamma  # (Lp)_x
-    np.multiply(p * p, 2.0 - ct * ct, out=x)  # p^2 + |p_perp|^2
-    x += np.square(y, out=y)
+    beta, gamma, p0 = nb.beta, nb.gamma, np.sqrt(1.0 + p * p)
+    r = p / gamma
+    back = gamma * (beta - r) * (beta + r) / (beta * p0 + p)  # (Lp)_x at cos(theta) = -1
+    back *= back / (gamma * (1.0 + r * r) / (p0 + beta * p) + 1.0)
+    shape = np.broadcast_shapes(np.shape(delta), beta.shape, p.shape[:-1] + ct.shape)
+    e, x = np.empty((2,) + shape)
+    np.multiply(gamma * beta * p, 1.0 + ct, out=e)
+    e += back
+    np.add(e, 2.0, out=x)
+    x *= e
     x *= -0.5 / delta
-    np.exp(x, out=x)  # f1(Lp) f1(p) / N
-    x *= grid.weights
-    np.multiply(nb.beta * p / p0, ct, out=y)
-    y += 1.0
-    y *= gamma  # (Lp)^0/p^0 = gamma (1 + beta p_x/p^0)
-    x *= np.sqrt(y, out=y)
-    r = tan_half_angle(wigner_tan_product(p, nb.beta), ct, out=y)
-    r *= r
-    r += 1.0
-    x /= np.sqrt(r, out=r)  # cos(Omega/2) = 1 / sqrt(1 + r^2)
-    m = dist.norm * np.sum(x, axis=(-2, -1))
+    np.exp(x, out=x)
+    e += 2.0
+    np.reciprocal(e, out=e)
+    np.subtract(1.0, e, out=e)
+    x *= np.sqrt(e, out=e)
+    polar = _polar_sum(x, grid.polar_weights)
+    polar += wigner_tan_product(p, beta) * _polar_sum(x, grid.polar_weights * ct)
+    radial = grid.radial_weights * np.exp(-0.5 / delta * (p * p))
+    radial = radial * np.sqrt((gamma + 1.0) * (p0 + 1.0) / (2.0 * p0))
+    m = dist.norm * np.sum(radial * polar, axis=(-2, -1))
     overlap = m**2 * np.vdot(state.spin, state.spin)
     return FidelityResult(overlap=overlap, fidelity=np.abs(overlap) ** 2)
 
@@ -219,13 +238,15 @@ def bell_ABCD(
     second-harmonic moments, sin^2(Omega/2) against cos(2 phi) and
     sin(2 phi), whose exact azimuthal averages vanish; with them
     A = c2^2 + s2^2/2, B = D = c2 s2 and C = s2^2/2, with sin^2(Omega/2) =
-    t^2 sin^2(theta) / (1 + t^2 + 2 t cos(theta)) in one lattice buffer; the
-    norm is checked per lattice.  ``analytic_limit`` substitutes Omega := theta.
+    t^2 sin^2(theta) / (1 + t^2 + 2 t cos(theta)) in one lattice buffer that
+    the polar weights contract; the norm is checked per radial rule.
+    ``analytic_limit`` substitutes Omega := theta.
     """
     if not isinstance(dist, GaussianProduct):
         raise TypeError("bell_ABCD requires a product momentum distribution")
-    w = grid.weights * dist.density1(grid.p**2)
-    norm = np.sum(w, axis=(-2, -1))
+    w = (grid.radial_weights * dist.density1(grid.p**2))[..., 0]
+    ct, polar = grid.costheta, grid.polar_weights
+    norm = np.sum(w, axis=-1) * np.sum(polar)
     worst = np.ravel(norm)[np.argmax(np.abs(np.ravel(norm) - 1.0))]  # argmax takes a NaN first
     if not (abs(worst - 1.0) <= 1e-4):
         raise GridCoverageError(
@@ -233,23 +254,18 @@ def bell_ABCD(
         )
 
     if analytic_limit:
-        s2 = np.sum(w * (1.0 - grid.costheta), axis=(-2, -1)) / 2.0
+        s2 = np.sum(w, axis=-1) * (polar @ (1.0 - ct)) / 2.0
         s2 = np.broadcast_to(s2, np.broadcast_shapes(np.shape(s2), np.shape(b.beta)))
     else:
-        t, ct = wigner_tan_product(grid.p, b.nodewise().beta), grid.costheta
+        t = wigner_tan_product(grid.p, b.nodewise().beta)
         s2_node = 2.0 * t * ct
         s2_node += 1.0 + t * t
         np.reciprocal(s2_node, out=s2_node)
         s2_node *= t * t
         s2_node *= 1.0 - ct * ct
-        s2 = np.einsum("...ij,...ij->...", w, s2_node)
-    c2 = norm - s2
-
-    A = c2**2 + 0.5 * s2**2
-    B = c2 * s2
-    C = 0.5 * s2**2
-    eta = 2.0 * s2 / norm
-    return ABCDValues(A=A, B=B, C=C, D=B, eta=eta)
+        s2 = np.sum(w * _polar_sum(s2_node, polar)[..., 0], axis=-1)
+    c2, C = norm - s2, 0.5 * s2**2
+    return ABCDValues(A=c2**2 + C, B=c2 * s2, C=C, D=c2 * s2, eta=2.0 * s2 / norm)
 
 
 def xstate_pt_spectrum(diag, rho03, rho12):

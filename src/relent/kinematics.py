@@ -16,8 +16,7 @@ block of W is an SO(3) rotation about the axis normal to the plane of the
 boost axis and the momentum.  Its angle enters only through the product
 t = tanh(a/2) tanh(d/2) of the boost's and the particle's half-rapidity
 tanhs (``wigner_tan_product``, on the (beta, p) axes) and cos(theta):
-tan(Omega/2) = t sin(theta) / (1 + t cos(theta)) (``tan_half_angle``, which
-the lattice kernels write into their own buffers), and ``wigner_half_angle``
+tan(Omega/2) = t sin(theta) / (1 + t cos(theta)), and ``wigner_half_angle``
 gives the half-angle's cos and sin.
 """
 
@@ -28,7 +27,6 @@ import numpy as np
 __all__ = [
     "Boost",
     "wigner_tan_product",
-    "tan_half_angle",
     "wigner_half_angle",
     "energy_ratio",
 ]
@@ -62,43 +60,25 @@ def wigner_tan_product(p, beta, m=1.0):
     tanh(a/2) = gamma beta / (gamma + 1) and tanh(d/2) = (p/m) / (p0/m + 1), so
     0 <= t < 1 without cancellation at any speed or momentum.  The Wigner
     angle at polar angle theta then has tan(Omega/2) = t sin(theta) /
-    (1 + t cos(theta)) (``tan_half_angle``).  Broadcast over p and beta only.
+    (1 + t cos(theta)).  Broadcast over p and beta only.
     """
     gamma_b = 1.0 / np.sqrt((1.0 - beta) * (1.0 + beta))
     x = np.asarray(p, dtype=float) / m
     return (gamma_b * beta / (gamma_b + 1.0)) * (x / (np.sqrt(1.0 + x * x) + 1.0))
 
 
-def tan_half_angle(t, costheta, sintheta=None, out=None):
-    """r = tan(Omega/2) = t sin(theta) / (1 + t cos(theta)), written into ``out`` if given.
-
-    The denominator is at least 1 - t > 0.  cos^2(Omega/2) = 1 / (1 + r^2),
-    and the cosine-sine product and sin^2 are r and r^2 times it.  ``out``
-    must have the broadcast shape of the inputs.  Pass ``sintheta`` when the
-    transverse fraction is known exactly (near-collinear momenta lose half
-    their digits through 1 - cos^2).
-    """
-    costheta = np.asarray(costheta, dtype=float)
-    if sintheta is None:
-        sintheta = np.sqrt(np.maximum(0.0, 1.0 - costheta**2))
-    if out is None:
-        out = np.empty(np.broadcast_shapes(np.shape(t), np.shape(costheta), np.shape(sintheta)))
-    np.multiply(t, costheta, out=out)
-    out += 1.0
-    np.reciprocal(out, out=out)
-    out *= t
-    out *= sintheta
-    return out
-
-
 def wigner_half_angle(p, costheta, beta, m=1.0, sintheta=None):
     """cos(Omega/2) and sin(Omega/2) of the Wigner angle at momentum p and polar angle theta.
 
-    With r = ``tan_half_angle`` of ``wigner_tan_product``, (cos, sin) =
-    (1, r) / sqrt(1 + r^2); Omega lies in [0, pi).  Broadcast over p, costheta
-    and beta.
+    (cos, sin) = (1, r) / sqrt(1 + r^2) with r = tan(Omega/2) = t sin(theta) / (1 +
+    t cos(theta)), t from ``wigner_tan_product``; Omega lies in [0, pi).  Broadcast
+    over p, costheta and beta.  Pass ``sintheta`` when the transverse fraction is
+    known exactly (near-collinear momenta lose half their digits through 1 - cos^2).
     """
-    r = tan_half_angle(wigner_tan_product(p, beta, m), costheta, sintheta)
+    t, costheta = wigner_tan_product(p, beta, m), np.asarray(costheta, dtype=float)
+    if sintheta is None:
+        sintheta = np.sqrt(np.maximum(0.0, 1.0 - costheta**2))
+    r = 1.0 / (1.0 + t * costheta) * t * sintheta
     c = 1.0 / np.sqrt(1.0 + r * r)
     return c, np.multiply(r, c, out=r)
 

@@ -9,12 +9,12 @@ The reduced spin density of a delta-correlated pair integrates
 |f|^2-weighted projectors of the rotated spin state (the invariant-measure
 Jacobians cancel identically in the partial trace, so none appear here), for
 all widths and boost speeds at once as one moment form on the (delta, beta,
-p, cos(theta)) lattice; it is a plain complex array of shape (..., 4, 4) over the basis
-(uu, ud, du, dd).  The Wigner angle is evaluated once per lattice, as
-tan(Omega/2) from ``wigner_tan_product``: the q = -p companion's angles are
-the particle's on the mirrored cos(theta) nodes, and the moment form reduces
-to the five even moments of a 3x3 moment of the squared half-angle cosines
-and sines.  The spin-traced momentum density keeps its
+p) radial rule; it is a plain complex array of shape (..., 4, 4) over the
+basis (uu, ud, du, dd).  The Wigner angle enters through t from
+``wigner_tan_product`` alone: the moment form reduces to five even polar
+moments of the squared half-angle cosines and sines, which are rational in
+cos(theta) and are integrated over it in closed form (``_polar_moments``).
+The spin-traced momentum density keeps its
 Jacobian factors explicitly; ``momentum_density_samples`` evaluates its matrix
 elements on a finite set of coordinate pairs together with the product of the
 single-particle marginals at the same coordinates (spin algebra in real
@@ -27,9 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from relent.kinematics import (
-    Boost, energy_ratio, tan_half_angle, wigner_half_angle, wigner_tan_product,
-)
+from relent.kinematics import Boost, energy_ratio, wigner_half_angle, wigner_tan_product
 from relent.wavepacket import (
     AZIMUTH_NODES,
     EntangledMomentum,
@@ -106,44 +104,79 @@ _G_ROW = np.add.outer(np.arange(4) % 2, np.arange(4) % 2)
 _G_COL = np.add.outer(np.arange(4) // 2, np.arange(4) // 2)
 
 
+#: phi2(t) = (atanh(t)/t - 1 - t^2/3) / t^4 = sum_k u^k / (2k + 5), u = t^2, as the series in
+#: blocks of five powers below t = _PHI2_SWITCH, where the closed form cancels: there 25 terms
+#: are within 2e-16 of phi2 and the closed form within 8e-15, both relative
+_PHI2_SERIES = (1.0 / (2.0 * np.arange(25) + 5.0)).reshape(5, 5)
+_PHI2_SWITCH = 0.5
+
+#: rows (P_00, P_02, P_22, P_11, Q_00, Q_02, Q_22, Q_11, D) of ``_polar_moments`` by the
+#: coefficients of u^0..u^5, for each companion sign
+_POLAR_MOMENTS = {sign: np.array(rows, dtype=float) for sign, rows in (
+    (-1, [[48, -16, -31, 7, 7, 1], [0, 32, 3, 1, -3, -1], [0, 0, 25, -9, -1, 1],
+          [0, -32, 11, 9, -3, -1], [0, 0, 27, 18, 3, 0], [0, 0, -15, -6, -3, 0],
+          [0, 0, 3, -6, 3, 0], [0, 0, 9, -6, -3, 0], [24, 24, 0, 0, 0, 0]]),
+    (1, [[12, -16, 9, 0, -1, 0], [0, 8, -8, 1, 1, 0], [0, 0, 7, -2, -1, 0],
+         [0, 8, -8, 1, 1, 0], [0, 0, 3, -3, 0, 0], [0, 0, 0, 3, 0, 0],
+         [0, 0, -3, -3, 0, 0], [0, 0, 0, 3, 0, 0], [6, 0, 0, 0, 0, 0]]),
+)}
+
+
+def _polar_moments(t, sign: int) -> np.ndarray:
+    """The five even polar moments int P_a Q_b dcos(theta) over [-1, 1], shape (4,) + t.shape.
+
+    With x = cos(theta), c^2 = (1 + t x)^2 / (1 + t^2 + 2 t x) and s^2 = t^2
+    (1 - x^2) / (1 + t^2 + 2 t x) for the particle, and the same at sign x for
+    its companion.  The moments (M_00, M_02 = M_20, M_22, sign M_11) of P =
+    (c_p^2, c_p s_p, s_p^2) and Q = (c_q^2, c_q s_q, s_q^2) are rational in x,
+    so each is (P(u) + psi Q(u)) / D(u) with psi = (1 - u)^2 phi2(t) and
+    polynomials P, Q, D in u = t^2 (``_POLAR_MOMENTS``), in which no term
+    cancels as t -> 0 or t -> 1; t = 0 gives (2, 0, 0, 0) exactly.
+    """
+    t = np.asarray(t, dtype=float)
+    flat = t.ravel()
+    powers = np.ones((6, flat.size))  # u^0 .. u^5
+    np.cumprod(np.broadcast_to(flat * flat, (5, flat.size)), axis=0, out=powers[1:])
+    blocks = _PHI2_SERIES @ powers[:5]
+    psi = blocks[4]
+    for j in (3, 2, 1, 0):
+        psi *= powers[5]
+        psi += blocks[j]
+    big = flat >= _PHI2_SWITCH
+    if np.any(big):
+        tc = np.maximum(flat, _PHI2_SWITCH)
+        uc = tc * tc
+        np.copyto(psi, (np.arctanh(tc) / tc - 1.0 - uc / 3.0) / (uc * uc), where=big)
+    psi *= np.square(1.0 - powers[1])
+    terms = _POLAR_MOMENTS[sign] @ powers
+    moments = terms[4:8] * psi
+    moments += terms[:4]
+    moments /= terms[8]
+    return moments.reshape((4,) + t.shape)
+
+
 def reduced_spin_density(state: BipartiteState, b: Boost, grid: QuadratureGrid) -> np.ndarray:
     """Spin density of a delta-correlated pair after boosting and tracing out both momenta.
 
     rho = sum_kl G_kl Y_kl, with Y the fixed ``azimuth_tensor`` and G the real
     moment matrix of a = (c_p c_q, s_p c_q, sign c_p s_q, sign s_p s_q) (c, s
-    of half the Wigner angle) on the (beta, p, cos(theta)) lattice.  As
+    of half the Wigner angle) over the (delta, beta, p) radial rule.  As
     a_{i+2j} is a product of a p factor i and a q factor j, G[i + 2j, k + 2l]
-    = M[i + k, j + l] for the 3x3 moment M_ab = sum w P_a Q_b of
-    P = (c_p^2, c_p s_p, s_p^2) and Q = (c_q^2, sign c_q s_q, s_q^2), formed
-    from r = tan(Omega/2) as cos^2 = 1/(1 + r^2), cs = r cos^2, sin^2 = r cs.
+    = M[i + k, j + l] for the 3x3 moment M_ab = int w P_a Q_b of
+    P = (c_p^2, c_p s_p, s_p^2) and Q = (c_q^2, sign c_q s_q, s_q^2).
     Y[k, l] vanishes when the indices' factors i_k + j_k + i_l + j_l add up to
-    an odd number, so only the five M_ab with a + b even are summed.  The
-    companion q = sign p has the particle's angles (sign +1) or those at
-    -cos(theta), which on the grid's symmetric Gauss-Legendre nodes are the
-    mirrored nodes (sign -1): one Wigner-angle evaluation serves both.
+    an odd number, so only the five M_ab with a + b even are needed, each
+    integrated over cos(theta) in closed form: ``grid.n_theta`` plays no part.
     """
     dist = state.dist
     if not isinstance(dist, EntangledMomentum):
         raise TypeError("reduced_spin_density requires a delta-correlated momentum distribution")
-    if not np.array_equal(grid.costheta[::-1], -grid.costheta):
-        raise ValueError("reduced_spin_density: the cos(theta) nodes must be symmetric about 0")
-    w = grid.weights * dist.density1(grid.p**2)
-    # P = (c^2, cs, s^2) in three (beta, p, cos(theta)) buffers, r = tan(Omega/2) in s2's
-    nb = b.nodewise()
-    s2, c2, cs = np.empty((3,) + np.broadcast_shapes(np.shape(nb.beta), grid.weights.shape))
-    r = tan_half_angle(wigner_tan_product(grid.p, nb.beta), grid.costheta, out=s2)
-    np.multiply(r, r, out=c2)
-    c2 += 1.0
-    np.reciprocal(c2, out=c2)
-    np.multiply(r, c2, out=cs)
-    np.multiply(r, cs, out=s2)
-    P = (c2, cs, s2)
-    Q = P if dist.sign == 1 else tuple(x[..., ::-1] for x in P)
-    # only the moments with i + j even: the azimuth tensor's odd entries vanish
-    M = np.zeros(np.broadcast_shapes(w.shape, s2.shape)[:-2] + (3, 3))
-    for i, j in ((0, 0), (0, 2), (2, 0), (2, 2), (1, 1)):
-        M[..., i, j] = np.einsum("...ij,...ij,...ij->...", w, P[i], Q[j])
-    M[..., 1, 1] *= dist.sign
+    w = 2.0 * np.pi * (grid.radial_weights * dist.density1(grid.p**2))[..., 0]
+    t = wigner_tan_product(grid.p[..., 0], np.expand_dims(b.beta, -1))
+    t = np.broadcast_to(t, np.broadcast_shapes(t.shape, w.shape))  # widths on a shared cutoff
+    moments = np.sum(_polar_moments(t, dist.sign) * w, axis=-1)
+    M = np.zeros(moments.shape[1:] + (3, 3))
+    M[..., (0, 0, 2, 2, 1), (0, 2, 0, 2, 1)] = np.moveaxis(moments[[0, 1, 1, 2, 3]], 0, -1)
     G = M[..., _G_ROW, _G_COL]
     rho = np.einsum("...kl,klij->...ij", G, azimuth_tensor(state.spin, AZIMUTH_NODES))
     worst = np.max(np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0))
@@ -206,7 +239,8 @@ def momentum_density_samples(
     T = np.stack((T.real, T.imag))
 
     # companion-trace normalisation, computed on the grid it was handed
-    norm1 = np.sum(grid.weights * dist.density1(grid.p**2), axis=(-2, -1))[..., None]
+    norm1 = np.sum(grid.radial_weights * dist.density1(grid.p**2), axis=(-2, -1))[..., None]
+    norm1 = norm1 * np.sum(grid.polar_weights)
 
     # half-angles and azimuths of all four momenta of every row, (..., slot, row):
     # the long row axis innermost keeps numpy's inner loops long
@@ -243,18 +277,19 @@ def momentum_density_samples(
     return MomentumDensitySample(pairs=pairs, elements=elements, marginal_products=marginals)
 
 
-_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
 
 
 @lru_cache(maxsize=16)
-def _pcg64_doubles(seed: int, count: int) -> tuple:
+def _pcg64_doubles(seed: int, count: int) -> np.ndarray:
     """The first ``count`` doubles of ``np.random.default_rng(seed).random()``, bit for bit.
 
     NumPy's ``SeedSequence`` hashes the seed's 32-bit words into the 128-bit
     state and increment of a PCG64 generator (O'Neill, HMC-CS-2014-0905),
     whose XSL-RR outputs give (x >> 11) 2^-53.  Written out here so that a
-    sweep never imports ``numpy.random``; each stream is drawn once per
-    process and shared, as an immutable tuple, by every width of a sweep.
+    sweep never imports ``numpy.random``: the 128-bit state steps in Python
+    integers and the outputs are formed in numpy.  Each stream is drawn once
+    per process and shared, as a read-only array, by every width of a sweep.
     """
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
@@ -290,13 +325,18 @@ def _pcg64_doubles(seed: int, count: int) -> tuple:
     w = [words[2 * k] | words[2 * k + 1] << 32 for k in range(4)]
     mult, inc = 0x2360ED051FC65DA44385DF649FCCF645, (w[2] << 65 | w[3] << 1 | 1) & _M128
     state = ((inc + (w[0] << 64 | w[1])) * mult + inc) & _M128
-    out = []
+    states = []
     for _ in range(count):
         state = (state * mult + inc) & _M128
-        x, rot = (state >> 64 ^ state) & _M64, state >> 122
-        x = (x >> rot | x << (64 - rot)) & _M64
-        out.append((x >> 11) * 2.0**-53)
-    return tuple(out)
+        states.append(state)
+    # XSL-RR on the 64-bit halves: rotate hi ^ lo right by the top 6 bits of the state
+    raw = b"".join(v.to_bytes(16, "little") for v in states)
+    lo, hi = np.frombuffer(raw, dtype="<u8").reshape(-1, 2).T
+    x, rot = hi ^ lo, hi >> np.uint64(58)
+    x = x >> rot | x << (-rot & np.uint64(63))
+    out = (x >> np.uint64(11)) * 2.0**-53
+    out.flags.writeable = False
+    return out
 
 
 def default_sample_pairs(

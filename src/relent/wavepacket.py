@@ -9,16 +9,17 @@ Two two-particle momentum amplitudes are supported:
   sign s = -1 (back-to-back, q = -p) is the package default; s = +1 selects
   co-moving momenta.  The delta is always eliminated symbolically.
 
-All 3D integrals use a tensor rule on the (p, cos(theta)) lattice:
-Gauss-Legendre radial nodes mapped to [0, p_max] and Gauss-Legendre polar
-nodes in cos(theta), each rule computed once per process by the
-Golub-Welsch eigenvalue method (``gauss_legendre``).  Every production
-integrand depends on the azimuth through a trigonometric polynomial whose
-phi-average the kernels take in closed form or on a fixed exact rule of
-``AZIMUTH_NODES`` nodes, so the lattice weights carry the whole 2 pi.
-An integral is a weighted node sum over a fixed node ordering (the kernels
-multiply the weights into an integrand buffer and ``np.sum`` it, or contract
-them with ``np.einsum``), so results are bit-identical across runs.
+All 3D integrals use a radial x polar tensor rule: Gauss-Legendre radial
+nodes mapped to [0, p_max] and Gauss-Legendre polar nodes in cos(theta), each
+rule computed once per process by the Golub-Welsch eigenvalue method
+(``gauss_legendre``).  Every production integrand depends on the azimuth
+through a trigonometric polynomial whose phi-average the kernels take in
+closed form or on a fixed exact rule of ``AZIMUTH_NODES`` nodes, so the polar
+weights carry the whole 2 pi.  The weights stay separable: a kernel contracts
+its (p, cos(theta)) integrand with the polar weights first and the radial
+weights second, or integrates cos(theta) in closed form and uses the radial
+rule alone, and never forms the lattice of their products.  Every sum runs in
+a fixed order, so results are bit-identical across runs.
 """
 
 from __future__ import annotations
@@ -120,12 +121,12 @@ def default_p_max(delta: float, beta: float = 0.0, m: float = 1.0) -> float:
 class QuadratureGrid(NamedTuple):
     """Tensor rule in (p, cos(theta)): Gauss-Legendre in both, azimuth exact.
 
-    ``p`` has shape (..., n_r, 1), ``costheta`` shape (n_theta,) and
-    ``weights`` shape (..., n_r, n_theta), so the three broadcast to the node
-    lattice; the leading axes are those of ``p_max`` (one lattice per radial
-    cutoff).  The weights carry the full 3D measure, w_r p^2 w_cos 2 pi: the
-    kernels fold the azimuth in exactly (see ``AZIMUTH_NODES``), so only n_r,
-    n_theta and p_max set the resolution.
+    ``p`` and ``radial_weights`` = p_max/2 w_r p^2 have shape (..., n_r, 1),
+    the leading axes those of ``p_max`` (one radial rule per cutoff), and
+    ``costheta`` and ``polar_weights`` = 2 pi w_cos shape (n_theta,); a node's
+    weight is their product.  The kernels fold the azimuth in exactly (see
+    ``AZIMUTH_NODES``), so only n_r, n_theta and p_max set the resolution.
+    ``size`` counts the lattice's nodes, n_r n_theta per cutoff.
     """
 
     n_r: int
@@ -133,11 +134,12 @@ class QuadratureGrid(NamedTuple):
     p_max: float
     p: np.ndarray
     costheta: np.ndarray
-    weights: np.ndarray
+    radial_weights: np.ndarray
+    polar_weights: np.ndarray
 
     @property
     def size(self) -> int:
-        return self.weights.size
+        return self.radial_weights.size * self.n_theta
 
 
 def _read_only(*arrays: np.ndarray) -> tuple:
@@ -190,12 +192,12 @@ def build_grid(n_r: int, n_theta: int, p_max) -> QuadratureGrid:
         raise ValueError(f"p_max must be positive, got {p_max}")
 
     x_r, w_r = gauss_legendre(n_r)
-    half = 0.5 * cutoff[..., None]
-    r = half * (x_r + 1.0)
+    half = 0.5 * cutoff[..., None, None]
+    P = half * (x_r + 1.0)[:, None]
     x_t, w_t = gauss_legendre(n_theta)
-    W = (half * w_r * r**2)[..., None] * (2.0 * np.pi * w_t)
-    P = r[..., None]
-    _read_only(cutoff, P, W)
+    radial, polar = half * w_r[:, None] * P**2, 2.0 * np.pi * w_t
+    _read_only(cutoff, P, radial, polar)
     return QuadratureGrid(
-        n_r=n_r, n_theta=n_theta, p_max=cutoff[()], p=P, costheta=x_t, weights=W,
+        n_r=n_r, n_theta=n_theta, p_max=cutoff[()], p=P, costheta=x_t,
+        radial_weights=radial, polar_weights=polar,
     )

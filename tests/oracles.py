@@ -10,8 +10,14 @@ route to the fidelity.  ``azimuth_grid`` is the (p, cos theta, phi) node set
 with any number of azimuth nodes, and the ``*_3d`` kernels are the per-speed
 3D quadratures the library's lattice kernels replaced, kept as references:
 they sum over explicit azimuth nodes instead of folding phi in.
-``reduced_spin_density_two_angles`` evaluates the q = -p companion's Wigner
-angle itself and sums the 4x4 moment entry by entry.  The
+``lattice_weights`` is the (p, cos theta) lattice of node weights that the
+library never forms.  ``polar_panels`` grades Gauss-Legendre panels toward
+an end of [0, 1], ``polar_rule`` puts them at both ends of cos(theta), and
+``polar_moments_panels`` integrates the spin density's polar moments on them
+in a form without cancellation, the reference for the library's closed
+forms.  ``reduced_spin_density_two_angles`` evaluates the q = -p companion's
+Wigner angle itself, integrates cos(theta) on ``polar_rule`` and sums the
+4x4 moment entry by entry.  The
 product-momentum branch of the reduced spin density and the density checks
 of ``validate_density`` live here too, as nothing in the library uses them.
 ``mean_abs_products`` averages the pointwise amplitude moduli that the
@@ -28,7 +34,8 @@ Wootters' concurrence in its X-state form.  ``wigner_half_angle_hypot``,
 ``wigner_angle`` and ``wigner_matrix`` are the Wigner half-angle as
 (den, num) / hypot(num, den), the angle and its SU(2) matrix from the azimuth,
 and the ``*_hypot`` kernels are the library's four lattice kernels in the
-form they had before they took tan(Omega/2) and built their arrays in place.
+form they had before they took tan(Omega/2) and built their arrays in place
+(the spin density's on ``polar_rule``, the fidelity's in extended precision).
 ``momentum_density_samples_su2`` is the pair-density sampler with complex
 SU(2) matrices, as it was before it worked in real quaternions.
 """
@@ -75,6 +82,60 @@ def su2_matrix(c, u, v) -> np.ndarray:
     return out
 
 
+def lattice_weights(grid) -> np.ndarray:
+    """The (..., n_r, n_theta) lattice of node weights, radial_weights * polar_weights.
+
+    The library contracts the two factors one after the other and never forms
+    this product; the references below sum against it node by node.
+    """
+    return grid.radial_weights * grid.polar_weights
+
+
+def polar_panels(nodes=20, smallest=1e-16, ratio=4.0):
+    """Gauss-Legendre panels on s in [0, 1], graded geometrically toward s = 0.
+
+    The first panel is [0, smallest] and each later one ``ratio`` times longer,
+    so an integrand with a pole or branch point a distance d below s = 0 is
+    resolved down to d ~ smallest; 20 nodes on a [a, 4a] panel converge like
+    3^-40 against a singularity at 0.  Returns (s, w).
+    """
+    x_q, w_q = np.polynomial.legendre.leggauss(nodes)
+    edges = [0.0, smallest]
+    while edges[-1] * ratio < 1.0:
+        edges.append(edges[-1] * ratio)
+    edges = np.array(edges + [1.0])
+    mid, half = (edges[1:] + edges[:-1]) / 2.0, (edges[1:] - edges[:-1]) / 2.0
+    return (mid[:, None] + half[:, None] * x_q).ravel(), (half[:, None] * w_q).ravel()
+
+
+def polar_rule():
+    """cos(theta) nodes and 2 pi-scaled weights on [-1, 1], ``polar_panels`` toward both ends."""
+    s, w = polar_panels()
+    return np.concatenate((-1.0 + s, 1.0 - s[::-1])), 2.0 * np.pi * np.concatenate((w, w[::-1]))
+
+
+def polar_moments_panels(t, sign):
+    """The moments of ``relstate._polar_moments`` at one t, on ``polar_panels`` toward both ends.
+
+    (M_00, M_02, M_22, sign M_11) of P = (c_p^2, c_p s_p, s_p^2) and Q the same
+    at the companion's cos(theta), integrated over [-1, 1].  Every factor is
+    written in xi = 1 - x and eta = 1 + x, which the panels give exactly near
+    their end: 1 + t x = (1 - t) + t eta, 1 + t^2 + 2 t x = (1 - t)^2 +
+    2 t eta, 1 - x^2 = xi eta, and the same with xi and eta swapped at -x.
+    """
+    s, w = polar_panels()
+    total = np.zeros(4)
+    for xi, eta in ((2.0 - s, s), (s, 2.0 - s)):
+        halves = []
+        for b in (eta, xi):  # the particle at x, then at -x
+            den = (1.0 - t) ** 2 + 2.0 * t * b
+            halves.append(((1.0 - t + t * b) ** 2 / den, t * np.sqrt(xi * eta) * (1.0 - t + t * b) / den,
+                           t * t * xi * eta / den))
+        (c2, cs, s2), (c2q, csq, s2q) = halves[0], halves[0] if sign == 1 else halves[1]
+        total += [np.sum(w * f) for f in (c2 * c2q, c2 * s2q, s2 * s2q, sign * cs * csq)]
+    return total
+
+
 # -- the Wigner angle in its (den, num) form and the kernels built on it --------
 #
 # The library's kernels take tan(Omega/2) = t sin(theta) / (1 + t cos(theta))
@@ -90,9 +151,10 @@ def wigner_half_angle_hypot(p, costheta, beta, m=1.0, sintheta=None):
     tan(Omega/2) = sh(a/2) sh(d/2) sin(theta)
                    / (ch(a/2) ch(d/2) + sh(a/2) sh(d/2) cos(theta))
     with a the boost rapidity and d the particle rapidity (ch d = p0/m).
+    Evaluated in the precision of its inputs, at least double.
     """
-    p = np.asarray(p, dtype=float)
-    costheta = np.asarray(costheta, dtype=float)
+    p = np.asarray(p) * 1.0
+    costheta = np.asarray(costheta) * 1.0
     gamma_b = 1.0 / np.sqrt((1.0 - beta) * (1.0 + beta))
     cha = np.sqrt((gamma_b + 1.0) / 2.0)
     sha = gamma_b * beta / np.sqrt(2.0 * (gamma_b + 1.0))
@@ -133,7 +195,15 @@ def _boosted_args(grid, b: Boost, m: float = 1.0):
 
 
 def fidelity_hypot(state, b: Boost, grid) -> FidelityResult:
-    """``entanglement.fidelity`` with two amplitude exponentials and the hypot half-angle."""
+    """``entanglement.fidelity`` from (Lambda p)_x, the amplitude exponentials and the hypot half-angle.
+
+    Evaluated in ``np.longdouble`` (a 64-bit mantissa on x86-64).  In a tiny
+    fidelity the integrand's exponent runs to a few hundred, and double
+    arithmetic rounds it by about that many ulps in any form, so a double
+    reference of another form would differ from the library by twice as much
+    as the library differs from the exact node sum.  The moment is rounded to
+    double before it is squared, as the library's is.
+    """
     if not isinstance(state.dist, GaussianProduct):
         raise TypeError("fidelity requires a product momentum distribution")
     dist = state.dist
@@ -142,10 +212,17 @@ def fidelity_hypot(state, b: Boost, grid) -> FidelityResult:
         raise GridCoverageError(
             f"fidelity: boosted wavepacket leaks past p_max (norm deficit {np.max(deficit):.2e})"
         )
-    nb = b.nodewise()
-    boosted_sq, jac = _boosted_args(grid, nb)
-    w = grid.weights * np.sqrt(jac) * dist.amplitude1(boosted_sq) * dist.amplitude1(grid.p**2)
-    m = np.sum(w * wigner_half_angle_hypot(grid.p, grid.costheta, nb.beta)[0], axis=(-2, -1))
+    ld = np.longdouble
+    beta = np.asarray(b.beta, dtype=ld)[..., None, None]
+    gamma = 1 / np.sqrt((1 - beta) * (1 + beta))
+    p, ct, delta = grid.p.astype(ld), grid.costheta.astype(ld), np.asarray(dist.nodes_delta, ld)
+    px, p0 = p * ct, np.sqrt(1 + p * p)
+    boosted_sq = (gamma * (px + beta * p0)) ** 2 + (p * p - px * px)
+    jac = gamma * (1 + beta * px / p0)
+    w = grid.radial_weights.astype(ld) * grid.polar_weights.astype(ld)
+    amplitudes = (np.pi * delta) ** ld(-1.5) * np.exp(-(boosted_sq + p * p) / (2 * delta))
+    c = wigner_half_angle_hypot(p, ct, beta)[0]
+    m = np.sum(w * np.sqrt(jac) * amplitudes * c, axis=(-2, -1)).astype(float)
     overlap = m**2 * np.vdot(state.spin, state.spin)
     return FidelityResult(overlap=overlap, fidelity=np.abs(overlap) ** 2)
 
@@ -154,7 +231,7 @@ def bell_ABCD_hypot(dist, b: Boost, grid, analytic_limit=False) -> ABCDValues:
     """``entanglement.bell_ABCD`` summing c^2 and 1 - c^2 of the hypot half-angle."""
     if not isinstance(dist, GaussianProduct):
         raise TypeError("bell_ABCD requires a product momentum distribution")
-    w = grid.weights * dist.density1(grid.p**2)
+    w = lattice_weights(grid) * dist.density1(grid.p**2)
     norm = float(np.sum(w))
     if not (abs(norm - 1.0) <= 1e-4):
         raise GridCoverageError(
@@ -172,20 +249,28 @@ def bell_ABCD_hypot(dist, b: Boost, grid, analytic_limit=False) -> ABCDValues:
 
 
 def reduced_spin_density_hypot(state, b: Boost, grid):
-    """``relstate.reduced_spin_density`` from all nine 3x3 moments of the hypot half-angle."""
+    """``relstate.reduced_spin_density`` from all nine 3x3 moments of the hypot half-angle.
+
+    The radial rule is the grid's; cos(theta) is integrated on ``polar_rule``,
+    with the companion's half-angle evaluated at its own cos(theta).
+    """
     dist = state.dist
     if not isinstance(dist, EntangledMomentum):
         raise TypeError("reduced_spin_density requires a delta-correlated momentum distribution")
-    if not np.array_equal(grid.costheta[::-1], -grid.costheta):
-        raise ValueError("reduced_spin_density: the cos(theta) nodes must be symmetric about 0")
-    w = grid.weights * dist.density1(grid.p**2)
-    c, s = wigner_half_angle_hypot(grid.p, grid.costheta, b.nodewise().beta)
-    P = (c * c, c * s, s * s)
-    Q = P if dist.sign == 1 else tuple(x[..., ::-1] for x in P)
-    M = np.empty(np.shape(b.beta) + (3, 3))
+    x, w_x = polar_rule()
+    w = grid.radial_weights * dist.density1(grid.p**2) * w_x
+    beta = b.nodewise().beta
+
+    def moments(costheta):
+        c, s = wigner_half_angle_hypot(grid.p, costheta, beta)
+        return c * c, c * s, s * s
+
+    P = moments(x)
+    Q = P if dist.sign == 1 else moments(-x)
+    M = np.empty(np.broadcast_shapes(np.shape(beta), w.shape)[:-2] + (3, 3))
     for i in range(3):
         for j in range(3):
-            M[..., i, j] = np.einsum("...ij,...ij,...ij->...", w, P[i], Q[j])
+            M[..., i, j] = np.sum(w * P[i] * Q[j], axis=(-2, -1))
     M[..., :, 1] *= dist.sign
     rho = np.einsum("...kl,klij->...ij", M[..., _G_ROW, _G_COL],
                     azimuth_tensor(state.spin, AZIMUTH_NODES))
@@ -207,7 +292,7 @@ def momentum_density_samples_hypot(state, b: Boost, grid, pairs) -> MomentumDens
         raise ValueError("pairs must have shape (n, 4, 3)")
     dist = state.dist
     F = state.spin.reshape(2, 2)
-    norm1 = float(np.sum(grid.weights * dist.density1(grid.p**2)))
+    norm1 = float(np.sum(lattice_weights(grid) * dist.density1(grid.p**2)))
     nb = b.nodewise()
     p_sq = np.sum(pairs**2, axis=-1)
     p = np.sqrt(p_sq)
@@ -244,7 +329,7 @@ def momentum_density_samples_su2(state, b: Boost, grid, pairs) -> MomentumDensit
         raise ValueError("pairs must have shape (n, 4, 3)")
     dist = state.dist
     F = state.spin.reshape(2, 2)
-    norm1 = float(np.sum(grid.weights * dist.density1(grid.p**2)))
+    norm1 = float(np.sum(lattice_weights(grid) * dist.density1(grid.p**2)))
     nb = b.nodewise()
     p_sq = np.sum(pairs**2, axis=-1)
     p = np.sqrt(p_sq)
@@ -372,12 +457,13 @@ def bell_fidelity_cos(delta, beta, grid):
     at phi = 0 on the nodes of the (p, cos theta) lattice ``grid``, built
     from this module's boost weight and density.
     """
-    P, CT = (np.broadcast_to(a, grid.weights.shape).ravel() for a in (grid.p, grid.costheta))
+    W = lattice_weights(grid)
+    P, CT = (np.broadcast_to(a, W.shape).ravel() for a in (grid.p, grid.costheta))
     vecs = P[:, None] * np.column_stack((CT, np.sqrt(np.maximum(0.0, 1.0 - CT**2)), 0.0 * CT))
     density = (np.pi * delta) ** -1.5 * np.exp(-(P**2) / delta)
     omega, _ = _angles(vecs, beta)
     kernel = _boost_weight(vecs, beta, delta) * np.cos(omega / 2)
-    moment = np.sum(grid.weights.ravel() * density * kernel)
+    moment = np.sum(W.ravel() * density * kernel)
     return float(moment**4)
 
 
@@ -555,29 +641,32 @@ def reduced_spin_density_3d(state, b, grid):
 
 
 def reduced_spin_density_two_angles(state, b, grid):
-    """``relstate.reduced_spin_density`` with the companion's Wigner angle evaluated itself.
+    """``relstate.reduced_spin_density`` with both Wigner angles evaluated and summed on nodes.
 
-    The q = -p companion's angles come from their own ``wigner_angle`` call at
-    -cos(theta), not from the mirrored nodes, and the 4x4 moment matrix G of
+    The radial rule is the grid's and cos(theta) is integrated on
+    ``polar_rule``.  The q = -p companion's angles come from their own
+    ``wigner_angle`` call at -cos(theta), and the 4x4 moment matrix G of
     a = (c_p c_q, s_p c_q, sign c_p s_q, sign s_p s_q) is summed entry by entry
-    (ten 5-operand sums) rather than gathered from a 3x3 moment.
+    (ten pairwise sums of 5-factor products) rather than gathered from a 3x3 moment.
     """
     dist = state.dist
-    w = grid.weights * dist.density1(grid.p**2)
+    x, w_x = polar_rule()
+    w = grid.radial_weights * dist.density1(grid.p**2) * w_x
     beta = b.nodewise().beta
 
     def half_cos_sin(costheta):
         omega = wigner_angle(grid.p, costheta, beta)
         return np.cos(omega / 2.0), np.sin(omega / 2.0)
 
-    c_p, s_p = half_cos_sin(grid.costheta)
-    c_q, s_q = (c_p, s_p) if dist.sign == 1 else half_cos_sin(-grid.costheta)
+    c_p, s_p = half_cos_sin(x)
+    c_q, s_q = (c_p, s_p) if dist.sign == 1 else half_cos_sin(-x)
     factors = ((c_p, c_q), (s_p, c_q), (c_p, s_q), (s_p, s_q))
     signs = (1, 1, dist.sign, dist.sign)
-    G = np.empty(np.shape(b.beta) + (4, 4))
+    G = np.empty(np.broadcast_shapes(np.shape(beta), w.shape)[:-2] + (4, 4))
     for k in range(4):
         for l in range(k, 4):
-            moment = np.einsum("...ij,...ij,...ij,...ij,...ij->...", w, *factors[k], *factors[l])
+            moment = np.sum(w * factors[k][0] * factors[k][1] * factors[l][0] * factors[l][1],
+                            axis=(-2, -1))
             G[..., k, l] = G[..., l, k] = signs[k] * signs[l] * moment
     return np.einsum("...kl,klij->...ij", G, azimuth_tensor(state.spin, AZIMUTH_NODES))
 

@@ -33,7 +33,7 @@ from relent.cli import (
     parse_config,
     run,
 )
-from oracles import sample_pairs_loop
+from oracles import reduced_spin_density_hypot, sample_pairs_loop
 from relent import wavepacket
 from relent.kinematics import BETA_CAP
 from relent.wavepacket import GaussianProduct, default_p_max
@@ -346,9 +346,8 @@ class TestRunScenarios:
 
     @pytest.mark.parametrize("scenario", ["momentum_bell_spin_up", "both_bell_correlations"])
     def test_one_wigner_angle_evaluation_per_width(self, monkeypatch, scenario):
-        # the q = -p companion's angles are the particle's on the mirrored
-        # cos(theta) nodes, so the entangled-momentum kernel evaluates once,
-        # for all three widths together
+        # the entangled-momentum kernel integrates cos(theta) in closed form
+        # from t alone, so it evaluates t once, for all three widths together
         calls = Counter()
 
         def counting(name, fn):
@@ -437,6 +436,31 @@ class TestBatchedSweep:
                 assert (g is None) == (w is None)
                 if w is not None:
                     assert math.isclose(g, w, rel_tol=1e-14, abs_tol=1e-14), (got, want)
+
+
+class TestLargeWidthPolarIntegral:
+    """Wide packets at near-light speed, where no fixed cos(theta) rule resolves the spin density.
+
+    At width 1e4 and beta 0.9999, t = tanh(a/2) tanh(d/2) reaches 0.98 across
+    the packet, and a 32-node polar rule misses <|a|^2> by 1.4e-4.  Every cell
+    must equal the cell computed from the same radial rule with the cos(theta)
+    integral taken on graded panels (``oracles.reduced_spin_density_hypot``).
+    """
+
+    @pytest.mark.parametrize("scenario", ["momentum_bell_spin_up", "both_bell_correlations"])
+    @pytest.mark.parametrize("sign", [-1, 1])
+    def test_cells_match_exact_polar_reference(self, monkeypatch, scenario, sign):
+        cfg = parse_config(
+            {"scenario": scenario, "betas": [0, 0.9999], "delta": 1e4, "delta_sign": sign}
+        )
+        rows = run(cfg)
+        for module in (entanglement, correlations):
+            monkeypatch.setattr(module, "reduced_spin_density", reduced_spin_density_hypot)
+        for got, want in zip(rows, run(cfg)):
+            for g, w in zip(got, want):
+                assert (g is None) == (w is None)
+                if w is not None:
+                    assert abs(g - w) <= 1e-12, (got, want)
 
 
 @pytest.fixture(scope="module")

@@ -15,6 +15,7 @@ from oracles import (
     mc_bell_abcd,
     mc_bell_fidelity,
     mean_abs_products,
+    lattice_weights,
     leaked_mass_mask,
     leaked_mass_panels,
     partial_transpose,
@@ -163,7 +164,7 @@ class TestCoverageGuards:
         # xstate_stats has no norm check of its own: for a unit spin the
         # density's trace is the grid norm, checked at the same 1e-4
         dist, grid = EntangledMomentum(1.0, -1), build_grid(32, 32, p_max)
-        deficit = 1.0 - np.sum(grid.weights * dist.density1(grid.p**2))
+        deficit = 1.0 - np.sum(lattice_weights(grid) * dist.density1(grid.p**2))
         assert deficit > 1e-4
         with pytest.raises(GridCoverageError):
             xstate_stats(dist, Boost(np.array([0.0, 0.5])), grid)

@@ -1,12 +1,14 @@
 """The in-place lattice kernels against the (den, num) / hypot forms they replaced.
 
-``fidelity``, ``bell_ABCD``, ``reduced_spin_density`` and
-``momentum_density_samples`` take tan(Omega/2) = t sin(theta) / (1 + t cos(theta))
-with t = tanh(a/2) tanh(d/2), and build their (beta, p, cos(theta)) arrays in
-place.  ``oracles`` keeps the earlier forms, which evaluated the half-angle
-through ``np.hypot`` and held every lattice product as its own temporary.
-Both must give the same numbers and raise the same errors, and the new forms
-must hold no more lattice arrays at once than stated.
+``fidelity``, ``bell_ABCD`` and ``momentum_density_samples`` take the Wigner
+angle from t = tanh(a/2) tanh(d/2), and the first two build their (beta, p,
+cos(theta)) arrays in place and contract them with the separable quadrature
+weights; ``reduced_spin_density`` integrates cos(theta) in closed form.
+``oracles`` keeps the earlier forms, which evaluated the half-angle through
+``np.hypot`` and held every lattice product as its own temporary (the
+spin-density one on graded polar panels, the fidelity one in extended
+precision).  Both must give the same numbers and raise the same errors, and
+the new forms must hold no more lattice arrays at once than stated.
 """
 
 import re
@@ -134,43 +136,73 @@ def test_kernels_match_hypot_forms(case):
 LATTICE = len(_DEFAULT_BETAS) * 64 * 64 * 8
 
 
-def _peak_lattices(fn, *args):
-    """Peak traced memory of one warm call, in lattice arrays."""
+def _peak_bytes(fn, *args):
+    """Peak traced memory of one warm call, in bytes."""
     fn(*args)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         fn(*args)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    return peak / LATTICE
+
+
+def _peak_lattices(fn, *args):
+    """Peak traced memory of one warm call, in lattice arrays."""
+    return _peak_bytes(fn, *args) / LATTICE
+
+
+def _lattices_per_polar_node(call):
+    """How many (beta, p, cos(theta)) arrays the peak holds: its growth from 64 to 128 polar nodes.
+
+    ``call(n_theta)`` gives the function and its arguments.  Arrays without a
+    cos(theta) axis do not grow with n_theta, so this counts the lattice arrays
+    alone, whatever the (beta, p) vectors beside them.
+    """
+    return (_peak_bytes(*call(128)) - _peak_bytes(*call(64))) / LATTICE
 
 
 class TestLatticeMemory:
-    """Peak memory of one call, in (beta, p, cos(theta)) arrays, on the sweep's grids.
+    """Peak memory of one call on the sweep's grids, in (beta, p, cos(theta)) arrays.
 
-    ``fidelity`` builds its integrand in two buffers and ``bell_ABCD``
-    sin^2(Omega/2) in one; ``reduced_spin_density`` holds (c^2, cs, s^2).  The
-    rest of each peak is a ufunc's broadcasting buffer.  The hypot forms peaked
-    at 6.1, 5.05 and 5.05 arrays.
+    ``fidelity`` builds its integrand in two lattice buffers and ``bell_ABCD``
+    sin^2(Omega/2) in one, each contracted with the polar weights by a
+    matrix-vector product; ``reduced_spin_density`` integrates cos(theta) in
+    closed form and ``build_grid`` keeps the radial and polar weights apart,
+    so neither holds a lattice.  The hypot forms peaked at 6.1, 5.05 and 5.05
+    arrays; with a weight lattice the in-place forms were held to 3.0, 2.0 and
+    4.0.
     """
 
     b = Boost(np.array(_DEFAULT_BETAS))
 
     def test_fidelity(self):
         state = BipartiteState(GaussianProduct(1.0), bell_phi_plus())
-        per_speed = build_grid(64, 64, default_p_max(1.0, self.b.beta))
-        fixed = build_grid(64, 64, default_p_max(1.0, 0.99))
-        assert _peak_lattices(fidelity, state, self.b, per_speed) <= 3.0
-        assert _peak_lattices(fidelity, state, self.b, fixed) <= 3.0
+        for cutoff in (default_p_max(1.0, self.b.beta), default_p_max(1.0, 0.99)):
+            def call(n_theta):
+                return fidelity, state, self.b, build_grid(64, n_theta, cutoff)
+            assert _lattices_per_polar_node(call) <= 2.01
+            assert _peak_lattices(*call(64)) <= 2.5
 
     def test_bell_ABCD(self):
-        grid = build_grid(64, 64, default_p_max(1.0))
-        assert _peak_lattices(bell_ABCD, GaussianProduct(1.0), self.b, grid) <= 2.0
+        def call(n_theta):
+            return bell_ABCD, GaussianProduct(1.0), self.b, build_grid(64, n_theta, default_p_max(1.0))
+        assert _lattices_per_polar_node(call) <= 1.01
+        assert _peak_lattices(*call(64)) <= 1.5
 
     @pytest.mark.parametrize("sign", [-1, 1])
     def test_reduced_spin_density(self, sign):
         state = BipartiteState(EntangledMomentum(1.0, sign), spin_up_up())
-        grid = build_grid(64, 64, default_p_max(1.0))
-        assert _peak_lattices(reduced_spin_density, state, self.b, grid) <= 4.0
+
+        def call(n_theta):
+            return reduced_spin_density, state, self.b, build_grid(64, n_theta, default_p_max(1.0))
+        assert _lattices_per_polar_node(call) <= 0.01
+        assert _peak_lattices(*call(64)) <= 0.75
+
+    def test_build_grid(self):
+        # one radial rule per speed, as the fidelity grid has
+        def call(n_theta):
+            return build_grid, 64, n_theta, default_p_max(1.0, self.b.beta)
+        assert _lattices_per_polar_node(call) <= 0.01
+        assert _peak_lattices(*call(64)) <= 0.1

@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 from oracles import (
     FourMomentum,
     boost_momentum,
+    lattice_weights,
     momentum_density_samples_su2,
+    polar_moments_panels,
     reduced_spin_density_3d,
     reduced_spin_density_two_angles,
     sample_pairs_loop,
@@ -21,7 +23,9 @@ from relent.relstate import (
     default_sample_pairs,
     momentum_density_samples,
     product_distance,
+    _PHI2_SWITCH,
     _pcg64_doubles,
+    _polar_moments,
     reduced_spin_density,
     spin_up_up,
 )
@@ -87,6 +91,54 @@ class TestSpinKernel:
         assert np.max(np.abs(K.conj().T @ K - np.eye(4))) < 1e-12
 
 
+def _assert_moments_match_panels(t, sign):
+    got, want = _polar_moments(np.array(t), sign), polar_moments_panels(t, sign)
+    assert got.shape == (4,)
+    err = np.abs(got - want)
+    # absolute, and relative down to the subnormal range
+    assert np.all(err <= 1e-14) and np.all(err <= 1e-14 * np.abs(want) + 1e-300), (t, sign, got, want)
+
+
+class TestPolarMoments:
+    """The closed-form cos(theta) moments against graded Gauss-Legendre panels."""
+
+    @given(a=st.floats(0.0, 12.0), d=st.floats(0.0, 12.0), sign=st.sampled_from([-1, 1]))
+    @settings(max_examples=300, deadline=None)
+    def test_match_panels_over_rapidities(self, a, d, sign):
+        _assert_moments_match_panels(np.tanh(a / 2.0) * np.tanh(d / 2.0), sign)
+
+    @pytest.mark.parametrize("sign", [-1, 1])
+    @pytest.mark.parametrize("t", [1e-300, 1e-8, 1e-3, 1.0 - 1e-9, 1.0 - 1e-12, np.nextafter(1.0, 0.0)])
+    def test_match_panels_at_the_ends(self, t, sign):
+        _assert_moments_match_panels(t, sign)
+
+    @pytest.mark.parametrize("sign", [-1, 1])
+    def test_no_boost_is_exact(self, sign):
+        # t = 0: c = 1 and s = 0 at every node
+        want = np.zeros((4, 2, 3))
+        want[0] = 2.0
+        assert np.array_equal(_polar_moments(np.zeros((2, 3)), sign), want)
+
+    @pytest.mark.parametrize("sign", [-1, 1])
+    def test_continuous_across_series_switch(self, sign):
+        # phi2 switches from its series to the closed form at t = _PHI2_SWITCH:
+        # the moments step by no more than their slope over one ulp and match the panels on both sides
+        t = np.array([_PHI2_SWITCH])
+        for _ in range(20):
+            t = np.concatenate(([np.nextafter(t[0], 0.0)], t, [np.nextafter(t[-1], 1.0)]))
+        m = _polar_moments(t, sign)
+        assert np.max(np.abs(np.diff(m, axis=-1))) <= 1e-15
+        for k in (0, 19, 20, 21, 40):
+            _assert_moments_match_panels(t[k], sign)
+
+    @pytest.mark.parametrize("sign", [-1, 1])
+    def test_unit_trace(self, sign):
+        # c_p^2 + s_p^2 = 1 for both particles, so M_00 + 2 M_02 + M_22 = 2 (here a = d)
+        t = np.tanh(np.linspace(0.0, 12.0, 200) / 2.0) ** 2
+        m = _polar_moments(t, sign)
+        assert np.max(np.abs(m[0] + 2.0 * m[1] + m[2] - 2.0)) <= 1e-15
+
+
 class TestReducedSpinDensity:
     def test_no_boost_recovers_input(self, grid_default, entangled_unit):
         state = BipartiteState(entangled_unit, bell_phi_plus())
@@ -123,15 +175,19 @@ class TestReducedSpinDensity:
         ids=["up_up", "bell", "generic"],
     )
     def test_matches_two_angle_reference(self, sign, n_theta, spin):
-        # the mirrored companion angles and the 3x3 moment against a second
-        # Wigner-angle evaluation and the 4x4 moment summed entry by entry
+        # the closed-form polar moments and the 3x3 moment against the same
+        # radial rule with both Wigner angles evaluated on graded polar panels
+        # and the 4x4 moment summed entry by entry; grid.n_theta plays no part
         betas = np.array([0.0, 0.05, 0.3, 0.6, 0.9, 0.99, BETA_CAP])
         for delta in (0.5, 1.0, 4.0):
             state = BipartiteState(EntangledMomentum(delta, sign), spin)
             grid = build_grid(24, n_theta, default_p_max(delta))
             for b in (Boost(betas), Boost(0.0), Boost(BETA_CAP)):
+                rho = reduced_spin_density(state, b, grid)
                 ref = reduced_spin_density_two_angles(state, b, grid)
-                assert np.max(np.abs(reduced_spin_density(state, b, grid) - ref)) <= 1e-15
+                assert np.max(np.abs(rho - ref)) <= 1e-15
+                assert np.array_equal(rho, reduced_spin_density(state, b, grid._replace(
+                    n_theta=2, costheta=np.zeros(2), polar_weights=np.zeros(2))))
 
     @given(parts=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8))
     @settings(max_examples=200)
@@ -147,13 +203,6 @@ class TestReducedSpinDensity:
         parity = np.arange(4) % 2 + np.arange(4) // 2
         odd = (parity[:, None] + parity[None, :]) % 2 == 1
         assert np.max(np.abs(Y[odd])) <= 1e-15
-
-    def test_rejects_asymmetric_polar_nodes(self, grid_default, entangled_unit):
-        # the companion's angles are read off the mirrored cos(theta) nodes
-        skewed = grid_default._replace(costheta=grid_default.costheta + 1e-3)
-        state = BipartiteState(entangled_unit, spin_up_up())
-        with pytest.raises(ValueError, match="symmetric"):
-            reduced_spin_density(state, Boost(0.5), skewed)
 
     def test_generic_spin_product_distribution(self, grid_default, gauss_unit):
         spin = np.array([0.5, 0.5j, -0.5, 0.5], dtype=complex)
@@ -211,7 +260,7 @@ def _scalar_samples(state, b, grid, pairs):
     amplitudes; a zero momentum stands in for the identity on the other party.
     """
     dist, phi = state.dist, state.spin
-    norm1 = np.sum(grid.weights * dist.density1(grid.p**2))
+    norm1 = np.sum(lattice_weights(grid) * dist.density1(grid.p**2))
     rest = FourMomentum(np.zeros(3))
     elements, marginals = [], []
     for row in pairs:
@@ -295,6 +344,14 @@ class TestMomentumDensitySamples:
                 assert np.array_equal(_pcg64_doubles(seed, 8 * n), ref)
         with pytest.raises(ValueError):
             default_sample_pairs(GaussianProduct(1.0), seed=-1)
+
+    @pytest.mark.parametrize("seed", [0, 1, 42, 2**63 + 12345, 2**130 + 7])
+    def test_long_stream_matches_default_rng(self, seed):
+        # the output step runs in numpy on the state's 64-bit halves: a long
+        # stream visits every rotation, including none
+        doubles = _pcg64_doubles(seed, 100_000)
+        assert not doubles.flags.writeable
+        assert np.array_equal(doubles, np.random.default_rng(seed).random(100_000))
 
     @given(seed=st.integers(0, 2**192), n=st.integers(1, 70))
     @settings(max_examples=60, deadline=None)

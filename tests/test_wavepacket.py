@@ -6,6 +6,7 @@ from oracles import (
     azimuth_grid,
     bell_ABCD_3d,
     fidelity_3d,
+    lattice_weights,
     reduced_spin_density_3d,
     wigner_angle,
     xstate_stats_3d,
@@ -55,40 +56,47 @@ class TestBuildGrid:
     def test_minimal_grid_is_valid(self):
         g = build_grid(2, 2, 1.0)
         assert g.size == 2 * 2 == 4
-        assert np.all(g.weights > 0)
+        assert np.all(g.radial_weights > 0) and np.all(g.polar_weights > 0)
 
     def test_cutoff_array_stacks_lattices(self):
         # one lattice per cutoff, each bit-identical to the grid of that cutoff alone
         cutoffs = np.array([1.0, 2.5, 7.0])
         g = build_grid(6, 5, cutoffs)
-        assert g.weights.shape == (3, 6, 5) and g.p.shape == (3, 6, 1)
+        assert g.radial_weights.shape == g.p.shape == (3, 6, 1) and g.polar_weights.shape == (5,)
+        assert g.size == 3 * 6 * 5
         for i, p_max in enumerate(cutoffs):
             one = build_grid(6, 5, p_max)
-            assert np.array_equal(g.p[i], one.p) and np.array_equal(g.weights[i], one.weights)
+            assert np.array_equal(g.p[i], one.p)
+            assert np.array_equal(g.radial_weights[i], one.radial_weights)
+            assert np.array_equal(g.polar_weights, one.polar_weights)
 
     def test_gaussian_norm_small_grid(self):
         g = build_grid(16, 16, 6.0)
-        val = np.sum(g.weights * GaussianProduct(1.0).density1(g.p**2))
+        val = np.sum(lattice_weights(g) * GaussianProduct(1.0).density1(g.p**2))
         assert val == pytest.approx(1.0, abs=1e-6)
 
     def test_ball_volume(self):
         g = build_grid(32, 32, 2.0)
-        assert np.sum(g.weights) == pytest.approx(4 * np.pi * 8.0 / 3.0, abs=1e-6)
+        assert np.sum(lattice_weights(g)) == pytest.approx(4 * np.pi * 8.0 / 3.0, abs=1e-6)
+        assert np.sum(g.radial_weights) * np.sum(g.polar_weights) == pytest.approx(
+            4 * np.pi * 8.0 / 3.0, abs=1e-6)
 
     def test_deterministic_construction(self):
         g1 = build_grid(8, 8, 3.0)
         g2 = build_grid(8, 8, 3.0)
         assert g1.p.tobytes() == g2.p.tobytes()
-        assert g1.weights.tobytes() == g2.weights.tobytes()
+        assert g1.radial_weights.tobytes() == g2.radial_weights.tobytes()
+        assert g1.polar_weights.tobytes() == g2.polar_weights.tobytes()
 
     def test_arrays_are_read_only(self):
         g = build_grid(8, 8, 3.0)
-        for a in (g.p, g.costheta, g.weights):
+        for a in (g.p, g.costheta, g.radial_weights, g.polar_weights):
             assert not a.flags.writeable
-        with pytest.raises(ValueError):
-            g.weights[0] = 0.0
-        with pytest.raises(ValueError):
-            g.weights *= 2.0
+        for a in (g.radial_weights, g.polar_weights):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+            with pytest.raises(ValueError):
+                a *= 2.0
 
     def test_cached_rule_matches_leggauss(self):
         first = gauss_legendre(12)
@@ -109,10 +117,9 @@ class TestBuildGrid:
             assert np.max(np.abs(w / w_ref - 1.0)) <= 1e-10
 
     def test_rules_exactly_symmetric(self):
-        # reduced_spin_density reads the q = -p companion off the mirrored
-        # nodes, which needs -x == x[::-1] bit for bit; every count up to 256
-        # and odd/even counts up to GRID_COUNT_MAX (1,024; a dense eigensolve
-        # each, 40 s for all of them)
+        # -x == x[::-1] and w == w[::-1] bit for bit, so a rule integrates every
+        # odd function of cos(theta) to exactly 0; every count up to 256 and
+        # odd/even counts up to GRID_COUNT_MAX (1,024; a dense eigensolve each)
         for n in list(range(2, 257)) + [511, 512, 513, 1023, 1024]:
             x, w = gauss_legendre(n)
             assert np.array_equal(-x, x[::-1]), n
@@ -124,31 +131,32 @@ class TestBuildGrid:
 
 
 class TestIntegrate3:
-    """3D integrals as the library takes them: np.sum(grid.weights * values)."""
+    """3D integrals as node sums against the lattice of radial times polar weights."""
 
     def test_normalization(self, grid_default, gauss_unit):
-        val = np.sum(grid_default.weights * gauss_unit.density1(grid_default.p**2))
+        val = np.sum(lattice_weights(grid_default) * gauss_unit.density1(grid_default.p**2))
         assert val == pytest.approx(1.0, abs=1e-6)
 
     def test_azimuthal_annihilation(self, grid_default, gauss_unit):
-        # the lattice weights carry the exact azimuth: they equal a 64-node
-        # azimuth rule's weights summed over phi, on which cos(phi) annihilates
-        g = grid_default
+        # the polar weights carry the exact azimuth: the lattice weights equal a
+        # 64-node azimuth rule's weights summed over phi, on which cos(phi) annihilates
+        g, W = grid_default, lattice_weights(grid_default)
         fine = azimuth_grid(g.n_r, g.n_theta, g.p_max, 64)
         w = fine.weights * gauss_unit.density1(fine.p**2)
         assert abs(np.sum(w * np.cos(fine.phi))) < 1e-10
-        folded = fine.weights.reshape(g.weights.shape + (64,)).sum(axis=-1)
-        assert np.max(np.abs(folded - g.weights)) < 1e-13 * np.max(g.weights)
+        folded = fine.weights.reshape(W.shape + (64,)).sum(axis=-1)
+        assert np.max(np.abs(folded - W)) < 1e-13 * np.max(W)
 
     def test_zero_boost_wigner_weight(self, grid_default, gauss_unit):
         g = grid_default
         omega = wigner_angle(g.p, g.costheta, 0.0)
-        assert np.sum(g.weights * gauss_unit.density1(g.p**2) * np.sin(omega / 2) ** 2) == 0.0
+        w = lattice_weights(g) * gauss_unit.density1(g.p**2)
+        assert np.sum(w * np.sin(omega / 2) ** 2) == 0.0
 
     def test_deterministic_sum(self, grid_default, gauss_unit):
         g = grid_default
-        first = np.sum(g.weights * gauss_unit.density1(g.p**2))
-        assert np.sum(g.weights * gauss_unit.density1(g.p**2)) == first
+        first = np.sum(lattice_weights(g) * gauss_unit.density1(g.p**2))
+        assert np.sum(lattice_weights(g) * gauss_unit.density1(g.p**2)) == first
 
 
 class TestIntegrate6:
@@ -161,14 +169,14 @@ class TestIntegrate6:
 
     def test_product_normalization(self, gauss_unit):
         g = build_grid(16, 16, 6.0)
-        w = g.weights * gauss_unit.density1(g.p**2)
+        w = lattice_weights(g) * gauss_unit.density1(g.p**2)
         assert np.sum(np.outer(w, w)) == pytest.approx(1.0, abs=1e-6)
 
     @pytest.mark.parametrize("sign", [-1, 1])
     def test_entangled_normalization(self, sign):
         g = build_grid(16, 16, 6.0)
         em = EntangledMomentum(1.0, sign)
-        assert np.sum(g.weights * em.density1(g.p**2)) == pytest.approx(1.0, abs=1e-6)
+        assert np.sum(lattice_weights(g) * em.density1(g.p**2)) == pytest.approx(1.0, abs=1e-6)
 
     def test_independent_azimuths_annihilate(self, gauss_unit):
         # on the fixed azimuth rule the lattice kernels drop these cross terms
@@ -183,19 +191,21 @@ class TestAzimuthRule:
     Every production integrand is a trigonometric polynomial of degree <= 4
     in phi, which the lattice kernels average exactly, so the two agree to
     rounding.  A 4-node rule misses the entangled-pair aggregates by up to
-    2.8e-3, and a 2-node rule misses bell_ABCD too.
+    2.8e-3, and a 2-node rule misses bell_ABCD too.  ``reduced_spin_density``
+    integrates cos(theta) in closed form, so its references take a 64-node
+    polar rule (converged to rounding at width 1) with the same radial rule.
     """
 
     BETAS = [0.3, 0.9, 0.99]
 
     @staticmethod
-    def _grids(p_max):
-        return build_grid(24, 24, p_max), azimuth_grid(24, 24, p_max, 64)
+    def _grids(p_max, n_theta_ref=24):
+        return build_grid(24, 24, p_max), azimuth_grid(24, n_theta_ref, p_max, 64)
 
     @pytest.mark.parametrize("beta", BETAS)
     @pytest.mark.parametrize("sign", [-1, 1])
     def test_xstate_stats(self, beta, sign):
-        grid, fine = self._grids(default_p_max(1.0))
+        grid, fine = self._grids(default_p_max(1.0), n_theta_ref=64)
         em = EntangledMomentum(1.0, sign)
         s, f = xstate_stats(em, Boost(beta), grid), xstate_stats_3d(em, Boost(beta), fine)
         for name in ("mean_a2", "mean_b2", "mean_c2", "mean_d2", "mean_ad", "mean_bc"):
@@ -206,9 +216,10 @@ class TestAzimuthRule:
     def test_reduced_spin_density(self, beta, dist):
         # the product-momentum channel is a test reference only: its exact
         # azimuth rule is checked against the 64-node one
-        grid, fine = self._grids(default_p_max(1.0))
+        pair = isinstance(dist, EntangledMomentum)
+        grid, fine = self._grids(default_p_max(1.0), n_theta_ref=64 if pair else 24)
         state = BipartiteState(dist, bell_phi_plus())
-        if isinstance(dist, EntangledMomentum):
+        if pair:
             rho = reduced_spin_density(state, Boost(beta), grid)
         else:
             rho = reduced_spin_density_3d(state, Boost(beta), as_azimuth_grid(grid))
