@@ -40,9 +40,7 @@ def main() -> int:
     print("momentum-entangled, spin-product pair (width 1):")
     print("  beta     corner margin   middle margin   verdict")
     for beta in betas:
-        stats = xstate_stats(em, Boost(beta), grid)
-        diag = [stats.mean_a2, stats.mean_b2, stats.mean_c2, stats.mean_d2]
-        _, corner, middle = xstate_pt_spectrum(diag, stats.mean_ad, stats.mean_bc)
+        _, corner, middle = xstate_pt_spectrum(*xstate_stats(em, Boost(beta), grid))
         verdict = "entangled" if max(corner, middle) > MARGIN_TOL else "separable (PPT)"
         print(f"  {beta:7.4f}  {corner:+.3e}     {middle:+.3e}   {verdict}")
 
@@ -54,7 +52,7 @@ def main() -> int:
     pairs = default_sample_pairs(ur, n=64, seed=42)
     print("  beta     factorization distance")
     for beta in betas:
-        d = product_distance(momentum_density_samples(state, Boost(beta), ur_grid, pairs))
+        d = product_distance(*momentum_density_samples(state, Boost(beta), ur_grid, pairs))
         print(f"  {beta:7.4f}  {d:.3e}")
 
     print()

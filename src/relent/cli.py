@@ -46,6 +46,7 @@ from typing import NamedTuple, NoReturn
 import numpy as np
 
 from relent.correlations import (
+    TRANSVERSE_BETA_MAX,
     ObservableDirection,
     classical_correlation,
     quantum_correlation,
@@ -55,6 +56,7 @@ from relent.entanglement import (
     bell_ABCD,
     fidelity,
     negativity_measure,
+    product_residual,
     xstate_pt_spectrum,
     xstate_stats,
 )
@@ -273,7 +275,9 @@ def parse_config(doc: dict) -> SweepConfig:
         norm = float(np.linalg.norm(v))
         if not abs(norm - 1.0) <= 1e-9:
             _fail(f"directions.{key}", f"must be a unit vector (norm {norm:.6f})")
-        dir_vals[key] = tuple(float(x) for x in v)
+        if scenario == "both_bell_correlations" and v[0] == 0 and betas[-1] >= TRANSVERSE_BETA_MAX:
+            _fail(f"directions.{key}", f"transverse, sign undefined at beta >= {TRANSVERSE_BETA_MAX}")
+        dir_vals[key] = tuple(float(x) / norm for x in v)
 
     seed = doc.get("seed", 42)
     if not (_is_int(seed) and seed >= 0):
@@ -298,7 +302,7 @@ def load_config(path: str) -> SweepConfig:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text is UTF-8
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return parse_config(doc)
 
@@ -321,10 +325,9 @@ def _sweep_columns(config: SweepConfig, delta: np.ndarray) -> dict:
     cols = {}
     if config.scenario in ("spin_bell_momentum_product", "fidelity_only"):
         gp = GaussianProduct(delta)
-        state = BipartiteState(gp, bell_phi_plus())
         if not config.analytic_limit:
             fid_grid = build_grid(gs.n_r, gs.n_theta, gs.resolve_p_max(delta, b.beta))
-            cols["fidelity"] = fidelity(state, b, fid_grid).fidelity
+            cols["fidelity"] = fidelity(gp, b, fid_grid)
         if config.scenario == "fidelity_only":
             return cols
 
@@ -336,18 +339,16 @@ def _sweep_columns(config: SweepConfig, delta: np.ndarray) -> dict:
         cols.update(min_pt_eig=spectrum[..., 0], E=negativity_measure(spectrum))
         if not config.analytic_limit:
             pairs = default_sample_pairs(gp, n=64, seed=config.seed)
+            state = BipartiteState(gp, bell_phi_plus())
             sample = momentum_density_samples(state, b, base_grid, pairs)
-            cols["product_distance"] = product_distance(sample)
+            cols["product_distance"] = product_distance(*sample)
         return cols
 
     if config.scenario == "momentum_bell_spin_up":
         em = EntangledMomentum(delta, config.delta_sign)
-        stats = xstate_stats(em, b, base_grid)
-        diag = np.stack([stats.mean_a2, stats.mean_b2, stats.mean_c2, stats.mean_d2], axis=-1)
-        spectrum, cols["ineq15_margin"], cols["ineq16_margin"] = xstate_pt_spectrum(
-            diag, stats.mean_ad, stats.mean_bc
-        )
-        cols["identity14_residual"] = stats.mean_product_residual()
+        entries = xstate_stats(em, b, base_grid)
+        spectrum, cols["ineq15_margin"], cols["ineq16_margin"] = xstate_pt_spectrum(*entries)
+        cols["identity14_residual"] = product_residual(entries[0])
         cols.update(min_pt_eig=spectrum[..., 0], E=negativity_measure(spectrum))
         return cols
 

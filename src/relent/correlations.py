@@ -28,6 +28,9 @@ _SIGMA = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dt
 
 _E_BOOST = np.array([1.0, 0.0, 0.0])
 
+#: from this speed on, a direction transverse to the boost axis has no defined correlation sign
+TRANSVERSE_BETA_MAX = 1.0 - 1e-6
+
 
 class ObservableDirection:
     """Unit measurement direction in the moving frame; the boost axis is +x."""
@@ -80,7 +83,7 @@ def quantum_correlation(
     density contracted with the two normalised relativistic observables, one
     value per speed of ``b``.
     """
-    if np.any(b.beta >= 1.0 - 1e-6) and (a.longitudinal == 0.0 or b_dir.longitudinal == 0.0):
+    if np.any(b.beta >= TRANSVERSE_BETA_MAX) and 0.0 in (a.longitudinal, b_dir.longitudinal):
         raise ValueError(
             "correlation sign degenerates for transverse directions at near-light boosts"
         )

@@ -6,7 +6,7 @@ Covers the three diagnostics applied to a boosted two-particle state:
   for a product of Gaussian wavepackets (closed-form boosted arguments, no
   resampling).
 * ``xstate_stats``: the delta-correlated-momentum, product-spin scenario,
-  reduced to six scalar aggregates of the rotated amplitudes (a, b, c, d).
+  reduced to the diagonal and the two coherences of its X-state density.
 * ``bell_ABCD``: the Bell-spin, product-momentum scenario, whose reduced
   density is fixed by four real weights.
 
@@ -43,23 +43,14 @@ from relent.wavepacket import (
 )
 
 __all__ = [
-    "FidelityResult",
     "ABCDValues",
-    "XStateStats",
     "xstate_stats",
+    "product_residual",
     "fidelity",
     "bell_ABCD",
     "xstate_pt_spectrum",
     "negativity_measure",
 ]
-
-
-class FidelityResult:
-    def __init__(self, overlap: complex, fidelity: float):
-        f = np.asarray(fidelity)
-        if not np.all((-1e-9 <= f) & (f <= 1.0 + 1e-9)):
-            raise ValueError(f"fidelity out of [0, 1]: {fidelity}")
-        self.overlap, self.fidelity = overlap, fidelity
 
 
 class ABCDValues(NamedTuple):
@@ -72,42 +63,28 @@ class ABCDValues(NamedTuple):
     eta: float
 
 
-class XStateStats(NamedTuple):
-    """Distribution aggregates of the rotated product-spin amplitudes.
+def xstate_stats(dist: EntangledMomentum, b: Boost, grid: QuadratureGrid):
+    """(diagonal (..., 4), rho03, rho12), the X-state entries of the up-up pair's spin density.
 
-    mean_* of the squares are the diagonal of the reduced spin density;
-    mean_ad and mean_bc are its two anti-diagonal entries.  Their integrands
-    are trigonometric polynomials in phi, which ``reduced_spin_density``
-    integrates exactly.
+    The diagonal is <|a|^2> .. <|d|^2> of the rotated amplitudes (a, b, c, d), the
+    coherences <a d*> and <b c*>; ``xstate_pt_spectrum`` takes the three as they are.
     """
-
-    mean_a2: float
-    mean_b2: float
-    mean_c2: float
-    mean_d2: float
-    mean_ad: complex
-    mean_bc: complex
-
-    def mean_product_residual(self) -> float:
-        """|<|a|^2><|d|^2> - <|b|^2><|c|^2>| as a fraction of the larger product.
-
-        Zero only where the squared aggregates decouple: for q = -p that is
-        the saturated profile Omega = theta, reached in the joint light-speed
-        limit of boost and momenta.  It is O(0.5) at width 1 for every boost
-        and falls to 3e-7 at width 1e8 and the speed cap.  The
-        partial-transpose margins, not this residual, decide separability.
-        """
-        lhs = self.mean_a2 * self.mean_d2
-        rhs = self.mean_b2 * self.mean_c2
-        return abs(lhs - rhs) / np.maximum(np.maximum(lhs, rhs), 1e-300)
-
-
-def xstate_stats(dist: EntangledMomentum, b: Boost, grid: QuadratureGrid) -> XStateStats:
-    """Aggregates of (a, b, c, d) under the delta-collapsed pair measure."""
     if not isinstance(dist, EntangledMomentum):
         raise TypeError("xstate_stats requires a delta-correlated momentum distribution")
     rho = reduced_spin_density(BipartiteState(dist, spin_up_up()), b, grid)
-    return XStateStats(*(rho[..., i, i].real for i in range(4)), rho[..., 0, 3], rho[..., 1, 2])
+    return np.diagonal(rho, axis1=-2, axis2=-1).real, rho[..., 0, 3], rho[..., 1, 2]
+
+
+def product_residual(diag) -> np.ndarray:
+    """|<|a|^2><|d|^2> - <|b|^2><|c|^2>| as a fraction of the larger product, diag (..., 4).
+
+    Zero only where the squared aggregates decouple: for q = -p that is the saturated
+    profile Omega = theta, reached in the joint light-speed limit of boost and momenta.
+    It is O(0.5) at width 1 for every boost and falls to 3e-7 at width 1e8 and the speed
+    cap.  The partial-transpose margins, not this residual, decide separability.
+    """
+    lhs, rhs = diag[..., 0] * diag[..., 3], diag[..., 1] * diag[..., 2]
+    return abs(lhs - rhs) / np.maximum(np.maximum(lhs, rhs), 1e-300)
 
 
 def _erfcx(y: float) -> float:
@@ -171,15 +148,16 @@ def _polar_sum(lattice: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return (lattice.reshape(-1, lattice.shape[-1]) @ weights).reshape(lattice.shape[:-1] + (1,))
 
 
-def fidelity(state: BipartiteState, b: Boost, grid: QuadratureGrid) -> FidelityResult:
+def fidelity(dist: GaussianProduct, b: Boost, grid: QuadratureGrid) -> np.ndarray:
     """Squared overlap between a product-wavepacket state and its boosted image.
 
     The 6D overlap factorises into identical per-particle 2x2 moment matrices
     M = int dp sqrt((Lp)^0/p^0) f1(Lp) f1(p) D(Omega_p); the boosted argument
     is evaluated in closed form.  D = cos(Omega/2) + sin(Omega/2) J(phi) with J
     linear in (cos(phi), sin(phi)), whose azimuthal averages vanish, so M is the
-    cos(Omega/2) moment times the identity.  ``grid`` has one cutoff or one per
-    (width, speed) cell, and the result one fidelity per cell.
+    cos(Omega/2) moment m times the identity, the overlap is m^2 <Phi|Phi> =
+    m^2 for any unit spin amplitude Phi, and the fidelity m^4.  ``grid`` has one
+    cutoff or one per (width, speed) cell, and the result one fidelity per cell.
 
     The integrand comes from e = (Lp)^0 - 1 = e_back + gamma beta p (1 + cos(theta)), e_back
     its value at cos(theta) = -1, so no term of e is negative: |Lp|^2 = e (e + 2), and with
@@ -190,10 +168,8 @@ def fidelity(state: BipartiteState, b: Boost, grid: QuadratureGrid) -> FidelityR
     Raises GridCoverageError when the boosted wavepacket's mass is not
     resolved by the grid (invariant-norm deficit above 1e-4).
     """
-    if not isinstance(state.dist, GaussianProduct):
+    if not isinstance(dist, GaussianProduct):
         raise TypeError("fidelity requires a product momentum distribution")
-    dist = state.dist
-
     deficit = _leaked_mass(dist, b, grid.p_max)
     if np.any(deficit > 1e-4):
         raise GridCoverageError(
@@ -223,9 +199,10 @@ def fidelity(state: BipartiteState, b: Boost, grid: QuadratureGrid) -> FidelityR
     polar += wigner_tan_product(p, beta) * _polar_sum(x, grid.polar_weights * ct)
     radial = grid.radial_weights * np.exp(-0.5 / delta * (p * p))
     radial = radial * np.sqrt((gamma + 1.0) * (p0 + 1.0) / (2.0 * p0))
-    m = dist.norm * np.sum(radial * polar, axis=(-2, -1))
-    overlap = m**2 * np.vdot(state.spin, state.spin)
-    return FidelityResult(overlap=overlap, fidelity=np.abs(overlap) ** 2)
+    f = np.square(np.square(dist.norm * np.sum(radial * polar, axis=(-2, -1))))
+    if not np.all((-1e-9 <= f) & (f <= 1.0 + 1e-9)):
+        raise ValueError(f"fidelity out of [0, 1]: {f}")
+    return f
 
 
 def bell_ABCD(

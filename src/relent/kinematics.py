@@ -67,20 +67,18 @@ def wigner_tan_product(p, beta, m=1.0):
     return (gamma_b * beta / (gamma_b + 1.0)) * (x / (np.sqrt(1.0 + x * x) + 1.0))
 
 
-def wigner_half_angle(p, costheta, beta, m=1.0, sintheta=None):
+def wigner_half_angle(p, costheta, beta, m=1.0, *, sintheta):
     """cos(Omega/2) and sin(Omega/2) of the Wigner angle at momentum p and polar angle theta.
 
     (cos, sin) = (1, r) / sqrt(1 + r^2) with r = tan(Omega/2) = t sin(theta) / (1 +
     t cos(theta)), t from ``wigner_tan_product``; Omega lies in [0, pi).  Broadcast
-    over p, costheta and beta.  Pass ``sintheta`` when the transverse fraction is
-    known exactly (near-collinear momenta lose half their digits through 1 - cos^2).
+    over p, costheta, sintheta and beta.  ``sintheta`` is required, as the transverse
+    fraction itself: near-collinear momenta lose half their digits through 1 - cos^2.
     """
-    t, costheta = wigner_tan_product(p, beta, m), np.asarray(costheta, dtype=float)
-    if sintheta is None:
-        sintheta = np.sqrt(np.maximum(0.0, 1.0 - costheta**2))
+    t = wigner_tan_product(p, beta, m)
     r = 1.0 / (1.0 + t * costheta) * t * sintheta
     c = 1.0 / np.sqrt(1.0 + r * r)
-    return c, np.multiply(r, c, out=r)
+    return c, r * c
 
 
 def energy_ratio(px, p0, b: Boost):

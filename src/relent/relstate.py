@@ -38,7 +38,6 @@ from relent.wavepacket import (
 
 __all__ = [
     "BipartiteState",
-    "MomentumDensitySample",
     "bell_phi_plus",
     "spin_up_up",
     "azimuth_tensor",
@@ -188,35 +187,16 @@ def reduced_spin_density(state: BipartiteState, b: Boost, grid: QuadratureGrid) 
     return rho
 
 
-class MomentumDensitySample:
-    """Matrix elements of the spin-traced momentum density at sampled coordinates.
+def momentum_density_samples(state: BipartiteState, b: Boost, grid: QuadratureGrid, pairs):
+    """(elements, marginal_products): <p,q|rho'|p',q'> of the boosted spin-traced density.
 
-    ``pairs`` has shape (n, 4, 3), rows of Cartesian (p, q, p', q'), or
-    (n_delta, n, 4, 3).  Each element carries the invariant-normalisation
-    Jacobian sqrt of all four energies ratios; ``marginal_products`` holds
-    <p|rho_A|p'><q|rho_B|q'> at the same coordinates for the factorization
-    comparison.  Both have shape (..., n): any width axis, then the speeds'.
-    """
-
-    def __init__(self, pairs: np.ndarray, elements: np.ndarray, marginal_products: np.ndarray):
-        if pairs.ndim not in (3, 4) or pairs.shape[-2:] != (4, 3):
-            raise ValueError("pairs must have shape (n, 4, 3)")
-        rows = pairs if pairs.ndim == 3 else pairs[:, None]  # a speed axis after the widths'
-        diag = np.all(rows[..., :2, :] == rows[..., 2:, :], axis=(-2, -1))  # p' = p and q' = q
-        if np.any(diag & (elements.real < -1e-10)):
-            raise ValueError("diagonal momentum-density elements must be non-negative")
-        self.pairs, self.elements, self.marginal_products = pairs, elements, marginal_products
-
-
-def momentum_density_samples(
-    state: BipartiteState, b: Boost, grid: QuadratureGrid, pairs: np.ndarray
-) -> MomentumDensitySample:
-    """Evaluate <p,q|rho'|p',q'> of the boosted spin-traced density on coordinate pairs.
-
-    Each element is sqrt(J_p J_q J_p' J_q') f(p,q) f*(p',q') <Phi|K'^dag K|Phi>
-    with K the two-particle Wigner kernel; the marginal product replaces the
-    spin overlap by the product of the single-party overlaps (with the
-    companion particle traced out against |f1|^2, evaluated on the grid).
+    ``pairs`` has shape (n, 4, 3), rows of Cartesian (p, q, p', q'), or (n_delta, n, 4, 3);
+    both results have shape (..., n), any width axis, then the speeds'.  Each element is
+    sqrt(J_p J_q J_p' J_q') f(p,q) f*(p',q') <Phi|K'^dag K|Phi> with K the two-particle
+    Wigner kernel and J the energy ratios; the marginal product <p|rho_A|p'><q|rho_B|q'>
+    replaces the spin overlap by the product of the single-party overlaps (with the
+    companion traced out against |f1|^2 on the grid).  Diagonal elements (p' = p, q' = q)
+    must come out non-negative.
 
     With (c, s) = (cos, sin)(Omega/2), D_p'^dag D_p = (c'c + s's cos(dphi), -s's sin(dphi),
     s'c sin(phi') - c's sin(phi), c's cos(phi) - s'c cos(phi')) in E, dphi = phi' - phi,
@@ -226,8 +206,8 @@ def momentum_density_samples(
     product as beta grows: the Wigner-phase difference between two radii
     along one direction rises as the boost saturates and levels off at
     O(1/p).  Factorization is therefore reached only in the joint limit of
-    ultra-relativistic boost and momenta.  All speeds of ``b``, and the widths
-    of pairs (n_delta, n, 4, 3) with one grid lattice each, are evaluated at once.
+    ultra-relativistic boost and momenta.  All speeds of ``b`` and all widths
+    (one grid lattice each) are evaluated at once.
     """
     if not isinstance(state.dist, GaussianProduct):
         raise TypeError("momentum_density_samples requires a product momentum distribution")
@@ -244,7 +224,8 @@ def momentum_density_samples(
 
     # half-angles and azimuths of all four momenta of every row, (..., slot, row):
     # the long row axis innermost keeps numpy's inner loops long
-    x, y, z = np.moveaxis(pairs if pairs.ndim == 3 else pairs[:, None], (-1, -3), (0, -1))
+    rows = pairs if pairs.ndim == 3 else pairs[:, None]  # a speed axis after the widths'
+    x, y, z = np.moveaxis(rows, (-1, -3), (0, -1))
     nb = b.nodewise()
     p_sq = x * x + y * y + z * z
     p = np.sqrt(p_sq)
@@ -273,8 +254,10 @@ def momentum_density_samples(
     jac = np.sqrt(np.prod(ratio, axis=-2))
     amp = np.prod(dist.amplitude1(p_sq), axis=-2)
     elements = jac * amp * spin_sum
-    marginals = jac * amp * (spin_a * norm1) * (spin_b * norm1)
-    return MomentumDensitySample(pairs=pairs, elements=elements, marginal_products=marginals)
+    diag = np.all(rows[..., :2, :] == rows[..., 2:, :], axis=(-2, -1))  # p' = p and q' = q
+    if np.any(diag & (elements.real < -1e-10)):
+        raise ValueError("diagonal momentum-density elements must be non-negative")
+    return elements, jac * amp * (spin_a * norm1) * (spin_b * norm1)
 
 
 _M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
@@ -365,18 +348,16 @@ def default_sample_pairs(
     return out
 
 
-def product_distance(sample: MomentumDensitySample) -> float:
+def product_distance(elements, marginal_products):
     """Max guarded relative deviation of sampled elements from the marginal product.
 
-    Taken over the pairs (last axis), so a sample of several speeds gives one
-    distance per speed.
+    Taken over the pairs (last axis) of ``momentum_density_samples``' two
+    results, so a sample of several speeds gives one distance per speed.
     For fixed pairs it does not decrease with beta, and its saturated value
     falls as 1/delta with the width (9e-5, 9e-7, 9e-9 at widths 1e4, 1e6, 1e8
     and beta 0.9999).
     """
-    if sample.pairs.shape[-3] == 0:
+    if np.shape(elements)[-1] == 0:
         raise ValueError("sample is empty")
-    dev = np.abs(sample.elements - sample.marginal_products) / (
-        np.abs(sample.marginal_products) + 1e-300
-    )
+    dev = np.abs(elements - marginal_products) / (np.abs(marginal_products) + 1e-300)
     return np.max(dev, axis=-1)

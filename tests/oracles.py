@@ -44,10 +44,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from relent.entanglement import ABCDValues, FidelityResult, XStateStats, _leaked_mass
+from relent.entanglement import ABCDValues, _leaked_mass
 from relent.kinematics import Boost, energy_ratio, wigner_half_angle
 from relent.relstate import (
-    _G_COL, _G_ROW, TRACE_TOL, MomentumDensitySample, azimuth_tensor, spin_up_up,
+    _G_COL, _G_ROW, TRACE_TOL, azimuth_tensor, spin_up_up,
 )
 from relent.wavepacket import (
     AZIMUTH_NODES,
@@ -194,7 +194,7 @@ def _boosted_args(grid, b: Boost, m: float = 1.0):
     return px_b**2 + pt_sq, energy_ratio(px, p0, b)
 
 
-def fidelity_hypot(state, b: Boost, grid) -> FidelityResult:
+def fidelity_hypot(dist, b: Boost, grid):
     """``entanglement.fidelity`` from (Lambda p)_x, the amplitude exponentials and the hypot half-angle.
 
     Evaluated in ``np.longdouble`` (a 64-bit mantissa on x86-64).  In a tiny
@@ -202,11 +202,10 @@ def fidelity_hypot(state, b: Boost, grid) -> FidelityResult:
     arithmetic rounds it by about that many ulps in any form, so a double
     reference of another form would differ from the library by twice as much
     as the library differs from the exact node sum.  The moment is rounded to
-    double before it is squared, as the library's is.
+    double before it is raised to the fourth power, as the library's is.
     """
-    if not isinstance(state.dist, GaussianProduct):
+    if not isinstance(dist, GaussianProduct):
         raise TypeError("fidelity requires a product momentum distribution")
-    dist = state.dist
     deficit = _leaked_mass(dist, b, grid.p_max)
     if np.any(deficit > 1e-4):
         raise GridCoverageError(
@@ -223,8 +222,10 @@ def fidelity_hypot(state, b: Boost, grid) -> FidelityResult:
     amplitudes = (np.pi * delta) ** ld(-1.5) * np.exp(-(boosted_sq + p * p) / (2 * delta))
     c = wigner_half_angle_hypot(p, ct, beta)[0]
     m = np.sum(w * np.sqrt(jac) * amplitudes * c, axis=(-2, -1)).astype(float)
-    overlap = m**2 * np.vdot(state.spin, state.spin)
-    return FidelityResult(overlap=overlap, fidelity=np.abs(overlap) ** 2)
+    f = np.square(np.square(m))
+    if not np.all((-1e-9 <= f) & (f <= 1.0 + 1e-9)):
+        raise ValueError(f"fidelity out of [0, 1]: {f}")
+    return f
 
 
 def bell_ABCD_hypot(dist, b: Boost, grid, analytic_limit=False) -> ABCDValues:
@@ -283,7 +284,7 @@ def reduced_spin_density_hypot(state, b: Boost, grid):
     return rho
 
 
-def momentum_density_samples_hypot(state, b: Boost, grid, pairs) -> MomentumDensitySample:
+def momentum_density_samples_hypot(state, b: Boost, grid, pairs):
     """``relstate.momentum_density_samples`` through ``wigner_angle`` and ``wigner_matrix``."""
     if not isinstance(state.dist, GaussianProduct):
         raise TypeError("momentum_density_samples requires a product momentum distribution")
@@ -308,14 +309,10 @@ def momentum_density_samples_hypot(state, b: Boost, grid, pairs) -> MomentumDens
     ratio = energy_ratio(pairs[..., 0], np.sqrt(1.0 + p_sq), nb)
     jac = np.sqrt(np.prod(ratio, axis=-1))
     amp = np.prod(dist.amplitude1(p_sq), axis=-1)
-    return MomentumDensitySample(
-        pairs=pairs,
-        elements=jac * amp * spin_sum,
-        marginal_products=jac * amp * (spin_a * norm1) * (spin_b * norm1),
-    )
+    return jac * amp * spin_sum, jac * amp * (spin_a * norm1) * (spin_b * norm1)
 
 
-def momentum_density_samples_su2(state, b: Boost, grid, pairs) -> MomentumDensitySample:
+def momentum_density_samples_su2(state, b: Boost, grid, pairs):
     """``relstate.momentum_density_samples`` with complex SU(2) matrices for one width.
 
     The form before the real quaternions: the (2, 2, ..., row, slot) Wigner
@@ -347,11 +344,7 @@ def momentum_density_samples_su2(state, b: Boost, grid, pairs) -> MomentumDensit
     ratio = energy_ratio(pairs[..., 0], np.sqrt(1.0 + p_sq), nb)
     jac = np.sqrt(np.prod(ratio, axis=-1))
     amp = np.prod(dist.amplitude1(p_sq), axis=-1)
-    return MomentumDensitySample(
-        pairs=pairs,
-        elements=jac * amp * spin_sum,
-        marginal_products=jac * amp * (spin_a * norm1) * (spin_b * norm1),
-    )
+    return jac * amp * spin_sum, jac * amp * (spin_a * norm1) * (spin_b * norm1)
 
 
 def _sample_gaussian_momenta(delta, n, rng):
@@ -602,14 +595,8 @@ def xstate_stats_3d(dist, b, grid):
     w = grid.weights * dist.density1(grid.p**2)
     (a, b_), (c_, d) = pair_amplitudes(dist, b, grid, spin_up_up())
     mean = lambda x: complex(np.sum(w * x))
-    return XStateStats(
-        mean_a2=mean(np.abs(a) ** 2).real,
-        mean_b2=mean(np.abs(b_) ** 2).real,
-        mean_c2=mean(np.abs(c_) ** 2).real,
-        mean_d2=mean(np.abs(d) ** 2).real,
-        mean_ad=mean(a * np.conj(d)),
-        mean_bc=mean(b_ * np.conj(c_)),
-    )
+    diag = np.array([mean(np.abs(x) ** 2).real for x in (a, b_, c_, d)])
+    return diag, mean(a * np.conj(d)), mean(b_ * np.conj(c_))
 
 
 def reduced_spin_density_3d(state, b, grid):
@@ -689,7 +676,11 @@ def bell_ABCD_3d(dist, b, grid):
 
 
 def fidelity_3d(state, b, grid):
-    """``entanglement.fidelity`` with the full 2x2 moment matrix summed on the nodes."""
+    """``entanglement.fidelity`` with the full 2x2 moment matrix summed on the nodes.
+
+    The matrix acts on ``state``'s spin amplitude, which the library drops as
+    the matrix is the identity times its cos(Omega/2) moment.
+    """
     dist = state.dist
     boosted_sq, jac = _boosted_args(grid, b)
     w = grid.weights * np.sqrt(jac) * dist.amplitude1(boosted_sq) * dist.amplitude1(grid.p**2)
@@ -701,7 +692,7 @@ def fidelity_3d(state, b, grid):
         np.sum(ws * np.sin(grid.phi)),
     )
     overlap = complex(state.spin.conj() @ (np.kron(M, M) @ state.spin))
-    return FidelityResult(overlap=overlap, fidelity=float(abs(overlap) ** 2))
+    return float(abs(overlap) ** 2)
 
 
 def validate_density(rho, herm_tol=1e-10, trace_tol=1e-8, psd_tol=1e-8):
@@ -751,11 +742,6 @@ def xstate_entries(rho):
     """(diagonal (..., 4), rho03, rho12) of X-state densities (..., 4, 4)."""
     m = np.asarray(rho, dtype=complex)
     return np.diagonal(m, axis1=-2, axis2=-1).real, m[..., 0, 3], m[..., 1, 2]
-
-
-def stats_entries(s):
-    """(diagonal (..., 4), rho03, rho12) of the X-state that ``XStateStats`` aggregates."""
-    return np.stack([s.mean_a2, s.mean_b2, s.mean_c2, s.mean_d2], axis=-1), s.mean_ad, s.mean_bc
 
 
 def xstate_concurrence(rho):

@@ -29,7 +29,6 @@ from oracles import (
     mean_abs_products,
     partial_transpose,
     rotation_angle,
-    stats_entries,
     su2_from_so3,
     wigner_matrix,
     wigner_oracle,
@@ -42,6 +41,7 @@ from relent.entanglement import (
     bell_ABCD,
     fidelity,
     negativity_measure,
+    product_residual,
     xstate_pt_spectrum,
     xstate_stats,
 )
@@ -80,7 +80,7 @@ def test_criterion1_rest_frame_anchor():
     spectrum = _bell_pt_spectrum(v)
     E = negativity_measure(spectrum)
     min_pt = float(spectrum[0])
-    F = fidelity(BipartiteState(gp, bell_phi_plus()), Boost(0.0), grid).fidelity
+    F = fidelity(gp, Boost(0.0), grid)
     ok = (
         abs(E - 1.0) < 1e-9
         and abs(min_pt + 0.5) < 1e-9
@@ -119,19 +119,18 @@ def test_criterion2_light_speed_limit_table():
 def test_criterion3_fidelity_degradation():
     t0 = time.monotonic()
     for delta in (0.5, 1.0, 4.0):
-        state = BipartiteState(GaussianProduct(delta), bell_phi_plus())
         for beta in BETA_GRID_COARSE:
             grid = build_grid(32, 32, default_p_max(delta, beta))
-            f = fidelity(state, Boost(beta), grid).fidelity
+            f = fidelity(GaussianProduct(delta), Boost(beta), grid)
             assert f < 1.0 - 1e-6, (delta, beta, f)
     grid = build_grid(32, 32, default_p_max(1.0, 0.5))
-    f_quad = fidelity(BipartiteState(GaussianProduct(1.0), bell_phi_plus()), Boost(0.5), grid)
+    f_quad = fidelity(GaussianProduct(1.0), Boost(0.5), grid)
     f_mc, err = mc_bell_fidelity(1.0, 0.5, n=10**6, seed=7)
-    mc_ok = abs(f_quad.fidelity - f_mc) < 3.0 * err
+    mc_ok = abs(f_quad - f_mc) < 3.0 * err
     elapsed_ok = time.monotonic() - t0 < 120.0
     report(
         "criterion-3 fidelity-degradation", mc_ok and elapsed_ok, t0,
-        f"quad={f_quad.fidelity:.6f} mc={f_mc:.6f}+-{err:.1e}",
+        f"quad={f_quad:.6f} mc={f_mc:.6f}+-{err:.1e}",
     )
     assert mc_ok
     assert elapsed_ok
@@ -155,7 +154,7 @@ def test_criterion5_no_momentum_to_spin_transfer():
     grid = build_grid(32, 32, default_p_max(1.0))
     for beta in BETA_GRID_COARSE:
         stats = xstate_stats(EntangledMomentum(1.0, -1), Boost(beta), grid)
-        spectrum, margin_corner, margin_middle = xstate_pt_spectrum(*stats_entries(stats))
+        spectrum, margin_corner, margin_middle = xstate_pt_spectrum(*stats)
         assert margin_corner <= 1e-9, beta
         assert margin_middle <= 1e-9, beta
         assert spectrum[0] >= -1e-9, beta
@@ -194,7 +193,7 @@ def test_criterion5_identity_equality_of_mean_products():
     ur = EntangledMomentum(1.0e8, -1)
     ur_grid = build_grid(32, 32, default_p_max(1.0e8))
     residuals = [
-        xstate_stats(ur, Boost(beta), ur_grid).mean_product_residual()
+        product_residual(xstate_stats(ur, Boost(beta), ur_grid)[0])
         for beta in BETA_GRID_COARSE + [BETA_CAP]
     ]
     pointwise_ok = worst_gap < 1e-12
@@ -216,7 +215,7 @@ def test_criterion6_factorization_limit():
     grid = build_grid(32, 32, default_p_max(1.0e6))
     state = BipartiteState(dist, bell_phi_plus())
     pairs = default_sample_pairs(dist, n=64, seed=42)
-    d = product_distance(momentum_density_samples(state, Boost(0.9999), grid, pairs))
+    d = product_distance(*momentum_density_samples(state, Boost(0.9999), grid, pairs))
     ok = d < 1e-2 and time.monotonic() - t0 < 60.0
     report("criterion-6 factorization-at-light-speed", ok, t0, f"distance={d:.3e}")
     assert d < 1e-2
@@ -230,7 +229,7 @@ def _factorization_distances(delta: float, betas) -> list:
     state = BipartiteState(dist, bell_phi_plus())
     pairs = default_sample_pairs(dist, n=64, seed=42)
     return [
-        product_distance(momentum_density_samples(state, Boost(b), grid, pairs))
+        product_distance(*momentum_density_samples(state, Boost(b), grid, pairs))
         for b in betas
     ]
 
@@ -393,10 +392,9 @@ def test_criterion9_structural_invariants():
 
     # the moment-matrix fidelity agrees with the azimuth-free Bell kernel after
     # isotropic integration
-    state = BipartiteState(gp, bell_phi_plus())
     for beta in (0.3, 0.7):
         g = build_grid(32, 32, default_p_max(1.0, beta))
-        f1 = fidelity(state, Boost(beta), g).fidelity
+        f1 = fidelity(gp, Boost(beta), g)
         f2 = bell_fidelity_cos(1.0, beta, g)
         assert abs(f1 - f2) < 1e-8
 

@@ -153,6 +153,9 @@ CONFIG_ERRORS = [
      "config field 'seed': must be a non-negative integer, got True"),
     ({"seed": "42"},
      "config field 'seed': must be a non-negative integer, got '42'"),
+    ({"scenario": "both_bell_correlations", "betas": [0.5, 0.999999],
+      "directions": {"a": [1, 0, 0], "b": [-0.0, 0.6, 0.8]}},
+     "config field 'directions.b': transverse, sign undefined at beta >= 0.999999"),
 ]
 
 
@@ -573,6 +576,38 @@ class TestMainEntry:
         assert main(["run", "--config", cfg_path, "--output", out_path]) == EXIT_OK
         lines = open(out_path).read().splitlines()
         assert lines[0] == CSV_HEADER and len(lines) == 2
+
+    def test_validate_accepts_only_what_run_accepts(self, tmp_path, capsys):
+        # a direction within parse_config's 1e-9 of unit norm is stored normalised,
+        # so ObservableDirection's 1e-12 check passes (run used to exit 3)
+        doc = {"scenario": "both_bell_correlations", "betas": [0.5],
+               "grid": {"n_r": 16, "n_theta": 16}, "directions": {"a": [1.0000000005, 0, 0]}}
+        cfg_path = write_config(tmp_path, doc)
+        assert main(["validate", "--config", cfg_path]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["directions"]["a"] == [1.0, 0.0, 0.0]
+        assert main(["run", "--config", cfg_path]) == EXIT_OK
+        capsys.readouterr()
+        # a transverse direction at beta >= 1 - 1e-6 used to pass validate and
+        # fail in quantum_correlation (exit 3); both now exit 2 naming the field
+        doc = {"scenario": "both_bell_correlations", "betas": [0.0, BETA_CAP],
+               "grid": {"n_r": 16, "n_theta": 16}, "directions": {"b": [0, 0, 1]}}
+        cfg_path = write_config(tmp_path, doc)
+        for command in ("validate", "run"):
+            assert main([command, "--config", cfg_path]) == EXIT_CONFIG
+            assert "config field 'directions.b': transverse" in capsys.readouterr().err
+        # the same direction below that speed, or in another scenario, runs
+        for doc["betas"], doc["scenario"] in (([0.0, 0.99], "both_bell_correlations"),
+                                              ([0.0, BETA_CAP], "fidelity_only")):
+            assert main(["run", "--config", write_config(tmp_path, doc)]) == EXIT_OK
+            capsys.readouterr()
+
+    def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"scenario": "fidelity_only", "seed": 1} \u00e9'.encode("latin-1"))
+        for command in ("validate", "run"):
+            assert main([command, "--config", str(path)]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and "utf-8" in err, err
 
     def test_validate_ok(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, {"betas": [0.0, 0.5]})

@@ -21,7 +21,6 @@ from oracles import (
     partial_transpose,
     reduced_spin_density_3d,
     spin_kernel,
-    stats_entries,
     wigner_rotation,
     xstate_concurrence,
     xstate_density,
@@ -33,10 +32,10 @@ from relent.cli import ConfigError, _bell_pt_spectrum, parse_config, run
 from relent.entanglement import (
     ABCDValues,
     _leaked_mass,
-    XStateStats,
     bell_ABCD,
     fidelity,
     negativity_measure,
+    product_residual,
     xstate_pt_spectrum,
     xstate_stats,
 )
@@ -105,17 +104,16 @@ class TestABCDAmplitudes:
 
 class TestXStateStats:
     def test_no_boost(self, grid_default, entangled_unit):
-        s = xstate_stats(entangled_unit, Boost(0.0), grid_default)
-        assert s.mean_a2 == pytest.approx(1.0, abs=1e-9)
-        for x in (s.mean_b2, s.mean_c2, s.mean_d2, abs(s.mean_ad), abs(s.mean_bc)):
+        diag, rho03, rho12 = xstate_stats(entangled_unit, Boost(0.0), grid_default)
+        assert diag[0] == pytest.approx(1.0, abs=1e-9)
+        for x in (*diag[1:], abs(rho03), abs(rho12)):
             assert abs(x) < 1e-12
 
     @pytest.mark.parametrize("sign", [-1, 1])
     @pytest.mark.parametrize("beta", [0.1, 0.5, 0.9, 0.99])
     def test_square_means_sum_to_one(self, grid_default, sign, beta):
-        s = xstate_stats(EntangledMomentum(1.0, sign), Boost(beta), grid_default)
-        total = s.mean_a2 + s.mean_b2 + s.mean_c2 + s.mean_d2
-        assert total == pytest.approx(1.0, abs=1e-6)
+        diag, _, _ = xstate_stats(EntangledMomentum(1.0, sign), Boost(beta), grid_default)
+        assert np.sum(diag) == pytest.approx(1.0, abs=1e-6)
 
     @pytest.mark.parametrize("sign", [-1, 1])
     @pytest.mark.parametrize("beta", [0.1, 0.5, 0.9, 0.99])
@@ -129,14 +127,13 @@ class TestXStateStats:
     @pytest.mark.parametrize("beta", [0.1, 0.5, 0.9, 0.99])
     def test_middle_dominates_corner_for_coaligned_pairs(self, grid_default, beta):
         # the co-moving correlation keeps |<b c*>| >= |<a d*>|
-        s = xstate_stats(EntangledMomentum(1.0, 1), Boost(beta), grid_default)
-        assert abs(s.mean_bc) >= abs(s.mean_ad) - 1e-9
+        _, rho03, rho12 = xstate_stats(EntangledMomentum(1.0, 1), Boost(beta), grid_default)
+        assert abs(rho12) >= abs(rho03) - 1e-9
 
     def test_density_matches_reduced_path(self, grid_default, entangled_unit):
-        s = xstate_stats(entangled_unit, Boost(0.8), grid_default)
+        diag, rho03, rho12 = xstate_stats(entangled_unit, Boost(0.8), grid_default)
         state = BipartiteState(entangled_unit, spin_up_up())
         rho = reduced_spin_density(state, Boost(0.8), grid_default)
-        diag, rho03, rho12 = stats_entries(s)
         assert np.max(np.abs(xstate_density(diag, rho03, rho12) - rho)) < 1e-10
 
 
@@ -175,19 +172,20 @@ class TestSeparabilityVerdict:
     @pytest.mark.parametrize("beta", [0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99])
     def test_never_entangled(self, grid_default, sign, beta):
         s = xstate_stats(EntangledMomentum(1.0, sign), Boost(beta), grid_default)
-        spectrum, margin_corner, margin_middle = xstate_pt_spectrum(*stats_entries(s))
+        spectrum, margin_corner, margin_middle = xstate_pt_spectrum(*s)
         assert margin_corner <= 1e-9
         assert margin_middle <= 1e-9
         assert spectrum[0] >= -1e-9
 
     def test_synthetic_entangled_stats(self):
-        s = XStateStats(
-            mean_a2=0.4, mean_b2=0.1, mean_c2=0.1, mean_d2=0.4,
-            mean_ad=0.5, mean_bc=0.0,
-        )
-        spectrum, margin_corner, _ = xstate_pt_spectrum(*stats_entries(s))
+        spectrum, margin_corner, _ = xstate_pt_spectrum([0.4, 0.1, 0.1, 0.4], 0.5, 0.0)
         assert margin_corner == pytest.approx(0.24, abs=1e-12)
         assert spectrum[0] == pytest.approx(-0.4, abs=1e-12)
+
+    def test_product_residual(self):
+        # |d0 d3 - d1 d2| / max(d0 d3, d1 d2), per cell of the leading axes
+        diag = np.array([[0.4, 0.1, 0.2, 0.3], [0.1, 0.4, 0.3, 0.2], [0.25] * 4, [0.0] * 4])
+        assert product_residual(diag) == pytest.approx([0.1 / 0.12, 0.1 / 0.12, 0.0, 0.0])
 
 
 def bell_overlap_kernel(p, q, b):
@@ -217,30 +215,26 @@ class TestOverlapKernels:
 class TestFidelity:
     def test_no_boost_unity(self, gauss_unit):
         grid = build_grid(32, 32, default_p_max(1.0))
-        state = BipartiteState(gauss_unit, bell_phi_plus())
-        assert fidelity(state, Boost(0.0), grid).fidelity == pytest.approx(1.0, abs=1e-9)
+        assert fidelity(gauss_unit, Boost(0.0), grid) == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("delta", [0.5, 1.0, 4.0])
     @pytest.mark.parametrize("beta", [0.1, 0.5, 0.9, 0.99])
     def test_degrades_under_boost(self, delta, beta):
         grid = build_grid(32, 32, default_p_max(delta, beta))
-        state = BipartiteState(GaussianProduct(delta), bell_phi_plus())
-        f = fidelity(state, Boost(beta), grid).fidelity
+        f = fidelity(GaussianProduct(delta), Boost(beta), grid)
         assert f < 1.0 - 1e-6
         assert f >= 0.0
 
     def test_generic_and_cos_paths_agree(self, gauss_unit):
         grid = build_grid(32, 32, default_p_max(1.0, 0.6))
-        state = BipartiteState(gauss_unit, bell_phi_plus())
-        f_gen = fidelity(state, Boost(0.6), grid).fidelity
+        f_gen = fidelity(gauss_unit, Boost(0.6), grid)
         assert f_gen == pytest.approx(bell_fidelity_cos(1.0, 0.6, grid), abs=1e-8)
 
     def test_leak_detection(self, gauss_unit):
         # grid without boost headroom cannot account for the boosted marginal
         grid = build_grid(32, 32, default_p_max(1.0, 0.0))
-        state = BipartiteState(gauss_unit, bell_phi_plus())
         with pytest.raises(GridCoverageError):
-            fidelity(state, Boost(0.9), grid)
+            fidelity(gauss_unit, Boost(0.9), grid)
 
     @pytest.mark.parametrize("delta", [1e-12, 1e-3, 0.5, 1.0, 4.0, 100.0, 1e6, 1e12])
     def test_fixed_cutoff_leaks_past_p_max(self, delta):
@@ -250,14 +244,12 @@ class TestFidelity:
         assert np.all(_leaked_mass(dist, b, default_p_max(delta, b.beta)) < 1e-6)
         assert np.any(_leaked_mass(dist, b, default_p_max(delta)) > 1e-4)
         grid = build_grid(32, 32, default_p_max(delta))
-        state = BipartiteState(dist, bell_phi_plus())
         with pytest.raises(GridCoverageError, match="leaks past p_max"):
-            fidelity(state, Boost(0.9), grid)
+            fidelity(dist, Boost(0.9), grid)
 
     def test_against_monte_carlo(self, gauss_unit):
         grid = build_grid(32, 32, default_p_max(1.0, 0.5))
-        state = BipartiteState(gauss_unit, bell_phi_plus())
-        f_quad = fidelity(state, Boost(0.5), grid).fidelity
+        f_quad = fidelity(gauss_unit, Boost(0.5), grid)
         f_mc, err = mc_bell_fidelity(1.0, 0.5, n=10**6, seed=7)
         assert abs(f_quad - f_mc) < 3.0 * err
 

@@ -13,7 +13,7 @@ from oracles import (
     wigner_oracle,
     wigner_rotation,
 )
-from relent.kinematics import BETA_CAP, Boost
+from relent.kinematics import BETA_CAP, Boost, wigner_half_angle
 
 momenta = st.builds(
     FourMomentum.from_spherical,
@@ -200,3 +200,24 @@ class TestSU2FromSO3:
         for i in range(3):
             rhs = sum(R[j, i] * sigma[j] for j in range(3))
             assert np.max(np.abs(U @ sigma[i] @ U.conj().T - rhs)) < 1e-10
+
+
+class TestWignerHalfAngle:
+    @given(
+        p=st.floats(0.0, 1e8),
+        theta=st.floats(0.0, np.pi),
+        beta=st.one_of(st.floats(0.0, BETA_CAP), st.sampled_from([0.0, BETA_CAP])),
+    )
+    @settings(max_examples=200)
+    def test_scalars_match_arrays_bit_for_bit(self, p, theta, beta):
+        ct, st_ = np.cos(theta), np.sin(theta)
+        scalar = wigner_half_angle(p, ct, beta, sintheta=st_)
+        array = wigner_half_angle(np.array([p]), np.array([ct]), np.array([beta]),
+                                  sintheta=np.array([st_]))
+        for x, x_arr in zip(scalar, array):
+            assert np.ndim(x) == 0
+            assert np.array_equal(np.float64(x).view(np.uint64), x_arr[0].view(np.uint64))
+
+    def test_sintheta_is_required(self):
+        with pytest.raises(TypeError):
+            wigner_half_angle(1.0, 0.5, 0.5)

@@ -102,10 +102,9 @@ def test_kernels_match_hypot_forms(case):
     fid_grid, grid = build_grid(n_r, n_theta, fid_cut), build_grid(n_r, n_theta, cut)
     gp = GaussianProduct(delta)
 
-    state = BipartiteState(gp, spin)
-    got, want = _outcome(fidelity, state, b, fid_grid), _outcome(fidelity_hypot, state, b, fid_grid)
+    got, want = _outcome(fidelity, gp, b, fid_grid), _outcome(fidelity_hypot, gp, b, fid_grid)
     if not _same_error(got, want):
-        f, f_ref = np.asarray(got.fidelity), np.asarray(want.fidelity)
+        f, f_ref = np.asarray(got), np.asarray(want)
         assert np.all(np.abs(f - f_ref) <= 1e-12 * f_ref + 1e-300)
 
     for limit in (False, True):
@@ -120,16 +119,16 @@ def test_kernels_match_hypot_forms(case):
     if not _same_error(got, want):
         assert np.max(np.abs(got - want)) <= 1e-13
 
+    state = BipartiteState(gp, spin)
     pairs = np.concatenate([default_sample_pairs(gp, n=9, seed=n_r), root * EDGE_ROWS])
     got = _outcome(momentum_density_samples, state, b, grid, pairs)
     want = _outcome(momentum_density_samples_hypot, state, b, grid, pairs)
     if not _same_error(got, want):
-        for x, x_ref in ((got.elements, want.elements),
-                         (got.marginal_products, want.marginal_products)):
+        for x, x_ref in zip(got, want):
             scale_ref = np.max(np.abs(x_ref), axis=-1, keepdims=True)
             assert np.all(np.abs(x - x_ref) <= 1e-12 * scale_ref)
         # collinear and p = 0 rows rotate by exactly the identity
-        assert np.all(got.elements[..., -2:].imag == 0.0)
+        assert np.all(got[0][..., -2:].imag == 0.0)
 
 
 #: bytes of one (beta, p, cos(theta)) array at 64 x 64 nodes and the 21 default betas
@@ -178,10 +177,9 @@ class TestLatticeMemory:
     b = Boost(np.array(_DEFAULT_BETAS))
 
     def test_fidelity(self):
-        state = BipartiteState(GaussianProduct(1.0), bell_phi_plus())
         for cutoff in (default_p_max(1.0, self.b.beta), default_p_max(1.0, 0.99)):
             def call(n_theta):
-                return fidelity, state, self.b, build_grid(64, n_theta, cutoff)
+                return fidelity, GaussianProduct(1.0), self.b, build_grid(64, n_theta, cutoff)
             assert _lattices_per_polar_node(call) <= 2.01
             assert _peak_lattices(*call(64)) <= 2.5
 

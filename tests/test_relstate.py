@@ -292,25 +292,23 @@ class TestMomentumDensitySamples:
             [default_sample_pairs(dist, n=16, seed=3), [collinear], np.zeros((1, 4, 3))]
         )
         state = BipartiteState(dist, spin)
-        sample = momentum_density_samples(state, Boost(beta), grid_default, pairs)
+        elements, marginals = momentum_density_samples(state, Boost(beta), grid_default, pairs)
         ref_el, ref_marg = _scalar_samples(state, Boost(beta), grid_default, pairs)
-        assert np.max(np.abs(sample.elements - ref_el)) <= 1e-13 * np.max(np.abs(ref_el))
-        assert np.max(np.abs(sample.marginal_products - ref_marg)) <= 1e-13 * np.max(
-            np.abs(ref_marg)
-        )
+        assert np.max(np.abs(elements - ref_el)) <= 1e-13 * np.max(np.abs(ref_el))
+        assert np.max(np.abs(marginals - ref_marg)) <= 1e-13 * np.max(np.abs(ref_marg))
         # collinear and p = 0 rows rotate by exactly the identity: no imaginary part
-        assert np.all(sample.elements[-2:].imag == 0.0)
+        assert np.all(elements[-2:].imag == 0.0)
 
     def test_no_boost_is_exactly_product(self, ur_setup):
         state, grid, pairs = ur_setup
         sample = momentum_density_samples(state, Boost(0.0), grid, pairs)
-        assert np.allclose(sample.elements, sample.marginal_products, rtol=1e-10)
-        assert product_distance(sample) < 1e-10
+        assert np.allclose(*sample, rtol=1e-10)
+        assert product_distance(*sample) < 1e-10
 
     def test_ultra_relativistic_factorization(self, ur_setup):
         state, grid, pairs = ur_setup
         sample = momentum_density_samples(state, Boost(0.9999), grid, pairs)
-        assert product_distance(sample) < 1e-2
+        assert product_distance(*sample) < 1e-2
 
     def test_requires_product_distribution(self, grid_default):
         state = BipartiteState(EntangledMomentum(1.0, -1), bell_phi_plus())
@@ -362,24 +360,23 @@ class TestMomentumDensitySamples:
 
     def test_diagonal_pairs_present_and_real(self, ur_setup):
         state, grid, pairs = ur_setup
-        sample = momentum_density_samples(state, Boost(0.7), grid, pairs)
+        elements, _ = momentum_density_samples(state, Boost(0.7), grid, pairs)
         diag = np.all(pairs[:, 0] == pairs[:, 2], axis=1) & np.all(
             pairs[:, 1] == pairs[:, 3], axis=1
         )
         assert diag.sum() >= 16
-        assert np.max(np.abs(sample.elements[diag].imag)) < 1e-12
+        assert np.max(np.abs(elements[diag].imag)) < 1e-12
 
     def test_product_distance_empty_rejected(self):
-        from relent.relstate import MomentumDensitySample
-
-        with pytest.raises(ValueError):
-            product_distance(
-                MomentumDensitySample(
-                    pairs=np.zeros((0, 4, 3)),
-                    elements=np.zeros(0, dtype=complex),
-                    marginal_products=np.zeros(0, dtype=complex),
-                )
-            )
+        with pytest.raises(ValueError, match="sample is empty"):
+            product_distance(np.zeros(0, dtype=complex), np.zeros(0, dtype=complex))
+        # the sampler's own result for no pairs, at two speeds
+        state = BipartiteState(GaussianProduct(1.0), bell_phi_plus())
+        grid = build_grid(16, 16, default_p_max(1.0))
+        sample = momentum_density_samples(state, Boost(np.array([0.0, 0.5])), grid,
+                                          np.zeros((0, 4, 3)))
+        with pytest.raises(ValueError, match="sample is empty"):
+            product_distance(*sample)
 
 
 #: a collinear row and a p = 0 row, which both rotate by exactly the identity
@@ -438,8 +435,7 @@ class TestQuaternionSampler:
             want = momentum_density_samples_su2(
                 BipartiteState(GaussianProduct(width), spin), b, width_grid, rows
             )
-            for x, x_ref in ((got.elements[i], want.elements),
-                             (got.marginal_products[i], want.marginal_products)):
+            for x, x_ref in ((got[0][i], want[0]), (got[1][i], want[1])):
                 x = np.reshape(x, x_ref.shape)
                 scale = np.max(np.abs(x_ref), axis=-1, keepdims=True)
                 assert np.all(np.abs(x - x_ref) <= 1e-13 * scale)

@@ -208,8 +208,8 @@ class TestAzimuthRule:
         grid, fine = self._grids(default_p_max(1.0), n_theta_ref=64)
         em = EntangledMomentum(1.0, sign)
         s, f = xstate_stats(em, Boost(beta), grid), xstate_stats_3d(em, Boost(beta), fine)
-        for name in ("mean_a2", "mean_b2", "mean_c2", "mean_d2", "mean_ad", "mean_bc"):
-            assert abs(getattr(s, name) - getattr(f, name)) < 1e-13, name
+        for name, x, x_ref in zip(("diag", "rho03", "rho12"), s, f):
+            assert np.max(np.abs(x - x_ref)) < 1e-13, name
 
     @pytest.mark.parametrize("beta", BETAS)
     @pytest.mark.parametrize("dist", [EntangledMomentum(1.0, -1), GaussianProduct(1.0)])
@@ -238,9 +238,18 @@ class TestAzimuthRule:
     def test_fidelity(self, beta):
         grid, fine = self._grids(default_p_max(1.0, beta))
         state = BipartiteState(GaussianProduct(1.0), bell_phi_plus())
-        v, f = fidelity(state, Boost(beta), grid), fidelity_3d(state, Boost(beta), fine)
-        assert abs(v.overlap - f.overlap) < 1e-13
-        assert abs(v.fidelity - f.fidelity) < 1e-13
+        v, f = fidelity(state.dist, Boost(beta), grid), fidelity_3d(state, Boost(beta), fine)
+        assert abs(np.sqrt(v) - np.sqrt(f)) < 1e-13
+        assert abs(v - f) < 1e-13
+
+    @pytest.mark.parametrize("spin", [spin_up_up(), np.array([0.5, 0.5j, -0.5, 0.5])],
+                             ids=["up_up", "generic"])
+    def test_fidelity_is_spin_independent(self, spin):
+        # the moment matrix is the identity times a scalar, so the full-matrix
+        # overlap of any unit spin amplitude gives the fidelity that ignores it
+        grid, fine = self._grids(default_p_max(1.0, 0.9))
+        f = fidelity_3d(BipartiteState(GaussianProduct(1.0), spin), Boost(0.9), fine)
+        assert abs(fidelity(GaussianProduct(1.0), Boost(0.9), grid) - f) < 1e-13
 
     @pytest.mark.parametrize("spin", [spin_up_up(), bell_phi_plus()], ids=["up_up", "bell"])
     def test_moment_tensor_is_exact(self, spin):
@@ -261,7 +270,6 @@ class TestRefinementConvergence:
         for name in ("A", "B", "C", "D", "eta"):
             assert abs(getattr(va, name) - getattr(vb, name)) < 1e-4
 
-        state = BipartiteState(gp, bell_phi_plus())
-        fa = fidelity(state, Boost(0.7), build_grid(32, 32, default_p_max(1.0, 0.7)))
-        fb = fidelity(state, Boost(0.7), build_grid(64, 64, default_p_max(1.0, 0.7)))
-        assert abs(fa.fidelity - fb.fidelity) < 1e-4
+        fa = fidelity(gp, Boost(0.7), build_grid(32, 32, default_p_max(1.0, 0.7)))
+        fb = fidelity(gp, Boost(0.7), build_grid(64, 64, default_p_max(1.0, 0.7)))
+        assert abs(fa - fb) < 1e-4
