@@ -13,16 +13,18 @@ Configuration is a single JSON document.  Example:
       "seed": 42
     }
 
-The azimuth is integrated by a fixed exact rule (``wavepacket.AZIMUTH_NODES``),
-so ``grid.n_phi`` is accepted, validated and echoed for old configs but has
-no effect; likewise ``--workers``.  ``grid.n_theta`` sets the polar rule of
-the fidelity and the Bell weights only: the two momentum-entangled scenarios
-integrate cos(theta) in closed form.  Scenarios populate different columns of
-the fixed CSV header; cells that a scenario does not produce stay empty (CSV)
-or null (JSON).  A config's widths and betas are evaluated together (``run``),
-and every row equals the row of a sweep over its beta and width alone.
-Identical config and seed give byte-identical output, with rows emitted in
-config order.
+The azimuth is integrated by a fixed exact rule
+(``wavepacket.AZIMUTH_NODES``), so ``grid.n_phi`` is accepted, validated and
+echoed for old configs but has no effect; likewise ``--workers``.
+``grid.n_theta`` sets the polar rule of the fidelity and the Bell weights
+only: the two momentum-entangled scenarios integrate cos(theta) in closed
+form.  A fixed ``grid.p_max`` sets the radial cutoff of the Bell weights, the
+spin density and the pair sampler, not the fidelity's, which is always the
+auto policy's.  Scenarios populate different columns of the fixed CSV header;
+cells that a scenario does not produce stay empty (CSV) or null (JSON).  A
+config's widths and betas are evaluated together (``run``), and every row
+equals the row of a sweep over its beta and width alone.  Identical config
+and seed give byte-identical output, with rows emitted in config order.
 
 Exit codes: 0 success, 2 configuration or usage error (among them a width
 outside [DELTA_MIN, DELTA_MAX], grid.n_r or grid.n_theta above GRID_COUNT_MAX,
@@ -118,11 +120,9 @@ class GridSpec(NamedTuple):
     n_phi: int = 16  # accepted for old configs; the azimuth rule is fixed and exact
     p_max: object = "auto"  # "auto" or a positive number
 
-    def resolve_p_max(self, delta: float, beta):
-        """The radial cutoff at each boost speed in ``beta`` (one value if fixed)."""
-        if self.p_max == "auto":
-            return default_p_max(delta, beta)
-        return float(self.p_max)
+    def resolve_p_max(self, delta):
+        """Lab-frame radial cutoff of each width: the policy's at rest, or the fixed one."""
+        return default_p_max(delta) if self.p_max == "auto" else float(self.p_max)
 
 
 class SweepConfig(NamedTuple):
@@ -317,8 +317,9 @@ def _bell_pt_spectrum(v: ABCDValues) -> np.ndarray:
 def _sweep_columns(config: SweepConfig, delta: np.ndarray) -> dict:
     """The scenario's columns for the widths ``delta`` (n, 1) and every beta, each (n, n_beta).
 
-    Each kernel is called once; the lattice has one cutoff per width at
-    beta = 0, the fidelity lattice one per (width, beta) cell.
+    Each kernel is called once; the lattice has one cutoff per width
+    (``GridSpec.resolve_p_max``), the fidelity lattice the auto policy's cutoff
+    of each (width, beta) cell, whatever ``grid.p_max`` says.
     """
     gs = config.grid
     b = Boost(np.array(config.betas))
@@ -326,12 +327,12 @@ def _sweep_columns(config: SweepConfig, delta: np.ndarray) -> dict:
     if config.scenario in ("spin_bell_momentum_product", "fidelity_only"):
         gp = GaussianProduct(delta)
         if not config.analytic_limit:
-            fid_grid = build_grid(gs.n_r, gs.n_theta, gs.resolve_p_max(delta, b.beta))
+            fid_grid = build_grid(gs.n_r, gs.n_theta, default_p_max(delta, b.beta))
             cols["fidelity"] = fidelity(gp, b, fid_grid)
         if config.scenario == "fidelity_only":
             return cols
 
-    base_grid = build_grid(gs.n_r, gs.n_theta, gs.resolve_p_max(delta, 0.0))
+    base_grid = build_grid(gs.n_r, gs.n_theta, gs.resolve_p_max(delta))
     if config.scenario == "spin_bell_momentum_product":
         v = bell_ABCD(gp, b, base_grid, analytic_limit=config.analytic_limit)
         cols.update(A=v.A, B=v.B, C=v.C, D=v.D, eta=v.eta)

@@ -76,7 +76,7 @@ def quantum_correlation(
     spin: np.ndarray,
     b: Boost,
     grid: QuadratureGrid,
-) -> float:
+) -> np.ndarray:
     """Tr[rho (a_hat x b_hat)] for the boosted momentum-entangled Bell pair.
 
     Computed from first principles at any beta: the boosted reduced spin

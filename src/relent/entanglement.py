@@ -15,10 +15,10 @@ the anti-diagonal), and ``xstate_pt_spectrum`` gives the partial-transpose
 spectrum and the two separability margins of either in closed form.
 
 A ``Boost`` with an array of speeds, and a distribution with an array of
-widths (n_delta, 1), are evaluated as one array program on the (delta, beta,
-p, cos(theta)) lattice, which each kernel contracts with the grid's polar
-weights and then its radial ones (``_polar_sum``); results and spectra carry
-the widths' and beta's axes.
+widths (n_delta, 1), are evaluated as one array program; results and spectra
+carry the widths' and beta's axes.  ``fidelity`` and ``bell_ABCD`` contract a
+(delta, beta, p, cos(theta)) lattice with the polar weights, then the radial
+ones (``_polar_sum``); ``xstate_stats`` has closed-form polar moments.
 
 The entanglement measure is doubled negativity, -2 sum(min(0, PT eigenvalue)),
 normalised so a two-qubit maximally entangled state scores exactly 1.
@@ -31,7 +31,6 @@ C = 1/8, eta = 1) is reproduced exactly in this mode.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -39,7 +38,7 @@ import numpy as np
 from relent.kinematics import Boost, wigner_tan_product
 from relent.relstate import BipartiteState, reduced_spin_density, spin_up_up
 from relent.wavepacket import (
-    EntangledMomentum, GaussianProduct, GridCoverageError, QuadratureGrid,
+    EntangledMomentum, GaussianProduct, GridCoverageError, QuadratureGrid, default_p_max,
 )
 
 __all__ = [
@@ -87,58 +86,6 @@ def product_residual(diag) -> np.ndarray:
     return abs(lhs - rhs) / np.maximum(np.maximum(lhs, rhs), 1e-300)
 
 
-def _erfcx(y: float) -> float:
-    """exp(y^2) erfc(y), by the continued fraction of erfc where erfc underflows (y >= 26)."""
-    if y < 26.0:
-        return math.exp(y * y) * math.erfc(y)
-    tail = 0.0
-    for k in range(20, 0, -1):
-        tail = 0.5 * k / (y + tail)
-    return 1.0 / (math.sqrt(math.pi) * (y + tail))
-
-
-#: (node, weight) of the 3-node Gauss-Legendre rule on [0, 1]
-_GL3 = tuple((0.5 + 0.5 * x * math.sqrt(0.6), w / 18) for x, w in ((-1, 5), (0, 8), (1, 5)))
-
-
-def _leaked_mass(dist: GaussianProduct, b: Boost, p_max, m: float = 1.0) -> np.ndarray:
-    """Wavepacket mass whose inverse-boosted argument lies beyond P = p_max, per (width, speed).
-
-    Boosted-argument evaluation on a grid of radius P never sees it.  p leaks
-    exactly when gamma (E_p - beta p_x) > E_P (Lambda^-1 p is on shell).  The
-    transverse Gaussian beyond the leaking radius integrates to
-    exp(-rho^2/delta), so the leak is the whole p_x marginal outside [x-, x+],
-    x-+ = gamma (beta E_P -+ P), plus [exp(-x-^2/delta) erfcx(E-/sqrt(delta)) -
-    exp(-x+^2/delta) erfcx(E+/sqrt(delta))] / (2 beta), E-+ = gamma (E_P -+
-    beta P); at beta = 0, erfc(u) + 2 u exp(-u^2)/sqrt(pi) with u = P/sqrt(delta).
-    Where the exponent changes by less than 0.1 across [x-, x+] the erfcx terms
-    cancel, and the inner integrand exp(-(x-^2 + beta s (2 E- + beta s))/delta)
-    / sqrt(pi delta), p_x = x- + s, goes on ``_GL3`` (relative error < 1e-12).
-    """
-    beta, cutoff, widths = np.broadcast_arrays(b.beta, p_max, dist.delta)
-    leaked = []
-    for v, P, delta in zip(beta.ravel().tolist(), cutoff.ravel().tolist(), widths.ravel().tolist()):
-        root = math.sqrt(delta)
-        gamma = 1.0 / math.sqrt((1.0 - v) * (1.0 + v))
-        E_P = math.sqrt(m * m + P * P)
-        # x- and E- in forms without cancellation
-        x_lo = gamma * ((v * m) ** 2 - (P / gamma) ** 2) / (v * E_P + P)
-        x_hi = gamma * (v * E_P + P)
-        E_lo = gamma * (m * m + (P / gamma) ** 2) / (E_P + v * P)
-        width = x_hi - x_lo  # 2 gamma P
-        leak = 0.5 * math.erfc(-x_lo / root) + 0.5 * math.erfc(x_hi / root)
-        if v * width * (2.0 * E_lo + v * width) >= 0.1 * delta:
-            E_hi = gamma * (E_P + v * P)
-            leak += (math.exp(-x_lo * x_lo / delta) * _erfcx(E_lo / root)
-                     - math.exp(-x_hi * x_hi / delta) * _erfcx(E_hi / root)) / (2.0 * v)
-        else:
-            inner = sum(w * math.exp(-v * s * width * (2.0 * E_lo + v * s * width) / delta)
-                        for s, w in _GL3)
-            leak += math.exp(-x_lo * x_lo / delta) * width * inner / (math.sqrt(math.pi) * root)
-        leaked.append(leak)
-    return np.reshape(leaked, beta.shape)
-
-
 def _polar_sum(lattice: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Contract a lattice's cos(theta) axis with ``weights`` (n_theta,), keeping it as length 1.
 
@@ -165,15 +112,18 @@ def fidelity(dist: GaussianProduct, b: Boost, grid: QuadratureGrid) -> np.ndarra
     sqrt((Lp)^0/p^0) cos(Omega/2) = (1 + t cos(theta)) sqrt((gamma + 1)(p0 + 1)(1 + e) /
     (2 p0 (2 + e))).
 
-    Raises GridCoverageError when the boosted wavepacket's mass is not
-    resolved by the grid (invariant-norm deficit above 1e-4).
+    Raises GridCoverageError where a cell's cutoff is below ``default_p_max``:
+    p's boosted argument leaves a grid of radius P where gamma (E_p - beta p_x)
+    > E_P, a set that shrinks as P grows, so no larger cutoff leaks more.
     """
     if not isinstance(dist, GaussianProduct):
         raise TypeError("fidelity requires a product momentum distribution")
-    deficit = _leaked_mass(dist, b, grid.p_max)
-    if np.any(deficit > 1e-4):
+    cutoff, policy = np.broadcast_arrays(grid.p_max, default_p_max(dist.delta, b.beta))
+    if not np.all(cutoff >= policy):
+        i = np.argmin(cutoff / policy)
         raise GridCoverageError(
-            f"fidelity: boosted wavepacket leaks past p_max (norm deficit {np.max(deficit):.2e})"
+            f"fidelity: boosted wavepacket leaks past p_max ({cutoff.flat[i]:.17g} is below "
+            f"the auto cutoff {policy.flat[i]:.17g})"
         )
 
     # exp(-|Lp|^2 / (2 delta)) sqrt((1 + e)/(2 + e)) in two (delta, beta, p, cos(theta))
@@ -266,6 +216,6 @@ def xstate_pt_spectrum(diag, rho03, rho12):
     return spectrum, c03**2 - d[1] * d[2], c12**2 - d[0] * d[3]
 
 
-def negativity_measure(pt_spectrum) -> float:
+def negativity_measure(pt_spectrum) -> np.ndarray:
     """Doubled negativity -2 sum(min(0, eigenvalue)) of partial-transpose spectra (last axis)."""
     return -2.0 * np.sum(np.minimum(pt_spectrum, 0.0), axis=-1) + 0.0

@@ -104,14 +104,15 @@ class EntangledMomentum(_Gaussian):
         self.sign = sign
 
 
-def default_p_max(delta: float, beta: float = 0.0, m: float = 1.0) -> float:
+def default_p_max(delta, beta=0.0, m: float = 1.0) -> np.ndarray:
     """Radial cutoff policy: 6 sqrt(delta) plus boost headroom.
 
     The headroom gamma*beta*(m + 7 sqrt(delta)) keeps the inverse-boosted
-    image of the Gaussian bulk inside the grid.  The mass it leaves outside
-    (``entanglement._leaked_mass``, in closed form) is 1.6e-15 at beta = 0 and
-    below 7.5e-7 for every width in [1e-12, 1e12] and beta up to the cap,
-    largest at width 1e12 and the cap.  Broadcasts over delta and beta.
+    image of the Gaussian bulk inside the grid.  The mass it leaves outside is
+    1.6e-15 at beta = 0 and at most 7.42e-7 for every width in [1e-12, 1e12]
+    and beta up to the cap, largest at width 1e12 and the cap
+    (``tests/test_entanglement.py::TestPolicyCutoff``).  ``fidelity`` requires
+    at least this cutoff.  Broadcasts over delta and beta.
     """
     root = np.sqrt(delta)
     gamma = 1.0 / np.sqrt((1.0 - beta) * (1.0 + beta))

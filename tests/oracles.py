@@ -23,13 +23,14 @@ of ``validate_density`` live here too, as nothing in the library uses them.
 ``mean_abs_products`` averages the pointwise amplitude moduli that the
 production aggregates leave out.  The per-momentum scalar API
 (``FourMomentum``, ``wigner_rotation``, ``spin_kernel``, ``abcd``) evaluates
-one momentum or pair at a time.  ``leaked_mass_mask`` is the 128 x 128
-masked quadrature the leak check used before its closed form, and
-``leaked_mass_panels`` integrates the closed form's 1D integrand on graded
-panels.  ``partial_transpose`` of a
-general 4x4 density, followed by ``eigvalsh``, is the reference for the
-closed-form X-state spectrum; ``bell_density_from_ABCD`` assembles the
-Bell-spin density from its four weights, and ``xstate_concurrence`` is
+one momentum or pair at a time.  ``leaked_mass`` is the closed form of the
+mass that a fidelity grid's cutoff leaks, which the fidelity used as its leak
+check before it required ``default_p_max``; ``leaked_mass_mask`` is the
+128 x 128 masked quadrature it replaced, and ``leaked_mass_panels``
+integrates the closed form's 1D integrand on graded panels.
+``partial_transpose`` of a general 4x4 density, followed by ``eigvalsh``, is
+the reference for the closed-form X-state spectrum; ``bell_density_from_ABCD``
+assembles the Bell-spin density from its four weights, and ``xstate_concurrence`` is
 Wootters' concurrence in its X-state form.  ``wigner_half_angle_hypot``,
 ``wigner_angle`` and ``wigner_matrix`` are the Wigner half-angle as
 (den, num) / hypot(num, den), the angle and its SU(2) matrix from the azimuth,
@@ -40,11 +41,12 @@ form they had before they took tan(Omega/2) and built their arrays in place
 SU(2) matrices, as it was before it worked in real quaternions.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from relent.entanglement import ABCDValues, _leaked_mass
+from relent.entanglement import ABCDValues
 from relent.kinematics import Boost, energy_ratio, wigner_half_angle
 from relent.relstate import (
     _G_COL, _G_ROW, TRACE_TOL, azimuth_tensor, spin_up_up,
@@ -54,6 +56,7 @@ from relent.wavepacket import (
     EntangledMomentum,
     GaussianProduct,
     GridCoverageError,
+    default_p_max,
     gauss_legendre,
 )
 
@@ -206,10 +209,12 @@ def fidelity_hypot(dist, b: Boost, grid):
     """
     if not isinstance(dist, GaussianProduct):
         raise TypeError("fidelity requires a product momentum distribution")
-    deficit = _leaked_mass(dist, b, grid.p_max)
-    if np.any(deficit > 1e-4):
+    cutoff, policy = np.broadcast_arrays(grid.p_max, default_p_max(dist.delta, b.beta))
+    if not np.all(cutoff >= policy):
+        i = np.argmin(cutoff / policy)
         raise GridCoverageError(
-            f"fidelity: boosted wavepacket leaks past p_max (norm deficit {np.max(deficit):.2e})"
+            f"fidelity: boosted wavepacket leaks past p_max ({cutoff.flat[i]:.17g} is below "
+            f"the auto cutoff {policy.flat[i]:.17g})"
         )
     ld = np.longdouble
     beta = np.asarray(b.beta, dtype=ld)[..., None, None]
@@ -458,6 +463,59 @@ def bell_fidelity_cos(delta, beta, grid):
     kernel = _boost_weight(vecs, beta, delta) * np.cos(omega / 2)
     moment = np.sum(W.ravel() * density * kernel)
     return float(moment**4)
+
+
+def _erfcx(y: float) -> float:
+    """exp(y^2) erfc(y), by the continued fraction of erfc where erfc underflows (y >= 26)."""
+    if y < 26.0:
+        return math.exp(y * y) * math.erfc(y)
+    tail = 0.0
+    for k in range(20, 0, -1):
+        tail = 0.5 * k / (y + tail)
+    return 1.0 / (math.sqrt(math.pi) * (y + tail))
+
+
+#: (node, weight) of the 3-node Gauss-Legendre rule on [0, 1]
+_GL3 = tuple((0.5 + 0.5 * x * math.sqrt(0.6), w / 18) for x, w in ((-1, 5), (0, 8), (1, 5)))
+
+
+def leaked_mass(dist: GaussianProduct, b: Boost, p_max, m: float = 1.0) -> np.ndarray:
+    """Wavepacket mass whose inverse-boosted argument lies beyond P = p_max, per (width, speed).
+
+    The reference that pins ``default_p_max``'s bound.  Boosted-argument
+    evaluation on a grid of radius P never sees this mass.  p leaks
+    exactly when gamma (E_p - beta p_x) > E_P (Lambda^-1 p is on shell).  The
+    transverse Gaussian beyond the leaking radius integrates to
+    exp(-rho^2/delta), so the leak is the whole p_x marginal outside [x-, x+],
+    x-+ = gamma (beta E_P -+ P), plus [exp(-x-^2/delta) erfcx(E-/sqrt(delta)) -
+    exp(-x+^2/delta) erfcx(E+/sqrt(delta))] / (2 beta), E-+ = gamma (E_P -+
+    beta P); at beta = 0, erfc(u) + 2 u exp(-u^2)/sqrt(pi) with u = P/sqrt(delta).
+    Where the exponent changes by less than 0.1 across [x-, x+] the erfcx terms
+    cancel, and the inner integrand exp(-(x-^2 + beta s (2 E- + beta s))/delta)
+    / sqrt(pi delta), p_x = x- + s, goes on ``_GL3`` (relative error < 1e-12).
+    """
+    beta, cutoff, widths = np.broadcast_arrays(b.beta, p_max, dist.delta)
+    leaked = []
+    for v, P, delta in zip(beta.ravel().tolist(), cutoff.ravel().tolist(), widths.ravel().tolist()):
+        root = math.sqrt(delta)
+        gamma = 1.0 / math.sqrt((1.0 - v) * (1.0 + v))
+        E_P = math.sqrt(m * m + P * P)
+        # x- and E- in forms without cancellation
+        x_lo = gamma * ((v * m) ** 2 - (P / gamma) ** 2) / (v * E_P + P)
+        x_hi = gamma * (v * E_P + P)
+        E_lo = gamma * (m * m + (P / gamma) ** 2) / (E_P + v * P)
+        width = x_hi - x_lo  # 2 gamma P
+        leak = 0.5 * math.erfc(-x_lo / root) + 0.5 * math.erfc(x_hi / root)
+        if v * width * (2.0 * E_lo + v * width) >= 0.1 * delta:
+            E_hi = gamma * (E_P + v * P)
+            leak += (math.exp(-x_lo * x_lo / delta) * _erfcx(E_lo / root)
+                     - math.exp(-x_hi * x_hi / delta) * _erfcx(E_hi / root)) / (2.0 * v)
+        else:
+            inner = sum(w * math.exp(-v * s * width * (2.0 * E_lo + v * s * width) / delta)
+                        for s, w in _GL3)
+            leak += math.exp(-x_lo * x_lo / delta) * width * inner / (math.sqrt(math.pi) * root)
+        leaked.append(leak)
+    return np.reshape(leaked, beta.shape)
 
 
 def leaked_mass_mask(dist, b, p_max, m=1.0):

@@ -35,8 +35,9 @@ from relent.cli import (
 )
 from oracles import reduced_spin_density_hypot, sample_pairs_loop
 from relent import wavepacket
-from relent.kinematics import BETA_CAP
-from relent.wavepacket import GaussianProduct, default_p_max
+from relent.entanglement import bell_ABCD
+from relent.kinematics import BETA_CAP, Boost
+from relent.wavepacket import GaussianProduct, build_grid, default_p_max
 
 #: the largest fixed grid.p_max a config may set: the auto policy's largest cutoff
 P_MAX_CAP = default_p_max(DELTA_MAX, BETA_CAP)
@@ -317,12 +318,9 @@ class TestRunScenarios:
 
         monkeypatch.setattr(cli, "default_sample_pairs", counting_draw)
         # every Wigner-angle evaluation, as the tanh product or as half-angle
-        # cosines and sines, and every leaked-mass check
+        # cosines and sines
         for module, name in ANGLE_BINDINGS:
             monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-        monkeypatch.setattr(
-            entanglement, "_leaked_mass", counting("_leaked_mass", entanglement._leaked_mass)
-        )
         texts, per_sweep = [], []
         for betas, workers in (([0.0, 0.5], 1), (cli._DEFAULT_BETAS, 1), (cli._DEFAULT_BETAS, 2)):
             cfg = parse_config({"betas": betas, "delta": [0.5, 1.0, 4.0], "grid": {"n_theta": 24}})
@@ -331,8 +329,7 @@ class TestRunScenarios:
             pair_draws.clear()
             kernel_calls.clear()
             texts.append(emit(run(cfg, workers=workers), "csv", None))
-            # only the n_r and n_theta rules are computed: the leak check
-            # builds none, so no sweep computes a 128-node rule
+            # only the n_r and n_theta rules are computed
             assert rule.cache_info().misses == rule.cache_info().currsize == 2
             rule(32), rule(24)
             assert rule.cache_info().misses == 2
@@ -343,7 +340,7 @@ class TestRunScenarios:
         # one call per kernel and sweep, whatever the number of betas and
         # widths: fidelity and bell_ABCD take the tanh product, the density
         # samples the half-angles
-        want = {"wigner_tan_product": 2, "wigner_half_angle": 1, "_leaked_mass": 1}
+        want = {"wigner_tan_product": 2, "wigner_half_angle": 1}
         assert per_sweep[0] == per_sweep[1] == want
         assert texts[1] == texts[2]
 
@@ -439,6 +436,44 @@ class TestBatchedSweep:
                 assert (g is None) == (w is None)
                 if w is not None:
                     assert math.isclose(g, w, rel_tol=1e-14, abs_tol=1e-14), (got, want)
+
+
+class TestFixedCutoff:
+    """A fixed grid.p_max sets the lab-frame kernels' cutoff and leaves the fidelity's alone."""
+
+    @pytest.mark.parametrize("delta, p_max", [(1e-12, 1.0), (1e12, 1.5653e11)])
+    def test_fidelity_is_one_at_rest(self, tmp_path, capsys, delta, p_max):
+        # both cutoffs miss the packet, and the fidelity used to print 0 at
+        # beta 0 with exit 0
+        cfg_path = write_config(
+            tmp_path,
+            {"scenario": "fidelity_only", "betas": [0.0, 0.5], "delta": delta,
+             "grid": {"p_max": p_max}},
+        )
+        out_path = str(tmp_path / "out.csv")
+        assert main(["run", "--config", cfg_path, "--output", out_path]) == EXIT_OK
+        lines = open(out_path).read().splitlines()
+        fidelity = lines[0].split(",").index("fidelity")
+        at_rest = float(lines[1].split(",")[fidelity])
+        assert abs(at_rest - 1.0) <= 1e-14
+
+    @pytest.mark.parametrize("scenario", ["spin_bell_momentum_product", "fidelity_only"])
+    def test_fidelity_column_equals_auto(self, scenario):
+        doc = {
+            "scenario": scenario, "betas": [0.0, 0.3, 0.6, 0.99], "delta": [0.5, 1.0, 4.0],
+            "grid": {"n_r": 24, "n_theta": 16},
+        }
+        auto = run(parse_config(doc))
+        fixed = run(parse_config({**doc, "grid": {**doc["grid"], "p_max": 14.0}}))
+        assert [r.fidelity for r in fixed] == [r.fidelity for r in auto]
+        if scenario == "fidelity_only":
+            return
+        # the Bell weights come from the fixed cutoff
+        widths, b = np.array(doc["delta"])[:, None], Boost(np.array(doc["betas"]))
+        v = bell_ABCD(GaussianProduct(widths), b, build_grid(24, 16, 14.0))
+        for name in ("A", "B", "C", "D"):
+            assert [getattr(r, name) for r in fixed] == np.ravel(getattr(v, name)).tolist()
+        assert [r.A for r in fixed] != [r.A for r in auto]
 
 
 class TestLargeWidthPolarIntegral:

@@ -16,6 +16,7 @@ from oracles import (
     mc_bell_fidelity,
     mean_abs_products,
     lattice_weights,
+    leaked_mass,
     leaked_mass_mask,
     leaked_mass_panels,
     partial_transpose,
@@ -31,7 +32,6 @@ import relent.cli as cli
 from relent.cli import ConfigError, _bell_pt_spectrum, parse_config, run
 from relent.entanglement import (
     ABCDValues,
-    _leaked_mass,
     bell_ABCD,
     fidelity,
     negativity_measure,
@@ -241,8 +241,8 @@ class TestFidelity:
         dist = GaussianProduct(delta)
         b = Boost(np.append(np.arange(20) * 0.05, [0.99, 0.999, BETA_CAP]))
         # the auto cutoff holds every speed's boosted packet, a fixed one does not
-        assert np.all(_leaked_mass(dist, b, default_p_max(delta, b.beta)) < 1e-6)
-        assert np.any(_leaked_mass(dist, b, default_p_max(delta)) > 1e-4)
+        assert np.all(leaked_mass(dist, b, default_p_max(delta, b.beta)) < 1e-6)
+        assert np.any(leaked_mass(dist, b, default_p_max(delta)) > 1e-4)
         grid = build_grid(32, 32, default_p_max(delta))
         with pytest.raises(GridCoverageError, match="leaks past p_max"):
             fidelity(dist, Boost(0.9), grid)
@@ -268,7 +268,63 @@ def _leak_cases():
         if cfg.scenario in ("spin_bell_momentum_product", "fidelity_only"):
             for delta in cfg.delta:
                 betas = np.array(cfg.betas)
-                yield delta, betas, cfg.grid.resolve_p_max(delta, betas)
+                yield delta, betas, default_p_max(delta, betas)
+
+
+class TestPolicyCutoff:
+    """``fidelity`` requires ``default_p_max``, which leaks at most 1e-6; a larger cutoff leaks less."""
+
+    def test_leak_bound_over_the_config_domain(self):
+        widths = np.logspace(-12.0, 12.0, 97)[:, None]
+        betas = np.linspace(0.0, 0.99, 100)
+        betas = np.unique(np.concatenate((betas, 1.0 - np.logspace(-2.0, -9.0, 51))))
+        assert len(betas) == 150 and betas[-1] == BETA_CAP
+        leak = leaked_mass(GaussianProduct(widths), Boost(betas), default_p_max(widths, betas))
+        assert np.max(leak[:, 0]) < 1e-14
+        # the worst, 7.42e-7, is at width 1e12 and the cap
+        assert np.max(leak) <= 1e-6
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        log_delta=st.floats(-12.0, 12.0),
+        beta=st.one_of(
+            st.just(0.0),
+            st.floats(0.0, BETA_CAP),
+            st.floats(-9.0, -1.0).map(lambda e: 1.0 - 10.0**e),
+        ),
+        frac=st.floats(-1.0, 1.0),
+        grow=st.floats(0.0, 1.0),
+    )
+    def test_leak_does_not_grow_with_the_cutoff(self, log_delta, beta, frac, grow):
+        dist, b = GaussianProduct(10.0**log_delta), Boost(min(beta, BETA_CAP))
+        policy = float(default_p_max(dist.delta, b.beta))
+        p_max = policy * 2.0**frac
+        small, large = (float(leaked_mass(dist, b, P)) for P in (p_max, p_max * (1.0 + grow)))
+        # the slack is the closed form's rounding, for cutoffs a few ulps apart
+        assert large <= small * (1.0 + 1e-12)
+        if p_max >= policy:
+            assert small <= float(leaked_mass(dist, b, policy)) * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("delta", [1e-12, 1.0, 1e12])
+    @pytest.mark.parametrize("beta", [0.0, 0.5, BETA_CAP])
+    def test_guard_at_the_policy_cutoff(self, delta, beta):
+        dist, b = GaussianProduct(delta), Boost(beta)
+        policy = default_p_max(delta, beta)
+        assert 0.0 <= fidelity(dist, b, build_grid(32, 32, policy)) <= 1.0
+        below = np.nextafter(policy, 0.0)
+        with pytest.raises(GridCoverageError, match="leaks past p_max") as err:
+            fidelity(dist, b, build_grid(32, 32, below))
+        assert f"{below:.17g}" in str(err.value) and f"{policy:.17g}" in str(err.value)
+
+    def test_guard_per_cell(self):
+        # one cell of a (width, beta) lattice one ulp short is enough to raise
+        widths, betas = np.array([[0.5], [1.0], [4.0]]), np.array([0.0, 0.6, 0.99])
+        cutoff = default_p_max(widths, betas)
+        dist, b = GaussianProduct(widths), Boost(betas)
+        assert fidelity(dist, b, build_grid(16, 16, cutoff)).shape == (3, 3)
+        cutoff[1, 2] = np.nextafter(cutoff[1, 2], 0.0)
+        with pytest.raises(GridCoverageError, match="leaks past p_max"):
+            fidelity(dist, b, build_grid(16, 16, cutoff))
 
 
 class TestLeakedMass:
@@ -278,7 +334,7 @@ class TestLeakedMass:
     @pytest.mark.parametrize("u", [0.5, 2.5, 3.25, 6.0, 12.0])
     def test_unboosted_is_the_3d_tail(self, delta, u):
         tail = math.erfc(u) + 2.0 * u * math.exp(-u * u) / math.sqrt(math.pi)
-        got = _leaked_mass(GaussianProduct(delta), Boost(0.0), u * math.sqrt(delta))
+        got = leaked_mass(GaussianProduct(delta), Boost(0.0), u * math.sqrt(delta))
         assert abs(got / tail - 1.0) <= 1e-13
 
     @settings(max_examples=300, deadline=None)
@@ -297,7 +353,7 @@ class TestLeakedMass:
         beta = min(beta, BETA_CAP)
         lo, hi = 2.5 * math.sqrt(delta), float(default_p_max(delta, beta))
         p_max = lo * (hi / lo) ** frac
-        got = float(_leaked_mass(GaussianProduct(delta), Boost(beta), p_max))
+        got = float(leaked_mass(GaussianProduct(delta), Boost(beta), p_max))
         assert math.isfinite(got) and 0.0 <= got <= 1.0
         want = leaked_mass_panels(delta, beta, p_max)
         assert abs(got - want) <= 1e-6 * want + 1e-12
@@ -315,7 +371,7 @@ class TestLeakedMass:
         )
         betas = betas[betas <= BETA_CAP]
         dist = GaussianProduct(delta)
-        got = _leaked_mass(dist, Boost(betas), p_max)
+        got = leaked_mass(dist, Boost(betas), p_max)
         want = np.array([leaked_mass_panels(delta, b, p_max) for b in betas])
         assert np.max(np.abs(got / want - 1.0)) <= 1e-11
         assert abs(got[1] / got[0] - 1.0) <= 1e-13  # beta = 1e-14 against beta = 0
@@ -330,7 +386,7 @@ class TestLeakedMass:
         # at width 1e-12 and BETA_CAP a cutoff just past gamma beta m puts the
         # boosted packet on the edge; gamma (beta E_P - P) then cancels from
         # 2.2e4 down to a few sqrt(delta), and taken as written it errs by 4-13%
-        got = _leaked_mass(GaussianProduct(1e-12), Boost(BETA_CAP), p_max)
+        got = leaked_mass(GaussianProduct(1e-12), Boost(BETA_CAP), p_max)
         assert abs(got / want - 1.0) <= 1e-8
 
     def test_same_verdict_as_mask_quadrature(self):
@@ -342,10 +398,10 @@ class TestLeakedMass:
         for delta, betas, p_max in _leak_cases():
             dist, b = GaussianProduct(delta), Boost(betas)
             for cutoff in (p_max, default_p_max(delta)):
-                exact, mask = _leaked_mass(dist, b, cutoff), leaked_mass_mask(dist, b, cutoff)
+                exact, mask = leaked_mass(dist, b, cutoff), leaked_mass_mask(dist, b, cutoff)
                 assert np.all(np.abs(exact / 1e-4 - 1.0) > 0.2)
                 assert np.array_equal(exact > 1e-4, mask > 1e-4)
-            assert not np.any(_leaked_mass(dist, b, p_max) > 1e-4)
+            assert not np.any(leaked_mass(dist, b, p_max) > 1e-4)
             cases += 1
         assert cases == 11  # 5 golden and 6 benchmark sweeps of one width
 
