@@ -1,0 +1,127 @@
+#!/usr/bin/env python3
+"""First-call and warm cost of each relent kernel over a pass of sweep configs.
+
+    PYTHONPATH=src python3 scripts/cold_profile.py CONFIG.json [CONFIG.json ...]
+
+A pass runs every config once with ``relent.cli.run``, as ``relent run`` does.
+The first pass runs in this fresh process, so it pays every import-time cache
+fill and every page the heap has not yet touched; WARM_PASSES passes follow,
+then one pass under ``tracemalloc``.  For each kernel the table gives its calls
+per pass, the time and the minor page faults (``resource.getrusage(...)
+.ru_minflt``) of the first pass and the median of the warm ones, and the
+largest ``tracemalloc`` peak of one call above the memory held when it was
+entered.  A kernel's numbers include the kernels it calls: ``xstate_stats`` and
+``quantum_correlation`` call ``reduced_spin_density``, ``build_grid`` calls
+``gauss_legendre``.
+"""
+
+import importlib
+import resource
+import statistics
+import sys
+import time
+import tracemalloc
+
+import relent.cli as cli
+
+WARM_PASSES = 10
+
+#: the kernels, wrapped in every relent module that binds them
+KERNELS = ("gauss_legendre", "build_grid", "fidelity", "bell_ABCD", "default_sample_pairs",
+           "momentum_density_samples", "xstate_stats", "reduced_spin_density",
+           "quantum_correlation")
+MODULES = ("relent", "relent.wavepacket", "relent.relstate", "relent.entanglement",
+           "relent.correlations", "relent.cli")
+
+_stats = {}  # kernel -> [calls, seconds, faults, peak bytes] of the current pass
+_open = []  # absolute tracemalloc peaks of the calls in progress, before their callees reset it
+
+
+def _faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def _wrap(name, fn):
+    def profiled(*args, **kwargs):
+        tracing = tracemalloc.is_tracing()
+        if tracing:
+            base, peak = tracemalloc.get_traced_memory()
+            if _open:
+                _open[-1] = max(_open[-1], peak)
+            _open.append(base)
+            tracemalloc.reset_peak()
+        faults, start = _faults(), time.perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            seconds, faults = time.perf_counter() - start, _faults() - faults
+            row = _stats.setdefault(name, [0, 0.0, 0, 0])
+            row[0] += 1
+            row[1] += seconds
+            row[2] += faults
+            if tracing:
+                top = max(_open.pop(), tracemalloc.get_traced_memory()[1])
+                row[3] = max(row[3], top - base)
+                if _open:
+                    _open[-1] = max(_open[-1], top)
+    return profiled
+
+
+def install() -> None:
+    """Replace every relent binding of each kernel by one profiling wrapper."""
+    wrappers = {}
+    for module in map(importlib.import_module, MODULES):
+        for attr in KERNELS:
+            fn = getattr(module, attr, None)
+            if fn is None:
+                continue
+            if fn not in wrappers:
+                wrappers[fn] = _wrap(f"{fn.__module__.removeprefix('relent.')}.{attr}", fn)
+            setattr(module, attr, wrappers[fn])
+
+
+def one_pass(configs) -> tuple:
+    """(seconds, faults, kernel stats) of one pass over ``configs``."""
+    _stats.clear()
+    faults, start = _faults(), time.perf_counter()
+    for config in configs:
+        cli.run(config)
+    seconds, faults = time.perf_counter() - start, _faults() - faults
+    return seconds, faults, {name: list(row) for name, row in _stats.items()}
+
+
+def main(paths) -> int:
+    if not paths:
+        sys.stderr.write(__doc__)
+        return 2
+    try:
+        configs = [cli.load_config(path) for path in paths]
+    except cli.ConfigError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
+    install()
+    first = one_pass(configs)
+    warm = [one_pass(configs) for _ in range(WARM_PASSES)]
+    tracemalloc.start()
+    try:
+        traced = one_pass(configs)[2]
+    finally:
+        tracemalloc.stop()
+
+    median = statistics.median
+    print(f"pass of {len(configs)} config(s): first {first[0] * 1e3:.2f} ms, {first[1]} faults; "
+          f"warm {median(w[0] for w in warm) * 1e3:.2f} ms, "
+          f"{median(w[1] for w in warm):.0f} faults (median of {WARM_PASSES})")
+    header = ("kernel", "calls", "first ms", "warm ms", "first faults", "warm faults",
+              "peak KiB")
+    print(f"{header[0]:36s}" + "".join(f"{h:>13s}" for h in header[1:]))
+    for name, (calls, seconds, faults, _) in first[2].items():
+        cells = (f"{calls:d}", f"{seconds * 1e3:.3f}",
+                 f"{median(w[2][name][1] for w in warm) * 1e3:.3f}", f"{faults:d}",
+                 f"{median(w[2][name][2] for w in warm):.0f}", f"{traced[name][3] / 1024:.0f}")
+        print(f"{name:36s}" + "".join(f"{c:>13s}" for c in cells))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -272,7 +272,7 @@ def parse_config(doc: dict) -> SweepConfig:
         v = directions.get(key, [1.0, 0.0, 0.0])
         if not (isinstance(v, list) and len(v) == 3 and all(_is_number(x) for x in v)):
             _fail(f"directions.{key}", "must be a 3-vector of finite numbers")
-        norm = float(np.linalg.norm(v))
+        norm = math.hypot(*v)
         if not abs(norm - 1.0) <= 1e-9:
             _fail(f"directions.{key}", f"must be a unit vector (norm {norm:.6f})")
         if scenario == "both_bell_correlations" and v[0] == 0 and betas[-1] >= TRANSVERSE_BETA_MAX:

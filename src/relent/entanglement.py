@@ -164,9 +164,10 @@ def bell_ABCD(
     |f1|^2 for each particle separately.  The azimuthal cross terms are
     second-harmonic moments, sin^2(Omega/2) against cos(2 phi) and
     sin(2 phi), whose exact azimuthal averages vanish; with them
-    A = c2^2 + s2^2/2, B = D = c2 s2 and C = s2^2/2, with sin^2(Omega/2) =
-    t^2 sin^2(theta) / (1 + t^2 + 2 t cos(theta)) in one lattice buffer that
-    the polar weights contract; the norm is checked per radial rule.
+    A = c2^2 + s2^2/2, B = D = c2 s2 and C = s2^2/2.  sin^2(Omega/2) = t^2/(1 + t^2)
+    sin^2(theta)/(1 + tau cos(theta)), tau = 2t/(1 + t^2): the one lattice buffer
+    holds 1/(1 + tau cos(theta)), the polar weights fold in sin^2(theta) and
+    t^2/(1 + t^2) scales the polar sums; the norm is checked per radial rule.
     ``analytic_limit`` substitutes Omega := theta.
     """
     if not isinstance(dist, GaussianProduct):
@@ -185,12 +186,12 @@ def bell_ABCD(
         s2 = np.broadcast_to(s2, np.broadcast_shapes(np.shape(s2), np.shape(b.beta)))
     else:
         t = wigner_tan_product(grid.p, b.nodewise().beta)
-        s2_node = 2.0 * t * ct
-        s2_node += 1.0 + t * t
-        np.reciprocal(s2_node, out=s2_node)
-        s2_node *= t * t
-        s2_node *= 1.0 - ct * ct
-        s2 = np.sum(w * _polar_sum(s2_node, polar)[..., 0], axis=-1)
+        t_sq = t * t
+        lattice = np.multiply(2.0 * t / (1.0 + t_sq), ct)  # tau cos(theta)
+        lattice += 1.0
+        np.reciprocal(lattice, out=lattice)
+        polar_sum = _polar_sum(lattice, polar * (1.0 - ct * ct))
+        s2 = np.sum(w * (t_sq / (1.0 + t_sq) * polar_sum)[..., 0], axis=-1)
     c2, C = norm - s2, 0.5 * s2**2
     return ABCDValues(A=c2**2 + C, B=c2 * s2, C=C, D=c2 * s2, eta=2.0 * s2 / norm)
 

@@ -98,11 +98,6 @@ def azimuth_tensor(spin: np.ndarray, n_phi: int) -> np.ndarray:
     return np.einsum("kni,lnj->klij", X, X.conj()) / n_phi
 
 
-#: G[i + 2j, k + 2l] = M[i + k, j + l], the 4x4 moment matrix from the 3x3 one
-_G_ROW = np.add.outer(np.arange(4) % 2, np.arange(4) % 2)
-_G_COL = np.add.outer(np.arange(4) // 2, np.arange(4) // 2)
-
-
 #: phi2(t) = (atanh(t)/t - 1 - t^2/3) / t^4 = sum_k u^k / (2k + 5), u = t^2, as the series in
 #: blocks of five powers below t = _PHI2_SWITCH, where the closed form cancels: there 25 terms
 #: are within 2e-16 of phi2 and the closed form within 8e-15, both relative
@@ -161,11 +156,11 @@ def reduced_spin_density(state: BipartiteState, b: Boost, grid: QuadratureGrid) 
     moment matrix of a = (c_p c_q, s_p c_q, sign c_p s_q, sign s_p s_q) (c, s
     of half the Wigner angle) over the (delta, beta, p) radial rule.  As
     a_{i+2j} is a product of a p factor i and a q factor j, G[i + 2j, k + 2l]
-    = M[i + k, j + l] for the 3x3 moment M_ab = int w P_a Q_b of
-    P = (c_p^2, c_p s_p, s_p^2) and Q = (c_q^2, sign c_q s_q, s_q^2).
-    Y[k, l] vanishes when the indices' factors i_k + j_k + i_l + j_l add up to
-    an odd number, so only the five M_ab with a + b even are needed, each
-    integrated over cos(theta) in closed form: ``grid.n_theta`` plays no part.
+    = M[i + k, j + l] for the 3x3 moment M_ab = int w P_a Q_b of P = (c_p^2,
+    c_p s_p, s_p^2) and Q = (c_q^2, sign c_q s_q, s_q^2).  Only the five M_ab
+    with a + b even are nonzero, each integrated over cos(theta) in closed form
+    (``grid.n_theta`` plays no part), so rho is summed by moment class: M00 Y00
+    + M20 (Y11 + Y22) + M22 Y33 + M11 (Y03 + Y30 + Y12 + Y21).
     """
     dist = state.dist
     if not isinstance(dist, EntangledMomentum):
@@ -174,10 +169,10 @@ def reduced_spin_density(state: BipartiteState, b: Boost, grid: QuadratureGrid) 
     t = wigner_tan_product(grid.p[..., 0], np.expand_dims(b.beta, -1))
     t = np.broadcast_to(t, np.broadcast_shapes(t.shape, w.shape))  # widths on a shared cutoff
     moments = np.sum(_polar_moments(t, dist.sign) * w, axis=-1)
-    M = np.zeros(moments.shape[1:] + (3, 3))
-    M[..., (0, 0, 2, 2, 1), (0, 2, 0, 2, 1)] = np.moveaxis(moments[[0, 1, 1, 2, 3]], 0, -1)
-    G = M[..., _G_ROW, _G_COL]
-    rho = np.einsum("...kl,klij->...ij", G, azimuth_tensor(state.spin, AZIMUTH_NODES))
+    Y = azimuth_tensor(state.spin, AZIMUTH_NODES)
+    classes = (Y[0, 0], Y[1, 1] + Y[2, 2], Y[3, 3], Y[0, 3] + Y[3, 0] + Y[1, 2] + Y[2, 1])
+    rho = np.moveaxis(moments, 0, -1) @ np.reshape(classes, (4, 16))
+    rho = rho.reshape(moments.shape[1:] + (4, 4))
     worst = np.max(np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0))
     if not (worst <= TRACE_TOL):
         raise GridCoverageError(
@@ -200,7 +195,8 @@ def momentum_density_samples(state: BipartiteState, b: Boost, grid: QuadratureGr
 
     With (c, s) = (cos, sin)(Omega/2), D_p'^dag D_p = (c'c + s's cos(dphi), -s's sin(dphi),
     s'c sin(phi') - c's sin(phi), c's cos(phi) - s'c cos(phi')) in E, dphi = phi' - phi,
-    and <Phi|A x B|Phi> = a T b with T_mn = <Phi|E_m x E_n|Phi>, all in real arithmetic.
+    and <Phi|A x B|Phi> = a T b with T_mn = <Phi|E_m x E_n|Phi>, in real arithmetic over
+    T's nonzero real and imaginary entries alone; each complex result is formed once.
 
     At fixed coordinates the elements depart further from the marginal
     product as beta grows: the Wigner-phase difference between two radii
@@ -216,7 +212,6 @@ def momentum_density_samples(state: BipartiteState, b: Boost, grid: QuadratureGr
         raise ValueError("pairs must have shape (n, 4, 3)")
     dist = state.dist
     T = _UNIT_PAIRS @ state.spin @ state.spin.conj()  # <Phi|E_m x E_n|Phi>
-    T = np.stack((T.real, T.imag))
 
     # companion-trace normalisation, computed on the grid it was handed
     norm1 = np.sum(grid.radial_weights * dist.density1(grid.p**2), axis=(-2, -1))[..., None]
@@ -236,7 +231,7 @@ def momentum_density_samples(state: BipartiteState, b: Boost, grid: QuadratureGr
     c, s = wigner_half_angle(p, x / safe_p, nb.beta, sintheta=transverse / safe_p)
     cos_phi = np.where(transverse > 0.0, y / safe_t, 1.0)
     sin_phi = z / safe_t
-    # D_p'^dag D_p, D_q'^dag D_q (4, ..., row) from slots (0, 2), (1, 3); (y, z) = (cos, sin)(phi)
+    # D_p'^dag D_p, D_q'^dag D_q, four arrays each, from slots (0, 2), (1, 3); y, z = cos, sin phi
     qa, qb = [], []
     for q, i, j in ((qa, 0, 2), (qb, 1, 3)):
         (c0, s0, y0, z0), (c1, s1, y1, z1) = ([a[..., k, :] for a in (c, s, cos_phi, sin_phi)]
@@ -244,20 +239,32 @@ def momentum_density_samples(state: BipartiteState, b: Boost, grid: QuadratureGr
         ss, cs, sc = s1 * s0, c1 * s0, s1 * c0
         q += [c1 * c0 + ss * (y1 * y0 + z1 * z0), ss * (y1 * z0 - z1 * y0), sc * z1 - cs * z0,
               cs * y0 - sc * y1]
-    qa, qb = np.array(qa), np.array(qb)
-    # real and imaginary parts of <Phi|A x B|Phi>, sum_m T_m0 a_m and sum_n T_0n b_n
-    tb = np.einsum("kmn,n...->km...", T, qb)
-    parts = np.einsum("m...,km...->k...", qa, tb), np.einsum("km,m...->k...", T[..., 0], qa)
-    spin_sum, spin_a, spin_b = (part[0] + 1j * part[1] for part in (*parts, tb[:, 0]))
+    del c, s, c0, s0, c1, s1, ss, cs, sc  # free the half-angles before the contraction
 
-    ratio = energy_ratio(x, np.sqrt(1.0 + p_sq), nb)
-    jac = np.sqrt(np.prod(ratio, axis=-2))
-    amp = np.prod(dist.amplitude1(p_sq), axis=-2)
-    elements = jac * amp * spin_sum
+    # <Phi|A x B|Phi> = sum_mn T_mn a_m b_n and its marginals sum_m T_m0 a_m and sum_n T_0n b_n
+    # as (real, imaginary) parts, each summed over T's nonzero entries alone
+    parts = T.real, T.imag
+    spin_sum = [sum(t[m, n] * qa[m] * qb[n] for m, n in zip(*np.nonzero(t))) for t in parts]
+    spin_a = [sum(t[m, 0] * qa[m] for m in np.flatnonzero(t[:, 0])) for t in parts]
+    spin_b = [sum(t[0, n] * qb[n] for n in np.flatnonzero(t[0])) for t in parts]
+
+    scale = np.sqrt(np.prod(energy_ratio(x, np.sqrt(1.0 + p_sq), nb), axis=-2))
+    scale *= np.prod(dist.amplitude1(p_sq), axis=-2)
+    elements = _complex(spin_sum, scale)
     diag = np.all(rows[..., :2, :] == rows[..., 2:, :], axis=(-2, -1))  # p' = p and q' = q
     if np.any(diag & (elements.real < -1e-10)):
         raise ValueError("diagonal momentum-density elements must be non-negative")
-    return elements, jac * amp * (spin_a * norm1) * (spin_b * norm1)
+    (a_re, a_im), (b_re, b_im) = spin_a, spin_b
+    marginal = (a_re * b_re - a_im * b_im, a_re * b_im + a_im * b_re)
+    return elements, _complex(marginal, scale * (norm1 * norm1))
+
+
+def _complex(parts, scale) -> np.ndarray:
+    """scale (re + i im) from parts = (re, im), formed in one complex array."""
+    out = np.empty(np.shape(scale), dtype=complex)
+    np.multiply(scale, parts[0], out=out.real)
+    np.multiply(scale, parts[1], out=out.imag)
+    return out
 
 
 _M32, _M128 = (1 << 32) - 1, (1 << 128) - 1

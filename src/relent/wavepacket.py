@@ -152,8 +152,8 @@ def _read_only(*arrays: np.ndarray) -> tuple:
 def _legendre(n: int, x: np.ndarray) -> tuple:
     """P_n(x) and P_n'(x) by the three-term recurrence, for x inside (-1, 1)."""
     p_prev, p = np.ones_like(x), x
-    for k in range(1, n):
-        p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+    for k in range(1, n):  # four array operations, the ratios (2k + 1)/(k + 1), k/(k + 1) scalars
+        p_prev, p = p, x * p * ((2 * k + 1) / (k + 1)) - p_prev * (k / (k + 1))
     return p, n * (x * p - p_prev) / (x * x - 1.0)
 
 

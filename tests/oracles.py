@@ -48,9 +48,7 @@ import numpy as np
 
 from relent.entanglement import ABCDValues
 from relent.kinematics import Boost, energy_ratio, wigner_half_angle
-from relent.relstate import (
-    _G_COL, _G_ROW, TRACE_TOL, azimuth_tensor, spin_up_up,
-)
+from relent.relstate import TRACE_TOL, azimuth_tensor, spin_up_up
 from relent.wavepacket import (
     AZIMUTH_NODES,
     EntangledMomentum,
@@ -59,6 +57,11 @@ from relent.wavepacket import (
     default_p_max,
     gauss_legendre,
 )
+
+#: G[i + 2j, k + 2l] = M[i + k, j + l], the 4x4 moment matrix of the spin density from the
+#: 3x3 one, for the oracles that sum the whole azimuth tensor
+_G_ROW = np.add.outer(np.arange(4) % 2, np.arange(4) % 2)
+_G_COL = np.add.outer(np.arange(4) // 2, np.arange(4) // 2)
 
 _SIGMA = np.array(
     [

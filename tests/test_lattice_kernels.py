@@ -171,7 +171,14 @@ class TestLatticeMemory:
     closed form and ``build_grid`` keeps the radial and polar weights apart,
     so neither holds a lattice.  The hypot forms peaked at 6.1, 5.05 and 5.05
     arrays; with a weight lattice the in-place forms were held to 3.0, 2.0 and
-    4.0.
+    4.0.  ``bell_ABCD``'s buffer holds 1/(1 + tau cos(theta)) alone: the polar
+    weights carry sin^2(theta) and t^2/(1 + t^2) scales the polar sums.
+
+    ``momentum_density_samples`` holds no lattice; its unit is a (width, speed,
+    slot, pair) array, the size of one half-angle array of the sweep's call.
+    Its quaternion contraction with stacked ``einsum`` operands and complex
+    temporaries peaked at 14.2 such arrays; the real contraction over the
+    nonzero entries of T, with the half-angles freed before it, at 5.6.
     """
 
     b = Boost(np.array(_DEFAULT_BETAS))
@@ -197,6 +204,14 @@ class TestLatticeMemory:
             return reduced_spin_density, state, self.b, build_grid(64, n_theta, default_p_max(1.0))
         assert _lattices_per_polar_node(call) <= 0.01
         assert _peak_lattices(*call(64)) <= 0.75
+
+    def test_momentum_density_samples(self):
+        # the spin_bell_momentum_product sweep's call: 3 widths, the 21 betas, 64 pairs
+        delta = np.array([[0.5], [1.0], [4.0]])
+        gp = GaussianProduct(delta)
+        call = (momentum_density_samples, BipartiteState(gp, bell_phi_plus()), self.b,
+                build_grid(32, 32, default_p_max(delta)), default_sample_pairs(gp, n=64))
+        assert _peak_bytes(*call) / (delta.size * len(_DEFAULT_BETAS) * 4 * 64 * 8) <= 10.0
 
     def test_build_grid(self):
         # one radial rule per speed, as the fidelity grid has

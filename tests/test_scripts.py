@@ -4,6 +4,7 @@
 the golden CSV ``tests/data/run_default_sweep.csv`` instead.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -25,3 +26,39 @@ def test_transfer_checks_runs():
         "doubly entangled narrow pair (width 0.01), measurement along the boost axis:",
     ):
         assert heading in proc.stdout
+
+
+def test_cold_profile_runs(tmp_path):
+    configs = []
+    for i, doc in enumerate([
+        {"scenario": "spin_bell_momentum_product", "betas": [0.0, 0.9], "delta": [1.0, 4.0]},
+        {"scenario": "momentum_bell_spin_up", "betas": [0.5]},
+    ]):
+        configs.append(tmp_path / f"config{i}.json")
+        configs[-1].write_text(json.dumps(doc), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", str(ROOT / "scripts" / "cold_profile.py"),
+         *map(str, configs)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("pass of 2 config(s): first ")
+    rows = {line.split()[0]: line.split()[1:] for line in lines[2:]}
+    # calls per pass: one array program per config, and each binding wrapped once
+    calls = {"entanglement.fidelity": 1, "entanglement.bell_ABCD": 1,
+             "relstate.momentum_density_samples": 1, "entanglement.xstate_stats": 1,
+             "relstate.reduced_spin_density": 1, "wavepacket.build_grid": 3}
+    for kernel, n in calls.items():
+        count, first_ms, warm_ms, first_faults, warm_faults, peak_kib = rows[kernel]
+        assert int(count) == n and float(first_ms) > 0.0 and float(warm_ms) > 0.0
+        assert int(first_faults) >= 0 and float(warm_faults) >= 0.0 and float(peak_kib) >= 0.0
+    # the sampler allocates its two results, so its traced peak cannot read 0
+    assert float(rows["relstate.momentum_density_samples"][5]) > 0.0
+
+    missing = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "cold_profile.py"), str(tmp_path / "none.json")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert missing.returncode == 2 and "cannot read config" in missing.stderr
