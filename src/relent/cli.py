@@ -13,18 +13,18 @@ Configuration is a single JSON document.  Example:
       "seed": 42
     }
 
-The azimuth is integrated by a fixed exact rule
-(``wavepacket.AZIMUTH_NODES``), so ``grid.n_phi`` is accepted, validated and
-echoed for old configs but has no effect; likewise ``--workers``.
-``grid.n_theta`` sets the polar rule of the fidelity and the Bell weights
-only: the two momentum-entangled scenarios integrate cos(theta) in closed
-form.  A fixed ``grid.p_max`` sets the radial cutoff of the Bell weights, the
-spin density and the pair sampler, not the fidelity's, which is always the
-auto policy's.  Scenarios populate different columns of the fixed CSV header;
-cells that a scenario does not produce stay empty (CSV) or null (JSON).  A
-config's widths and betas are evaluated together (``run``), and every row
-equals the row of a sweep over its beta and width alone.  Identical config
-and seed give byte-identical output, with rows emitted in config order.
+The kernels average the azimuth in closed form, so ``grid.n_phi`` is
+accepted, validated and echoed for old configs but has no effect; likewise
+``--workers``.  ``grid.n_theta`` sets the polar rule of the fidelity and the
+Bell weights only: the two momentum-entangled scenarios integrate cos(theta)
+in closed form.  A fixed ``grid.p_max`` sets the radial cutoff of the Bell
+weights, the spin density and the pair sampler, not the fidelity's, which is
+always the auto policy's.  Scenarios populate different columns of the fixed
+CSV header, ``SweepRow``'s fields; cells that a scenario does not produce
+stay empty (CSV) or null (JSON).  A config's widths and betas are evaluated
+together (``run``), and every row equals the row of a sweep over its beta and
+width alone.  Identical config and seed give byte-identical output, with rows
+emitted in config order.
 
 Exit codes: 0 success, 2 configuration or usage error (among them a width
 outside [DELTA_MIN, DELTA_MAX], grid.n_r or grid.n_theta above GRID_COUNT_MAX,
@@ -85,12 +85,6 @@ SCENARIOS = (
     "fidelity_only",
 )
 
-#: fixed output column order; empty cell means "not produced by the scenario"
-CSV_HEADER = (
-    "beta,delta,fidelity,E,min_pt_eig,A,B,C,D,eta,"
-    "ineq15_margin,ineq16_margin,identity14_residual,product_distance,qcorr,ccorr"
-)
-
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
@@ -117,7 +111,7 @@ class ConfigError(Exception):
 class GridSpec(NamedTuple):
     n_r: int = 32
     n_theta: int = 32
-    n_phi: int = 16  # accepted for old configs; the azimuth rule is fixed and exact
+    n_phi: int = 16  # accepted for old configs; the azimuth is averaged in closed form
     p_max: object = "auto"  # "auto" or a positive number
 
     def resolve_p_max(self, delta):
@@ -126,15 +120,17 @@ class GridSpec(NamedTuple):
 
 
 class SweepConfig(NamedTuple):
-    scenario: str = "spin_bell_momentum_product"
-    betas: tuple = tuple(_DEFAULT_BETAS)
-    delta: tuple = (1.0,)
-    grid: GridSpec = GridSpec()
-    delta_sign: int = -1
-    analytic_limit: bool = False
-    direction_a: tuple = (1.0, 0.0, 0.0)
-    direction_b: tuple = (1.0, 0.0, 0.0)
-    seed: int = 42
+    """A validated config; ``parse_config`` holds every field's default."""
+
+    scenario: str
+    betas: tuple
+    delta: tuple
+    grid: GridSpec
+    delta_sign: int
+    analytic_limit: bool
+    direction_a: tuple
+    direction_b: tuple
+    seed: int
 
     def to_json_dict(self) -> dict:
         return {

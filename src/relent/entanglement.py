@@ -168,7 +168,7 @@ def bell_ABCD(
     sin^2(theta)/(1 + tau cos(theta)), tau = 2t/(1 + t^2): the one lattice buffer
     holds 1/(1 + tau cos(theta)), the polar weights fold in sin^2(theta) and
     t^2/(1 + t^2) scales the polar sums; the norm is checked per radial rule.
-    ``analytic_limit`` substitutes Omega := theta.
+    ``analytic_limit`` substitutes Omega := theta, which is t = 1 on the same lattice.
     """
     if not isinstance(dist, GaussianProduct):
         raise TypeError("bell_ABCD requires a product momentum distribution")
@@ -181,17 +181,16 @@ def bell_ABCD(
             f"bell_ABCD: distribution norm on the grid is {worst:.6f}; grid coverage insufficient"
         )
 
-    if analytic_limit:
-        s2 = np.sum(w, axis=-1) * (polar @ (1.0 - ct)) / 2.0
-        s2 = np.broadcast_to(s2, np.broadcast_shapes(np.shape(s2), np.shape(b.beta)))
+    if analytic_limit:  # Omega = theta is t = 1, as tan(theta/2) = sin(theta)/(1 + cos(theta))
+        t = np.ones(np.broadcast_shapes(grid.p.shape, b.nodewise().beta.shape))
     else:
         t = wigner_tan_product(grid.p, b.nodewise().beta)
-        t_sq = t * t
-        lattice = np.multiply(2.0 * t / (1.0 + t_sq), ct)  # tau cos(theta)
-        lattice += 1.0
-        np.reciprocal(lattice, out=lattice)
-        polar_sum = _polar_sum(lattice, polar * (1.0 - ct * ct))
-        s2 = np.sum(w * (t_sq / (1.0 + t_sq) * polar_sum)[..., 0], axis=-1)
+    t_sq = t * t
+    lattice = np.multiply(2.0 * t / (1.0 + t_sq), ct)  # tau cos(theta)
+    lattice += 1.0
+    np.reciprocal(lattice, out=lattice)
+    polar_sum = _polar_sum(lattice, polar * (1.0 - ct * ct))
+    s2 = np.sum(w * (t_sq / (1.0 + t_sq) * polar_sum)[..., 0], axis=-1)
     c2, C = norm - s2, 0.5 * s2**2
     return ABCDValues(A=c2**2 + C, B=c2 * s2, C=C, D=c2 * s2, eta=2.0 * s2 / norm)
 

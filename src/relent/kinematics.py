@@ -2,7 +2,7 @@
 
 Conventions (used throughout the package):
 
-* c = 1, default particle mass m = 1; momenta are measured in units of m.
+* c = 1 and m = 1 throughout: momenta are in units of m, p^0 = sqrt(1 + p^2).
 * The boost axis is +x.  Polar angle theta of a momentum is measured from
   the x axis, so ``p_vec = (p cos(theta), p sin(theta) cos(phi),
   p sin(theta) sin(phi))``.
@@ -54,20 +54,20 @@ class Boost:
         return Boost(np.reshape(self.beta, np.shape(self.beta) + (1, 1)))
 
 
-def wigner_tan_product(p, beta, m=1.0):
-    """t = tanh(a/2) tanh(d/2), a the boost rapidity and d the particle's (ch d = p0/m).
+def wigner_tan_product(p, beta):
+    """t = tanh(a/2) tanh(d/2), a the boost rapidity and d the particle's (ch d = p0).
 
-    tanh(a/2) = gamma beta / (gamma + 1) and tanh(d/2) = (p/m) / (p0/m + 1), so
+    tanh(a/2) = gamma beta / (gamma + 1) and tanh(d/2) = p / (p0 + 1), so
     0 <= t < 1 without cancellation at any speed or momentum.  The Wigner
     angle at polar angle theta then has tan(Omega/2) = t sin(theta) /
     (1 + t cos(theta)).  Broadcast over p and beta only.
     """
     gamma_b = 1.0 / np.sqrt((1.0 - beta) * (1.0 + beta))
-    x = np.asarray(p, dtype=float) / m
-    return (gamma_b * beta / (gamma_b + 1.0)) * (x / (np.sqrt(1.0 + x * x) + 1.0))
+    p = np.asarray(p, dtype=float)
+    return (gamma_b * beta / (gamma_b + 1.0)) * (p / (np.sqrt(1.0 + p * p) + 1.0))
 
 
-def wigner_half_angle(p, costheta, beta, m=1.0, *, sintheta):
+def wigner_half_angle(p, costheta, beta, *, sintheta):
     """cos(Omega/2) and sin(Omega/2) of the Wigner angle at momentum p and polar angle theta.
 
     (cos, sin) = (1, r) / sqrt(1 + r^2) with r = tan(Omega/2) = t sin(theta) / (1 +
@@ -75,7 +75,7 @@ def wigner_half_angle(p, costheta, beta, m=1.0, *, sintheta):
     over p, costheta, sintheta and beta.  ``sintheta`` is required, as the transverse
     fraction itself: near-collinear momenta lose half their digits through 1 - cos^2.
     """
-    t = wigner_tan_product(p, beta, m)
+    t = wigner_tan_product(p, beta)
     r = 1.0 / (1.0 + t * costheta) * t * sintheta
     c = 1.0 / np.sqrt(1.0 + r * r)
     return c, r * c

@@ -28,19 +28,12 @@ from functools import lru_cache
 import numpy as np
 
 from relent.kinematics import Boost, energy_ratio, wigner_half_angle, wigner_tan_product
-from relent.wavepacket import (
-    AZIMUTH_NODES,
-    EntangledMomentum,
-    GaussianProduct,
-    GridCoverageError,
-    QuadratureGrid,
-)
+from relent.wavepacket import EntangledMomentum, GaussianProduct, GridCoverageError, QuadratureGrid
 
 __all__ = [
     "BipartiteState",
     "bell_phi_plus",
     "spin_up_up",
-    "azimuth_tensor",
     "reduced_spin_density",
     "momentum_density_samples",
     "default_sample_pairs",
@@ -81,21 +74,27 @@ _UNITS = np.array([[[1, 0], [0, 1]], [[0, 1j], [1j, 0]], [[0, 1], [-1, 0]], [[1j
 _UNIT_PAIRS = np.einsum("mac,nbd->mnabcd", _UNITS, _UNITS).reshape(4, 4, 4, 4)
 
 
-def azimuth_tensor(spin: np.ndarray, n_phi: int) -> np.ndarray:
-    """Y[k, l] = <vec(X_k) vec(X_l)^dag> over an n_phi-node periodic rule in phi, (4, 4, 4, 4).
+#: D_p Phi D_q^T spans the nine spin vectors v_mn = (E_m x E_n) Phi named below.  Over the azimuth
+#: of J = cos(phi) E_z - sin(phi) E_y (<cos^2> = 1/2, <cos^4> = 3/8, <cos^2 sin^2> = 1/8), the
+#: factor of moment class k = (M00, M20, M22, M11) averages to sum_ij W_kij v_i v_j^dag.
+_SPIN_VECTORS = ("00", "20", "30", "02", "03", "22", "33", "23", "32")
+_SPIN_OPERATORS = np.array([_UNIT_PAIRS[int(m), int(n)] for m, n in _SPIN_VECTORS])
+_CLASS_WEIGHTS = np.zeros((4, 9, 9))
+for _k, _weight, _terms in (
+    (0, 1.0, "00.00"),
+    (1, 1 / 2, "20.20 30.30 02.02 03.03"),
+    (2, 3 / 8, "22.22 33.33"),
+    (2, 1 / 8, "22.33 33.22 23.23 23.32 32.23 32.32"),  # w = v23 + v32 gives ww^dag
+    (3, 1 / 2, "00.22 22.00 00.33 33.00 20.02 02.20 30.03 03.30"),
+):
+    for _term in _terms.split():
+        _CLASS_WEIGHTS[(_k, *map(_SPIN_VECTORS.index, _term.split(".")))] = _weight
 
-    Each Wigner matrix is D = cos(Omega/2) + sin(Omega/2) J(phi) with
-    J = cos(phi) E_z - sin(phi) E_y; the companion of a pair with
-    q = sign * p has D_q = cos(Omega_q/2) + sign sin(Omega_q/2) J.  So
-    D_p Phi D_q^T = sum_k a_k X_k with X = (Phi, J Phi, Phi J^T, J Phi J^T)
-    and real, phi-free a_k.  X_k X_l^dag has degree <= 4 in phi, which
-    ``AZIMUTH_NODES`` nodes average exactly.
-    """
-    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    J = np.cos(phi)[:, None, None] * _UNITS[3] - np.sin(phi)[:, None, None] * _UNITS[2]
-    F, JT = np.broadcast_to(spin.reshape(2, 2), J.shape), J.swapaxes(-1, -2)
-    X = np.stack([F, J @ F, F @ JT, J @ F @ JT]).reshape(4, n_phi, 4)
-    return np.einsum("kni,lnj->klij", X, X.conj()) / n_phi
+
+def _moment_classes(spin: np.ndarray) -> np.ndarray:
+    """The azimuth-averaged factors of M00, M20, M22 and M11 of the spin amplitude, (4, 4, 4)."""
+    v = _SPIN_OPERATORS @ spin
+    return v.T @ _CLASS_WEIGHTS @ v.conj()
 
 
 #: phi2(t) = (atanh(t)/t - 1 - t^2/3) / t^4 = sum_k u^k / (2k + 5), u = t^2, as the series in
@@ -152,15 +151,16 @@ def _polar_moments(t, sign: int) -> np.ndarray:
 def reduced_spin_density(state: BipartiteState, b: Boost, grid: QuadratureGrid) -> np.ndarray:
     """Spin density of a delta-correlated pair after boosting and tracing out both momenta.
 
-    rho = sum_kl G_kl Y_kl, with Y the fixed ``azimuth_tensor`` and G the real
-    moment matrix of a = (c_p c_q, s_p c_q, sign c_p s_q, sign s_p s_q) (c, s
-    of half the Wigner angle) over the (delta, beta, p) radial rule.  As
-    a_{i+2j} is a product of a p factor i and a q factor j, G[i + 2j, k + 2l]
-    = M[i + k, j + l] for the 3x3 moment M_ab = int w P_a Q_b of P = (c_p^2,
-    c_p s_p, s_p^2) and Q = (c_q^2, sign c_q s_q, s_q^2).  Only the five M_ab
-    with a + b even are nonzero, each integrated over cos(theta) in closed form
-    (``grid.n_theta`` plays no part), so rho is summed by moment class: M00 Y00
-    + M20 (Y11 + Y22) + M22 Y33 + M11 (Y03 + Y30 + Y12 + Y21).
+    With J = cos(phi) E_z - sin(phi) E_y, D_p Phi D_q^T = sum_k a_k X_k for X = (Phi, J Phi,
+    Phi J^T, J Phi J^T) and the real, phi-free a = (c_p c_q, s_p c_q, sign c_p s_q, sign s_p
+    s_q) (c, s of half the Wigner angle), so rho = sum_kl G_kl <X_k X_l^dag>, <.> the
+    azimuth average and G the moment matrix of a over the (delta, beta, p) radial rule.  As
+    a_{i+2j} is a product of a p factor i and a q factor j, G[i + 2j, k + 2l] = M[i + k, j +
+    l] for the 3x3 moment M_ab = int w P_a Q_b of P = (c_p^2, c_p s_p, s_p^2) and Q = (c_q^2,
+    sign c_q s_q, s_q^2).  Only the five M_ab with a + b even are nonzero, each integrated
+    over cos(theta) in closed form (``grid.n_theta`` plays no part), so rho is summed by
+    moment class, M00 C00 + M20 C20 + M22 C22 + M11 C11, each factor C a closed-form azimuth
+    average of spin vectors (``_moment_classes``).
     """
     dist = state.dist
     if not isinstance(dist, EntangledMomentum):
@@ -169,9 +169,7 @@ def reduced_spin_density(state: BipartiteState, b: Boost, grid: QuadratureGrid) 
     t = wigner_tan_product(grid.p[..., 0], np.expand_dims(b.beta, -1))
     t = np.broadcast_to(t, np.broadcast_shapes(t.shape, w.shape))  # widths on a shared cutoff
     moments = np.sum(_polar_moments(t, dist.sign) * w, axis=-1)
-    Y = azimuth_tensor(state.spin, AZIMUTH_NODES)
-    classes = (Y[0, 0], Y[1, 1] + Y[2, 2], Y[3, 3], Y[0, 3] + Y[3, 0] + Y[1, 2] + Y[2, 1])
-    rho = np.moveaxis(moments, 0, -1) @ np.reshape(classes, (4, 16))
+    rho = np.moveaxis(moments, 0, -1) @ _moment_classes(state.spin).reshape(4, 16)
     rho = rho.reshape(moments.shape[1:] + (4, 4))
     worst = np.max(np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0))
     if not (worst <= TRACE_TOL):

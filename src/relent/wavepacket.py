@@ -12,14 +12,15 @@ Two two-particle momentum amplitudes are supported:
 All 3D integrals use a radial x polar tensor rule: Gauss-Legendre radial
 nodes mapped to [0, p_max] and Gauss-Legendre polar nodes in cos(theta), each
 rule computed once per process by the Golub-Welsch eigenvalue method
-(``gauss_legendre``).  Every production integrand depends on the azimuth
-through a trigonometric polynomial whose phi-average the kernels take in
-closed form or on a fixed exact rule of ``AZIMUTH_NODES`` nodes, so the polar
-weights carry the whole 2 pi.  The weights stay separable: a kernel contracts
-its (p, cos(theta)) integrand with the polar weights first and the radial
-weights second, or integrates cos(theta) in closed form and uses the radial
-rule alone, and never forms the lattice of their products.  Every sum runs in
-a fixed order, so results are bit-identical across runs.
+(``gauss_legendre``).  A boost along x turns each spin about the axis normal
+to the boost and the momentum, so every production integrand is a
+trigonometric polynomial in the azimuth, whose average the kernels take in
+closed form; the polar weights carry the whole 2 pi.  The weights stay
+separable: a kernel contracts its (p, cos(theta)) integrand with the polar
+weights first and the radial weights second, or integrates cos(theta) in
+closed form and uses the radial rule alone, and never forms the lattice of
+their products.  Every sum runs in a fixed order, so results are
+bit-identical across runs.
 """
 
 from __future__ import annotations
@@ -37,21 +38,7 @@ __all__ = [
     "build_grid",
     "default_p_max",
     "gauss_legendre",
-    "AZIMUTH_NODES",
 ]
-
-#: Periodic trapezoid nodes in phi.  A boost along x turns each spin about the
-#: axis normal to the plane of the boost and the momentum, so every production
-#: integrand is a trigonometric polynomial in phi: of degree <= 2 for
-#: ``fidelity`` and ``bell_ABCD``, and of degree <= 4 for psi psi^dag with
-#: psi = D_p Phi D_q^T (each Wigner matrix is of degree 1).  An n-node
-#: periodic trapezoid rule integrates e^{ik phi} exactly for |k| < n, so 5
-#: nodes are exact for all of them (Trefethen & Weideman, SIAM Rev. 56, 385
-#: (2014)); 4 nodes alias the fourth harmonic.  The first two kernels need
-#: only the vanishing averages of cos(phi), sin(phi) and their doubles and take
-#: them in closed form; the pair density sums its fixed phi tensor on this rule.
-AZIMUTH_NODES = 5
-
 
 class GridCoverageError(Exception):
     """Raised when a quadrature grid demonstrably fails to cover an integrand."""
@@ -104,10 +91,10 @@ class EntangledMomentum(_Gaussian):
         self.sign = sign
 
 
-def default_p_max(delta, beta=0.0, m: float = 1.0) -> np.ndarray:
+def default_p_max(delta, beta=0.0) -> np.ndarray:
     """Radial cutoff policy: 6 sqrt(delta) plus boost headroom.
 
-    The headroom gamma*beta*(m + 7 sqrt(delta)) keeps the inverse-boosted
+    The headroom gamma*beta*(1 + 7 sqrt(delta)) keeps the inverse-boosted
     image of the Gaussian bulk inside the grid.  The mass it leaves outside is
     1.6e-15 at beta = 0 and at most 7.42e-7 for every width in [1e-12, 1e12]
     and beta up to the cap, largest at width 1e12 and the cap
@@ -116,7 +103,7 @@ def default_p_max(delta, beta=0.0, m: float = 1.0) -> np.ndarray:
     """
     root = np.sqrt(delta)
     gamma = 1.0 / np.sqrt((1.0 - beta) * (1.0 + beta))
-    return 6.0 * root + np.maximum(0.0, gamma * beta * (m + 7.0 * root))
+    return 6.0 * root + np.maximum(0.0, gamma * beta * (1.0 + 7.0 * root))
 
 
 class QuadratureGrid(NamedTuple):
@@ -125,8 +112,8 @@ class QuadratureGrid(NamedTuple):
     ``p`` and ``radial_weights`` = p_max/2 w_r p^2 have shape (..., n_r, 1),
     the leading axes those of ``p_max`` (one radial rule per cutoff), and
     ``costheta`` and ``polar_weights`` = 2 pi w_cos shape (n_theta,); a node's
-    weight is their product.  The kernels fold the azimuth in exactly (see
-    ``AZIMUTH_NODES``), so only n_r, n_theta and p_max set the resolution.
+    weight is their product.  The kernels average the azimuth in closed form,
+    so only n_r, n_theta and p_max set the resolution.
     ``size`` counts the lattice's nodes, n_r n_theta per cutoff.
     """
 

@@ -11,7 +11,9 @@ with any number of azimuth nodes, and the ``*_3d`` kernels are the per-speed
 3D quadratures the library's lattice kernels replaced, kept as references:
 they sum over explicit azimuth nodes instead of folding phi in.
 ``lattice_weights`` is the (p, cos theta) lattice of node weights that the
-library never forms.  ``polar_panels`` grades Gauss-Legendre panels toward
+library never forms.  ``azimuth_tensor`` averages the rotated spin's phi
+tensor on an n-node periodic rule (exact from ``AZIMUTH_NODES`` = 5 nodes),
+the reference for the library's closed-form moment classes.  ``polar_panels`` grades Gauss-Legendre panels toward
 an end of [0, 1], ``polar_rule`` puts them at both ends of cos(theta), and
 ``polar_moments_panels`` integrates the spin density's polar moments on them
 in a form without cancellation, the reference for the library's closed
@@ -48,15 +50,51 @@ import numpy as np
 
 from relent.entanglement import ABCDValues
 from relent.kinematics import Boost, energy_ratio, wigner_half_angle
-from relent.relstate import TRACE_TOL, azimuth_tensor, spin_up_up
+from relent.relstate import TRACE_TOL, spin_up_up
 from relent.wavepacket import (
-    AZIMUTH_NODES,
     EntangledMomentum,
     GaussianProduct,
     GridCoverageError,
     default_p_max,
     gauss_legendre,
 )
+
+#: Periodic trapezoid nodes in phi.  A boost along x turns each spin about the
+#: axis normal to the plane of the boost and the momentum, so every production
+#: integrand is a trigonometric polynomial in phi: of degree <= 2 for
+#: ``fidelity`` and ``bell_ABCD``, and of degree <= 4 for psi psi^dag with
+#: psi = D_p Phi D_q^T (each Wigner matrix is of degree 1).  An n-node
+#: periodic trapezoid rule integrates e^{ik phi} exactly for |k| < n, so 5
+#: nodes are exact for all of them (Trefethen & Weideman, SIAM Rev. 56, 385
+#: (2014)); 4 nodes alias the fourth harmonic.  The library takes every phi
+#: average in closed form; the references here sum on this rule.
+AZIMUTH_NODES = 5
+
+
+def azimuth_tensor(spin: np.ndarray, n_phi: int) -> np.ndarray:
+    """Y[k, l] = <vec(X_k) vec(X_l)^dag> over an n_phi-node periodic rule in phi, (4, 4, 4, 4).
+
+    Each Wigner matrix is D = cos(Omega/2) + sin(Omega/2) J(phi) with
+    J = cos(phi) E_z - sin(phi) E_y; the companion of a pair with
+    q = sign * p has D_q = cos(Omega_q/2) + sign sin(Omega_q/2) J.  So
+    D_p Phi D_q^T = sum_k a_k X_k with X = (Phi, J Phi, Phi J^T, J Phi J^T)
+    and real, phi-free a_k.  X_k X_l^dag has degree <= 4 in phi, which
+    ``AZIMUTH_NODES`` nodes average exactly.  The reference for the library's
+    closed-form moment classes, which are (Y00, Y11 + Y22, Y33, Y03 + Y30 + Y12 + Y21).
+    """
+    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    E_y, E_z = 1j * _SIGMA[1], 1j * _SIGMA[2]
+    J = np.cos(phi)[:, None, None] * E_z - np.sin(phi)[:, None, None] * E_y
+    F, JT = np.broadcast_to(spin.reshape(2, 2), J.shape), J.swapaxes(-1, -2)
+    X = np.stack([F, J @ F, F @ JT, J @ F @ JT]).reshape(4, n_phi, 4)
+    return np.einsum("kni,lnj->klij", X, X.conj()) / n_phi
+
+
+def azimuth_classes(spin: np.ndarray, n_phi: int) -> np.ndarray:
+    """The four moment classes of ``reduced_spin_density`` summed from ``azimuth_tensor``."""
+    Y = azimuth_tensor(spin, n_phi)
+    return np.array((Y[0, 0], Y[1, 1] + Y[2, 2], Y[3, 3], Y[0, 3] + Y[3, 0] + Y[1, 2] + Y[2, 1]))
+
 
 #: G[i + 2j, k + 2l] = M[i + k, j + l], the 4x4 moment matrix of the spin density from the
 #: 3x3 one, for the oracles that sum the whole azimuth tensor

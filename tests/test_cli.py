@@ -17,7 +17,6 @@ import relent.correlations as correlations
 import relent.entanglement as entanglement
 import relent.relstate as relstate
 from relent.cli import (
-    CSV_HEADER,
     DELTA_MAX,
     DELTA_MIN,
     EXIT_CONFIG,
@@ -41,6 +40,12 @@ from relent.wavepacket import GaussianProduct, build_grid, default_p_max
 
 #: the largest fixed grid.p_max a config may set: the auto policy's largest cutoff
 P_MAX_CAP = default_p_max(DELTA_MAX, BETA_CAP)
+
+#: the output columns, in order; an empty cell means "not produced by the scenario"
+CSV_HEADER = (
+    "beta,delta,fidelity,E,min_pt_eig,A,B,C,D,eta,"
+    "ineq15_margin,ineq16_margin,identity14_residual,product_distance,qcorr,ccorr"
+)
 
 
 def write_config(tmp_path, doc, name="config.json"):

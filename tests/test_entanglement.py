@@ -29,6 +29,7 @@ from oracles import (
 )
 from test_golden import GOLDEN
 import relent.cli as cli
+import relent.entanglement as entanglement
 from relent.cli import ConfigError, _bell_pt_spectrum, parse_config, run
 from relent.entanglement import (
     ABCDValues,
@@ -420,6 +421,20 @@ class TestBellABCD:
         assert v.C == pytest.approx(0.125, abs=1e-9)
         assert v.D == pytest.approx(0.25, abs=1e-9)
         assert v.eta == pytest.approx(1.0, abs=1e-9)
+
+    def test_analytic_limit_is_t_one_on_the_lattice(self, monkeypatch):
+        # Omega = theta is t = 1 on the lattice, with no Wigner-angle evaluation
+        calls = []
+        monkeypatch.setattr(entanglement, "wigner_tan_product", lambda *args: calls.append(args))
+        widths = np.array([[0.5], [1.0], [4.0]])
+        betas = np.array([0.05 * i for i in range(20)] + [0.99])
+        grid = build_grid(32, 32, default_p_max(widths))
+        v = bell_ABCD(GaussianProduct(widths), Boost(betas), grid, analytic_limit=True)
+        assert calls == []
+        for name, want in zip(ABCDValues._fields, (0.375, 0.25, 0.125, 0.25, 1.0)):
+            got = getattr(v, name)
+            assert got.shape == (3, 21)
+            assert np.max(np.abs(got - want)) <= 1e-14, name
 
     @pytest.mark.parametrize("beta", [0.2, 0.6, 0.95])
     def test_sum_rule(self, grid_default, gauss_unit, beta):

@@ -3,7 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    AZIMUTH_NODES,
     FourMomentum,
+    azimuth_classes,
+    azimuth_tensor,
     boost_momentum,
     lattice_weights,
     momentum_density_samples_su2,
@@ -18,19 +21,18 @@ from oracles import (
 from relent.kinematics import BETA_CAP, Boost
 from relent.relstate import (
     BipartiteState,
-    azimuth_tensor,
     bell_phi_plus,
     default_sample_pairs,
     momentum_density_samples,
     product_distance,
     _PHI2_SWITCH,
+    _moment_classes,
     _pcg64_doubles,
     _polar_moments,
     reduced_spin_density,
     spin_up_up,
 )
 from relent.wavepacket import (
-    AZIMUTH_NODES,
     EntangledMomentum,
     GaussianProduct,
     GridCoverageError,
@@ -203,6 +205,24 @@ class TestReducedSpinDensity:
         parity = np.arange(4) % 2 + np.arange(4) // 2
         odd = (parity[:, None] + parity[None, :]) % 2 == 1
         assert np.max(np.abs(Y[odd])) <= 1e-15
+
+    @given(parts=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8),
+           named=st.sampled_from([None, "up_up", "bell"]))
+    @settings(max_examples=200)
+    def test_moment_classes_match_azimuth_rule(self, parts, named):
+        # the closed-form class table against the azimuth tensor summed by class on
+        # the exact 5-node rule and on a 64-node one, both in extended precision: in
+        # doubles the 64-node sums themselves round by up to 1.2e-15
+        spin = np.array(parts[:4]) + 1j * np.array(parts[4:])
+        norm = np.linalg.norm(spin)
+        if named is not None or norm < 1e-3:
+            spin, norm = (bell_phi_plus() if named == "bell" else spin_up_up()), 1.0
+        spin = spin / norm
+        classes = _moment_classes(spin)
+        assert classes.shape == (4, 4, 4)
+        for n_phi in (AZIMUTH_NODES, 64):
+            ref = azimuth_classes(spin.astype(np.clongdouble), n_phi)
+            assert np.max(np.abs(classes - ref)) <= 1e-15
 
     def test_generic_spin_product_distribution(self, grid_default, gauss_unit):
         spin = np.array([0.5, 0.5j, -0.5, 0.5], dtype=complex)

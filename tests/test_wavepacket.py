@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from oracles import (
+    AZIMUTH_NODES,
     as_azimuth_grid,
     azimuth_grid,
+    azimuth_tensor,
     bell_ABCD_3d,
     fidelity_3d,
     lattice_weights,
@@ -15,13 +17,11 @@ from relent.entanglement import bell_ABCD, fidelity, xstate_stats
 from relent.kinematics import Boost
 from relent.relstate import (
     BipartiteState,
-    azimuth_tensor,
     bell_phi_plus,
     reduced_spin_density,
     spin_up_up,
 )
 from relent.wavepacket import (
-    AZIMUTH_NODES,
     EntangledMomentum,
     GaussianProduct,
     build_grid,
