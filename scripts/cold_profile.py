@@ -8,9 +8,12 @@ The first pass runs in this fresh process, so it pays every import-time cache
 fill and every page the heap has not yet touched; WARM_PASSES passes follow,
 then one pass under ``tracemalloc``.  For each kernel the table gives its calls
 per pass, the time and the minor page faults (``resource.getrusage(...)
-.ru_minflt``) of the first pass and the median of the warm ones, and the
-largest ``tracemalloc`` peak of one call above the memory held when it was
-entered.  A kernel's numbers include the kernels it calls: ``xstate_stats`` and
+.ru_minflt``) of the first pass and the median of the warm ones, the largest
+``tracemalloc`` peak of one call above the memory held when it was entered,
+and how far the first pass's calls raised the process's peak RSS
+(``ru_maxrss``, KiB; the kernel counts it in coarse steps).  The first line
+gives the peak RSS after the first pass beside its faults.  A kernel's
+numbers include the kernels it calls: ``xstate_stats`` and
 ``quantum_correlation`` call ``reduced_spin_density``, ``build_grid`` calls
 ``gauss_legendre``.
 """
@@ -33,12 +36,17 @@ KERNELS = ("gauss_legendre", "build_grid", "fidelity", "bell_ABCD", "default_sam
 MODULES = ("relent", "relent.wavepacket", "relent.relstate", "relent.entanglement",
            "relent.correlations", "relent.cli")
 
-_stats = {}  # kernel -> [calls, seconds, faults, peak bytes] of the current pass
+_stats = {}  # kernel -> [calls, seconds, faults, peak bytes, peak RSS growth KiB] of a pass
 _open = []  # absolute tracemalloc peaks of the calls in progress, before their callees reset it
 
 
 def _faults() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def _peak_rss() -> int:
+    """The process's peak resident set so far, in KiB (Linux units)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
 
 def _wrap(name, fn):
@@ -50,15 +58,16 @@ def _wrap(name, fn):
                 _open[-1] = max(_open[-1], peak)
             _open.append(base)
             tracemalloc.reset_peak()
-        faults, start = _faults(), time.perf_counter()
+        rss, faults, start = _peak_rss(), _faults(), time.perf_counter()
         try:
             return fn(*args, **kwargs)
         finally:
             seconds, faults = time.perf_counter() - start, _faults() - faults
-            row = _stats.setdefault(name, [0, 0.0, 0, 0])
+            row = _stats.setdefault(name, [0, 0.0, 0, 0, 0])
             row[0] += 1
             row[1] += seconds
             row[2] += faults
+            row[4] += _peak_rss() - rss
             if tracing:
                 top = max(_open.pop(), tracemalloc.get_traced_memory()[1])
                 row[3] = max(row[3], top - base)
@@ -101,6 +110,7 @@ def main(paths) -> int:
         return 2
     install()
     first = one_pass(configs)
+    first_rss = _peak_rss()
     warm = [one_pass(configs) for _ in range(WARM_PASSES)]
     tracemalloc.start()
     try:
@@ -109,17 +119,19 @@ def main(paths) -> int:
         tracemalloc.stop()
 
     median = statistics.median
-    print(f"pass of {len(configs)} config(s): first {first[0] * 1e3:.2f} ms, {first[1]} faults; "
+    print(f"pass of {len(configs)} config(s): first {first[0] * 1e3:.2f} ms, {first[1]} faults, "
+          f"peak RSS {first_rss / 1024:.2f} MiB; "
           f"warm {median(w[0] for w in warm) * 1e3:.2f} ms, "
           f"{median(w[1] for w in warm):.0f} faults (median of {WARM_PASSES})")
     header = ("kernel", "calls", "first ms", "warm ms", "first faults", "warm faults",
-              "peak KiB")
-    print(f"{header[0]:36s}" + "".join(f"{h:>13s}" for h in header[1:]))
-    for name, (calls, seconds, faults, _) in first[2].items():
+              "peak KiB", "first RSS KiB")
+    print(f"{header[0]:36s}" + "".join(f"{h:>14s}" for h in header[1:]))
+    for name, (calls, seconds, faults, _, rss) in first[2].items():
         cells = (f"{calls:d}", f"{seconds * 1e3:.3f}",
                  f"{median(w[2][name][1] for w in warm) * 1e3:.3f}", f"{faults:d}",
-                 f"{median(w[2][name][2] for w in warm):.0f}", f"{traced[name][3] / 1024:.0f}")
-        print(f"{name:36s}" + "".join(f"{c:>13s}" for c in cells))
+                 f"{median(w[2][name][2] for w in warm):.0f}", f"{traced[name][3] / 1024:.0f}",
+                 f"{rss:d}")
+        print(f"{name:36s}" + "".join(f"{c:>14s}" for c in cells))
     return 0
 
 

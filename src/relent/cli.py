@@ -97,8 +97,8 @@ EXIT_IO = 4
 #: outside about 1e-100 to 1e100 they overflow or underflow.
 DELTA_MIN = 1e-12
 DELTA_MAX = 1e12
-#: largest accepted grid.n_r and grid.n_theta: a rule's dense n x n Jacobi
-#: matrix is 8 MiB at 1,024 nodes, far above the finest grid in use (64)
+#: largest accepted grid.n_r and grid.n_theta: a rule's Newton steps hold (n/2, n/2 + 1)
+#: phase arrays, 16 MiB at 1,024 nodes, far above the finest grid in use (64)
 GRID_COUNT_MAX = 1024
 
 _DEFAULT_BETAS = [round(0.05 * i, 2) for i in range(20)] + [0.99]
@@ -368,8 +368,10 @@ def run(config: SweepConfig, workers: int = 1) -> list[SweepRow]:
 
     Widths are evaluated in chunks, each as one array program per kernel with
     the widths and betas on the leading axes (``_sweep_columns``).  A chunk
-    holds max(1, 2^20 // (n_beta n_r n_theta)) widths, so that a (width, beta,
-    p, cos(theta)) buffer stays within 8 MiB unless one width alone exceeds it.
+    holds max(1, 2^20 // (n_beta n_r n_theta)) widths.  ``fidelity`` and
+    ``bell_ABCD`` hold one width's (beta, p, cos(theta)) lattice at a time
+    whatever the chunk, so the bound caps only the arrays with a width axis,
+    the (width, beta, p) ones at 8 MiB / n_theta each.
     Every row equals the row of a sweep over that beta and width alone.
     ``workers`` is accepted for old callers and has no effect.
     """

@@ -16,9 +16,10 @@ spectrum and the two separability margins of either in closed form.
 
 A ``Boost`` with an array of speeds, and a distribution with an array of
 widths (n_delta, 1), are evaluated as one array program; results and spectra
-carry the widths' and beta's axes.  ``fidelity`` and ``bell_ABCD`` contract a
-(delta, beta, p, cos(theta)) lattice with the polar weights, then the radial
-ones (``_polar_sum``); ``xstate_stats`` has closed-form polar moments.
+carry the widths' and beta's axes.  ``fidelity`` and ``bell_ABCD`` fill one
+width's (beta, p, cos(theta)) lattice at a time in one reused workspace and
+contract it with the polar weights (``_polar_sum``), then the radial ones;
+``xstate_stats`` has closed-form polar moments.
 
 The entanglement measure is doubled negativity, -2 sum(min(0, PT eigenvalue)),
 normalised so a two-qubit maximally entangled state scores exactly 1.
@@ -89,10 +90,11 @@ def product_residual(diag) -> np.ndarray:
 def _polar_sum(lattice: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Contract a lattice's cos(theta) axis with ``weights`` (n_theta,), keeping it as length 1.
 
-    A matrix-vector product: each row is its own dot product, unlike a
-    matrix-matrix product, whose last bits change with the rows batched.
+    An ``einsum`` with the cos(theta) axis as its inner loop: each row is summed
+    in an order set by n_theta alone, so its bits do not depend on how many rows
+    are batched, and no BLAS code is paged in for a product this small.
     """
-    return (lattice.reshape(-1, lattice.shape[-1]) @ weights).reshape(lattice.shape[:-1] + (1,))
+    return np.einsum("...k,k->...", lattice, weights)[..., None]
 
 
 def fidelity(dist: GaussianProduct, b: Boost, grid: QuadratureGrid) -> np.ndarray:
@@ -126,27 +128,31 @@ def fidelity(dist: GaussianProduct, b: Boost, grid: QuadratureGrid) -> np.ndarra
             f"the auto cutoff {policy.flat[i]:.17g})"
         )
 
-    # exp(-|Lp|^2 / (2 delta)) sqrt((1 + e)/(2 + e)) in two (delta, beta, p, cos(theta))
-    # buffers, in place: the lattice temporaries set the sweep's peak memory
     nb, p, ct, delta = b.nodewise(), grid.p, grid.costheta, dist.nodes_delta
     beta, gamma, p0 = nb.beta, nb.gamma, np.sqrt(1.0 + p * p)
     r = p / gamma
     back = gamma * (beta - r) * (beta + r) / (beta * p0 + p)  # (Lp)_x at cos(theta) = -1
     back *= back / (gamma * (1.0 + r * r) / (p0 + beta * p) + 1.0)
     shape = np.broadcast_shapes(np.shape(delta), beta.shape, p.shape[:-1] + ct.shape)
-    e, x = np.empty((2,) + shape)
-    np.multiply(gamma * beta * p, 1.0 + ct, out=e)
-    e += back
-    np.add(e, 2.0, out=x)
-    x *= e
-    x *= -0.5 / delta
-    np.exp(x, out=x)
-    e += 2.0
-    np.reciprocal(e, out=e)
-    np.subtract(1.0, e, out=e)
-    x *= np.sqrt(e, out=e)
-    polar = _polar_sum(x, grid.polar_weights)
-    polar += wigner_tan_product(p, beta) * _polar_sum(x, grid.polar_weights * ct)
+    cells = shape[:-1] + (1,)
+    slope, back, scale, t = (np.broadcast_to(a, cells) for a in (
+        gamma * beta * p, back, -0.5 / delta, wigner_tan_product(p, beta)))
+    # exp(-|Lp|^2 / (2 delta)) sqrt((1 + e)/(2 + e)) in place in two buffers of one width's
+    # (beta, p, cos(theta)) lattice, reused across widths: they set the sweep's peak memory
+    e, x = np.empty((2,) + shape[-3:])
+    polar, w_ct = np.empty(cells), grid.polar_weights * ct
+    for i in np.ndindex(shape[:-3]):
+        np.multiply(slope[i], 1.0 + ct, out=e)
+        e += back[i]
+        np.add(e, 2.0, out=x)
+        x *= e
+        x *= scale[i]
+        np.exp(x, out=x)
+        e += 2.0
+        np.reciprocal(e, out=e)
+        np.subtract(1.0, e, out=e)
+        x *= np.sqrt(e, out=e)
+        polar[i] = _polar_sum(x, grid.polar_weights) + t[i] * _polar_sum(x, w_ct)
     radial = grid.radial_weights * np.exp(-0.5 / delta * (p * p))
     radial = radial * np.sqrt((gamma + 1.0) * (p0 + 1.0) / (2.0 * p0))
     f = np.square(np.square(dist.norm * np.sum(radial * polar, axis=(-2, -1))))
@@ -165,9 +171,9 @@ def bell_ABCD(
     second-harmonic moments, sin^2(Omega/2) against cos(2 phi) and
     sin(2 phi), whose exact azimuthal averages vanish; with them
     A = c2^2 + s2^2/2, B = D = c2 s2 and C = s2^2/2.  sin^2(Omega/2) = t^2/(1 + t^2)
-    sin^2(theta)/(1 + tau cos(theta)), tau = 2t/(1 + t^2): the one lattice buffer
-    holds 1/(1 + tau cos(theta)), the polar weights fold in sin^2(theta) and
-    t^2/(1 + t^2) scales the polar sums; the norm is checked per radial rule.
+    sin^2(theta)/(1 + tau cos(theta)), tau = 2t/(1 + t^2): one buffer, reused across
+    widths, holds 1/(1 + tau cos(theta)) on one width's lattice, the polar weights fold
+    in sin^2(theta) and t^2/(1 + t^2) scales the polar sums; the norm is checked per radial rule.
     ``analytic_limit`` substitutes Omega := theta, which is t = 1 on the same lattice.
     """
     if not isinstance(dist, GaussianProduct):
@@ -186,10 +192,13 @@ def bell_ABCD(
     else:
         t = wigner_tan_product(grid.p, b.nodewise().beta)
     t_sq = t * t
-    lattice = np.multiply(2.0 * t / (1.0 + t_sq), ct)  # tau cos(theta)
-    lattice += 1.0
-    np.reciprocal(lattice, out=lattice)
-    polar_sum = _polar_sum(lattice, polar * (1.0 - ct * ct))
+    tau, weights = 2.0 * t / (1.0 + t_sq), polar * (1.0 - ct * ct)
+    lattice, polar_sum = np.empty(t.shape[-3:-1] + ct.shape), np.empty(t.shape)
+    for i in np.ndindex(t.shape[:-3]):
+        np.multiply(tau[i], ct, out=lattice)
+        lattice += 1.0
+        np.reciprocal(lattice, out=lattice)
+        polar_sum[i] = _polar_sum(lattice, weights)
     s2 = np.sum(w * (t_sq / (1.0 + t_sq) * polar_sum)[..., 0], axis=-1)
     c2, C = norm - s2, 0.5 * s2**2
     return ABCDValues(A=c2**2 + C, B=c2 * s2, C=C, D=c2 * s2, eta=2.0 * s2 / norm)

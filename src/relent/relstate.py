@@ -60,7 +60,7 @@ class BipartiteState:
         spin = np.asarray(spin, dtype=complex)
         if spin.shape != (4,):
             raise ValueError(f"spin amplitude must have 4 components, got shape {spin.shape}")
-        norm = np.linalg.norm(spin)
+        norm = np.sqrt(np.sum(np.abs(spin) ** 2))
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"spin amplitude must be unit norm, |norm - 1| = {abs(norm - 1.0):.3e}")
         if not isinstance(dist, (GaussianProduct, EntangledMomentum)):
@@ -93,8 +93,8 @@ for _k, _weight, _terms in (
 
 def _moment_classes(spin: np.ndarray) -> np.ndarray:
     """The azimuth-averaged factors of M00, M20, M22 and M11 of the spin amplitude, (4, 4, 4)."""
-    v = _SPIN_OPERATORS @ spin
-    return v.T @ _CLASS_WEIGHTS @ v.conj()
+    v = np.einsum("iab,b->ia", _SPIN_OPERATORS, spin)
+    return np.einsum("ia,kij,jb->kab", v, _CLASS_WEIGHTS, v.conj())
 
 
 #: phi2(t) = (atanh(t)/t - 1 - t^2/3) / t^4 = sum_k u^k / (2k + 5), u = t^2, as the series in
@@ -130,7 +130,7 @@ def _polar_moments(t, sign: int) -> np.ndarray:
     flat = t.ravel()
     powers = np.ones((6, flat.size))  # u^0 .. u^5
     np.cumprod(np.broadcast_to(flat * flat, (5, flat.size)), axis=0, out=powers[1:])
-    blocks = _PHI2_SERIES @ powers[:5]
+    blocks = np.einsum("ij,jn->in", _PHI2_SERIES, powers[:5])
     psi = blocks[4]
     for j in (3, 2, 1, 0):
         psi *= powers[5]
@@ -141,7 +141,7 @@ def _polar_moments(t, sign: int) -> np.ndarray:
         uc = tc * tc
         np.copyto(psi, (np.arctanh(tc) / tc - 1.0 - uc / 3.0) / (uc * uc), where=big)
     psi *= np.square(1.0 - powers[1])
-    terms = _POLAR_MOMENTS[sign] @ powers
+    terms = np.einsum("ij,jn->in", _POLAR_MOMENTS[sign], powers)
     moments = terms[4:8] * psi
     moments += terms[:4]
     moments /= terms[8]
@@ -169,8 +169,7 @@ def reduced_spin_density(state: BipartiteState, b: Boost, grid: QuadratureGrid) 
     t = wigner_tan_product(grid.p[..., 0], np.expand_dims(b.beta, -1))
     t = np.broadcast_to(t, np.broadcast_shapes(t.shape, w.shape))  # widths on a shared cutoff
     moments = np.sum(_polar_moments(t, dist.sign) * w, axis=-1)
-    rho = np.moveaxis(moments, 0, -1) @ _moment_classes(state.spin).reshape(4, 16)
-    rho = rho.reshape(moments.shape[1:] + (4, 4))
+    rho = np.einsum("k...,kab->...ab", moments, _moment_classes(state.spin))
     worst = np.max(np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0))
     if not (worst <= TRACE_TOL):
         raise GridCoverageError(
@@ -209,7 +208,7 @@ def momentum_density_samples(state: BipartiteState, b: Boost, grid: QuadratureGr
     if pairs.ndim not in (3, 4) or pairs.shape[-2:] != (4, 3):
         raise ValueError("pairs must have shape (n, 4, 3)")
     dist = state.dist
-    T = _UNIT_PAIRS @ state.spin @ state.spin.conj()  # <Phi|E_m x E_n|Phi>
+    T = np.einsum("mnab,a,b->mn", _UNIT_PAIRS, state.spin.conj(), state.spin)  # <Phi|E_m x E_n|Phi>
 
     # companion-trace normalisation, computed on the grid it was handed
     norm1 = np.sum(grid.radial_weights * dist.density1(grid.p**2), axis=(-2, -1))[..., None]

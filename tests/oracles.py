@@ -41,6 +41,9 @@ form they had before they took tan(Omega/2) and built their arrays in place
 (the spin density's on ``polar_rule``, the fidelity's in extended precision).
 ``momentum_density_samples_su2`` is the pair-density sampler with complex
 SU(2) matrices, as it was before it worked in real quaternions.
+``gauss_legendre_longdouble`` is the Gauss-Legendre rule by Newton's method
+on the three-term recurrence in extended precision, the reference for the
+library's double-precision rule.
 """
 
 import math
@@ -58,6 +61,35 @@ from relent.wavepacket import (
     default_p_max,
     gauss_legendre,
 )
+
+
+def gauss_legendre_longdouble(n: int) -> tuple:
+    """The non-negative Gauss-Legendre nodes and their weights, descending, in ``np.longdouble``.
+
+    Newton in x on P_n from the three-term recurrence, started at cos(pi (4k - 1)
+    / (4n + 2)), k = 1 .. ceil(n / 2), until the step falls below 1e-15, then one
+    more step; the weights are 2 / ((1 - x^2) P_n'(x)^2).  On x86-64 the long
+    double carries 64 mantissa bits, 11 more than a double, so the rule is exact
+    to the double's last bit.  The negative nodes mirror these.
+    """
+    k = np.arange(1, (n + 1) // 2 + 1)
+    x = np.cos(np.pi * (4 * k - 1) / (4 * n + 2)).astype(np.longdouble)
+
+    def newton_step(x):
+        p_prev, p = np.ones_like(x), x
+        for j in range(1, n):
+            p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
+        dp = n * (x * p - p_prev) / (x * x - 1)
+        return p / dp, dp
+
+    while True:
+        step, _ = newton_step(x)
+        x = x - step
+        if np.max(np.abs(step)) < 1e-15:
+            break
+    step, dp = newton_step(x)
+    return x - step, 2 / ((1 - x * x) * dp * dp)
+
 
 #: Periodic trapezoid nodes in phi.  A boost along x turns each spin about the
 #: axis normal to the plane of the boost and the momentum, so every production

@@ -1,8 +1,12 @@
-"""Every name in a module's ``__all__`` exists in that module."""
+"""Every name in a module's ``__all__`` exists in that module, and no module calls BLAS or LAPACK."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
+
+import relent
 
 MODULES = ("kinematics", "wavepacket", "relstate", "entanglement", "correlations")
 
@@ -12,3 +16,27 @@ def test_all_names_exist(name):
     module = importlib.import_module(f"relent.{name}")
     assert len(module.__all__) == len(set(module.__all__)), "a name is listed twice"
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def _blas_uses(tree):
+    """Line numbers of ``@``, ``dot``, ``matmul`` and ``linalg`` in a module's syntax tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            yield node.lineno
+        elif isinstance(node, ast.Attribute) and node.attr in ("dot", "matmul", "linalg"):
+            yield node.lineno
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in node.names] + [getattr(node, "module", None) or ""]
+            if any("linalg" in name for name in names):
+                yield node.lineno
+
+
+def test_no_blas_or_lapack_calls():
+    # the package's products are a few dozen elements each: np.einsum and ufunc
+    # reductions do them without paging OpenBLAS or LAPACK code into a cold process
+    paths = sorted(Path(relent.__file__).parent.glob("*.py"))
+    assert len(paths) == 7
+    for path in paths:
+        assert list(_blas_uses(ast.parse(path.read_text(encoding="utf-8")))) == [], path.name
+    probe = "a @ b; a @= b; np.dot(a, b); x.matmul(y); np.linalg.norm(v)"
+    assert list(_blas_uses(ast.parse(probe))) == [1] * 5  # the check sees each form

@@ -777,15 +777,18 @@ class TestMainEntry:
         assert "plot" in open(plot_path).read()
 
     def test_spin_sweeps_do_no_eigensolve(self, monkeypatch):
-        # the first runs fill gauss_legendre's cache, whose Golub-Welsch rule
-        # is the one eigensolve allowed
+        # rerun with gauss_legendre's cache cleared, so that the rules are
+        # built again, and every np.linalg function (eigensolves, norms) forbidden
         docs = [{"scenario": s} for s in ("spin_bell_momentum_product", "momentum_bell_spin_up")]
         want = [emit(run(parse_config(doc)), "csv", None) for doc in docs]
 
-        def no_eigensolve(*args, **kwargs):
-            raise AssertionError("eigensolve on the sweep path")
+        def forbidden(*args, **kwargs):
+            raise AssertionError("np.linalg on the sweep path")
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
+        wavepacket.gauss_legendre.cache_clear()
+        for name in np.linalg.__all__:
+            if not isinstance(getattr(np.linalg, name), type):
+                monkeypatch.setattr(np.linalg, name, forbidden)
         assert [emit(run(parse_config(doc)), "csv", None) for doc in docs] == want
         assert main(["limits"]) == EXIT_OK
 

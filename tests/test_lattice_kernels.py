@@ -166,8 +166,11 @@ class TestLatticeMemory:
     """Peak memory of one call on the sweep's grids, in (beta, p, cos(theta)) arrays.
 
     ``fidelity`` builds its integrand in two lattice buffers and ``bell_ABCD``
-    sin^2(Omega/2) in one, each contracted with the polar weights by a
-    matrix-vector product; ``reduced_spin_density`` integrates cos(theta) in
+    sin^2(Omega/2) in one, each contracted with the polar weights by an
+    ``einsum`` over cos(theta).  Both fill one width's lattice at a time and
+    reuse it, so the sweep's three-width calls hold the arrays of a one-width
+    call (they held three widths' buffers, 6.0 and 3.0 arrays, when the widths
+    shared one lattice); ``reduced_spin_density`` integrates cos(theta) in
     closed form and ``build_grid`` keeps the radial and polar weights apart,
     so neither holds a lattice.  The hypot forms peaked at 6.1, 5.05 and 5.05
     arrays; with a weight lattice the in-place forms were held to 3.0, 2.0 and
@@ -182,19 +185,27 @@ class TestLatticeMemory:
     """
 
     b = Boost(np.array(_DEFAULT_BETAS))
+    #: the spin_bell_momentum_product sweep's widths, one call for all three
+    widths = np.array([[0.5], [1.0], [4.0]])
 
     def test_fidelity(self):
-        for cutoff in (default_p_max(1.0, self.b.beta), default_p_max(1.0, 0.99)):
+        # one width on two cutoffs, then the sweep's call for three widths, whose
+        # (width, beta, p) arrays add to the peak
+        for delta, beta, most in ((1.0, self.b.beta, 2.5), (1.0, 0.99, 2.5),
+                                  (self.widths, self.b.beta, 3.0)):
             def call(n_theta):
-                return fidelity, GaussianProduct(1.0), self.b, build_grid(64, n_theta, cutoff)
+                grid = build_grid(64, n_theta, default_p_max(delta, beta))
+                return fidelity, GaussianProduct(delta), self.b, grid
             assert _lattices_per_polar_node(call) <= 2.01
-            assert _peak_lattices(*call(64)) <= 2.5
+            assert _peak_lattices(*call(64)) <= most
 
     def test_bell_ABCD(self):
-        def call(n_theta):
-            return bell_ABCD, GaussianProduct(1.0), self.b, build_grid(64, n_theta, default_p_max(1.0))
-        assert _lattices_per_polar_node(call) <= 1.01
-        assert _peak_lattices(*call(64)) <= 1.5
+        for delta, most in ((1.0, 1.5), (self.widths, 1.75)):
+            def call(n_theta):
+                grid = build_grid(64, n_theta, default_p_max(delta))
+                return bell_ABCD, GaussianProduct(delta), self.b, grid
+            assert _lattices_per_polar_node(call) <= 1.01
+            assert _peak_lattices(*call(64)) <= most
 
     @pytest.mark.parametrize("sign", [-1, 1])
     def test_reduced_spin_density(self, sign):

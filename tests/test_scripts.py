@@ -6,6 +6,7 @@ the golden CSV ``tests/data/run_default_sweep.csv`` instead.
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -45,15 +46,17 @@ def test_cold_profile_runs(tmp_path):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0].startswith("pass of 2 config(s): first ")
+    assert re.search(r" faults, peak RSS \d+\.\d\d MiB; warm ", lines[0])
     rows = {line.split()[0]: line.split()[1:] for line in lines[2:]}
     # calls per pass: one array program per config, and each binding wrapped once
     calls = {"entanglement.fidelity": 1, "entanglement.bell_ABCD": 1,
              "relstate.momentum_density_samples": 1, "entanglement.xstate_stats": 1,
              "relstate.reduced_spin_density": 1, "wavepacket.build_grid": 3}
     for kernel, n in calls.items():
-        count, first_ms, warm_ms, first_faults, warm_faults, peak_kib = rows[kernel]
+        count, first_ms, warm_ms, first_faults, warm_faults, peak_kib, rss_kib = rows[kernel]
         assert int(count) == n and float(first_ms) > 0.0 and float(warm_ms) > 0.0
         assert int(first_faults) >= 0 and float(warm_faults) >= 0.0 and float(peak_kib) >= 0.0
+        assert int(rss_kib) >= 0
     # the sampler allocates its two results, so its traced peak cannot read 0
     assert float(rows["relstate.momentum_density_samples"][5]) > 0.0
 
