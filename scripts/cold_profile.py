@@ -15,7 +15,9 @@ and how far the first pass's calls raised the process's peak RSS
 gives the peak RSS after the first pass beside its faults.  A kernel's
 numbers include the kernels it calls: ``xstate_stats`` and
 ``quantum_correlation`` call ``reduced_spin_density``, ``build_grid`` calls
-``gauss_legendre``.
+``gauss_legendre``.  A last line per config gives the peak RSS (``ru_maxrss``
+from ``os.wait4``) of one cold ``python3 -m relent.cli run`` process on it, as the
+benchmark's ``peak_rss_mb`` measures it.
 """
 
 import importlib
@@ -89,6 +91,26 @@ def install() -> None:
             setattr(module, attr, wrappers[fn])
 
 
+#: runs argv[1:] and prints its exit code and ru_maxrss (KiB).  Linux keeps a process's
+#: peak RSS across exec, so a child started from this profiled process would report at
+#: least this process's peak; this small starter keeps that floor below relent's own.
+_STARTER = ("import os, subprocess, sys; p = subprocess.Popen(sys.argv[1:]); "
+            "_, status, usage = os.wait4(p.pid, 0); "
+            "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, file=sys.stderr)")
+
+
+def cold_run_rss(path) -> tuple:
+    """(exit code, peak RSS KiB) of one cold ``relent run`` process on the config at ``path``."""
+    import subprocess  # here, after the passes: importing it raises this process's RSS 0.5 MiB
+
+    argv = [sys.executable, "-c", _STARTER, sys.executable, "-m", "relent.cli", "run",
+            "--config", path]
+    proc = subprocess.run(argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                          check=True)
+    code, rss = proc.stderr.split()[-2:]
+    return int(code), int(rss)
+
+
 def one_pass(configs) -> tuple:
     """(seconds, faults, kernel stats) of one pass over ``configs``."""
     _stats.clear()
@@ -132,6 +154,9 @@ def main(paths) -> int:
                  f"{median(w[2][name][2] for w in warm):.0f}", f"{traced[name][3] / 1024:.0f}",
                  f"{rss:d}")
         print(f"{name:36s}" + "".join(f"{c:>14s}" for c in cells))
+    for path in paths:
+        code, rss = cold_run_rss(path)
+        print(f"cold relent run {path}: exit {code}, peak RSS {rss / 1024:.2f} MiB")
     return 0
 
 

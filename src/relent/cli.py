@@ -366,17 +366,16 @@ def _sweep_columns(config: SweepConfig, delta: np.ndarray) -> dict:
 def run(config: SweepConfig, workers: int = 1) -> list[SweepRow]:
     """All (beta, delta) cells in config order, widths outer and betas inner.
 
-    Widths are evaluated in chunks, each as one array program per kernel with
-    the widths and betas on the leading axes (``_sweep_columns``).  A chunk
-    holds max(1, 2^20 // (n_beta n_r n_theta)) widths.  ``fidelity`` and
-    ``bell_ABCD`` hold one width's (beta, p, cos(theta)) lattice at a time
-    whatever the chunk, so the bound caps only the arrays with a width axis,
-    the (width, beta, p) ones at 8 MiB / n_theta each.
-    Every row equals the row of a sweep over that beta and width alone.
-    ``workers`` is accepted for old callers and has no effect.
+    Widths are evaluated in chunks, each as one array program per kernel with the
+    widths and betas on the leading axes (``_sweep_columns``).  A chunk holds max(1,
+    2^18 // (n_beta (n_r + 4 * 64))) widths, which keeps each array with a width axis,
+    the (width, beta, p) cells and the pair sampler's (width, beta, 4, 64) values, under
+    2 MiB; ``fidelity`` and ``bell_ABCD`` fill their lattice in tiles that do not grow.
+    Every row equals the row of a sweep over that beta and width alone; ``workers`` is
+    accepted for old callers and has no effect.
     """
     gs, betas, rows = config.grid, list(config.betas), []
-    chunk = max(1, 2**20 // (len(betas) * gs.n_r * gs.n_theta))
+    chunk = max(1, 2**18 // (len(betas) * (gs.n_r + 4 * 64)))
     for start in range(0, len(config.delta), chunk):
         widths = config.delta[start:start + chunk]
         cols = _sweep_columns(config, np.array(widths)[:, None])

@@ -2,9 +2,8 @@
 
 Covers the three diagnostics applied to a boosted two-particle state:
 
-* ``fidelity``: squared overlap between the state and its boosted image,
-  for a product of Gaussian wavepackets (closed-form boosted arguments, no
-  resampling).
+* ``fidelity``: squared overlap between the state and its boosted image, for a
+  product of Gaussian wavepackets (closed-form boosted arguments, no resampling).
 * ``xstate_stats``: the delta-correlated-momentum, product-spin scenario,
   reduced to the diagonal and the two coherences of its X-state density.
 * ``bell_ABCD``: the Bell-spin, product-momentum scenario, whose reduced
@@ -14,12 +13,10 @@ Both reduced spin densities are X-states (nonzero only on the diagonal and
 the anti-diagonal), and ``xstate_pt_spectrum`` gives the partial-transpose
 spectrum and the two separability margins of either in closed form.
 
-A ``Boost`` with an array of speeds, and a distribution with an array of
-widths (n_delta, 1), are evaluated as one array program; results and spectra
-carry the widths' and beta's axes.  ``fidelity`` and ``bell_ABCD`` fill one
-width's (beta, p, cos(theta)) lattice at a time in one reused workspace and
-contract it with the polar weights (``_polar_sum``), then the radial ones;
-``xstate_stats`` has closed-form polar moments.
+A ``Boost`` with an array of speeds and a distribution with an array of widths (n_delta, 1)
+are evaluated as one array program, results and spectra carrying their axes.  ``fidelity``
+and ``bell_ABCD`` fill their (cell, cos(theta)) lattice, a row per (width, beta, p) cell,
+in fixed-size tiles (``_tiled``); ``xstate_stats`` has closed-form polar moments.
 
 The entanglement measure is doubled negativity, -2 sum(min(0, PT eigenvalue)),
 normalised so a two-qubit maximally entangled state scores exactly 1.
@@ -87,14 +84,30 @@ def product_residual(diag) -> np.ndarray:
     return abs(lhs - rhs) / np.maximum(np.maximum(lhs, rhs), 1e-300)
 
 
-def _polar_sum(lattice: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Contract a lattice's cos(theta) axis with ``weights`` (n_theta,), keeping it as length 1.
+#: most nodes in one lattice tile: each buffer stays under 2^14 nodes (128 KiB, glibc's
+#: default mmap threshold), so it comes from heap that the import has already made resident
+_TILE_NODES = 16_000
 
-    An ``einsum`` with the cos(theta) axis as its inner loop: each row is summed
-    in an order set by n_theta alone, so its bits do not depend on how many rows
-    are batched, and no BLAS code is paged in for a product this small.
+
+def _tiled(fill, n_buffers: int, weights, *cells: np.ndarray) -> np.ndarray:
+    """The (cell, cos(theta)) lattice's sums with each of ``weights`` (n_theta,), one per cell.
+
+    ``cells`` broadcast to one row each.  ``fill(*rows, *buffers)`` writes a tile of at most
+    ``_TILE_NODES`` nodes into ``n_buffers`` reused workspaces and returns the one that an
+    ``einsum`` over cos(theta) contracts (no BLAS): each node sees the same ufuncs and each
+    row is summed in an order set by n_theta alone, so no bit depends on the tile.
     """
-    return np.einsum("...k,k->...", lattice, weights)[..., None]
+    shape = np.broadcast_shapes(*(np.shape(a) for a in cells))
+    cells = [np.broadcast_to(a, shape).reshape(-1, 1) for a in cells]
+    n_rows, n_theta = len(cells[0]), len(weights[0])
+    step, sums = max(1, _TILE_NODES // n_theta), np.empty((len(weights), n_rows))
+    buffers = [np.empty((min(step, n_rows), n_theta)) for _ in range(n_buffers)]
+    for start in range(0, n_rows, step):
+        rows = slice(start, start + step)
+        lattice = fill(*(a[rows] for a in cells), *(buf[:n_rows - start] for buf in buffers))
+        for total, w in zip(sums, weights):
+            np.einsum("rk,k->r", lattice, w, out=total[rows])
+    return sums.reshape((len(weights),) + shape)
 
 
 def fidelity(dist: GaussianProduct, b: Boost, grid: QuadratureGrid) -> np.ndarray:
@@ -112,7 +125,7 @@ def fidelity(dist: GaussianProduct, b: Boost, grid: QuadratureGrid) -> np.ndarra
     its value at cos(theta) = -1, so no term of e is negative: |Lp|^2 = e (e + 2), and with
     C = ch(a/2) ch(d/2), S = sh(a/2) sh(d/2), C^2 + S^2 + 2 C S cos(theta) = (2 + e)/2 gives
     sqrt((Lp)^0/p^0) cos(Omega/2) = (1 + t cos(theta)) sqrt((gamma + 1)(p0 + 1)(1 + e) /
-    (2 p0 (2 + e))).
+    (2 p0 (2 + e))), the last root built in two buffers on each tile of the lattice.
 
     Raises GridCoverageError where a cell's cutoff is below ``default_p_max``:
     p's boosted argument leaves a grid of radius P where gamma (E_p - beta p_x)
@@ -133,31 +146,30 @@ def fidelity(dist: GaussianProduct, b: Boost, grid: QuadratureGrid) -> np.ndarra
     r = p / gamma
     back = gamma * (beta - r) * (beta + r) / (beta * p0 + p)  # (Lp)_x at cos(theta) = -1
     back *= back / (gamma * (1.0 + r * r) / (p0 + beta * p) + 1.0)
-    shape = np.broadcast_shapes(np.shape(delta), beta.shape, p.shape[:-1] + ct.shape)
-    cells = shape[:-1] + (1,)
-    slope, back, scale, t = (np.broadcast_to(a, cells) for a in (
-        gamma * beta * p, back, -0.5 / delta, wigner_tan_product(p, beta)))
-    # exp(-|Lp|^2 / (2 delta)) sqrt((1 + e)/(2 + e)) in place in two buffers of one width's
-    # (beta, p, cos(theta)) lattice, reused across widths: they set the sweep's peak memory
-    e, x = np.empty((2,) + shape[-3:])
-    polar, w_ct = np.empty(cells), grid.polar_weights * ct
-    for i in np.ndindex(shape[:-3]):
-        np.multiply(slope[i], 1.0 + ct, out=e)
-        e += back[i]
+
+    def fill(slope, back, scale, e, x):  # exp(-|Lp|^2 / (2 delta)) sqrt((1 + e)/(2 + e)) in x
+        np.multiply(slope, 1.0 + ct, out=e)
+        e += back
         np.add(e, 2.0, out=x)
         x *= e
-        x *= scale[i]
+        x *= scale
         np.exp(x, out=x)
         e += 2.0
         np.reciprocal(e, out=e)
         np.subtract(1.0, e, out=e)
         x *= np.sqrt(e, out=e)
-        polar[i] = _polar_sum(x, grid.polar_weights) + t[i] * _polar_sum(x, w_ct)
+        return x
+    polar, m_ct = _tiled(fill, 2, (grid.polar_weights, grid.polar_weights * ct),
+                         gamma * beta * p, back, -0.5 / delta)
+    m_ct *= wigner_tan_product(p, beta)
+    polar += m_ct
     radial = grid.radial_weights * np.exp(-0.5 / delta * (p * p))
     radial = radial * np.sqrt((gamma + 1.0) * (p0 + 1.0) / (2.0 * p0))
     f = np.square(np.square(dist.norm * np.sum(radial * polar, axis=(-2, -1))))
     if not np.all((-1e-9 <= f) & (f <= 1.0 + 1e-9)):
-        raise ValueError(f"fidelity out of [0, 1]: {f}")
+        i = np.argmax(np.maximum(-f, f - 1.0))  # the worst cell; argmax takes a NaN first
+        cell = (float(np.broadcast_to(a, f.shape).flat[i]) for a in (f, b.beta, dist.delta))
+        raise ValueError("fidelity out of [0, 1]: {} at beta {}, delta {}".format(*cell))
     return f
 
 
@@ -171,9 +183,9 @@ def bell_ABCD(
     second-harmonic moments, sin^2(Omega/2) against cos(2 phi) and
     sin(2 phi), whose exact azimuthal averages vanish; with them
     A = c2^2 + s2^2/2, B = D = c2 s2 and C = s2^2/2.  sin^2(Omega/2) = t^2/(1 + t^2)
-    sin^2(theta)/(1 + tau cos(theta)), tau = 2t/(1 + t^2): one buffer, reused across
-    widths, holds 1/(1 + tau cos(theta)) on one width's lattice, the polar weights fold
-    in sin^2(theta) and t^2/(1 + t^2) scales the polar sums; the norm is checked per radial rule.
+    sin^2(theta)/(1 + tau cos(theta)), tau = 2t/(1 + t^2): one buffer holds 1/(1 + tau
+    cos(theta)) on a tile of the (cell, cos(theta)) lattice, the polar weights fold in
+    sin^2(theta) and t^2/(1 + t^2) scales the polar sums; the norm is checked per radial rule.
     ``analytic_limit`` substitutes Omega := theta, which is t = 1 on the same lattice.
     """
     if not isinstance(dist, GaussianProduct):
@@ -192,13 +204,12 @@ def bell_ABCD(
     else:
         t = wigner_tan_product(grid.p, b.nodewise().beta)
     t_sq = t * t
-    tau, weights = 2.0 * t / (1.0 + t_sq), polar * (1.0 - ct * ct)
-    lattice, polar_sum = np.empty(t.shape[-3:-1] + ct.shape), np.empty(t.shape)
-    for i in np.ndindex(t.shape[:-3]):
-        np.multiply(tau[i], ct, out=lattice)
+
+    def fill(tau, lattice):  # 1/(1 + tau cos(theta))
+        np.multiply(tau, ct, out=lattice)
         lattice += 1.0
-        np.reciprocal(lattice, out=lattice)
-        polar_sum[i] = _polar_sum(lattice, weights)
+        return np.reciprocal(lattice, out=lattice)
+    polar_sum = _tiled(fill, 1, (polar * (1.0 - ct * ct),), 2.0 * t / (1.0 + t_sq))[0]
     s2 = np.sum(w * (t_sq / (1.0 + t_sq) * polar_sum)[..., 0], axis=-1)
     c2, C = norm - s2, 0.5 * s2**2
     return ABCDValues(A=c2**2 + C, B=c2 * s2, C=C, D=c2 * s2, eta=2.0 * s2 / norm)

@@ -302,7 +302,9 @@ def fidelity_hypot(dist, b: Boost, grid):
     m = np.sum(w * np.sqrt(jac) * amplitudes * c, axis=(-2, -1)).astype(float)
     f = np.square(np.square(m))
     if not np.all((-1e-9 <= f) & (f <= 1.0 + 1e-9)):
-        raise ValueError(f"fidelity out of [0, 1]: {f}")
+        i = np.argmax(np.maximum(-f, f - 1.0))
+        cell = (float(np.broadcast_to(a, f.shape).flat[i]) for a in (f, b.beta, dist.delta))
+        raise ValueError("fidelity out of [0, 1]: {} at beta {}, delta {}".format(*cell))
     return f
 
 

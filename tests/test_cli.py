@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -371,8 +372,10 @@ class TestRunScenarios:
         "n_r, n_theta, calls", [(32, 32, 1), (128, 160, 2), (256, 256, 3)]
     )
     def test_lattice_kernels_called_once_per_chunk(self, monkeypatch, scenario, n_r, n_theta, calls):
-        # a chunk holds max(1, 2^20 // (21 n_r n_theta)) widths: all three on the
-        # default grid, two then one on 128x160, one at a time on 256x256
+        # a chunk holds max(1, 2^18 // (21 (n_r + 4 * 64))) widths whatever n_theta: 43 on
+        # the default grid, 32 at n_r = 128 and 24 at n_r = 256.  The sweep has the fewest
+        # widths that need ``calls`` chunks, and at least the default sweep's three
+        per_chunk = {32: 43, 128: 32, 256: 24}[n_r]
         counts = Counter()
 
         def counting(name, fn):
@@ -383,14 +386,38 @@ class TestRunScenarios:
 
         for module, name in LATTICE_KERNELS:
             monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
-        doc = {"scenario": scenario, "delta": [0.5, 1.0, 4.0],
-               "grid": {"n_r": n_r, "n_theta": n_theta}}
+        widths = np.geomspace(0.5, 4.0, max(3, (calls - 1) * per_chunk + 1)).tolist()
+        doc = {"scenario": scenario, "delta": widths, "grid": {"n_r": n_r, "n_theta": n_theta}}
         rows = run(parse_config(doc))
-        assert len(rows) == 3 * len(cli._DEFAULT_BETAS)
+        assert len(rows) == len(widths) * len(cli._DEFAULT_BETAS)
         assert set(counts.values()) == {calls}
         if calls == 2:
             split = [row for d in doc["delta"] for row in run(parse_config({**doc, "delta": [d]}))]
             assert emit(rows, "csv", None) == emit(split, "csv", None)
+
+    def test_chunk_caps_the_sampler_whatever_n_theta(self):
+        # the pair sampler's (width, beta, slot, pair) arrays do not shrink with n_theta:
+        # when a chunk held 2^20 // (21 n_r n_theta) widths, these 200 widths ran as one
+        # chunk on the 2-node polar rule and peaked at 47.0 MiB traced (16.6 MiB at 32 nodes)
+        doc = {"scenario": "spin_bell_momentum_product",
+               "delta": np.geomspace(0.25, 16.0, 200).tolist()}
+        peaks, rows = {}, {}
+        for n_theta in (2, 32):
+            config = parse_config({**doc, "grid": {"n_r": 24, "n_theta": n_theta}})
+            run(config)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                rows[n_theta] = run(config)
+                peaks[n_theta] = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        # both run in the same chunks; their peaks differ by a few hundred bytes of objects
+        assert peaks[2] <= 1.01 * peaks[32]
+        assert peaks[2] <= 16 * 2**20
+        grid = {"n_r": 24, "n_theta": 2}
+        assert rows[2] == [row for d in doc["delta"]
+                           for row in run(parse_config({**doc, "delta": [d], "grid": grid}))]
 
 
 #: (scenario, config fields) for every combination a sweep can batch
@@ -747,6 +774,22 @@ class TestMainEntry:
         )
         assert main(["run", "--config", cfg_path]) == EXIT_NUMERIC
         assert "numeric error" in capsys.readouterr().err
+
+    def test_fidelity_range_error_names_the_cell(self, tmp_path, capsys):
+        # a 2-node radial rule does not resolve the packet; the message used to
+        # print all 21 fidelities and name no cell
+        cfg_path = write_config(
+            tmp_path, {"scenario": "fidelity_only", "grid": {"n_r": 2, "n_theta": 4}}
+        )
+        assert main(["run", "--config", cfg_path]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        found = re.fullmatch(
+            r"numeric error: fidelity out of \[0, 1\]: (\S+) at beta (\S+), delta (\S+)\n", err
+        )
+        assert found is not None, err
+        value, beta, delta = map(float, found.groups())
+        # the worst cell: 22.6 at rest, falling with beta
+        assert (value, beta, delta) == (pytest.approx(22.6145284, rel=1e-8), 0.0, 1.0)
 
     def test_unwritable_output_is_io_error(self, tmp_path, capsys):
         cfg_path = write_config(

@@ -26,6 +26,7 @@ from oracles import (
     momentum_density_samples_hypot,
     reduced_spin_density_hypot,
 )
+import relent.entanglement as entanglement
 from relent.cli import _DEFAULT_BETAS
 from relent.entanglement import bell_ABCD, fidelity
 from relent.kinematics import BETA_CAP, Boost
@@ -162,20 +163,31 @@ def _lattices_per_polar_node(call):
     return (_peak_bytes(*call(128)) - _peak_bytes(*call(64))) / LATTICE
 
 
+def _lattice_call(kernel, delta, betas, n):
+    """``kernel``, as the sweep calls it, and its arguments on an n x n grid."""
+    gp, b = GaussianProduct(delta), Boost(np.asarray(betas))
+    if kernel is fidelity:
+        return fidelity, gp, b, build_grid(n, n, default_p_max(delta, b.beta))
+    return bell_ABCD, gp, b, build_grid(n, n, default_p_max(delta))
+
+
 class TestLatticeMemory:
     """Peak memory of one call on the sweep's grids, in (beta, p, cos(theta)) arrays.
 
     ``fidelity`` builds its integrand in two lattice buffers and ``bell_ABCD``
-    sin^2(Omega/2) in one, each contracted with the polar weights by an
-    ``einsum`` over cos(theta).  Both fill one width's lattice at a time and
-    reuse it, so the sweep's three-width calls hold the arrays of a one-width
-    call (they held three widths' buffers, 6.0 and 3.0 arrays, when the widths
-    shared one lattice); ``reduced_spin_density`` integrates cos(theta) in
-    closed form and ``build_grid`` keeps the radial and polar weights apart,
-    so neither holds a lattice.  The hypot forms peaked at 6.1, 5.05 and 5.05
-    arrays; with a weight lattice the in-place forms were held to 3.0, 2.0 and
-    4.0.  ``bell_ABCD``'s buffer holds 1/(1 + tau cos(theta)) alone: the polar
-    weights carry sin^2(theta) and t^2/(1 + t^2) scales the polar sums.
+    1/(1 + tau cos(theta)) in one (the polar weights carry sin^2(theta) and
+    t^2/(1 + t^2) scales the polar sums), each contracted with the polar
+    weights by an ``einsum`` over cos(theta).  Both treat the lattice as a
+    (cell, cos(theta)) matrix, the cells the flattened (width, beta, p) rows,
+    and fill it in tiles of at most ``_TILE_NODES`` nodes in buffers reused
+    across tiles, so the buffers no longer grow with the lattice: only the
+    (width, beta, p) cell arrays do.  Filling one width's lattice at a time,
+    they held two and one lattice arrays per polar node and peaked at 21.4 and
+    10.8 MiB at 256 x 256 with 21 betas; with every width's lattice at once,
+    6.0 and 3.0 arrays on the sweep's three-width call.
+    ``reduced_spin_density`` integrates cos(theta) in closed form and
+    ``build_grid`` keeps the radial and polar weights apart, so neither holds a
+    lattice.
 
     ``momentum_density_samples`` holds no lattice; its unit is a (width, speed,
     slot, pair) array, the size of one half-angle array of the sweep's call.
@@ -191,21 +203,42 @@ class TestLatticeMemory:
     def test_fidelity(self):
         # one width on two cutoffs, then the sweep's call for three widths, whose
         # (width, beta, p) arrays add to the peak
-        for delta, beta, most in ((1.0, self.b.beta, 2.5), (1.0, 0.99, 2.5),
-                                  (self.widths, self.b.beta, 3.0)):
+        for delta, beta, most in ((1.0, self.b.beta, 0.75), (1.0, 0.99, 0.75),
+                                  (self.widths, self.b.beta, 1.0)):
             def call(n_theta):
                 grid = build_grid(64, n_theta, default_p_max(delta, beta))
                 return fidelity, GaussianProduct(delta), self.b, grid
-            assert _lattices_per_polar_node(call) <= 2.01
+            assert _lattices_per_polar_node(call) <= 0.01
             assert _peak_lattices(*call(64)) <= most
 
     def test_bell_ABCD(self):
-        for delta, most in ((1.0, 1.5), (self.widths, 1.75)):
-            def call(n_theta):
-                grid = build_grid(64, n_theta, default_p_max(delta))
-                return bell_ABCD, GaussianProduct(delta), self.b, grid
-            assert _lattices_per_polar_node(call) <= 1.01
-            assert _peak_lattices(*call(64)) <= most
+        for delta, most in ((1.0, 0.6), (self.widths, 0.75)):
+            for limit in (False, True):
+                def call(n_theta):
+                    grid = build_grid(64, n_theta, default_p_max(delta))
+                    return bell_ABCD, GaussianProduct(delta), self.b, grid, limit
+                assert _lattices_per_polar_node(call) <= 0.01
+                assert _peak_lattices(*call(64)) <= most
+
+    @pytest.mark.parametrize("kernel, cell_arrays", [(fidelity, 8.0), (bell_ABCD, 6.5)])
+    @pytest.mark.parametrize("delta", [1.0, widths], ids=["one_width", "three_widths"])
+    def test_peak_grows_only_with_the_cells(self, kernel, cell_arrays, delta):
+        # from 21 betas on 64 x 64 nodes, where each width's lattice already fills
+        # several tiles, to 84 betas and to 256 x 256 nodes: the peak grows by at
+        # most ``cell_arrays`` (width, beta, p) arrays, and by no lattice array
+        def cell_bytes(betas, n):
+            return np.size(delta) * len(betas) * n * 8
+
+        betas_84 = np.linspace(0.0, 0.99, 84)
+        base = _peak_bytes(*_lattice_call(kernel, delta, _DEFAULT_BETAS, 64))
+        for betas, n in ((betas_84, 64), (_DEFAULT_BETAS, 256), (betas_84, 256)):
+            grown = _peak_bytes(*_lattice_call(kernel, delta, betas, n)) - base
+            assert grown <= cell_arrays * (cell_bytes(betas, n) - cell_bytes(_DEFAULT_BETAS, 64))
+
+    @pytest.mark.parametrize("kernel", [fidelity, bell_ABCD])
+    def test_peak_at_256_squared_nodes(self, kernel):
+        # 21.4 MiB (fidelity) and 10.8 MiB (bell_ABCD) with one width's lattice in buffers
+        assert _peak_bytes(*_lattice_call(kernel, 1.0, _DEFAULT_BETAS, 256)) <= 2**20
 
     @pytest.mark.parametrize("sign", [-1, 1])
     def test_reduced_spin_density(self, sign):
@@ -230,3 +263,24 @@ class TestLatticeMemory:
             return build_grid, 64, n_theta, default_p_max(1.0, self.b.beta)
         assert _lattices_per_polar_node(call) <= 0.01
         assert _peak_lattices(*call(64)) <= 0.1
+
+
+def test_tile_size_leaves_the_bits_unchanged(monkeypatch):
+    # 3 widths x 21 betas x 23 radial nodes are 1,449 rows of 17 polar nodes: one row
+    # per tile, 5 rows (which divide no axis and leave a short last tile) and the
+    # default (941 rows, two tiles) against the whole lattice in one tile
+    widths = np.array([[0.5], [1.0], [4.0]])
+    gp, b = GaussianProduct(widths), Boost(np.array(_DEFAULT_BETAS))
+    fid_grid = build_grid(23, 17, default_p_max(widths, b.beta))
+    grid = build_grid(23, 17, default_p_max(widths))
+
+    def results():
+        bell = [np.array(bell_ABCD(gp, b, grid, limit)) for limit in (False, True)]
+        return [fidelity(gp, b, fid_grid), *bell]
+
+    default = entanglement._TILE_NODES
+    monkeypatch.setattr(entanglement, "_TILE_NODES", 10**9)
+    whole = results()
+    for nodes in (17, 5 * 17, default):
+        monkeypatch.setattr(entanglement, "_TILE_NODES", nodes)
+        assert all(np.array_equal(got, want) for got, want in zip(results(), whole))

@@ -59,6 +59,11 @@ def test_cold_profile_runs(tmp_path):
         assert int(rss_kib) >= 0
     # the sampler allocates its two results, so its traced peak cannot read 0
     assert float(rows["relstate.momentum_density_samples"][5]) > 0.0
+    # then one cold `relent run` process per config, measured by its peak RSS
+    for line, path in zip(lines[-2:], configs):
+        found = re.fullmatch(rf"cold relent run {re.escape(str(path))}: exit 0, "
+                             r"peak RSS (\d+\.\d\d) MiB", line)
+        assert found is not None and float(found.group(1)) > 0.0, line
 
     missing = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "cold_profile.py"), str(tmp_path / "none.json")],
