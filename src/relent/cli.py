@@ -1,17 +1,9 @@
 """Command-line driver: scenario sweeps over boost speed and wavepacket width.
 
-Configuration is a single JSON document.  Example:
-
-    {
-      "scenario": "spin_bell_momentum_product",
-      "betas": [0.0, 0.3, 0.6, 0.9],
-      "delta": [1.0],
-      "grid": {"n_r": 32, "n_theta": 32, "p_max": "auto"},
-      "delta_sign": -1,
-      "analytic_limit": false,
-      "directions": {"a": [1.0, 0.0, 0.0], "b": [1.0, 0.0, 0.0]},
-      "seed": 42
-    }
+A sweep is one JSON document.  ``_CONFIG`` lists its fields in canonical order
+with each one's default (the value an absent field takes) and check;
+``parse_config`` applies them, and ``relent validate`` echoes the result in
+that order, every default filled in.
 
 The kernels average the azimuth in closed form, so ``grid.n_phi`` is
 accepted, validated and echoed for old configs but has no effect; likewise
@@ -26,11 +18,10 @@ together (``run``), and every row equals the row of a sweep over its beta and
 width alone.  Identical config and seed give byte-identical output, with rows
 emitted in config order.
 
-Exit codes: 0 success, 2 configuration or usage error (among them a width
-outside [DELTA_MIN, DELTA_MAX], grid.n_r or grid.n_theta above GRID_COUNT_MAX,
-a fixed grid.p_max above the auto policy's largest cutoff, an unknown field,
-and --plot without a CSV --output or naming the --output file), 3
-numeric/grid-coverage error, 4 I/O error while writing the output or plot
+Exit codes: 0 success; 2 configuration or usage error (a field that fails its
+check, which the message names, a config file that cannot be read or parsed
+as UTF-8 JSON, and --plot without a CSV --output or naming the --output file);
+3 numeric or grid-coverage error; 4 I/O error while writing the output or plot
 script.
 """
 
@@ -100,6 +91,8 @@ DELTA_MAX = 1e12
 #: largest accepted grid.n_r and grid.n_theta: a rule's Newton steps hold (n/2, n/2 + 1)
 #: phase arrays, 16 MiB at 1,024 nodes, far above the finest grid in use (64)
 GRID_COUNT_MAX = 1024
+#: largest fixed grid.p_max, the auto policy's largest cutoff (far above it p_max^3 overflows)
+P_MAX_CAP = float(default_p_max(DELTA_MAX, BETA_CAP))
 
 _DEFAULT_BETAS = [round(0.05 * i, 2) for i in range(20)] + [0.99]
 
@@ -109,18 +102,23 @@ class ConfigError(Exception):
 
 
 class GridSpec(NamedTuple):
-    n_r: int = 32
-    n_theta: int = 32
-    n_phi: int = 16  # accepted for old configs; the azimuth is averaged in closed form
-    p_max: object = "auto"  # "auto" or a positive number
+    n_r: int
+    n_theta: int
+    n_phi: int  # accepted for old configs; the azimuth is averaged in closed form
+    p_max: object  # "auto" or a positive number
 
     def resolve_p_max(self, delta):
         """Lab-frame radial cutoff of each width: the policy's at rest, or the fixed one."""
         return default_p_max(delta) if self.p_max == "auto" else float(self.p_max)
 
 
+class Directions(NamedTuple):
+    a: tuple
+    b: tuple
+
+
 class SweepConfig(NamedTuple):
-    """A validated config; ``parse_config`` holds every field's default."""
+    """A validated config; ``_CONFIG`` holds every field's default and check."""
 
     scenario: str
     betas: tuple
@@ -128,26 +126,12 @@ class SweepConfig(NamedTuple):
     grid: GridSpec
     delta_sign: int
     analytic_limit: bool
-    direction_a: tuple
-    direction_b: tuple
+    directions: Directions
     seed: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "betas": list(self.betas),
-            "delta": list(self.delta),
-            "grid": {
-                "n_r": self.grid.n_r,
-                "n_theta": self.grid.n_theta,
-                "n_phi": self.grid.n_phi,
-                "p_max": self.grid.p_max,
-            },
-            "delta_sign": self.delta_sign,
-            "analytic_limit": self.analytic_limit,
-            "directions": {"a": list(self.direction_a), "b": list(self.direction_b)},
-            "seed": self.seed,
-        }
+        """The canonical JSON form (arrays as tuples), which ``parse_config`` maps back."""
+        return {k: v._asdict() if hasattr(v, "_asdict") else v for k, v in self._asdict().items()}
 
 
 class SweepRow(NamedTuple):
@@ -155,20 +139,20 @@ class SweepRow(NamedTuple):
 
     beta: float
     delta: float
-    fidelity: float | None = None
-    E: float | None = None
-    min_pt_eig: float | None = None
-    A: float | None = None
-    B: float | None = None
-    C: float | None = None
-    D: float | None = None
-    eta: float | None = None
-    ineq15_margin: float | None = None
-    ineq16_margin: float | None = None
-    identity14_residual: float | None = None
-    product_distance: float | None = None
-    qcorr: float | None = None
-    ccorr: float | None = None
+    fidelity: float | None
+    E: float | None
+    min_pt_eig: float | None
+    A: float | None
+    B: float | None
+    C: float | None
+    D: float | None
+    eta: float | None
+    ineq15_margin: float | None
+    ineq16_margin: float | None
+    identity14_residual: float | None
+    product_distance: float | None
+    qcorr: float | None
+    ccorr: float | None
 
 
 def _fail(field_name: str, message: str) -> NoReturn:
@@ -189,107 +173,93 @@ def _is_number(x) -> bool:
         return False
 
 
+def _numbers(name: str, v, lo: float, hi: float, message: str) -> tuple:
+    """A non-empty array of numbers in [lo, hi], as floats."""
+    if not (isinstance(v, (list, tuple)) and v):
+        _fail(name, message)
+    for i, x in enumerate(v):
+        if not (_is_number(x) and lo <= x <= hi):
+            _fail(f"{name}[{i}]", f"must be a number in [{lo:.10g}, {hi:.10g}], got {x!r}")
+    return tuple(map(float, v))
+
+
+def _count(name: str, v, most: float = GRID_COUNT_MAX) -> int:
+    if not (_is_int(v) and v >= 2):
+        _fail(name, f"must be an integer >= 2, got {v!r}")
+    if v > most:
+        _fail(name, f"must be at most {most}, got {v}")
+    return v
+
+
+def _direction(name: str, v) -> tuple:
+    """A direction within 1e-9 of unit norm, divided by its norm."""
+    if not (isinstance(v, (list, tuple)) and len(v) == 3 and all(_is_number(x) for x in v)):
+        _fail(name, "must be a 3-vector of finite numbers")
+    norm = math.hypot(*v)
+    if not abs(norm - 1.0) <= 1e-9:
+        _fail(name, f"must be a unit vector (norm {norm:.6f})")
+    return tuple(float(x) / norm for x in v)
+
+
+def _fields(prefix: str, doc: dict, table: dict, record: type) -> tuple:
+    """``record`` of ``table``'s fields: each one in ``doc`` checked, each other its default."""
+    unknown = doc.keys() - table.keys()
+    if unknown:
+        _fail(prefix + min(unknown), "unknown field")
+    return record._make(check(prefix + key, doc[key]) if key in doc else default
+                        for key, (default, check) in table.items())
+
+
+def _object(table: dict, record: type, message: str = "must be an object") -> tuple:
+    """The (default, check) entry of an object field whose own fields are ``table``'s."""
+    def check(name, v):
+        if not isinstance(v, dict):
+            _fail(name, message)
+        return _fields(name + ".", v, table, record)
+    return record._make(default for default, _ in table.values()), check
+
+
+#: config fields in canonical order, name -> (default, check): an absent field takes the
+#: default, and check(name, value) turns a JSON value into its canonical one or rejects it
+_CONFIG = {
+    "scenario": ("spin_bell_momentum_product", lambda name, v: v if v in SCENARIOS
+                 else _fail(name, f"must be one of {SCENARIOS}, got {v!r}")),
+    "betas": (tuple(_DEFAULT_BETAS), lambda name, v: _numbers(name, v, 0.0, BETA_CAP,
+                                                              "must be a non-empty list")),
+    "delta": ((1.0,), lambda name, v: _numbers(name, [v] if _is_number(v) else v, DELTA_MIN,
+                                               DELTA_MAX, "must be a number or non-empty list")),
+    "grid": _object({
+        "n_r": (32, _count),
+        "n_theta": (32, _count),
+        "n_phi": (16, lambda name, v: _count(name, v, math.inf)),
+        "p_max": ("auto", lambda name, v: v if v == "auto" or (_is_number(v) and 0 < v <= P_MAX_CAP)
+                  else _fail(name, f"must be 'auto' or a number in (0, {P_MAX_CAP:.6g}], got {v!r}")),
+    }, GridSpec),
+    "delta_sign": (-1, lambda name, v: int(v) if _is_number(v) and v in (-1, 1)
+                   else _fail(name, f"must be -1 or 1, got {v!r}")),
+    "analytic_limit": (False, lambda name, v: v if isinstance(v, bool)
+                       else _fail(name, "must be a boolean")),
+    "directions": _object({"a": ((1.0, 0.0, 0.0), _direction), "b": ((1.0, 0.0, 0.0), _direction)},
+                          Directions, "must be an object with 'a' and 'b'"),
+    "seed": (42, lambda name, v: v if _is_int(v) and v >= 0
+             else _fail(name, f"must be a non-negative integer, got {v!r}")),
+}
+
+
 def parse_config(doc: dict) -> SweepConfig:
-    """Validate a JSON document field by field and build the sweep config."""
+    """Check a JSON document against ``_CONFIG``, then the rules that span fields."""
     if not isinstance(doc, dict):
         raise ConfigError("config root: expected a JSON object")
-    known = {
-        "scenario", "betas", "delta", "grid", "delta_sign",
-        "analytic_limit", "directions", "seed",
-    }
-    for key in doc:
-        if key not in known:
-            raise ConfigError(f"config field '{key}': unknown field")
-
-    scenario = doc.get("scenario", "spin_bell_momentum_product")
-    if scenario not in SCENARIOS:
-        _fail("scenario", f"must be one of {SCENARIOS}, got {scenario!r}")
-
-    betas = doc.get("betas", _DEFAULT_BETAS)
-    if not (isinstance(betas, list) and len(betas) > 0):
-        _fail("betas", "must be a non-empty list")
-    for i, x in enumerate(betas):
-        if not (_is_number(x) and 0.0 <= x <= BETA_CAP):
-            _fail(f"betas[{i}]", f"must be a number in [0, {BETA_CAP}], got {x!r}")
-    if not all(b2 >= b1 for b1, b2 in zip(betas, betas[1:])):
+    config = _fields("", doc, _CONFIG, SweepConfig)
+    if sorted(config.betas) != list(config.betas):
         _fail("betas", "must be ascending")
-
-    delta = doc.get("delta", [1.0])
-    if _is_number(delta):
-        delta = [delta]
-    if not (isinstance(delta, list) and len(delta) > 0):
-        _fail("delta", "must be a number or non-empty list")
-    for i, x in enumerate(delta):
-        if not (_is_number(x) and DELTA_MIN <= x <= DELTA_MAX):
-            _fail(f"delta[{i}]", f"must be a number in [{DELTA_MIN:g}, {DELTA_MAX:g}], got {x!r}")
-
-    grid_doc = doc.get("grid", {})
-    if not isinstance(grid_doc, dict):
-        _fail("grid", "must be an object")
-    grid_kwargs = {}
-    for name in ("n_r", "n_theta", "n_phi"):
-        if name in grid_doc:
-            v = grid_doc[name]
-            if not (_is_int(v) and v >= 2):
-                _fail(f"grid.{name}", f"must be an integer >= 2, got {v!r}")
-            if name != "n_phi" and v > GRID_COUNT_MAX:
-                _fail(f"grid.{name}", f"must be at most {GRID_COUNT_MAX}, got {v}")
-            grid_kwargs[name] = v
-    if "p_max" in grid_doc:
-        # the largest cutoff the auto policy makes; far above it p_max^2 and
-        # the grid weights (~ p_max^3) overflow
-        p_max_cap = default_p_max(DELTA_MAX, BETA_CAP)
-        v = grid_doc["p_max"]
-        if not (v == "auto" or (_is_number(v) and 0 < v <= p_max_cap)):
-            _fail("grid.p_max", f"must be 'auto' or a number in (0, {p_max_cap:.6g}], got {v!r}")
-        grid_kwargs["p_max"] = v
-    unknown_grid = set(grid_doc) - {"n_r", "n_theta", "n_phi", "p_max"}
-    if unknown_grid:
-        _fail(f"grid.{sorted(unknown_grid)[0]}", "unknown field")
-
-    delta_sign = doc.get("delta_sign", -1)
-    if not (_is_number(delta_sign) and delta_sign in (-1, 1)):
-        _fail("delta_sign", f"must be -1 or 1, got {delta_sign!r}")
-
-    analytic_limit = doc.get("analytic_limit", False)
-    if not isinstance(analytic_limit, bool):
-        _fail("analytic_limit", "must be a boolean")
-    if analytic_limit and scenario != "spin_bell_momentum_product":
+    if config.analytic_limit and config.scenario != "spin_bell_momentum_product":
         _fail("analytic_limit", "only applies to the spin_bell_momentum_product scenario")
-
-    directions = doc.get("directions", {"a": [1.0, 0.0, 0.0], "b": [1.0, 0.0, 0.0]})
-    if not isinstance(directions, dict):
-        _fail("directions", "must be an object with 'a' and 'b'")
-    unknown_dir = set(directions) - {"a", "b"}
-    if unknown_dir:
-        _fail(f"directions.{sorted(unknown_dir)[0]}", "unknown field")
-    dir_vals = {}
-    for key in ("a", "b"):
-        v = directions.get(key, [1.0, 0.0, 0.0])
-        if not (isinstance(v, list) and len(v) == 3 and all(_is_number(x) for x in v)):
-            _fail(f"directions.{key}", "must be a 3-vector of finite numbers")
-        norm = math.hypot(*v)
-        if not abs(norm - 1.0) <= 1e-9:
-            _fail(f"directions.{key}", f"must be a unit vector (norm {norm:.6f})")
-        if scenario == "both_bell_correlations" and v[0] == 0 and betas[-1] >= TRANSVERSE_BETA_MAX:
-            _fail(f"directions.{key}", f"transverse, sign undefined at beta >= {TRANSVERSE_BETA_MAX}")
-        dir_vals[key] = tuple(float(x) / norm for x in v)
-
-    seed = doc.get("seed", 42)
-    if not (_is_int(seed) and seed >= 0):
-        _fail("seed", f"must be a non-negative integer, got {seed!r}")
-
-    return SweepConfig(
-        scenario=scenario,
-        betas=tuple(float(b) for b in betas),
-        delta=tuple(float(d) for d in delta),
-        grid=GridSpec(**grid_kwargs),
-        delta_sign=int(delta_sign),
-        analytic_limit=analytic_limit,
-        direction_a=dir_vals["a"],
-        direction_b=dir_vals["b"],
-        seed=seed,
-    )
+    if config.scenario == "both_bell_correlations" and config.betas[-1] >= TRANSVERSE_BETA_MAX:
+        for key, v in zip(Directions._fields, config.directions):
+            if v[0] == 0:
+                _fail(f"directions.{key}", f"transverse, sign undefined at beta >= {TRANSVERSE_BETA_MAX}")
+    return config
 
 
 def load_config(path: str) -> SweepConfig:
@@ -298,7 +268,7 @@ def load_config(path: str) -> SweepConfig:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text is UTF-8
+    except (ValueError, RecursionError) as exc:  # not UTF-8 JSON, too long an int, too deep
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return parse_config(doc)
 
@@ -351,8 +321,8 @@ def _sweep_columns(config: SweepConfig, delta: np.ndarray) -> dict:
 
     if config.scenario == "both_bell_correlations":
         em = EntangledMomentum(delta, config.delta_sign)
-        a = ObservableDirection(np.array(config.direction_a))
-        b_dir = ObservableDirection(np.array(config.direction_b))
+        a = ObservableDirection(np.array(config.directions.a))
+        b_dir = ObservableDirection(np.array(config.directions.b))
         cols["qcorr"] = quantum_correlation(a, b_dir, em, bell_phi_plus(), b, base_grid)
         try:
             cols["ccorr"] = np.full(np.shape(cols["qcorr"]), classical_correlation(a, b_dir))
@@ -387,6 +357,14 @@ def run(config: SweepConfig, workers: int = 1) -> list[SweepRow]:
     return rows
 
 
+def _write(path: str, text: str, what: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise OSError(f"cannot write {what} {path}: {exc}") from exc
+
+
 def _format_value(x) -> str:
     if x is None:
         return ""
@@ -397,27 +375,19 @@ def emit(rows: list[SweepRow], fmt: str, path: str | None) -> str:
     """Serialise rows as CSV (fixed header) or JSON; returns the text emitted."""
     if not rows:
         raise ValueError("no rows to emit")
-    names = SweepRow._fields
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(names)
+        writer.writerow(SweepRow._fields)
         for row in rows:
             writer.writerow([_format_value(x) for x in row])
         text = buf.getvalue()
     elif fmt == "json":
-        payload = [
-            {n: (None if x is None else float(x)) for n, x in zip(names, r)} for r in rows
-        ]
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json.dumps([row._asdict() for row in rows], indent=2) + "\n"
     else:
         raise ValueError(f"unknown format {fmt!r}")
     if path is not None:
-        try:
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise OSError(f"cannot write output {path}: {exc}") from exc
+        _write(path, text, "output")
     return text
 
 
@@ -452,11 +422,7 @@ def emit_plotscript(rows: list[SweepRow], path: str, csv_path: str) -> str:
     lines.append("plot \\")
     lines.append(", \\\n".join("  " + s for s in series))
     text = "\n".join(lines) + "\n"
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise OSError(f"cannot write plot script {path}: {exc}") from exc
+    _write(path, text, "plot script")
     return text
 
 
@@ -479,7 +445,8 @@ def _cmd_validate(args) -> int:
 
 def _cmd_limits(_args) -> int:
     """Print the light-speed benchmark table, computed through the pipeline."""
-    grid = build_grid(32, 32, default_p_max(1.0))
+    gs = parse_config({}).grid
+    grid = build_grid(gs.n_r, gs.n_theta, gs.resolve_p_max(1.0))
     v = bell_ABCD(GaussianProduct(1.0), Boost(0.0), grid, analytic_limit=True)
     spectrum = _bell_pt_spectrum(v)
     E = negativity_measure(spectrum)

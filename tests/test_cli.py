@@ -42,6 +42,12 @@ from relent.wavepacket import GaussianProduct, build_grid, default_p_max
 #: the largest fixed grid.p_max a config may set: the auto policy's largest cutoff
 P_MAX_CAP = default_p_max(DELTA_MAX, BETA_CAP)
 
+#: config documents, each with its exact ``relent validate`` output: the golden
+#: configs, ``{}``, the seed-0 benchmark configs and odd but valid forms
+CANONICAL = json.loads(
+    (Path(__file__).resolve().parent / "data" / "canonical_configs.json").read_text(encoding="utf-8")
+)
+
 #: the output columns, in order; an empty cell means "not produced by the scenario"
 CSV_HEADER = (
     "beta,delta,fidelity,E,min_pt_eig,A,B,C,D,eta,"
@@ -217,8 +223,11 @@ class TestConfigParsing:
         assert parse_config({"delta": 2.0}).delta == (2.0,)
 
     def test_round_trip(self):
-        cfg = parse_config({"scenario": "fidelity_only", "betas": [0.0, 0.5], "seed": 7})
-        assert parse_config(cfg.to_json_dict()) == cfg
+        docs = [{"scenario": "fidelity_only", "betas": [0.0, 0.5], "seed": 7}]
+        for doc in docs + [case["config"] for case in CANONICAL]:
+            cfg = parse_config(doc)
+            assert parse_config(cfg.to_json_dict()) == cfg, doc
+            assert parse_config(json.loads(json.dumps(cfg.to_json_dict()))) == cfg, doc
 
 
 #: every module-level binding of a Wigner-angle function that a sweep calls: the
@@ -676,6 +685,23 @@ class TestMainEntry:
             err = capsys.readouterr().err
             assert err.startswith("config error: ") and "utf-8" in err, err
 
+    @pytest.mark.parametrize("case", CANONICAL)
+    def test_validate_output_is_pinned(self, tmp_path, capsys, case):
+        assert main(["validate", "--config", write_config(tmp_path, case["config"])]) == EXIT_OK
+        assert capsys.readouterr().out == case["validate"]
+
+    def test_json_past_interpreter_limits_is_config_error(self, tmp_path, capsys):
+        # json.load rejects an integer past the interpreter's digit limit with a
+        # ValueError, which used to reach main as a numeric error (exit 3), and
+        # nesting past the recursion limit with a RecursionError (a traceback)
+        path = tmp_path / "big.json"
+        for text in ('{"seed": ' + "9" * (sys.get_int_max_str_digits() + 1) + "}",
+                     '{"seed": ' + "[" * 100000 + "]" * 100000 + "}"):
+            path.write_text(text)
+            for command in ("validate", "run"):
+                assert main([command, "--config", str(path)]) == EXIT_CONFIG
+                assert capsys.readouterr().err.startswith("config error: ")
+
     def test_validate_ok(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, {"betas": [0.0, 0.5]})
         assert main(["validate", "--config", cfg_path]) == EXIT_OK
@@ -797,7 +823,12 @@ class TestMainEntry:
         )
         out_path = str(tmp_path / "no_such_dir" / "x.csv")
         assert main(["run", "--config", cfg_path, "--output", out_path]) == EXIT_IO
-        assert "io error" in capsys.readouterr().err
+        assert f"io error: cannot write output {out_path}" in capsys.readouterr().err
+        # the CSV is written, the plot script is not
+        out_path, plot_path = str(tmp_path / "x.csv"), str(tmp_path / "no_such_dir" / "x.gp")
+        argv = ["run", "--config", cfg_path, "--output", out_path, "--plot", plot_path]
+        assert main(argv) == EXIT_IO
+        assert f"io error: cannot write plot script {plot_path}" in capsys.readouterr().err
 
     def test_limits_table(self, capsys):
         assert main(["limits"]) == EXIT_OK
