@@ -10,8 +10,11 @@ then one pass under ``tracemalloc``.  For each kernel the table gives its calls
 per pass, the time and the minor page faults (``resource.getrusage(...)
 .ru_minflt``) of the first pass and the median of the warm ones, the largest
 ``tracemalloc`` peak of one call above the memory held when it was entered,
-and how far the first pass's calls raised the process's peak RSS
-(``ru_maxrss``, KiB; the kernel counts it in coarse steps).  The first line
+how far the first pass's calls raised the process's peak RSS
+(``ru_maxrss``, KiB; the kernel counts it in coarse steps), and how far they
+raised its file-backed and its anonymous resident memory (``RssFile`` and
+``RssAnon`` of ``/proc/self/status``, KiB): file-backed growth is library code
+paged in on first use, anonymous growth is heap and array pages.  The first line
 gives the peak RSS after the first pass beside its faults.  A kernel's
 numbers include the kernels it calls: ``xstate_stats`` and
 ``quantum_correlation`` call ``reduced_spin_density``, ``build_grid`` calls
@@ -38,7 +41,7 @@ KERNELS = ("gauss_legendre", "build_grid", "fidelity", "bell_ABCD", "default_sam
 MODULES = ("relent", "relent.wavepacket", "relent.relstate", "relent.entanglement",
            "relent.correlations", "relent.cli")
 
-_stats = {}  # kernel -> [calls, seconds, faults, peak bytes, peak RSS growth KiB] of a pass
+_stats = {}  # kernel -> [calls, seconds, faults, peak bytes, peak RSS, file, anon growth KiB]
 _open = []  # absolute tracemalloc peaks of the calls in progress, before their callees reset it
 
 
@@ -51,6 +54,13 @@ def _peak_rss() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
 
+def _rss_split() -> tuple:
+    """(file-backed, anonymous) resident memory of this process now, in KiB."""
+    with open("/proc/self/status", "rb") as fh:
+        fields = dict(line.split(b":") for line in fh if line.startswith((b"RssFile", b"RssAnon")))
+    return int(fields[b"RssFile"].split()[0]), int(fields[b"RssAnon"].split()[0])
+
+
 def _wrap(name, fn):
     def profiled(*args, **kwargs):
         tracing = tracemalloc.is_tracing()
@@ -60,16 +70,20 @@ def _wrap(name, fn):
                 _open[-1] = max(_open[-1], peak)
             _open.append(base)
             tracemalloc.reset_peak()
-        rss, faults, start = _peak_rss(), _faults(), time.perf_counter()
+        (file, anon), rss = _rss_split(), _peak_rss()
+        faults, start = _faults(), time.perf_counter()
         try:
             return fn(*args, **kwargs)
         finally:
             seconds, faults = time.perf_counter() - start, _faults() - faults
-            row = _stats.setdefault(name, [0, 0.0, 0, 0, 0])
+            row = _stats.setdefault(name, [0, 0.0, 0, 0, 0, 0, 0])
             row[0] += 1
             row[1] += seconds
             row[2] += faults
             row[4] += _peak_rss() - rss
+            file_now, anon_now = _rss_split()
+            row[5] += file_now - file
+            row[6] += anon_now - anon
             if tracing:
                 top = max(_open.pop(), tracemalloc.get_traced_memory()[1])
                 row[3] = max(row[3], top - base)
@@ -146,13 +160,13 @@ def main(paths) -> int:
           f"warm {median(w[0] for w in warm) * 1e3:.2f} ms, "
           f"{median(w[1] for w in warm):.0f} faults (median of {WARM_PASSES})")
     header = ("kernel", "calls", "first ms", "warm ms", "first faults", "warm faults",
-              "peak KiB", "first RSS KiB")
+              "peak KiB", "first RSS KiB", "RssFile KiB", "RssAnon KiB")
     print(f"{header[0]:36s}" + "".join(f"{h:>14s}" for h in header[1:]))
-    for name, (calls, seconds, faults, _, rss) in first[2].items():
+    for name, (calls, seconds, faults, _, rss, file, anon) in first[2].items():
         cells = (f"{calls:d}", f"{seconds * 1e3:.3f}",
                  f"{median(w[2][name][1] for w in warm) * 1e3:.3f}", f"{faults:d}",
                  f"{median(w[2][name][2] for w in warm):.0f}", f"{traced[name][3] / 1024:.0f}",
-                 f"{rss:d}")
+                 f"{rss:d}", f"{file:d}", f"{anon:d}")
         print(f"{name:36s}" + "".join(f"{c:>14s}" for c in cells))
     for path in paths:
         code, rss = cold_run_rss(path)

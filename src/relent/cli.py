@@ -262,10 +262,19 @@ def parse_config(doc: dict) -> SweepConfig:
     return config
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict, rejecting a repeated key, of which ``dict`` keeps the last value."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        keys = [key for key, _ in pairs]
+        _fail(next(key for i, key in enumerate(keys) if key in keys[:i]), "repeated key")
+    return doc
+
+
 def load_config(path: str) -> SweepConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # not UTF-8 JSON, too long an int, too deep

@@ -186,31 +186,31 @@ def bell_ABCD(
     sin^2(theta)/(1 + tau cos(theta)), tau = 2t/(1 + t^2): one buffer holds 1/(1 + tau
     cos(theta)) on a tile of the (cell, cos(theta)) lattice, the polar weights fold in
     sin^2(theta) and t^2/(1 + t^2) scales the polar sums; the norm is checked per radial rule.
-    ``analytic_limit`` substitutes Omega := theta, which is t = 1 on the same lattice.
+    ``analytic_limit`` substitutes Omega := theta, where s2 = norm/2 exactly, with no lattice.
     """
     if not isinstance(dist, GaussianProduct):
         raise TypeError("bell_ABCD requires a product momentum distribution")
     w = (grid.radial_weights * dist.density1(grid.p**2))[..., 0]
     ct, polar = grid.costheta, grid.polar_weights
     norm = np.sum(w, axis=-1) * np.sum(polar)
-    worst = np.ravel(norm)[np.argmax(np.abs(np.ravel(norm) - 1.0))]  # argmax takes a NaN first
-    if not (abs(worst - 1.0) <= 1e-4):
+    if not np.all(np.abs(norm - 1.0) <= 1e-4):  # a NaN fails
+        worst = np.ravel(norm)[np.argmax(np.abs(np.ravel(norm) - 1.0))]  # argmax takes a NaN first
         raise GridCoverageError(
             f"bell_ABCD: distribution norm on the grid is {worst:.6f}; grid coverage insufficient"
         )
 
-    if analytic_limit:  # Omega = theta is t = 1, as tan(theta/2) = sin(theta)/(1 + cos(theta))
-        t = np.ones(np.broadcast_shapes(grid.p.shape, b.nodewise().beta.shape))
+    if analytic_limit:  # Omega = theta: sin^2(theta/2) = (1 - cos(theta))/2 averages to 1/2
+        s2 = np.broadcast_to(0.5 * norm, np.broadcast_shapes(np.shape(norm), np.shape(b.beta)))
     else:
         t = wigner_tan_product(grid.p, b.nodewise().beta)
-    t_sq = t * t
+        t_sq = t * t
 
-    def fill(tau, lattice):  # 1/(1 + tau cos(theta))
-        np.multiply(tau, ct, out=lattice)
-        lattice += 1.0
-        return np.reciprocal(lattice, out=lattice)
-    polar_sum = _tiled(fill, 1, (polar * (1.0 - ct * ct),), 2.0 * t / (1.0 + t_sq))[0]
-    s2 = np.sum(w * (t_sq / (1.0 + t_sq) * polar_sum)[..., 0], axis=-1)
+        def fill(tau, lattice):  # 1/(1 + tau cos(theta))
+            np.multiply(tau, ct, out=lattice)
+            lattice += 1.0
+            return np.reciprocal(lattice, out=lattice)
+        polar_sum = _tiled(fill, 1, (polar * (1.0 - ct * ct),), 2.0 * t / (1.0 + t_sq))[0]
+        s2 = np.sum(w * (t_sq / (1.0 + t_sq) * polar_sum)[..., 0], axis=-1)
     c2, C = norm - s2, 0.5 * s2**2
     return ABCDValues(A=c2**2 + C, B=c2 * s2, C=C, D=c2 * s2, eta=2.0 * s2 / norm)
 
@@ -225,6 +225,9 @@ def xstate_pt_spectrum(diag, rho03, rho12):
     The margins are the blocks' negated determinants, margin_corner = |rho03|^2 -
     rho11 rho22 and margin_middle = |rho12|^2 - rho00 rho33; a positive margin
     is a negative PT eigenvalue, i.e. entanglement (Peres, PRL 77, 1413 (1996)).
+    Each block gives an ordered pair (lo, hi), and the two pairs merge by min and
+    max: (min(lo1, lo2), min(m1, m2), max(m1, m2), max(hi1, hi2)) with m1 =
+    max(lo1, lo2) and m2 = min(hi1, hi2), the order ``np.sort`` gives, with no sort.
     """
     d = np.moveaxis(np.asarray(diag, dtype=float), -1, 0)
     c03, c12 = np.abs(rho03), np.abs(rho12)
@@ -232,7 +235,10 @@ def xstate_pt_spectrum(diag, rho03, rho12):
     for x, y, c in ((d[0], d[3], c12), (d[1], d[2], c03)):
         mean, radius = (x + y) / 2.0, np.hypot((x - y) / 2.0, c)
         eigenvalues += [mean - radius, mean + radius]
-    spectrum = np.sort(np.stack(eigenvalues, axis=-1), axis=-1)
+    lo1, hi1, lo2, hi2 = eigenvalues
+    m1, m2 = np.maximum(lo1, lo2), np.minimum(hi1, hi2)
+    spectrum = np.stack((np.minimum(lo1, lo2), np.minimum(m1, m2), np.maximum(m1, m2),
+                         np.maximum(hi1, hi2)), axis=-1)
     return spectrum, c03**2 - d[1] * d[2], c12**2 - d[0] * d[3]
 
 

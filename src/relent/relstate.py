@@ -240,10 +240,11 @@ def momentum_density_samples(state: BipartiteState, b: Boost, grid: QuadratureGr
 
     # <Phi|A x B|Phi> = sum_mn T_mn a_m b_n and its marginals sum_m T_m0 a_m and sum_n T_0n b_n
     # as (real, imaginary) parts, each summed over T's nonzero entries alone
-    parts = T.real, T.imag
-    spin_sum = [sum(t[m, n] * qa[m] * qb[n] for m, n in zip(*np.nonzero(t))) for t in parts]
-    spin_a = [sum(t[m, 0] * qa[m] for m in np.flatnonzero(t[:, 0])) for t in parts]
-    spin_b = [sum(t[0, n] * qb[n] for n in np.flatnonzero(t[0])) for t in parts]
+    parts = T.real.tolist(), T.imag.tolist()
+    spin_sum = [sum(v * qa[m] * qb[n] for m, row in enumerate(t) for n, v in enumerate(row) if v)
+                for t in parts]
+    spin_a = [sum(row[0] * qa[m] for m, row in enumerate(t) if row[0]) for t in parts]
+    spin_b = [sum(v * qb[n] for n, v in enumerate(t[0]) if v) for t in parts]
 
     scale = np.sqrt(np.prod(energy_ratio(x, np.sqrt(1.0 + p_sq), nb), axis=-2))
     scale *= np.prod(dist.amplitude1(p_sq), axis=-2)

@@ -143,22 +143,24 @@ def gauss_legendre(n: int) -> tuple:
 
     Newton in theta on the cosine series P_n(cos(theta)) = sum_k a_k a_{n-k}
     cos((n - 2k) theta), a_k = C(2k, k) / 4^k, its products of exact integers
-    rounded once (Swarztrauber, SIAM J. Sci. Comput. 24, 945 (2002)): four steps
-    from theta_k = pi (4k - 1) / (4n + 2) with Tricomi's correction converge for
-    every n up to 1,024, and a fifth evaluation gives the weights 2 / (dP/dtheta)^2
-    and corrects the nodes cos(theta) for theta's rounding.  One half is computed
-    and mirrored, so the rule is exactly symmetric.  No eigensolve or matrix
-    product is involved.  The arrays are shared between callers, so they are read-only.
+    rounded once (Swarztrauber, SIAM J. Sci. Comput. 24, 945 (2002)): four steps from
+    Tricomi's guess in theta, phi_k + (n - 1)/(8 n^3) cot(phi_k), phi_k = pi (4k - 1)/(4n + 2),
+    converge for every n up to 1,024, and a fifth evaluation gives the weights 2 / (dP/dtheta)^2
+    and corrects the nodes cos(theta) for theta's rounding.  The phases m theta are formed
+    from Dekker's exact split of theta into a head of at most 26 bits and a tail, so none is
+    rounded.  One half is computed and mirrored, so the rule is exactly symmetric.  No
+    eigensolve or matrix product is involved.  The arrays are shared, so they are read-only.
     """
     m = np.arange(n, -1, -2.0)
     c = np.array([comb(2 * k, k) * comb(2 * (n - k), n - k) / 4**n for k in range(n // 2 + 1)])
     c[m > 0] *= 2.0
-    k = np.arange(1, (n + 1) // 2 + 1)
-    theta = np.arccos((1.0 - (n - 1) / (8.0 * n**3)) * np.cos(np.pi * (4 * k - 1) / (4 * n + 2)))
+    phi = np.pi * (4 * np.arange(1, (n + 1) // 2 + 1) - 1) / (4 * n + 2)
+    theta = phi + (n - 1) / (8.0 * n**3) * (np.cos(phi) / np.sin(phi))
     for _ in range(5):
-        # theta = hi + lo with hi rounded to 24 bits: m hi is exact and m lo tiny, so the
-        # phases m theta carry no rounding error, which at m theta ~ 1e3 costs weights 1e-12
-        hi = theta.astype(np.float32).astype(float)
+        # Dekker's split theta = hi + lo, hi of at most 26 bits: m hi is exact for m <= 1,024
+        # and m lo tiny, so no phase is rounded (rounded phases at m theta ~ 1e3 cost weights 1e-12)
+        hi = theta * (2.0**27 + 1.0)
+        hi -= hi - theta
         a, b = np.multiply.outer(hi, m), np.multiply.outer(theta - hi, m)
         cos_a, sin_a, cos_b, sin_b = np.cos(a), np.sin(a), np.cos(b), np.sin(b)
         p = np.sum((cos_a * cos_b - sin_a * sin_b) * c, axis=-1)

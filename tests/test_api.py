@@ -1,4 +1,5 @@
-"""Every name in a module's ``__all__`` exists in that module, and no module calls BLAS or LAPACK."""
+"""Every name in a module's ``__all__`` exists in that module, and no module calls BLAS or LAPACK
+or a numpy kernel family that only one call site of the sweep would page in."""
 
 import ast
 import importlib
@@ -40,3 +41,30 @@ def test_no_blas_or_lapack_calls():
         assert list(_blas_uses(ast.parse(path.read_text(encoding="utf-8")))) == [], path.name
     probe = "a @ b; a @= b; np.dot(a, b); x.matmul(y); np.linalg.norm(v)"
     assert list(_blas_uses(ast.parse(probe))) == [1] * 5  # the check sees each form
+
+
+#: numpy kernel families that a cold sweep pages in on first use (x86-simd-sort alone is
+#: 192-256 KiB of code) and that one call site each used, where plain arithmetic serves
+_SINGLE_USE_KERNELS = {"sort", "argsort", "arccos", "float32", "nonzero", "flatnonzero"}
+
+
+def _single_use_kernels(tree):
+    """Line numbers of the names in ``_SINGLE_USE_KERNELS``, as attributes, names, imports or
+    dtype strings, in a module's syntax tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name.rpartition(".")[2] for alias in node.names]
+        else:
+            names = [getattr(node, "attr", None) or getattr(node, "id", None)
+                     or getattr(node, "value", None)]
+        if any(isinstance(name, str) and name in _SINGLE_USE_KERNELS for name in names):
+            yield node.lineno
+
+
+def test_no_single_use_numpy_kernels():
+    for path in sorted(Path(relent.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert list(_single_use_kernels(tree)) == [], path.name
+    probe = ("np.sort(a); a.argsort(); arccos(x); x.astype(np.float32); x.astype('float32'); "
+             "from numpy import nonzero; np.flatnonzero(m); sorted(v)")
+    assert list(_single_use_kernels(ast.parse(probe))) == [1] * 7  # each form, not sorted()

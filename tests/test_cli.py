@@ -685,6 +685,24 @@ class TestMainEntry:
             err = capsys.readouterr().err
             assert err.startswith("config error: ") and "utf-8" in err, err
 
+    def test_repeated_key_is_config_error(self, tmp_path, capsys):
+        # json.load alone keeps the last value: this document used to validate with
+        # seed 7 and grid.n_r 32, dropping the n_r of 8 without a word
+        path = tmp_path / "repeated.json"
+        for text, key in (
+            ('{"scenario": "fidelity_only", "betas": [0.5], "seed": 1, "seed": 7, '
+             '"grid": {"n_r": 8}, "grid": {"n_theta": 8}}', "seed"),
+            ('{"betas": [0.5], "grid": {"n_r": 8}, "grid": {"n_theta": 8}}', "grid"),
+            ('{"betas": [0.5], "grid": {"n_r": 8, "n_theta": 8, "n_r": 16}}', "n_r"),
+            ('{"directions": {"a": [1, 0, 0], "b": [0, 1, 0], "a": [0, 0, 1]}}', "a"),
+        ):
+            path.write_text(text)
+            for command in ("validate", "run"):
+                assert main([command, "--config", str(path)]) == EXIT_CONFIG
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err == f"config error: config field '{key}': repeated key\n"
+
     @pytest.mark.parametrize("case", CANONICAL)
     def test_validate_output_is_pinned(self, tmp_path, capsys, case):
         assert main(["validate", "--config", write_config(tmp_path, case["config"])]) == EXIT_OK

@@ -422,10 +422,11 @@ class TestBellABCD:
         assert v.D == pytest.approx(0.25, abs=1e-9)
         assert v.eta == pytest.approx(1.0, abs=1e-9)
 
-    def test_analytic_limit_is_t_one_on_the_lattice(self, monkeypatch):
-        # Omega = theta is t = 1 on the lattice, with no Wigner-angle evaluation
+    def test_analytic_limit_is_closed_form(self, monkeypatch):
+        # Omega = theta gives s2 = norm/2, with no Wigner-angle evaluation and no lattice
         calls = []
         monkeypatch.setattr(entanglement, "wigner_tan_product", lambda *args: calls.append(args))
+        monkeypatch.setattr(entanglement, "_tiled", lambda *args: calls.append(args))
         widths = np.array([[0.5], [1.0], [4.0]])
         betas = np.array([0.05 * i for i in range(20)] + [0.99])
         grid = build_grid(32, 32, default_p_max(widths))
@@ -634,6 +635,26 @@ class TestXStatePTSpectrum:
     def test_matches_eigensolve_on_random_xstates(self, x):
         spectrum, rho = assert_matches_eigensolve(*x, atol=1e-14)
         assert_negativity_within_concurrence(spectrum, rho, atol=1e-14)
+
+    def test_order_is_np_sort_bit_for_bit(self):
+        # the min/max merge of the blocks' (lo, hi) pairs against np.sort of the four
+        # eigenvalues, on finite X-states, every other one drawn from quarters so that
+        # eigenvalues tie within and across the blocks
+        rng = np.random.default_rng(2024)
+        n = 4096
+        diag = rng.uniform(-1.0, 1.0, (n, 4))
+        coherences = rng.uniform(0.0, 1.0, (n, 2)) * np.exp(2j * np.pi * rng.uniform(size=(n, 2)))
+        quarters = rng.integers(0, 4, (n, 6)) / 4.0
+        diag[::2], coherences[::2] = quarters[::2, :4], quarters[::2, 4:]
+        rho03, rho12 = coherences.T
+        eigenvalues = []
+        for x, y, c in ((diag[:, 0], diag[:, 3], rho12), (diag[:, 1], diag[:, 2], rho03)):
+            mean, radius = (x + y) / 2.0, np.hypot((x - y) / 2.0, np.abs(c))
+            eigenvalues += [mean - radius, mean + radius]
+        want = np.sort(np.stack(eigenvalues, axis=-1), axis=-1)
+        assert np.sum(want[:, 1:] == want[:, :-1]) > n // 16  # ties are drawn
+        spectrum = xstate_pt_spectrum(diag, rho03, rho12)[0]
+        assert np.array_equal(spectrum.view(np.uint64), want.view(np.uint64))
 
 
 

@@ -53,10 +53,13 @@ def test_cold_profile_runs(tmp_path):
              "relstate.momentum_density_samples": 1, "entanglement.xstate_stats": 1,
              "relstate.reduced_spin_density": 1, "wavepacket.build_grid": 3}
     for kernel, n in calls.items():
-        count, first_ms, warm_ms, first_faults, warm_faults, peak_kib, rss_kib = rows[kernel]
+        (count, first_ms, warm_ms, first_faults, warm_faults, peak_kib, rss_kib, file_kib,
+         anon_kib) = rows[kernel]
         assert int(count) == n and float(first_ms) > 0.0 and float(warm_ms) > 0.0
         assert int(first_faults) >= 0 and float(warm_faults) >= 0.0 and float(peak_kib) >= 0.0
         assert int(rss_kib) >= 0
+        # resident memory can also shrink during a call
+        assert re.fullmatch(r"-?\d+", file_kib) and re.fullmatch(r"-?\d+", anon_kib)
     # the sampler allocates its two results, so its traced peak cannot read 0
     assert float(rows["relstate.momentum_density_samples"][5]) > 0.0
     # then one cold `relent run` process per config, measured by its peak RSS
