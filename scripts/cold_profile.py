@@ -17,10 +17,11 @@ raised its file-backed and its anonymous resident memory (``RssFile`` and
 paged in on first use, anonymous growth is heap and array pages.  The first line
 gives the peak RSS after the first pass beside its faults.  A kernel's
 numbers include the kernels it calls: ``xstate_stats`` and
-``quantum_correlation`` call ``reduced_spin_density``, ``build_grid`` calls
-``gauss_legendre``.  A last line per config gives the peak RSS (``ru_maxrss``
-from ``os.wait4``) of one cold ``python3 -m relent.cli run`` process on it, as the
-benchmark's ``peak_rss_mb`` measures it.
+``quantum_correlation`` call ``reduced_spin_density``, ``fidelity`` calls
+``build_grid`` and ``build_grid`` calls ``gauss_legendre``.  A last line per
+config gives the peak RSS (``ru_maxrss`` from ``os.wait4``) of one cold
+``python3 -m relent.cli run`` process on it, as the benchmark's
+``peak_rss_mb`` measures it.
 """
 
 import importlib

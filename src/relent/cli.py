@@ -105,11 +105,7 @@ class GridSpec(NamedTuple):
     n_r: int
     n_theta: int
     n_phi: int  # accepted for old configs; the azimuth is averaged in closed form
-    p_max: object  # "auto" or a positive number
-
-    def resolve_p_max(self, delta):
-        """Lab-frame radial cutoff of each width: the policy's at rest, or the fixed one."""
-        return default_p_max(delta) if self.p_max == "auto" else float(self.p_max)
+    p_max: object  # "auto" (the policy's cutoff at rest, per width) or a positive number
 
 
 class Directions(NamedTuple):
@@ -201,8 +197,14 @@ def _direction(name: str, v) -> tuple:
     return tuple(float(x) / norm for x in v)
 
 
+class _Repeats(dict):
+    """A JSON object that repeats ``key``, of which ``dict`` keeps only the last value."""
+
+
 def _fields(prefix: str, doc: dict, table: dict, record: type) -> tuple:
     """``record`` of ``table``'s fields: each one in ``doc`` checked, each other its default."""
+    if isinstance(doc, _Repeats):
+        _fail(prefix + doc.key, "repeated key")
     unknown = doc.keys() - table.keys()
     if unknown:
         _fail(prefix + min(unknown), "unknown field")
@@ -263,11 +265,12 @@ def parse_config(doc: dict) -> SweepConfig:
 
 
 def _unique_keys(pairs: list) -> dict:
-    """A JSON object as a dict, rejecting a repeated key, of which ``dict`` keeps the last value."""
+    """A JSON object as a dict, marked if it repeats a key, which ``_fields`` names by its path."""
     doc = dict(pairs)
     if len(doc) < len(pairs):
         keys = [key for key, _ in pairs]
-        _fail(next(key for i, key in enumerate(keys) if key in keys[:i]), "repeated key")
+        doc = _Repeats(doc)
+        doc.key = next(key for i, key in enumerate(keys) if key in keys[:i])
     return doc
 
 
@@ -292,37 +295,35 @@ def _bell_pt_spectrum(v: ABCDValues) -> np.ndarray:
 def _sweep_columns(config: SweepConfig, delta: np.ndarray) -> dict:
     """The scenario's columns for the widths ``delta`` (n, 1) and every beta, each (n, n_beta).
 
-    Each kernel is called once; the lattice has one cutoff per width
-    (``GridSpec.resolve_p_max``), the fidelity lattice the auto policy's cutoff
-    of each (width, beta) cell, whatever ``grid.p_max`` says.
+    Each kernel is called once, on one grid with a cutoff per width, the fixed ``grid.p_max``
+    or the policy's at rest; ``fidelity`` takes its rules and its own cutoff per cell.
     """
     gs = config.grid
     b = Boost(np.array(config.betas))
+    grid = build_grid(gs.n_r, gs.n_theta, default_p_max(delta) if gs.p_max == "auto" else gs.p_max)
     cols = {}
     if config.scenario in ("spin_bell_momentum_product", "fidelity_only"):
         gp = GaussianProduct(delta)
         if not config.analytic_limit:
-            fid_grid = build_grid(gs.n_r, gs.n_theta, default_p_max(delta, b.beta))
-            cols["fidelity"] = fidelity(gp, b, fid_grid)
+            cols["fidelity"] = fidelity(gp, b, grid)
         if config.scenario == "fidelity_only":
             return cols
 
-    base_grid = build_grid(gs.n_r, gs.n_theta, gs.resolve_p_max(delta))
     if config.scenario == "spin_bell_momentum_product":
-        v = bell_ABCD(gp, b, base_grid, analytic_limit=config.analytic_limit)
+        v = bell_ABCD(gp, b, grid, analytic_limit=config.analytic_limit)
         cols.update(A=v.A, B=v.B, C=v.C, D=v.D, eta=v.eta)
         spectrum = _bell_pt_spectrum(v)
         cols.update(min_pt_eig=spectrum[..., 0], E=negativity_measure(spectrum))
         if not config.analytic_limit:
             pairs = default_sample_pairs(gp, n=64, seed=config.seed)
             state = BipartiteState(gp, bell_phi_plus())
-            sample = momentum_density_samples(state, b, base_grid, pairs)
+            sample = momentum_density_samples(state, b, grid, pairs)
             cols["product_distance"] = product_distance(*sample)
         return cols
 
     if config.scenario == "momentum_bell_spin_up":
         em = EntangledMomentum(delta, config.delta_sign)
-        entries = xstate_stats(em, b, base_grid)
+        entries = xstate_stats(em, b, grid)
         spectrum, cols["ineq15_margin"], cols["ineq16_margin"] = xstate_pt_spectrum(*entries)
         cols["identity14_residual"] = product_residual(entries[0])
         cols.update(min_pt_eig=spectrum[..., 0], E=negativity_measure(spectrum))
@@ -332,7 +333,7 @@ def _sweep_columns(config: SweepConfig, delta: np.ndarray) -> dict:
         em = EntangledMomentum(delta, config.delta_sign)
         a = ObservableDirection(np.array(config.directions.a))
         b_dir = ObservableDirection(np.array(config.directions.b))
-        cols["qcorr"] = quantum_correlation(a, b_dir, em, bell_phi_plus(), b, base_grid)
+        cols["qcorr"] = quantum_correlation(a, b_dir, em, bell_phi_plus(), b, grid)
         try:
             cols["ccorr"] = np.full(np.shape(cols["qcorr"]), classical_correlation(a, b_dir))
         except ValueError:
@@ -375,9 +376,7 @@ def _write(path: str, text: str, what: str) -> None:
 
 
 def _format_value(x) -> str:
-    if x is None:
-        return ""
-    return format(float(x), ".17g")
+    return "" if x is None else format(float(x), ".17g")
 
 
 def emit(rows: list[SweepRow], fmt: str, path: str | None) -> str:
@@ -388,8 +387,7 @@ def emit(rows: list[SweepRow], fmt: str, path: str | None) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(SweepRow._fields)
-        for row in rows:
-            writer.writerow([_format_value(x) for x in row])
+        writer.writerows([_format_value(x) for x in row] for row in rows)
         text = buf.getvalue()
     elif fmt == "json":
         text = json.dumps([row._asdict() for row in rows], indent=2) + "\n"
@@ -407,29 +405,17 @@ def emit_plotscript(rows: list[SweepRow], path: str, csv_path: str) -> str:
     absent from every row are left out.  ``csv_path`` is written in gnuplot
     single quotes, inside which a quote is doubled.
     """
-    deltas = sorted({row.delta for row in rows})
     quoted = "'" + csv_path.replace("'", "''") + "'"
-    have_E = any(row.E is not None for row in rows)
-    have_F = any(row.fidelity is not None for row in rows)
-    lines = [
-        "set datafile separator ','",
-        "set key outside",
-        "set xlabel 'beta'",
-        "set ylabel 'value'",
-        "set yrange [-0.05:1.05]",
-    ]
-    series = []
-    for d in deltas:
-        for present, col, label in ((have_E, 4, "E"), (have_F, 3, "F")):
-            if present:
-                series.append(
-                    f"{quoted} using 1:(column(2)=={_format_value(d)} ? column({col}) : 1/0) "
-                    f"with linespoints title '{label} delta={_format_value(d)}'"
-                )
+    columns = [(col, label) for col, label, name in ((4, "E", "E"), (3, "F", "fidelity"))
+               if any(getattr(row, name) is not None for row in rows)]
+    series = [f"  {quoted} using 1:(column(2)=={d} ? column({col}) : 1/0) "
+              f"with linespoints title '{label} delta={d}'"
+              for d in map(_format_value, sorted({row.delta for row in rows}))
+              for col, label in columns]
     if not series:
         raise ValueError("rows contain neither a measure nor a fidelity column")
-    lines.append("plot \\")
-    lines.append(", \\\n".join("  " + s for s in series))
+    lines = ["set datafile separator ','", "set key outside", "set xlabel 'beta'",
+             "set ylabel 'value'", "set yrange [-0.05:1.05]", "plot \\", ", \\\n".join(series)]
     text = "\n".join(lines) + "\n"
     _write(path, text, "plot script")
     return text
@@ -455,7 +441,7 @@ def _cmd_validate(args) -> int:
 def _cmd_limits(_args) -> int:
     """Print the light-speed benchmark table, computed through the pipeline."""
     gs = parse_config({}).grid
-    grid = build_grid(gs.n_r, gs.n_theta, gs.resolve_p_max(1.0))
+    grid = build_grid(gs.n_r, gs.n_theta, default_p_max(1.0))
     v = bell_ABCD(GaussianProduct(1.0), Boost(0.0), grid, analytic_limit=True)
     spectrum = _bell_pt_spectrum(v)
     E = negativity_measure(spectrum)

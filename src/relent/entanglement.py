@@ -36,7 +36,8 @@ import numpy as np
 from relent.kinematics import Boost, wigner_tan_product
 from relent.relstate import BipartiteState, reduced_spin_density, spin_up_up
 from relent.wavepacket import (
-    EntangledMomentum, GaussianProduct, GridCoverageError, QuadratureGrid, default_p_max,
+    EntangledMomentum, GaussianProduct, GridCoverageError, QuadratureGrid, build_grid,
+    default_p_max,
 )
 
 __all__ = [
@@ -118,34 +119,30 @@ def fidelity(dist: GaussianProduct, b: Boost, grid: QuadratureGrid) -> np.ndarra
     is evaluated in closed form.  D = cos(Omega/2) + sin(Omega/2) J(phi) with J
     linear in (cos(phi), sin(phi)), whose azimuthal averages vanish, so M is the
     cos(Omega/2) moment m times the identity, the overlap is m^2 <Phi|Phi> =
-    m^2 for any unit spin amplitude Phi, and the fidelity m^4.  ``grid`` has one
-    cutoff or one per (width, speed) cell, and the result one fidelity per cell.
+    m^2 for any unit spin amplitude Phi, and the fidelity m^4, one per (width, speed) cell.
+
+    Each cell takes ``grid``'s rules, the radial one on the cell's ``default_p_max(delta,
+    beta)``, which leaves out at most 7.42e-7 of the boosted packet; ``grid.p_max`` has no
+    effect, as ``n_phi`` has none.
 
     The integrand comes from e = (Lp)^0 - 1 = e_back + gamma beta p (1 + cos(theta)), e_back
     its value at cos(theta) = -1, so no term of e is negative: |Lp|^2 = e (e + 2), and with
     C = ch(a/2) ch(d/2), S = sh(a/2) sh(d/2), C^2 + S^2 + 2 C S cos(theta) = (2 + e)/2 gives
     sqrt((Lp)^0/p^0) cos(Omega/2) = (1 + t cos(theta)) sqrt((gamma + 1)(p0 + 1)(1 + e) /
     (2 p0 (2 + e))), the last root built in two buffers on each tile of the lattice.
-
-    Raises GridCoverageError where a cell's cutoff is below ``default_p_max``:
-    p's boosted argument leaves a grid of radius P where gamma (E_p - beta p_x)
-    > E_P, a set that shrinks as P grows, so no larger cutoff leaks more.
     """
     if not isinstance(dist, GaussianProduct):
         raise TypeError("fidelity requires a product momentum distribution")
-    cutoff, policy = np.broadcast_arrays(grid.p_max, default_p_max(dist.delta, b.beta))
-    if not np.all(cutoff >= policy):
-        i = np.argmin(cutoff / policy)
-        raise GridCoverageError(
-            f"fidelity: boosted wavepacket leaks past p_max ({cutoff.flat[i]:.17g} is below "
-            f"the auto cutoff {policy.flat[i]:.17g})"
-        )
-
-    nb, p, ct, delta = b.nodewise(), grid.p, grid.costheta, dist.nodes_delta
+    *_, p, ct, radial, polar_w = build_grid(grid.n_r, grid.n_theta,
+                                            default_p_max(dist.delta, b.beta))
+    nb, delta = b.nodewise(), dist.nodes_delta
     beta, gamma, p0 = nb.beta, nb.gamma, np.sqrt(1.0 + p * p)
     r = p / gamma
     back = gamma * (beta - r) * (beta + r) / (beta * p0 + p)  # (Lp)_x at cos(theta) = -1
     back *= back / (gamma * (1.0 + r * r) / (p0 + beta * p) + 1.0)
+    radial = radial * np.exp(-0.5 / delta * (p * p))  # writable; the rule's is read-only
+    radial *= np.sqrt((gamma + 1.0) * (p0 + 1.0) / (2.0 * p0))
+    del r, p0  # the cell arrays the lattice's tiles do not read
 
     def fill(slope, back, scale, e, x):  # exp(-|Lp|^2 / (2 delta)) sqrt((1 + e)/(2 + e)) in x
         np.multiply(slope, 1.0 + ct, out=e)
@@ -159,13 +156,12 @@ def fidelity(dist: GaussianProduct, b: Boost, grid: QuadratureGrid) -> np.ndarra
         np.subtract(1.0, e, out=e)
         x *= np.sqrt(e, out=e)
         return x
-    polar, m_ct = _tiled(fill, 2, (grid.polar_weights, grid.polar_weights * ct),
-                         gamma * beta * p, back, -0.5 / delta)
+    polar, m_ct = _tiled(fill, 2, (polar_w, polar_w * ct), gamma * beta * p, back, -0.5 / delta)
+    del back
     m_ct *= wigner_tan_product(p, beta)
     polar += m_ct
-    radial = grid.radial_weights * np.exp(-0.5 / delta * (p * p))
-    radial = radial * np.sqrt((gamma + 1.0) * (p0 + 1.0) / (2.0 * p0))
-    f = np.square(np.square(dist.norm * np.sum(radial * polar, axis=(-2, -1))))
+    radial *= polar
+    f = np.square(np.square(dist.norm * np.sum(radial, axis=(-2, -1))))
     if not np.all((-1e-9 <= f) & (f <= 1.0 + 1e-9)):
         i = np.argmax(np.maximum(-f, f - 1.0))  # the worst cell; argmax takes a NaN first
         cell = (float(np.broadcast_to(a, f.shape).flat[i]) for a in (f, b.beta, dist.delta))

@@ -26,6 +26,7 @@ import numpy as np
 
 __all__ = [
     "Boost",
+    "lorentz_factor",
     "wigner_tan_product",
     "wigner_half_angle",
     "energy_ratio",
@@ -34,6 +35,11 @@ __all__ = [
 #: beta values above this are rejected; the light-speed physics is reached
 #: through the analytic-limit evaluation mode instead of numerics at beta = 1.
 BETA_CAP = 1.0 - 1e-9
+
+
+def lorentz_factor(beta):
+    """gamma = 1/sqrt((1 - beta)(1 + beta)), which keeps 1 - beta^2's digits near light speed."""
+    return 1.0 / np.sqrt((1.0 - beta) * (1.0 + beta))
 
 
 class Boost:
@@ -47,7 +53,7 @@ class Boost:
 
     @property
     def gamma(self) -> float:
-        return 1.0 / np.sqrt((1.0 - self.beta) * (1.0 + self.beta))
+        return lorentz_factor(self.beta)
 
     def nodewise(self) -> "Boost":
         """The same speeds with two trailing unit axes, broadcasting over a 2D node array."""
@@ -62,7 +68,7 @@ def wigner_tan_product(p, beta):
     angle at polar angle theta then has tan(Omega/2) = t sin(theta) /
     (1 + t cos(theta)).  Broadcast over p and beta only.
     """
-    gamma_b = 1.0 / np.sqrt((1.0 - beta) * (1.0 + beta))
+    gamma_b = lorentz_factor(beta)
     p = np.asarray(p, dtype=float)
     return (gamma_b * beta / (gamma_b + 1.0)) * (p / (np.sqrt(1.0 + p * p) + 1.0))
 

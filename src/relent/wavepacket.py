@@ -31,6 +31,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from relent.kinematics import lorentz_factor
+
 __all__ = [
     "GaussianProduct",
     "EntangledMomentum",
@@ -99,12 +101,12 @@ def default_p_max(delta, beta=0.0) -> np.ndarray:
     image of the Gaussian bulk inside the grid.  The mass it leaves outside is
     1.6e-15 at beta = 0 and at most 7.42e-7 for every width in [1e-12, 1e12]
     and beta up to the cap, largest at width 1e12 and the cap
-    (``tests/test_entanglement.py::TestPolicyCutoff``).  ``fidelity`` requires
-    at least this cutoff.  Broadcasts over delta and beta.
+    (``tests/test_entanglement.py::TestPolicyCutoff``).  ``fidelity`` builds
+    its radial rule on this cutoff in each (width, speed) cell, whatever its
+    grid's cutoff.  Broadcasts over delta and beta.
     """
     root = np.sqrt(delta)
-    gamma = 1.0 / np.sqrt((1.0 - beta) * (1.0 + beta))
-    return 6.0 * root + np.maximum(0.0, gamma * beta * (1.0 + 7.0 * root))
+    return 6.0 * root + np.maximum(0.0, lorentz_factor(beta) * beta * (1.0 + 7.0 * root))
 
 
 class QuadratureGrid(NamedTuple):

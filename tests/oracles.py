@@ -58,6 +58,7 @@ from relent.wavepacket import (
     EntangledMomentum,
     GaussianProduct,
     GridCoverageError,
+    build_grid,
     default_p_max,
     gauss_legendre,
 )
@@ -278,17 +279,13 @@ def fidelity_hypot(dist, b: Boost, grid):
     arithmetic rounds it by about that many ulps in any form, so a double
     reference of another form would differ from the library by twice as much
     as the library differs from the exact node sum.  The moment is rounded to
-    double before it is raised to the fourth power, as the library's is.
+    double before it is raised to the fourth power, as the library's is.  As in
+    the library, ``grid`` gives the rules and each (width, speed) cell its own
+    cutoff, ``default_p_max(delta, beta)``.
     """
     if not isinstance(dist, GaussianProduct):
         raise TypeError("fidelity requires a product momentum distribution")
-    cutoff, policy = np.broadcast_arrays(grid.p_max, default_p_max(dist.delta, b.beta))
-    if not np.all(cutoff >= policy):
-        i = np.argmin(cutoff / policy)
-        raise GridCoverageError(
-            f"fidelity: boosted wavepacket leaks past p_max ({cutoff.flat[i]:.17g} is below "
-            f"the auto cutoff {policy.flat[i]:.17g})"
-        )
+    grid = build_grid(grid.n_r, grid.n_theta, default_p_max(dist.delta, b.beta))
     ld = np.longdouble
     beta = np.asarray(b.beta, dtype=ld)[..., None, None]
     gamma = 1 / np.sqrt((1 - beta) * (1 + beta))

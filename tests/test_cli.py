@@ -693,8 +693,8 @@ class TestMainEntry:
             ('{"scenario": "fidelity_only", "betas": [0.5], "seed": 1, "seed": 7, '
              '"grid": {"n_r": 8}, "grid": {"n_theta": 8}}', "seed"),
             ('{"betas": [0.5], "grid": {"n_r": 8}, "grid": {"n_theta": 8}}', "grid"),
-            ('{"betas": [0.5], "grid": {"n_r": 8, "n_theta": 8, "n_r": 16}}', "n_r"),
-            ('{"directions": {"a": [1, 0, 0], "b": [0, 1, 0], "a": [0, 0, 1]}}', "a"),
+            ('{"betas": [0.5], "grid": {"n_r": 8, "n_theta": 8, "n_r": 16}}', "grid.n_r"),
+            ('{"directions": {"a": [1, 0, 0], "b": [0, 1, 0], "a": [0, 0, 1]}}', "directions.a"),
         ):
             path.write_text(text)
             for command in ("validate", "run"):

@@ -54,8 +54,8 @@ def cases(draw):
     """Width, speeds, spin, sign and (n_r, n_theta, p_max) of one kernel call.
 
     The cutoff is the auto policy's or a fixed multiple of the width's scale;
-    a fixed cutoff gives a lattice without a beta axis, and a small one makes
-    the kernels' coverage checks raise.
+    a small one makes the lab-frame kernels' coverage checks raise.  The
+    fidelity scales the grid's radial rule to each cell's policy cutoff.
     """
     delta = 10.0 ** draw(st.floats(-12.0, 12.0))
     speed = st.one_of(st.floats(0.0, BETA_CAP), st.sampled_from([0.0, 0.99, BETA_CAP]))
@@ -98,12 +98,11 @@ def test_kernels_match_hypot_forms(case):
     delta, betas, spin, sign, n_r, n_theta, scale = case
     b = Boost(betas)
     root = np.sqrt(delta)
-    fid_cut = default_p_max(delta, betas) if scale is None else scale * root
     cut = default_p_max(delta) if scale is None else scale * root
-    fid_grid, grid = build_grid(n_r, n_theta, fid_cut), build_grid(n_r, n_theta, cut)
+    grid = build_grid(n_r, n_theta, cut)
     gp = GaussianProduct(delta)
 
-    got, want = _outcome(fidelity, gp, b, fid_grid), _outcome(fidelity_hypot, gp, b, fid_grid)
+    got, want = _outcome(fidelity, gp, b, grid), _outcome(fidelity_hypot, gp, b, grid)
     if not _same_error(got, want):
         f, f_ref = np.asarray(got), np.asarray(want)
         assert np.all(np.abs(f - f_ref) <= 1e-12 * f_ref + 1e-300)
@@ -165,10 +164,8 @@ def _lattices_per_polar_node(call):
 
 def _lattice_call(kernel, delta, betas, n):
     """``kernel``, as the sweep calls it, and its arguments on an n x n grid."""
-    gp, b = GaussianProduct(delta), Boost(np.asarray(betas))
-    if kernel is fidelity:
-        return fidelity, gp, b, build_grid(n, n, default_p_max(delta, b.beta))
-    return bell_ABCD, gp, b, build_grid(n, n, default_p_max(delta))
+    grid = build_grid(n, n, default_p_max(delta))
+    return kernel, GaussianProduct(delta), Boost(np.asarray(betas)), grid
 
 
 class TestLatticeMemory:
@@ -184,7 +181,11 @@ class TestLatticeMemory:
     (width, beta, p) cell arrays do.  Filling one width's lattice at a time,
     they held two and one lattice arrays per polar node and peaked at 21.4 and
     10.8 MiB at 256 x 256 with 21 betas; with every width's lattice at once,
-    6.0 and 3.0 arrays on the sweep's three-width call.
+    6.0 and 3.0 arrays on the sweep's three-width call.  ``fidelity`` also
+    builds its own radial rule, one per (width, beta) cell, and frees the cell
+    arrays its tiles do not read, so it grows by 6.0 to 7.0 cell arrays from
+    21 to 84 betas and from 64 to 256 nodes (6.0 to 7.4 when the caller built
+    the rule).
     ``reduced_spin_density`` integrates cos(theta) in closed form and
     ``build_grid`` keeps the radial and polar weights apart, so neither holds a
     lattice.
@@ -201,12 +202,11 @@ class TestLatticeMemory:
     widths = np.array([[0.5], [1.0], [4.0]])
 
     def test_fidelity(self):
-        # one width on two cutoffs, then the sweep's call for three widths, whose
-        # (width, beta, p) arrays add to the peak
-        for delta, beta, most in ((1.0, self.b.beta, 0.75), (1.0, 0.99, 0.75),
-                                  (self.widths, self.b.beta, 1.0)):
+        # one width, then the sweep's call for three widths, whose (width, beta, p)
+        # arrays, the radial rule that fidelity builds for each cell among them, add to the peak
+        for delta, most in ((1.0, 0.75), (self.widths, 1.0)):
             def call(n_theta):
-                grid = build_grid(64, n_theta, default_p_max(delta, beta))
+                grid = build_grid(64, n_theta, default_p_max(delta))
                 return fidelity, GaussianProduct(delta), self.b, grid
             assert _lattices_per_polar_node(call) <= 0.01
             assert _peak_lattices(*call(64)) <= most
@@ -258,7 +258,7 @@ class TestLatticeMemory:
         assert _peak_bytes(*call) / (delta.size * len(_DEFAULT_BETAS) * 4 * 64 * 8) <= 10.0
 
     def test_build_grid(self):
-        # one radial rule per speed, as the fidelity grid has
+        # one radial rule per speed, as fidelity builds its own
         def call(n_theta):
             return build_grid, 64, n_theta, default_p_max(1.0, self.b.beta)
         assert _lattices_per_polar_node(call) <= 0.01
@@ -271,12 +271,11 @@ def test_tile_size_leaves_the_bits_unchanged(monkeypatch):
     # default (941 rows, two tiles) against the whole lattice in one tile
     widths = np.array([[0.5], [1.0], [4.0]])
     gp, b = GaussianProduct(widths), Boost(np.array(_DEFAULT_BETAS))
-    fid_grid = build_grid(23, 17, default_p_max(widths, b.beta))
     grid = build_grid(23, 17, default_p_max(widths))
 
     def results():
         bell = [np.array(bell_ABCD(gp, b, grid, limit)) for limit in (False, True)]
-        return [fidelity(gp, b, fid_grid), *bell]
+        return [fidelity(gp, b, grid), *bell]
 
     default = entanglement._TILE_NODES
     monkeypatch.setattr(entanglement, "_TILE_NODES", 10**9)
