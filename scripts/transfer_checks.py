@@ -47,12 +47,11 @@ def main() -> int:
     print()
     print("Bell-spin, product-momentum pair (bulk momenta ~ 1e3 m):")
     ur = GaussianProduct(1.0e6)
-    ur_grid = build_grid(32, 32, default_p_max(1.0e6))
     state = BipartiteState(ur, bell_phi_plus())
     pairs = default_sample_pairs(ur, n=64, seed=42)
     print("  beta     factorization distance")
     for beta in betas:
-        d = product_distance(*momentum_density_samples(state, Boost(beta), ur_grid, pairs))
+        d = product_distance(*momentum_density_samples(state, Boost(beta), pairs))
         print(f"  {beta:7.4f}  {d:.3e}")
 
     print()

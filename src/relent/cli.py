@@ -10,10 +10,10 @@ accepted, validated and echoed for old configs but has no effect; likewise
 ``--workers``.  ``grid.n_theta`` sets the polar rule of the fidelity and the
 Bell weights only: the two momentum-entangled scenarios integrate cos(theta)
 in closed form.  A fixed ``grid.p_max`` sets the radial cutoff of the Bell
-weights, the spin density and the pair sampler, not the fidelity's, which is
-always the auto policy's.  Scenarios populate different columns of the fixed
-CSV header, ``SweepRow``'s fields; cells that a scenario does not produce
-stay empty (CSV) or null (JSON).  A config's widths and betas are evaluated
+weights and the spin density, not the fidelity's, which is always the auto
+policy's.  Scenarios populate different columns of the fixed CSV header,
+``SweepRow``'s fields; cells that a scenario does not produce stay empty
+(CSV) or null (JSON).  A config's widths and betas are evaluated
 together (``run``), and every row equals the row of a sweep over its beta and
 width alone.  Identical config and seed give byte-identical output, with rows
 emitted in config order.
@@ -317,7 +317,7 @@ def _sweep_columns(config: SweepConfig, delta: np.ndarray) -> dict:
         if not config.analytic_limit:
             pairs = default_sample_pairs(gp, n=64, seed=config.seed)
             state = BipartiteState(gp, bell_phi_plus())
-            sample = momentum_density_samples(state, b, grid, pairs)
+            sample = momentum_density_samples(state, b, pairs=pairs)
             cols["product_distance"] = product_distance(*sample)
         return cols
 

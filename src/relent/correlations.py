@@ -39,7 +39,7 @@ class ObservableDirection:
         v = np.asarray(a_vec, dtype=float)
         if v.shape != (3,):
             raise ValueError(f"direction must be a 3-vector, got shape {v.shape}")
-        if abs(np.sqrt(np.sum(v * v)) - 1.0) > 1e-12:
+        if not abs(np.sqrt(np.sum(v * v)) - 1.0) <= 1e-12:  # a NaN fails
             raise ValueError("direction must be a unit vector")
         self.a_vec = v
 

@@ -36,8 +36,7 @@ import numpy as np
 from relent.kinematics import Boost, wigner_tan_product
 from relent.relstate import BipartiteState, reduced_spin_density, spin_up_up
 from relent.wavepacket import (
-    EntangledMomentum, GaussianProduct, GridCoverageError, QuadratureGrid, build_grid,
-    default_p_max,
+    EntangledMomentum, GaussianProduct, QuadratureGrid, build_grid, default_p_max, normalised,
 )
 
 __all__ = [
@@ -52,7 +51,7 @@ __all__ = [
 
 
 class ABCDValues(NamedTuple):
-    """Integrated weights of the boosted Bell-state spin density, plus eta."""
+    """Weights of the boosted Bell-state spin density, normalised to sum to 1, plus eta."""
 
     A: float
     B: float
@@ -181,20 +180,15 @@ def bell_ABCD(
     A = c2^2 + s2^2/2, B = D = c2 s2 and C = s2^2/2.  sin^2(Omega/2) = t^2/(1 + t^2)
     sin^2(theta)/(1 + tau cos(theta)), tau = 2t/(1 + t^2): one buffer holds 1/(1 + tau
     cos(theta)) on a tile of the (cell, cos(theta)) lattice, the polar weights fold in
-    sin^2(theta) and t^2/(1 + t^2) scales the polar sums; the norm is checked per radial rule.
-    ``analytic_limit`` substitutes Omega := theta, where s2 = norm/2 exactly, with no lattice.
+    sin^2(theta) and t^2/(1 + t^2) scales the polar sums.  s2 is divided by the norm of each
+    radial rule once that passes its check (``normalised``) and c2 = 1 - s2, so the weights
+    sum to 1.  ``analytic_limit`` substitutes Omega := theta: s2 = 1/2 exactly, with no lattice.
     """
     if not isinstance(dist, GaussianProduct):
         raise TypeError("bell_ABCD requires a product momentum distribution")
     w = (grid.radial_weights * dist.density1(grid.p**2))[..., 0]
     ct, polar = grid.costheta, grid.polar_weights
     norm = np.sum(w, axis=-1) * np.sum(polar)
-    if not np.all(np.abs(norm - 1.0) <= 1e-4):  # a NaN fails
-        worst = np.ravel(norm)[np.argmax(np.abs(np.ravel(norm) - 1.0))]  # argmax takes a NaN first
-        raise GridCoverageError(
-            f"bell_ABCD: distribution norm on the grid is {worst:.6f}; grid coverage insufficient"
-        )
-
     if analytic_limit:  # Omega = theta: sin^2(theta/2) = (1 - cos(theta))/2 averages to 1/2
         s2 = np.broadcast_to(0.5 * norm, np.broadcast_shapes(np.shape(norm), np.shape(b.beta)))
     else:
@@ -207,8 +201,9 @@ def bell_ABCD(
             return np.reciprocal(lattice, out=lattice)
         polar_sum = _tiled(fill, 1, (polar * (1.0 - ct * ct),), 2.0 * t / (1.0 + t_sq))[0]
         s2 = np.sum(w * (t_sq / (1.0 + t_sq) * polar_sum)[..., 0], axis=-1)
-    c2, C = norm - s2, 0.5 * s2**2
-    return ABCDValues(A=c2**2 + C, B=c2 * s2, C=C, D=c2 * s2, eta=2.0 * s2 / norm)
+    s2 = normalised(s2, norm, "bell_ABCD")
+    c2, C = 1.0 - s2, 0.5 * s2**2
+    return ABCDValues(A=c2**2 + C, B=c2 * s2, C=C, D=c2 * s2, eta=2.0 * s2)
 
 
 def xstate_pt_spectrum(diag, rho03, rho12):

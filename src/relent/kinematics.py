@@ -49,7 +49,7 @@ class Boost:
         speeds = np.asarray(beta)
         if not np.all((0.0 <= speeds) & (speeds <= BETA_CAP)):
             raise ValueError(f"beta must be in [0, {BETA_CAP}], got {beta}")
-        self.beta = beta
+        self.beta = beta if np.ndim(beta) == 0 else np.asarray(beta, dtype=float)
 
     @property
     def gamma(self) -> float:

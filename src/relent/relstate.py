@@ -18,7 +18,7 @@ The spin-traced momentum density keeps its
 Jacobian factors explicitly; ``momentum_density_samples`` evaluates its matrix
 elements on a finite set of coordinate pairs together with the product of the
 single-particle marginals at the same coordinates (spin algebra in real
-quaternions); ``product_distance`` gives one scalar per (width, speed).
+quaternions, no quadrature); ``product_distance`` gives one scalar per (width, speed).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from relent.kinematics import Boost, energy_ratio, wigner_half_angle, wigner_tan_product
-from relent.wavepacket import EntangledMomentum, GaussianProduct, GridCoverageError, QuadratureGrid
+from relent.wavepacket import EntangledMomentum, GaussianProduct, QuadratureGrid, normalised
 
 __all__ = [
     "BipartiteState",
@@ -39,9 +39,6 @@ __all__ = [
     "default_sample_pairs",
     "product_distance",
 ]
-
-#: maximum tolerated quadrature drift of Tr(rho) before a grid is rejected
-TRACE_TOL = 1e-4
 
 
 def bell_phi_plus() -> np.ndarray:
@@ -61,7 +58,7 @@ class BipartiteState:
         if spin.shape != (4,):
             raise ValueError(f"spin amplitude must have 4 components, got shape {spin.shape}")
         norm = np.sqrt(np.sum(np.abs(spin) ** 2))
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:  # a NaN fails
             raise ValueError(f"spin amplitude must be unit norm, |norm - 1| = {abs(norm - 1.0):.3e}")
         if not isinstance(dist, (GaussianProduct, EntangledMomentum)):
             raise TypeError(f"unsupported distribution type: {type(dist).__name__}")
@@ -160,7 +157,8 @@ def reduced_spin_density(state: BipartiteState, b: Boost, grid: QuadratureGrid) 
     sign c_q s_q, s_q^2).  Only the five M_ab with a + b even are nonzero, each integrated
     over cos(theta) in closed form (``grid.n_theta`` plays no part), so rho is summed by
     moment class, M00 C00 + M20 C20 + M22 C22 + M11 C11, each factor C a closed-form azimuth
-    average of spin vectors (``_moment_classes``).
+    average of spin vectors (``_moment_classes``).  The real moments are divided by rho's trace
+    sum_k M_k tr C_k once ``normalised`` has checked it, so rho has trace 1 (no complex division).
     """
     dist = state.dist
     if not isinstance(dist, EntangledMomentum):
@@ -169,26 +167,21 @@ def reduced_spin_density(state: BipartiteState, b: Boost, grid: QuadratureGrid) 
     t = wigner_tan_product(grid.p[..., 0], np.expand_dims(b.beta, -1))
     t = np.broadcast_to(t, np.broadcast_shapes(t.shape, w.shape))  # widths on a shared cutoff
     moments = np.sum(_polar_moments(t, dist.sign) * w, axis=-1)
-    rho = np.einsum("k...,kab->...ab", moments, _moment_classes(state.spin))
-    worst = np.max(np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0))
-    if not (worst <= TRACE_TOL):
-        raise GridCoverageError(
-            f"reduced_spin_density: quadrature trace deviates from 1 by {worst:.6f}, more than "
-            f"{TRACE_TOL}; the grid does not cover the distribution"
-        )
-    return rho
+    classes = _moment_classes(state.spin)
+    trace = np.einsum("k...,k->...", moments, np.trace(classes, axis1=1, axis2=2).real)
+    return np.einsum("k...,kab->...ab", normalised(moments, trace, "reduced_spin_density"), classes)
 
 
-def momentum_density_samples(state: BipartiteState, b: Boost, grid: QuadratureGrid, pairs):
+def momentum_density_samples(state: BipartiteState, b: Boost, pairs):
     """(elements, marginal_products): <p,q|rho'|p',q'> of the boosted spin-traced density.
 
     ``pairs`` has shape (n, 4, 3), rows of Cartesian (p, q, p', q'), or (n_delta, n, 4, 3);
     both results have shape (..., n), any width axis, then the speeds'.  Each element is
     sqrt(J_p J_q J_p' J_q') f(p,q) f*(p',q') <Phi|K'^dag K|Phi> with K the two-particle
     Wigner kernel and J the energy ratios; the marginal product <p|rho_A|p'><q|rho_B|q'>
-    replaces the spin overlap by the product of the single-party overlaps (with the
-    companion traced out against |f1|^2 on the grid).  Diagonal elements (p' = p, q' = q)
-    must come out non-negative.
+    replaces the spin overlap by the product of the single-party overlaps, the companion traced
+    out exactly (a Wigner rotation is unitary and d^3p/p^0 invariant, so the companion's trace
+    int |f1(L^-1 q)|^2 (L^-1 q)^0/q^0 d^3q is 1).  Diagonal elements must come out non-negative.
 
     With (c, s) = (cos, sin)(Omega/2), D_p'^dag D_p = (c'c + s's cos(dphi), -s's sin(dphi),
     s'c sin(phi') - c's sin(phi), c's cos(phi) - s'c cos(phi')) in E, dphi = phi' - phi,
@@ -200,7 +193,7 @@ def momentum_density_samples(state: BipartiteState, b: Boost, grid: QuadratureGr
     along one direction rises as the boost saturates and levels off at
     O(1/p).  Factorization is therefore reached only in the joint limit of
     ultra-relativistic boost and momenta.  All speeds of ``b`` and all widths
-    (one grid lattice each) are evaluated at once.
+    (one row set of ``pairs`` each) are evaluated at once.
     """
     if not isinstance(state.dist, GaussianProduct):
         raise TypeError("momentum_density_samples requires a product momentum distribution")
@@ -209,10 +202,6 @@ def momentum_density_samples(state: BipartiteState, b: Boost, grid: QuadratureGr
         raise ValueError("pairs must have shape (n, 4, 3)")
     dist = state.dist
     T = np.einsum("mnab,a,b->mn", _UNIT_PAIRS, state.spin.conj(), state.spin)  # <Phi|E_m x E_n|Phi>
-
-    # companion-trace normalisation, computed on the grid it was handed
-    norm1 = np.sum(grid.radial_weights * dist.density1(grid.p**2), axis=(-2, -1))[..., None]
-    norm1 = norm1 * np.sum(grid.polar_weights)
 
     # half-angles and azimuths of all four momenta of every row, (..., slot, row):
     # the long row axis innermost keeps numpy's inner loops long
@@ -254,7 +243,7 @@ def momentum_density_samples(state: BipartiteState, b: Boost, grid: QuadratureGr
         raise ValueError("diagonal momentum-density elements must be non-negative")
     (a_re, a_im), (b_re, b_im) = spin_a, spin_b
     marginal = (a_re * b_re - a_im * b_im, a_re * b_im + a_im * b_re)
-    return elements, _complex(marginal, scale * (norm1 * norm1))
+    return elements, _complex(marginal, scale)
 
 
 def _complex(parts, scale) -> np.ndarray:

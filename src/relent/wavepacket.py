@@ -47,6 +47,21 @@ class GridCoverageError(Exception):
     """Raised when a quadrature grid demonstrably fails to cover an integrand."""
 
 
+#: largest tolerated |norm - 1| of a distribution on a quadrature grid
+COVERAGE_TOL = 1e-4
+
+
+def normalised(values, norm, kernel: str):
+    """``values / norm`` for the grid's norms of a distribution, once each is within
+    ``COVERAGE_TOL`` of 1; otherwise a ``GridCoverageError`` naming the worst (a NaN fails)."""
+    if not np.all(np.abs(norm - 1.0) <= COVERAGE_TOL):
+        worst = np.ravel(norm)[np.argmax(np.abs(np.ravel(norm) - 1.0))]  # argmax takes a NaN first
+        raise GridCoverageError(
+            f"{kernel}: distribution norm on the grid is {worst:.6f}; grid coverage insufficient"
+        )
+    return values / norm
+
+
 class _Gaussian:
     """Isotropic Gaussian radial profile of width delta (m^2 units), or of an array of widths.
 

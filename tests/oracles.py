@@ -53,8 +53,9 @@ import numpy as np
 
 from relent.entanglement import ABCDValues
 from relent.kinematics import Boost, energy_ratio, wigner_half_angle
-from relent.relstate import TRACE_TOL, spin_up_up
+from relent.relstate import spin_up_up
 from relent.wavepacket import (
+    COVERAGE_TOL,
     EntangledMomentum,
     GaussianProduct,
     GridCoverageError,
@@ -306,12 +307,13 @@ def fidelity_hypot(dist, b: Boost, grid):
 
 
 def bell_ABCD_hypot(dist, b: Boost, grid, analytic_limit=False) -> ABCDValues:
-    """``entanglement.bell_ABCD`` summing c^2 and 1 - c^2 of the hypot half-angle."""
+    """``entanglement.bell_ABCD`` summing c^2 and 1 - c^2 of the hypot half-angle, each over
+    the checked norm."""
     if not isinstance(dist, GaussianProduct):
         raise TypeError("bell_ABCD requires a product momentum distribution")
     w = lattice_weights(grid) * dist.density1(grid.p**2)
     norm = float(np.sum(w))
-    if not (abs(norm - 1.0) <= 1e-4):
+    if not (abs(norm - 1.0) <= COVERAGE_TOL):
         raise GridCoverageError(
             f"bell_ABCD: distribution norm on the grid is {norm:.6f}; grid coverage insufficient"
         )
@@ -320,17 +322,18 @@ def bell_ABCD_hypot(dist, b: Boost, grid, analytic_limit=False) -> ABCDValues:
     else:
         c2_node = wigner_half_angle_hypot(grid.p, grid.costheta, b.nodewise().beta)[0] ** 2
     shape = np.shape(b.beta)
-    c2 = np.broadcast_to(np.sum(w * c2_node, axis=(-2, -1)), shape)
-    s2 = np.broadcast_to(np.sum(w * (1.0 - c2_node), axis=(-2, -1)), shape)
+    c2 = np.broadcast_to(np.sum(w * c2_node, axis=(-2, -1)) / norm, shape)
+    s2 = np.broadcast_to(np.sum(w * (1.0 - c2_node), axis=(-2, -1)) / norm, shape)
     B = c2 * s2
-    return ABCDValues(A=c2**2 + 0.5 * s2**2, B=B, C=0.5 * s2**2, D=B, eta=2.0 * s2 / norm)
+    return ABCDValues(A=c2**2 + 0.5 * s2**2, B=B, C=0.5 * s2**2, D=B, eta=2.0 * s2)
 
 
 def reduced_spin_density_hypot(state, b: Boost, grid):
     """``relstate.reduced_spin_density`` from all nine 3x3 moments of the hypot half-angle.
 
     The radial rule is the grid's; cos(theta) is integrated on ``polar_rule``,
-    with the companion's half-angle evaluated at its own cos(theta).
+    with the companion's half-angle evaluated at its own cos(theta).  rho is
+    divided by its trace once that is within ``COVERAGE_TOL`` of 1.
     """
     dist = state.dist
     if not isinstance(dist, EntangledMomentum):
@@ -352,17 +355,21 @@ def reduced_spin_density_hypot(state, b: Boost, grid):
     M[..., :, 1] *= dist.sign
     rho = np.einsum("...kl,klij->...ij", M[..., _G_ROW, _G_COL],
                     azimuth_tensor(state.spin, AZIMUTH_NODES))
-    worst = np.max(np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0))
-    if not (worst <= TRACE_TOL):
+    trace = np.trace(rho, axis1=-2, axis2=-1).real
+    worst = np.ravel(trace)[np.argmax(np.abs(np.ravel(trace) - 1.0))]
+    if not (abs(worst - 1.0) <= COVERAGE_TOL):
         raise GridCoverageError(
-            f"reduced_spin_density: quadrature trace deviates from 1 by {worst:.6f}, more than "
-            f"{TRACE_TOL}; the grid does not cover the distribution"
+            f"reduced_spin_density: distribution norm on the grid is {worst:.6f}; "
+            "grid coverage insufficient"
         )
-    return rho
+    return rho / trace[..., None, None]
 
 
-def momentum_density_samples_hypot(state, b: Boost, grid, pairs):
-    """``relstate.momentum_density_samples`` through ``wigner_angle`` and ``wigner_matrix``."""
+def momentum_density_samples_hypot(state, b: Boost, pairs):
+    """``relstate.momentum_density_samples`` through ``wigner_angle`` and ``wigner_matrix``.
+
+    The companion's trace is 1 exactly, as in the library, so no grid enters.
+    """
     if not isinstance(state.dist, GaussianProduct):
         raise TypeError("momentum_density_samples requires a product momentum distribution")
     pairs = np.asarray(pairs, dtype=float)
@@ -370,7 +377,6 @@ def momentum_density_samples_hypot(state, b: Boost, grid, pairs):
         raise ValueError("pairs must have shape (n, 4, 3)")
     dist = state.dist
     F = state.spin.reshape(2, 2)
-    norm1 = float(np.sum(lattice_weights(grid) * dist.density1(grid.p**2)))
     nb = b.nodewise()
     p_sq = np.sum(pairs**2, axis=-1)
     p = np.sqrt(p_sq)
@@ -386,15 +392,16 @@ def momentum_density_samples_hypot(state, b: Boost, grid, pairs):
     ratio = energy_ratio(pairs[..., 0], np.sqrt(1.0 + p_sq), nb)
     jac = np.sqrt(np.prod(ratio, axis=-1))
     amp = np.prod(dist.amplitude1(p_sq), axis=-1)
-    return jac * amp * spin_sum, jac * amp * (spin_a * norm1) * (spin_b * norm1)
+    return jac * amp * spin_sum, jac * amp * spin_a * spin_b
 
 
-def momentum_density_samples_su2(state, b: Boost, grid, pairs):
+def momentum_density_samples_su2(state, b: Boost, pairs):
     """``relstate.momentum_density_samples`` with complex SU(2) matrices for one width.
 
     The form before the real quaternions: the (2, 2, ..., row, slot) Wigner
     matrices of all four momenta, the products D_p'^dag D_p and D_q'^dag D_q
-    by ``einsum``, and <Phi|A x B|Phi> as a four-operand ``einsum``.
+    by ``einsum``, and <Phi|A x B|Phi> as a four-operand ``einsum``.  The
+    companion's trace is 1 exactly, as in the library, so no grid enters.
     """
     if not isinstance(state.dist, GaussianProduct):
         raise TypeError("momentum_density_samples requires a product momentum distribution")
@@ -403,7 +410,6 @@ def momentum_density_samples_su2(state, b: Boost, grid, pairs):
         raise ValueError("pairs must have shape (n, 4, 3)")
     dist = state.dist
     F = state.spin.reshape(2, 2)
-    norm1 = float(np.sum(lattice_weights(grid) * dist.density1(grid.p**2)))
     nb = b.nodewise()
     p_sq = np.sum(pairs**2, axis=-1)
     p = np.sqrt(p_sq)
@@ -421,7 +427,7 @@ def momentum_density_samples_su2(state, b: Boost, grid, pairs):
     ratio = energy_ratio(pairs[..., 0], np.sqrt(1.0 + p_sq), nb)
     jac = np.sqrt(np.prod(ratio, axis=-1))
     amp = np.prod(dist.amplitude1(p_sq), axis=-1)
-    return jac * amp * spin_sum, jac * amp * (spin_a * norm1) * (spin_b * norm1)
+    return jac * amp * spin_sum, jac * amp * spin_a * spin_b
 
 
 def _sample_gaussian_momenta(delta, n, rng):
@@ -739,7 +745,7 @@ def reduced_spin_density_3d(state, b, grid):
     """
 
     def checked(rho):
-        if not (abs(np.trace(rho).real - 1.0) <= TRACE_TOL):
+        if not (abs(np.trace(rho).real - 1.0) <= COVERAGE_TOL):
             raise GridCoverageError(f"reduced_spin_density_3d: trace {np.trace(rho).real:.6f}")
         return rho
 
@@ -765,6 +771,7 @@ def reduced_spin_density_two_angles(state, b, grid):
     ``wigner_angle`` call at -cos(theta), and the 4x4 moment matrix G of
     a = (c_p c_q, s_p c_q, sign c_p s_q, sign s_p s_q) is summed entry by entry
     (ten pairwise sums of 5-factor products) rather than gathered from a 3x3 moment.
+    rho is divided by its trace, as the library's is.
     """
     dist = state.dist
     x, w_x = polar_rule()
@@ -785,7 +792,8 @@ def reduced_spin_density_two_angles(state, b, grid):
             moment = np.sum(w * factors[k][0] * factors[k][1] * factors[l][0] * factors[l][1],
                             axis=(-2, -1))
             G[..., k, l] = G[..., l, k] = signs[k] * signs[l] * moment
-    return np.einsum("...kl,klij->...ij", G, azimuth_tensor(state.spin, AZIMUTH_NODES))
+    rho = np.einsum("...kl,klij->...ij", G, azimuth_tensor(state.spin, AZIMUTH_NODES))
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
 
 
 def bell_ABCD_3d(dist, b, grid):

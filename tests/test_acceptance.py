@@ -212,10 +212,9 @@ def test_criterion5_identity_equality_of_mean_products():
 def test_criterion6_factorization_limit():
     t0 = time.monotonic()
     dist = GaussianProduct(1.0e6)  # bulk momenta ~ 1e3 m
-    grid = build_grid(32, 32, default_p_max(1.0e6))
     state = BipartiteState(dist, bell_phi_plus())
     pairs = default_sample_pairs(dist, n=64, seed=42)
-    d = product_distance(*momentum_density_samples(state, Boost(0.9999), grid, pairs))
+    d = product_distance(*momentum_density_samples(state, Boost(0.9999), pairs))
     ok = d < 1e-2 and time.monotonic() - t0 < 60.0
     report("criterion-6 factorization-at-light-speed", ok, t0, f"distance={d:.3e}")
     assert d < 1e-2
@@ -225,11 +224,10 @@ def test_criterion6_factorization_limit():
 def _factorization_distances(delta: float, betas) -> list:
     """Factorization distance of a Bell-spin pair of width delta, per boost speed."""
     dist = GaussianProduct(delta)
-    grid = build_grid(32, 32, default_p_max(delta))
     state = BipartiteState(dist, bell_phi_plus())
     pairs = default_sample_pairs(dist, n=64, seed=42)
     return [
-        product_distance(*momentum_density_samples(state, Boost(b), grid, pairs))
+        product_distance(*momentum_density_samples(state, Boost(b), pairs))
         for b in betas
     ]
 

@@ -1,5 +1,6 @@
-"""Every name in a module's ``__all__`` exists in that module, and no module calls BLAS or LAPACK
-or a numpy kernel family that only one call site of the sweep would page in."""
+"""Every name in a module's ``__all__`` exists in that module, no module calls BLAS or LAPACK
+or a numpy kernel family that only one call site of the sweep would page in, and one guard
+checks every grid's coverage."""
 
 import ast
 import importlib
@@ -68,3 +69,33 @@ def test_no_single_use_numpy_kernels():
     probe = ("np.sort(a); a.argsort(); arccos(x); x.astype(np.float32); x.astype('float32'); "
              "from numpy import nonzero; np.flatnonzero(m); sorted(v)")
     assert list(_single_use_kernels(ast.parse(probe))) == [1] * 7  # each form, not sorted()
+
+
+def _coverage_guards(tree):
+    """(raises, tolerances): the line numbers of ``raise GridCoverageError``, and the names
+    bound as ``*_TOL`` and the literals 1e-4 (the coverage tolerance), in a module's syntax tree."""
+    raises, tolerances = [], []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if getattr(exc, "id", None) == "GridCoverageError":
+                raises.append(node.lineno)
+        elif isinstance(node, ast.Name) and node.id.endswith("_TOL") and isinstance(
+                node.ctx, ast.Store):
+            tolerances.append(node.id)
+        elif isinstance(node, ast.Constant) and node.value == 1e-4:
+            tolerances.append("1e-4")
+    return raises, sorted(tolerances)
+
+
+def test_one_coverage_guard():
+    # every lab-frame kernel checks its grid's norm and divides by it through
+    # wavepacket.normalised, so no kernel carries a guard or a tolerance of its own
+    found = {}
+    for path in sorted(Path(relent.__file__).parent.glob("*.py")):
+        raises, tolerances = _coverage_guards(ast.parse(path.read_text(encoding="utf-8")))
+        if raises or tolerances:
+            found[path.name] = (len(raises), tolerances)
+    assert found == {"wavepacket.py": (1, ["1e-4", "COVERAGE_TOL"])}
+    probe = "raise GridCoverageError('x')\nraise GridCoverageError\nA_TOL = 2\nif x < 1e-4: pass"
+    assert _coverage_guards(ast.parse(probe)) == ([1, 2], ["1e-4", "A_TOL"])  # each form

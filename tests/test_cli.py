@@ -517,6 +517,23 @@ class TestFixedCutoff:
         assert [r.A for r in fixed] != [r.A for r in auto]
 
 
+    def test_truncated_norm_reaches_no_output(self):
+        # p_max 3.5 holds 1 - 2.0e-5 of the packet and passes the coverage guard; the run
+        # used to print A = 0.99996 and product_distance 3.9e-5 at beta 0
+        doc = {"scenario": "spin_bell_momentum_product", "betas": [0, 0.5], "delta": [1],
+               "grid": {"p_max": 3.5}}
+        at_rest = run(parse_config(doc))[0]
+        assert abs(at_rest.A - 1.0) <= 1e-15
+        assert max(abs(at_rest.B), abs(at_rest.C), abs(at_rest.D)) <= 1e-15
+        assert at_rest.product_distance <= 1e-15
+
+    def test_correlation_is_one_at_rest(self):
+        # the spin density on the same cutoff used to give qcorr = 0.99998
+        doc = {"scenario": "both_bell_correlations", "betas": [0, 0.5], "delta": [1],
+               "grid": {"p_max": 3.5}}
+        assert abs(run(parse_config(doc))[0].qcorr - 1.0) <= 1e-15
+
+
 class TestLargeWidthPolarIntegral:
     """Wide packets at near-light speed, where no fixed cos(theta) rule resolves the spin density.
 

@@ -42,6 +42,11 @@ class TestObservableDirection:
         with pytest.raises(ValueError):
             ObservableDirection(np.array([1.0, 1.0, 0.0]))
 
+    def test_rejects_nan(self):
+        # |nan - 1| > tol is False, so the check is written so that a NaN fails
+        with pytest.raises(ValueError):
+            ObservableDirection(np.array([np.nan, 0.0, 0.0]))
+
 
 class TestRelativisticObservable:
     def test_rest_frame_is_plain_spin(self):

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -166,6 +166,62 @@ class TestCoverageGuards:
         assert deficit > 1e-4
         with pytest.raises(GridCoverageError):
             xstate_stats(dist, Boost(np.array([0.0, 0.5])), grid)
+
+
+#: a fixed cutoff that holds 1 - 2.0e-5 of |f1|^2 at width 1, inside the coverage guard
+TRUNCATED = build_grid(32, 32, 3.5)
+
+
+class TestNormalisedByConstruction:
+    """The Bell weights and rho belong to the normalised state on every grid that passes the
+    coverage guard: the grid's truncated norm reaches no output."""
+
+    @given(log_delta=st.floats(-3.0, 3.0), cut=st.floats(3.2, 8.0), n_r=st.integers(8, 63),
+           n_theta=st.integers(2, 39), betas=st.lists(st.floats(0.0, 0.9999), min_size=1,
+                                                      max_size=4),
+           sign=st.sampled_from([-1, 1]), bell=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_traces_are_one_on_truncated_grids(self, log_delta, cut, n_r, n_theta, betas, sign,
+                                               bell):
+        delta = 10.0**log_delta
+        grid, b = build_grid(n_r, n_theta, cut * math.sqrt(delta)), Boost(np.array(betas))
+        state = BipartiteState(EntangledMomentum(delta, sign), bell_phi_plus() if bell
+                               else spin_up_up())
+        try:
+            v = bell_ABCD(GaussianProduct(delta), b, grid)
+            rho = reduced_spin_density(state, b, grid)
+        except GridCoverageError:
+            assume(False)
+        assert np.max(np.abs(v.A + v.B + v.C + v.D - 1.0)) <= 1e-15
+        assert np.max(np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0)) <= 1e-15
+
+    def test_bell_weights_closer_to_a_fine_rule(self, gauss_unit):
+        # against 256-node rules on the policy's cutoff, the normalised weights are no further
+        # off than the truncated density's, norm^2 times them (eta was already normalised)
+        norm = np.sum(lattice_weights(TRUNCATED) * gauss_unit.density1(TRUNCATED.p**2))
+        assert 1e-5 < 1.0 - norm < 1e-4
+        betas = np.array([0.0, 0.5, 0.9, 0.99])
+        got = bell_ABCD(gauss_unit, Boost(betas), TRUNCATED)
+        for i, beta in enumerate(betas):
+            ref = bell_ABCD(gauss_unit, Boost(beta), build_grid(256, 256, default_p_max(1.0, beta)))
+            for x, x_ref, scale in zip(got, ref, (norm**2,) * 4 + (1.0,)):
+                err = abs(x[i] - x_ref)
+                assert err <= 1e-5 and err <= abs(scale * x[i] - x_ref) + 1e-15
+                assert beta > 0.0 or err <= 1e-15
+
+    @pytest.mark.parametrize("sign", [-1, 1])
+    def test_spin_density_closer_to_a_fine_rule(self, sign):
+        # as above for rho, whose trace on the truncated grid is its norm
+        dist = EntangledMomentum(1.0, sign)
+        norm = np.sum(lattice_weights(TRUNCATED) * dist.density1(TRUNCATED.p**2))
+        state, betas = BipartiteState(dist, spin_up_up()), np.array([0.0, 0.5, 0.9, 0.99])
+        got = reduced_spin_density(state, Boost(betas), TRUNCATED)
+        for i, beta in enumerate(betas):
+            ref = reduced_spin_density(state, Boost(beta),
+                                       build_grid(256, 16, default_p_max(1.0, beta)))
+            err = np.max(np.abs(got[i] - ref))
+            assert err <= 5e-6 and err <= np.max(np.abs(norm * got[i] - ref)) + 1e-15
+            assert beta > 0.0 or err <= 1e-15
 
 
 class TestSeparabilityVerdict:
@@ -421,7 +477,7 @@ class TestBellABCD:
         assert v.eta == pytest.approx(1.0, abs=1e-9)
 
     def test_analytic_limit_is_closed_form(self, monkeypatch):
-        # Omega = theta gives s2 = norm/2, with no Wigner-angle evaluation and no lattice
+        # Omega = theta gives s2 = 1/2 exactly, with no Wigner-angle evaluation and no lattice
         calls = []
         monkeypatch.setattr(entanglement, "wigner_tan_product", lambda *args: calls.append(args))
         monkeypatch.setattr(entanglement, "_tiled", lambda *args: calls.append(args))
@@ -433,7 +489,7 @@ class TestBellABCD:
         for name, want in zip(ABCDValues._fields, (0.375, 0.25, 0.125, 0.25, 1.0)):
             got = getattr(v, name)
             assert got.shape == (3, 21)
-            assert np.max(np.abs(got - want)) <= 1e-14, name
+            assert np.all(got == want), name
 
     @pytest.mark.parametrize("beta", [0.2, 0.6, 0.95])
     def test_sum_rule(self, grid_default, gauss_unit, beta):

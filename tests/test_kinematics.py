@@ -13,7 +13,11 @@ from oracles import (
     wigner_oracle,
     wigner_rotation,
 )
+from relent.correlations import ObservableDirection, quantum_correlation
+from relent.entanglement import bell_ABCD, fidelity
 from relent.kinematics import BETA_CAP, Boost, wigner_half_angle
+from relent.relstate import bell_phi_plus
+from relent.wavepacket import EntangledMomentum, GaussianProduct, build_grid, default_p_max
 
 momenta = st.builds(
     FourMomentum.from_spherical,
@@ -56,6 +60,19 @@ class TestBoost:
 
     def test_gamma(self):
         assert Boost(0.6).gamma == pytest.approx(1.25, rel=1e-14)
+
+    def test_list_of_speeds_is_an_array(self):
+        # a list used to reach Boost.gamma and the correlation's speed check as a list
+        grid = build_grid(16, 16, default_p_max(1.0))
+        x = ObservableDirection(np.array([1.0, 0.0, 0.0]))
+        calls = (
+            lambda b: fidelity(GaussianProduct(1.0), b, grid),
+            lambda b: np.stack(bell_ABCD(GaussianProduct(1.0), b, grid)),
+            lambda b: quantum_correlation(x, x, EntangledMomentum(1.0), bell_phi_plus(), b, grid),
+        )
+        for call in calls:
+            got, want = call(Boost([0.0, 0.5])), call(Boost(np.array([0.0, 0.5])))
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestBoostMomentum:

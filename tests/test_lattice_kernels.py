@@ -121,8 +121,8 @@ def test_kernels_match_hypot_forms(case):
 
     state = BipartiteState(gp, spin)
     pairs = np.concatenate([default_sample_pairs(gp, n=9, seed=n_r), root * EDGE_ROWS])
-    got = _outcome(momentum_density_samples, state, b, grid, pairs)
-    want = _outcome(momentum_density_samples_hypot, state, b, grid, pairs)
+    got = _outcome(momentum_density_samples, state, b, pairs)
+    want = _outcome(momentum_density_samples_hypot, state, b, pairs)
     if not _same_error(got, want):
         for x, x_ref in zip(got, want):
             scale_ref = np.max(np.abs(x_ref), axis=-1, keepdims=True)
@@ -254,7 +254,7 @@ class TestLatticeMemory:
         delta = np.array([[0.5], [1.0], [4.0]])
         gp = GaussianProduct(delta)
         call = (momentum_density_samples, BipartiteState(gp, bell_phi_plus()), self.b,
-                build_grid(32, 32, default_p_max(delta)), default_sample_pairs(gp, n=64))
+                default_sample_pairs(gp, n=64))
         assert _peak_bytes(*call) / (delta.size * len(_DEFAULT_BETAS) * 4 * 64 * 8) <= 10.0
 
     def test_build_grid(self):

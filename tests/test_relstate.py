@@ -8,7 +8,6 @@ from oracles import (
     azimuth_classes,
     azimuth_tensor,
     boost_momentum,
-    lattice_weights,
     momentum_density_samples_su2,
     polar_moments_panels,
     reduced_spin_density_3d,
@@ -67,6 +66,12 @@ class TestBipartiteState:
 
     def test_bell_state_is_normalised(self):
         BipartiteState(GaussianProduct(1.0), bell_phi_plus())
+
+    @pytest.mark.parametrize("dist", [GaussianProduct(1.0), EntangledMomentum(1.0)])
+    def test_rejects_nan_spin(self, dist):
+        # a NaN amplitude used to pass, and reduced_spin_density then blamed the grid
+        with pytest.raises(ValueError, match="unit norm"):
+            BipartiteState(dist, [np.nan, 0.0, 0.0, 0.0])
 
 
 class TestSpinKernel:
@@ -266,21 +271,20 @@ class TestReducedSpinDensity:
 @pytest.fixture(scope="module")
 def ur_setup():
     dist = GaussianProduct(1.0e6)
-    grid = build_grid(32, 32, default_p_max(1.0e6))
     state = BipartiteState(dist, bell_phi_plus())
     pairs = default_sample_pairs(dist, n=64, seed=42)
-    return state, grid, pairs
+    return state, pairs
 
 
-def _scalar_samples(state, b, grid, pairs):
+def _scalar_samples(state, b, pairs):
     """Per-row reference for momentum_density_samples through spin_kernel.
 
     The Jacobian is the ratio of the boosted to the unboosted energy of each
     momentum and the amplitude the product of the four single-particle
-    amplitudes; a zero momentum stands in for the identity on the other party.
+    amplitudes; a zero momentum stands in for the identity on the other party,
+    whose traced-out momentum contributes exactly 1.
     """
     dist, phi = state.dist, state.spin
-    norm1 = np.sum(lattice_weights(grid) * dist.density1(grid.p**2))
     rest = FourMomentum(np.zeros(3))
     elements, marginals = [], []
     for row in pairs:
@@ -293,7 +297,7 @@ def _scalar_samples(state, b, grid, pairs):
 
         elements.append(jac * amp * overlap((p, q), (p2, q2)))
         marginals.append(
-            jac * amp * overlap((p, rest), (p2, rest)) * overlap((rest, q), (rest, q2)) * norm1**2
+            jac * amp * overlap((p, rest), (p2, rest)) * overlap((rest, q), (rest, q2))
         )
     return np.array(elements), np.array(marginals)
 
@@ -305,35 +309,35 @@ class TestMomentumDensitySamples:
         [bell_phi_plus(), spin_up_up(), np.array([0.5, 0.5j, -0.5, 0.5], dtype=complex)],
         ids=["bell", "up_up", "generic"],
     )
-    def test_matches_scalar_reference(self, grid_default, beta, spin):
+    def test_matches_scalar_reference(self, beta, spin):
         dist = GaussianProduct(1.0)
         collinear = [[0.7, 0.0, 0.0], [-1.2, 0.0, 0.0], [0.3, 0.0, 0.0], [2.0, 0.0, 0.0]]
         pairs = np.concatenate(
             [default_sample_pairs(dist, n=16, seed=3), [collinear], np.zeros((1, 4, 3))]
         )
         state = BipartiteState(dist, spin)
-        elements, marginals = momentum_density_samples(state, Boost(beta), grid_default, pairs)
-        ref_el, ref_marg = _scalar_samples(state, Boost(beta), grid_default, pairs)
+        elements, marginals = momentum_density_samples(state, Boost(beta), pairs)
+        ref_el, ref_marg = _scalar_samples(state, Boost(beta), pairs)
         assert np.max(np.abs(elements - ref_el)) <= 1e-13 * np.max(np.abs(ref_el))
         assert np.max(np.abs(marginals - ref_marg)) <= 1e-13 * np.max(np.abs(ref_marg))
         # collinear and p = 0 rows rotate by exactly the identity: no imaginary part
         assert np.all(elements[-2:].imag == 0.0)
 
     def test_no_boost_is_exactly_product(self, ur_setup):
-        state, grid, pairs = ur_setup
-        sample = momentum_density_samples(state, Boost(0.0), grid, pairs)
+        state, pairs = ur_setup
+        sample = momentum_density_samples(state, Boost(0.0), pairs)
         assert np.allclose(*sample, rtol=1e-10)
         assert product_distance(*sample) < 1e-10
 
     def test_ultra_relativistic_factorization(self, ur_setup):
-        state, grid, pairs = ur_setup
-        sample = momentum_density_samples(state, Boost(0.9999), grid, pairs)
+        state, pairs = ur_setup
+        sample = momentum_density_samples(state, Boost(0.9999), pairs)
         assert product_distance(*sample) < 1e-2
 
-    def test_requires_product_distribution(self, grid_default):
+    def test_requires_product_distribution(self):
         state = BipartiteState(EntangledMomentum(1.0, -1), bell_phi_plus())
         with pytest.raises(TypeError):
-            momentum_density_samples(state, Boost(0.5), grid_default, np.zeros((1, 4, 3)))
+            momentum_density_samples(state, Boost(0.5), np.zeros((1, 4, 3)))
 
     def test_sampler_is_deterministic(self):
         dist = GaussianProduct(1.0e6)
@@ -379,8 +383,8 @@ class TestMomentumDensitySamples:
         assert np.array_equal(pairs, sample_pairs_loop(dist, n=n, seed=seed))
 
     def test_diagonal_pairs_present_and_real(self, ur_setup):
-        state, grid, pairs = ur_setup
-        elements, _ = momentum_density_samples(state, Boost(0.7), grid, pairs)
+        state, pairs = ur_setup
+        elements, _ = momentum_density_samples(state, Boost(0.7), pairs)
         diag = np.all(pairs[:, 0] == pairs[:, 2], axis=1) & np.all(
             pairs[:, 1] == pairs[:, 3], axis=1
         )
@@ -392,9 +396,7 @@ class TestMomentumDensitySamples:
             product_distance(np.zeros(0, dtype=complex), np.zeros(0, dtype=complex))
         # the sampler's own result for no pairs, at two speeds
         state = BipartiteState(GaussianProduct(1.0), bell_phi_plus())
-        grid = build_grid(16, 16, default_p_max(1.0))
-        sample = momentum_density_samples(state, Boost(np.array([0.0, 0.5])), grid,
-                                          np.zeros((0, 4, 3)))
+        sample = momentum_density_samples(state, Boost(np.array([0.0, 0.5])), np.zeros((0, 4, 3)))
         with pytest.raises(ValueError, match="sample is empty"):
             product_distance(*sample)
 
@@ -448,13 +450,10 @@ class TestQuaternionSampler:
             per_width = [(delta, pairs, Ellipsis)]
         else:
             per_width = [(w, rows, i) for i, (w, rows) in enumerate(zip(widths[:, 0], pairs))]
-        grid = build_grid(16, 16, default_p_max(delta if widths is None else widths))
-        got = momentum_density_samples(BipartiteState(dist, spin), b, grid, pairs)
+        got = momentum_density_samples(BipartiteState(dist, spin), b, pairs)
         for width, rows, i in per_width:
-            width_grid = build_grid(16, 16, default_p_max(width))
-            want = momentum_density_samples_su2(
-                BipartiteState(GaussianProduct(width), spin), b, width_grid, rows
-            )
+            want = momentum_density_samples_su2(BipartiteState(GaussianProduct(width), spin), b,
+                                                rows)
             for x, x_ref in ((got[0][i], want[0]), (got[1][i], want[1])):
                 x = np.reshape(x, x_ref.shape)
                 scale = np.max(np.abs(x_ref), axis=-1, keepdims=True)
@@ -469,10 +468,10 @@ class TestQuaternionSampler:
         (GaussianProduct(1.0), np.zeros((4, 3))),
         (GaussianProduct(1.0), np.zeros((1, 1, 2, 4, 3))),
     ])
-    def test_raises_like_su2_form(self, grid_default, dist, pairs):
+    def test_raises_like_su2_form(self, dist, pairs):
         state, errors = BipartiteState(dist, bell_phi_plus()), []
         for fn in (momentum_density_samples, momentum_density_samples_su2):
             with pytest.raises((TypeError, ValueError)) as err:
-                fn(state, Boost(0.5), grid_default, pairs)
+                fn(state, Boost(0.5), pairs)
             errors.append((err.type, str(err.value)))
         assert errors[0] == errors[1]
