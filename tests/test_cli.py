@@ -867,10 +867,16 @@ class TestMainEntry:
 
     def test_limits_table(self, capsys):
         assert main(["limits"]) == EXIT_OK
-        out = capsys.readouterr().out
-        assert "A = 0.375" in out
-        assert "eta = 1.0" in out
-        assert "E = 0.0" in out
+        assert capsys.readouterr().out == (
+            "ultra-relativistic analytic limit (Omega -> theta):\n"
+            "  A = 0.375000000000\n"
+            "  B = 0.250000000000\n"
+            "  C = 0.125000000000\n"
+            "  D = 0.250000000000\n"
+            "  eta = 1.000000000000\n"
+            "  PT spectrum = [0.125000000000, 0.250000000000, 0.250000000000, 0.375000000000]\n"
+            "  E = 0.000000000000\n"
+        )
 
     def test_run_with_plot(self, tmp_path):
         cfg_path = write_config(
