@@ -2,8 +2,9 @@
 
 A sweep is one JSON document.  ``_CONFIG`` lists its fields in canonical order
 with each one's default (the value an absent field takes) and check;
-``parse_config`` applies them, and ``relent validate`` echoes the result in
-that order, every default filled in.
+``parse_config`` applies them, the config records (``SweepConfig`` and its
+``grid`` and ``directions``) are ``namedtuple``s built from the same table, and
+``relent validate`` echoes the result in that order, every default filled in.
 
 The kernels average the azimuth in closed form, so ``grid.n_phi`` is
 accepted, validated and echoed for old configs but has no effect; likewise
@@ -34,6 +35,7 @@ import json
 import math
 import os
 import sys
+from collections import namedtuple
 from typing import NamedTuple, NoReturn
 
 import numpy as np
@@ -45,7 +47,6 @@ from relent.correlations import (
     quantum_correlation,
 )
 from relent.entanglement import (
-    ABCDValues,
     bell_ABCD,
     fidelity,
     negativity_measure,
@@ -95,39 +96,12 @@ GRID_COUNT_MAX = 1024
 P_MAX_CAP = float(default_p_max(DELTA_MAX, BETA_CAP))
 
 _DEFAULT_BETAS = [round(0.05 * i, 2) for i in range(20)] + [0.99]
+#: coordinate pairs the factorization check draws per width
+_PAIRS = 64
 
 
 class ConfigError(Exception):
     """Configuration problem; the message names the offending field."""
-
-
-class GridSpec(NamedTuple):
-    n_r: int
-    n_theta: int
-    n_phi: int  # accepted for old configs; the azimuth is averaged in closed form
-    p_max: object  # "auto" (the policy's cutoff at rest, per width) or a positive number
-
-
-class Directions(NamedTuple):
-    a: tuple
-    b: tuple
-
-
-class SweepConfig(NamedTuple):
-    """A validated config; ``_CONFIG`` holds every field's default and check."""
-
-    scenario: str
-    betas: tuple
-    delta: tuple
-    grid: GridSpec
-    delta_sign: int
-    analytic_limit: bool
-    directions: Directions
-    seed: int
-
-    def to_json_dict(self) -> dict:
-        """The canonical JSON form (arrays as tuples), which ``parse_config`` maps back."""
-        return {k: v._asdict() if hasattr(v, "_asdict") else v for k, v in self._asdict().items()}
 
 
 class SweepRow(NamedTuple):
@@ -170,13 +144,13 @@ def _is_number(x) -> bool:
 
 
 def _numbers(name: str, v, lo: float, hi: float, message: str) -> tuple:
-    """A non-empty array of numbers in [lo, hi], as floats."""
+    """A non-empty array of numbers in [lo, hi], as floats; a zero is +0.0."""
     if not (isinstance(v, (list, tuple)) and v):
         _fail(name, message)
     for i, x in enumerate(v):
         if not (_is_number(x) and lo <= x <= hi):
             _fail(f"{name}[{i}]", f"must be a number in [{lo:.10g}, {hi:.10g}], got {x!r}")
-    return tuple(map(float, v))
+    return tuple(float(x) + 0.0 for x in v)
 
 
 def _count(name: str, v, most: float = GRID_COUNT_MAX) -> int:
@@ -188,13 +162,13 @@ def _count(name: str, v, most: float = GRID_COUNT_MAX) -> int:
 
 
 def _direction(name: str, v) -> tuple:
-    """A direction within 1e-9 of unit norm, divided by its norm."""
+    """A direction within 1e-9 of unit norm, divided by its norm; a zero is +0.0."""
     if not (isinstance(v, (list, tuple)) and len(v) == 3 and all(_is_number(x) for x in v)):
         _fail(name, "must be a 3-vector of finite numbers")
     norm = math.hypot(*v)
     if not abs(norm - 1.0) <= 1e-9:
         _fail(name, f"must be a unit vector (norm {norm:.6f})")
-    return tuple(float(x) / norm for x in v)
+    return tuple(float(x) / norm + 0.0 for x in v)
 
 
 class _Repeats(dict):
@@ -212,8 +186,9 @@ def _fields(prefix: str, doc: dict, table: dict, record: type) -> tuple:
                         for key, (default, check) in table.items())
 
 
-def _object(table: dict, record: type, message: str = "must be an object") -> tuple:
-    """The (default, check) entry of an object field whose own fields are ``table``'s."""
+def _object(typename: str, table: dict, message: str = "must be an object") -> tuple:
+    """The (default, check) entry of an object field, a ``typename`` record of ``table``'s."""
+    record = namedtuple(typename, table)
     def check(name, v):
         if not isinstance(v, dict):
             _fail(name, message)
@@ -230,22 +205,35 @@ _CONFIG = {
                                                               "must be a non-empty list")),
     "delta": ((1.0,), lambda name, v: _numbers(name, [v] if _is_number(v) else v, DELTA_MIN,
                                                DELTA_MAX, "must be a number or non-empty list")),
-    "grid": _object({
+    "grid": _object("GridSpec", {
         "n_r": (32, _count),
         "n_theta": (32, _count),
+        # accepted for old configs; the azimuth is averaged in closed form
         "n_phi": (16, lambda name, v: _count(name, v, math.inf)),
+        # "auto" (the policy's cutoff at rest, per width) or a positive number
         "p_max": ("auto", lambda name, v: v if v == "auto" or (_is_number(v) and 0 < v <= P_MAX_CAP)
                   else _fail(name, f"must be 'auto' or a number in (0, {P_MAX_CAP:.6g}], got {v!r}")),
-    }, GridSpec),
+    }),
     "delta_sign": (-1, lambda name, v: int(v) if _is_number(v) and v in (-1, 1)
                    else _fail(name, f"must be -1 or 1, got {v!r}")),
     "analytic_limit": (False, lambda name, v: v if isinstance(v, bool)
                        else _fail(name, "must be a boolean")),
-    "directions": _object({"a": ((1.0, 0.0, 0.0), _direction), "b": ((1.0, 0.0, 0.0), _direction)},
-                          Directions, "must be an object with 'a' and 'b'"),
+    "directions": _object("Directions", {"a": ((1.0, 0.0, 0.0), _direction),
+                                         "b": ((1.0, 0.0, 0.0), _direction)},
+                          "must be an object with 'a' and 'b'"),
     "seed": (42, lambda name, v: v if _is_int(v) and v >= 0
              else _fail(name, f"must be a non-negative integer, got {v!r}")),
 }
+
+
+class SweepConfig(namedtuple("SweepConfig", _CONFIG)):
+    """A validated config; its fields, their order, defaults and checks are ``_CONFIG``'s."""
+
+    __slots__ = ()
+
+    def to_json_dict(self) -> dict:
+        """The canonical JSON form (arrays as tuples), which ``parse_config`` maps back."""
+        return {k: v._asdict() if hasattr(v, "_asdict") else v for k, v in self._asdict().items()}
 
 
 def parse_config(doc: dict) -> SweepConfig:
@@ -258,7 +246,7 @@ def parse_config(doc: dict) -> SweepConfig:
     if config.analytic_limit and config.scenario != "spin_bell_momentum_product":
         _fail("analytic_limit", "only applies to the spin_bell_momentum_product scenario")
     if config.scenario == "both_bell_correlations" and config.betas[-1] >= TRANSVERSE_BETA_MAX:
-        for key, v in zip(Directions._fields, config.directions):
+        for key, v in config.directions._asdict().items():
             if v[0] == 0:
                 _fail(f"directions.{key}", f"transverse, sign undefined at beta >= {TRANSVERSE_BETA_MAX}")
     return config
@@ -285,8 +273,8 @@ def load_config(path: str) -> SweepConfig:
     return parse_config(doc)
 
 
-def _bell_pt_spectrum(v: ABCDValues) -> np.ndarray:
-    """PT spectrum of the Bell-spin X-state that the four weights fix."""
+def _bell_pt_spectrum(v) -> np.ndarray:
+    """PT spectrum of the Bell-spin X-state that the four weights ``v.A`` to ``v.D`` fix."""
     outer, inner = (v.A + v.D) / 2, (v.B + v.C) / 2
     diag = np.stack([outer, inner, inner, outer], axis=-1)
     return xstate_pt_spectrum(diag, (v.A - v.D) / 2, -(v.B - v.C) / 2)[0]
@@ -315,7 +303,7 @@ def _sweep_columns(config: SweepConfig, delta: np.ndarray) -> dict:
         spectrum = _bell_pt_spectrum(v)
         cols.update(min_pt_eig=spectrum[..., 0], E=negativity_measure(spectrum))
         if not config.analytic_limit:
-            pairs = default_sample_pairs(gp, n=64, seed=config.seed)
+            pairs = default_sample_pairs(gp, n=_PAIRS, seed=config.seed)
             state = BipartiteState(gp, bell_phi_plus())
             sample = momentum_density_samples(state, b, pairs=pairs)
             cols["product_distance"] = product_distance(*sample)
@@ -348,14 +336,14 @@ def run(config: SweepConfig, workers: int = 1) -> list[SweepRow]:
 
     Widths are evaluated in chunks, each as one array program per kernel with the
     widths and betas on the leading axes (``_sweep_columns``).  A chunk holds max(1,
-    2^18 // (n_beta (n_r + 4 * 64))) widths, which keeps each array with a width axis,
-    the (width, beta, p) cells and the pair sampler's (width, beta, 4, 64) values, under
+    2^18 // (n_beta (n_r + 4 * _PAIRS))) widths, which keeps each array with a width axis,
+    the (width, beta, p) cells and the pair sampler's (width, beta, 4, _PAIRS) values, under
     2 MiB; ``fidelity`` and ``bell_ABCD`` fill their lattice in tiles that do not grow.
     Every row equals the row of a sweep over that beta and width alone; ``workers`` is
     accepted for old callers and has no effect.
     """
     gs, betas, rows = config.grid, list(config.betas), []
-    chunk = max(1, 2**18 // (len(betas) * (gs.n_r + 4 * 64)))
+    chunk = max(1, 2**18 // (len(betas) * (gs.n_r + 4 * _PAIRS)))
     for start in range(0, len(config.delta), chunk):
         widths = config.delta[start:start + chunk]
         cols = _sweep_columns(config, np.array(widths)[:, None])
@@ -406,7 +394,8 @@ def emit_plotscript(rows: list[SweepRow], path: str, csv_path: str) -> str:
     single quotes, inside which a quote is doubled.
     """
     quoted = "'" + csv_path.replace("'", "''") + "'"
-    columns = [(col, label) for col, label, name in ((4, "E", "E"), (3, "F", "fidelity"))
+    columns = [(SweepRow._fields.index(name) + 1, label)
+               for label, name in (("E", "E"), ("F", "fidelity"))
                if any(getattr(row, name) is not None for row in rows)]
     series = [f"  {quoted} using 1:(column(2)=={d} ? column({col}) : 1/0) "
               f"with linespoints title '{label} delta={d}'"
@@ -439,17 +428,14 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_limits(_args) -> int:
-    """Print the light-speed benchmark table, computed through the pipeline."""
-    gs = parse_config({}).grid
-    grid = build_grid(gs.n_r, gs.n_theta, default_p_max(1.0))
-    v = bell_ABCD(GaussianProduct(1.0), Boost(0.0), grid, analytic_limit=True)
-    spectrum = _bell_pt_spectrum(v)
-    E = negativity_measure(spectrum)
+    """Print the light-speed table: ``run``'s analytic-limit row at beta 0 and its PT spectrum."""
+    row = run(parse_config({"betas": [0.0], "analytic_limit": True}))[0]
     sys.stdout.write("ultra-relativistic analytic limit (Omega -> theta):\n")
-    for name, val in (("A", v.A), ("B", v.B), ("C", v.C), ("D", v.D), ("eta", v.eta)):
-        sys.stdout.write(f"  {name} = {val:.12f}\n")
-    sys.stdout.write(f"  PT spectrum = [{', '.join(f'{x:.12f}' for x in spectrum)}]\n")
-    sys.stdout.write(f"  E = {E:.12f}\n")
+    for name in ("A", "B", "C", "D", "eta"):
+        sys.stdout.write(f"  {name} = {getattr(row, name):.12f}\n")
+    spectrum = ", ".join(f"{x:.12f}" for x in _bell_pt_spectrum(row))
+    sys.stdout.write(f"  PT spectrum = [{spectrum}]\n")
+    sys.stdout.write(f"  E = {row.E:.12f}\n")
     return EXIT_OK
 
 

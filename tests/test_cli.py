@@ -618,8 +618,13 @@ class TestPlotScript:
         cfg = parse_config({"betas": [0.0, 0.5], "grid": {"n_r": 16, "n_theta": 16, "n_phi": 8}})
         rows = run(cfg)
         text = emit_plotscript(rows, str(tmp_path / "plot.gp"), "sweep.csv")
-        assert "'sweep.csv'" in text
-        assert "E delta=1" in text and "F delta=1" in text
+        # E is the CSV's fourth column and the fidelity its third
+        assert text.splitlines()[-2:] == [
+            "  'sweep.csv' using 1:(column(2)==1 ? column(4) : 1/0) "
+            "with linespoints title 'E delta=1', \\",
+            "  'sweep.csv' using 1:(column(2)==1 ? column(3) : 1/0) "
+            "with linespoints title 'F delta=1'",
+        ]
 
     def test_quote_in_csv_path_is_doubled(self, tmp_path):
         # gnuplot reads '' inside a single-quoted string as one quote; the path
@@ -742,6 +747,24 @@ class TestMainEntry:
         assert main(["validate", "--config", cfg_path]) == EXIT_OK
         echoed = json.loads(capsys.readouterr().out)
         assert echoed["betas"] == [0.0, 0.5]
+
+    #: a -0.0 beta or direction component used to be echoed as -0.0 and the beta
+    #: printed as -0, so configs that differ only in a zero's sign had two canonical forms
+    NEGATIVE_ZEROS = {"scenario": "fidelity_only", "betas": [-0.0, 0.5],
+                      "directions": {"a": [-0.0, 0.6, 0.8]}}
+
+    def test_validate_echoes_negative_zero_as_zero(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, self.NEGATIVE_ZEROS)
+        assert main(["validate", "--config", cfg_path]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "-0" not in out
+        echoed = json.loads(out)
+        assert math.copysign(1.0, echoed["betas"][0]) == 1.0
+        assert math.copysign(1.0, echoed["directions"]["a"][0]) == 1.0
+
+    def test_run_prints_negative_zero_beta_as_zero(self, tmp_path, capsys):
+        assert main(["run", "--config", write_config(tmp_path, self.NEGATIVE_ZEROS)]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[1].split(",")[0] == "0"
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         inf = float("inf")
