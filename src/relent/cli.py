@@ -188,7 +188,7 @@ def _fields(prefix: str, doc: dict, table: dict, record: type) -> tuple:
 
 def _object(typename: str, table: dict, message: str = "must be an object") -> tuple:
     """The (default, check) entry of an object field, a ``typename`` record of ``table``'s."""
-    record = namedtuple(typename, table)
+    record = globals()[typename] = namedtuple(typename, table)  # bound by name, as pickle needs
     def check(name, v):
         if not isinstance(v, dict):
             _fail(name, message)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -228,6 +229,7 @@ class TestConfigParsing:
             cfg = parse_config(doc)
             assert parse_config(cfg.to_json_dict()) == cfg, doc
             assert parse_config(json.loads(json.dumps(cfg.to_json_dict()))) == cfg, doc
+            assert pickle.loads(pickle.dumps(cfg)) == cfg, doc
 
 
 #: every module-level binding of a Wigner-angle function that a sweep calls: the
