@@ -1,5 +1,7 @@
 """Smoke test of the experiment scripts, run as a user runs them.
 
+``scripts/transfer_checks.py``'s whole stdout is pinned byte for byte.
+
 ``scripts/run_default_sweep.py`` writes into ``out/``; its sweep is pinned by
 the golden CSV ``tests/data/run_default_sweep.csv`` instead.
 """
@@ -14,6 +16,40 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
+#: the whole stdout of ``scripts/transfer_checks.py``
+_TRANSFER_CHECKS = (
+    "momentum-entangled, spin-product pair (width 1):\n"
+    "  beta     corner margin   middle margin   verdict\n"
+    "   0.1000  -1.403e-11     -3.561e-08   separable (PPT)\n"
+    "   0.3000  -1.150e-08     -3.112e-06   separable (PPT)\n"
+    "   0.5000  -3.199e-07     -2.839e-05   separable (PPT)\n"
+    "   0.7000  -3.885e-06     -1.483e-04   separable (PPT)\n"
+    "   0.9000  -4.721e-05     -7.627e-04   separable (PPT)\n"
+    "   0.9900  -2.964e-04     -2.485e-03   separable (PPT)\n"
+    "   0.9999  -5.962e-04     -3.860e-03   separable (PPT)\n"
+    "\n"
+    "Bell-spin, product-momentum pair (bulk momenta ~ 1e3 m):\n"
+    "  beta     factorization distance\n"
+    "   0.1000  4.342e-09\n"
+    "   0.3000  3.287e-08\n"
+    "   0.5000  8.845e-08\n"
+    "   0.7000  1.893e-07\n"
+    "   0.9000  4.952e-07\n"
+    "   0.9900  8.423e-07\n"
+    "   0.9999  9.007e-07\n"
+    "\n"
+    "doubly entangled narrow pair (width 0.01), measurement along the boost axis:\n"
+    "  beta     quantum    classical\n"
+    "   0.1000  +0.999975  +1.0\n"
+    "   0.3000  +0.999767  +1.0\n"
+    "   0.5000  +0.999291  +1.0\n"
+    "   0.7000  +0.998354  +1.0\n"
+    "   0.9000  +0.996129  +1.0\n"
+    "   0.9900  +0.992599  +1.0\n"
+    "   0.9999  +0.990454  +1.0\n"
+)
+
+
 def test_transfer_checks_runs():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
@@ -21,12 +57,7 @@ def test_transfer_checks_runs():
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    for heading in (
-        "momentum-entangled, spin-product pair (width 1):",
-        "Bell-spin, product-momentum pair (bulk momenta ~ 1e3 m):",
-        "doubly entangled narrow pair (width 0.01), measurement along the boost axis:",
-    ):
-        assert heading in proc.stdout
+    assert proc.stdout == _TRANSFER_CHECKS
 
 
 def test_cold_profile_runs(tmp_path):
