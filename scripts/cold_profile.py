@@ -39,8 +39,8 @@ WARM_PASSES = 10
 KERNELS = ("gauss_legendre", "build_grid", "fidelity", "bell_ABCD", "default_sample_pairs",
            "momentum_density_samples", "xstate_stats", "reduced_spin_density",
            "quantum_correlation")
-MODULES = ("relent", "relent.wavepacket", "relent.relstate", "relent.entanglement",
-           "relent.correlations", "relent.cli")
+MODULES = ("relent.wavepacket", "relent.relstate", "relent.entanglement", "relent.correlations",
+           "relent.cli")
 
 _stats = {}  # kernel -> [calls, seconds, faults, peak bytes, peak RSS, file, anon growth KiB]
 _open = []  # absolute tracemalloc peaks of the calls in progress, before their callees reset it

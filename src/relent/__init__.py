@@ -5,38 +5,8 @@ momentum-dependent spin rotations, degrades or redistributes entanglement
 between two spin-1/2 wavepackets.  Provides entanglement fidelity, reduced
 density matrices, partial-transpose separability tests, a negativity-based
 entanglement measure, and relativistic spin correlations, plus a CLI driver
-for beta/width sweeps.
+for beta/width sweeps.  Each function is imported from its module, as in
+``from relent.entanglement import fidelity``; the package binds only ``__version__``.
 """
-
-from relent.correlations import (
-    ObservableDirection,
-    classical_correlation,
-    quantum_correlation,
-    relativistic_observable,
-)
-from relent.entanglement import (
-    bell_ABCD,
-    fidelity,
-    negativity_measure,
-    xstate_pt_spectrum,
-    xstate_stats,
-)
-from relent.kinematics import Boost
-from relent.relstate import (
-    BipartiteState,
-    bell_phi_plus,
-    momentum_density_samples,
-    product_distance,
-    reduced_spin_density,
-    spin_up_up,
-)
-from relent.wavepacket import (
-    EntangledMomentum,
-    GaussianProduct,
-    GridCoverageError,
-    QuadratureGrid,
-    build_grid,
-    default_p_max,
-)
 
 __version__ = "0.1.0"

@@ -29,6 +29,7 @@ C = 1/8, eta = 1) is reproduced exactly in this mode.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -98,13 +99,13 @@ def _tiled(fill, n_buffers: int, weights, *cells: np.ndarray) -> np.ndarray:
     row is summed in an order set by n_theta alone, so no bit depends on the tile.
     """
     shape = np.broadcast_shapes(*(np.shape(a) for a in cells))
-    cells = [np.broadcast_to(a, shape).reshape(-1, 1) for a in cells]
-    n_rows, n_theta = len(cells[0]), len(weights[0])
+    cells = [np.broadcast_to(a, shape).flat for a in cells]  # a tile's rows copied, no more
+    n_rows, n_theta = math.prod(shape), len(weights[0])
     step, sums = max(1, _TILE_NODES // n_theta), np.empty((len(weights), n_rows))
     buffers = [np.empty((min(step, n_rows), n_theta)) for _ in range(n_buffers)]
     for start in range(0, n_rows, step):
         rows = slice(start, start + step)
-        lattice = fill(*(a[rows] for a in cells), *(buf[:n_rows - start] for buf in buffers))
+        lattice = fill(*(a[rows][:, None] for a in cells), *(b[:n_rows - start] for b in buffers))
         for total, w in zip(sums, weights):
             np.einsum("rk,k->r", lattice, w, out=total[rows])
     return sums.reshape((len(weights),) + shape)

@@ -1,6 +1,6 @@
-"""Every name in a module's ``__all__`` exists in that module, no module calls BLAS or LAPACK
-or a numpy kernel family that only one call site of the sweep would page in, and one guard
-checks every grid's coverage."""
+"""Every name in a module's ``__all__`` exists in that module, the package itself binds only
+``__version__``, no module calls BLAS or LAPACK or a numpy kernel family that only one call
+site of the sweep would page in, and one guard checks every grid's coverage."""
 
 import ast
 import importlib
@@ -18,6 +18,27 @@ def test_all_names_exist(name):
     module = importlib.import_module(f"relent.{name}")
     assert len(module.__all__) == len(set(module.__all__)), "a name is listed twice"
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def _bound_names(tree):
+    """Names that imports, definitions and assignments bind anywhere in a syntax tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from (alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            yield node.id
+
+
+def test_package_binds_only_its_version():
+    # callers import each function from its module, so the package re-exports nothing
+    tree = ast.parse(Path(relent.__file__).read_text(encoding="utf-8"))
+    assert [n for n in _bound_names(tree) if not (n.startswith("__") and n.endswith("__"))] == []
+    assert isinstance(relent.__version__, str)
+    probe = ("import a.b\nfrom c import d as e\nfrom f import *\ndef g(): h = 1\nclass I: pass\n"
+             "__all__ = []")
+    assert list(_bound_names(ast.parse(probe))) == ["a", "e", "*", "g", "I", "__all__", "h"]
 
 
 def _blas_uses(tree):
