@@ -21,16 +21,14 @@ emitted in config order.
 
 Exit codes: 0 success; 2 configuration or usage error (a field that fails its
 check, which the message names, a config file that cannot be read or parsed
-as UTF-8 JSON, and --plot without a CSV --output or naming the --output file);
-3 numeric or grid-coverage error; 4 I/O error while writing the output or plot
-script.
+as UTF-8 JSON, and --plot without a CSV --output, naming the --output file or
+on both_bell_correlations, which has no column to plot); 3 numeric or
+grid-coverage error; 4 I/O error while writing the output or plot script.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
@@ -289,46 +287,34 @@ def _sweep_columns(config: SweepConfig, delta: np.ndarray) -> dict:
     gs = config.grid
     b = Boost(np.array(config.betas))
     grid = build_grid(gs.n_r, gs.n_theta, default_p_max(delta) if gs.p_max == "auto" else gs.p_max)
-    cols = {}
-    if config.scenario in ("spin_bell_momentum_product", "fidelity_only"):
+    cols, spectrum = {}, None
+    if config.scenario == "fidelity_only":
+        cols["fidelity"] = fidelity(GaussianProduct(delta), b, grid)
+    elif config.scenario == "spin_bell_momentum_product":
         gp = GaussianProduct(delta)
-        if not config.analytic_limit:
+        if not config.analytic_limit:  # the limit has no finite-speed fidelity or sample
             cols["fidelity"] = fidelity(gp, b, grid)
-        if config.scenario == "fidelity_only":
-            return cols
-
-    if config.scenario == "spin_bell_momentum_product":
+            pairs = default_sample_pairs(gp, n=_PAIRS, seed=config.seed)
+            sample = momentum_density_samples(BipartiteState(gp, bell_phi_plus()), b, pairs=pairs)
+            cols["product_distance"] = product_distance(*sample)
         v = bell_ABCD(gp, b, grid, analytic_limit=config.analytic_limit)
         cols.update(A=v.A, B=v.B, C=v.C, D=v.D, eta=v.eta)
         spectrum = _bell_pt_spectrum(v)
-        cols.update(min_pt_eig=spectrum[..., 0], E=negativity_measure(spectrum))
-        if not config.analytic_limit:
-            pairs = default_sample_pairs(gp, n=_PAIRS, seed=config.seed)
-            state = BipartiteState(gp, bell_phi_plus())
-            sample = momentum_density_samples(state, b, pairs=pairs)
-            cols["product_distance"] = product_distance(*sample)
-        return cols
-
-    if config.scenario == "momentum_bell_spin_up":
-        em = EntangledMomentum(delta, config.delta_sign)
-        entries = xstate_stats(em, b, grid)
+    elif config.scenario == "momentum_bell_spin_up":
+        entries = xstate_stats(EntangledMomentum(delta, config.delta_sign), b, grid)
         spectrum, cols["ineq15_margin"], cols["ineq16_margin"] = xstate_pt_spectrum(*entries)
         cols["identity14_residual"] = product_residual(entries[0])
-        cols.update(min_pt_eig=spectrum[..., 0], E=negativity_measure(spectrum))
-        return cols
-
-    if config.scenario == "both_bell_correlations":
+    elif config.scenario == "both_bell_correlations":
         em = EntangledMomentum(delta, config.delta_sign)
-        a = ObservableDirection(np.array(config.directions.a))
-        b_dir = ObservableDirection(np.array(config.directions.b))
+        a, b_dir = (ObservableDirection(np.array(v)) for v in config.directions)
         cols["qcorr"] = quantum_correlation(a, b_dir, em, bell_phi_plus(), b, grid)
-        try:
+        if all(v[0] != 0 for v in config.directions):  # a transverse one has no classical sign
             cols["ccorr"] = np.full(np.shape(cols["qcorr"]), classical_correlation(a, b_dir))
-        except ValueError:
-            pass  # transverse direction: classical sign undefined
-        return cols
-
-    raise ConfigError(f"config field 'scenario': unhandled scenario {config.scenario!r}")
+    else:
+        raise ConfigError(f"config field 'scenario': unhandled scenario {config.scenario!r}")
+    if spectrum is not None:
+        cols.update(min_pt_eig=spectrum[..., 0], E=negativity_measure(spectrum))
+    return cols
 
 
 def run(config: SweepConfig, workers: int = 1) -> list[SweepRow]:
@@ -371,12 +357,9 @@ def emit(rows: list[SweepRow], fmt: str, path: str | None) -> str:
     """Serialise rows as CSV (fixed header) or JSON; returns the text emitted."""
     if not rows:
         raise ValueError("no rows to emit")
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(SweepRow._fields)
-        writer.writerows([_format_value(x) for x in row] for row in rows)
-        text = buf.getvalue()
+    if fmt == "csv":  # no field needs quoting: the header is fixed, each value ".17g" or empty
+        lines = [SweepRow._fields, *([_format_value(x) for x in row] for row in rows)]
+        text = "".join(",".join(line) + "\n" for line in lines)
     elif fmt == "json":
         text = json.dumps([row._asdict() for row in rows], indent=2) + "\n"
     else:
@@ -412,6 +395,9 @@ def emit_plotscript(rows: list[SweepRow], path: str, csv_path: str) -> str:
 
 def _cmd_run(args) -> int:
     config = load_config(args.config)
+    if args.plot is not None and config.scenario == "both_bell_correlations":
+        raise ConfigError("--plot: scenario 'both_bell_correlations' has neither a measure "
+                          "nor a fidelity column to draw")
     rows = run(config, workers=args.workers)
     text = emit(rows, args.format, args.output)
     if args.output is None:

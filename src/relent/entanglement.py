@@ -183,16 +183,16 @@ def bell_ABCD(
     cos(theta)) on a tile of the (cell, cos(theta)) lattice, the polar weights fold in
     sin^2(theta) and t^2/(1 + t^2) scales the polar sums.  s2 is divided by the norm of each
     radial rule once that passes its check (``normalised``) and c2 = 1 - s2, so the weights
-    sum to 1.  ``analytic_limit`` substitutes Omega := theta: s2 = 1/2 exactly, with no lattice.
+    sum to 1.  ``analytic_limit`` substitutes Omega := theta: s2 = 1/2 exactly, read from no
+    grid, so no grid's coverage is checked; ``grid.p_max`` sets only the result's shape.
     """
     if not isinstance(dist, GaussianProduct):
         raise TypeError("bell_ABCD requires a product momentum distribution")
-    w = (grid.radial_weights * dist.density1(grid.p**2))[..., 0]
-    ct, polar = grid.costheta, grid.polar_weights
-    norm = np.sum(w, axis=-1) * np.sum(polar)
     if analytic_limit:  # Omega = theta: sin^2(theta/2) = (1 - cos(theta))/2 averages to 1/2
-        s2 = np.broadcast_to(0.5 * norm, np.broadcast_shapes(np.shape(norm), np.shape(b.beta)))
+        s2 = np.full(np.broadcast_shapes(*map(np.shape, (dist.delta, grid.p_max, b.beta))), 0.5)
     else:
+        w = (grid.radial_weights * dist.density1(grid.p**2))[..., 0]
+        ct, polar = grid.costheta, grid.polar_weights
         t = wigner_tan_product(grid.p, b.nodewise().beta)
         t_sq = t * t
 
@@ -202,7 +202,7 @@ def bell_ABCD(
             return np.reciprocal(lattice, out=lattice)
         polar_sum = _tiled(fill, 1, (polar * (1.0 - ct * ct),), 2.0 * t / (1.0 + t_sq))[0]
         s2 = np.sum(w * (t_sq / (1.0 + t_sq) * polar_sum)[..., 0], axis=-1)
-    s2 = normalised(s2, norm, "bell_ABCD")
+        s2 = normalised(s2, np.sum(w, axis=-1) * np.sum(polar), "bell_ABCD")
     c2, C = 1.0 - s2, 0.5 * s2**2
     return ABCDValues(A=c2**2 + C, B=c2 * s2, C=C, D=c2 * s2, eta=2.0 * s2)
 

@@ -38,6 +38,7 @@ __all__ = [
     "momentum_density_samples",
     "default_sample_pairs",
     "product_distance",
+    "UNIT_PAIRS",
 ]
 
 
@@ -68,14 +69,14 @@ class BipartiteState:
 #: the quaternion units E = (1, i sigma_x, i sigma_y, i sigma_z), and E_m x E_n
 #: (4, 4, 4, 4) over the basis (uu, ud, du, dd)
 _UNITS = np.array([[[1, 0], [0, 1]], [[0, 1j], [1j, 0]], [[0, 1], [-1, 0]], [[1j, 0], [0, -1j]]])
-_UNIT_PAIRS = np.einsum("mac,nbd->mnabcd", _UNITS, _UNITS).reshape(4, 4, 4, 4)
+UNIT_PAIRS = np.einsum("mac,nbd->mnabcd", _UNITS, _UNITS).reshape(4, 4, 4, 4)
 
 
 #: D_p Phi D_q^T spans the nine spin vectors v_mn = (E_m x E_n) Phi named below.  Over the azimuth
 #: of J = cos(phi) E_z - sin(phi) E_y (<cos^2> = 1/2, <cos^4> = 3/8, <cos^2 sin^2> = 1/8), the
 #: factor of moment class k = (M00, M20, M22, M11) averages to sum_ij W_kij v_i v_j^dag.
 _SPIN_VECTORS = ("00", "20", "30", "02", "03", "22", "33", "23", "32")
-_SPIN_OPERATORS = np.array([_UNIT_PAIRS[int(m), int(n)] for m, n in _SPIN_VECTORS])
+_SPIN_OPERATORS = np.array([UNIT_PAIRS[int(m), int(n)] for m, n in _SPIN_VECTORS])
 _CLASS_WEIGHTS = np.zeros((4, 9, 9))
 for _k, _weight, _terms in (
     (0, 1.0, "00.00"),
@@ -201,7 +202,7 @@ def momentum_density_samples(state: BipartiteState, b: Boost, pairs):
     if pairs.ndim not in (3, 4) or pairs.shape[-2:] != (4, 3):
         raise ValueError("pairs must have shape (n, 4, 3)")
     dist = state.dist
-    T = np.einsum("mnab,a,b->mn", _UNIT_PAIRS, state.spin.conj(), state.spin)  # <Phi|E_m x E_n|Phi>
+    T = np.einsum("mnab,a,b->mn", UNIT_PAIRS, state.spin.conj(), state.spin)  # <Phi|E_m x E_n|Phi>
 
     # half-angles and azimuths of all four momenta of every row, (..., slot, row):
     # the long row axis innermost keeps numpy's inner loops long

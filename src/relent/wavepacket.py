@@ -65,24 +65,22 @@ def normalised(values, norm, kernel: str):
 class _Gaussian:
     """Isotropic Gaussian radial profile of width delta (m^2 units), or of an array of widths.
 
-    An array has a grid's cutoff axes, (n_delta, 1); ``nodes_delta`` adds the
-    two node axes of the |p|^2 that ``density1`` and ``amplitude1`` take."""
+    An array has a grid's cutoff axes, (n_delta, 1); ``nodes_delta`` and ``nodes_norm`` add
+    the two node axes of the |p|^2 that ``density1`` and ``amplitude1`` take."""
 
     def __init__(self, delta):
         if not np.all(np.asarray(delta) > 0.0):
             raise ValueError(f"delta must be positive, got {delta}")
         self.delta = delta if np.ndim(delta) == 0 else np.asarray(delta, dtype=float)
-        self.nodes_delta = self.delta if np.ndim(delta) == 0 else self.delta[..., None, None]
-
-    @property
-    def norm(self):
-        """N with integral of N exp(-p^2/delta) over R^3 equal to 1."""
-        return (np.pi * self.delta) ** (-1.5)
+        #: N = (pi delta)^-1.5, with the integral of N exp(-p^2/delta) over R^3 equal to 1
+        self.norm = (np.pi * self.delta) ** (-1.5)
+        self.nodes_delta, self.nodes_norm = (
+            (self.delta, self.norm) if np.ndim(delta) == 0
+            else (self.delta[..., None, None], self.norm[..., None, None]))
 
     def density1(self, p_sq):
         """|f1(p)|^2 = N exp(-p^2/delta) from |p|^2; integrates to 1 over R^3."""
-        d = self.nodes_delta
-        return (np.pi * d) ** (-1.5) * np.exp(-np.asarray(p_sq, dtype=float) / d)
+        return self.nodes_norm * np.exp(-np.asarray(p_sq, dtype=float) / self.nodes_delta)
 
 
 class GaussianProduct(_Gaussian):
@@ -91,7 +89,7 @@ class GaussianProduct(_Gaussian):
     def amplitude1(self, p_sq):
         """Single-particle amplitude f1(p) = sqrt(N exp(-p^2/delta)), from |p|^2."""
         d = self.nodes_delta
-        return np.sqrt((np.pi * d) ** (-1.5)) * np.exp(-np.asarray(p_sq, dtype=float) / (2.0 * d))
+        return np.sqrt(self.nodes_norm) * np.exp(-np.asarray(p_sq, dtype=float) / (2.0 * d))
 
 
 class EntangledMomentum(_Gaussian):

@@ -308,12 +308,12 @@ def fidelity_hypot(dist, b: Boost, grid):
 
 def bell_ABCD_hypot(dist, b: Boost, grid, analytic_limit=False) -> ABCDValues:
     """``entanglement.bell_ABCD`` summing c^2 and 1 - c^2 of the hypot half-angle, each over
-    the checked norm."""
+    the checked norm; the analytic limit's Omega = theta gives 1/2 over any norm, unchecked."""
     if not isinstance(dist, GaussianProduct):
         raise TypeError("bell_ABCD requires a product momentum distribution")
     w = lattice_weights(grid) * dist.density1(grid.p**2)
     norm = float(np.sum(w))
-    if not (abs(norm - 1.0) <= COVERAGE_TOL):
+    if not (analytic_limit or abs(norm - 1.0) <= COVERAGE_TOL):
         raise GridCoverageError(
             f"bell_ABCD: distribution norm on the grid is {norm:.6f}; grid coverage insufficient"
         )

@@ -1,6 +1,7 @@
 """Every name in a module's ``__all__`` exists in that module, the package itself binds only
 ``__version__``, no module calls BLAS or LAPACK or a numpy kernel family that only one call
-site of the sweep would page in, and one guard checks every grid's coverage."""
+site of the sweep would page in, one guard checks every grid's coverage, and one function
+forms the Lorentz factor."""
 
 import ast
 import importlib
@@ -120,3 +121,28 @@ def test_one_coverage_guard():
     assert found == {"wavepacket.py": (1, ["1e-4", "COVERAGE_TOL"])}
     probe = "raise GridCoverageError('x')\nraise GridCoverageError\nA_TOL = 2\nif x < 1e-4: pass"
     assert _coverage_guards(ast.parse(probe)) == ([1, 2], ["1e-4", "A_TOL"])  # each form
+
+
+def _lorentz_roots(tree):
+    """(line, function) of each product (1 - x)(1 + x), either order, in a module's syntax tree."""
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            terms = {type(t.op): t.right for t in (node.left, node.right)
+                     if isinstance(t, ast.BinOp) and getattr(t.left, "value", None) == 1}
+            if terms.keys() == {ast.Add, ast.Sub} and len({ast.dump(x) for x in terms.values()}) == 1:
+                owner = [f.name for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+                yield node.lineno, owner[-1] if owner else None
+
+
+def test_one_lorentz_factor():
+    # 1 - beta^2 as (1 - beta)(1 + beta), which keeps its digits near light speed, is
+    # written once; every other gamma or 1/gamma comes from kinematics.lorentz_factor
+    found = {}
+    for path in sorted(Path(relent.__file__).parent.glob("*.py")):
+        roots = [func for _, func in _lorentz_roots(ast.parse(path.read_text(encoding="utf-8")))]
+        if roots:
+            found[path.name] = roots
+    assert found == {"kinematics.py": ["lorentz_factor"]}
+    probe = "def f(b):\n    return (1.0 - b) * (1.0 + b)\n(1 + x[0]) * (1 - x[0])\n(1 - a) * (1 + b)"
+    assert sorted(_lorentz_roots(ast.parse(probe))) == [(2, "f"), (3, None)]  # each order, not a != b

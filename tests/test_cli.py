@@ -269,6 +269,13 @@ class TestRunScenarios:
         assert row.D == pytest.approx(0.25, abs=1e-9)
         assert row.E == pytest.approx(0.0, abs=1e-12)
 
+    def test_analytic_limit_reads_no_grid(self, tmp_path, capsys):
+        # Omega = theta gives s2 = 1/2 on any grid; a 2x2 grid used to fail its
+        # coverage check (exit 3, "norm on the grid is 2.180705")
+        doc = {"analytic_limit": True, "betas": [0.0, 0.5], "grid": {"n_r": 2, "n_theta": 2}}
+        assert main(["run", "--config", write_config(tmp_path, doc)]) == EXIT_OK
+        assert capsys.readouterr().out == emit(run(parse_config({**doc, "grid": {}})), "csv", None)
+
     def test_momentum_bell_scenario(self):
         cfg = parse_config({"scenario": "momentum_bell_spin_up", "betas": [0.0, 0.6]})
         rows = run(cfg)
@@ -965,6 +972,16 @@ class TestMainEntry:
             assert exc.value.code == EXIT_CONFIG, plot
             assert "--plot" in capsys.readouterr().err, plot
             assert not out_path.exists(), plot
+
+    def test_plot_needs_a_plotted_column(self, tmp_path, capsys):
+        # the correlation scenario has neither E nor a fidelity; it used to write the CSV,
+        # then exit 3 on the empty plot script
+        cfg_path = write_config(tmp_path, {"scenario": "both_bell_correlations", "betas": [0.0]})
+        out_path, plot_path = tmp_path / "out.csv", tmp_path / "plot.gp"
+        argv = ["run", "--config", cfg_path, "--output", str(out_path), "--plot", str(plot_path)]
+        assert main(argv) == EXIT_CONFIG
+        assert "--plot" in capsys.readouterr().err
+        assert not out_path.exists() and not plot_path.exists()
 
     def test_plot_needs_csv_output(self, tmp_path, capsys):
         # the script reads --output as comma-separated data; without it, it

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    _SIGMA,
     FourMomentum,
     bell_expectation,
     quantum_correlation_asymptotic,
@@ -18,7 +19,7 @@ from relent.correlations import (
     relativistic_observable,
 )
 from relent.kinematics import Boost
-from relent.relstate import bell_phi_plus
+from relent.relstate import BipartiteState, bell_phi_plus, reduced_spin_density
 from relent.wavepacket import EntangledMomentum, build_grid, default_p_max
 
 
@@ -27,14 +28,24 @@ def direction(vec):
     return ObservableDirection(v / np.linalg.norm(v))
 
 
-unit_vectors = st.builds(
-    lambda ct, ph: direction(
-        [ct, np.sqrt(1 - ct**2) * np.cos(ph), np.sqrt(1 - ct**2) * np.sin(ph)]
-    ),
-    ct=st.floats(-1.0, 1.0),
-    ph=st.floats(0.0, 2 * np.pi),
-)
+def directions_at(cos_theta):
+    """Unit directions with the x component drawn from ``cos_theta``."""
+    return st.builds(
+        lambda ct, ph: direction(
+            [ct, np.sqrt(1 - ct**2) * np.cos(ph), np.sqrt(1 - ct**2) * np.sin(ph)]
+        ),
+        ct=cos_theta,
+        ph=st.floats(0.0, 2 * np.pi),
+    )
+
+
+unit_vectors = directions_at(st.floats(-1.0, 1.0))
+tilted_vectors = directions_at(st.floats(-0.95, 0.95))  # off the boost axis
 boosts = st.builds(Boost, beta=st.floats(0.0, 0.99))
+#: unit two-spin amplitudes
+spin_amplitudes = st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8).map(
+    lambda v: np.array(v[:4]) + 1j * np.array(v[4:])
+).filter(lambda v: np.sum(np.abs(v) ** 2) > 0.01).map(lambda v: v / np.sqrt(np.sum(np.abs(v) ** 2)))
 
 
 class TestObservableDirection:
@@ -50,34 +61,25 @@ class TestObservableDirection:
 
 class TestRelativisticObservable:
     def test_rest_frame_is_plain_spin(self):
+        # at rest the observable is a.sigma itself: n = a
         a = direction([0.3, 0.5, np.sqrt(1 - 0.09 - 0.25)])
-        op = relativistic_observable(a, Boost(0.0))
-        expected = sum(
-            a.a_vec[i] * s
-            for i, s in enumerate(
-                [
-                    np.array([[0, 1], [1, 0]], dtype=complex),
-                    np.array([[0, -1j], [1j, 0]], dtype=complex),
-                    np.array([[1, 0], [0, -1]], dtype=complex),
-                ]
-            )
-        )
-        assert np.max(np.abs(op - expected)) < 1e-14
+        n = relativistic_observable(a, Boost(0.0))
+        assert n.shape == (3,)
+        assert np.max(np.abs(n - a.a_vec)) < 1e-14
 
     @pytest.mark.parametrize("beta", [0.0, 0.5, 0.99])
     def test_longitudinal_direction_unchanged(self, beta):
-        op = relativistic_observable(direction([1, 0, 0]), Boost(beta))
-        assert np.allclose(op, [[0, 1], [1, 0]], atol=1e-14)
+        n = relativistic_observable(direction([1, 0, 0]), Boost(beta))
+        assert np.array_equal(n, [1.0, 0.0, 0.0])
 
     def test_tilted_direction_collapses_to_axis(self):
         # half-longitudinal direction at beta = 0.99: residual tilt from the
         # boost axis is atan(sqrt(1 - beta^2) tan(theta_a)) ~ 0.24 rad
         a = direction([0.5, np.sqrt(0.75), 0.0])
-        op = relativistic_observable(a, Boost(0.99))
-        # op = n . sigma with nz = op[0,0], nx = Re op[0,1], ny = -Im op[0,1]
-        n_vec = np.array([op[0, 1].real, -op[0, 1].imag, op[0, 0].real])
-        assert np.linalg.norm(n_vec) == pytest.approx(1.0, abs=1e-12)
-        tilt = np.arccos(np.clip(n_vec[0], -1.0, 1.0))
+        n = relativistic_observable(a, Boost(0.99))
+        assert np.linalg.norm(n) == pytest.approx(1.0, abs=1e-12)
+        assert n[2] == 0.0  # it stays in the plane of the boost axis and a
+        tilt = np.arccos(np.clip(n[0], -1.0, 1.0))
         expected = np.arctan(np.sqrt(1 - 0.99**2) * np.tan(np.arccos(0.5)))
         assert tilt == pytest.approx(expected, abs=1e-12)
         assert tilt < 0.25
@@ -85,10 +87,9 @@ class TestRelativisticObservable:
     @given(a=unit_vectors, b=boosts)
     @settings(max_examples=100)
     def test_unit_eigenvalues(self, a, b):
-        op = relativistic_observable(a, b)
-        eig = np.linalg.eigvalsh(op)
-        assert eig[0] == pytest.approx(-1.0, abs=1e-12)
-        assert eig[1] == pytest.approx(1.0, abs=1e-12)
+        # n.sigma has the eigenvalues -1 and 1 exactly when |n| = 1
+        n = relativistic_observable(a, b)
+        assert np.linalg.norm(n) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestClassicalCorrelation:
@@ -170,6 +171,23 @@ class TestQuantumCorrelation:
         dist, grid = narrow_setup
         val = quantum_correlation(a, b_dir, dist, bell_phi_plus(), b, grid)
         assert abs(val) <= 1.0 + 1e-9
+
+    @given(a=tilted_vectors, b_dir=tilted_vectors, beta=st.floats(0.0, 0.99),
+           spin=spin_amplitudes)
+    @settings(max_examples=50, deadline=None)
+    def test_off_axis_matches_pauli_products(self, narrow_setup, a, b_dir, beta, spin):
+        # the golden and benchmark configs measure along x only; off it, the unit-pair
+        # contraction must equal Tr[rho (n_a.sigma x n_b.sigma)] on the same rho, every speed
+        dist, grid = narrow_setup
+        b = Boost(np.array([0.0, beta]))
+        got = quantum_correlation(a, b_dir, dist, spin, b, grid)
+        rho = reduced_spin_density(BipartiteState(dist, spin), b, grid)
+        n_a, n_b = relativistic_observable(a, b), relativistic_observable(b_dir, b)
+        assert got.shape == n_a.shape[:1] == (2,)
+        for i in range(2):
+            op = np.kron(np.einsum("i,ijk->jk", n_a[i], _SIGMA),
+                         np.einsum("i,ijk->jk", n_b[i], _SIGMA))
+            assert abs(got[i] - np.trace(rho[i] @ op).real) <= 1e-14
 
     def test_approaches_classical_at_light_speed(self, narrow_setup):
         dist, grid = narrow_setup

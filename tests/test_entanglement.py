@@ -477,10 +477,11 @@ class TestBellABCD:
         assert v.eta == pytest.approx(1.0, abs=1e-9)
 
     def test_analytic_limit_is_closed_form(self, monkeypatch):
-        # Omega = theta gives s2 = 1/2 exactly, with no Wigner-angle evaluation and no lattice
+        # Omega = theta gives s2 = 1/2 exactly, with no Wigner-angle evaluation, no lattice
+        # and no grid norm to check
         calls = []
-        monkeypatch.setattr(entanglement, "wigner_tan_product", lambda *args: calls.append(args))
-        monkeypatch.setattr(entanglement, "_tiled", lambda *args: calls.append(args))
+        for name in ("wigner_tan_product", "_tiled", "normalised"):
+            monkeypatch.setattr(entanglement, name, lambda *args: calls.append(args))
         widths = np.array([[0.5], [1.0], [4.0]])
         betas = np.array([0.05 * i for i in range(20)] + [0.99])
         grid = build_grid(32, 32, default_p_max(widths))
