@@ -84,7 +84,6 @@ def quantum_correlation(
     state = BipartiteState(dist=dist, spin=np.asarray(spin, dtype=complex))
     rho = reduced_spin_density(state, b, grid)
     n_a, n_b = relativistic_observable(a, b), relativistic_observable(b_dir, b)
-    # n_a.sigma x n_b.sigma = -sum_ij n_a,i n_b,j E_i x E_j, contracted in two steps: one
-    # four-operand einsum buffers 190 KiB; + 0.0 turns a -0 into 0
+    # sigma_i x sigma_j = -E_i x E_j; two einsums, as one of four operands buffers 190 KiB
     op = np.einsum("ijdc,...i,...j->...dc", UNIT_PAIRS[1:, 1:], n_a, n_b)
-    return -np.einsum("...cd,...dc->...", rho, op).real + 0.0
+    return -np.einsum("...cd,...dc->...", rho, op).real + 0.0  # + 0.0 turns a -0 into 0
