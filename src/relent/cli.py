@@ -54,6 +54,7 @@ from relent.entanglement import (
 )
 from relent.kinematics import BETA_CAP, Boost
 from relent.relstate import (
+    SAMPLE_PAIRS,
     BipartiteState,
     bell_phi_plus,
     default_sample_pairs,
@@ -94,8 +95,6 @@ GRID_COUNT_MAX = 1024
 P_MAX_CAP = float(default_p_max(DELTA_MAX, BETA_CAP))
 
 _DEFAULT_BETAS = [round(0.05 * i, 2) for i in range(20)] + [0.99]
-#: coordinate pairs the factorization check draws per width
-_PAIRS = 64
 
 
 class ConfigError(Exception):
@@ -294,7 +293,7 @@ def _sweep_columns(config: SweepConfig, delta: np.ndarray) -> dict:
         gp = GaussianProduct(delta)
         if not config.analytic_limit:  # the limit has no finite-speed fidelity or sample
             cols["fidelity"] = fidelity(gp, b, grid)
-            pairs = default_sample_pairs(gp, n=_PAIRS, seed=config.seed)
+            pairs = default_sample_pairs(gp, n=SAMPLE_PAIRS, seed=config.seed)
             sample = momentum_density_samples(BipartiteState(gp, bell_phi_plus()), b, pairs=pairs)
             cols["product_distance"] = product_distance(*sample)
         v = bell_ABCD(gp, b, grid, analytic_limit=config.analytic_limit)
@@ -322,14 +321,14 @@ def run(config: SweepConfig, workers: int = 1) -> list[SweepRow]:
 
     Widths are evaluated in chunks, each as one array program per kernel with the
     widths and betas on the leading axes (``_sweep_columns``).  A chunk holds max(1,
-    2^18 // (n_beta (n_r + 4 * _PAIRS))) widths, which keeps each array with a width axis,
-    the (width, beta, p) cells and the pair sampler's (width, beta, 4, _PAIRS) values, under
+    2^18 // (n_beta (n_r + 4 * SAMPLE_PAIRS))) widths, which keeps each array with a width axis,
+    the (width, beta, p) cells and the pair sampler's (width, beta, 4, SAMPLE_PAIRS) values, under
     2 MiB; ``fidelity`` and ``bell_ABCD`` fill their lattice in tiles that do not grow.
     Every row equals the row of a sweep over that beta and width alone; ``workers`` is
     accepted for old callers and has no effect.
     """
     gs, betas, rows = config.grid, list(config.betas), []
-    chunk = max(1, 2**18 // (len(betas) * (gs.n_r + 4 * _PAIRS)))
+    chunk = max(1, 2**18 // (len(betas) * (gs.n_r + 4 * SAMPLE_PAIRS)))
     for start in range(0, len(config.delta), chunk):
         widths = config.delta[start:start + chunk]
         cols = _sweep_columns(config, np.array(widths)[:, None])
@@ -460,7 +459,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
-    except (GridCoverageError, FloatingPointError, ValueError) as exc:
+    except (GridCoverageError, ValueError) as exc:
         sys.stderr.write(f"numeric error: {exc}\n")
         return EXIT_NUMERIC
     except OSError as exc:

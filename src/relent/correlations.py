@@ -17,13 +17,6 @@ from relent.kinematics import Boost
 from relent.relstate import UNIT_PAIRS, BipartiteState, reduced_spin_density
 from relent.wavepacket import EntangledMomentum, QuadratureGrid
 
-__all__ = [
-    "ObservableDirection",
-    "relativistic_observable",
-    "classical_correlation",
-    "quantum_correlation",
-]
-
 #: from this speed on, a direction transverse to the boost axis has no defined correlation sign
 TRANSVERSE_BETA_MAX = 1.0 - 1e-6
 
@@ -81,7 +74,7 @@ def quantum_correlation(
         raise ValueError(
             "correlation sign degenerates for transverse directions at near-light boosts"
         )
-    state = BipartiteState(dist=dist, spin=np.asarray(spin, dtype=complex))
+    state = BipartiteState(dist=dist, spin=spin)
     rho = reduced_spin_density(state, b, grid)
     n_a, n_b = relativistic_observable(a, b), relativistic_observable(b_dir, b)
     # sigma_i x sigma_j = -E_i x E_j; two einsums, as one of four operands buffers 190 KiB

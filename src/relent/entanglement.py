@@ -40,16 +40,6 @@ from relent.wavepacket import (
     EntangledMomentum, GaussianProduct, QuadratureGrid, build_grid, default_p_max, normalised,
 )
 
-__all__ = [
-    "ABCDValues",
-    "xstate_stats",
-    "product_residual",
-    "fidelity",
-    "bell_ABCD",
-    "xstate_pt_spectrum",
-    "negativity_measure",
-]
-
 
 class ABCDValues(NamedTuple):
     """Weights of the boosted Bell-state spin density, normalised to sum to 1, plus eta."""

@@ -24,14 +24,6 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "Boost",
-    "lorentz_factor",
-    "wigner_tan_product",
-    "wigner_half_angle",
-    "energy_ratio",
-]
-
 #: beta values above this are rejected; the light-speed physics is reached
 #: through the analytic-limit evaluation mode instead of numerics at beta = 1.
 BETA_CAP = 1.0 - 1e-9

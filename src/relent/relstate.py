@@ -30,17 +30,6 @@ import numpy as np
 from relent.kinematics import Boost, energy_ratio, wigner_half_angle, wigner_tan_product
 from relent.wavepacket import EntangledMomentum, GaussianProduct, QuadratureGrid, normalised
 
-__all__ = [
-    "BipartiteState",
-    "bell_phi_plus",
-    "spin_up_up",
-    "reduced_spin_density",
-    "momentum_density_samples",
-    "default_sample_pairs",
-    "product_distance",
-    "UNIT_PAIRS",
-]
-
 
 def bell_phi_plus() -> np.ndarray:
     """(|uu> + |dd>)/sqrt(2) over the basis (uu, ud, du, dd)."""
@@ -317,9 +306,11 @@ def _pcg64_doubles(seed: int, count: int) -> np.ndarray:
     return out
 
 
-def default_sample_pairs(
-    dist: GaussianProduct, n: int = 64, seed: int = 42
-) -> np.ndarray:
+#: coordinate pairs the factorization check draws per width
+SAMPLE_PAIRS = 64
+
+
+def default_sample_pairs(dist: GaussianProduct, n: int = SAMPLE_PAIRS, *, seed: int) -> np.ndarray:
     """Deterministic coordinate pairs for the factorization check.
 
     Draws directions uniformly and radii from the bulk of the radial density

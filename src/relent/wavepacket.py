@@ -33,15 +33,6 @@ import numpy as np
 
 from relent.kinematics import lorentz_factor
 
-__all__ = [
-    "GaussianProduct",
-    "EntangledMomentum",
-    "QuadratureGrid",
-    "GridCoverageError",
-    "build_grid",
-    "default_p_max",
-    "gauss_legendre",
-]
 
 class GridCoverageError(Exception):
     """Raised when a quadrature grid demonstrably fails to cover an integrand."""

@@ -255,7 +255,7 @@ class TestLatticeMemory:
         delta = np.array([[0.5], [1.0], [4.0]])
         gp = GaussianProduct(delta)
         call = (momentum_density_samples, BipartiteState(gp, bell_phi_plus()), self.b,
-                default_sample_pairs(gp, n=64))
+                default_sample_pairs(gp, n=64, seed=42))
         assert _peak_bytes(*call) / (delta.size * len(_DEFAULT_BETAS) * 4 * 64 * 8) <= 10.0
 
     def test_build_grid(self):
