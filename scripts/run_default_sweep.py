@@ -10,9 +10,35 @@ full state.
 import pathlib
 import sys
 
-from relent.cli import emit, emit_plotscript, parse_config, run
+from relent.cli import SweepRow, emit, parse_config, run
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "out"
+
+
+def emit_plotscript(rows: list[SweepRow], path: str, csv_path: str) -> str:
+    """gnuplot script drawing the measure and fidelity against boost speed.
+
+    One labelled series per width value and per populated quantity; quantities
+    absent from every row are left out.  ``csv_path`` is written in gnuplot
+    single quotes, inside which a quote is doubled.
+    """
+    quoted = "'" + csv_path.replace("'", "''") + "'"
+    columns = [(SweepRow._fields.index(name) + 1, label)
+               for label, name in (("E", "E"), ("F", "fidelity"))
+               if any(getattr(row, name) is not None for row in rows)]
+    # each width as the CSV writes it, so that column(2)==d matches its rows
+    series = [f"  {quoted} using 1:(column(2)=={d} ? column({col}) : 1/0) "
+              f"with linespoints title '{label} delta={d}'"
+              for d in (format(float(x), ".17g") for x in sorted({row.delta for row in rows}))
+              for col, label in columns]
+    if not series:
+        raise ValueError("rows contain neither a measure nor a fidelity column")
+    lines = ["set datafile separator ','", "set key outside", "set xlabel 'beta'",
+             "set ylabel 'value'", "set yrange [-0.05:1.05]", "plot \\", ", \\\n".join(series)]
+    text = "\n".join(lines) + "\n"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    return text
 
 
 def main() -> int:

@@ -20,10 +20,9 @@ width alone.  Identical config and seed give byte-identical output, with rows
 emitted in config order.
 
 Exit codes: 0 success; 2 configuration or usage error (a field that fails its
-check, which the message names, a config file that cannot be read or parsed
-as UTF-8 JSON, and --plot without a CSV --output, naming the --output file or
-on both_bell_correlations, which has no column to plot); 3 numeric or
-grid-coverage error; 4 I/O error while writing the output or plot script.
+check, which the message names, or a config file that cannot be read or parsed
+as UTF-8 JSON); 3 numeric or grid-coverage error; 4 I/O error while writing
+the output.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from collections import namedtuple
 from typing import NamedTuple, NoReturn
@@ -64,7 +62,6 @@ from relent.relstate import (
 from relent.wavepacket import (
     EntangledMomentum,
     GaussianProduct,
-    GridCoverageError,
     build_grid,
     default_p_max,
 )
@@ -340,14 +337,6 @@ def run(config: SweepConfig, workers: int = 1) -> list[SweepRow]:
     return rows
 
 
-def _write(path: str, text: str, what: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise OSError(f"cannot write {what} {path}: {exc}") from exc
-
-
 def _format_value(x) -> str:
     return "" if x is None else format(float(x), ".17g")
 
@@ -364,45 +353,19 @@ def emit(rows: list[SweepRow], fmt: str, path: str | None) -> str:
     else:
         raise ValueError(f"unknown format {fmt!r}")
     if path is not None:
-        _write(path, text, "output")
-    return text
-
-
-def emit_plotscript(rows: list[SweepRow], path: str, csv_path: str) -> str:
-    """gnuplot script drawing the measure and fidelity against boost speed.
-
-    One labelled series per width value and per populated quantity; quantities
-    absent from every row are left out.  ``csv_path`` is written in gnuplot
-    single quotes, inside which a quote is doubled.
-    """
-    quoted = "'" + csv_path.replace("'", "''") + "'"
-    columns = [(SweepRow._fields.index(name) + 1, label)
-               for label, name in (("E", "E"), ("F", "fidelity"))
-               if any(getattr(row, name) is not None for row in rows)]
-    series = [f"  {quoted} using 1:(column(2)=={d} ? column({col}) : 1/0) "
-              f"with linespoints title '{label} delta={d}'"
-              for d in map(_format_value, sorted({row.delta for row in rows}))
-              for col, label in columns]
-    if not series:
-        raise ValueError("rows contain neither a measure nor a fidelity column")
-    lines = ["set datafile separator ','", "set key outside", "set xlabel 'beta'",
-             "set ylabel 'value'", "set yrange [-0.05:1.05]", "plot \\", ", \\\n".join(series)]
-    text = "\n".join(lines) + "\n"
-    _write(path, text, "plot script")
+        try:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise OSError(f"cannot write output {path}: {exc}") from exc
     return text
 
 
 def _cmd_run(args) -> int:
-    config = load_config(args.config)
-    if args.plot is not None and config.scenario == "both_bell_correlations":
-        raise ConfigError("--plot: scenario 'both_bell_correlations' has neither a measure "
-                          "nor a fidelity column to draw")
-    rows = run(config, workers=args.workers)
+    rows = run(load_config(args.config), workers=args.workers)
     text = emit(rows, args.format, args.output)
     if args.output is None:
         sys.stdout.write(text)
-    if args.plot is not None:
-        emit_plotscript(rows, args.plot, args.output)
     return EXIT_OK
 
 
@@ -435,8 +398,6 @@ def main(argv=None) -> int:
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--output", default=None, help="output path (default: stdout)")
     p_run.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_run.add_argument("--plot", default=None,
-                       help="write a gnuplot script here (needs --output and --format csv)")
     p_run.add_argument("--workers", type=int, default=1, help="accepted; has no effect")
     p_run.set_defaults(func=_cmd_run)
 
@@ -448,18 +409,12 @@ def main(argv=None) -> int:
     p_lim.set_defaults(func=_cmd_limits)
 
     args = parser.parse_args(argv)
-    # the plot script reads the sweep back as comma-separated data from --output
-    if args.command == "run" and args.plot is not None:
-        if args.output is None or args.format != "csv":
-            parser.error("--plot needs --output and --format csv")
-        if os.path.realpath(args.plot) == os.path.realpath(args.output):
-            parser.error("--plot names the --output file, which the script would overwrite")
     try:
         return args.func(args)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
-    except (GridCoverageError, ValueError) as exc:
+    except ValueError as exc:  # a GridCoverageError among them
         sys.stderr.write(f"numeric error: {exc}\n")
         return EXIT_NUMERIC
     except OSError as exc:

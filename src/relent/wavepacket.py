@@ -34,7 +34,7 @@ import numpy as np
 from relent.kinematics import lorentz_factor
 
 
-class GridCoverageError(Exception):
+class GridCoverageError(ValueError):
     """Raised when a quadrature grid demonstrably fails to cover an integrand."""
 
 

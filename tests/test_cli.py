@@ -29,7 +29,6 @@ from relent.cli import (
     SCENARIOS,
     ConfigError,
     emit,
-    emit_plotscript,
     main,
     parse_config,
     run,
@@ -42,6 +41,8 @@ from relent.wavepacket import GaussianProduct, build_grid, default_p_max
 
 #: the largest fixed grid.p_max a config may set: the auto policy's largest cutoff
 P_MAX_CAP = default_p_max(DELTA_MAX, BETA_CAP)
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 #: config documents, each with its exact ``relent validate`` output: the golden
 #: configs, ``{}``, the seed-0 benchmark configs and odd but valid forms
@@ -622,57 +623,6 @@ class TestEmit:
             emit([], "csv", None)
 
 
-class TestPlotScript:
-    def test_both_quantities(self, tmp_path):
-        cfg = parse_config({"betas": [0.0, 0.5], "grid": {"n_r": 16, "n_theta": 16, "n_phi": 8}})
-        rows = run(cfg)
-        text = emit_plotscript(rows, str(tmp_path / "plot.gp"), "sweep.csv")
-        # E is the CSV's fourth column and the fidelity its third
-        assert text.splitlines()[-2:] == [
-            "  'sweep.csv' using 1:(column(2)==1 ? column(4) : 1/0) "
-            "with linespoints title 'E delta=1', \\",
-            "  'sweep.csv' using 1:(column(2)==1 ? column(3) : 1/0) "
-            "with linespoints title 'F delta=1'",
-        ]
-
-    def test_quote_in_csv_path_is_doubled(self, tmp_path):
-        # gnuplot reads '' inside a single-quoted string as one quote; the path
-        # used to be pasted in as is, which ended the string early
-        rows = run(parse_config({"betas": [0.0, 0.5], "delta": [0.5, 1.0]}))
-        csv_path = str(tmp_path / "it's a 'sweep'.csv")
-        text = emit_plotscript(rows, str(tmp_path / "plot.gp"), csv_path)
-        series = [line for line in text.splitlines() if " using 1:" in line]
-        assert len(series) == 4
-        for line in series:
-            quoted = re.match(r"\s*'((?:[^']|'')*)' using 1:", line)
-            assert quoted is not None, line
-            assert quoted.group(1).replace("''", "'") == csv_path
-
-    def test_fidelity_only_drops_measure_series(self, tmp_path):
-        cfg = parse_config(
-            {
-                "scenario": "fidelity_only",
-                "betas": [0.0, 0.5],
-                "grid": {"n_r": 16, "n_theta": 16, "n_phi": 8},
-            }
-        )
-        text = emit_plotscript(run(cfg), str(tmp_path / "plot.gp"), "s.csv")
-        assert "F delta=" in text
-        assert "E delta=" not in text
-
-    def test_two_widths_two_series_each(self, tmp_path):
-        cfg = parse_config(
-            {
-                "betas": [0.0, 0.5],
-                "delta": [0.5, 1.0],
-                "grid": {"n_r": 16, "n_theta": 16, "n_phi": 8},
-            }
-        )
-        text = emit_plotscript(run(cfg), str(tmp_path / "plot.gp"), "s.csv")
-        assert text.count("E delta=") == 2
-        assert text.count("F delta=") == 2
-
-
 class TestMainEntry:
     def test_run_to_file(self, tmp_path, capsys):
         cfg_path = write_config(
@@ -866,7 +816,8 @@ class TestMainEntry:
             tmp_path, {"betas": [0.0], "grid": {"p_max": 0.5}}  # cuts the packet
         )
         assert main(["run", "--config", cfg_path]) == EXIT_NUMERIC
-        assert "numeric error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("numeric error: ") and "grid coverage insufficient" in err, err
 
     def test_fidelity_range_error_names_the_cell(self, tmp_path, capsys):
         # a 2-node radial rule does not resolve the packet; the message used to
@@ -891,11 +842,6 @@ class TestMainEntry:
         out_path = str(tmp_path / "no_such_dir" / "x.csv")
         assert main(["run", "--config", cfg_path, "--output", out_path]) == EXIT_IO
         assert f"io error: cannot write output {out_path}" in capsys.readouterr().err
-        # the CSV is written, the plot script is not
-        out_path, plot_path = str(tmp_path / "x.csv"), str(tmp_path / "no_such_dir" / "x.gp")
-        argv = ["run", "--config", cfg_path, "--output", out_path, "--plot", plot_path]
-        assert main(argv) == EXIT_IO
-        assert f"io error: cannot write plot script {plot_path}" in capsys.readouterr().err
 
     def test_limits_table(self, capsys):
         assert main(["limits"]) == EXIT_OK
@@ -909,19 +855,6 @@ class TestMainEntry:
             "  PT spectrum = [0.125000000000, 0.250000000000, 0.250000000000, 0.375000000000]\n"
             "  E = 0.000000000000\n"
         )
-
-    def test_run_with_plot(self, tmp_path):
-        cfg_path = write_config(
-            tmp_path,
-            {"betas": [0.0, 0.5], "grid": {"n_r": 16, "n_theta": 16, "n_phi": 8}},
-        )
-        out_path = str(tmp_path / "out.csv")
-        plot_path = str(tmp_path / "plot.gp")
-        code = main(
-            ["run", "--config", cfg_path, "--output", out_path, "--plot", plot_path]
-        )
-        assert code == EXIT_OK
-        assert "plot" in open(plot_path).read()
 
     def test_spin_sweeps_do_no_eigensolve(self, monkeypatch):
         # rerun with gauss_legendre's cache cleared, so that the rules are
@@ -962,37 +895,21 @@ class TestMainEntry:
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr.strip().splitlines()[-1] == f"{[EXIT_OK] * 5} []"
 
-    def test_plot_must_not_overwrite_output(self, tmp_path, capsys):
-        # the script used to replace the sweep it plots, with exit 0
-        cfg_path = write_config(tmp_path, {"betas": [0.0]})
-        out_path = tmp_path / "out.csv"
-        for plot in (str(out_path), os.path.join(str(tmp_path), ".", "out.csv")):
-            with pytest.raises(SystemExit) as exc:
-                main(["run", "--config", cfg_path, "--output", str(out_path), "--plot", plot])
-            assert exc.value.code == EXIT_CONFIG, plot
-            assert "--plot" in capsys.readouterr().err, plot
-            assert not out_path.exists(), plot
+    def test_readme_run_usage_matches_argparse(self, capsys):
+        # a flag that argparse drops must leave the README's usage block with it
+        usage = re.search(r"^relent run .*?\n(?=relent )", README.read_text(encoding="utf-8"),
+                          re.M | re.S)
+        with pytest.raises(SystemExit):
+            main(["run", "--help"])
+        flags = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", capsys.readouterr().out))
+        assert set(re.findall(r"(?<![\w-])--[a-z][\w-]*", usage.group())) == flags - {"--help"}
 
-    def test_plot_needs_a_plotted_column(self, tmp_path, capsys):
-        # the correlation scenario has neither E nor a fidelity; it used to write the CSV,
-        # then exit 3 on the empty plot script
-        cfg_path = write_config(tmp_path, {"scenario": "both_bell_correlations", "betas": [0.0]})
+    def test_plot_is_not_an_option(self, tmp_path, capsys):
+        # the gnuplot writer lives in scripts/run_default_sweep.py; relent run has no --plot
+        cfg_path = write_config(tmp_path, {"betas": [0.0]})
         out_path, plot_path = tmp_path / "out.csv", tmp_path / "plot.gp"
-        argv = ["run", "--config", cfg_path, "--output", str(out_path), "--plot", str(plot_path)]
-        assert main(argv) == EXIT_CONFIG
-        assert "--plot" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", cfg_path, "--output", str(out_path), "--plot", str(plot_path)])
+        assert exc.value.code == EXIT_CONFIG
+        assert "unrecognized arguments: --plot" in capsys.readouterr().err
         assert not out_path.exists() and not plot_path.exists()
-
-    def test_plot_needs_csv_output(self, tmp_path, capsys):
-        # the script reads --output as comma-separated data; without it, it
-        # used to point at a 'sweep.csv' that nobody wrote, and with JSON it
-        # read the JSON file as CSV
-        cfg_path = write_config(tmp_path, {"betas": [0.0]})
-        plot_path = tmp_path / "plot.gp"
-        json_out = str(tmp_path / "out.json")
-        for extra in ([], ["--output", json_out, "--format", "json"]):
-            with pytest.raises(SystemExit) as exc:
-                main(["run", "--config", cfg_path, "--plot", str(plot_path)] + extra)
-            assert exc.value.code == EXIT_CONFIG, extra
-            assert "--plot" in capsys.readouterr().err, extra
-            assert not plot_path.exists(), extra

@@ -3,9 +3,11 @@
 ``scripts/transfer_checks.py``'s whole stdout is pinned byte for byte.
 
 ``scripts/run_default_sweep.py`` writes into ``out/``; its sweep is pinned by
-the golden CSV ``tests/data/run_default_sweep.csv`` instead.
+the golden CSV ``tests/data/run_default_sweep.csv`` instead, and its gnuplot
+writer is loaded from the script and tested on rows of ``relent.cli.run``.
 """
 
+import importlib.util
 import json
 import os
 import re
@@ -13,7 +15,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+from relent.cli import parse_config, run
+
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load_script(name):
+    """``scripts/<name>.py`` as a module, without running its ``main``."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+emit_plotscript = _load_script("run_default_sweep").emit_plotscript
 
 
 #: the whole stdout of ``scripts/transfer_checks.py``
@@ -104,3 +119,54 @@ def test_cold_profile_runs(tmp_path):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert missing.returncode == 2 and "cannot read config" in missing.stderr
+
+
+class TestPlotScript:
+    def test_both_quantities(self, tmp_path):
+        cfg = parse_config({"betas": [0.0, 0.5], "grid": {"n_r": 16, "n_theta": 16, "n_phi": 8}})
+        rows = run(cfg)
+        text = emit_plotscript(rows, str(tmp_path / "plot.gp"), "sweep.csv")
+        # E is the CSV's fourth column and the fidelity its third
+        assert text.splitlines()[-2:] == [
+            "  'sweep.csv' using 1:(column(2)==1 ? column(4) : 1/0) "
+            "with linespoints title 'E delta=1', \\",
+            "  'sweep.csv' using 1:(column(2)==1 ? column(3) : 1/0) "
+            "with linespoints title 'F delta=1'",
+        ]
+
+    def test_quote_in_csv_path_is_doubled(self, tmp_path):
+        # gnuplot reads '' inside a single-quoted string as one quote; the path
+        # used to be pasted in as is, which ended the string early
+        rows = run(parse_config({"betas": [0.0, 0.5], "delta": [0.5, 1.0]}))
+        csv_path = str(tmp_path / "it's a 'sweep'.csv")
+        text = emit_plotscript(rows, str(tmp_path / "plot.gp"), csv_path)
+        series = [line for line in text.splitlines() if " using 1:" in line]
+        assert len(series) == 4
+        for line in series:
+            quoted = re.match(r"\s*'((?:[^']|'')*)' using 1:", line)
+            assert quoted is not None, line
+            assert quoted.group(1).replace("''", "'") == csv_path
+
+    def test_fidelity_only_drops_measure_series(self, tmp_path):
+        cfg = parse_config(
+            {
+                "scenario": "fidelity_only",
+                "betas": [0.0, 0.5],
+                "grid": {"n_r": 16, "n_theta": 16, "n_phi": 8},
+            }
+        )
+        text = emit_plotscript(run(cfg), str(tmp_path / "plot.gp"), "s.csv")
+        assert "F delta=" in text
+        assert "E delta=" not in text
+
+    def test_two_widths_two_series_each(self, tmp_path):
+        cfg = parse_config(
+            {
+                "betas": [0.0, 0.5],
+                "delta": [0.5, 1.0],
+                "grid": {"n_r": 16, "n_theta": 16, "n_phi": 8},
+            }
+        )
+        text = emit_plotscript(run(cfg), str(tmp_path / "plot.gp"), "s.csv")
+        assert text.count("E delta=") == 2
+        assert text.count("F delta=") == 2
