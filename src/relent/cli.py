@@ -44,6 +44,8 @@ from relent.correlations import (
 )
 from relent.entanglement import (
     bell_ABCD,
+    bell_pt_spectrum,
+    bell_weights,
     fidelity,
     negativity_measure,
     product_residual,
@@ -210,8 +212,6 @@ _CONFIG = {
     }),
     "delta_sign": (-1, lambda name, v: int(v) if _is_number(v) and v in (-1, 1)
                    else _fail(name, f"must be -1 or 1, got {v!r}")),
-    "analytic_limit": (False, lambda name, v: v if isinstance(v, bool)
-                       else _fail(name, "must be a boolean")),
     "directions": _object("Directions", {"a": ((1.0, 0.0, 0.0), _direction),
                                          "b": ((1.0, 0.0, 0.0), _direction)},
                           "must be an object with 'a' and 'b'"),
@@ -237,8 +237,6 @@ def parse_config(doc: dict) -> SweepConfig:
     config = _fields("", doc, _CONFIG, SweepConfig)
     if sorted(config.betas) != list(config.betas):
         _fail("betas", "must be ascending")
-    if config.analytic_limit and config.scenario != "spin_bell_momentum_product":
-        _fail("analytic_limit", "only applies to the spin_bell_momentum_product scenario")
     if config.scenario == "both_bell_correlations" and config.betas[-1] >= TRANSVERSE_BETA_MAX:
         for key, v in config.directions._asdict().items():
             if v[0] == 0:
@@ -267,13 +265,6 @@ def load_config(path: str) -> SweepConfig:
     return parse_config(doc)
 
 
-def _bell_pt_spectrum(v) -> np.ndarray:
-    """PT spectrum of the Bell-spin X-state that the four weights ``v.A`` to ``v.D`` fix."""
-    outer, inner = (v.A + v.D) / 2, (v.B + v.C) / 2
-    diag = np.stack([outer, inner, inner, outer], axis=-1)
-    return xstate_pt_spectrum(diag, (v.A - v.D) / 2, -(v.B - v.C) / 2)[0]
-
-
 def _sweep_columns(config: SweepConfig, delta: np.ndarray) -> dict:
     """The scenario's columns for the widths ``delta`` (n, 1) and every beta, each (n, n_beta).
 
@@ -288,14 +279,13 @@ def _sweep_columns(config: SweepConfig, delta: np.ndarray) -> dict:
         cols["fidelity"] = fidelity(GaussianProduct(delta), b, grid)
     elif config.scenario == "spin_bell_momentum_product":
         gp = GaussianProduct(delta)
-        if not config.analytic_limit:  # the limit has no finite-speed fidelity or sample
-            cols["fidelity"] = fidelity(gp, b, grid)
-            pairs = default_sample_pairs(gp, n=SAMPLE_PAIRS, seed=config.seed)
-            sample = momentum_density_samples(BipartiteState(gp, bell_phi_plus()), b, pairs=pairs)
-            cols["product_distance"] = product_distance(*sample)
-        v = bell_ABCD(gp, b, grid, analytic_limit=config.analytic_limit)
+        cols["fidelity"] = fidelity(gp, b, grid)
+        pairs = default_sample_pairs(gp, n=SAMPLE_PAIRS, seed=config.seed)
+        sample = momentum_density_samples(BipartiteState(gp, bell_phi_plus()), b, pairs=pairs)
+        cols["product_distance"] = product_distance(*sample)
+        v = bell_ABCD(gp, b, grid)
         cols.update(A=v.A, B=v.B, C=v.C, D=v.D, eta=v.eta)
-        spectrum = _bell_pt_spectrum(v)
+        spectrum = bell_pt_spectrum(v)
     elif config.scenario == "momentum_bell_spin_up":
         entries = xstate_stats(EntangledMomentum(delta, config.delta_sign), b, grid)
         spectrum, cols["ineq15_margin"], cols["ineq16_margin"] = xstate_pt_spectrum(*entries)
@@ -376,14 +366,14 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_limits(_args) -> int:
-    """Print the light-speed table: ``run``'s analytic-limit row at beta 0 and its PT spectrum."""
-    row = run(parse_config({"betas": [0.0], "analytic_limit": True}))[0]
+    """Print the light-speed table in closed form: ``bell_weights(1/2)``, its PT spectrum and E."""
+    v = bell_weights(0.5)
+    spectrum = bell_pt_spectrum(v)
     sys.stdout.write("ultra-relativistic analytic limit (Omega -> theta):\n")
-    for name in ("A", "B", "C", "D", "eta"):
-        sys.stdout.write(f"  {name} = {getattr(row, name):.12f}\n")
-    spectrum = ", ".join(f"{x:.12f}" for x in _bell_pt_spectrum(row))
-    sys.stdout.write(f"  PT spectrum = [{spectrum}]\n")
-    sys.stdout.write(f"  E = {row.E:.12f}\n")
+    for name, x in v._asdict().items():
+        sys.stdout.write(f"  {name} = {x:.12f}\n")
+    sys.stdout.write(f"  PT spectrum = [{', '.join(f'{x:.12f}' for x in spectrum)}]\n")
+    sys.stdout.write(f"  E = {negativity_measure(spectrum):.12f}\n")
     return EXIT_OK
 
 

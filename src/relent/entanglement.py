@@ -6,12 +6,13 @@ Covers the three diagnostics applied to a boosted two-particle state:
   product of Gaussian wavepackets (closed-form boosted arguments, no resampling).
 * ``xstate_stats``: the delta-correlated-momentum, product-spin scenario,
   reduced to the diagonal and the two coherences of its X-state density.
-* ``bell_ABCD``: the Bell-spin, product-momentum scenario, whose reduced
-  density is fixed by four real weights.
+* ``bell_ABCD``: the Bell-spin, product-momentum scenario, whose reduced density is
+  fixed by four real weights, ``bell_weights`` of the mean s2 of sin^2(Omega/2).
 
 Both reduced spin densities are X-states (nonzero only on the diagonal and
 the anti-diagonal), and ``xstate_pt_spectrum`` gives the partial-transpose
-spectrum and the two separability margins of either in closed form.
+spectrum and the two separability margins of either in closed form
+(``bell_pt_spectrum`` takes the Bell weights).
 
 A ``Boost`` with an array of speeds and a distribution with an array of widths (n_delta, 1)
 are evaluated as one array program, results and spectra carrying their axes.  ``fidelity``
@@ -21,10 +22,9 @@ in fixed-size tiles (``_tiled``); ``xstate_stats`` has closed-form polar moments
 The entanglement measure is doubled negativity, -2 sum(min(0, PT eigenvalue)),
 normalised so a two-qubit maximally entangled state scores exactly 1.
 
-``analytic_limit=True`` replaces every Wigner angle by the polar angle theta,
-the saturation value reached when both the boost speed and the momenta become
-ultra-relativistic; the light-speed benchmark table (A = 3/8, B = D = 1/4,
-C = 1/8, eta = 1) is reproduced exactly in this mode.
+Where both the boost speed and the momenta become ultra-relativistic, every Wigner angle
+saturates at the polar angle theta and s2 = 1/2: ``bell_weights(0.5)`` is the light-speed
+table (A = 3/8, B = D = 1/4, C = 1/8, eta = 1) in closed form.
 """
 
 from __future__ import annotations
@@ -57,8 +57,6 @@ def xstate_stats(dist: EntangledMomentum, b: Boost, grid: QuadratureGrid):
     The diagonal is <|a|^2> .. <|d|^2> of the rotated amplitudes (a, b, c, d), the
     coherences <a d*> and <b c*>; ``xstate_pt_spectrum`` takes the three as they are.
     """
-    if not isinstance(dist, EntangledMomentum):
-        raise TypeError("xstate_stats requires a delta-correlated momentum distribution")
     rho = reduced_spin_density(BipartiteState(dist, spin_up_up()), b, grid)
     return np.diagonal(rho, axis1=-2, axis2=-1).real, rho[..., 0, 3], rho[..., 1, 2]
 
@@ -159,42 +157,41 @@ def fidelity(dist: GaussianProduct, b: Boost, grid: QuadratureGrid) -> np.ndarra
     return f
 
 
-def bell_ABCD(
-    dist: GaussianProduct, b: Boost, grid: QuadratureGrid, analytic_limit: bool = False
-) -> ABCDValues:
+def bell_weights(s2) -> ABCDValues:
+    """The Bell-spin weights for the mean s2 of sin^2(Omega/2), c2 = 1 - s2 its complement.
+
+    The azimuthal cross terms are second-harmonic moments, sin^2(Omega/2) against cos(2 phi)
+    and sin(2 phi), whose exact azimuthal averages vanish; with them A = c2^2 + s2^2/2,
+    B = D = c2 s2 and C = s2^2/2, which sum to 1, and eta = 2 s2.
+    """
+    c2, C = 1.0 - s2, 0.5 * s2**2
+    return ABCDValues(A=c2**2 + C, B=c2 * s2, C=C, D=c2 * s2, eta=2.0 * s2)
+
+
+def bell_ABCD(dist: GaussianProduct, b: Boost, grid: QuadratureGrid) -> ABCDValues:
     """The four integrated weights of the Bell-spin, product-momentum scenario.
 
-    Each weight is a quadrature of trigonometric Wigner-angle moments against
-    |f1|^2 for each particle separately.  The azimuthal cross terms are
-    second-harmonic moments, sin^2(Omega/2) against cos(2 phi) and
-    sin(2 phi), whose exact azimuthal averages vanish; with them
-    A = c2^2 + s2^2/2, B = D = c2 s2 and C = s2^2/2.  sin^2(Omega/2) = t^2/(1 + t^2)
+    Each weight is a polynomial (``bell_weights``) in s2, the quadrature of sin^2(Omega/2)
+    against |f1|^2 for each particle separately.  sin^2(Omega/2) = t^2/(1 + t^2)
     sin^2(theta)/(1 + tau cos(theta)), tau = 2t/(1 + t^2): one buffer holds 1/(1 + tau
     cos(theta)) on a tile of the (cell, cos(theta)) lattice, the polar weights fold in
     sin^2(theta) and t^2/(1 + t^2) scales the polar sums.  s2 is divided by the norm of each
-    radial rule once that passes its check (``normalised``) and c2 = 1 - s2, so the weights
-    sum to 1.  ``analytic_limit`` substitutes Omega := theta: s2 = 1/2 exactly, read from no
-    grid, so no grid's coverage is checked; ``grid.p_max`` sets only the result's shape.
+    radial rule once that passes its check (``normalised``), so the weights sum to 1.
     """
     if not isinstance(dist, GaussianProduct):
         raise TypeError("bell_ABCD requires a product momentum distribution")
-    if analytic_limit:  # Omega = theta: sin^2(theta/2) = (1 - cos(theta))/2 averages to 1/2
-        s2 = np.full(np.broadcast_shapes(*map(np.shape, (dist.delta, grid.p_max, b.beta))), 0.5)
-    else:
-        w = (grid.radial_weights * dist.density1(grid.p**2))[..., 0]
-        ct, polar = grid.costheta, grid.polar_weights
-        t = wigner_tan_product(grid.p, b.nodewise().beta)
-        t_sq = t * t
+    w = (grid.radial_weights * dist.density1(grid.p**2))[..., 0]
+    ct, polar = grid.costheta, grid.polar_weights
+    t = wigner_tan_product(grid.p, b.nodewise().beta)
+    t_sq = t * t
 
-        def fill(tau, lattice):  # 1/(1 + tau cos(theta))
-            np.multiply(tau, ct, out=lattice)
-            lattice += 1.0
-            return np.reciprocal(lattice, out=lattice)
-        polar_sum = _tiled(fill, 1, (polar * (1.0 - ct * ct),), 2.0 * t / (1.0 + t_sq))[0]
-        s2 = np.sum(w * (t_sq / (1.0 + t_sq) * polar_sum)[..., 0], axis=-1)
-        s2 = normalised(s2, np.sum(w, axis=-1) * np.sum(polar), "bell_ABCD")
-    c2, C = 1.0 - s2, 0.5 * s2**2
-    return ABCDValues(A=c2**2 + C, B=c2 * s2, C=C, D=c2 * s2, eta=2.0 * s2)
+    def fill(tau, lattice):  # 1/(1 + tau cos(theta))
+        np.multiply(tau, ct, out=lattice)
+        lattice += 1.0
+        return np.reciprocal(lattice, out=lattice)
+    polar_sum = _tiled(fill, 1, (polar * (1.0 - ct * ct),), 2.0 * t / (1.0 + t_sq))[0]
+    s2 = np.sum(w * (t_sq / (1.0 + t_sq) * polar_sum)[..., 0], axis=-1)
+    return bell_weights(normalised(s2, np.sum(w, axis=-1) * np.sum(polar), "bell_ABCD"))
 
 
 def xstate_pt_spectrum(diag, rho03, rho12):
@@ -222,6 +219,13 @@ def xstate_pt_spectrum(diag, rho03, rho12):
     spectrum = np.stack((np.minimum(lo1, lo2), np.minimum(m1, m2), np.maximum(m1, m2),
                          np.maximum(hi1, hi2)), axis=-1)
     return spectrum, c03**2 - d[1] * d[2], c12**2 - d[0] * d[3]
+
+
+def bell_pt_spectrum(v) -> np.ndarray:
+    """PT spectrum of the Bell-spin X-state that the four weights ``v.A`` to ``v.D`` fix."""
+    outer, inner = (v.A + v.D) / 2, (v.B + v.C) / 2
+    diag = np.stack([outer, inner, inner, outer], axis=-1)
+    return xstate_pt_spectrum(diag, (v.A - v.D) / 2, -(v.B - v.C) / 2)[0]
 
 
 def negativity_measure(pt_spectrum) -> np.ndarray:

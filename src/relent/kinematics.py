@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 #: beta values above this are rejected; the light-speed physics is reached
-#: through the analytic-limit evaluation mode instead of numerics at beta = 1.
+#: through ``relent limits``' closed form instead of numerics at beta = 1.
 BETA_CAP = 1.0 - 1e-9
 
 

@@ -308,7 +308,8 @@ def fidelity_hypot(dist, b: Boost, grid):
 
 def bell_ABCD_hypot(dist, b: Boost, grid, analytic_limit=False) -> ABCDValues:
     """``entanglement.bell_ABCD`` summing c^2 and 1 - c^2 of the hypot half-angle, each over
-    the checked norm; the analytic limit's Omega = theta gives 1/2 over any norm, unchecked."""
+    the checked norm.  ``analytic_limit`` sets Omega = theta, the lattice quadrature of the
+    light-speed table ``entanglement.bell_weights(0.5)``: 1/2 over any norm, unchecked."""
     if not isinstance(dist, GaussianProduct):
         raise TypeError("bell_ABCD requires a product momentum distribution")
     w = lattice_weights(grid) * dist.density1(grid.p**2)

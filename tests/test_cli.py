@@ -144,10 +144,10 @@ CONFIG_ERRORS = [
      "config field 'delta_sign': must be -1 or 1, got '1'"),
     ({"delta_sign": 1.5},
      "config field 'delta_sign': must be -1 or 1, got 1.5"),
-    ({"analytic_limit": 1},
-     "config field 'analytic_limit': must be a boolean"),
-    ({"analytic_limit": True, "scenario": "fidelity_only"},
-     "config field 'analytic_limit': only applies to the spin_bell_momentum_product scenario"),
+    ({"analytic_limit": True},
+     "config field 'analytic_limit': unknown field"),
+    ({"analytic_limit": False},
+     "config field 'analytic_limit': unknown field"),
     ({"directions": []},
      "config field 'directions': must be an object with 'a' and 'b'"),
     ({"directions": {"c": 1, "d": 2}},
@@ -232,6 +232,14 @@ class TestConfigParsing:
             assert parse_config(json.loads(json.dumps(cfg.to_json_dict()))) == cfg, doc
             assert pickle.loads(pickle.dumps(cfg)) == cfg, doc
 
+    def test_readme_config_example(self):
+        # a field that _CONFIG drops must leave the README's example with it
+        cli_section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+        doc = json.loads(re.search(r"^```json\n(.*?)^```", cli_section, re.M | re.S).group(1))
+        parse_config(doc)
+        assert list(doc) == list(cli._CONFIG)
+        assert doc in [case["config"] for case in CANONICAL]
+
 
 #: every module-level binding of a Wigner-angle function that a sweep calls: the
 #: lattice kernels take t = tanh(a/2) tanh(d/2) on the (beta, p) axes, the
@@ -260,22 +268,6 @@ class TestRunScenarios:
         assert rows[0].E == pytest.approx(1.0, abs=1e-9)
         assert rows[0].fidelity == pytest.approx(1.0, abs=1e-9)
         assert rows[0].qcorr is None
-
-    def test_analytic_limit_row(self):
-        cfg = parse_config({"betas": [0.0], "analytic_limit": True})
-        row = run(cfg)[0]
-        assert row.A == pytest.approx(0.375, abs=1e-9)
-        assert row.B == pytest.approx(0.25, abs=1e-9)
-        assert row.C == pytest.approx(0.125, abs=1e-9)
-        assert row.D == pytest.approx(0.25, abs=1e-9)
-        assert row.E == pytest.approx(0.0, abs=1e-12)
-
-    def test_analytic_limit_reads_no_grid(self, tmp_path, capsys):
-        # Omega = theta gives s2 = 1/2 on any grid; a 2x2 grid used to fail its
-        # coverage check (exit 3, "norm on the grid is 2.180705")
-        doc = {"analytic_limit": True, "betas": [0.0, 0.5], "grid": {"n_r": 2, "n_theta": 2}}
-        assert main(["run", "--config", write_config(tmp_path, doc)]) == EXIT_OK
-        assert capsys.readouterr().out == emit(run(parse_config({**doc, "grid": {}})), "csv", None)
 
     def test_momentum_bell_scenario(self):
         cfg = parse_config({"scenario": "momentum_bell_spin_up", "betas": [0.0, 0.6]})
@@ -442,7 +434,7 @@ class TestRunScenarios:
 #: (scenario, config fields) for every combination a sweep can batch
 BATCHED_CASES = [
     ("spin_bell_momentum_product", {}),
-    ("spin_bell_momentum_product", {"analytic_limit": True}),
+    ("both_bell_correlations", {"directions": {"a": [1, 0, 0], "b": [0, 0.6, 0.8]}}),
     ("fidelity_only", {}),
     ("momentum_bell_spin_up", {"delta_sign": -1}),
     ("momentum_bell_spin_up", {"delta_sign": 1}),
@@ -855,6 +847,20 @@ class TestMainEntry:
             "  PT spectrum = [0.125000000000, 0.250000000000, 0.250000000000, 0.375000000000]\n"
             "  E = 0.000000000000\n"
         )
+
+    def test_limits_table_is_closed_form(self, monkeypatch, capsys):
+        # the table is bell_weights(1/2): it builds no config, grid or sweep
+        assert main(["limits"]) == EXIT_OK
+        want = capsys.readouterr().out
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("relent limits ran a sweep kernel")
+
+        for name in ("run", "build_grid", "bell_ABCD", "fidelity"):
+            monkeypatch.setattr(cli, name, forbidden)
+        assert main(["limits"]) == EXIT_OK
+        got = capsys.readouterr().out
+        assert got == want and len(got.splitlines()) == 8
 
     def test_spin_sweeps_do_no_eigensolve(self, monkeypatch):
         # rerun with gauss_legendre's cache cleared, so that the rules are

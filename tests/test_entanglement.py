@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import (
     FourMomentum,
     abcd,
+    bell_ABCD_hypot,
     bell_density_from_ABCD,
     bell_fidelity_cos,
     mc_bell_abcd,
@@ -30,10 +31,12 @@ from oracles import (
 from test_golden import GOLDEN
 import relent.cli as cli
 import relent.entanglement as entanglement
-from relent.cli import ConfigError, _bell_pt_spectrum, parse_config, run
+from relent.cli import ConfigError, parse_config, run
 from relent.entanglement import (
     ABCDValues,
     bell_ABCD,
+    bell_pt_spectrum,
+    bell_weights,
     fidelity,
     negativity_measure,
     product_residual,
@@ -469,24 +472,17 @@ class TestBellABCD:
             assert abs(x) < 1e-9
 
     def test_analytic_limit_values(self, grid_default, gauss_unit):
-        v = bell_ABCD(gauss_unit, Boost(0.0), grid_default, analytic_limit=True)
-        assert v.A == pytest.approx(0.375, abs=1e-9)
-        assert v.B == pytest.approx(0.25, abs=1e-9)
-        assert v.C == pytest.approx(0.125, abs=1e-9)
-        assert v.D == pytest.approx(0.25, abs=1e-9)
-        assert v.eta == pytest.approx(1.0, abs=1e-9)
+        # Omega = theta gives s2 = 1/2 exactly: the light-speed table, bit for bit, and the
+        # oracle's lattice quadrature of cos^2(theta/2), an independent statement of it
+        v = bell_weights(0.5)
+        assert tuple(v) == (0.375, 0.25, 0.125, 0.25, 1.0)
+        ref = bell_ABCD_hypot(gauss_unit, Boost(0.0), grid_default, analytic_limit=True)
+        for got, want in zip(v, ref):
+            assert abs(got - want) <= 1e-15
 
-    def test_analytic_limit_is_closed_form(self, monkeypatch):
-        # Omega = theta gives s2 = 1/2 exactly, with no Wigner-angle evaluation, no lattice
-        # and no grid norm to check
-        calls = []
-        for name in ("wigner_tan_product", "_tiled", "normalised"):
-            monkeypatch.setattr(entanglement, name, lambda *args: calls.append(args))
-        widths = np.array([[0.5], [1.0], [4.0]])
-        betas = np.array([0.05 * i for i in range(20)] + [0.99])
-        grid = build_grid(32, 32, default_p_max(widths))
-        v = bell_ABCD(GaussianProduct(widths), Boost(betas), grid, analytic_limit=True)
-        assert calls == []
+    def test_analytic_limit_is_closed_form(self):
+        # the weights broadcast over an array of s2, as bell_ABCD's (width, beta) cells
+        v = bell_weights(np.full((3, 21), 0.5))
         for name, want in zip(ABCDValues._fields, (0.375, 0.25, 0.125, 0.25, 1.0)):
             got = getattr(v, name)
             assert got.shape == (3, 21)
@@ -504,14 +500,13 @@ class TestBellABCD:
         with pytest.raises(TypeError):
             bell_ABCD(EntangledMomentum(1.0, -1), Boost(0.5), grid_default)
 
-    @pytest.mark.parametrize("analytic_limit", [False, True])
-    def test_per_speed_grid_equals_single_speed_calls(self, gauss_unit, analytic_limit):
+    def test_per_speed_grid_equals_single_speed_calls(self, gauss_unit):
         # the norm is checked on each lattice, not on the sum of all three
         betas = [0.0, 0.5, 0.9]
         cutoffs = default_p_max(1.0, np.array(betas))
-        v = bell_ABCD(gauss_unit, Boost(np.array(betas)), build_grid(32, 32, cutoffs), analytic_limit)
+        v = bell_ABCD(gauss_unit, Boost(np.array(betas)), build_grid(32, 32, cutoffs))
         for i, (beta, cut) in enumerate(zip(betas, cutoffs)):
-            single = bell_ABCD(gauss_unit, Boost(beta), build_grid(32, 32, cut), analytic_limit)
+            single = bell_ABCD(gauss_unit, Boost(beta), build_grid(32, 32, cut))
             for got, want in zip(v, single):
                 assert got[i] == pytest.approx(want, rel=1e-14, abs=1e-15)
 
@@ -556,7 +551,7 @@ class TestBellDensityAndPT:
         assert np.allclose(rho, np.outer(bell_phi_plus(), bell_phi_plus().conj()), atol=0)
 
     def test_analytic_limit_matrix_structure(self):
-        v = ABCDValues(0.375, 0.25, 0.125, 0.25, 1.0)
+        v = bell_weights(0.5)
         rho = bell_density_from_ABCD(v)
         assert rho[0, 0] == pytest.approx(5 / 16)
         assert rho[0, 3] == pytest.approx(1 / 16)
@@ -593,7 +588,7 @@ class TestBellDensityAndPT:
         A, B, C, D = (x / total for x in weights)
         v = ABCDValues(A, B, C, D, 0.0)
         eig = np.sort(np.linalg.eigvalsh(partial_transpose(bell_density_from_ABCD(v))))
-        spectrum = _bell_pt_spectrum(v)
+        spectrum = bell_pt_spectrum(v)
         assert np.max(np.abs(eig - spectrum)) < 1e-10
         # unit trace makes the spectrum the weights' complements (1 - 2x)/2
         assert np.max(np.abs(spectrum - np.sort([(1 - 2 * x) / 2 for x in (A, B, C, D)]))) < 1e-10
@@ -610,8 +605,8 @@ class TestEntanglementMeasure:
         assert measure(rho) == pytest.approx(1.0, abs=1e-12)
 
     def test_analytic_limit_is_zero(self):
-        v = ABCDValues(0.375, 0.25, 0.125, 0.25, 1.0)
-        assert negativity_measure(_bell_pt_spectrum(v)) == 0.0
+        v = bell_weights(0.5)
+        assert negativity_measure(bell_pt_spectrum(v)) == 0.0
         assert measure(bell_density_from_ABCD(v)) == 0.0
 
     def test_maximally_mixed_is_zero(self):
@@ -672,7 +667,9 @@ class TestXStatePTSpectrum:
             seen.append((diag, rho03, rho12))
             return xstate_pt_spectrum(diag, rho03, rho12)
 
-        monkeypatch.setattr(cli, "xstate_pt_spectrum", recording)
+        # the Bell weights' spectrum goes through ``entanglement``'s binding, the X-state's ``cli``'s
+        for module in (cli, entanglement):
+            monkeypatch.setattr(module, "xstate_pt_spectrum", recording)
         config = parse_config(GOLDEN[name])
         rows = run(config)
         # a golden sweep's widths fit in one chunk: one spectrum call per sweep

@@ -107,11 +107,9 @@ def test_kernels_match_hypot_forms(case):
         f, f_ref = np.asarray(got), np.asarray(want)
         assert np.all(np.abs(f - f_ref) <= 1e-12 * f_ref + 1e-300)
 
-    for limit in (False, True):
-        got = _outcome(bell_ABCD, gp, b, grid, limit)
-        want = _outcome(bell_ABCD_hypot, gp, b, grid, limit)
-        if not _same_error(got, want):
-            assert np.max(np.abs(np.subtract(got, want))) <= 1e-13
+    got, want = _outcome(bell_ABCD, gp, b, grid), _outcome(bell_ABCD_hypot, gp, b, grid)
+    if not _same_error(got, want):
+        assert np.max(np.abs(np.subtract(got, want))) <= 1e-13
 
     pair_state = BipartiteState(EntangledMomentum(delta, sign), spin)
     got = _outcome(reduced_spin_density, pair_state, b, grid)
@@ -214,12 +212,11 @@ class TestLatticeMemory:
 
     def test_bell_ABCD(self):
         for delta, most in ((1.0, 0.6), (self.widths, 0.75)):
-            for limit in (False, True):
-                def call(n_theta):
-                    grid = build_grid(64, n_theta, default_p_max(delta))
-                    return bell_ABCD, GaussianProduct(delta), self.b, grid, limit
-                assert _lattices_per_polar_node(call) <= 0.01
-                assert _peak_lattices(*call(64)) <= most
+            def call(n_theta):
+                grid = build_grid(64, n_theta, default_p_max(delta))
+                return bell_ABCD, GaussianProduct(delta), self.b, grid
+            assert _lattices_per_polar_node(call) <= 0.01
+            assert _peak_lattices(*call(64)) <= most
 
     @pytest.mark.parametrize("kernel, cell_arrays", [(fidelity, 6.5), (bell_ABCD, 6.5)])
     @pytest.mark.parametrize("delta", [1.0, widths], ids=["one_width", "three_widths"])
@@ -275,8 +272,7 @@ def test_tile_size_leaves_the_bits_unchanged(monkeypatch):
     grid = build_grid(23, 17, default_p_max(widths))
 
     def results():
-        bell = [np.array(bell_ABCD(gp, b, grid, limit)) for limit in (False, True)]
-        return [fidelity(gp, b, grid), *bell]
+        return [fidelity(gp, b, grid), np.array(bell_ABCD(gp, b, grid))]
 
     default = entanglement._TILE_NODES
     monkeypatch.setattr(entanglement, "_TILE_NODES", 10**9)
