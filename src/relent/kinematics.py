@@ -77,8 +77,3 @@ def wigner_half_angle(p, costheta, beta, *, sintheta):
     r = 1.0 / (1.0 + t * costheta) * t * sintheta
     c = 1.0 / np.sqrt(1.0 + r * r)
     return c, r * c
-
-
-def energy_ratio(px, p0, b: Boost):
-    """(Lambda p)^0 / p^0 of the x-axis boost, broadcast over px, the energy p0 and beta."""
-    return b.gamma * (1.0 + b.beta * px / p0)

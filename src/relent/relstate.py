@@ -14,11 +14,11 @@ basis (uu, ud, du, dd).  The Wigner angle enters through t from
 ``wigner_tan_product`` alone: the moment form reduces to five even polar
 moments of the squared half-angle cosines and sines, which are rational in
 cos(theta) and are integrated over it in closed form (``_polar_moments``).
-The spin-traced momentum density keeps its
-Jacobian factors explicitly; ``momentum_density_samples`` evaluates its matrix
-elements on a finite set of coordinate pairs together with the product of the
-single-particle marginals at the same coordinates (spin algebra in real
-quaternions, no quadrature); ``product_distance`` gives one scalar per (width, speed).
+For a product packet the spin-traced momentum density and the product of its
+marginals share one positive factor, the Jacobians times the amplitudes, so
+``momentum_density_samples`` evaluates only their spin factors on a finite set
+of coordinate pairs (spin algebra in real quaternions, no quadrature), and
+``product_distance`` gives their relative gap, one scalar per (width, speed).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from relent.kinematics import Boost, energy_ratio, wigner_half_angle, wigner_tan_product
+from relent.kinematics import Boost, wigner_half_angle, wigner_tan_product
 from relent.wavepacket import EntangledMomentum, GaussianProduct, QuadratureGrid, normalised
 
 
@@ -163,20 +163,23 @@ def reduced_spin_density(state: BipartiteState, b: Boost, grid: QuadratureGrid) 
 
 
 def momentum_density_samples(state: BipartiteState, b: Boost, pairs):
-    """(elements, marginal_products): <p,q|rho'|p',q'> of the boosted spin-traced density.
+    """(overlaps, overlap_products): the spin factors of the boosted spin-traced density.
 
     ``pairs`` has shape (n, 4, 3), rows of Cartesian (p, q, p', q'), or (n_delta, n, 4, 3);
-    both results have shape (..., n), any width axis, then the speeds'.  Each element is
-    sqrt(J_p J_q J_p' J_q') f(p,q) f*(p',q') <Phi|K'^dag K|Phi> with K the two-particle
-    Wigner kernel and J the energy ratios; the marginal product <p|rho_A|p'><q|rho_B|q'>
-    replaces the spin overlap by the product of the single-party overlaps, the companion traced
-    out exactly (a Wigner rotation is unitary and d^3p/p^0 invariant, so the companion's trace
-    int |f1(L^-1 q)|^2 (L^-1 q)^0/q^0 d^3q is 1).  Diagonal elements must come out non-negative.
+    both results have shape (..., n), any width axis, then the speeds'.  The element
+    <p,q|rho'|p',q'> is sqrt(J_p J_q J_p' J_q') f(p,q) f*(p',q') <Phi|K'^dag K|Phi>, K the
+    two-particle Wigner kernel and J the energy ratios, and the marginal product
+    <p|rho_A|p'><q|rho_B|q'> is the same positive factor times the product of the
+    single-party overlaps, the companion traced out exactly (a Wigner rotation is unitary and
+    d^3p/p^0 invariant, so the companion's trace int |f1(L^-1 q)|^2 (L^-1 q)^0/q^0 d^3q is 1).
+    Their ratio cancels the factor, so the sampler returns the spin overlap and the product of
+    the single-party overlaps alone.  On a diagonal row (p' = p, q' = q) D^dag D is the
+    identity, so each diagonal overlap must lie within 1e-12 of <Phi|Phi>.
 
     With (c, s) = (cos, sin)(Omega/2), D_p'^dag D_p = (c'c + s's cos(dphi), -s's sin(dphi),
     s'c sin(phi') - c's sin(phi), c's cos(phi) - s'c cos(phi')) in E, dphi = phi' - phi,
     and <Phi|A x B|Phi> = a T b with T_mn = <Phi|E_m x E_n|Phi>, in real arithmetic over
-    T's nonzero real and imaginary entries alone; each complex result is formed once.
+    T's nonzero real and imaginary entries alone.
 
     At fixed coordinates the elements depart further from the marginal
     product as beta grows: the Wigner-phase difference between two radii
@@ -190,21 +193,18 @@ def momentum_density_samples(state: BipartiteState, b: Boost, pairs):
     pairs = np.asarray(pairs, dtype=float)
     if pairs.ndim not in (3, 4) or pairs.shape[-2:] != (4, 3):
         raise ValueError("pairs must have shape (n, 4, 3)")
-    dist = state.dist
     T = np.einsum("mnab,a,b->mn", UNIT_PAIRS, state.spin.conj(), state.spin)  # <Phi|E_m x E_n|Phi>
 
     # half-angles and azimuths of all four momenta of every row, (..., slot, row):
     # the long row axis innermost keeps numpy's inner loops long
     rows = pairs if pairs.ndim == 3 else pairs[:, None]  # a speed axis after the widths'
     x, y, z = np.moveaxis(rows, (-1, -3), (0, -1))
-    nb = b.nodewise()
-    p_sq = x * x + y * y + z * z
-    p = np.sqrt(p_sq)
+    p = np.sqrt(x * x + y * y + z * z)
     transverse = np.sqrt(y * y + z * z)
     # collinear and p = 0 rows give the identity exactly (r = 0, azimuth 0)
     safe_p = np.where(p > 0.0, p, 1.0)
     safe_t = np.where(transverse > 0.0, transverse, 1.0)
-    c, s = wigner_half_angle(p, x / safe_p, nb.beta, sintheta=transverse / safe_p)
+    c, s = wigner_half_angle(p, x / safe_p, b.nodewise().beta, sintheta=transverse / safe_p)
     cos_phi = np.where(transverse > 0.0, y / safe_t, 1.0)
     sin_phi = z / safe_t
     # D_p'^dag D_p, D_q'^dag D_q, four arrays each, from slots (0, 2), (1, 3); y, z = cos, sin phi
@@ -225,23 +225,11 @@ def momentum_density_samples(state: BipartiteState, b: Boost, pairs):
     spin_a = [sum(row[0] * qa[m] for m, row in enumerate(t) if row[0]) for t in parts]
     spin_b = [sum(v * qb[n] for n, v in enumerate(t[0]) if v) for t in parts]
 
-    scale = np.sqrt(np.prod(energy_ratio(x, np.sqrt(1.0 + p_sq), nb), axis=-2))
-    scale *= np.prod(dist.amplitude1(p_sq), axis=-2)
-    elements = _complex(spin_sum, scale)
+    overlaps = spin_sum[0] + 1j * spin_sum[1]
     diag = np.all(rows[..., :2, :] == rows[..., 2:, :], axis=(-2, -1))  # p' = p and q' = q
-    if np.any(diag & (elements.real < -1e-10)):
-        raise ValueError("diagonal momentum-density elements must be non-negative")
-    (a_re, a_im), (b_re, b_im) = spin_a, spin_b
-    marginal = (a_re * b_re - a_im * b_im, a_re * b_im + a_im * b_re)
-    return elements, _complex(marginal, scale)
-
-
-def _complex(parts, scale) -> np.ndarray:
-    """scale (re + i im) from parts = (re, im), formed in one complex array."""
-    out = np.empty(np.shape(scale), dtype=complex)
-    np.multiply(scale, parts[0], out=out.real)
-    np.multiply(scale, parts[1], out=out.imag)
-    return out
+    if not np.all((np.abs(overlaps - T[0, 0]) <= 1e-12) | ~diag):  # a NaN fails
+        raise ValueError("diagonal spin overlaps must lie within 1e-12 of <Phi|Phi>")
+    return overlaps, (spin_a[0] + 1j * spin_a[1]) * (spin_b[0] + 1j * spin_b[1])
 
 
 _M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
@@ -338,7 +326,8 @@ def product_distance(elements, marginal_products):
     """Max guarded relative deviation of sampled elements from the marginal product.
 
     Taken over the pairs (last axis) of ``momentum_density_samples``' two
-    results, so a sample of several speeds gives one distance per speed.
+    spin factors, whose ratio is that of the elements to the marginal
+    products, so a sample of several speeds gives one distance per speed.
     For fixed pairs it does not decrease with beta, and its saturated value
     falls as 1/delta with the width (9e-5, 9e-7, 9e-9 at widths 1e4, 1e6, 1e8
     and beta 0.9999).

@@ -57,7 +57,7 @@ class _Gaussian:
     """Isotropic Gaussian radial profile of width delta (m^2 units), or of an array of widths.
 
     An array has a grid's cutoff axes, (n_delta, 1); ``nodes_delta`` and ``nodes_norm`` add
-    the two node axes of the |p|^2 that ``density1`` and ``amplitude1`` take."""
+    the two node axes of the |p|^2 that ``density1`` takes."""
 
     def __init__(self, delta):
         if not np.all(np.asarray(delta) > 0.0):
@@ -76,11 +76,6 @@ class _Gaussian:
 
 class GaussianProduct(_Gaussian):
     """Product of two isotropic Gaussian wavepackets of common width delta."""
-
-    def amplitude1(self, p_sq):
-        """Single-particle amplitude f1(p) = sqrt(N exp(-p^2/delta)), from |p|^2."""
-        d = self.nodes_delta
-        return np.sqrt(self.nodes_norm) * np.exp(-np.asarray(p_sq, dtype=float) / (2.0 * d))
 
 
 class EntangledMomentum(_Gaussian):

@@ -41,6 +41,9 @@ form they had before they took tan(Omega/2) and built their arrays in place
 (the spin density's on ``polar_rule``, the fidelity's in extended precision).
 ``momentum_density_samples_su2`` is the pair-density sampler with complex
 SU(2) matrices, as it was before it worked in real quaternions.
+``energy_ratio`` and ``amplitude1`` give the energy ratios and the Gaussian
+amplitudes of the momentum density's common factor, which the library's
+sampler leaves out, as its ratio cancels them.
 ``gauss_legendre_longdouble`` is the Gauss-Legendre rule by Newton's method
 on the three-term recurrence in extended precision, the reference for the
 library's double-precision rule.
@@ -52,7 +55,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from relent.entanglement import ABCDValues
-from relent.kinematics import Boost, energy_ratio, wigner_half_angle
+from relent.kinematics import Boost, wigner_half_angle
 from relent.relstate import spin_up_up
 from relent.wavepacket import (
     COVERAGE_TOL,
@@ -263,6 +266,17 @@ def wigner_matrix(omega, phi) -> np.ndarray:
     return su2_matrix(np.cos(omega / 2.0), s * np.cos(phi), s * np.sin(phi))
 
 
+def energy_ratio(px, p0, b: Boost):
+    """(Lambda p)^0 / p^0 of the x-axis boost, broadcast over px, the energy p0 and beta."""
+    return b.gamma * (1.0 + b.beta * px / p0)
+
+
+def amplitude1(dist, p_sq):
+    """Single-particle amplitude f1(p) = sqrt(N exp(-p^2/delta)) of a Gaussian, from |p|^2."""
+    d = dist.nodes_delta
+    return np.sqrt(dist.nodes_norm) * np.exp(-np.asarray(p_sq, dtype=float) / (2.0 * d))
+
+
 def _boosted_args(grid, b: Boost, m: float = 1.0):
     """|Lambda p|^2 and (Lambda p)^0/p^0 on the (beta, p, cos(theta)) lattice of nodewise b."""
     px = grid.p * grid.costheta
@@ -369,18 +383,16 @@ def reduced_spin_density_hypot(state, b: Boost, grid):
 def momentum_density_samples_hypot(state, b: Boost, pairs):
     """``relstate.momentum_density_samples`` through ``wigner_angle`` and ``wigner_matrix``.
 
-    The companion's trace is 1 exactly, as in the library, so no grid enters.
+    It returns the spin factors alone, as the library does, so no grid enters.
     """
     if not isinstance(state.dist, GaussianProduct):
         raise TypeError("momentum_density_samples requires a product momentum distribution")
     pairs = np.asarray(pairs, dtype=float)
     if pairs.ndim != 3 or pairs.shape[1:] != (4, 3):
         raise ValueError("pairs must have shape (n, 4, 3)")
-    dist = state.dist
     F = state.spin.reshape(2, 2)
     nb = b.nodewise()
-    p_sq = np.sum(pairs**2, axis=-1)
-    p = np.sqrt(p_sq)
+    p = np.sqrt(np.sum(pairs**2, axis=-1))
     transverse = np.hypot(pairs[..., 1], pairs[..., 2])
     safe_p = np.where(p > 0.0, p, 1.0)
     omega = wigner_angle(p, pairs[..., 0] / safe_p, nb.beta, sintheta=transverse / safe_p)
@@ -390,10 +402,7 @@ def momentum_density_samples_hypot(state, b: Boost, pairs):
     spin_sum = np.einsum("ab,ac...,cd,bd...->...", F.conj(), A, F, B)
     spin_a = np.einsum("ab,ac...,cb->...", F.conj(), A, F)
     spin_b = np.einsum("ab,ad,bd...->...", F.conj(), F, B)
-    ratio = energy_ratio(pairs[..., 0], np.sqrt(1.0 + p_sq), nb)
-    jac = np.sqrt(np.prod(ratio, axis=-1))
-    amp = np.prod(dist.amplitude1(p_sq), axis=-1)
-    return jac * amp * spin_sum, jac * amp * spin_a * spin_b
+    return spin_sum, spin_a * spin_b
 
 
 def momentum_density_samples_su2(state, b: Boost, pairs):
@@ -401,19 +410,17 @@ def momentum_density_samples_su2(state, b: Boost, pairs):
 
     The form before the real quaternions: the (2, 2, ..., row, slot) Wigner
     matrices of all four momenta, the products D_p'^dag D_p and D_q'^dag D_q
-    by ``einsum``, and <Phi|A x B|Phi> as a four-operand ``einsum``.  The
-    companion's trace is 1 exactly, as in the library, so no grid enters.
+    by ``einsum``, and <Phi|A x B|Phi> as a four-operand ``einsum``.  It
+    returns the spin factors alone, as the library does, so no grid enters.
     """
     if not isinstance(state.dist, GaussianProduct):
         raise TypeError("momentum_density_samples requires a product momentum distribution")
     pairs = np.asarray(pairs, dtype=float)
     if pairs.ndim != 3 or pairs.shape[1:] != (4, 3):
         raise ValueError("pairs must have shape (n, 4, 3)")
-    dist = state.dist
     F = state.spin.reshape(2, 2)
     nb = b.nodewise()
-    p_sq = np.sum(pairs**2, axis=-1)
-    p = np.sqrt(p_sq)
+    p = np.sqrt(np.sum(pairs**2, axis=-1))
     transverse = np.sqrt(pairs[..., 1] ** 2 + pairs[..., 2] ** 2)
     safe_p = np.where(p > 0.0, p, 1.0)
     safe_t = np.where(transverse > 0.0, transverse, 1.0)
@@ -425,10 +432,7 @@ def momentum_density_samples_su2(state, b: Boost, pairs):
     spin_sum = np.einsum("ab,ac...,cd,bd...->...", F.conj(), A, F, B)
     spin_a = np.einsum("ab,ac...,cb->...", F.conj(), A, F)
     spin_b = np.einsum("ab,ad,bd...->...", F.conj(), F, B)
-    ratio = energy_ratio(pairs[..., 0], np.sqrt(1.0 + p_sq), nb)
-    jac = np.sqrt(np.prod(ratio, axis=-1))
-    amp = np.prod(dist.amplitude1(p_sq), axis=-1)
-    return jac * amp * spin_sum, jac * amp * spin_a * spin_b
+    return spin_sum, spin_a * spin_b
 
 
 def _sample_gaussian_momenta(delta, n, rng):
@@ -822,7 +826,7 @@ def fidelity_3d(state, b, grid):
     """
     dist = state.dist
     boosted_sq, jac = _boosted_args(grid, b)
-    w = grid.weights * np.sqrt(jac) * dist.amplitude1(boosted_sq) * dist.amplitude1(grid.p**2)
+    w = grid.weights * np.sqrt(jac) * amplitude1(dist, boosted_sq) * amplitude1(dist, grid.p**2)
     omega = wigner_angle(grid.p, grid.costheta, b.beta)
     ws = w * np.sin(omega / 2.0)
     M = su2_matrix(

@@ -1,7 +1,8 @@
 """The package itself binds only ``__version__``, every name one module takes from another is
-a public definition of that module, no module calls BLAS or LAPACK or a numpy kernel family
-that only one call site of the sweep would page in, one guard checks every grid's coverage,
-and one function forms the Lorentz factor."""
+a public definition of that module, every public function, class and method is used outside
+the tests, no module calls BLAS or LAPACK or a numpy kernel family that only one call site of
+the sweep would page in, one guard checks every grid's coverage, and one function forms the
+Lorentz factor."""
 
 import ast
 from pathlib import Path
@@ -73,6 +74,56 @@ def test_cross_module_imports_are_public():
     # are seen, and an attribute or item assignment binds nothing
     assert _private_imports(probe) == [("a", "b", name) for name in ("_d", "e", "g", "h", "k")]
     assert _private_imports({"a": ast.parse("from relent.z import y")}) == [("a", "z", "y")]
+
+
+def _references(tree):
+    """(line, name) of each name and each attribute in a syntax tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.lineno, node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.lineno, node.attr
+
+
+def _unreferenced(modules, others):
+    """(module, name) of each public top-level function or class of ``modules`` (stem ->
+    syntax tree), and each public method of its top-level classes, that no name or attribute
+    refers to, in ``modules`` outside its own definition or in ``others`` (syntax trees)."""
+    refs = {stem: list(_references(tree)) for stem, tree in modules.items()}
+    elsewhere = {name for tree in others for _, name in _references(tree)}
+    found = []
+    for stem, tree in modules.items():
+        classes = [node for node in tree.body if isinstance(node, ast.ClassDef)]
+        for node in tree.body + [item for cls in classes for item in cls.body]:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            used = node.name in elsewhere or any(
+                name == node.name and (other != stem or not node.lineno <= line <= node.end_lineno)
+                for other, lines in refs.items() for line, name in lines)
+            if not used:
+                found.append((stem, node.name))
+    return found
+
+
+def test_no_definition_only_tests_use():
+    # code that only the tests use lives under tests/: every public definition of the package
+    # is used by the package, the scripts or the benchmark
+    root = Path(__file__).resolve().parent.parent
+    modules = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+               for path in sorted(Path(relent.__file__).parent.glob("*.py"))}
+    others = [ast.parse(path.read_text(encoding="utf-8"))
+              for folder in ("scripts", "bench") for path in sorted((root / folder).rglob("*.py"))]
+    assert len(modules) == 7 and others
+    assert _unreferenced(modules, others) == []
+    probe = {"a": ast.parse("def f(x):\n    return f(x - 1)\ndef g(): pass\ndef _h(): pass\n"
+                            "class C:\n    def m(self): return self.k()\n    def k(self): pass\n"
+                            "class _D:\n    def n(self): pass\ndef o(): pass\ny = g"),
+             "b": ast.parse("from a import C, n\ndef e(): return C.k")}
+    # flagged: a function used only inside itself, a method nothing names, a public method of
+    # a private class (an import is no use), a function nothing names; a name outside the
+    # definition, in another module or in the others, and an attribute count
+    assert _unreferenced(probe, [ast.parse("w.o")]) == [("a", "f"), ("a", "m"), ("a", "n"),
+                                                        ("b", "e")]
 
 
 def _blas_uses(tree):

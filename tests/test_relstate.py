@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from oracles import (
     AZIMUTH_NODES,
     FourMomentum,
+    amplitude1,
     azimuth_classes,
     azimuth_tensor,
     boost_momentum,
@@ -17,6 +18,7 @@ from oracles import (
     validate_density,
 )
 
+import relent.relstate as relstate
 from relent.kinematics import BETA_CAP, Boost
 from relent.relstate import (
     BipartiteState,
@@ -279,27 +281,28 @@ def ur_setup():
 def _scalar_samples(state, b, pairs):
     """Per-row reference for momentum_density_samples through spin_kernel.
 
-    The Jacobian is the ratio of the boosted to the unboosted energy of each
-    momentum and the amplitude the product of the four single-particle
-    amplitudes; a zero momentum stands in for the identity on the other party,
-    whose traced-out momentum contributes exactly 1.
+    Returns the spin overlap, the product of the single-party overlaps and the
+    factor the density elements and the marginal products share: the square
+    root of the ratios of the boosted to the unboosted energy of each momentum
+    times the product of the four single-particle amplitudes.  A zero momentum
+    stands in for the identity on the other party, whose traced-out momentum
+    contributes exactly 1.
     """
     dist, phi = state.dist, state.spin
     rest = FourMomentum(np.zeros(3))
-    elements, marginals = [], []
+    overlaps, products, factors = [], [], []
     for row in pairs:
         p, q, p2, q2 = (FourMomentum(v) for v in row)
         jac = np.sqrt(np.prod([boost_momentum(k, b).p0 / k.p0 for k in (p, q, p2, q2)]))
-        amp = np.prod([dist.amplitude1(k.p_vec @ k.p_vec) for k in (p, q, p2, q2)])
+        amp = np.prod([amplitude1(dist, k.p_vec @ k.p_vec) for k in (p, q, p2, q2)])
 
         def overlap(k, k2):
             return (spin_kernel(*k2, b) @ phi).conj() @ (spin_kernel(*k, b) @ phi)
 
-        elements.append(jac * amp * overlap((p, q), (p2, q2)))
-        marginals.append(
-            jac * amp * overlap((p, rest), (p2, rest)) * overlap((rest, q), (rest, q2))
-        )
-    return np.array(elements), np.array(marginals)
+        overlaps.append(overlap((p, q), (p2, q2)))
+        products.append(overlap((p, rest), (p2, rest)) * overlap((rest, q), (rest, q2)))
+        factors.append(jac * amp)
+    return np.array(overlaps), np.array(products), np.array(factors)
 
 
 class TestMomentumDensitySamples:
@@ -317,7 +320,7 @@ class TestMomentumDensitySamples:
         )
         state = BipartiteState(dist, spin)
         elements, marginals = momentum_density_samples(state, Boost(beta), pairs)
-        ref_el, ref_marg = _scalar_samples(state, Boost(beta), pairs)
+        ref_el, ref_marg, _ = _scalar_samples(state, Boost(beta), pairs)
         assert np.max(np.abs(elements - ref_el)) <= 1e-13 * np.max(np.abs(ref_el))
         assert np.max(np.abs(marginals - ref_marg)) <= 1e-13 * np.max(np.abs(ref_marg))
         # collinear and p = 0 rows rotate by exactly the identity: no imaginary part
@@ -460,6 +463,41 @@ class TestQuaternionSampler:
                 assert np.all(np.abs(x - x_ref) <= 1e-13 * scale)
                 # collinear and p = 0 rows keep an imaginary part of exactly 0
                 assert np.all(x[..., -2:].imag == 0.0)
+
+    @pytest.mark.parametrize("delta", [1e-12, 1e-6, 1.0, 1e4, 1e12])
+    def test_left_out_factor_cancels(self, delta):
+        # the density elements are the overlaps times the factor the sampler leaves out, and on
+        # the sweep's own draw product_distance reads the same with the factor as without it
+        dist, betas = GaussianProduct(delta), np.array([0.0, 0.6, 0.9999, BETA_CAP])
+        for pairs, distance in ((sample_rows(dist, seed=5), False),
+                                (default_sample_pairs(dist, seed=5), True)):
+            for spin in SAMPLE_SPINS:
+                state = BipartiteState(dist, spin)
+                overlaps, products = momentum_density_samples(state, Boost(betas), pairs)
+                for i, beta in enumerate(betas):
+                    ref_overlaps, _, factor = _scalar_samples(state, Boost(beta), pairs)
+                    ref_elements = factor * ref_overlaps
+                    err = np.max(np.abs(factor * overlaps[i] - ref_elements))
+                    assert err <= 1e-13 * np.max(np.abs(ref_elements))
+                    if distance:
+                        got = product_distance(overlaps[i], products[i])
+                        assert abs(got - product_distance(factor * overlaps[i],
+                                                          factor * products[i])) <= 1e-15
+
+    @pytest.mark.parametrize("scale", [1.01, np.nan])
+    def test_diagonal_overlap_guard(self, monkeypatch, scale):
+        # a half-angle pair off the unit circle, or a NaN, moves the diagonal overlaps off <Phi|Phi>
+        half_angle = relstate.wigner_half_angle
+
+        def off_circle(*args, **kwargs):
+            c, s = half_angle(*args, **kwargs)
+            return scale * c, scale * s
+
+        monkeypatch.setattr(relstate, "wigner_half_angle", off_circle)
+        dist = GaussianProduct(1.0)
+        state = BipartiteState(dist, bell_phi_plus())
+        with pytest.raises(ValueError, match="diagonal spin overlaps must lie within 1e-12"):
+            momentum_density_samples(state, Boost(0.5), default_sample_pairs(dist, n=8, seed=1))
 
     @pytest.mark.parametrize("dist, pairs", [
         (EntangledMomentum(1.0), np.zeros((2, 4, 3))),
