@@ -10,14 +10,12 @@ The kernels average the azimuth in closed form, so ``grid.n_phi`` is
 accepted, validated and echoed for old configs but has no effect; likewise
 ``--workers``.  ``grid.n_theta`` sets the polar rule of the fidelity and the
 Bell weights only: the two momentum-entangled scenarios integrate cos(theta)
-in closed form.  A fixed ``grid.p_max`` sets the radial cutoff of the Bell
-weights and the spin density, not the fidelity's, which is always the auto
-policy's.  Scenarios populate different columns of the fixed CSV header,
-``SweepRow``'s fields; cells that a scenario does not produce stay empty
-(CSV) or null (JSON).  A config's widths and betas are evaluated
-together (``run``), and every row equals the row of a sweep over its beta and
-width alone.  Identical config and seed give byte-identical output, with rows
-emitted in config order.
+in closed form.  Every radial cutoff is ``default_p_max``'s.  Scenarios
+populate different columns of the fixed CSV header, ``SweepRow``'s fields;
+cells that a scenario does not produce stay empty (CSV) or null (JSON).  A
+config's widths and betas are evaluated together (``run``), and every row
+equals the row of a sweep over its beta and width alone.  Identical config and
+seed give byte-identical output, with rows emitted in config order.
 
 Exit codes: 0 success; 2 configuration or usage error (a field that fails its
 check, which the message names, or a config file that cannot be read or parsed
@@ -90,8 +88,6 @@ DELTA_MAX = 1e12
 #: largest accepted grid.n_r and grid.n_theta: a rule's Newton steps hold (n/2, n/2 + 1)
 #: phase arrays, 16 MiB at 1,024 nodes, far above the finest grid in use (64)
 GRID_COUNT_MAX = 1024
-#: largest fixed grid.p_max, the auto policy's largest cutoff (far above it p_max^3 overflows)
-P_MAX_CAP = float(default_p_max(DELTA_MAX, BETA_CAP))
 
 _DEFAULT_BETAS = [round(0.05 * i, 2) for i in range(20)] + [0.99]
 
@@ -206,9 +202,6 @@ _CONFIG = {
         "n_theta": (32, _count),
         # accepted for old configs; the azimuth is averaged in closed form
         "n_phi": (16, lambda name, v: _count(name, v, math.inf)),
-        # "auto" (the policy's cutoff at rest, per width) or a positive number
-        "p_max": ("auto", lambda name, v: v if v == "auto" or (_is_number(v) and 0 < v <= P_MAX_CAP)
-                  else _fail(name, f"must be 'auto' or a number in (0, {P_MAX_CAP:.6g}], got {v!r}")),
     }),
     "delta_sign": (-1, lambda name, v: int(v) if _is_number(v) and v in (-1, 1)
                    else _fail(name, f"must be -1 or 1, got {v!r}")),
@@ -268,12 +261,11 @@ def load_config(path: str) -> SweepConfig:
 def _sweep_columns(config: SweepConfig, delta: np.ndarray) -> dict:
     """The scenario's columns for the widths ``delta`` (n, 1) and every beta, each (n, n_beta).
 
-    Each kernel is called once, on one grid with a cutoff per width, the fixed ``grid.p_max``
-    or the policy's at rest; ``fidelity`` takes its rules and its own cutoff per cell.
+    Each kernel is called once, on one grid with the policy's cutoff at rest per width;
+    ``fidelity`` takes its rules and its own cutoff per cell.
     """
-    gs = config.grid
     b = Boost(np.array(config.betas))
-    grid = build_grid(gs.n_r, gs.n_theta, default_p_max(delta) if gs.p_max == "auto" else gs.p_max)
+    grid = build_grid(config.grid.n_r, config.grid.n_theta, default_p_max(delta))
     cols, spectrum = {}, None
     if config.scenario == "fidelity_only":
         cols["fidelity"] = fidelity(GaussianProduct(delta), b, grid)

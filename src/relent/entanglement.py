@@ -110,8 +110,7 @@ def fidelity(dist: GaussianProduct, b: Boost, grid: QuadratureGrid) -> np.ndarra
     m^2 for any unit spin amplitude Phi, and the fidelity m^4, one per (width, speed) cell.
 
     Each cell takes ``grid``'s rules, the radial one on the cell's ``default_p_max(delta,
-    beta)``, which leaves out at most 7.42e-7 of the boosted packet; ``grid.p_max`` has no
-    effect, as ``n_phi`` has none.
+    beta)``, which leaves out at most 7.42e-7 of the boosted packet.
 
     The integrand comes from e = (Lp)^0 - 1 = e_back + gamma beta p (1 + cos(theta)), e_back
     its value at cos(theta) = -1, so no term of e is negative: |Lp|^2 = e (e + 2), and with

@@ -35,12 +35,8 @@ from relent.cli import (
 )
 from oracles import reduced_spin_density_hypot, sample_pairs_loop
 from relent import wavepacket
-from relent.entanglement import bell_ABCD
-from relent.kinematics import BETA_CAP, Boost
-from relent.wavepacket import GaussianProduct, build_grid, default_p_max
-
-#: the largest fixed grid.p_max a config may set: the auto policy's largest cutoff
-P_MAX_CAP = default_p_max(DELTA_MAX, BETA_CAP)
+from relent.kinematics import BETA_CAP
+from relent.wavepacket import GaussianProduct
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -126,14 +122,15 @@ CONFIG_ERRORS = [
      "config field 'grid.n_r': must be at most 1024, got 1025"),
     ({"grid": {"n_theta": 4096}},
      "config field 'grid.n_theta': must be at most 1024, got 4096"),
-    ({"grid": {"p_max": 0}},
-     "config field 'grid.p_max': must be 'auto' or a number in (0, 1.56531e+11], got 0"),
-    ({"grid": {"p_max": "Auto"}},
-     "config field 'grid.p_max': must be 'auto' or a number in (0, 1.56531e+11], got 'Auto'"),
-    ({"grid": {"p_max": 1e+300}},
-     "config field 'grid.p_max': must be 'auto' or a number in (0, 1.56531e+11], got 1e+300"),
+    # every radial cutoff is default_p_max's, so the grid has no cutoff field
+    ({"grid": {"p_max": "auto"}},
+     "config field 'grid.p_max': unknown field"),
+    ({"grid": {"p_max": 10}},
+     "config field 'grid.p_max': unknown field"),
+    ({"grid": {"n_r": 16, "n_theta": 8, "p_max": 2.5}},
+     "config field 'grid.p_max': unknown field"),
     ({"grid": {"p_max": float("inf")}},
-     "config field 'grid.p_max': must be 'auto' or a number in (0, 1.56531e+11], got inf"),
+     "config field 'grid.p_max': unknown field"),
     ({"grid": {"bogus": 1, "alpha": 2}},
      "config field 'grid.alpha': unknown field"),
     ({"delta_sign": 0},
@@ -217,9 +214,6 @@ class TestConfigParsing:
         # parsing builds no grid, so the bound itself can be checked for free
         at_bound = {"n_r": GRID_COUNT_MAX, "n_theta": GRID_COUNT_MAX}
         assert parse_config({"grid": at_bound}).grid.n_theta == GRID_COUNT_MAX
-        for p_max in (0, True, float("inf"), float("nan")):
-            with pytest.raises(ConfigError, match="grid.p_max"):
-                parse_config({"grid": {"p_max": p_max}})
 
     def test_scalar_delta_promoted(self):
         assert parse_config({"delta": 2.0}).delta == (2.0,)
@@ -455,16 +449,13 @@ class TestBatchedSweep:
         return [[getattr(row, name) for name in names] for row in run(parse_config(doc))]
 
     @pytest.mark.parametrize("scenario, fields", BATCHED_CASES)
-    @pytest.mark.parametrize("p_max", ["auto", 14.0])
     @given(data=st.data())
     @settings(max_examples=8, deadline=None)
-    def test_rows_equal_single_beta_runs(self, scenario, fields, p_max, data):
-        # a fixed cutoff of 14 resolves the packets and their boosted images up to beta 0.6
-        top = 0.99 if p_max == "auto" else 0.6
-        betas = sorted(data.draw(st.lists(st.floats(0.0, top), min_size=2, max_size=5)))
+    def test_rows_equal_single_beta_runs(self, scenario, fields, data):
+        betas = sorted(data.draw(st.lists(st.floats(0.0, 0.99), min_size=2, max_size=5)))
         doc = {
             "scenario": scenario, "betas": betas, "delta": [0.5, 1.0, 4.0],
-            "grid": {"n_r": 24, "n_theta": 16, "p_max": p_max}, **fields,
+            "grid": {"n_r": 24, "n_theta": 16}, **fields,
         }
         single = [
             row
@@ -482,16 +473,14 @@ class TestBatchedSweep:
 
 
 class TestFixedCutoff:
-    """A fixed grid.p_max sets the lab-frame kernels' cutoff and leaves the fidelity's alone."""
+    """On the policy's cutoff at rest, fixed per width, the rows at beta 0 read their rest
+    values, whatever part of the packet the radial rule misses."""
 
-    @pytest.mark.parametrize("delta, p_max", [(1e-12, 1.0), (1e12, 1.5653e11)])
-    def test_fidelity_is_one_at_rest(self, tmp_path, capsys, delta, p_max):
-        # both cutoffs miss the packet, and the fidelity used to print 0 at
-        # beta 0 with exit 0
+    @pytest.mark.parametrize("delta", [1e-12, 1e12])
+    def test_fidelity_is_one_at_rest(self, tmp_path, capsys, delta):
+        # at both width bounds the policy's cutoff holds the packet, so the fidelity at rest is 1
         cfg_path = write_config(
-            tmp_path,
-            {"scenario": "fidelity_only", "betas": [0.0, 0.5], "delta": delta,
-             "grid": {"p_max": p_max}},
+            tmp_path, {"scenario": "fidelity_only", "betas": [0.0, 0.5], "delta": delta}
         )
         out_path = str(tmp_path / "out.csv")
         assert main(["run", "--config", cfg_path, "--output", out_path]) == EXIT_OK
@@ -500,39 +489,18 @@ class TestFixedCutoff:
         at_rest = float(lines[1].split(",")[fidelity])
         assert abs(at_rest - 1.0) <= 1e-14
 
-    @pytest.mark.parametrize("scenario", ["spin_bell_momentum_product", "fidelity_only"])
-    def test_fidelity_column_equals_auto(self, scenario):
-        doc = {
-            "scenario": scenario, "betas": [0.0, 0.3, 0.6, 0.99], "delta": [0.5, 1.0, 4.0],
-            "grid": {"n_r": 24, "n_theta": 16},
-        }
-        auto = run(parse_config(doc))
-        fixed = run(parse_config({**doc, "grid": {**doc["grid"], "p_max": 14.0}}))
-        assert [r.fidelity for r in fixed] == [r.fidelity for r in auto]
-        if scenario == "fidelity_only":
-            return
-        # the Bell weights come from the fixed cutoff
-        widths, b = np.array(doc["delta"])[:, None], Boost(np.array(doc["betas"]))
-        v = bell_ABCD(GaussianProduct(widths), b, build_grid(24, 16, 14.0))
-        for name in ("A", "B", "C", "D"):
-            assert [getattr(r, name) for r in fixed] == np.ravel(getattr(v, name)).tolist()
-        assert [r.A for r in fixed] != [r.A for r in auto]
-
+    #: a 13-node radial rule misses the unit packet's norm by -9.4e-7, inside the coverage
+    #: guard; the spin density reaches qcorr = 1 at rest only through its division by that norm
+    COARSE = {"betas": [0, 0.5], "delta": [1], "grid": {"n_r": 13}}
 
     def test_truncated_norm_reaches_no_output(self):
-        # p_max 3.5 holds 1 - 2.0e-5 of the packet and passes the coverage guard; the run
-        # used to print A = 0.99996 and product_distance 3.9e-5 at beta 0
-        doc = {"scenario": "spin_bell_momentum_product", "betas": [0, 0.5], "delta": [1],
-               "grid": {"p_max": 3.5}}
-        at_rest = run(parse_config(doc))[0]
+        at_rest = run(parse_config({"scenario": "spin_bell_momentum_product", **self.COARSE}))[0]
         assert abs(at_rest.A - 1.0) <= 1e-15
         assert max(abs(at_rest.B), abs(at_rest.C), abs(at_rest.D)) <= 1e-15
         assert at_rest.product_distance <= 1e-15
 
     def test_correlation_is_one_at_rest(self):
-        # the spin density on the same cutoff used to give qcorr = 0.99998
-        doc = {"scenario": "both_bell_correlations", "betas": [0, 0.5], "delta": [1],
-               "grid": {"p_max": 3.5}}
+        doc = {"scenario": "both_bell_correlations", **self.COARSE}
         assert abs(run(parse_config(doc))[0].qcorr - 1.0) <= 1e-15
 
 
@@ -727,7 +695,6 @@ class TestMainEntry:
             ({"delta": [inf]}, "delta[0]"),
             ({"delta": [10**400]}, "delta[0]"),  # no float holds it
             ({"delta_sign": True}, "delta_sign"),
-            ({"grid": {"p_max": inf}}, "grid.p_max"),
             ({"grid": {"n_phi": False}}, "grid.n_phi"),
             ({"directions": {"a": [1, 0, 0], "b": [True, 0, 0]}}, "directions.b"),
             ({"directions": {"A": [0, 1, 0]}}, "directions.A"),  # ran with the default a
@@ -739,22 +706,6 @@ class TestMainEntry:
             cfg_path = write_config(tmp_path, doc)  # json writes inf as Infinity
             assert main(["validate", "--config", cfg_path]) == EXIT_CONFIG, doc
             assert field in capsys.readouterr().err, doc
-        # an unbounded grid used to run through to a nan correlation and exit 0
-        cfg_path = write_config(
-            tmp_path, {"scenario": "both_bell_correlations", "betas": [0.5], "grid": {"p_max": inf}}
-        )
-        assert main(["run", "--config", cfg_path]) == EXIT_CONFIG
-        assert "grid.p_max" in capsys.readouterr().err
-        # a fixed cutoff past the bound used to overflow: p_max^2 raised an
-        # uncaught OverflowError at 1e200, and 1e150 ran through numpy overflow
-        # warnings to a nan (exit 3)
-        for scenario in SCENARIOS:
-            for p_max in (1e200, 1e150, P_MAX_CAP * (1 + 1e-9)):
-                cfg_path = write_config(
-                    tmp_path, {"scenario": scenario, "betas": [0.5], "grid": {"p_max": p_max}}
-                )
-                assert main(["run", "--config", cfg_path]) == EXIT_CONFIG, (scenario, p_max)
-                assert "grid.p_max" in capsys.readouterr().err, (scenario, p_max)
         # widths whose normalisation or grid weights leave the float range used to
         # end in an OverflowError traceback (1e-300) or a bare nan message (1e300)
         for width in (1e-300, 1e300, DELTA_MIN * (1 - 1e-9), DELTA_MAX * (1 + 1e-9)):
@@ -767,11 +718,13 @@ class TestMainEntry:
     @pytest.mark.parametrize("scenario", SCENARIOS)
     @pytest.mark.parametrize("width", [DELTA_MIN, DELTA_MAX])
     def test_widths_at_the_bounds_run(self, tmp_path, capsys, scenario, width):
+        # at BETA_CAP and width 1e12 the fidelity takes the policy's largest cutoff, which
+        # runs without overflow (a RuntimeWarning fails the test)
         cfg_path = write_config(
             tmp_path,
             {
                 "scenario": scenario,
-                "betas": [0.0, 0.5, 0.99],
+                "betas": [0.0, 0.5, 0.99, BETA_CAP],
                 "delta": width,
                 "grid": {"n_r": 16, "n_theta": 16, "n_phi": 8},
             },
@@ -780,32 +733,24 @@ class TestMainEntry:
         assert main(["run", "--config", cfg_path, "--output", out_path]) == EXIT_OK
         cells = [c for line in open(out_path).read().splitlines()[1:] for c in line.split(",")]
         assert all(math.isfinite(float(c)) for c in cells if c)
-        # the largest fixed cutoff runs without overflow (a RuntimeWarning fails
-        # the test); it may leave the packet unresolved, which is a coverage error
-        cfg_path = write_config(
-            tmp_path,
-            {
-                "scenario": scenario,
-                "betas": [0.0, BETA_CAP],
-                "delta": width,
-                "grid": {"n_r": 16, "n_theta": 16, "n_phi": 8, "p_max": P_MAX_CAP},
-            },
-        )
-        capsys.readouterr()
-        code = main(["run", "--config", cfg_path, "--output", out_path])
-        if code == EXIT_NUMERIC:
-            assert "grid" in capsys.readouterr().err
-        else:
-            assert code == EXIT_OK
-            cells = [c for line in open(out_path).read().splitlines()[1:] for c in line.split(",")]
-            assert all(math.isfinite(float(c)) for c in cells if c)
+
+    @pytest.mark.parametrize("p_max", ["auto", 14.0, 1e200])
+    def test_p_max_is_unknown_field(self, tmp_path, capsys, p_max):
+        # every radial cutoff is default_p_max's: a config that names one exits 2
+        cfg_path = write_config(tmp_path, {"betas": [0.5], "grid": {"n_r": 16, "p_max": p_max}})
+        for command in ("validate", "run"):
+            assert main([command, "--config", cfg_path]) == EXIT_CONFIG
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "config error: config field 'grid.p_max': unknown field\n"
 
     def test_missing_file_is_config_error(self, capsys):
         assert main(["validate", "--config", "/nonexistent.json"]) == EXIT_CONFIG
 
     def test_grid_coverage_failure_is_numeric_error(self, tmp_path, capsys):
+        # an 8-node radial rule gives the unit packet a norm of 0.999716
         cfg_path = write_config(
-            tmp_path, {"betas": [0.0], "grid": {"p_max": 0.5}}  # cuts the packet
+            tmp_path, {"scenario": "momentum_bell_spin_up", "betas": [0.5], "grid": {"n_r": 8}}
         )
         assert main(["run", "--config", cfg_path]) == EXIT_NUMERIC
         err = capsys.readouterr().err

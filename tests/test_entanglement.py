@@ -714,7 +714,7 @@ class TestMeasureSweep:
     """The Bell-spin, product-momentum sweep through its evaluator, ``cli.run``."""
 
     def test_single_zero_beta(self):
-        rows = run(parse_config({"betas": [0.0], "grid": {"p_max": "auto"}}))
+        rows = run(parse_config({"betas": [0.0]}))
         assert rows[0].E == pytest.approx(1.0, abs=1e-9)
         assert rows[0].fidelity == pytest.approx(1.0, abs=1e-9)
 
@@ -724,8 +724,8 @@ class TestMeasureSweep:
 
     @pytest.mark.parametrize("delta", [0.5, 1.0, 4.0])
     def test_measure_monotone_fidelity_below_one(self, delta):
-        # default betas and 32x32x16 grids, radial headroom for each beta
-        rows = run(parse_config({"delta": [delta], "grid": {"p_max": "auto"}}))
+        # default betas and 32x32x16 grids; the fidelity's cutoff has headroom for each beta
+        rows = run(parse_config({"delta": [delta]}))
         E = [r.E for r in rows]
         assert all(e2 <= e1 + 1e-6 for e1, e2 in zip(E, E[1:]))
         assert all(r.fidelity < 1.0 - 1e-6 for r in rows if r.beta >= 0.1)
