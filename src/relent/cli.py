@@ -64,6 +64,7 @@ from relent.wavepacket import (
     GaussianProduct,
     build_grid,
     default_p_max,
+    normalised,
 )
 
 SCENARIOS = (
@@ -268,12 +269,16 @@ def _sweep_columns(config: SweepConfig, delta: np.ndarray) -> dict:
     grid = build_grid(config.grid.n_r, config.grid.n_theta, default_p_max(delta))
     cols, spectrum = {}, None
     if config.scenario == "fidelity_only":
-        cols["fidelity"] = fidelity(GaussianProduct(delta), b, grid)
+        gp = GaussianProduct(delta)
+        cols["fidelity"] = fidelity(gp, b, grid)
+        # no other kernel checks this grid, on which the fidelity at rest is the norm^4
+        norm = np.sum(grid.radial_weights * gp.density1(grid.p**2), axis=(-2, -1))
+        normalised(1.0, norm * np.sum(grid.polar_weights), "fidelity")
     elif config.scenario == "spin_bell_momentum_product":
         gp = GaussianProduct(delta)
         cols["fidelity"] = fidelity(gp, b, grid)
-        pairs = default_sample_pairs(gp, n=SAMPLE_PAIRS, seed=config.seed)
-        sample = momentum_density_samples(BipartiteState(gp, bell_phi_plus()), b, pairs=pairs)
+        pairs = default_sample_pairs(gp, n=SAMPLE_PAIRS, seed=config.seed)  # (radii, directions)
+        sample = momentum_density_samples(BipartiteState(gp, bell_phi_plus()), b, *pairs)
         cols["product_distance"] = product_distance(*sample)
         v = bell_ABCD(gp, b, grid)
         cols.update(A=v.A, B=v.B, C=v.C, D=v.D, eta=v.eta)

@@ -162,60 +162,50 @@ def reduced_spin_density(state: BipartiteState, b: Boost, grid: QuadratureGrid) 
     return np.einsum("k...,kab->...ab", normalised(moments, trace, "reduced_spin_density"), classes)
 
 
-def momentum_density_samples(state: BipartiteState, b: Boost, pairs):
+def momentum_density_samples(state: BipartiteState, b: Boost, radii, directions):
     """(overlaps, overlap_products): the spin factors of the boosted spin-traced density.
 
-    ``pairs`` has shape (n, 4, 3), rows of Cartesian (p, q, p', q'), or (n_delta, n, 4, 3);
-    both results have shape (..., n), any width axis, then the speeds'.  The element
-    <p,q|rho'|p',q'> is sqrt(J_p J_q J_p' J_q') f(p,q) f*(p',q') <Phi|K'^dag K|Phi>, K the
-    two-particle Wigner kernel and J the energy ratios, and the marginal product
-    <p|rho_A|p'><q|rho_B|q'> is the same positive factor times the product of the
-    single-party overlaps, the companion traced out exactly (a Wigner rotation is unitary and
-    d^3p/p^0 invariant, so the companion's trace int |f1(L^-1 q)|^2 (L^-1 q)^0/q^0 d^3q is 1).
-    Their ratio cancels the factor, so the sampler returns the spin overlap and the product of
-    the single-party overlaps alone.  On a diagonal row (p' = p, q' = q) D^dag D is the
-    identity, so each diagonal overlap must lie within 1e-12 of <Phi|Phi>.
+    On ``default_sample_pairs``' pairs as drawn: ``radii`` (n_delta, n, 4) of the slots (p,
+    q, p', q') and ``directions`` (n, 2, 4), each particle's (cos theta, sin theta, cos phi,
+    sin phi), p' on p's ray and q' on q's; both results have shape (n_delta, n_beta, n), or
+    (n_delta, 1, n) for one speed.  The element <p,q|rho'|p',q'> is sqrt(J_p J_q J_p' J_q')
+    f(p,q) f*(p',q') <Phi|K'^dag K|Phi>, K the two-particle Wigner kernel and J the energy
+    ratios, and the marginal product <p|rho_A|p'><q|rho_B|q'> is the same positive factor
+    times the product of the single-party overlaps, the companion traced out exactly (a
+    Wigner rotation is unitary and d^3p/p^0 invariant, so the companion's trace int |f1(L^-1
+    q)|^2 (L^-1 q)^0/q^0 d^3q is 1).  Their ratio cancels the factor, so the sampler returns
+    the spin overlap and the product of the single-party overlaps alone.  On a diagonal row
+    (equal radii) D^dag D is the identity, so each diagonal overlap must lie within 1e-12 of
+    <Phi|Phi>.
 
-    With (c, s) = (cos, sin)(Omega/2), D_p'^dag D_p = (c'c + s's cos(dphi), -s's sin(dphi),
-    s'c sin(phi') - c's sin(phi), c's cos(phi) - s'c cos(phi')) in E, dphi = phi' - phi,
-    and <Phi|A x B|Phi> = a T b with T_mn = <Phi|E_m x E_n|Phi>, in real arithmetic over
-    T's nonzero real and imaginary entries alone.
+    p' shares p's azimuth phi, so with (c, s) = (cos, sin)(Omega/2) D_p'^dag D_p is one
+    rotation about the particle's own axis, (c'c + s's, 0, d sin(phi), -d cos(phi)) in E, d
+    = s'c - c's, and <Phi|A x B|Phi> = a T b with T_mn = <Phi|E_m x E_n|Phi>, in real
+    arithmetic over T's nonzero real and imaginary entries alone.
 
     At fixed coordinates the elements depart further from the marginal
     product as beta grows: the Wigner-phase difference between two radii
     along one direction rises as the boost saturates and levels off at
     O(1/p).  Factorization is therefore reached only in the joint limit of
     ultra-relativistic boost and momenta.  All speeds of ``b`` and all widths
-    (one row set of ``pairs`` each) are evaluated at once.
+    are evaluated at once.
     """
     if not isinstance(state.dist, GaussianProduct):
         raise TypeError("momentum_density_samples requires a product momentum distribution")
-    pairs = np.asarray(pairs, dtype=float)
-    if pairs.ndim not in (3, 4) or pairs.shape[-2:] != (4, 3):
-        raise ValueError("pairs must have shape (n, 4, 3)")
     T = np.einsum("mnab,a,b->mn", UNIT_PAIRS, state.spin.conj(), state.spin)  # <Phi|E_m x E_n|Phi>
+    T = T[np.ix_((0, 2, 3), (0, 2, 3))]  # E_x, the boost axis, has no part in either rotation
 
-    # half-angles and azimuths of all four momenta of every row, (..., slot, row):
-    # the long row axis innermost keeps numpy's inner loops long
-    rows = pairs if pairs.ndim == 3 else pairs[:, None]  # a speed axis after the widths'
-    x, y, z = np.moveaxis(rows, (-1, -3), (0, -1))
-    p = np.sqrt(x * x + y * y + z * z)
-    transverse = np.sqrt(y * y + z * z)
-    # collinear and p = 0 rows give the identity exactly (r = 0, azimuth 0)
-    safe_p = np.where(p > 0.0, p, 1.0)
-    safe_t = np.where(transverse > 0.0, transverse, 1.0)
-    c, s = wigner_half_angle(p, x / safe_p, b.nodewise().beta, sintheta=transverse / safe_p)
-    cos_phi = np.where(transverse > 0.0, y / safe_t, 1.0)
-    sin_phi = z / safe_t
-    # D_p'^dag D_p, D_q'^dag D_q, four arrays each, from slots (0, 2), (1, 3); y, z = cos, sin phi
+    # half-angles of all four slots, (width, speed, slot, pair): the long pair axis innermost
+    cos_t, sin_t, cos_phi, sin_phi = np.transpose(directions)  # (particle, pair) each
+    c, s = wigner_half_angle(np.swapaxes(radii, -1, -2)[:, None], np.tile(cos_t, (2, 1)),
+                             b.nodewise().beta, sintheta=np.tile(sin_t, (2, 1)))
+    # D_p'^dag D_p and D_q'^dag D_q, three arrays each, from slots (0, 2) and (1, 3)
     qa, qb = [], []
-    for q, i, j in ((qa, 0, 2), (qb, 1, 3)):
-        (c0, s0, y0, z0), (c1, s1, y1, z1) = ([a[..., k, :] for a in (c, s, cos_phi, sin_phi)]
-                                              for k in (i, j))
-        ss, cs, sc = s1 * s0, c1 * s0, s1 * c0
-        q += [c1 * c0 + ss * (y1 * y0 + z1 * z0), ss * (y1 * z0 - z1 * y0), sc * z1 - cs * z0,
-              cs * y0 - sc * y1]
-    del c, s, c0, s0, c1, s1, ss, cs, sc  # free the half-angles before the contraction
+    for q, k in ((qa, 0), (qb, 1)):
+        c0, s0, c1, s1 = c[..., k, :], s[..., k, :], c[..., k + 2, :], s[..., k + 2, :]
+        d = s1 * c0 - c1 * s0
+        q += [c1 * c0 + s1 * s0, d * sin_phi[k], -d * cos_phi[k]]
+    del c, s, c0, s0, c1, s1, d  # free the half-angles before the contraction
 
     # <Phi|A x B|Phi> = sum_mn T_mn a_m b_n and its marginals sum_m T_m0 a_m and sum_n T_0n b_n
     # as (real, imaginary) parts, each summed over T's nonzero entries alone
@@ -226,7 +216,7 @@ def momentum_density_samples(state: BipartiteState, b: Boost, pairs):
     spin_b = [sum(v * qb[n] for n, v in enumerate(t[0]) if v) for t in parts]
 
     overlaps = spin_sum[0] + 1j * spin_sum[1]
-    diag = np.all(rows[..., :2, :] == rows[..., 2:, :], axis=(-2, -1))  # p' = p and q' = q
+    diag = np.all(radii[:, None, :, :2] == radii[:, None, :, 2:], axis=-1)  # p' = p and q' = q
     if not np.all((np.abs(overlaps - T[0, 0]) <= 1e-12) | ~diag):  # a NaN fails
         raise ValueError("diagonal spin overlaps must lie within 1e-12 of <Phi|Phi>")
     return overlaps, (spin_a[0] + 1j * spin_a[1]) * (spin_b[0] + 1j * spin_b[1])
@@ -298,15 +288,17 @@ def _pcg64_doubles(seed: int, count: int) -> np.ndarray:
 SAMPLE_PAIRS = 64
 
 
-def default_sample_pairs(dist: GaussianProduct, n: int = SAMPLE_PAIRS, *, seed: int) -> np.ndarray:
-    """Deterministic coordinate pairs for the factorization check.
+def default_sample_pairs(dist: GaussianProduct, n: int = SAMPLE_PAIRS, *, seed: int) -> tuple:
+    """Deterministic momentum pairs for the factorization check, (radii, directions) as drawn.
 
-    Draws directions uniformly and radii from the bulk of the radial density
-    (deep tails excluded); every fourth pair is diagonal (p'=p, q'=q), the
-    rest differ in radius along a fixed direction per particle, which is the
-    coordinate direction the ultra-relativistic factorization statement
-    addresses.  An array width (n_delta, 1) scales one draw to each width and
-    gives pairs of shape (n_delta, n, 4, 3).
+    Draws one direction per particle uniformly and four radii from the bulk of
+    the radial density (deep tails excluded): the pairs differ only in radius
+    along a fixed direction per particle, which is the coordinate direction the
+    ultra-relativistic factorization statement addresses, and every fourth
+    pair is diagonal (p' = p, q' = q).  ``radii`` (n_delta, n, 4) holds |p|,
+    |q|, |p'| and |q'|, one draw scaled to each width of ``dist`` (a scalar
+    width is one), and ``directions`` (n, 2, 4) each particle's (cos theta,
+    sin theta, cos phi, sin phi).
     """
     # one row of uniforms per pair, columns in the order (cos theta, phi) of
     # each particle's direction, then the four radii
@@ -314,12 +306,9 @@ def default_sample_pairs(dist: GaussianProduct, n: int = SAMPLE_PAIRS, *, seed: 
     high = np.array([1.0, 2.0 * np.pi, 1.0, 2.0 * np.pi, 2.5, 2.5, 2.5, 2.5])
     u = low + (high - low) * np.reshape(_pcg64_doubles(seed, 8 * n), (n, 8))
     ct, ph = u[:, [0, 2]], u[:, [1, 3]]
-    st = np.sqrt(1.0 - ct * ct)
-    dirs = np.stack((ct, st * np.cos(ph), st * np.sin(ph)), axis=-1)  # (n, 2, 3)
-    r = np.sqrt(dist.delta)[..., None] * u[:, 4:]
-    out = r[..., None] * np.concatenate((dirs, dirs), axis=1)  # p, q, p', q'
-    out[..., ::4, 2:, :] = out[..., ::4, :2, :]
-    return out
+    radii = np.sqrt(np.reshape(dist.delta, (-1, 1, 1))) * u[:, 4:]
+    radii[:, ::4, 2:] = radii[:, ::4, :2]
+    return radii, np.stack((ct, np.sqrt(1.0 - ct * ct), np.cos(ph), np.sin(ph)), axis=-1)
 
 
 def product_distance(elements, marginal_products):

@@ -215,7 +215,7 @@ def test_criterion6_factorization_limit():
     dist = GaussianProduct(1.0e6)  # bulk momenta ~ 1e3 m
     state = BipartiteState(dist, bell_phi_plus())
     pairs = default_sample_pairs(dist, n=64, seed=42)
-    d = product_distance(*momentum_density_samples(state, Boost(0.9999), pairs))
+    d = product_distance(*momentum_density_samples(state, Boost(0.9999), *pairs)).item()
     ok = d < 1e-2 and time.monotonic() - t0 < 60.0
     report("criterion-6 factorization-at-light-speed", ok, t0, f"distance={d:.3e}")
     assert d < 1e-2
@@ -228,7 +228,7 @@ def _factorization_distances(delta: float, betas) -> list:
     state = BipartiteState(dist, bell_phi_plus())
     pairs = default_sample_pairs(dist, n=64, seed=42)
     return [
-        product_distance(*momentum_density_samples(state, Boost(b), pairs))
+        product_distance(*momentum_density_samples(state, Boost(b), *pairs)).item()
         for b in betas
     ]
 

@@ -313,13 +313,15 @@ class TestRunScenarios:
         stream = relstate._pcg64_doubles
 
         def counting_draw(dist, *args, **kwargs):
-            pairs = draw(dist, *args, **kwargs)
+            radii, directions = draw(dist, *args, **kwargs)
             # one draw of the stream gives each width the pairs of its own draw
-            for delta, width_pairs in zip(dist.delta.ravel(), pairs):
-                want = sample_pairs_loop(GaussianProduct(delta), *args, **kwargs)
-                assert np.array_equal(width_pairs, want)
+            for delta, width_radii in zip(dist.delta.ravel(), radii):
+                want_radii, want_directions = sample_pairs_loop(GaussianProduct(delta), *args,
+                                                                **kwargs)
+                assert np.array_equal(width_radii, want_radii)
+                assert np.array_equal(directions, want_directions)
             pair_draws.append(dist.delta.ravel().tolist())
-            return pairs
+            return radii, directions
 
         def counting(name, fn):
             def wrapped(*args, **kwargs):
@@ -771,6 +773,16 @@ class TestMainEntry:
         value, beta, delta = map(float, found.groups())
         # the worst cell: 22.6 at rest, falling with beta
         assert (value, beta, delta) == (pytest.approx(22.6145284, rel=1e-8), 0.0, 1.0)
+
+    def test_fidelity_only_checks_its_grid(self, tmp_path, capsys):
+        # a 4-node radial rule holds 0.687 of the packet, and the fidelity at rest, its fourth
+        # power, read 0.2226 with exit 0: inside [0, 1], so only the grid's norm can catch it
+        cfg_path = write_config(tmp_path, {"scenario": "fidelity_only", "betas": [0.0, 0.2],
+                                           "grid": {"n_r": 4, "n_theta": 4}})
+        assert main(["run", "--config", cfg_path]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith("numeric error: fidelity: distribution norm on the grid is 0.6868")
+        assert err.endswith("grid coverage insufficient\n")
 
     def test_unwritable_output_is_io_error(self, tmp_path, capsys):
         cfg_path = write_config(

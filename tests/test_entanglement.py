@@ -13,6 +13,10 @@ from oracles import (
     bell_ABCD_hypot,
     bell_density_from_ABCD,
     bell_fidelity_cos,
+    bell_s2_massless,
+    bell_s2_small_width,
+    fidelity_massless,
+    fidelity_small_width,
     mc_bell_abcd,
     mc_bell_fidelity,
     mean_abs_products,
@@ -731,3 +735,59 @@ class TestMeasureSweep:
         assert all(r.fidelity < 1.0 - 1e-6 for r in rows if r.beta >= 0.1)
         eta = [r.eta for r in rows]
         assert all(x2 >= x1 - 1e-9 for x1, x2 in zip(eta, eta[1:]))
+
+
+#: relative gaps of ``fidelity`` to F_inf and absolute gaps of s2 = eta/2 to s2_inf on a
+#: 256 x 256 rule at widths 1e4, 1e8, 1e12, by beta: measured 2.3499e-3, 2.4100e-5, 2.4106e-7
+#: and 1.3102e-1, 1.2890e-3, 1.2888e-5 (F); -1.0312e-3, -1.0485e-5, -1.0487e-7 and
+#: -6.9887e-3, -7.0155e-5, -7.0157e-7 (s2), as on a 1,024 x 1,024 rule to the digits shown
+MASSLESS_GAPS = {
+    0.5: ((2.35e-3, 2.42e-5, 2.42e-7), (1.04e-3, 1.05e-5, 1.05e-7)),
+    0.99: ((1.32e-1, 1.29e-3, 1.29e-5), (6.99e-3, 7.02e-5, 7.02e-7)),
+}
+#: relative gaps of ``fidelity`` and of s2 to their small-width leading terms at beta 0.5 and
+#: widths 1e-2, 1e-3 (F, on a 256 x 256 rule; below, F underflows) and 1e-2, 1e-3, 1e-4 (s2):
+#: measured -9.4993e-4, -9.6571e-5 and -1.2322e-2, -1.2562e-3, -1.2587e-4
+SMALL_WIDTH_GAPS = ((9.50e-4, 9.66e-5), (1.24e-2, 1.26e-3, 1.26e-4))
+
+
+def _falls_as(gaps, rate):
+    """Whether each gap is ``rate`` times the one before, within 3%."""
+    return all(abs(b / a / rate - 1.0) <= 0.03 for a, b in zip(gaps, gaps[1:]))
+
+
+class TestWidthLimits:
+    """The kernels against the leading-order forms at both ends of the width range.
+
+    As delta -> inf every Wigner angle tends to its massless value (t -> tau) and the gaps
+    fall as 1/sqrt(delta), 100 times per factor 1e4; as delta -> 0 they fall as delta.
+    """
+
+    def test_massless_fidelity_is_one_at_rest(self):
+        assert fidelity_massless(0.0) == pytest.approx(1.0, abs=1e-15)
+
+    def test_massless_bell_weight_tends_to_the_light_speed_table(self):
+        # s2 = 1/2 is `relent limits`' (3/8, 1/4, 1/8, 1/4); measured 2.24e-5 short at the cap
+        assert 0.0 < 0.5 - bell_s2_massless(BETA_CAP) <= 2.3e-5
+
+    @pytest.mark.parametrize("beta", sorted(MASSLESS_GAPS))
+    def test_massless_end(self, beta):
+        widths = np.array([[1e4], [1e8], [1e12]])
+        gp, b = GaussianProduct(widths), Boost(np.array([beta]))
+        grid = build_grid(256, 256, default_p_max(widths))
+        f_gap = (fidelity(gp, b, grid) / fidelity_massless(beta) - 1.0)[:, 0]
+        s2_gap = (bell_ABCD(gp, b, grid).eta / 2.0 - bell_s2_massless(beta))[:, 0]
+        for gaps, bounds in zip((f_gap, -s2_gap), MASSLESS_GAPS[beta]):
+            assert np.all((0.0 < gaps) & (gaps <= bounds)), gaps
+            assert _falls_as(gaps, 1e-2), gaps
+
+    def test_small_width_end(self):
+        widths, beta = np.array([[1e-2], [1e-3], [1e-4]]), 0.5
+        gp, b = GaussianProduct(widths), Boost(np.array([beta]))
+        grid = build_grid(256, 256, default_p_max(widths))
+        f_gap = 1.0 - (fidelity(gp, b, grid)[:2] / fidelity_small_width(widths[:2], beta))[:, 0]
+        s2 = bell_ABCD(gp, b, grid).eta / 2.0
+        s2_gap = 1.0 - (s2 / bell_s2_small_width(widths, beta))[:, 0]
+        for gaps, bounds in zip((f_gap, s2_gap), SMALL_WIDTH_GAPS):
+            assert np.all((0.0 < gaps) & (gaps <= bounds)), gaps
+            assert _falls_as(gaps, 0.1), gaps
