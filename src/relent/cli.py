@@ -268,21 +268,20 @@ def _sweep_columns(config: SweepConfig, delta: np.ndarray) -> dict:
     b = Boost(np.array(config.betas))
     grid = build_grid(config.grid.n_r, config.grid.n_theta, default_p_max(delta))
     cols, spectrum = {}, None
-    if config.scenario == "fidelity_only":
+    if config.scenario in ("fidelity_only", "spin_bell_momentum_product"):
         gp = GaussianProduct(delta)
-        cols["fidelity"] = fidelity(gp, b, grid)
-        # no other kernel checks this grid, on which the fidelity at rest is the norm^4
+        # checked before any kernel: fidelity takes only the grid's rules, and an
+        # under-resolved rule would show as a fidelity out of [0, 1] or a wrong one inside it
         norm = np.sum(grid.radial_weights * gp.density1(grid.p**2), axis=(-2, -1))
-        normalised(1.0, norm * np.sum(grid.polar_weights), "fidelity")
-    elif config.scenario == "spin_bell_momentum_product":
-        gp = GaussianProduct(delta)
+        normalised(1.0, norm * np.sum(grid.polar_weights), config.scenario)
         cols["fidelity"] = fidelity(gp, b, grid)
-        pairs = default_sample_pairs(gp, n=SAMPLE_PAIRS, seed=config.seed)  # (radii, directions)
-        sample = momentum_density_samples(BipartiteState(gp, bell_phi_plus()), b, *pairs)
-        cols["product_distance"] = product_distance(*sample)
-        v = bell_ABCD(gp, b, grid)
-        cols.update(A=v.A, B=v.B, C=v.C, D=v.D, eta=v.eta)
-        spectrum = bell_pt_spectrum(v)
+        if config.scenario == "spin_bell_momentum_product":
+            pairs = default_sample_pairs(gp, seed=config.seed)  # (radii, directions)
+            sample = momentum_density_samples(BipartiteState(gp, bell_phi_plus()), b, *pairs)
+            cols["product_distance"] = product_distance(*sample)
+            v = bell_ABCD(gp, b, grid)
+            cols.update(A=v.A, B=v.B, C=v.C, D=v.D, eta=v.eta)
+            spectrum = bell_pt_spectrum(v)
     elif config.scenario == "momentum_bell_spin_up":
         entries = xstate_stats(EntangledMomentum(delta, config.delta_sign), b, grid)
         spectrum, cols["ineq15_margin"], cols["ineq16_margin"] = xstate_pt_spectrum(*entries)

@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from relent.kinematics import Boost, wigner_tan_product
+from relent.kinematics import Boost, lorentz_factor, wigner_tan_product
 from relent.relstate import BipartiteState, reduced_spin_density, spin_up_up
 from relent.wavepacket import (
     EntangledMomentum, GaussianProduct, QuadratureGrid, build_grid, default_p_max, normalised,
@@ -122,8 +122,8 @@ def fidelity(dist: GaussianProduct, b: Boost, grid: QuadratureGrid) -> np.ndarra
         raise TypeError("fidelity requires a product momentum distribution")
     *_, p, ct, radial, polar_w = build_grid(grid.n_r, grid.n_theta,
                                             default_p_max(dist.delta, b.beta))
-    nb, delta = b.nodewise(), dist.nodes_delta
-    beta, gamma, p0 = nb.beta, nb.gamma, np.sqrt(1.0 + p * p)
+    beta, delta = b.beta[..., None, None], dist.nodes_delta
+    gamma, p0 = lorentz_factor(beta), np.sqrt(1.0 + p * p)
     r = p / gamma
     back = gamma * (beta - r) * (beta + r) / (beta * p0 + p)  # (Lp)_x at cos(theta) = -1
     back *= back / (gamma * (1.0 + r * r) / (p0 + beta * p) + 1.0)
@@ -181,7 +181,7 @@ def bell_ABCD(dist: GaussianProduct, b: Boost, grid: QuadratureGrid) -> ABCDValu
         raise TypeError("bell_ABCD requires a product momentum distribution")
     w = (grid.radial_weights * dist.density1(grid.p**2))[..., 0]
     ct, polar = grid.costheta, grid.polar_weights
-    t = wigner_tan_product(grid.p, b.nodewise().beta)
+    t = wigner_tan_product(grid.p, b.beta[..., None, None])
     t_sq = t * t
 
     def fill(tau, lattice):  # 1/(1 + tau cos(theta))

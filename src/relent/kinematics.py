@@ -35,21 +35,18 @@ def lorentz_factor(beta):
 
 
 class Boost:
-    """A boost along +x with speed ratio beta in [0, 1 - 1e-9], or an array of such speeds."""
+    """A boost along +x with speed ratio beta in [0, 1 - 1e-9], or an array of such speeds.
+
+    ``beta`` is always a float array, 0-d for one speed."""
 
     def __init__(self, beta):
-        speeds = np.asarray(beta)
-        if not np.all((0.0 <= speeds) & (speeds <= BETA_CAP)):
+        self.beta = np.asarray(beta, dtype=float)
+        if not np.all((0.0 <= self.beta) & (self.beta <= BETA_CAP)):
             raise ValueError(f"beta must be in [0, {BETA_CAP}], got {beta}")
-        self.beta = beta if np.ndim(beta) == 0 else np.asarray(beta, dtype=float)
 
     @property
-    def gamma(self) -> float:
+    def gamma(self) -> np.ndarray:
         return lorentz_factor(self.beta)
-
-    def nodewise(self) -> "Boost":
-        """The same speeds with two trailing unit axes, broadcasting over a 2D node array."""
-        return Boost(np.reshape(self.beta, np.shape(self.beta) + (1, 1)))
 
 
 def wigner_tan_product(p, beta):

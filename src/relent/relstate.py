@@ -198,7 +198,7 @@ def momentum_density_samples(state: BipartiteState, b: Boost, radii, directions)
     # half-angles of all four slots, (width, speed, slot, pair): the long pair axis innermost
     cos_t, sin_t, cos_phi, sin_phi = np.transpose(directions)  # (particle, pair) each
     c, s = wigner_half_angle(np.swapaxes(radii, -1, -2)[:, None], np.tile(cos_t, (2, 1)),
-                             b.nodewise().beta, sintheta=np.tile(sin_t, (2, 1)))
+                             b.beta[..., None, None], sintheta=np.tile(sin_t, (2, 1)))
     # D_p'^dag D_p and D_q'^dag D_q, three arrays each, from slots (0, 2) and (1, 3)
     qa, qb = [], []
     for q, k in ((qa, 0), (qb, 1)):
@@ -288,7 +288,7 @@ def _pcg64_doubles(seed: int, count: int) -> np.ndarray:
 SAMPLE_PAIRS = 64
 
 
-def default_sample_pairs(dist: GaussianProduct, n: int = SAMPLE_PAIRS, *, seed: int) -> tuple:
+def default_sample_pairs(dist: GaussianProduct, *, seed: int) -> tuple:
     """Deterministic momentum pairs for the factorization check, (radii, directions) as drawn.
 
     Draws one direction per particle uniformly and four radii from the bulk of
@@ -296,15 +296,15 @@ def default_sample_pairs(dist: GaussianProduct, n: int = SAMPLE_PAIRS, *, seed: 
     along a fixed direction per particle, which is the coordinate direction the
     ultra-relativistic factorization statement addresses, and every fourth
     pair is diagonal (p' = p, q' = q).  ``radii`` (n_delta, n, 4) holds |p|,
-    |q|, |p'| and |q'|, one draw scaled to each width of ``dist`` (a scalar
-    width is one), and ``directions`` (n, 2, 4) each particle's (cos theta,
-    sin theta, cos phi, sin phi).
+    |q|, |p'| and |q'| of n = ``SAMPLE_PAIRS`` pairs, one draw scaled to each
+    width of ``dist`` (a scalar width is one), and ``directions`` (n, 2, 4)
+    each particle's (cos theta, sin theta, cos phi, sin phi).
     """
     # one row of uniforms per pair, columns in the order (cos theta, phi) of
     # each particle's direction, then the four radii
     low = np.array([-1.0, 0.0, -1.0, 0.0, 0.3, 0.3, 0.3, 0.3])
     high = np.array([1.0, 2.0 * np.pi, 1.0, 2.0 * np.pi, 2.5, 2.5, 2.5, 2.5])
-    u = low + (high - low) * np.reshape(_pcg64_doubles(seed, 8 * n), (n, 8))
+    u = low + (high - low) * np.reshape(_pcg64_doubles(seed, 8 * SAMPLE_PAIRS), (-1, 8))
     ct, ph = u[:, [0, 2]], u[:, [1, 3]]
     radii = np.sqrt(np.reshape(dist.delta, (-1, 1, 1))) * u[:, 4:]
     radii[:, ::4, 2:] = radii[:, ::4, :2]

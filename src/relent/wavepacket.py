@@ -112,7 +112,7 @@ class QuadratureGrid(NamedTuple):
     """Tensor rule in (p, cos(theta)): Gauss-Legendre in both, azimuth exact.
 
     ``p`` and ``radial_weights`` = p_max/2 w_r p^2 have shape (..., n_r, 1),
-    the leading axes those of ``p_max`` (one radial rule per cutoff), and
+    the leading axes those of ``build_grid``'s ``p_max`` (a rule per cutoff), and
     ``costheta`` and ``polar_weights`` = 2 pi w_cos shape (n_theta,); a node's
     weight is their product.  The kernels average the azimuth in closed form,
     so only n_r, n_theta and p_max set the resolution.
@@ -121,7 +121,6 @@ class QuadratureGrid(NamedTuple):
 
     n_r: int
     n_theta: int
-    p_max: float
     p: np.ndarray
     costheta: np.ndarray
     radial_weights: np.ndarray
@@ -183,7 +182,7 @@ def build_grid(n_r: int, n_theta: int, p_max) -> QuadratureGrid:
     for name, n in (("n_r", n_r), ("n_theta", n_theta)):
         if n < 2:
             raise ValueError(f"{name} must be >= 2, got {n}")
-    cutoff = np.array(p_max, dtype=float)
+    cutoff = np.asarray(p_max, dtype=float)
     if not np.all(cutoff > 0.0):
         raise ValueError(f"p_max must be positive, got {p_max}")
 
@@ -192,8 +191,8 @@ def build_grid(n_r: int, n_theta: int, p_max) -> QuadratureGrid:
     P = half * (x_r + 1.0)[:, None]
     x_t, w_t = gauss_legendre(n_theta)
     radial, polar = half * w_r[:, None] * P**2, 2.0 * np.pi * w_t
-    _read_only(cutoff, P, radial, polar)
+    _read_only(P, radial, polar)
     return QuadratureGrid(
-        n_r=n_r, n_theta=n_theta, p_max=cutoff[()], p=P, costheta=x_t,
+        n_r=n_r, n_theta=n_theta, p=P, costheta=x_t,
         radial_weights=radial, polar_weights=polar,
     )

@@ -43,15 +43,17 @@ form they had before they took tan(Omega/2) and built their arrays in place
 SU(2) matrices, as it was before it worked in real quaternions, and
 ``momentum_density_samples_cartesian`` the real-quaternion sampler on any
 Cartesian pairs, as it was before it took the sample's (radii, directions)
-as drawn; ``cartesian_pairs`` gives those pairs' Cartesian rows.
+as drawn; ``cartesian_pairs`` gives those pairs' Cartesian rows, and ``sample_prefix``
+the first n pairs of the library's draw.
 ``energy_ratio`` and ``amplitude1`` give the energy ratios and the Gaussian
 amplitudes of the momentum density's common factor, which the library's
 sampler leaves out, as its ratio cancels them.
 ``gauss_legendre_longdouble`` is the Gauss-Legendre rule by Newton's method
 on the three-term recurrence in extended precision, the reference for the
 library's double-precision rule.
-``fidelity_massless`` and ``bell_s2_massless`` are the fidelity and the mean
-sin^2(Omega/2) as the width grows without bound, and ``fidelity_small_width``
+``fidelity_massless``, ``bell_s2_massless`` and ``reduced_spin_density_massless`` are
+the fidelity, the mean sin^2(Omega/2) and the pair's spin density as the width grows
+without bound, and ``fidelity_small_width``
 and ``bell_s2_small_width`` their leading terms as it shrinks to 0, the
 references at the two ends of the width range.
 """
@@ -63,7 +65,14 @@ import numpy as np
 
 from relent.entanglement import ABCDValues
 from relent.kinematics import Boost, lorentz_factor, wigner_half_angle
-from relent.relstate import UNIT_PAIRS, _polar_moments, spin_up_up
+from relent.relstate import (
+    UNIT_PAIRS,
+    BipartiteState,
+    _polar_moments,
+    bell_phi_plus,
+    default_sample_pairs,
+    spin_up_up,
+)
 from relent.wavepacket import (
     COVERAGE_TOL,
     EntangledMomentum,
@@ -203,16 +212,17 @@ def polar_rule():
 
 
 def polar_moments_panels(t, sign):
-    """The moments of ``relstate._polar_moments`` at one t, on ``polar_panels`` toward both ends.
+    """The moments of ``relstate._polar_moments``, on ``polar_panels`` toward both ends.
 
     (M_00, M_02, M_22, sign M_11) of P = (c_p^2, c_p s_p, s_p^2) and Q the same
-    at the companion's cos(theta), integrated over [-1, 1].  Every factor is
-    written in xi = 1 - x and eta = 1 + x, which the panels give exactly near
-    their end: 1 + t x = (1 - t) + t eta, 1 + t^2 + 2 t x = (1 - t)^2 +
-    2 t eta, 1 - x^2 = xi eta, and the same with xi and eta swapped at -x.
+    at the companion's cos(theta), integrated over [-1, 1], shape (4,) + t.shape.
+    Every factor is written in xi = 1 - x and eta = 1 + x, which the panels give
+    exactly near their end: 1 + t x = (1 - t) + t eta, 1 + t^2 + 2 t x = (1 - t)^2
+    + 2 t eta, 1 - x^2 = xi eta, and the same with xi and eta swapped at -x.
     """
     s, w = polar_panels()
-    total = np.zeros(4)
+    t = np.asarray(t, dtype=float)[..., None]
+    total = np.zeros((4,) + t.shape[:-1])
     for xi, eta in ((2.0 - s, s), (s, 2.0 - s)):
         halves = []
         for b in (eta, xi):  # the particle at x, then at -x
@@ -220,7 +230,7 @@ def polar_moments_panels(t, sign):
             halves.append(((1.0 - t + t * b) ** 2 / den, t * np.sqrt(xi * eta) * (1.0 - t + t * b) / den,
                            t * t * xi * eta / den))
         (c2, cs, s2), (c2q, csq, s2q) = halves[0], halves[0] if sign == 1 else halves[1]
-        total += [np.sum(w * f) for f in (c2 * c2q, c2 * s2q, s2 * s2q, sign * cs * csq)]
+        total += [np.sum(w * f, axis=-1) for f in (c2 * c2q, c2 * s2q, s2 * s2q, sign * cs * csq)]
     return total
 
 
@@ -285,7 +295,7 @@ def amplitude1(dist, p_sq):
 
 
 def _boosted_args(grid, b: Boost, m: float = 1.0):
-    """|Lambda p|^2 and (Lambda p)^0/p^0 on the (beta, p, cos(theta)) lattice of nodewise b."""
+    """|Lambda p|^2 and (Lambda p)^0/p^0 at the grid's nodes for the speed of b."""
     px = grid.p * grid.costheta
     pt_sq = grid.p**2 - px**2
     p0 = np.sqrt(m**2 + grid.p**2)
@@ -342,7 +352,7 @@ def bell_ABCD_hypot(dist, b: Boost, grid, analytic_limit=False) -> ABCDValues:
     if analytic_limit:
         c2_node = (1.0 + grid.costheta) / 2.0
     else:
-        c2_node = wigner_half_angle_hypot(grid.p, grid.costheta, b.nodewise().beta)[0] ** 2
+        c2_node = wigner_half_angle_hypot(grid.p, grid.costheta, b.beta[..., None, None])[0] ** 2
     shape = np.shape(b.beta)
     c2 = np.broadcast_to(np.sum(w * c2_node, axis=(-2, -1)) / norm, shape)
     s2 = np.broadcast_to(np.sum(w * (1.0 - c2_node), axis=(-2, -1)) / norm, shape)
@@ -362,7 +372,7 @@ def reduced_spin_density_hypot(state, b: Boost, grid):
         raise TypeError("reduced_spin_density requires a delta-correlated momentum distribution")
     x, w_x = polar_rule()
     w = grid.radial_weights * dist.density1(grid.p**2) * w_x
-    beta = b.nodewise().beta
+    beta = b.beta[..., None, None]
 
     def moments(costheta):
         c, s = wigner_half_angle_hypot(grid.p, costheta, beta)
@@ -398,11 +408,11 @@ def momentum_density_samples_hypot(state, b: Boost, pairs):
     if pairs.ndim != 3 or pairs.shape[1:] != (4, 3):
         raise ValueError("pairs must have shape (n, 4, 3)")
     F = state.spin.reshape(2, 2)
-    nb = b.nodewise()
     p = np.sqrt(np.sum(pairs**2, axis=-1))
     transverse = np.hypot(pairs[..., 1], pairs[..., 2])
     safe_p = np.where(p > 0.0, p, 1.0)
-    omega = wigner_angle(p, pairs[..., 0] / safe_p, nb.beta, sintheta=transverse / safe_p)
+    beta = b.beta[..., None, None]
+    omega = wigner_angle(p, pairs[..., 0] / safe_p, beta, sintheta=transverse / safe_p)
     D = wigner_matrix(omega, np.arctan2(pairs[..., 2], pairs[..., 1]))
     A = np.einsum("ba...,bc...->ac...", D[..., 2].conj(), D[..., 0])
     B = np.einsum("ba...,bc...->ac...", D[..., 3].conj(), D[..., 1])
@@ -426,12 +436,12 @@ def momentum_density_samples_su2(state, b: Boost, pairs):
     if pairs.ndim != 3 or pairs.shape[1:] != (4, 3):
         raise ValueError("pairs must have shape (n, 4, 3)")
     F = state.spin.reshape(2, 2)
-    nb = b.nodewise()
     p = np.sqrt(np.sum(pairs**2, axis=-1))
     transverse = np.sqrt(pairs[..., 1] ** 2 + pairs[..., 2] ** 2)
     safe_p = np.where(p > 0.0, p, 1.0)
     safe_t = np.where(transverse > 0.0, transverse, 1.0)
-    c, s = wigner_half_angle(p, pairs[..., 0] / safe_p, nb.beta, sintheta=transverse / safe_p)
+    beta = b.beta[..., None, None]
+    c, s = wigner_half_angle(p, pairs[..., 0] / safe_p, beta, sintheta=transverse / safe_p)
     cos_phi = np.where(transverse > 0.0, pairs[..., 1] / safe_t, 1.0)
     D = su2_matrix(c, s * cos_phi, s * (pairs[..., 2] / safe_t))
     A = np.einsum("ba...,bc...->ac...", D[..., 2].conj(), D[..., 0])
@@ -474,7 +484,7 @@ def momentum_density_samples_cartesian(state, b: Boost, pairs):
     # collinear and p = 0 rows give the identity exactly (r = 0, azimuth 0)
     safe_p = np.where(p > 0.0, p, 1.0)
     safe_t = np.where(transverse > 0.0, transverse, 1.0)
-    c, s = wigner_half_angle(p, x / safe_p, b.nodewise().beta, sintheta=transverse / safe_p)
+    c, s = wigner_half_angle(p, x / safe_p, b.beta[..., None, None], sintheta=transverse / safe_p)
     cos_phi = np.where(transverse > 0.0, y / safe_t, 1.0)
     sin_phi = z / safe_t
     # D_p'^dag D_p, D_q'^dag D_q, four arrays each, from slots (0, 2), (1, 3); y, z = cos, sin phi
@@ -573,6 +583,12 @@ def bell_expectation(a_vec, b_vec, spin):
     op = np.kron(np.einsum("i,ijk->jk", a_vec, _SIGMA), np.einsum("i,ijk->jk", b_vec, _SIGMA))
     spin = np.asarray(spin, dtype=complex)
     return float(np.real(spin.conj() @ (op @ spin)))
+
+
+def sample_prefix(dist, n, seed):
+    """The first n pairs of ``relstate.default_sample_pairs``' draw, (radii, directions)."""
+    radii, directions = default_sample_pairs(dist, seed=seed)
+    return radii[:, :n], directions[:n]
 
 
 def sample_pairs_loop(dist, n=64, seed=42):
@@ -760,7 +776,7 @@ class AzimuthGrid:
         return self.p.size
 
 
-def azimuth_grid(n_r, n_theta, p_max, n_phi):
+def azimuth_grid(n_r, n_theta, p_max, n_phi=AZIMUTH_NODES):
     """The library's radial and polar Gauss-Legendre rules times an n_phi-node azimuth rule.
 
     Flattened with phi fastest, radius slowest; the azimuth rule is the
@@ -776,13 +792,6 @@ def azimuth_grid(n_r, n_theta, p_max, n_phi):
         n_r=n_r, n_theta=n_theta, p_max=float(p_max),
         p=P.ravel(), costheta=CT.ravel(), phi=PHI.ravel(), weights=W.ravel(),
     )
-
-
-def as_azimuth_grid(grid, n_phi=AZIMUTH_NODES):
-    """``grid`` itself if it has azimuth nodes, else the node set of its (p, cos theta) lattice."""
-    if isinstance(grid, AzimuthGrid):
-        return grid
-    return azimuth_grid(grid.n_r, grid.n_theta, grid.p_max, n_phi)
 
 
 def pair_amplitudes(dist, b, grid, spin):
@@ -823,7 +832,6 @@ def reduced_spin_density_3d(state, b, grid):
             raise GridCoverageError(f"reduced_spin_density_3d: trace {np.trace(rho).real:.6f}")
         return rho
 
-    grid = as_azimuth_grid(grid)
     w = grid.weights * state.dist.density1(grid.p**2)
     if isinstance(state.dist, EntangledMomentum):
         psi = pair_amplitudes(state.dist, b, grid, state.spin).reshape(4, -1)
@@ -850,7 +858,7 @@ def reduced_spin_density_two_angles(state, b, grid):
     dist = state.dist
     x, w_x = polar_rule()
     w = grid.radial_weights * dist.density1(grid.p**2) * w_x
-    beta = b.nodewise().beta
+    beta = b.beta[..., None, None]
 
     def half_cos_sin(costheta):
         omega = wigner_angle(grid.p, costheta, beta)
@@ -976,7 +984,6 @@ def mean_abs_products(dist, b, grid):
     not trigonometric polynomials in phi, so unlike the density aggregates of
     ``xstate_stats`` they are not integrated exactly by the azimuth rule.
     """
-    grid = as_azimuth_grid(grid)
     w = grid.weights * dist.density1(grid.p**2)
     (a, b_), (c, d) = pair_amplitudes(dist, b, grid, spin_up_up())
     return float(np.sum(w * np.abs(a * d))), float(np.sum(w * np.abs(b_ * c)))
@@ -1251,7 +1258,6 @@ def quantum_correlation_asymptotic(a, b_dir, dist, b: Boost, grid) -> float:
     ax, bx = a.longitudinal, b_dir.longitudinal
     if ax == 0.0 or bx == 0.0:
         raise ValueError("asymptotic correlation undefined for transverse directions")
-    grid = as_azimuth_grid(grid)
     w = grid.weights * dist.density1(grid.p**2)
     omega_p, omega_m = signed_companion_angles(grid.p, grid.costheta, b.beta)
     X, Y, Z, W = xyzw_from_angles(omega_p, omega_m, grid.phi)
@@ -1296,6 +1302,19 @@ def bell_s2_massless(beta):
     return (m02 + m22) / 2.0
 
 
+def reduced_spin_density_massless(spin, beta, sign=-1):
+    """rho_inf(beta), the spin density of a delta-correlated pair of unbounded width.
+
+    At t = tau for every radius the radial rule drops out, and rho_inf is the
+    moment classes sum_k M_k(tau) C_k over their trace, the moments from
+    ``polar_moments_panels`` and the classes from ``azimuth_classes``, neither
+    of them the library's.  Shape np.shape(beta) + (4, 4).
+    """
+    moments = polar_moments_panels(_half_rapidity_tanh(np.asarray(beta, dtype=float))[1], sign)
+    rho = np.einsum("k...,kab->...ab", moments, azimuth_classes(np.asarray(spin), AZIMUTH_NODES))
+    return rho / np.trace(rho, axis1=-2, axis2=-1)[..., None, None]
+
+
 def fidelity_small_width(delta, beta):
     """e^(-2 (gamma - 1)/delta) 4/(gamma (gamma + 1))^2, the fidelity's leading term as delta -> 0.
 
@@ -1313,3 +1332,73 @@ def bell_s2_small_width(delta, beta):
     Its relative correction is O(delta).
     """
     return _half_rapidity_tanh(beta)[1] ** 2 * delta / 4.0
+
+
+# -- references for the accuracy ledger ------------------------------------------
+
+
+def _pt_columns(rho):
+    """min_pt_eig and E of densities (..., 4, 4) by ``partial_transpose`` and ``eigvalsh``."""
+    eigenvalues = np.linalg.eigvalsh(partial_transpose(rho))
+    return {"min_pt_eig": eigenvalues[..., 0],
+            "E": -2.0 * np.sum(np.minimum(eigenvalues, 0.0), axis=-1)}
+
+
+def sweep_references(config, delta, fine):
+    """Reference columns of ``cli.run``'s rows at one width and every beta of ``config``.
+
+    None of them takes a kernel of the library; they share its Gauss-Legendre
+    rules, and the fidelity its cutoff policy.  ``fine`` picks one of two
+    evaluations, whose gap bounds the reference's own error: 1,024-node rules
+    and the Cartesian real-quaternion sampler, or 512-node rules and the complex
+    SU(2) matrices of ``momentum_density_samples_hypot``.  ``fidelity_hypot``
+    (long double, lab frame) gives the fidelity; s2 = <(M_02 + M_22)(t)>/2 of
+    ``polar_moments_panels`` on numpy's radial rule gives the Bell weights;
+    ``reduced_spin_density_hypot`` gives rho's columns; the pairs of
+    ``sample_pairs_loop`` give the product distance.  Each column has shape
+    (n_beta,).
+    """
+    n, betas, scenario = (1024 if fine else 512), np.array(config.betas), config.scenario
+    boosts, cols = [Boost(beta) for beta in betas], {}
+    if scenario in ("fidelity_only", "spin_bell_momentum_product"):
+        rules = build_grid(n, n, 1.0)  # each (width, speed) cell takes its own cutoff
+        gp = GaussianProduct(delta)
+        cols["fidelity"] = np.array([fidelity_hypot(gp, b, rules) for b in boosts])
+    if scenario == "spin_bell_momentum_product":
+        x, w = np.polynomial.legendre.leggauss(n)
+        p = 3.0 * np.sqrt(delta) * (x + 1.0)  # on [0, default_p_max(delta)], 6 sqrt(delta)
+        w = w * p * p * np.exp(-p * p / delta)
+        t = _half_rapidity_tanh(betas)[1][:, None] * (p / (np.sqrt(1.0 + p * p) + 1.0))
+        moments = np.array([polar_moments_panels(row, -1) for row in t])  # a speed at a time
+        s2 = np.sum(w * (moments[:, 1] + moments[:, 2]), axis=-1) / (2.0 * np.sum(w))
+        c2 = 1.0 - s2
+        v = ABCDValues(A=c2**2 + 0.5 * s2**2, B=c2 * s2, C=0.5 * s2**2, D=c2 * s2, eta=2.0 * s2)
+        cols.update(v._asdict(), **_pt_columns(bell_density_from_ABCD(v)))
+        radii, directions = sample_pairs_loop(gp, n=64, seed=config.seed)
+        state = BipartiteState(gp, bell_phi_plus())
+        sampler = momentum_density_samples_cartesian if fine else momentum_density_samples_hypot
+        elements, products = sampler(state, Boost(betas), cartesian_pairs(radii, directions))
+        gaps = np.abs(elements - products) / (np.abs(products) + 1e-300)
+        cols["product_distance"] = np.max(gaps, axis=-1)
+    if scenario in ("momentum_bell_spin_up", "both_bell_correlations"):
+        spin = spin_up_up() if scenario == "momentum_bell_spin_up" else bell_phi_plus()
+        state = BipartiteState(EntangledMomentum(delta, config.delta_sign), spin)
+        grid = build_grid(n, 2, 6.0 * np.sqrt(delta))  # the radial rule alone
+        rho = np.array([reduced_spin_density_hypot(state, b, grid) for b in boosts])
+    if scenario == "momentum_bell_spin_up":
+        d = np.diagonal(rho, axis1=-2, axis2=-1).real
+        ad, bc = d[:, 0] * d[:, 3], d[:, 1] * d[:, 2]
+        residual = np.abs(ad - bc) / np.maximum(np.maximum(ad, bc), 1e-300)
+        cols.update(_pt_columns(rho), ineq15_margin=np.abs(rho[:, 0, 3]) ** 2 - bc,
+                    ineq16_margin=np.abs(rho[:, 1, 2]) ** 2 - ad, identity14_residual=residual)
+    if scenario == "both_bell_correlations":
+        a, b_dir = (np.array(v, dtype=float) for v in config.directions)
+        gamma = lorentz_factor(betas)[:, None]
+        n_a, n_b = (np.concatenate((v[:1] + 0.0 * gamma, v[1:] / gamma), axis=-1)
+                    for v in (a, b_dir))
+        n_a, n_b = (v / np.linalg.norm(v, axis=-1, keepdims=True) for v in (n_a, n_b))
+        ops = np.einsum("ni,iab,nj,jcd->nacbd", n_a, _SIGMA, n_b, _SIGMA).reshape(-1, 4, 4)
+        cols["qcorr"] = np.einsum("nab,nba->n", rho, ops).real
+        if a[0] != 0.0 and b_dir[0] != 0.0:
+            cols["ccorr"] = np.full(len(betas), np.sign(a[0]) * np.sign(b_dir[0]))
+    return cols

@@ -22,6 +22,7 @@ import numpy as np
 from oracles import (
     FourMomentum,
     abcd,
+    azimuth_grid,
     bell_density_from_ABCD,
     bell_expectation,
     bell_fidelity_cos,
@@ -185,7 +186,7 @@ def test_criterion5_identity_equality_of_mean_products():
     never decouples.
     """
     t0 = time.monotonic()
-    grid = build_grid(32, 32, default_p_max(1.0))
+    grid = azimuth_grid(32, 32, default_p_max(1.0))
     worst_gap = 0.0
     for beta in BETA_GRID_COARSE:
         mean_abs_ad, mean_abs_bc = mean_abs_products(EntangledMomentum(1.0, -1), Boost(beta), grid)
@@ -214,7 +215,7 @@ def test_criterion6_factorization_limit():
     t0 = time.monotonic()
     dist = GaussianProduct(1.0e6)  # bulk momenta ~ 1e3 m
     state = BipartiteState(dist, bell_phi_plus())
-    pairs = default_sample_pairs(dist, n=64, seed=42)
+    pairs = default_sample_pairs(dist, seed=42)
     d = product_distance(*momentum_density_samples(state, Boost(0.9999), *pairs)).item()
     ok = d < 1e-2 and time.monotonic() - t0 < 60.0
     report("criterion-6 factorization-at-light-speed", ok, t0, f"distance={d:.3e}")
@@ -226,7 +227,7 @@ def _factorization_distances(delta: float, betas) -> list:
     """Factorization distance of a Bell-spin pair of width delta, per boost speed."""
     dist = GaussianProduct(delta)
     state = BipartiteState(dist, bell_phi_plus())
-    pairs = default_sample_pairs(dist, n=64, seed=42)
+    pairs = default_sample_pairs(dist, seed=42)
     return [
         product_distance(*momentum_density_samples(state, Boost(b), *pairs)).item()
         for b in betas

@@ -105,9 +105,29 @@ def _unreferenced(modules, others):
     return found
 
 
+def _namedtuple_fields(tree):
+    """(class, field) of each annotated field of a module's top-level ``NamedTuple`` classes."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+                getattr(base, "id", getattr(base, "attr", None)) == "NamedTuple"
+                for base in node.bases):
+            yield from ((node.name, item.target.id) for item in node.body
+                        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name))
+
+
+def _unread_fields(modules, others, exempt=()):
+    """(class, field) of each ``NamedTuple`` field of ``modules`` (stem -> syntax tree), outside
+    the classes ``exempt``, that no attribute reads in ``modules`` or ``others``: a bare name
+    of the same spelling, such as a parameter, is no read."""
+    read = {node.attr for tree in [*modules.values(), *others] for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)}
+    return [(cls, name) for tree in modules.values() for cls, name in _namedtuple_fields(tree)
+            if cls not in exempt and name not in read]
+
+
 def test_no_definition_only_tests_use():
     # code that only the tests use lives under tests/: every public definition of the package
-    # is used by the package, the scripts or the benchmark
+    # is used by the package, the scripts or the benchmark, and so is every NamedTuple field
     root = Path(__file__).resolve().parent.parent
     modules = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
                for path in sorted(Path(relent.__file__).parent.glob("*.py"))}
@@ -115,6 +135,17 @@ def test_no_definition_only_tests_use():
               for folder in ("scripts", "bench") for path in sorted((root / folder).rglob("*.py"))]
     assert len(modules) == 7 and others
     assert _unreferenced(modules, others) == []
+    # SweepRow's fields are the CSV header, which emit and run read through _fields
+    assert {cls for tree in modules.values() for cls, _ in _namedtuple_fields(tree)} == {
+        "ABCDValues", "QuadratureGrid", "SweepRow"}
+    assert _unread_fields(modules, others, exempt=("SweepRow",)) == []
+    fields = ast.parse("class P(NamedTuple):\n    x: int\n    y: int\n    z: int\n    u: int\n"
+                       "class Q(typing.NamedTuple):\n    v: int\nclass R:\n    w: int\n"
+                       "class S(NamedTuple):\n    s: int\ndef f(p, y):\n    return p.x, y")
+    # flagged: a field that only a bare name spells or nothing reads; an attribute read here or
+    # in the others counts, a typing.NamedTuple is seen and a plain class has no fields
+    assert _unread_fields({"a": fields}, [ast.parse("o.z")], exempt=("S",)) == [
+        ("P", "y"), ("P", "u"), ("Q", "v")]
     probe = {"a": ast.parse("def f(x):\n    return f(x - 1)\ndef g(): pass\ndef _h(): pass\n"
                             "class C:\n    def m(self): return self.k()\n    def k(self): pass\n"
                             "class _D:\n    def n(self): pass\ndef o(): pass\ny = g"),

@@ -758,31 +758,20 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("numeric error: ") and "grid coverage insufficient" in err, err
 
-    def test_fidelity_range_error_names_the_cell(self, tmp_path, capsys):
-        # a 2-node radial rule does not resolve the packet; the message used to
-        # print all 21 fidelities and name no cell
-        cfg_path = write_config(
-            tmp_path, {"scenario": "fidelity_only", "grid": {"n_r": 2, "n_theta": 4}}
-        )
+    @pytest.mark.parametrize("scenario", ["fidelity_only", "spin_bell_momentum_product"])
+    @pytest.mark.parametrize("n_r, norm", [(2, "2.180705"), (4, "0.686849"), (6, "1.033399")])
+    def test_product_scenarios_check_their_grid(self, tmp_path, capsys, monkeypatch, scenario,
+                                                n_r, norm):
+        # the grid's norm of the unit packet is checked before any kernel runs: on these rules
+        # the fidelity read 22.6 (2 nodes), 1.81 at beta 0.6 (4 nodes, as a range error) or,
+        # inside [0, 1], its fourth power 0.2226 at rest with exit 0 (fidelity_only, 4 nodes)
+        monkeypatch.setattr(cli, "fidelity", lambda *args: pytest.fail("fidelity ran"))
+        cfg_path = write_config(tmp_path, {"scenario": scenario, "grid": {"n_r": n_r}})
         assert main(["run", "--config", cfg_path]) == EXIT_NUMERIC
-        err = capsys.readouterr().err
-        found = re.fullmatch(
-            r"numeric error: fidelity out of \[0, 1\]: (\S+) at beta (\S+), delta (\S+)\n", err
+        assert capsys.readouterr().err == (
+            f"numeric error: {scenario}: distribution norm on the grid is {norm}; "
+            "grid coverage insufficient\n"
         )
-        assert found is not None, err
-        value, beta, delta = map(float, found.groups())
-        # the worst cell: 22.6 at rest, falling with beta
-        assert (value, beta, delta) == (pytest.approx(22.6145284, rel=1e-8), 0.0, 1.0)
-
-    def test_fidelity_only_checks_its_grid(self, tmp_path, capsys):
-        # a 4-node radial rule holds 0.687 of the packet, and the fidelity at rest, its fourth
-        # power, read 0.2226 with exit 0: inside [0, 1], so only the grid's norm can catch it
-        cfg_path = write_config(tmp_path, {"scenario": "fidelity_only", "betas": [0.0, 0.2],
-                                           "grid": {"n_r": 4, "n_theta": 4}})
-        assert main(["run", "--config", cfg_path]) == EXIT_NUMERIC
-        err = capsys.readouterr().err
-        assert err.startswith("numeric error: fidelity: distribution norm on the grid is 0.6868")
-        assert err.endswith("grid coverage insufficient\n")
 
     def test_unwritable_output_is_io_error(self, tmp_path, capsys):
         cfg_path = write_config(

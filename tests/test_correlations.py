@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from oracles import (
     _SIGMA,
     FourMomentum,
+    azimuth_grid,
     bell_expectation,
     quantum_correlation_asymptotic,
     signed_companion_angles,
@@ -211,7 +212,8 @@ class TestQuantumCorrelation:
         dist, grid = narrow_setup
         x = direction([1, 0, 0])
         q = quantum_correlation(x, x, dist, bell_phi_plus(), Boost(0.9999), grid)
-        qa = quantum_correlation_asymptotic(x, x, dist, Boost(0.9999), grid)
+        qa = quantum_correlation_asymptotic(x, x, dist, Boost(0.9999),
+                                            azimuth_grid(32, 32, default_p_max(0.01)))
         assert q == pytest.approx(qa, abs=1e-10)
 
     def test_transverse_degeneracy_guard(self, narrow_setup):

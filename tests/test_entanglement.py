@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from oracles import (
     FourMomentum,
     abcd,
+    azimuth_grid,
     bell_ABCD_hypot,
     bell_density_from_ABCD,
     bell_fidelity_cos,
@@ -26,6 +28,7 @@ from oracles import (
     leaked_mass_panels,
     partial_transpose,
     reduced_spin_density_3d,
+    reduced_spin_density_massless,
     spin_kernel,
     wigner_rotation,
     xstate_concurrence,
@@ -128,7 +131,7 @@ class TestXStateStats:
     def test_pointwise_modulus_identity(self, grid_default, sign, beta):
         # |a d*| and |b c*| agree pointwise, hence under any common average
         mean_abs_ad, mean_abs_bc = mean_abs_products(
-            EntangledMomentum(1.0, sign), Boost(beta), grid_default
+            EntangledMomentum(1.0, sign), Boost(beta), azimuth_grid(32, 32, default_p_max(1.0))
         )
         assert mean_abs_ad == pytest.approx(mean_abs_bc, abs=1e-12)
 
@@ -288,6 +291,21 @@ class TestFidelity:
         f = fidelity(GaussianProduct(delta), Boost(beta), grid)
         assert f < 1.0 - 1e-6
         assert f >= 0.0
+
+    def test_range_error_names_the_cell(self):
+        # a 2-node radial rule does not resolve the packet; the message used to
+        # print all 21 fidelities and name no cell
+        delta = np.array([[1.0]])  # the default sweep's call
+        grid = build_grid(2, 4, default_p_max(delta))
+        with pytest.raises(ValueError) as err:
+            fidelity(GaussianProduct(delta), Boost(np.array(cli._DEFAULT_BETAS)), grid)
+        found = re.fullmatch(
+            r"fidelity out of \[0, 1\]: (\S+) at beta (\S+), delta (\S+)", str(err.value)
+        )
+        assert found is not None, err.value
+        value, beta, delta = map(float, found.groups())
+        # the worst cell: 22.6 at rest, falling with beta
+        assert (value, beta, delta) == (pytest.approx(22.6145284, rel=1e-8), 0.0, 1.0)
 
     def test_generic_and_cos_paths_agree(self, gauss_unit):
         grid = build_grid(32, 32, default_p_max(1.0, 0.6))
@@ -544,7 +562,7 @@ class TestBellABCD:
         b = Boost(0.6)
         v = bell_ABCD(gauss_unit, b, grid_default)
         direct = reduced_spin_density_3d(
-            BipartiteState(gauss_unit, bell_phi_plus()), b, grid_default
+            BipartiteState(gauss_unit, bell_phi_plus()), b, azimuth_grid(32, 32, default_p_max(1.0))
         )
         assert np.max(np.abs(bell_density_from_ABCD(v) - direct)) < 1e-6
 
@@ -745,6 +763,10 @@ MASSLESS_GAPS = {
     0.5: ((2.35e-3, 2.42e-5, 2.42e-7), (1.04e-3, 1.05e-5, 1.05e-7)),
     0.99: ((1.32e-1, 1.29e-3, 1.29e-5), (6.99e-3, 7.02e-5, 7.02e-7)),
 }
+#: sqrt(delta) times the largest entry gap of ``reduced_spin_density`` (32 radial nodes) to
+#: rho_inf at widths 1e8 and 1e12: measured 0.6544 at most (Phi+, q = -p, beta 0.99), and the
+#: two widths' scaled gaps within 0.44% of each other for every spin, sign and beta > 0
+MASSLESS_RHO_GAP = 0.655
 #: relative gaps of ``fidelity`` and of s2 to their small-width leading terms at beta 0.5 and
 #: widths 1e-2, 1e-3 (F, on a 256 x 256 rule; below, F underflows) and 1e-2, 1e-3, 1e-4 (s2):
 #: measured -9.4993e-4, -9.6571e-5 and -1.2322e-2, -1.2562e-3, -1.2587e-4
@@ -780,6 +802,22 @@ class TestWidthLimits:
         for gaps, bounds in zip((f_gap, -s2_gap), MASSLESS_GAPS[beta]):
             assert np.all((0.0 < gaps) & (gaps <= bounds)), gaps
             assert _falls_as(gaps, 1e-2), gaps
+
+    @pytest.mark.parametrize("sign", [-1, 1])
+    @pytest.mark.parametrize("spin", [bell_phi_plus(), spin_up_up(),
+                                      np.array([0.5, 0.5j, -0.5, 0.5], dtype=complex)],
+                             ids=["bell", "up_up", "generic"])
+    def test_massless_spin_density(self, spin, sign):
+        # rho -> rho_inf exactly at rest and as 1/sqrt(delta) under a boost
+        widths = np.array([[1e8], [1e12]])
+        betas = np.array([0.0, 0.5, 0.9, 0.99, 0.9999, BETA_CAP])
+        state = BipartiteState(EntangledMomentum(widths, sign), spin)
+        rho = reduced_spin_density(state, Boost(betas), build_grid(32, 32, default_p_max(widths)))
+        gaps = np.max(np.abs(rho - reduced_spin_density_massless(spin, betas, sign)), axis=(-2, -1))
+        assert np.all(gaps[:, 0] <= 2e-16), gaps
+        scaled = gaps[:, 1:] * np.sqrt(widths)
+        assert np.all(scaled <= MASSLESS_RHO_GAP), scaled
+        assert np.all(np.abs(scaled[1] / scaled[0] - 1.0) <= 5e-3), scaled
 
     def test_small_width_end(self):
         widths, beta = np.array([[1e-2], [1e-3], [1e-4]]), 0.5

@@ -14,9 +14,14 @@ from oracles import (
     wigner_rotation,
 )
 from relent.correlations import ObservableDirection, quantum_correlation
-from relent.entanglement import bell_ABCD, fidelity
+from relent.entanglement import bell_ABCD, fidelity, xstate_stats
 from relent.kinematics import BETA_CAP, Boost, wigner_half_angle
-from relent.relstate import bell_phi_plus
+from relent.relstate import (
+    BipartiteState,
+    bell_phi_plus,
+    default_sample_pairs,
+    momentum_density_samples,
+)
 from relent.wavepacket import EntangledMomentum, GaussianProduct, build_grid, default_p_max
 
 momenta = st.builds(
@@ -62,17 +67,26 @@ class TestBoost:
         assert Boost(0.6).gamma == pytest.approx(1.25, rel=1e-14)
 
     def test_list_of_speeds_is_an_array(self):
-        # a list used to reach Boost.gamma and the correlation's speed check as a list
+        # a list used to reach Boost.gamma and the correlation's speed check as a list; one
+        # speed is a 0-d array, which gives every kernel the bits of a length-1 array
+        gp, em = GaussianProduct(1.0), EntangledMomentum(1.0)
         grid = build_grid(16, 16, default_p_max(1.0))
-        x = ObservableDirection(np.array([1.0, 0.0, 0.0]))
+        x = ObservableDirection(np.array([0.6, 0.8, 0.0]))
+        pairs = default_sample_pairs(gp, seed=42)
         calls = (
-            lambda b: fidelity(GaussianProduct(1.0), b, grid),
-            lambda b: np.stack(bell_ABCD(GaussianProduct(1.0), b, grid)),
-            lambda b: quantum_correlation(x, x, EntangledMomentum(1.0), bell_phi_plus(), b, grid),
+            lambda b: [fidelity(gp, b, grid)],
+            lambda b: bell_ABCD(gp, b, grid),
+            lambda b: xstate_stats(em, b, grid),
+            lambda b: momentum_density_samples(BipartiteState(gp, bell_phi_plus()), b, *pairs),
+            lambda b: [quantum_correlation(x, x, em, bell_phi_plus(), b, grid)],
         )
+        assert Boost(0.5).beta.shape == ()
         for call in calls:
-            got, want = call(Boost([0.0, 0.5])), call(Boost(np.array([0.0, 0.5])))
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            for speeds, batch in (([0.0, 0.5], np.array([0.0, 0.5])), (0.5, np.array([0.5]))):
+                for got, want in zip(call(Boost(speeds)), call(Boost(batch)), strict=True):
+                    got, want = np.asarray(got), np.asarray(want)
+                    assert got.shape == want.shape or (1,) + got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
 
 
 class TestBoostMomentum:

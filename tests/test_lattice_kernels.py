@@ -27,6 +27,7 @@ from oracles import (
     momentum_density_samples_cartesian,
     momentum_density_samples_hypot,
     reduced_spin_density_hypot,
+    sample_prefix,
 )
 import relent.entanglement as entanglement
 from relent.cli import _DEFAULT_BETAS
@@ -122,7 +123,7 @@ def test_kernels_match_hypot_forms(case):
     # the library's sampler on its own draw, and the Cartesian reference on a collinear and a
     # p = 0 row, which rotate by exactly the identity
     state, edge = BipartiteState(gp, spin), root * EDGE_ROWS
-    radii, directions = default_sample_pairs(gp, n=9, seed=n_r)
+    radii, directions = sample_prefix(gp, 9, seed=n_r)
     for kernel, args, pairs in (
         (momentum_density_samples, (radii, directions), cartesian_pairs(radii, directions)[0]),
         (momentum_density_samples_cartesian, (edge,), edge),
@@ -262,7 +263,7 @@ class TestLatticeMemory:
         delta = np.array([[0.5], [1.0], [4.0]])
         gp = GaussianProduct(delta)
         call = (momentum_density_samples, BipartiteState(gp, bell_phi_plus()), self.b,
-                *default_sample_pairs(gp, n=64, seed=42))
+                *default_sample_pairs(gp, seed=42))
         # measured 4.28, with 0.22 of margin for allocator and numpy version noise
         assert _peak_bytes(*call) / (delta.size * len(_DEFAULT_BETAS) * 4 * 64 * 8) <= 4.5
 

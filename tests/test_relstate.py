@@ -7,6 +7,7 @@ from oracles import (
     FourMomentum,
     amplitude1,
     azimuth_classes,
+    azimuth_grid,
     azimuth_tensor,
     boost_momentum,
     cartesian_pairs,
@@ -16,6 +17,7 @@ from oracles import (
     reduced_spin_density_3d,
     reduced_spin_density_two_angles,
     sample_pairs_loop,
+    sample_prefix,
     spin_kernel,
     validate_density,
 )
@@ -23,6 +25,7 @@ from oracles import (
 import relent.relstate as relstate
 from relent.kinematics import BETA_CAP, Boost
 from relent.relstate import (
+    SAMPLE_PAIRS,
     BipartiteState,
     bell_phi_plus,
     default_sample_pairs,
@@ -163,7 +166,8 @@ class TestReducedSpinDensity:
         # the product-momentum channel is a test reference (oracles)
         if which == "product_bell":
             state = BipartiteState(GaussianProduct(1.0), bell_phi_plus())
-            rho = reduced_spin_density_3d(state, Boost(beta), grid_default)
+            fine = azimuth_grid(32, 32, default_p_max(1.0))
+            rho = reduced_spin_density_3d(state, Boost(beta), fine)
         else:
             state = BipartiteState(EntangledMomentum(1.0, -1), spin_up_up())
             rho = reduced_spin_density(state, Boost(beta), grid_default)
@@ -236,7 +240,7 @@ class TestReducedSpinDensity:
     def test_generic_spin_product_distribution(self, grid_default, gauss_unit):
         spin = np.array([0.5, 0.5j, -0.5, 0.5], dtype=complex)
         state = BipartiteState(gauss_unit, spin)
-        rho = reduced_spin_density_3d(state, Boost(0.6), grid_default)
+        rho = reduced_spin_density_3d(state, Boost(0.6), azimuth_grid(32, 32, default_p_max(1.0)))
         validate_density(rho, trace_tol=1e-6)
 
     def test_validate_rejects_nan(self):
@@ -264,10 +268,10 @@ class TestReducedSpinDensity:
 
     def test_product_path_matches_delta_free_quadrature(self, gauss_unit):
         # same physics through spin_kernel at scattered nodes: coarse consistency
-        grid = build_grid(24, 24, default_p_max(1.0))
+        grid = azimuth_grid(24, 24, default_p_max(1.0))
         state = BipartiteState(gauss_unit, bell_phi_plus())
         rho_a = reduced_spin_density_3d(state, Boost(0.5), grid)
-        grid_b = build_grid(32, 32, default_p_max(1.0))
+        grid_b = azimuth_grid(32, 32, default_p_max(1.0))
         rho_b = reduced_spin_density_3d(state, Boost(0.5), grid_b)
         assert np.max(np.abs(rho_a - rho_b)) < 1e-6
 
@@ -276,7 +280,7 @@ class TestReducedSpinDensity:
 def ur_setup():
     dist = GaussianProduct(1.0e6)
     state = BipartiteState(dist, bell_phi_plus())
-    return state, default_sample_pairs(dist, n=64, seed=42)
+    return state, default_sample_pairs(dist, seed=42)
 
 
 def _scalar_samples(state, b, pairs):
@@ -317,7 +321,7 @@ class TestMomentumDensitySamples:
         # the library on its own draw, the Cartesian reference on it and on a collinear and a
         # p = 0 row
         dist = GaussianProduct(1.0)
-        radii, directions = default_sample_pairs(dist, n=16, seed=3)
+        radii, directions = sample_prefix(dist, 16, seed=3)
         collinear = [[0.7, 0.0, 0.0], [-1.2, 0.0, 0.0], [0.3, 0.0, 0.0], [2.0, 0.0, 0.0]]
         pairs = np.concatenate(
             [cartesian_pairs(radii, directions)[0], [collinear], np.zeros((1, 4, 3))]
@@ -352,7 +356,7 @@ class TestMomentumDensitySamples:
 
     def test_sampler_is_deterministic(self):
         dist = GaussianProduct(1.0e6)
-        a, b, c = (default_sample_pairs(dist, n=16, seed=seed) for seed in (9, 9, 10))
+        a, b, c = (default_sample_pairs(dist, seed=seed) for seed in (9, 9, 10))
         assert [x.tobytes() for x in a] == [x.tobytes() for x in b]
         assert all(x.tobytes() != y.tobytes() for x, y in zip(a, c))
 
@@ -360,12 +364,12 @@ class TestMomentumDensitySamples:
     @pytest.mark.parametrize("seed", [0, 7, 42, 43])
     def test_sampler_matches_per_pair_loop(self, width, seed):
         dist = GaussianProduct(width)
-        for n in (64, 1, 5, 13, 63):  # four of them not a multiple of 4
-            radii, directions = default_sample_pairs(dist, n=n, seed=seed)
-            assert radii.shape == (1, n, 4) and directions.shape == (n, 2, 4)
+        radii, directions = default_sample_pairs(dist, seed=seed)
+        assert radii.shape == (1, SAMPLE_PAIRS, 4) and directions.shape == (SAMPLE_PAIRS, 2, 4)
+        for n in (64, 1, 5, 13, 63):  # each prefix is the loop's draw; four not a multiple of 4
             want_radii, want_directions = sample_pairs_loop(dist, n=n, seed=seed)
-            assert np.array_equal(radii[0], want_radii)
-            assert np.array_equal(directions, want_directions)
+            assert np.array_equal(radii[0, :n], want_radii)
+            assert np.array_equal(directions[:n], want_directions)
 
     def test_sampler_draws_match_default_rng(self):
         # the sampler draws default_rng's stream written out in Python: a NumPy
@@ -386,11 +390,11 @@ class TestMomentumDensitySamples:
         assert not doubles.flags.writeable
         assert np.array_equal(doubles, np.random.default_rng(seed).random(100_000))
 
-    @given(seed=st.integers(0, 2**192), n=st.integers(1, 70))
+    @given(seed=st.integers(0, 2**192), n=st.integers(1, SAMPLE_PAIRS))
     @settings(max_examples=60, deadline=None)
     def test_sampler_draws_match_default_rng_for_any_seed(self, seed, n):
         dist = GaussianProduct(1.0)
-        radii, directions = default_sample_pairs(dist, n=n, seed=seed)
+        radii, directions = sample_prefix(dist, n, seed=seed)
         want_radii, want_directions = sample_pairs_loop(dist, n=n, seed=seed)
         assert np.array_equal(radii[0], want_radii)
         assert np.array_equal(directions, want_directions)
@@ -407,7 +411,7 @@ class TestMomentumDensitySamples:
             product_distance(np.zeros(0, dtype=complex), np.zeros(0, dtype=complex))
         # the sampler's own result for no pairs, at two speeds
         state = BipartiteState(GaussianProduct(1.0), bell_phi_plus())
-        no_pairs = default_sample_pairs(state.dist, n=0, seed=1)
+        no_pairs = sample_prefix(state.dist, 0, seed=1)
         sample = momentum_density_samples(state, Boost(np.array([0.0, 0.5])), *no_pairs)
         with pytest.raises(ValueError, match="sample is empty"):
             product_distance(*sample)
@@ -448,7 +452,7 @@ def sample_rows(dist, seed):
     """
     scale = np.sqrt(dist.delta)[..., None, None]  # (n_delta, 1, 1, 1) for an array width
     general = np.random.default_rng(seed).normal(size=(6, 4, 3))
-    drawn = cartesian_pairs(*default_sample_pairs(dist, n=9, seed=seed))
+    drawn = cartesian_pairs(*sample_prefix(dist, 9, seed=seed))
     return np.concatenate(
         [drawn if np.ndim(dist.delta) else drawn[0], scale * general, scale * EDGE_ROWS], axis=-3
     )
@@ -540,7 +544,7 @@ class TestQuaternionSampler:
         dist = GaussianProduct(1.0)
         state = BipartiteState(dist, bell_phi_plus())
         with pytest.raises(ValueError, match="diagonal spin overlaps must lie within 1e-12"):
-            momentum_density_samples(state, Boost(0.5), *default_sample_pairs(dist, n=8, seed=1))
+            momentum_density_samples(state, Boost(0.5), *sample_prefix(dist, 8, seed=1))
 
     @pytest.mark.parametrize("dist, pairs", [
         (EntangledMomentum(1.0), np.zeros((2, 4, 3))),

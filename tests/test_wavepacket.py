@@ -4,7 +4,6 @@ import pytest
 from oracles import (
     AZIMUTH_NODES,
     amplitude1,
-    as_azimuth_grid,
     azimuth_grid,
     azimuth_tensor,
     bell_ABCD_3d,
@@ -157,7 +156,7 @@ class TestIntegrate3:
         # the polar weights carry the exact azimuth: the lattice weights equal a
         # 64-node azimuth rule's weights summed over phi, on which cos(phi) annihilates
         g, W = grid_default, lattice_weights(grid_default)
-        fine = azimuth_grid(g.n_r, g.n_theta, g.p_max, 64)
+        fine = azimuth_grid(g.n_r, g.n_theta, default_p_max(1.0), 64)
         w = fine.weights * gauss_unit.density1(fine.p**2)
         assert abs(np.sum(w * np.cos(fine.phi))) < 1e-10
         folded = fine.weights.reshape(W.shape + (64,)).sum(axis=-1)
@@ -238,7 +237,8 @@ class TestAzimuthRule:
         if pair:
             rho = reduced_spin_density(state, Boost(beta), grid)
         else:
-            rho = reduced_spin_density_3d(state, Boost(beta), as_azimuth_grid(grid))
+            lattice = azimuth_grid(24, 24, default_p_max(1.0))
+            rho = reduced_spin_density_3d(state, Boost(beta), lattice)
         ref = reduced_spin_density_3d(state, Boost(beta), fine)
         assert np.max(np.abs(rho - ref)) < 1e-13
 
