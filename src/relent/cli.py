@@ -34,12 +34,7 @@ from typing import NamedTuple, NoReturn
 
 import numpy as np
 
-from relent.correlations import (
-    TRANSVERSE_BETA_MAX,
-    ObservableDirection,
-    classical_correlation,
-    quantum_correlation,
-)
+from relent.correlations import TRANSVERSE_BETA_MAX, classical_correlation, quantum_correlation
 from relent.entanglement import (
     bell_ABCD,
     bell_pt_spectrum,
@@ -53,7 +48,6 @@ from relent.entanglement import (
 from relent.kinematics import BETA_CAP, Boost
 from relent.relstate import (
     SAMPLE_PAIRS,
-    BipartiteState,
     bell_phi_plus,
     default_sample_pairs,
     momentum_density_samples,
@@ -267,30 +261,31 @@ def _sweep_columns(config: SweepConfig, delta: np.ndarray) -> dict:
     """
     b = Boost(np.array(config.betas))
     grid = build_grid(config.grid.n_r, config.grid.n_theta, default_p_max(delta))
+    product = config.scenario in ("fidelity_only", "spin_bell_momentum_product")
+    dist = GaussianProduct(delta) if product else EntangledMomentum(delta, config.delta_sign)
+    # one check for every scenario, before any kernel, so that its message names the scenario;
+    # fidelity takes only the grid's rules, where an under-resolved rule would show as a
+    # fidelity out of [0, 1] or a wrong one inside it
+    norm = np.sum(grid.radial_weights * dist.density1(grid.p**2), axis=(-2, -1))
+    normalised(1.0, norm * np.sum(grid.polar_weights), config.scenario)
     cols, spectrum = {}, None
-    if config.scenario in ("fidelity_only", "spin_bell_momentum_product"):
-        gp = GaussianProduct(delta)
-        # checked before any kernel: fidelity takes only the grid's rules, and an
-        # under-resolved rule would show as a fidelity out of [0, 1] or a wrong one inside it
-        norm = np.sum(grid.radial_weights * gp.density1(grid.p**2), axis=(-2, -1))
-        normalised(1.0, norm * np.sum(grid.polar_weights), config.scenario)
-        cols["fidelity"] = fidelity(gp, b, grid)
+    if product:
+        cols["fidelity"] = fidelity(dist, b, grid)
         if config.scenario == "spin_bell_momentum_product":
-            pairs = default_sample_pairs(gp, seed=config.seed)  # (radii, directions)
-            sample = momentum_density_samples(BipartiteState(gp, bell_phi_plus()), b, *pairs)
+            pairs = default_sample_pairs(dist, seed=config.seed)  # (radii, directions)
+            sample = momentum_density_samples(dist, b, *pairs, bell_phi_plus())
             cols["product_distance"] = product_distance(*sample)
-            v = bell_ABCD(gp, b, grid)
+            v = bell_ABCD(dist, b, grid)
             cols.update(A=v.A, B=v.B, C=v.C, D=v.D, eta=v.eta)
             spectrum = bell_pt_spectrum(v)
     elif config.scenario == "momentum_bell_spin_up":
-        entries = xstate_stats(EntangledMomentum(delta, config.delta_sign), b, grid)
+        entries = xstate_stats(dist, b, grid)
         spectrum, cols["ineq15_margin"], cols["ineq16_margin"] = xstate_pt_spectrum(*entries)
         cols["identity14_residual"] = product_residual(entries[0])
     elif config.scenario == "both_bell_correlations":
-        em = EntangledMomentum(delta, config.delta_sign)
-        a, b_dir = (ObservableDirection(np.array(v)) for v in config.directions)
-        cols["qcorr"] = quantum_correlation(a, b_dir, em, bell_phi_plus(), b, grid)
-        if all(v[0] != 0 for v in config.directions):  # a transverse one has no classical sign
+        a, b_dir = config.directions
+        cols["qcorr"] = quantum_correlation(a, b_dir, dist, b, grid, bell_phi_plus())
+        if a[0] != 0 and b_dir[0] != 0:  # a transverse direction has no classical sign
             cols["ccorr"] = np.full(np.shape(cols["qcorr"]), classical_correlation(a, b_dir))
     else:
         raise ConfigError(f"config field 'scenario': unhandled scenario {config.scenario!r}")

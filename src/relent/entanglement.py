@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from relent.kinematics import Boost, lorentz_factor, wigner_tan_product
-from relent.relstate import BipartiteState, reduced_spin_density, spin_up_up
+from relent.relstate import reduced_spin_density, spin_up_up
 from relent.wavepacket import (
     EntangledMomentum, GaussianProduct, QuadratureGrid, build_grid, default_p_max, normalised,
 )
@@ -57,7 +57,7 @@ def xstate_stats(dist: EntangledMomentum, b: Boost, grid: QuadratureGrid):
     The diagonal is <|a|^2> .. <|d|^2> of the rotated amplitudes (a, b, c, d), the
     coherences <a d*> and <b c*>; ``xstate_pt_spectrum`` takes the three as they are.
     """
-    rho = reduced_spin_density(BipartiteState(dist, spin_up_up()), b, grid)
+    rho = reduced_spin_density(dist, b, grid, spin_up_up())
     return np.diagonal(rho, axis1=-2, axis2=-1).real, rho[..., 0, 3], rho[..., 1, 2]
 
 

@@ -44,10 +44,6 @@ class Boost:
         if not np.all((0.0 <= self.beta) & (self.beta <= BETA_CAP)):
             raise ValueError(f"beta must be in [0, {BETA_CAP}], got {beta}")
 
-    @property
-    def gamma(self) -> np.ndarray:
-        return lorentz_factor(self.beta)
-
 
 def wigner_tan_product(p, beta):
     """t = tanh(a/2) tanh(d/2), a the boost rapidity and d the particle's (ch d = p0).

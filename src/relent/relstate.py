@@ -1,7 +1,8 @@
 """Bipartite spin-momentum states, their boosted form, and reduced densities.
 
-A state is a normalised momentum amplitude f(p, q) tensored with a
-four-component two-spin amplitude.  Under an x-axis boost each particle's
+A state is a normalised momentum amplitude f(p, q) tensored with a unit
+four-component two-spin amplitude; each kernel takes the distribution first
+and the amplitude last, as an array.  Under an x-axis boost each particle's
 spin picks up its own momentum-dependent Wigner rotation, so the boosted
 spin content at momenta (p, q) is ``(D(p) x D(q)) |spin>``.
 
@@ -40,19 +41,15 @@ def spin_up_up() -> np.ndarray:
     return np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
 
 
-class BipartiteState:
-    """Momentum distribution tensored with a unit-norm two-spin amplitude."""
-
-    def __init__(self, dist, spin):
-        spin = np.asarray(spin, dtype=complex)
-        if spin.shape != (4,):
-            raise ValueError(f"spin amplitude must have 4 components, got shape {spin.shape}")
-        norm = np.sqrt(np.sum(np.abs(spin) ** 2))
-        if not abs(norm - 1.0) <= 1e-12:  # a NaN fails
-            raise ValueError(f"spin amplitude must be unit norm, |norm - 1| = {abs(norm - 1.0):.3e}")
-        if not isinstance(dist, (GaussianProduct, EntangledMomentum)):
-            raise TypeError(f"unsupported distribution type: {type(dist).__name__}")
-        self.dist, self.spin = dist, spin
+def _unit_spin(spin) -> np.ndarray:
+    """``spin`` as a complex 4-vector, once it has unit norm within 1e-12 (a NaN fails)."""
+    spin = np.asarray(spin, dtype=complex)
+    if spin.shape != (4,):
+        raise ValueError(f"spin amplitude must have 4 components, got shape {spin.shape}")
+    norm = np.sqrt(np.sum(np.abs(spin) ** 2))
+    if not abs(norm - 1.0) <= 1e-12:  # a NaN fails
+        raise ValueError(f"spin amplitude must be unit norm, |norm - 1| = {abs(norm - 1.0):.3e}")
+    return spin
 
 
 #: the quaternion units E = (1, i sigma_x, i sigma_y, i sigma_z), and E_m x E_n
@@ -135,7 +132,8 @@ def _polar_moments(t, sign: int) -> np.ndarray:
     return moments.reshape((4,) + t.shape)
 
 
-def reduced_spin_density(state: BipartiteState, b: Boost, grid: QuadratureGrid) -> np.ndarray:
+def reduced_spin_density(dist: EntangledMomentum, b: Boost, grid: QuadratureGrid,
+                         spin) -> np.ndarray:
     """Spin density of a delta-correlated pair after boosting and tracing out both momenta.
 
     With J = cos(phi) E_z - sin(phi) E_y, D_p Phi D_q^T = sum_k a_k X_k for X = (Phi, J Phi,
@@ -150,19 +148,19 @@ def reduced_spin_density(state: BipartiteState, b: Boost, grid: QuadratureGrid) 
     average of spin vectors (``_moment_classes``).  The real moments are divided by rho's trace
     sum_k M_k tr C_k once ``normalised`` has checked it, so rho has trace 1 (no complex division).
     """
-    dist = state.dist
     if not isinstance(dist, EntangledMomentum):
         raise TypeError("reduced_spin_density requires a delta-correlated momentum distribution")
+    spin = _unit_spin(spin)
     w = 2.0 * np.pi * (grid.radial_weights * dist.density1(grid.p**2))[..., 0]
     t = wigner_tan_product(grid.p[..., 0], np.expand_dims(b.beta, -1))
     t = np.broadcast_to(t, np.broadcast_shapes(t.shape, w.shape))  # widths on a shared cutoff
     moments = np.sum(_polar_moments(t, dist.sign) * w, axis=-1)
-    classes = _moment_classes(state.spin)
+    classes = _moment_classes(spin)
     trace = np.einsum("k...,k->...", moments, np.trace(classes, axis1=1, axis2=2).real)
     return np.einsum("k...,kab->...ab", normalised(moments, trace, "reduced_spin_density"), classes)
 
 
-def momentum_density_samples(state: BipartiteState, b: Boost, radii, directions):
+def momentum_density_samples(dist: GaussianProduct, b: Boost, radii, directions, spin):
     """(overlaps, overlap_products): the spin factors of the boosted spin-traced density.
 
     On ``default_sample_pairs``' pairs as drawn: ``radii`` (n_delta, n, 4) of the slots (p,
@@ -190,9 +188,10 @@ def momentum_density_samples(state: BipartiteState, b: Boost, radii, directions)
     ultra-relativistic boost and momenta.  All speeds of ``b`` and all widths
     are evaluated at once.
     """
-    if not isinstance(state.dist, GaussianProduct):
+    if not isinstance(dist, GaussianProduct):
         raise TypeError("momentum_density_samples requires a product momentum distribution")
-    T = np.einsum("mnab,a,b->mn", UNIT_PAIRS, state.spin.conj(), state.spin)  # <Phi|E_m x E_n|Phi>
+    spin = _unit_spin(spin)
+    T = np.einsum("mnab,a,b->mn", UNIT_PAIRS, spin.conj(), spin)  # <Phi|E_m x E_n|Phi>
     T = T[np.ix_((0, 2, 3), (0, 2, 3))]  # E_x, the boost axis, has no part in either rotation
 
     # half-angles of all four slots, (width, speed, slot, pair): the long pair axis innermost

@@ -67,7 +67,6 @@ from relent.entanglement import ABCDValues
 from relent.kinematics import Boost, lorentz_factor, wigner_half_angle
 from relent.relstate import (
     UNIT_PAIRS,
-    BipartiteState,
     _polar_moments,
     bell_phi_plus,
     default_sample_pairs,
@@ -285,7 +284,7 @@ def wigner_matrix(omega, phi) -> np.ndarray:
 
 def energy_ratio(px, p0, b: Boost):
     """(Lambda p)^0 / p^0 of the x-axis boost, broadcast over px, the energy p0 and beta."""
-    return b.gamma * (1.0 + b.beta * px / p0)
+    return lorentz_factor(b.beta) * (1.0 + b.beta * px / p0)
 
 
 def amplitude1(dist, p_sq):
@@ -299,7 +298,7 @@ def _boosted_args(grid, b: Boost, m: float = 1.0):
     px = grid.p * grid.costheta
     pt_sq = grid.p**2 - px**2
     p0 = np.sqrt(m**2 + grid.p**2)
-    px_b = b.gamma * (px + b.beta * p0)
+    px_b = lorentz_factor(b.beta) * (px + b.beta * p0)
     return px_b**2 + pt_sq, energy_ratio(px, p0, b)
 
 
@@ -360,14 +359,13 @@ def bell_ABCD_hypot(dist, b: Boost, grid, analytic_limit=False) -> ABCDValues:
     return ABCDValues(A=c2**2 + 0.5 * s2**2, B=B, C=0.5 * s2**2, D=B, eta=2.0 * s2)
 
 
-def reduced_spin_density_hypot(state, b: Boost, grid):
+def reduced_spin_density_hypot(dist, b: Boost, grid, spin):
     """``relstate.reduced_spin_density`` from all nine 3x3 moments of the hypot half-angle.
 
     The radial rule is the grid's; cos(theta) is integrated on ``polar_rule``,
     with the companion's half-angle evaluated at its own cos(theta).  rho is
     divided by its trace once that is within ``COVERAGE_TOL`` of 1.
     """
-    dist = state.dist
     if not isinstance(dist, EntangledMomentum):
         raise TypeError("reduced_spin_density requires a delta-correlated momentum distribution")
     x, w_x = polar_rule()
@@ -386,7 +384,7 @@ def reduced_spin_density_hypot(state, b: Boost, grid):
             M[..., i, j] = np.sum(w * P[i] * Q[j], axis=(-2, -1))
     M[..., :, 1] *= dist.sign
     rho = np.einsum("...kl,klij->...ij", M[..., _G_ROW, _G_COL],
-                    azimuth_tensor(state.spin, AZIMUTH_NODES))
+                    azimuth_tensor(np.asarray(spin), AZIMUTH_NODES))
     trace = np.trace(rho, axis1=-2, axis2=-1).real
     worst = np.ravel(trace)[np.argmax(np.abs(np.ravel(trace) - 1.0))]
     if not (abs(worst - 1.0) <= COVERAGE_TOL):
@@ -397,17 +395,17 @@ def reduced_spin_density_hypot(state, b: Boost, grid):
     return rho / trace[..., None, None]
 
 
-def momentum_density_samples_hypot(state, b: Boost, pairs):
+def momentum_density_samples_hypot(dist, b: Boost, pairs, spin):
     """``relstate.momentum_density_samples`` through ``wigner_angle`` and ``wigner_matrix``.
 
     It returns the spin factors alone, as the library does, so no grid enters.
     """
-    if not isinstance(state.dist, GaussianProduct):
+    if not isinstance(dist, GaussianProduct):
         raise TypeError("momentum_density_samples requires a product momentum distribution")
     pairs = np.asarray(pairs, dtype=float)
     if pairs.ndim != 3 or pairs.shape[1:] != (4, 3):
         raise ValueError("pairs must have shape (n, 4, 3)")
-    F = state.spin.reshape(2, 2)
+    F = np.asarray(spin, dtype=complex).reshape(2, 2)
     p = np.sqrt(np.sum(pairs**2, axis=-1))
     transverse = np.hypot(pairs[..., 1], pairs[..., 2])
     safe_p = np.where(p > 0.0, p, 1.0)
@@ -422,7 +420,7 @@ def momentum_density_samples_hypot(state, b: Boost, pairs):
     return spin_sum, spin_a * spin_b
 
 
-def momentum_density_samples_su2(state, b: Boost, pairs):
+def momentum_density_samples_su2(dist, b: Boost, pairs, spin):
     """``relstate.momentum_density_samples`` with complex SU(2) matrices for one width.
 
     The form before the real quaternions: the (2, 2, ..., row, slot) Wigner
@@ -430,12 +428,12 @@ def momentum_density_samples_su2(state, b: Boost, pairs):
     by ``einsum``, and <Phi|A x B|Phi> as a four-operand ``einsum``.  It
     returns the spin factors alone, as the library does, so no grid enters.
     """
-    if not isinstance(state.dist, GaussianProduct):
+    if not isinstance(dist, GaussianProduct):
         raise TypeError("momentum_density_samples requires a product momentum distribution")
     pairs = np.asarray(pairs, dtype=float)
     if pairs.ndim != 3 or pairs.shape[1:] != (4, 3):
         raise ValueError("pairs must have shape (n, 4, 3)")
-    F = state.spin.reshape(2, 2)
+    F = np.asarray(spin, dtype=complex).reshape(2, 2)
     p = np.sqrt(np.sum(pairs**2, axis=-1))
     transverse = np.sqrt(pairs[..., 1] ** 2 + pairs[..., 2] ** 2)
     safe_p = np.where(p > 0.0, p, 1.0)
@@ -452,7 +450,7 @@ def momentum_density_samples_su2(state, b: Boost, pairs):
     return spin_sum, spin_a * spin_b
 
 
-def momentum_density_samples_cartesian(state, b: Boost, pairs):
+def momentum_density_samples_cartesian(dist, b: Boost, pairs, spin):
     """``relstate.momentum_density_samples`` on any Cartesian pairs, the general reference.
 
     The library's sampler takes its pairs as drawn, p' on p's ray and q' on q's.
@@ -468,12 +466,13 @@ def momentum_density_samples_cartesian(state, b: Boost, pairs):
     and <Phi|A x B|Phi> = a T b with T_mn = <Phi|E_m x E_n|Phi>, in real arithmetic over
     T's nonzero real and imaginary entries alone.
     """
-    if not isinstance(state.dist, GaussianProduct):
+    if not isinstance(dist, GaussianProduct):
         raise TypeError("momentum_density_samples requires a product momentum distribution")
     pairs = np.asarray(pairs, dtype=float)
     if pairs.ndim not in (3, 4) or pairs.shape[-2:] != (4, 3):
         raise ValueError("pairs must have shape (n, 4, 3)")
-    T = np.einsum("mnab,a,b->mn", UNIT_PAIRS, state.spin.conj(), state.spin)  # <Phi|E_m x E_n|Phi>
+    spin = np.asarray(spin, dtype=complex)
+    T = np.einsum("mnab,a,b->mn", UNIT_PAIRS, spin.conj(), spin)  # <Phi|E_m x E_n|Phi>
 
     # half-angles and azimuths of all four momenta of every row, (..., slot, row):
     # the long row axis innermost keeps numpy's inner loops long
@@ -701,7 +700,7 @@ def leaked_mass_mask(dist, b, p_max, m=1.0):
     W = np.outer(wr * r**2 * dist.density1(r**2), w) * 2.0 * np.pi
     k0 = np.sqrt(m**2 + R**2)
     px, pt_sq = R * CT, R**2 * (1.0 - CT**2)
-    gamma, beta, cutoff = np.broadcast_arrays(b.gamma, b.beta, p_max)
+    gamma, beta, cutoff = np.broadcast_arrays(lorentz_factor(b.beta), b.beta, p_max)
     leaked = np.empty(beta.shape)
     for i in np.ndindex(beta.shape):
         inv_x = gamma[i] * (px - beta[i] * k0)
@@ -818,7 +817,7 @@ def xstate_stats_3d(dist, b, grid):
     return diag, mean(a * np.conj(d)), mean(b_ * np.conj(c_))
 
 
-def reduced_spin_density_3d(state, b, grid):
+def reduced_spin_density_3d(dist, b, grid, spin):
     """Reduced spin density as a 3D quadrature, for either momentum distribution.
 
     For a delta-correlated distribution the companion momentum is +/-p and a
@@ -832,20 +831,20 @@ def reduced_spin_density_3d(state, b, grid):
             raise GridCoverageError(f"reduced_spin_density_3d: trace {np.trace(rho).real:.6f}")
         return rho
 
-    w = grid.weights * state.dist.density1(grid.p**2)
-    if isinstance(state.dist, EntangledMomentum):
-        psi = pair_amplitudes(state.dist, b, grid, state.spin).reshape(4, -1)
+    w = grid.weights * dist.density1(grid.p**2)
+    if isinstance(dist, EntangledMomentum):
+        psi = pair_amplitudes(dist, b, grid, spin).reshape(4, -1)
         return checked(np.einsum("n,in,jn->ij", w, psi, psi.conj()))
 
     D = wigner_matrix(wigner_angle(grid.p, grid.costheta, b.beta), grid.phi)
     # single-particle channel X -> int w D X D^dag as T[a, a', c, c'] acting on X[c, c']
     T = np.einsum("n,acn,bdn->abcd", w, D, D.conj())
     # rho0[c, d, c', d'] over (qubit A, qubit B, primed A, primed B)
-    rho0 = np.outer(state.spin, state.spin.conj()).reshape(2, 2, 2, 2)
+    rho0 = np.outer(spin, np.conj(spin)).reshape(2, 2, 2, 2)
     return checked(np.einsum("aick,bjdl,cdkl->abij", T, T, rho0).reshape(4, 4))
 
 
-def reduced_spin_density_two_angles(state, b, grid):
+def reduced_spin_density_two_angles(dist, b, grid, spin):
     """``relstate.reduced_spin_density`` with both Wigner angles evaluated and summed on nodes.
 
     The radial rule is the grid's and cos(theta) is integrated on
@@ -855,7 +854,6 @@ def reduced_spin_density_two_angles(state, b, grid):
     (ten pairwise sums of 5-factor products) rather than gathered from a 3x3 moment.
     rho is divided by its trace, as the library's is.
     """
-    dist = state.dist
     x, w_x = polar_rule()
     w = grid.radial_weights * dist.density1(grid.p**2) * w_x
     beta = b.beta[..., None, None]
@@ -874,7 +872,7 @@ def reduced_spin_density_two_angles(state, b, grid):
             moment = np.sum(w * factors[k][0] * factors[k][1] * factors[l][0] * factors[l][1],
                             axis=(-2, -1))
             G[..., k, l] = G[..., l, k] = signs[k] * signs[l] * moment
-    rho = np.einsum("...kl,klij->...ij", G, azimuth_tensor(state.spin, AZIMUTH_NODES))
+    rho = np.einsum("...kl,klij->...ij", G, azimuth_tensor(np.asarray(spin), AZIMUTH_NODES))
     return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
 
 
@@ -895,13 +893,12 @@ def bell_ABCD_3d(dist, b, grid):
     return ABCDValues(A=A, B=B, C=C, D=D, eta=2.0 * s2 / norm)
 
 
-def fidelity_3d(state, b, grid):
+def fidelity_3d(dist, b, grid, spin):
     """``entanglement.fidelity`` with the full 2x2 moment matrix summed on the nodes.
 
-    The matrix acts on ``state``'s spin amplitude, which the library drops as
+    The matrix acts on the spin amplitude ``spin``, which the library drops as
     the matrix is the identity times its cos(Omega/2) moment.
     """
-    dist = state.dist
     boosted_sq, jac = _boosted_args(grid, b)
     w = grid.weights * np.sqrt(jac) * amplitude1(dist, boosted_sq) * amplitude1(dist, grid.p**2)
     omega = wigner_angle(grid.p, grid.costheta, b.beta)
@@ -911,7 +908,8 @@ def fidelity_3d(state, b, grid):
         np.sum(ws * np.cos(grid.phi)),
         np.sum(ws * np.sin(grid.phi)),
     )
-    overlap = complex(state.spin.conj() @ (np.kron(M, M) @ state.spin))
+    spin = np.asarray(spin, dtype=complex)
+    overlap = complex(spin.conj() @ (np.kron(M, M) @ spin))
     return float(abs(overlap) ** 2)
 
 
@@ -1052,7 +1050,7 @@ class WignerRotation:
 
 def boost_momentum(mom: FourMomentum, b: Boost) -> FourMomentum:
     """Apply the x-axis boost; output is on-shell with the same mass."""
-    g = b.gamma
+    g = lorentz_factor(b.beta)
     px = g * (mom.p_vec[0] + b.beta * mom.p0)
     return FourMomentum(p_vec=np.array([px, mom.p_vec[1], mom.p_vec[2]]), m=mom.m)
 
@@ -1104,7 +1102,7 @@ def standard_boost(mom: FourMomentum) -> np.ndarray:
 
 
 def _boost_matrix_x(b: Boost) -> np.ndarray:
-    g = b.gamma
+    g = lorentz_factor(b.beta)
     gb = g * b.beta
     L = np.eye(4)
     L[0, 0] = g
@@ -1255,7 +1253,7 @@ def xyzw(p: FourMomentum, b: Boost) -> XYZWKernel:
 
 def quantum_correlation_asymptotic(a, b_dir, dist, b: Boost, grid) -> float:
     """Light-speed form: sign(a_x) sign(b_x) times the averaged kernel combination."""
-    ax, bx = a.longitudinal, b_dir.longitudinal
+    ax, bx = a[0], b_dir[0]
     if ax == 0.0 or bx == 0.0:
         raise ValueError("asymptotic correlation undefined for transverse directions")
     w = grid.weights * dist.density1(grid.p**2)
@@ -1280,8 +1278,8 @@ def fidelity_massless(beta, n=256):
     int_-1^1 sqrt(gamma (1 + beta x)) (1 + gamma^2 (1 + beta x)^2)^(-3/2) (1 +
     tau x) / sqrt(1 + 2 tau x + tau^2) dx]^4, here on numpy's n-node
     Gauss-Legendre rule in x (64 nodes already agree with 4,096 to 3e-16 at
-    beta = 0.99); F_inf(0) = 1.  The kernels approach it as c(beta)/sqrt(delta);
-    c(beta) is not derived here.  Broadcasts over beta.
+    beta = 0.99); F_inf(0) = 1.  The kernels approach it as c_F(beta)/sqrt(delta)
+    (``massless_corrections``).  Broadcasts over beta.
     """
     x, w = np.polynomial.legendre.leggauss(n)
     beta = np.asarray(beta, dtype=float)[..., None]
@@ -1300,6 +1298,34 @@ def bell_s2_massless(beta):
     """
     _, m02, m22, _ = _polar_moments(_half_rapidity_tanh(beta)[1], -1)
     return (m02 + m22) / 2.0
+
+
+def massless_corrections(beta, n=256):
+    """(c_F, c_s2): F/F_inf - 1 and s2 - s2_inf are c/sqrt(delta) + O(1/delta) as delta -> inf.
+
+    Of the massless forms' inputs only t = tau tanh(d/2) = tau p/(p0 + 1) = tau (1 - 1/p
+    + O(p^-2)) moves at order 1/p: p0 = p + O(1/p), and (Lp)^0 and |Lp|^2 change the
+    amplitudes by O(1/delta).  With x = cos(theta), S^2 = 1 + 2 t x + t^2, c = (1 + t x)/S
+    and s^2 = 1 - c^2, dc/dt = -t (1 - x^2)/S^3 and d(s^2)/dt = 2 t (1 + t x)(1 - x^2)/S^4,
+    so each moment moves by -tau <1/p> times its t-derivative at t = tau.  For s2, <1/p> =
+    2/sqrt(pi delta) over |f1|^2 gives c_s2 = -(2 tau^2/sqrt(pi)) int (1 + tau x)(1 -
+    x^2)/S^4 dx.  For F = m^4, the radial weight p^2 exp(-p^2 A/(2 delta)), A = 1 + gamma^2
+    u^2, u = 1 + beta x, turns 1/p into 2/(sqrt(pi delta) A), so m = m_inf + (2 tau^2 /
+    sqrt(pi delta)) int sqrt(gamma u) (1 - x^2)/(A S^3) dx and c_F = 4 sqrt(delta) (m -
+    m_inf)/m_inf, m_inf = F_inf^(1/4).  The second-order terms all average <1/p^2> = 2/delta,
+    which is finite, so the remainder falls as 1/delta.  Broadcasts over beta.
+    """
+    x, w = np.polynomial.legendre.leggauss(n)
+    beta = np.asarray(beta, dtype=float)[..., None]
+    gamma, tau = _half_rapidity_tanh(beta)
+    u, s_sq = 1.0 + beta * x, 1.0 + 2.0 * tau * x + tau * tau
+    a = 1.0 + (gamma * u) ** 2
+    root = np.sqrt(gamma * u)
+    m_inf = np.sqrt(2.0) * np.sum(w * root * (1.0 + tau * x) / (a**1.5 * np.sqrt(s_sq)), axis=-1)
+    dm = np.sum(w * root * (1.0 - x * x) / (a * s_sq**1.5), axis=-1)
+    ds2 = np.sum(w * (1.0 + tau * x) * (1.0 - x * x) / (s_sq * s_sq), axis=-1)
+    scale = 2.0 * tau[..., 0] ** 2 / np.sqrt(np.pi)
+    return 4.0 * scale * dm / m_inf, -scale * ds2
 
 
 def reduced_spin_density_massless(spin, beta, sign=-1):
@@ -1375,16 +1401,16 @@ def sweep_references(config, delta, fine):
         v = ABCDValues(A=c2**2 + 0.5 * s2**2, B=c2 * s2, C=0.5 * s2**2, D=c2 * s2, eta=2.0 * s2)
         cols.update(v._asdict(), **_pt_columns(bell_density_from_ABCD(v)))
         radii, directions = sample_pairs_loop(gp, n=64, seed=config.seed)
-        state = BipartiteState(gp, bell_phi_plus())
         sampler = momentum_density_samples_cartesian if fine else momentum_density_samples_hypot
-        elements, products = sampler(state, Boost(betas), cartesian_pairs(radii, directions))
+        elements, products = sampler(gp, Boost(betas), cartesian_pairs(radii, directions),
+                                     bell_phi_plus())
         gaps = np.abs(elements - products) / (np.abs(products) + 1e-300)
         cols["product_distance"] = np.max(gaps, axis=-1)
     if scenario in ("momentum_bell_spin_up", "both_bell_correlations"):
         spin = spin_up_up() if scenario == "momentum_bell_spin_up" else bell_phi_plus()
-        state = BipartiteState(EntangledMomentum(delta, config.delta_sign), spin)
+        em = EntangledMomentum(delta, config.delta_sign)
         grid = build_grid(n, 2, 6.0 * np.sqrt(delta))  # the radial rule alone
-        rho = np.array([reduced_spin_density_hypot(state, b, grid) for b in boosts])
+        rho = np.array([reduced_spin_density_hypot(em, b, grid, spin) for b in boosts])
     if scenario == "momentum_bell_spin_up":
         d = np.diagonal(rho, axis1=-2, axis2=-1).real
         ad, bc = d[:, 0] * d[:, 3], d[:, 1] * d[:, 2]

@@ -37,7 +37,7 @@ from oracles import (
     xyzw,
 )
 from relent.cli import emit, parse_config, run
-from relent.correlations import ObservableDirection, classical_correlation, quantum_correlation
+from relent.correlations import classical_correlation, quantum_correlation
 from relent.entanglement import (
     bell_ABCD,
     bell_pt_spectrum,
@@ -50,7 +50,6 @@ from relent.entanglement import (
 )
 from relent.kinematics import BETA_CAP, Boost
 from relent.relstate import (
-    BipartiteState,
     bell_phi_plus,
     default_sample_pairs,
     momentum_density_samples,
@@ -214,9 +213,9 @@ def test_criterion5_identity_equality_of_mean_products():
 def test_criterion6_factorization_limit():
     t0 = time.monotonic()
     dist = GaussianProduct(1.0e6)  # bulk momenta ~ 1e3 m
-    state = BipartiteState(dist, bell_phi_plus())
     pairs = default_sample_pairs(dist, seed=42)
-    d = product_distance(*momentum_density_samples(state, Boost(0.9999), *pairs)).item()
+    d = product_distance(*momentum_density_samples(dist, Boost(0.9999), *pairs,
+                                                   bell_phi_plus())).item()
     ok = d < 1e-2 and time.monotonic() - t0 < 60.0
     report("criterion-6 factorization-at-light-speed", ok, t0, f"distance={d:.3e}")
     assert d < 1e-2
@@ -226,10 +225,9 @@ def test_criterion6_factorization_limit():
 def _factorization_distances(delta: float, betas) -> list:
     """Factorization distance of a Bell-spin pair of width delta, per boost speed."""
     dist = GaussianProduct(delta)
-    state = BipartiteState(dist, bell_phi_plus())
     pairs = default_sample_pairs(dist, seed=42)
     return [
-        product_distance(*momentum_density_samples(state, Boost(b), *pairs)).item()
+        product_distance(*momentum_density_samples(dist, Boost(b), *pairs, bell_phi_plus())).item()
         for b in betas
     ]
 
@@ -323,14 +321,13 @@ def test_criterion8_correlation_limits():
     for _ in range(12):
         av = rng.normal(size=3)
         bv = rng.normal(size=3)
-        a = ObservableDirection(av / np.linalg.norm(av))
-        b = ObservableDirection(bv / np.linalg.norm(bv))
-        got = quantum_correlation(a, b, dist, bell_phi_plus(), Boost(0.0), grid)
-        worst = max(worst, abs(got - bell_expectation(a.a_vec, b.a_vec, bell_phi_plus())))
+        a, b = av / np.linalg.norm(av), bv / np.linalg.norm(bv)
+        got = quantum_correlation(a, b, dist, Boost(0.0), grid, bell_phi_plus())
+        worst = max(worst, abs(got - bell_expectation(a, b, bell_phi_plus())))
     assert worst < 1e-8
 
-    x = ObservableDirection(np.array([1.0, 0.0, 0.0]))
-    q = quantum_correlation(x, x, dist, bell_phi_plus(), Boost(0.9999), grid)
+    x = np.array([1.0, 0.0, 0.0])
+    q = quantum_correlation(x, x, dist, Boost(0.9999), grid, bell_phi_plus())
     gap = abs(q - classical_correlation(x, x))
     elapsed = time.monotonic() - t0
     ok = gap < 0.05 and elapsed < 60.0
@@ -352,9 +349,7 @@ def test_criterion9_structural_invariants():
     for beta in (0.0, 0.4, 0.8, 0.99):
         for m in (
             bell_density_from_ABCD(bell_ABCD(gp, Boost(beta), grid)),
-            reduced_spin_density(
-                BipartiteState(EntangledMomentum(1.0, -1), spin_up_up()), Boost(beta), grid
-            ),
+            reduced_spin_density(EntangledMomentum(1.0, -1), Boost(beta), grid, spin_up_up()),
         ):
             assert abs(np.trace(m).real - 1.0) < 1e-6
             assert np.max(np.abs(m - m.conj().T)) < 1e-10

@@ -1,8 +1,8 @@
 """The package itself binds only ``__version__``, every name one module takes from another is
 a public definition of that module, every public function, class and method is used outside
-the tests, no module calls BLAS or LAPACK or a numpy kernel family that only one call site of
-the sweep would page in, one guard checks every grid's coverage, and one function forms the
-Lorentz factor."""
+the tests and every private top-level name inside its own module, no module calls BLAS or
+LAPACK or a numpy kernel family that only one call site of the sweep would page in, one guard
+checks every grid's coverage, and one function forms the Lorentz factor."""
 
 import ast
 from pathlib import Path
@@ -39,20 +39,22 @@ def _relent_imports(tree):
 
 
 def _top_level_definitions(tree):
-    """Names that a module's top-level functions, classes and assignments bind, not its imports."""
+    """(name, node) of each name that a module's top-level functions, classes and assignments
+    bind, not its imports."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node.name
+            yield node.name, node
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            yield from (n.id for target in targets for n in ast.walk(target)
+            yield from ((n.id, node) for target in targets for n in ast.walk(target)
                         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store))
 
 
 def _private_imports(trees):
     """(importer, module, name) of each import from a sibling module of ``trees`` (stem ->
     syntax tree) that names no top-level definition of it, or one with a leading underscore."""
-    defined = {stem: set(_top_level_definitions(tree)) for stem, tree in trees.items()}
+    defined = {stem: {name for name, _ in _top_level_definitions(tree)}
+               for stem, tree in trees.items()}
     return [(stem, module, name) for stem, tree in trees.items()
             for module, name in _relent_imports(tree)
             if name.startswith("_") or name not in defined.get(module, ())]
@@ -88,20 +90,27 @@ def _references(tree):
 def _unreferenced(modules, others):
     """(module, name) of each public top-level function or class of ``modules`` (stem ->
     syntax tree), and each public method of its top-level classes, that no name or attribute
-    refers to, in ``modules`` outside its own definition or in ``others`` (syntax trees)."""
+    refers to, in ``modules`` outside its own definition or in ``others`` (syntax trees); and
+    of each private top-level function, class or constant (a leading underscore, not a dunder)
+    that nothing in its own module refers to outside its own definition."""
     refs = {stem: list(_references(tree)) for stem, tree in modules.items()}
     elsewhere = {name for tree in others for _, name in _references(tree)}
     found = []
     for stem, tree in modules.items():
-        classes = [node for node in tree.body if isinstance(node, ast.ClassDef)]
-        for node in tree.body + [item for cls in classes for item in cls.body]:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
-                continue
-            used = node.name in elsewhere or any(
-                name == node.name and (other != stem or not node.lineno <= line <= node.end_lineno)
-                for other, lines in refs.items() for line, name in lines)
-            if not used:
-                found.append((stem, node.name))
+        methods = [item for cls in tree.body if isinstance(cls, ast.ClassDef)
+                   for item in cls.body if isinstance(item, (ast.FunctionDef, ast.ClassDef))]
+        for name, node in [*_top_level_definitions(tree), *((m.name, m) for m in methods)]:
+            if name.startswith("_"):
+                if name.startswith("__") or node in methods:
+                    continue  # a dunder or a private method
+                scopes = {stem: refs[stem]}  # its own module alone
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)) and name not in elsewhere:
+                scopes = refs
+            else:
+                continue  # used in the others, or a public constant
+            if not any(ref == name and (other != stem or not node.lineno <= line <= node.end_lineno)
+                       for other, lines in scopes.items() for line, ref in lines):
+                found.append((stem, name))
     return found
 
 
@@ -127,7 +136,8 @@ def _unread_fields(modules, others, exempt=()):
 
 def test_no_definition_only_tests_use():
     # code that only the tests use lives under tests/: every public definition of the package
-    # is used by the package, the scripts or the benchmark, and so is every NamedTuple field
+    # is used by the package, the scripts or the benchmark, and so is every NamedTuple field;
+    # every private top-level definition is used in its own module
     root = Path(__file__).resolve().parent.parent
     modules = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
                for path in sorted(Path(relent.__file__).parent.glob("*.py"))}
@@ -148,13 +158,15 @@ def test_no_definition_only_tests_use():
         ("P", "y"), ("P", "u"), ("Q", "v")]
     probe = {"a": ast.parse("def f(x):\n    return f(x - 1)\ndef g(): pass\ndef _h(): pass\n"
                             "class C:\n    def m(self): return self.k()\n    def k(self): pass\n"
-                            "class _D:\n    def n(self): pass\ndef o(): pass\ny = g"),
-             "b": ast.parse("from a import C, n\ndef e(): return C.k")}
-    # flagged: a function used only inside itself, a method nothing names, a public method of
-    # a private class (an import is no use), a function nothing names; a name outside the
-    # definition, in another module or in the others, and an attribute count
-    assert _unreferenced(probe, [ast.parse("w.o")]) == [("a", "f"), ("a", "m"), ("a", "n"),
-                                                        ("b", "e")]
+                            "class _D:\n    def n(self): pass\ndef o(): pass\n_K = 2\n_L = 3\n"
+                            "y = g, _D, _K\n__all__ = []"),
+             "b": ast.parse("from a import C, n\ndef e(): return C.k, a._L")}
+    # flagged: a function used only inside itself, a private helper nothing names, a private
+    # constant that only another module names, a method nothing names, a public method of a
+    # private class (an import is no use), a function nothing names; a name outside the
+    # definition, in another module or in the others, an attribute, and a dunder count
+    assert _unreferenced(probe, [ast.parse("w.o")]) == [
+        ("a", "f"), ("a", "_h"), ("a", "_L"), ("a", "m"), ("a", "n"), ("b", "e")]
 
 
 def _blas_uses(tree):

@@ -598,7 +598,7 @@ class TestMainEntry:
 
     def test_validate_accepts_only_what_run_accepts(self, tmp_path, capsys):
         # a direction within parse_config's 1e-9 of unit norm is stored normalised,
-        # so ObservableDirection's 1e-12 check passes (run used to exit 3)
+        # so the correlation kernels' 1e-12 check passes (run used to exit 3)
         doc = {"scenario": "both_bell_correlations", "betas": [0.5],
                "grid": {"n_r": 16, "n_theta": 16}, "directions": {"a": [1.0000000005, 0, 0]}}
         cfg_path = write_config(tmp_path, doc)
@@ -758,20 +758,37 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("numeric error: ") and "grid coverage insufficient" in err, err
 
-    @pytest.mark.parametrize("scenario", ["fidelity_only", "spin_bell_momentum_product"])
-    @pytest.mark.parametrize("n_r, norm", [(2, "2.180705"), (4, "0.686849"), (6, "1.033399")])
-    def test_product_scenarios_check_their_grid(self, tmp_path, capsys, monkeypatch, scenario,
-                                                n_r, norm):
-        # the grid's norm of the unit packet is checked before any kernel runs: on these rules
-        # the fidelity read 22.6 (2 nodes), 1.81 at beta 0.6 (4 nodes, as a range error) or,
-        # inside [0, 1], its fourth power 0.2226 at rest with exit 0 (fidelity_only, 4 nodes)
-        monkeypatch.setattr(cli, "fidelity", lambda *args: pytest.fail("fidelity ran"))
+    #: (n_r, the unit packet's norm on the default sweep grid with n_r radial nodes)
+    UNDER_RESOLVED = [(2, "2.180705"), (4, "0.686849"), (6, "1.033399")]
+
+    @staticmethod
+    def assert_grid_checked_first(tmp_path, capsys, monkeypatch, scenario, n_r, norm):
+        """The sweep exits 3 on the grid's norm, naming the scenario, before any kernel runs."""
+        for kernel in ("fidelity", "xstate_stats", "quantum_correlation"):
+            monkeypatch.setattr(cli, kernel, lambda *args, name=kernel: pytest.fail(f"{name} ran"))
         cfg_path = write_config(tmp_path, {"scenario": scenario, "grid": {"n_r": n_r}})
         assert main(["run", "--config", cfg_path]) == EXIT_NUMERIC
         assert capsys.readouterr().err == (
             f"numeric error: {scenario}: distribution norm on the grid is {norm}; "
             "grid coverage insufficient\n"
         )
+
+    @pytest.mark.parametrize("scenario", ["fidelity_only", "spin_bell_momentum_product"])
+    @pytest.mark.parametrize("n_r, norm", UNDER_RESOLVED)
+    def test_product_scenarios_check_their_grid(self, tmp_path, capsys, monkeypatch, scenario,
+                                                n_r, norm):
+        # on these rules the fidelity read 22.6 (2 nodes), 1.81 at beta 0.6 (4 nodes, as a range
+        # error) or, inside [0, 1], its fourth power 0.2226 at rest with exit 0 (fidelity_only,
+        # 4 nodes)
+        self.assert_grid_checked_first(tmp_path, capsys, monkeypatch, scenario, n_r, norm)
+
+    @pytest.mark.parametrize("scenario", ["momentum_bell_spin_up", "both_bell_correlations"])
+    @pytest.mark.parametrize("n_r, norm", UNDER_RESOLVED)
+    def test_momentum_scenarios_check_their_grid(self, tmp_path, capsys, monkeypatch, scenario,
+                                                 n_r, norm):
+        # reduced_spin_density's own guard exited 3 on the same norms, its message starting
+        # "reduced_spin_density:" instead of naming the scenario
+        self.assert_grid_checked_first(tmp_path, capsys, monkeypatch, scenario, n_r, norm)
 
     def test_unwritable_output_is_io_error(self, tmp_path, capsys):
         cfg_path = write_config(

@@ -14,19 +14,18 @@ from oracles import (
     xyzw_from_angles,
 )
 from relent.correlations import (
-    ObservableDirection,
     classical_correlation,
     quantum_correlation,
     relativistic_observable,
 )
 from relent.kinematics import Boost
-from relent.relstate import BipartiteState, bell_phi_plus, reduced_spin_density
+from relent.relstate import bell_phi_plus, reduced_spin_density
 from relent.wavepacket import EntangledMomentum, build_grid, default_p_max
 
 
 def direction(vec):
     v = np.asarray(vec, dtype=float)
-    return ObservableDirection(v / np.linalg.norm(v))
+    return v / np.linalg.norm(v)
 
 
 def directions_at(cos_theta):
@@ -49,24 +48,22 @@ spin_amplitudes = st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8).map(
 ).filter(lambda v: np.sum(np.abs(v) ** 2) > 0.01).map(lambda v: v / np.sqrt(np.sum(np.abs(v) ** 2)))
 
 
-class TestObservableDirection:
+class TestRelativisticObservable:
     def test_rejects_non_unit(self):
         with pytest.raises(ValueError):
-            ObservableDirection(np.array([1.0, 1.0, 0.0]))
+            relativistic_observable(np.array([1.0, 1.0, 0.0]), Boost(0.0))
 
     def test_rejects_nan(self):
         # |nan - 1| > tol is False, so the check is written so that a NaN fails
         with pytest.raises(ValueError):
-            ObservableDirection(np.array([np.nan, 0.0, 0.0]))
+            relativistic_observable(np.array([np.nan, 0.0, 0.0]), Boost(0.0))
 
-
-class TestRelativisticObservable:
     def test_rest_frame_is_plain_spin(self):
         # at rest the observable is a.sigma itself: n = a
         a = direction([0.3, 0.5, np.sqrt(1 - 0.09 - 0.25)])
         n = relativistic_observable(a, Boost(0.0))
         assert n.shape == (3,)
-        assert np.max(np.abs(n - a.a_vec)) < 1e-14
+        assert np.max(np.abs(n - a)) < 1e-14
 
     @pytest.mark.parametrize("beta", [0.0, 0.5, 0.99])
     def test_longitudinal_direction_unchanged(self, beta):
@@ -154,23 +151,22 @@ class TestQuantumCorrelation:
         for _ in range(10):
             a = direction(rng.normal(size=3))
             b = direction(rng.normal(size=3))
-            got = quantum_correlation(a, b, dist, bell_phi_plus(), Boost(0.0), grid)
-            want = bell_expectation(a.a_vec, b.a_vec, bell_phi_plus())
+            got = quantum_correlation(a, b, dist, Boost(0.0), grid, bell_phi_plus())
+            want = bell_expectation(a, b, bell_phi_plus())
             assert got == pytest.approx(want, abs=1e-8)
 
     def test_rest_frame_closed_form(self, narrow_setup):
         dist, grid = narrow_setup
         a = direction([0.6, 0.8, 0.0])
         b = direction([0.0, 0.6, 0.8])
-        got = quantum_correlation(a, b, dist, bell_phi_plus(), Boost(0.0), grid)
-        av, bv = a.a_vec, b.a_vec
-        assert got == pytest.approx(av[0] * bv[0] - av[1] * bv[1] + av[2] * bv[2], abs=1e-8)
+        got = quantum_correlation(a, b, dist, Boost(0.0), grid, bell_phi_plus())
+        assert got == pytest.approx(a[0] * b[0] - a[1] * b[1] + a[2] * b[2], abs=1e-8)
 
     @given(a=unit_vectors, b_dir=unit_vectors, b=st.builds(Boost, beta=st.floats(0.0, 0.99)))
     @settings(max_examples=25, deadline=None)
     def test_bounded_by_one(self, narrow_setup, a, b_dir, b):
         dist, grid = narrow_setup
-        val = quantum_correlation(a, b_dir, dist, bell_phi_plus(), b, grid)
+        val = quantum_correlation(a, b_dir, dist, b, grid, bell_phi_plus())
         assert abs(val) <= 1.0 + 1e-9
 
     @given(a=tilted_vectors, b_dir=tilted_vectors, beta=st.floats(0.0, 0.99),
@@ -181,8 +177,8 @@ class TestQuantumCorrelation:
         # contraction must equal Tr[rho (n_a.sigma x n_b.sigma)] on the same rho, every speed
         dist, grid = narrow_setup
         b = Boost(np.array([0.0, beta]))
-        got = quantum_correlation(a, b_dir, dist, spin, b, grid)
-        rho = reduced_spin_density(BipartiteState(dist, spin), b, grid)
+        got = quantum_correlation(a, b_dir, dist, b, grid, spin)
+        rho = reduced_spin_density(dist, b, grid, spin)
         n_a, n_b = relativistic_observable(a, b), relativistic_observable(b_dir, b)
         assert got.shape == n_a.shape[:1] == (2,)
         for i in range(2):
@@ -193,7 +189,7 @@ class TestQuantumCorrelation:
     def test_approaches_classical_at_light_speed(self, narrow_setup):
         dist, grid = narrow_setup
         x = direction([1, 0, 0])
-        q = quantum_correlation(x, x, dist, bell_phi_plus(), Boost(0.9999), grid)
+        q = quantum_correlation(x, x, dist, Boost(0.9999), grid, bell_phi_plus())
         c = classical_correlation(x, x)
         assert abs(q - c) < 0.05
 
@@ -202,7 +198,7 @@ class TestQuantumCorrelation:
         dist, grid = narrow_setup
         x = direction([1, 0, 0])
         seq = [
-            quantum_correlation(x, x, dist, bell_phi_plus(), Boost(b), grid)
+            quantum_correlation(x, x, dist, Boost(b), grid, bell_phi_plus())
             for b in (0.0, 0.3, 0.6, 0.9, 0.99, 0.9999)
         ]
         assert seq[0] == pytest.approx(1.0, abs=1e-9)
@@ -211,7 +207,7 @@ class TestQuantumCorrelation:
     def test_asymptotic_kernel_form_agrees(self, narrow_setup):
         dist, grid = narrow_setup
         x = direction([1, 0, 0])
-        q = quantum_correlation(x, x, dist, bell_phi_plus(), Boost(0.9999), grid)
+        q = quantum_correlation(x, x, dist, Boost(0.9999), grid, bell_phi_plus())
         qa = quantum_correlation_asymptotic(x, x, dist, Boost(0.9999),
                                             azimuth_grid(32, 32, default_p_max(0.01)))
         assert q == pytest.approx(qa, abs=1e-10)
@@ -221,7 +217,7 @@ class TestQuantumCorrelation:
         y = direction([0, 1, 0])
         x = direction([1, 0, 0])
         with pytest.raises(ValueError):
-            quantum_correlation(y, x, dist, bell_phi_plus(), Boost(1.0 - 1e-7), grid)
+            quantum_correlation(y, x, dist, Boost(1.0 - 1e-7), grid, bell_phi_plus())
         # below the degeneracy threshold the transverse correlation is fine
-        val = quantum_correlation(y, y, dist, bell_phi_plus(), Boost(0.5), grid)
+        val = quantum_correlation(y, y, dist, Boost(0.5), grid, bell_phi_plus())
         assert abs(val) <= 1.0 + 1e-9

@@ -26,6 +26,7 @@ from oracles import (
     leaked_mass,
     leaked_mass_mask,
     leaked_mass_panels,
+    massless_corrections,
     partial_transpose,
     reduced_spin_density_3d,
     reduced_spin_density_massless,
@@ -52,7 +53,6 @@ from relent.entanglement import (
 )
 from relent.kinematics import BETA_CAP, Boost
 from relent.relstate import (
-    BipartiteState,
     bell_phi_plus,
     reduced_spin_density,
     spin_up_up,
@@ -143,8 +143,7 @@ class TestXStateStats:
 
     def test_density_matches_reduced_path(self, grid_default, entangled_unit):
         diag, rho03, rho12 = xstate_stats(entangled_unit, Boost(0.8), grid_default)
-        state = BipartiteState(entangled_unit, spin_up_up())
-        rho = reduced_spin_density(state, Boost(0.8), grid_default)
+        rho = reduced_spin_density(entangled_unit, Boost(0.8), grid_default, spin_up_up())
         assert np.max(np.abs(xstate_density(diag, rho03, rho12) - rho)) < 1e-10
 
 
@@ -155,9 +154,7 @@ class TestCoverageGuards:
         grid = build_grid(8, 8, np.inf)
         b = Boost(0.5)
         calls = [
-            lambda: reduced_spin_density(
-                BipartiteState(EntangledMomentum(1.0, -1), bell_phi_plus()), b, grid
-            ),
+            lambda: reduced_spin_density(EntangledMomentum(1.0, -1), b, grid, bell_phi_plus()),
             lambda: xstate_stats(EntangledMomentum(1.0, -1), b, grid),
             lambda: bell_ABCD(GaussianProduct(1.0), b, grid),
         ]
@@ -195,11 +192,10 @@ class TestNormalisedByConstruction:
                                                bell):
         delta = 10.0**log_delta
         grid, b = build_grid(n_r, n_theta, cut * math.sqrt(delta)), Boost(np.array(betas))
-        state = BipartiteState(EntangledMomentum(delta, sign), bell_phi_plus() if bell
-                               else spin_up_up())
+        spin = bell_phi_plus() if bell else spin_up_up()
         try:
             v = bell_ABCD(GaussianProduct(delta), b, grid)
-            rho = reduced_spin_density(state, b, grid)
+            rho = reduced_spin_density(EntangledMomentum(delta, sign), b, grid, spin)
         except GridCoverageError:
             assume(False)
         assert np.max(np.abs(v.A + v.B + v.C + v.D - 1.0)) <= 1e-15
@@ -224,11 +220,11 @@ class TestNormalisedByConstruction:
         # as above for rho, whose trace on the truncated grid is its norm
         dist = EntangledMomentum(1.0, sign)
         norm = np.sum(lattice_weights(TRUNCATED) * dist.density1(TRUNCATED.p**2))
-        state, betas = BipartiteState(dist, spin_up_up()), np.array([0.0, 0.5, 0.9, 0.99])
-        got = reduced_spin_density(state, Boost(betas), TRUNCATED)
+        betas = np.array([0.0, 0.5, 0.9, 0.99])
+        got = reduced_spin_density(dist, Boost(betas), TRUNCATED, spin_up_up())
         for i, beta in enumerate(betas):
-            ref = reduced_spin_density(state, Boost(beta),
-                                       build_grid(256, 16, default_p_max(1.0, beta)))
+            ref = reduced_spin_density(dist, Boost(beta),
+                                       build_grid(256, 16, default_p_max(1.0, beta)), spin_up_up())
             err = np.max(np.abs(got[i] - ref))
             assert err <= 5e-6 and err <= np.max(np.abs(norm * got[i] - ref)) + 1e-15
             assert beta > 0.0 or err <= 1e-15
@@ -561,9 +557,8 @@ class TestBellABCD:
     def test_matches_reduced_density(self, grid_default, gauss_unit):
         b = Boost(0.6)
         v = bell_ABCD(gauss_unit, b, grid_default)
-        direct = reduced_spin_density_3d(
-            BipartiteState(gauss_unit, bell_phi_plus()), b, azimuth_grid(32, 32, default_p_max(1.0))
-        )
+        direct = reduced_spin_density_3d(gauss_unit, b, azimuth_grid(32, 32, default_p_max(1.0)),
+                                         bell_phi_plus())
         assert np.max(np.abs(bell_density_from_ABCD(v) - direct)) < 1e-6
 
 
@@ -763,6 +758,11 @@ MASSLESS_GAPS = {
     0.5: ((2.35e-3, 2.42e-5, 2.42e-7), (1.04e-3, 1.05e-5, 1.05e-7)),
     0.99: ((1.32e-1, 1.29e-3, 1.29e-5), (6.99e-3, 7.02e-5, 7.02e-7)),
 }
+#: delta times the remainders of the two-term massless forms, F/F_inf - 1 - c_F/sqrt(delta) and
+#: s2 - s2_inf - c_s2/sqrt(delta) (``massless_corrections``: c_F 0.24106 and 12.888, c_s2 -0.10487
+#: and -0.70157), on a 1,024 x 1,024 rule at widths 1e8 and 1e12, by beta: measured -0.6181,
+#: -0.6161 and 23.111, 23.108 (F); 0.18010, 0.18019 and 0.19380, 0.19201 (s2)
+MASSLESS_REMAINDERS = {0.5: (0.62, 0.181), 0.99: (23.2, 0.194)}
 #: sqrt(delta) times the largest entry gap of ``reduced_spin_density`` (32 radial nodes) to
 #: rho_inf at widths 1e8 and 1e12: measured 0.6544 at most (Phi+, q = -p, beta 0.99), and the
 #: two widths' scaled gaps within 0.44% of each other for every spin, sign and beta > 0
@@ -782,7 +782,8 @@ class TestWidthLimits:
     """The kernels against the leading-order forms at both ends of the width range.
 
     As delta -> inf every Wigner angle tends to its massless value (t -> tau) and the gaps
-    fall as 1/sqrt(delta), 100 times per factor 1e4; as delta -> 0 they fall as delta.
+    fall as 1/sqrt(delta), 100 times per factor 1e4, and after the first correction as
+    1/delta; as delta -> 0 they fall as delta.
     """
 
     def test_massless_fidelity_is_one_at_rest(self):
@@ -803,6 +804,19 @@ class TestWidthLimits:
             assert np.all((0.0 < gaps) & (gaps <= bounds)), gaps
             assert _falls_as(gaps, 1e-2), gaps
 
+    @pytest.mark.parametrize("beta", sorted(MASSLESS_REMAINDERS))
+    def test_first_massless_correction(self, beta):
+        # the two-term forms leave a remainder that falls as 1/delta, 1e-4 times per factor 1e4
+        widths = np.array([[1e8], [1e12]])
+        gp, b = GaussianProduct(widths), Boost(np.array([beta]))
+        grid = build_grid(1024, 1024, default_p_max(widths))
+        root, (c_f, c_s2) = np.sqrt(widths[:, 0]), massless_corrections(beta)
+        f_rem = (fidelity(gp, b, grid) / fidelity_massless(beta) - 1.0)[:, 0] - c_f / root
+        s2_rem = (bell_ABCD(gp, b, grid).eta / 2.0 - bell_s2_massless(beta))[:, 0] - c_s2 / root
+        for rem, bound in zip((f_rem, s2_rem), MASSLESS_REMAINDERS[beta]):
+            assert np.all(np.abs(rem * widths[:, 0]) <= bound), rem * widths[:, 0]
+            assert _falls_as(rem, 1e-4), rem
+
     @pytest.mark.parametrize("sign", [-1, 1])
     @pytest.mark.parametrize("spin", [bell_phi_plus(), spin_up_up(),
                                       np.array([0.5, 0.5j, -0.5, 0.5], dtype=complex)],
@@ -811,8 +825,8 @@ class TestWidthLimits:
         # rho -> rho_inf exactly at rest and as 1/sqrt(delta) under a boost
         widths = np.array([[1e8], [1e12]])
         betas = np.array([0.0, 0.5, 0.9, 0.99, 0.9999, BETA_CAP])
-        state = BipartiteState(EntangledMomentum(widths, sign), spin)
-        rho = reduced_spin_density(state, Boost(betas), build_grid(32, 32, default_p_max(widths)))
+        rho = reduced_spin_density(EntangledMomentum(widths, sign), Boost(betas),
+                                   build_grid(32, 32, default_p_max(widths)), spin)
         gaps = np.max(np.abs(rho - reduced_spin_density_massless(spin, betas, sign)), axis=(-2, -1))
         assert np.all(gaps[:, 0] <= 2e-16), gaps
         scaled = gaps[:, 1:] * np.sqrt(widths)

@@ -13,11 +13,10 @@ from oracles import (
     wigner_oracle,
     wigner_rotation,
 )
-from relent.correlations import ObservableDirection, quantum_correlation
+from relent.correlations import quantum_correlation
 from relent.entanglement import bell_ABCD, fidelity, xstate_stats
-from relent.kinematics import BETA_CAP, Boost, wigner_half_angle
+from relent.kinematics import BETA_CAP, Boost, lorentz_factor, wigner_half_angle
 from relent.relstate import (
-    BipartiteState,
     bell_phi_plus,
     default_sample_pairs,
     momentum_density_samples,
@@ -64,21 +63,21 @@ class TestBoost:
         assert Boost(BETA_CAP).beta == BETA_CAP
 
     def test_gamma(self):
-        assert Boost(0.6).gamma == pytest.approx(1.25, rel=1e-14)
+        assert lorentz_factor(Boost(0.6).beta) == pytest.approx(1.25, rel=1e-14)
 
     def test_list_of_speeds_is_an_array(self):
-        # a list used to reach Boost.gamma and the correlation's speed check as a list; one
+        # a list used to reach the Lorentz factor and the correlation's speed check as a list; one
         # speed is a 0-d array, which gives every kernel the bits of a length-1 array
         gp, em = GaussianProduct(1.0), EntangledMomentum(1.0)
         grid = build_grid(16, 16, default_p_max(1.0))
-        x = ObservableDirection(np.array([0.6, 0.8, 0.0]))
+        x = np.array([0.6, 0.8, 0.0])
         pairs = default_sample_pairs(gp, seed=42)
         calls = (
             lambda b: [fidelity(gp, b, grid)],
             lambda b: bell_ABCD(gp, b, grid),
             lambda b: xstate_stats(em, b, grid),
-            lambda b: momentum_density_samples(BipartiteState(gp, bell_phi_plus()), b, *pairs),
-            lambda b: [quantum_correlation(x, x, em, bell_phi_plus(), b, grid)],
+            lambda b: momentum_density_samples(gp, b, *pairs, bell_phi_plus()),
+            lambda b: [quantum_correlation(x, x, em, b, grid, bell_phi_plus())],
         )
         assert Boost(0.5).beta.shape == ()
         for call in calls:

@@ -34,7 +34,6 @@ from relent.cli import _DEFAULT_BETAS
 from relent.entanglement import bell_ABCD, fidelity
 from relent.kinematics import BETA_CAP, Boost
 from relent.relstate import (
-    BipartiteState,
     bell_phi_plus,
     default_sample_pairs,
     momentum_density_samples,
@@ -114,22 +113,22 @@ def test_kernels_match_hypot_forms(case):
     if not _same_error(got, want):
         assert np.max(np.abs(np.subtract(got, want))) <= 1e-13
 
-    pair_state = BipartiteState(EntangledMomentum(delta, sign), spin)
-    got = _outcome(reduced_spin_density, pair_state, b, grid)
-    want = _outcome(reduced_spin_density_hypot, pair_state, b, grid)
+    em = EntangledMomentum(delta, sign)
+    got = _outcome(reduced_spin_density, em, b, grid, spin)
+    want = _outcome(reduced_spin_density_hypot, em, b, grid, spin)
     if not _same_error(got, want):
         assert np.max(np.abs(got - want)) <= 1e-13
 
     # the library's sampler on its own draw, and the Cartesian reference on a collinear and a
     # p = 0 row, which rotate by exactly the identity
-    state, edge = BipartiteState(gp, spin), root * EDGE_ROWS
+    edge = root * EDGE_ROWS
     radii, directions = sample_prefix(gp, 9, seed=n_r)
     for kernel, args, pairs in (
         (momentum_density_samples, (radii, directions), cartesian_pairs(radii, directions)[0]),
         (momentum_density_samples_cartesian, (edge,), edge),
     ):
-        got = _outcome(kernel, state, b, *args)
-        want = _outcome(momentum_density_samples_hypot, state, b, pairs)
+        got = _outcome(kernel, gp, b, *args, spin)
+        want = _outcome(momentum_density_samples_hypot, gp, b, pairs, spin)
         if not _same_error(got, want):
             for x, x_ref in zip(got, want):
                 x = np.reshape(x, x_ref.shape)
@@ -251,10 +250,11 @@ class TestLatticeMemory:
 
     @pytest.mark.parametrize("sign", [-1, 1])
     def test_reduced_spin_density(self, sign):
-        state = BipartiteState(EntangledMomentum(1.0, sign), spin_up_up())
+        dist = EntangledMomentum(1.0, sign)
 
         def call(n_theta):
-            return reduced_spin_density, state, self.b, build_grid(64, n_theta, default_p_max(1.0))
+            grid = build_grid(64, n_theta, default_p_max(1.0))
+            return reduced_spin_density, dist, self.b, grid, spin_up_up()
         assert _lattices_per_polar_node(call) <= 0.01
         assert _peak_lattices(*call(64)) <= 0.75
 
@@ -262,8 +262,8 @@ class TestLatticeMemory:
         # the spin_bell_momentum_product sweep's call: 3 widths, the 21 betas, 64 pairs
         delta = np.array([[0.5], [1.0], [4.0]])
         gp = GaussianProduct(delta)
-        call = (momentum_density_samples, BipartiteState(gp, bell_phi_plus()), self.b,
-                *default_sample_pairs(gp, seed=42))
+        call = (momentum_density_samples, gp, self.b, *default_sample_pairs(gp, seed=42),
+                bell_phi_plus())
         # measured 4.28, with 0.22 of margin for allocator and numpy version noise
         assert _peak_bytes(*call) / (delta.size * len(_DEFAULT_BETAS) * 4 * 64 * 8) <= 4.5
 

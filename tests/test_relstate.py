@@ -26,7 +26,6 @@ import relent.relstate as relstate
 from relent.kinematics import BETA_CAP, Boost
 from relent.relstate import (
     SAMPLE_PAIRS,
-    BipartiteState,
     bell_phi_plus,
     default_sample_pairs,
     momentum_density_samples,
@@ -66,19 +65,29 @@ X_PATTERN = np.array(
 )
 
 
-class TestBipartiteState:
+def spin_kernel_at_rest(dist, spin):
+    """The spin kernel that takes ``dist`` (``momentum_density_samples`` for a product packet,
+    ``reduced_spin_density`` for a delta-correlated one) at rest, with the amplitude ``spin``."""
+    if isinstance(dist, GaussianProduct):
+        return momentum_density_samples(dist, Boost(0.0), *default_sample_pairs(dist, seed=0), spin)
+    return reduced_spin_density(dist, Boost(0.0), build_grid(32, 32, default_p_max(1.0)), spin)
+
+
+class TestSpinAmplitude:
+    """Both spin kernels check the amplitude they are given."""
+
     def test_rejects_unnormalised_spin(self):
         with pytest.raises(ValueError):
-            BipartiteState(GaussianProduct(1.0), np.array([1.0, 1.0, 0.0, 0.0]))
+            spin_kernel_at_rest(GaussianProduct(1.0), np.array([1.0, 1.0, 0.0, 0.0]))
 
     def test_bell_state_is_normalised(self):
-        BipartiteState(GaussianProduct(1.0), bell_phi_plus())
+        spin_kernel_at_rest(GaussianProduct(1.0), bell_phi_plus())
 
     @pytest.mark.parametrize("dist", [GaussianProduct(1.0), EntangledMomentum(1.0)])
     def test_rejects_nan_spin(self, dist):
         # a NaN amplitude used to pass, and reduced_spin_density then blamed the grid
         with pytest.raises(ValueError, match="unit norm"):
-            BipartiteState(dist, [np.nan, 0.0, 0.0, 0.0])
+            spin_kernel_at_rest(dist, [np.nan, 0.0, 0.0, 0.0])
 
 
 class TestSpinKernel:
@@ -155,8 +164,7 @@ class TestPolarMoments:
 
 class TestReducedSpinDensity:
     def test_no_boost_recovers_input(self, grid_default, entangled_unit):
-        state = BipartiteState(entangled_unit, bell_phi_plus())
-        rho = reduced_spin_density(state, Boost(0.0), grid_default)
+        rho = reduced_spin_density(entangled_unit, Boost(0.0), grid_default, bell_phi_plus())
         target = np.outer(bell_phi_plus(), bell_phi_plus().conj())
         assert np.max(np.abs(rho - target)) < 1e-10
 
@@ -165,12 +173,11 @@ class TestReducedSpinDensity:
     def test_density_invariants(self, grid_default, beta, which):
         # the product-momentum channel is a test reference (oracles)
         if which == "product_bell":
-            state = BipartiteState(GaussianProduct(1.0), bell_phi_plus())
             fine = azimuth_grid(32, 32, default_p_max(1.0))
-            rho = reduced_spin_density_3d(state, Boost(beta), fine)
+            rho = reduced_spin_density_3d(GaussianProduct(1.0), Boost(beta), fine, bell_phi_plus())
         else:
-            state = BipartiteState(EntangledMomentum(1.0, -1), spin_up_up())
-            rho = reduced_spin_density(state, Boost(beta), grid_default)
+            rho = reduced_spin_density(EntangledMomentum(1.0, -1), Boost(beta), grid_default,
+                                       spin_up_up())
         assert abs(np.trace(rho).real - 1.0) < 1e-6
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-10
         assert np.min(np.linalg.eigvalsh(rho)) > -1e-8
@@ -178,8 +185,8 @@ class TestReducedSpinDensity:
 
     @pytest.mark.parametrize("sign", [-1, 1])
     def test_up_up_entangled_has_x_pattern(self, grid_default, sign):
-        state = BipartiteState(EntangledMomentum(1.0, sign), spin_up_up())
-        rho = reduced_spin_density(state, Boost(0.8), grid_default)
+        rho = reduced_spin_density(EntangledMomentum(1.0, sign), Boost(0.8), grid_default,
+                                   spin_up_up())
         assert np.max(np.abs(rho[~X_PATTERN])) < 1e-8
 
     @pytest.mark.parametrize("sign", [-1, 1])
@@ -195,14 +202,14 @@ class TestReducedSpinDensity:
         # and the 4x4 moment summed entry by entry; grid.n_theta plays no part
         betas = np.array([0.0, 0.05, 0.3, 0.6, 0.9, 0.99, BETA_CAP])
         for delta in (0.5, 1.0, 4.0):
-            state = BipartiteState(EntangledMomentum(delta, sign), spin)
+            dist = EntangledMomentum(delta, sign)
             grid = build_grid(24, n_theta, default_p_max(delta))
             for b in (Boost(betas), Boost(0.0), Boost(BETA_CAP)):
-                rho = reduced_spin_density(state, b, grid)
-                ref = reduced_spin_density_two_angles(state, b, grid)
+                rho = reduced_spin_density(dist, b, grid, spin)
+                ref = reduced_spin_density_two_angles(dist, b, grid, spin)
                 assert np.max(np.abs(rho - ref)) <= 1e-15
-                assert np.array_equal(rho, reduced_spin_density(state, b, grid._replace(
-                    n_theta=2, costheta=np.zeros(2), polar_weights=np.zeros(2))))
+                assert np.array_equal(rho, reduced_spin_density(dist, b, grid._replace(
+                    n_theta=2, costheta=np.zeros(2), polar_weights=np.zeros(2)), spin))
 
     @given(parts=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8))
     @settings(max_examples=200)
@@ -239,8 +246,8 @@ class TestReducedSpinDensity:
 
     def test_generic_spin_product_distribution(self, grid_default, gauss_unit):
         spin = np.array([0.5, 0.5j, -0.5, 0.5], dtype=complex)
-        state = BipartiteState(gauss_unit, spin)
-        rho = reduced_spin_density_3d(state, Boost(0.6), azimuth_grid(32, 32, default_p_max(1.0)))
+        grid = azimuth_grid(32, 32, default_p_max(1.0))
+        rho = reduced_spin_density_3d(gauss_unit, Boost(0.6), grid, spin)
         validate_density(rho, trace_tol=1e-6)
 
     def test_validate_rejects_nan(self):
@@ -251,39 +258,36 @@ class TestReducedSpinDensity:
 
     def test_grid_coverage_error(self, entangled_unit):
         bad = build_grid(8, 8, 0.5)  # cuts most of the Gaussian
-        state = BipartiteState(entangled_unit, bell_phi_plus())
         with pytest.raises(GridCoverageError):
-            reduced_spin_density(state, Boost(0.5), bad)
+            reduced_spin_density(entangled_unit, Boost(0.5), bad, bell_phi_plus())
 
     @pytest.mark.parametrize("sign", [-1, 1])
     def test_per_speed_grid_with_scalar_boost(self, sign):
         # the moments take the grid's leading axis when the boost has none
         cutoffs = default_p_max(1.0, np.array([0.0, 0.5, 0.9]))
-        state = BipartiteState(EntangledMomentum(1.0, sign), bell_phi_plus())
-        rho = reduced_spin_density(state, Boost(0.5), build_grid(32, 32, cutoffs))
+        dist, spin = EntangledMomentum(1.0, sign), bell_phi_plus()
+        rho = reduced_spin_density(dist, Boost(0.5), build_grid(32, 32, cutoffs), spin)
         assert rho.shape == (3, 4, 4)
         for got, cut in zip(rho, cutoffs):
-            want = reduced_spin_density(state, Boost(0.5), build_grid(32, 32, cut))
+            want = reduced_spin_density(dist, Boost(0.5), build_grid(32, 32, cut), spin)
             assert np.max(np.abs(got - want)) <= 1e-15
 
     def test_product_path_matches_delta_free_quadrature(self, gauss_unit):
         # same physics through spin_kernel at scattered nodes: coarse consistency
         grid = azimuth_grid(24, 24, default_p_max(1.0))
-        state = BipartiteState(gauss_unit, bell_phi_plus())
-        rho_a = reduced_spin_density_3d(state, Boost(0.5), grid)
+        rho_a = reduced_spin_density_3d(gauss_unit, Boost(0.5), grid, bell_phi_plus())
         grid_b = azimuth_grid(32, 32, default_p_max(1.0))
-        rho_b = reduced_spin_density_3d(state, Boost(0.5), grid_b)
+        rho_b = reduced_spin_density_3d(gauss_unit, Boost(0.5), grid_b, bell_phi_plus())
         assert np.max(np.abs(rho_a - rho_b)) < 1e-6
 
 
 @pytest.fixture(scope="module")
 def ur_setup():
     dist = GaussianProduct(1.0e6)
-    state = BipartiteState(dist, bell_phi_plus())
-    return state, default_sample_pairs(dist, seed=42)
+    return dist, default_sample_pairs(dist, seed=42)
 
 
-def _scalar_samples(state, b, pairs):
+def _scalar_samples(dist, b, pairs, phi):
     """Per-row reference for momentum_density_samples through spin_kernel.
 
     Returns the spin overlap, the product of the single-party overlaps and the
@@ -293,7 +297,6 @@ def _scalar_samples(state, b, pairs):
     stands in for the identity on the other party, whose traced-out momentum
     contributes exactly 1.
     """
-    dist, phi = state.dist, state.spin
     rest = FourMomentum(np.zeros(3))
     overlaps, products, factors = [], [], []
     for row in pairs:
@@ -326,11 +329,10 @@ class TestMomentumDensitySamples:
         pairs = np.concatenate(
             [cartesian_pairs(radii, directions)[0], [collinear], np.zeros((1, 4, 3))]
         )
-        state = BipartiteState(dist, spin)
-        ref_el, ref_marg, _ = _scalar_samples(state, Boost(beta), pairs)
-        drawn = momentum_density_samples(state, Boost(beta), radii, directions)
+        ref_el, ref_marg, _ = _scalar_samples(dist, Boost(beta), pairs, spin)
+        drawn = momentum_density_samples(dist, Boost(beta), radii, directions, spin)
         drawn = [np.ravel(x) for x in drawn]
-        general = momentum_density_samples_cartesian(state, Boost(beta), pairs)
+        general = momentum_density_samples_cartesian(dist, Boost(beta), pairs, spin)
         for elements, marginals in (drawn, general):
             n = len(elements)
             assert np.max(np.abs(elements - ref_el[:n])) <= 1e-13 * np.max(np.abs(ref_el))
@@ -339,20 +341,21 @@ class TestMomentumDensitySamples:
         assert np.all(general[0][-2:].imag == 0.0)
 
     def test_no_boost_is_exactly_product(self, ur_setup):
-        state, pairs = ur_setup
-        sample = momentum_density_samples(state, Boost(0.0), *pairs)
+        dist, pairs = ur_setup
+        sample = momentum_density_samples(dist, Boost(0.0), *pairs, bell_phi_plus())
         assert np.allclose(*sample, rtol=1e-10)
         assert product_distance(*sample) < 1e-10
 
     def test_ultra_relativistic_factorization(self, ur_setup):
-        state, pairs = ur_setup
-        sample = momentum_density_samples(state, Boost(0.9999), *pairs)
+        dist, pairs = ur_setup
+        sample = momentum_density_samples(dist, Boost(0.9999), *pairs, bell_phi_plus())
         assert product_distance(*sample) < 1e-2
 
     def test_requires_product_distribution(self):
-        state = BipartiteState(EntangledMomentum(1.0, -1), bell_phi_plus())
+        dist = EntangledMomentum(1.0, -1)
         with pytest.raises(TypeError):
-            momentum_density_samples(state, Boost(0.5), *default_sample_pairs(state.dist, seed=0))
+            momentum_density_samples(dist, Boost(0.5), *default_sample_pairs(dist, seed=0),
+                                     bell_phi_plus())
 
     def test_sampler_is_deterministic(self):
         dist = GaussianProduct(1.0e6)
@@ -400,8 +403,8 @@ class TestMomentumDensitySamples:
         assert np.array_equal(directions, want_directions)
 
     def test_diagonal_pairs_present_and_real(self, ur_setup):
-        state, (radii, directions) = ur_setup
-        elements, _ = momentum_density_samples(state, Boost(0.7), radii, directions)
+        dist, (radii, directions) = ur_setup
+        elements, _ = momentum_density_samples(dist, Boost(0.7), radii, directions, bell_phi_plus())
         diag = np.all(radii[0, :, :2] == radii[0, :, 2:], axis=1)
         assert diag.sum() >= 16
         assert np.max(np.abs(elements[0, 0, diag].imag)) < 1e-12
@@ -410,9 +413,10 @@ class TestMomentumDensitySamples:
         with pytest.raises(ValueError, match="sample is empty"):
             product_distance(np.zeros(0, dtype=complex), np.zeros(0, dtype=complex))
         # the sampler's own result for no pairs, at two speeds
-        state = BipartiteState(GaussianProduct(1.0), bell_phi_plus())
-        no_pairs = sample_prefix(state.dist, 0, seed=1)
-        sample = momentum_density_samples(state, Boost(np.array([0.0, 0.5])), *no_pairs)
+        dist = GaussianProduct(1.0)
+        no_pairs = sample_prefix(dist, 0, seed=1)
+        sample = momentum_density_samples(dist, Boost(np.array([0.0, 0.5])), *no_pairs,
+                                          bell_phi_plus())
         with pytest.raises(ValueError, match="sample is empty"):
             product_distance(*sample)
 
@@ -474,10 +478,9 @@ class TestQuaternionSampler:
         # kernels form the same half-angles from differently rounded inputs
         widths = np.power(10.0, np.arange(-12.0, 13.0))[:, None]
         dist, b = GaussianProduct(widths), Boost(np.array([0.0, 0.5, 0.99, BETA_CAP]))
-        state = BipartiteState(dist, spin)
         radii, directions = default_sample_pairs(dist, seed=42)
-        got = momentum_density_samples(state, b, radii, directions)
-        want = momentum_density_samples_cartesian(state, b, cartesian_pairs(radii, directions))
+        got = momentum_density_samples(dist, b, radii, directions, spin)
+        want = momentum_density_samples_cartesian(dist, b, cartesian_pairs(radii, directions), spin)
         for x, x_ref in zip(got, want):
             assert x.shape == x_ref.shape == (25, 4, 64)
             assert np.max(np.abs(x - x_ref)) <= SAMPLER_TOL
@@ -494,10 +497,9 @@ class TestQuaternionSampler:
             per_width = [(delta, pairs, Ellipsis)]
         else:
             per_width = [(w, rows, i) for i, (w, rows) in enumerate(zip(widths[:, 0], pairs))]
-        got = momentum_density_samples_cartesian(BipartiteState(dist, spin), b, pairs)
+        got = momentum_density_samples_cartesian(dist, b, pairs, spin)
         for width, rows, i in per_width:
-            want = momentum_density_samples_su2(BipartiteState(GaussianProduct(width), spin), b,
-                                                rows)
+            want = momentum_density_samples_su2(GaussianProduct(width), b, rows, spin)
             for x, x_ref in ((got[0][i], want[0]), (got[1][i], want[1])):
                 x = np.reshape(x, x_ref.shape)
                 scale = np.max(np.abs(x_ref), axis=-1, keepdims=True)
@@ -514,15 +516,14 @@ class TestQuaternionSampler:
         for pairs, distance in ((sample_rows(dist, seed=5), False),
                                 (cartesian_pairs(*drawn)[0], True)):
             for spin in SAMPLE_SPINS:
-                state = BipartiteState(dist, spin)
                 if distance:  # the library's kernel on the sweep's draw
-                    overlaps, products = (x[0] for x in
-                                          momentum_density_samples(state, Boost(betas), *drawn))
+                    overlaps, products = (x[0] for x in momentum_density_samples(
+                        dist, Boost(betas), *drawn, spin))
                 else:
-                    overlaps, products = momentum_density_samples_cartesian(state, Boost(betas),
-                                                                            pairs)
+                    overlaps, products = momentum_density_samples_cartesian(dist, Boost(betas),
+                                                                            pairs, spin)
                 for i, beta in enumerate(betas):
-                    ref_overlaps, _, factor = _scalar_samples(state, Boost(beta), pairs)
+                    ref_overlaps, _, factor = _scalar_samples(dist, Boost(beta), pairs, spin)
                     ref_elements = factor * ref_overlaps
                     err = np.max(np.abs(factor * overlaps[i] - ref_elements))
                     assert err <= 1e-13 * np.max(np.abs(ref_elements))
@@ -542,9 +543,9 @@ class TestQuaternionSampler:
 
         monkeypatch.setattr(relstate, "wigner_half_angle", off_circle)
         dist = GaussianProduct(1.0)
-        state = BipartiteState(dist, bell_phi_plus())
         with pytest.raises(ValueError, match="diagonal spin overlaps must lie within 1e-12"):
-            momentum_density_samples(state, Boost(0.5), *sample_prefix(dist, 8, seed=1))
+            momentum_density_samples(dist, Boost(0.5), *sample_prefix(dist, 8, seed=1),
+                                     bell_phi_plus())
 
     @pytest.mark.parametrize("dist, pairs", [
         (EntangledMomentum(1.0), np.zeros((2, 4, 3))),
@@ -554,9 +555,9 @@ class TestQuaternionSampler:
         (GaussianProduct(1.0), np.zeros((1, 1, 2, 4, 3))),
     ])
     def test_raises_like_su2_form(self, dist, pairs):
-        state, errors = BipartiteState(dist, bell_phi_plus()), []
+        errors = []
         for fn in (momentum_density_samples_cartesian, momentum_density_samples_su2):
             with pytest.raises((TypeError, ValueError)) as err:
-                fn(state, Boost(0.5), pairs)
+                fn(dist, Boost(0.5), pairs, bell_phi_plus())
             errors.append((err.type, str(err.value)))
         assert errors[0] == errors[1]

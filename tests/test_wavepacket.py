@@ -17,7 +17,6 @@ from oracles import (
 from relent.entanglement import bell_ABCD, fidelity, xstate_stats
 from relent.kinematics import Boost
 from relent.relstate import (
-    BipartiteState,
     bell_phi_plus,
     reduced_spin_density,
     spin_up_up,
@@ -233,13 +232,12 @@ class TestAzimuthRule:
         # azimuth rule is checked against the 64-node one
         pair = isinstance(dist, EntangledMomentum)
         grid, fine = self._grids(default_p_max(1.0), n_theta_ref=64 if pair else 24)
-        state = BipartiteState(dist, bell_phi_plus())
         if pair:
-            rho = reduced_spin_density(state, Boost(beta), grid)
+            rho = reduced_spin_density(dist, Boost(beta), grid, bell_phi_plus())
         else:
             lattice = azimuth_grid(24, 24, default_p_max(1.0))
-            rho = reduced_spin_density_3d(state, Boost(beta), lattice)
-        ref = reduced_spin_density_3d(state, Boost(beta), fine)
+            rho = reduced_spin_density_3d(dist, Boost(beta), lattice, bell_phi_plus())
+        ref = reduced_spin_density_3d(dist, Boost(beta), fine, bell_phi_plus())
         assert np.max(np.abs(rho - ref)) < 1e-13
 
     @pytest.mark.parametrize("beta", BETAS)
@@ -253,8 +251,8 @@ class TestAzimuthRule:
     @pytest.mark.parametrize("beta", BETAS)
     def test_fidelity(self, beta):
         grid, fine = self._grids(default_p_max(1.0, beta))
-        state = BipartiteState(GaussianProduct(1.0), bell_phi_plus())
-        v, f = fidelity(state.dist, Boost(beta), grid), fidelity_3d(state, Boost(beta), fine)
+        gp = GaussianProduct(1.0)
+        v, f = fidelity(gp, Boost(beta), grid), fidelity_3d(gp, Boost(beta), fine, bell_phi_plus())
         assert abs(np.sqrt(v) - np.sqrt(f)) < 1e-13
         assert abs(v - f) < 1e-13
 
@@ -264,7 +262,7 @@ class TestAzimuthRule:
         # the moment matrix is the identity times a scalar, so the full-matrix
         # overlap of any unit spin amplitude gives the fidelity that ignores it
         grid, fine = self._grids(default_p_max(1.0, 0.9))
-        f = fidelity_3d(BipartiteState(GaussianProduct(1.0), spin), Boost(0.9), fine)
+        f = fidelity_3d(GaussianProduct(1.0), Boost(0.9), fine, spin)
         assert abs(fidelity(GaussianProduct(1.0), Boost(0.9), grid) - f) < 1e-13
 
     @pytest.mark.parametrize("spin", [spin_up_up(), bell_phi_plus()], ids=["up_up", "bell"])
